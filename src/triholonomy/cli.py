@@ -60,7 +60,13 @@ from .gates import (
     synth_hadamard_gate,
     synth_phase_gate,
 )
-from .holonomy import HolonomyLoop, dyson_trace, integrate_wilson, wilson_from_rates
+from .holonomy import (
+    HolonomyLoop,
+    dyson_trace,
+    integrate_wilson,
+    midpoint_grid,
+    wilson_from_samples,
+)
 from .linking import LinkData, SpaceCurve, cs_phase, gauss_linking, hopf_pair
 from .trimer import BondDrive, effective_momentum_series, phase_sweep, reconstruct_rotation
 
@@ -83,12 +89,7 @@ def _fmt(x: float) -> str:
 
 def _complex_pairs(matrix: np.ndarray) -> list:
     """Row-major [re, im] pairs of a complex matrix."""
-    return [[[_float17(z.real), _float17(z.imag)] for z in row] for row in np.asarray(matrix)]
-
-
-def _float17(x: float) -> float:
-    # json round-trips doubles exactly; keep raw floats for JSON payloads
-    return float(x)
+    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(matrix)]
 
 
 def _write_csv(path: str, header: list[str], columns: list[np.ndarray]) -> None:
@@ -249,34 +250,16 @@ def _gauge_check(
 ) -> str:
     """Seeded random gauge rotations of the loop's (A, psi) data at unit weight."""
     psi_abs = float(params.get("psi_values", [0.05])[0])
-    n_steps = int(params.get("steps", 8192))
-
-    def a_geom(s):
-        th, _ = loop_shape.at(s)
-        _, dph = loop_shape.tangent(np.minimum(s, 2 * math.pi - 1e-12))
-        return float(0.5 * (1.0 - np.cos(th)) * dph)
-
-    def psi0(s):
-        return psi_abs
-
-    base = wilson_from_rates(a_geom, psi0, 1.0, n_steps).trace
+    s, _ = midpoint_grid(int(params.get("steps", 8192)))
+    a = HolonomyLoop(loop_shape).sample(s).a
+    base = wilson_from_samples(a, np.full(s.size, psi_abs), 1.0).trace
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(rotations):
         coef = rng.normal(size=3) * 0.25
-
-        def alpha(s):
-            return coef[0] * math.sin(s) + coef[1] * (math.cos(s) - 1) + coef[2] * math.sin(2 * s)
-
-        def dalpha(s):
-            return coef[0] * math.cos(s) - coef[1] * math.sin(s) + 2 * coef[2] * math.cos(2 * s)
-
-        rotated = wilson_from_rates(
-            lambda s: a_geom(s) + dalpha(s),
-            lambda s: np.exp(1j * alpha(s)) * psi0(s),
-            1.0,
-            n_steps,
-        ).trace
+        alpha = coef[0] * np.sin(s) + coef[1] * (np.cos(s) - 1) + coef[2] * np.sin(2 * s)
+        dalpha = coef[0] * np.cos(s) - coef[1] * np.sin(s) + 2 * coef[2] * np.cos(2 * s)
+        rotated = wilson_from_samples(a + dalpha, np.exp(1j * alpha) * psi_abs, 1.0).trace
         worst = max(worst, abs(rotated - base))
     path = os.path.join(outdir, "gauge_check.json")
     _write_json(
@@ -332,9 +315,14 @@ def _load_curve_csv(path: str) -> SpaceCurve:
     return SpaceCurve(data)
 
 
-def _run_linking(params: dict, outdir: str) -> list[str]:
+def _curve_paths(params: dict, base_dir: str) -> list[str]:
+    """``curve_files`` with relative entries resolved against the config's directory."""
+    return [os.path.join(base_dir, p) for p in params["curve_files"]]
+
+
+def _run_linking(params: dict, outdir: str, base_dir: str) -> list[str]:
     if "curve_files" in params:
-        curves = [_load_curve_csv(p) for p in params["curve_files"]]
+        curves = [_load_curve_csv(p) for p in _curve_paths(params, base_dir)]
     else:
         hopf = params.get("hopf", {})
         curves = list(
@@ -429,7 +417,8 @@ def _run_ramsey(params: dict, outdir: str) -> list[str]:
     return [csv_path, json_path]
 
 
-def run_scenario(cfg: dict, outdir: str, threads: int) -> list[str]:
+def run_scenario(cfg: dict, outdir: str, threads: int, base_dir: str) -> list[str]:
+    """Run a loaded config; ``base_dir`` (the config's directory) anchors relative paths."""
     scenario = cfg["scenario"]
     params = cfg.get("params", {})
     if scenario == "gate-synth":
@@ -441,7 +430,7 @@ def run_scenario(cfg: dict, outdir: str, threads: int) -> list[str]:
     if scenario == "phase-sweep":
         return _run_phase_sweep(params, outdir, threads)
     if scenario == "linking":
-        return _run_linking(params, outdir)
+        return _run_linking(params, outdir, base_dir)
     if scenario == "demo-budget":
         return _run_demo_budget(params, outdir)
     if scenario == "ramsey":
@@ -473,9 +462,8 @@ def validate_config(cfg: dict, base_dir: str) -> list[str]:
                 f"(got ratios {report.ratio_lower:.3g} and {report.ratio_upper:.3g})"
             )
     if scenario == "linking" and "curve_files" in params:
-        for path in params["curve_files"]:
-            full = path if os.path.isabs(path) else os.path.join(base_dir, path)
-            if not os.path.exists(full):
+        for path in _curve_paths(params, base_dir):
+            if not os.path.exists(path):
                 raise ConfigError(f"referenced curve file does not exist: {path}")
         lines.append(f"{len(params['curve_files'])} curve files present")
     if scenario == "gate-synth":
@@ -495,6 +483,10 @@ def _sha256(path: str) -> str:
     return h.hexdigest()
 
 
+def _config_dir(config_path: str) -> str:
+    return os.path.dirname(os.path.abspath(config_path))
+
+
 def _cmd_run(args) -> int:
     t_start = time.perf_counter()
     cfg = load_config(args.config)
@@ -504,7 +496,7 @@ def _cmd_run(args) -> int:
     os.makedirs(outdir, exist_ok=True)
     staging = tempfile.mkdtemp(prefix=".staging-", dir=outdir)
     try:
-        produced = run_scenario(cfg, staging, max(1, args.threads))
+        produced = run_scenario(cfg, staging, max(1, args.threads), _config_dir(args.config))
         manifest = {
             "artifact_version": __version__,
             "config": cfg,
@@ -524,7 +516,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_validate(args) -> int:
     cfg = load_config(args.config)
-    for line in validate_config(cfg, os.path.dirname(os.path.abspath(args.config))):
+    for line in validate_config(cfg, _config_dir(args.config)):
         print(line)
     return 0
 

@@ -31,6 +31,10 @@ A ``ConnectionSample`` additionally reports the abelian coefficient
 pinned fields, ``psi (d mu - i sin mu d lambda)`` for analytic ones), with
 ``omega`` the unit-monopole potential on the Bloch sphere pulled back
 through the axis field.
+
+Every quantity is evaluated on arrays of samples (``monopole_potential``,
+``connection_vectors``, ``eigenframe_rate_samples``); the pointwise
+functions are one-sample calls into these kernels.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -50,6 +54,10 @@ __all__ = [
     "BlochField",
     "ControlField",
     "ConnectionSample",
+    "LoopSamples",
+    "monopole_potential",
+    "connection_vectors",
+    "eigenframe_rate_samples",
     "guichardet_connection",
     "bloch_axis",
     "bloch_area_potential",
@@ -88,6 +96,7 @@ class BlochField:
 
         n = (cos lam sin mu, sin lam sin mu, cos mu).
 
+    The callables are scalar and are evaluated once per sample point.
     Angle partial derivatives default to central differences; analytic
     partials can be supplied for exactness.
     """
@@ -102,10 +111,12 @@ class BlochField:
     ):
         if (mu is None) != (lam is None):
             raise ValidationError("analytic fields need both mu and lam callables")
-        self._mu = mu
-        self._lam = lam
-        self._mu_partials = mu_partials
-        self._lam_partials = lam_partials
+        self._mu = None if mu is None else np.vectorize(mu, otypes=[float])
+        self._lam = None if lam is None else np.vectorize(lam, otypes=[float])
+        self._partials = tuple(
+            None if fn is None else np.vectorize(fn, otypes=[float, float])
+            for fn in (mu_partials, lam_partials)
+        )
         if mu is None:
             n = np.array([0.0, 0.0, 1.0]) if axis is None else np.asarray(axis, dtype=float)
             norm = np.linalg.norm(n)
@@ -167,51 +178,61 @@ class BlochField:
             raise ValidationError("not a pinned field")
         return self._frame
 
-    def angles(self, point: ShapePoint) -> tuple[float, float]:
-        """Bloch angles (mu, lam) at a shape point."""
-        if self.is_pinned:
-            n = self._axis
-            return math.acos(np.clip(n[2], -1.0, 1.0)), math.atan2(n[1], n[0])
-        return (
-            float(self._mu(point.colatitude, point.azimuth)),
-            float(self._lam(point.colatitude, point.azimuth)),
-        )
+    def angle_samples(self, th, ph, dth, dph) -> tuple[np.ndarray, ...]:
+        """Bloch angles and their rates (mu, lam, dmu/ds, dlam/ds) at sampled points.
 
-    def angle_partials(self, point: ShapePoint) -> tuple[tuple[float, float], tuple[float, float]]:
-        """((dmu/dtheta, dmu/dphi), (dlam/dtheta, dlam/dphi)) at a point."""
+        ``th``, ``ph`` are shape-sphere coordinates and ``dth``, ``dph`` the
+        tangent (dtheta/ds, dphi/ds) there; all four are arrays of one shape.
+        """
+        mu, lam = self._angles(th, ph)
         if self.is_pinned:
-            return (0.0, 0.0), (0.0, 0.0)
-        th, ph = point.colatitude, point.azimuth
-        out = []
-        for fn, supplied in ((self._mu, self._mu_partials), (self._lam, self._lam_partials)):
-            if supplied is not None:
-                out.append(tuple(float(x) for x in supplied(th, ph)))
+            return mu, lam, np.zeros_like(mu), np.zeros_like(mu)
+        rates = []
+        for fn, partials in zip((self._mu, self._lam), self._partials):
+            if partials is not None:
+                d_th, d_ph = partials(th, ph)
             else:
                 h = _FD_STEP
-                out.append(
-                    (
-                        (fn(th + h, ph) - fn(th - h, ph)) / (2 * h),
-                        (fn(th, ph + h) - fn(th, ph - h)) / (2 * h),
-                    )
-                )
-        return out[0], out[1]
+                d_th = (fn(th + h, ph) - fn(th - h, ph)) / (2 * h)
+                d_ph = (fn(th, ph + h) - fn(th, ph - h)) / (2 * h)
+            rates.append(d_th * dth + d_ph * dph)
+        if not all(np.all(np.isfinite(x)) for x in (mu, lam, *rates)):
+            raise ValidationError("Bloch field angles and their rates must be finite")
+        return mu, lam, rates[0], rates[1]
+
+    def _angles(self, th, ph) -> tuple[np.ndarray, np.ndarray]:
+        if self.is_pinned:
+            n = self._axis
+            mu = math.acos(np.clip(n[2], -1.0, 1.0))
+            return np.full(np.shape(th), mu), np.full(np.shape(th), math.atan2(n[1], n[0]))
+        return self._mu(th, ph), self._lam(th, ph)
+
+    def angles(self, point: ShapePoint) -> tuple[float, float]:
+        """Bloch angles (mu, lam) at a shape point."""
+        mu, lam = self._angles(point.colatitude, point.azimuth)
+        return float(mu), float(lam)
 
     def angle_rates(self, point: ShapePoint, tangent) -> tuple[float, float]:
         """(d mu/ds, d lam/ds) along a shape-space tangent (dtheta/ds, dphi/ds)."""
-        (dmu_dth, dmu_dph), (dlam_dth, dlam_dph) = self.angle_partials(point)
-        dth, dph = tangent
-        return dmu_dth * dth + dmu_dph * dph, dlam_dth * dth + dlam_dph * dph
+        _, _, dmu, dlam = self.angle_samples(point.colatitude, point.azimuth, *tangent)
+        return float(dmu), float(dlam)
 
     def axis(self, point: ShapePoint) -> np.ndarray:
         """The unit axis n at a shape point."""
         if self.is_pinned:
             return self._axis
-        mu, lam = self.angles(point)
-        n = np.array([math.cos(lam) * math.sin(mu), math.sin(lam) * math.sin(mu), math.cos(mu)])
-        norm = np.linalg.norm(n)
-        if abs(norm - 1.0) > 1e-12:
-            raise NumericalError("Bloch field produced a non-unit axis")
-        return n
+        return _axis_and_rate(*self.angles(point), 0.0, 0.0)[0]
+
+
+def _axis_and_rate(mu, lam, dmu, dlam) -> tuple[np.ndarray, np.ndarray]:
+    """Unit axes n(mu, lam) and their rates dn/ds, stacked along a last axis of length 3."""
+    cm, sm, cl, sl = np.cos(mu), np.sin(mu), np.cos(lam), np.sin(lam)
+    n = np.stack([cl * sm, sl * sm, cm], axis=-1)
+    if not np.all(np.abs(np.linalg.norm(n, axis=-1) - 1.0) <= 1e-12):
+        raise NumericalError("Bloch field produced a non-unit axis")
+    dn_dmu = np.stack([cl * cm, sl * cm, -sm], axis=-1)
+    dn_dlam = np.stack([-sl * sm, cl * sm, np.zeros_like(sm)], axis=-1)
+    return n, np.asarray(dmu)[..., None] * dn_dmu + np.asarray(dlam)[..., None] * dn_dlam
 
 
 def bloch_axis(field: BlochField, point: ShapePoint, tangent) -> tuple[np.ndarray, np.ndarray]:
@@ -221,42 +242,42 @@ def bloch_axis(field: BlochField, point: ShapePoint, tangent) -> tuple[np.ndarra
     sphere, so it is orthogonal to n at machine precision even when the
     angle rates come from finite differences.
     """
-    n = field.axis(point)
     if field.is_pinned:
-        return n, np.zeros(3)
-    mu, lam = field.angles(point)
-    dmu, dlam = field.angle_rates(point, tangent)
-    dn_dmu = np.array([math.cos(lam) * math.cos(mu), math.sin(lam) * math.cos(mu), -math.sin(mu)])
-    dn_dlam = np.array([-math.sin(lam) * math.sin(mu), math.cos(lam) * math.sin(mu), 0.0])
-    return n, dmu * dn_dmu + dlam * dn_dlam
+        return field.pinned_axis, np.zeros(3)
+    return _axis_and_rate(*field.angle_samples(point.colatitude, point.azimuth, *tangent))
 
 
 class ControlField:
     """Complex control psi as a function of the loop parameter s in [0, 2 pi].
 
-    Values must be finite; periodic continuity |psi(0) - psi(2 pi)| < 1e-10
-    is enforced unless the field is constructed with ``check_periodic=False``
-    (needed for phase-steered controls whose argument tracks an accumulated
-    frame angle and therefore winds).
+    ``fn`` is a scalar callable, evaluated once per sampled parameter value.
+    Values must be finite wherever the field is sampled; periodic continuity
+    |psi(0) - psi(2 pi)| < 1e-10 is enforced unless the field is constructed
+    with ``check_periodic=False`` (needed for phase-steered controls whose
+    argument tracks an accumulated frame angle and therefore winds).
     """
 
     def __init__(self, fn: Callable[[float], complex], check_periodic: bool = True):
-        self._fn = fn
-        self.periodic = True
-        v0, v1 = complex(fn(0.0)), complex(fn(2 * math.pi))
-        if not (np.isfinite(v0.real) and np.isfinite(v0.imag)):
-            raise ValidationError("control field value is not finite")
-        if abs(v0 - v1) > 1e-10:
-            if check_periodic:
-                raise ValidationError(
-                    f"control field is not 2 pi-periodic (gap {abs(v0 - v1):.3e})"
-                )
-            self.periodic = False
+        self._bind(np.vectorize(fn, otypes=[complex]), check_periodic)
+
+    @classmethod
+    def _from_arrays(cls, values, check_periodic: bool = True) -> "ControlField":
+        """Field whose ``values`` maps an array of s to the array of psi (library-built controls)."""
+        field = cls.__new__(cls)
+        field._bind(values, check_periodic)
+        return field
+
+    def _bind(self, values, check_periodic: bool) -> None:
+        self._values = values
+        v0, v1 = self.at(np.array([0.0, 2 * math.pi]))
+        self.periodic = bool(abs(v0 - v1) <= 1e-10)
+        if check_periodic and not self.periodic:
+            raise ValidationError(f"control field is not 2 pi-periodic (gap {abs(v0 - v1):.3e})")
 
     @classmethod
     def constant(cls, value: complex) -> "ControlField":
         value = complex(value)
-        return cls(lambda s: value)
+        return cls._from_arrays(lambda s: np.full(np.shape(s), value, dtype=complex))
 
     @classmethod
     def zero(cls) -> "ControlField":
@@ -267,19 +288,21 @@ class ControlField:
         """Piecewise-linear interpolation of uniform samples over [0, 2 pi]."""
         vals = np.asarray(values, dtype=complex)
         grid = np.linspace(0.0, 2 * math.pi, vals.size)
-
-        def fn(s):
-            return complex(
-                np.interp(s, grid, vals.real) + 1j * np.interp(s, grid, vals.imag)
-            )
-
-        return cls(fn, check_periodic=check_periodic)
+        return cls._from_arrays(
+            lambda s: np.interp(s, grid, vals.real) + 1j * np.interp(s, grid, vals.imag),
+            check_periodic,
+        )
 
     def at(self, s) -> complex | np.ndarray:
-        s_arr = np.asarray(s, dtype=float)
-        if s_arr.ndim == 0:
-            return complex(self._fn(float(s_arr)))
-        return np.array([complex(self._fn(float(si))) for si in s_arr])
+        """psi at a parameter value or an array of them.
+
+        Raises:
+            ValidationError: if any sampled value is not finite.
+        """
+        values = np.asarray(self._values(np.asarray(s, dtype=float)), dtype=complex)
+        if not np.all(np.isfinite(values)):
+            raise ValidationError("control field value is not finite")
+        return complex(values) if values.ndim == 0 else values
 
 
 @dataclass(frozen=True)
@@ -300,10 +323,74 @@ class ConnectionSample:
         m = np.asarray(self.full, dtype=complex)
         if m.shape != (2, 2):
             raise ValidationError("connection sample must be 2x2")
-        if abs(np.trace(m)) > 1e-12 or np.max(np.abs(m + m.conj().T)) > 1e-12:
+        if not (abs(np.trace(m)) <= 1e-12 and np.max(np.abs(m + m.conj().T)) <= 1e-12):
             raise ValidationError("connection sample must be traceless and anti-Hermitian")
         m.setflags(write=False)
         object.__setattr__(self, "full", m)
+
+
+class LoopSamples(NamedTuple):
+    """Transport data sampled along a loop.
+
+    ``a`` is the monopole potential A on the tangent, ``psi`` the control,
+    and ``axis`` the analytic axis data (mu, lam, dmu/ds, dlam/ds), or None
+    for a pinned axis.
+    """
+
+    a: np.ndarray
+    psi: np.ndarray
+    axis: tuple[np.ndarray, ...] | None
+
+
+def monopole_potential(colat, dazimuth, patch: GaugePatch = GaugePatch.NORTH, where: str = "loop"):
+    """Unit-monopole potential contracted with tangents, at arrays of samples.
+
+    North patch (1/2)(1 - cos colat) dazimuth, south -(1/2)(1 + cos colat)
+    dazimuth; the same form serves the shape sphere and, pulled back through
+    the axis field, the Bloch sphere.
+
+    Raises:
+        NumericalError: when a sample lies within 1e-9 of the patch's excluded
+            pole (``where`` names the sampled object in the message).
+    """
+    colat = np.asarray(colat, dtype=float)
+    if patch is GaugePatch.NORTH:
+        if np.any(colat > math.pi - 1e-9):
+            raise NumericalError(f"{where} reaches the excluded (south) pole of the north patch")
+        return 0.5 * (1.0 - np.cos(colat)) * dazimuth
+    if np.any(colat < 1e-9):
+        raise NumericalError(f"{where} reaches the excluded (north) pole of the south patch")
+    return -0.5 * (1.0 + np.cos(colat)) * dazimuth
+
+
+def connection_vectors(samples: LoopSamples, field: BlochField) -> np.ndarray:
+    """Rows V such that each connection sample (per unit s) is V . sigma / 2i."""
+    a, psi, axis = samples
+    if axis is None:
+        n = field.pinned_axis
+        e1, e2 = field.transverse_frame
+        return np.outer(a, n) + np.outer(psi.real, e1) - np.outer(psi.imag, e2)
+    n, dn = _axis_and_rate(*axis)
+    dn_cross_n = np.cross(dn, n)
+    return a[:, None] * n + dn_cross_n + psi.real[:, None] * dn + psi.imag[:, None] * dn_cross_n
+
+
+def eigenframe_rate_samples(samples: LoopSamples, q: float) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenframe transport rates (c, j) at each sample; see :func:`eigenframe_rates`."""
+    a, psi, axis = samples
+    if axis is None:
+        return q * a, q * psi
+    mu, lam, dmu, dlam = axis
+    omega = monopole_potential(mu, dlam, where="Bloch axis")
+    w = np.exp(-1j * lam) * (dmu - 1j * np.sin(mu) * dlam)
+    return q * a - 2.0 * omega, w * (q * psi + 1j * (q - 1.0))
+
+
+def _point_samples(point: ShapePoint, tangent, field: BlochField, psi, patch: GaugePatch) -> LoopSamples:
+    """Transport data at one shape point and tangent, as length-1 arrays."""
+    th, ph, dth, dph = (np.array([float(x)]) for x in (point.colatitude, point.azimuth, *tangent))
+    axis = None if field.is_pinned else field.angle_samples(th, ph, dth, dph)
+    return LoopSamples(monopole_potential(th, dph, patch, "shape point"), np.array([complex(psi)]), axis)
 
 
 def guichardet_connection(point: ShapePoint, tangent, patch: GaugePatch = GaugePatch.NORTH) -> float:
@@ -312,15 +399,7 @@ def guichardet_connection(point: ShapePoint, tangent, patch: GaugePatch = GaugeP
     Raises:
         NumericalError: when evaluated at the patch's excluded pole.
     """
-    th = point.colatitude
-    _, dph = tangent
-    if patch is GaugePatch.NORTH:
-        if th > math.pi - 1e-9:
-            raise NumericalError("north-patch potential evaluated at its excluded (south) pole")
-        return 0.5 * (1.0 - math.cos(th)) * dph
-    if th < 1e-9:
-        raise NumericalError("south-patch potential evaluated at its excluded (north) pole")
-    return -0.5 * (1.0 + math.cos(th)) * dph
+    return float(monopole_potential(point.colatitude, tangent[1], patch, "shape point"))
 
 
 def bloch_area_potential(
@@ -337,15 +416,8 @@ def bloch_area_potential(
     """
     if field.is_pinned:
         return 0.0
-    mu, _ = field.angles(point)
-    _, dlam = field.angle_rates(point, tangent)
-    if bloch_patch is GaugePatch.NORTH:
-        if mu > math.pi - 1e-9:
-            raise NumericalError("Bloch axis crosses the excluded pole of the north Bloch patch")
-        return 0.5 * (1.0 - math.cos(mu)) * dlam
-    if mu < 1e-9:
-        raise NumericalError("Bloch axis crosses the excluded pole of the south Bloch patch")
-    return -0.5 * (1.0 + math.cos(mu)) * dlam
+    mu, _, _, dlam = field.angle_samples(point.colatitude, point.azimuth, *tangent)
+    return float(monopole_potential(mu, dlam, bloch_patch, "Bloch axis"))
 
 
 def connection_vector(
@@ -356,14 +428,7 @@ def connection_vector(
     patch: GaugePatch = GaugePatch.NORTH,
 ) -> np.ndarray:
     """Real 3-vector V such that the full connection sample is V . sigma / 2i."""
-    a = guichardet_connection(point, tangent, patch)
-    if field.is_pinned:
-        n = field.pinned_axis
-        e1, e2 = field.transverse_frame
-        return a * n + psi.real * e1 - psi.imag * e2
-    n, dn = bloch_axis(field, point, tangent)
-    dn_cross_n = np.cross(dn, n)
-    return a * n + dn_cross_n + psi.real * dn + psi.imag * dn_cross_n
+    return connection_vectors(_point_samples(point, tangent, field, psi, patch), field)[0]
 
 
 def wilczek_zee_sample(
@@ -378,16 +443,14 @@ def wilczek_zee_sample(
     psi = complex(psi)
     if not (np.isfinite(psi.real) and np.isfinite(psi.imag)):
         raise ValidationError("control value must be finite")
-    v = connection_vector(point, tangent, field, psi, patch)
-    a = guichardet_connection(point, tangent, patch)
-    omega = bloch_area_potential(field, point, tangent, bloch_patch)
-    if field.is_pinned:
-        transverse = psi
-    else:
-        mu, _ = field.angles(point)
-        dmu, dlam = field.angle_rates(point, tangent)
-        transverse = psi * (dmu - 1j * math.sin(mu) * dlam)
-    return ConnectionSample(vector_to_su2(v), a + omega, transverse)
+    samples = _point_samples(point, tangent, field, psi, patch)
+    full = vector_to_su2(connection_vectors(samples, field)[0])
+    a = float(samples.a[0])
+    if samples.axis is None:
+        return ConnectionSample(full, a, psi)
+    mu, _, dmu, dlam = (float(x[0]) for x in samples.axis)
+    omega = float(monopole_potential(mu, dlam, bloch_patch, "Bloch axis"))
+    return ConnectionSample(full, a + omega, psi * (dmu - 1j * math.sin(mu) * dlam))
 
 
 def section_frame(mu: float, lam: float) -> np.ndarray:
@@ -437,16 +500,8 @@ def eigenframe_rates(
     These are the rates the trace expansion integrates; they agree with the
     reported (C, J) decomposition exactly in the pinned regime.
     """
-    a = guichardet_connection(point, tangent, patch)
-    if field.is_pinned:
-        return q * a, q * complex(psi)
-    omega = bloch_area_potential(field, point, tangent)
-    mu, lam = field.angles(point)
-    dmu, dlam = field.angle_rates(point, tangent)
-    w = complex(math.cos(lam), -math.sin(lam)) * (dmu - 1j * math.sin(mu) * dlam)
-    c = q * a - 2.0 * omega
-    j = w * (q * complex(psi) + 1j * (q - 1.0))
-    return float(c), complex(j)
+    c, j = eigenframe_rate_samples(_point_samples(point, tangent, field, psi, patch), q)
+    return float(c[0]), complex(j[0])
 
 
 def curvature_vector(

@@ -23,15 +23,16 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .connection import BlochField, ControlField, GaugePatch
+from .connection import BlochField, ControlField
 from .errors import NumericalError, ValidationError
 from .holonomy import (
     HolonomyLoop,
     WilsonLine,
+    cumulative_midpoint,
     integrate_wilson,
-    ordered_product,
+    midpoint_grid,
     rotation_angle,
-    su2_exponentials,
+    wilson_from_samples,
 )
 from .linking import LinkData, cs_phase
 from .shapespace import ShapeLoop
@@ -219,9 +220,7 @@ class InteractionFrame:
 
     def integrate_transverse(self) -> WilsonLine:
         """Ordered-product holonomy V(2 pi) of the transverse generator alone."""
-        ds = 2 * math.pi / self.params.size
-        vecs = np.stack([self.transverse.real, -self.transverse.imag, np.zeros(self.params.size)], axis=1)
-        return WilsonLine(ordered_product(su2_exponentials(vecs, self.charge * ds)), self.charge)
+        return wilson_from_samples(np.zeros(self.params.size), self.transverse, self.charge)
 
 
 def interaction_frame(loop: HolonomyLoop) -> InteractionFrame:
@@ -233,45 +232,11 @@ def interaction_frame(loop: HolonomyLoop) -> InteractionFrame:
     """
     if not loop.bloch.is_pinned:
         raise ValidationError("interaction frame is defined for pinned-axis loops")
-    n = loop.steps
-    ds = 2 * math.pi / n
-    s_mid = (np.arange(n) + 0.5) * ds
-    th, _ = loop.shape.at(s_mid)
-    dth, dph = loop.shape.tangent(s_mid)
-    a = _abelian_samples(th, dph, loop.patch)
-    psi = np.asarray(loop.control.at(s_mid), dtype=complex)
-    eta_end = np.cumsum(a) * ds * loop.charge
-    eta_mid = eta_end - 0.5 * a * ds * loop.charge
+    s_mid, ds = midpoint_grid(loop.steps)
+    a, psi, _ = loop.sample(s_mid)
+    eta_end, eta_mid = cumulative_midpoint(a, ds, loop.charge)
     g = psi * np.exp(-1j * eta_mid)
     return InteractionFrame(s_mid, eta_mid, g, loop.charge, float(eta_end[-1]))
-
-
-def _abelian_samples(th: np.ndarray, dph: np.ndarray, patch: GaugePatch) -> np.ndarray:
-    """Monopole-potential contraction samples with the patch's pole guard."""
-    if patch is GaugePatch.NORTH:
-        if np.any(th > math.pi - 1e-9):
-            raise NumericalError("loop crosses the excluded pole of the north patch")
-        return 0.5 * (1.0 - np.cos(th)) * dph
-    if np.any(th < 1e-9):
-        raise NumericalError("loop crosses the excluded pole of the south patch")
-    return -0.5 * (1.0 + np.cos(th)) * dph
-
-
-def accumulated_diagonal_phase(loop: HolonomyLoop):
-    """eta(s) = q * integral_0^s A, returned as a callable on [0, 2 pi]."""
-    n = loop.steps
-    ds = 2 * math.pi / n
-    s_mid = (np.arange(n) + 0.5) * ds
-    th, _ = loop.shape.at(s_mid)
-    _, dph = loop.shape.tangent(s_mid)
-    a = _abelian_samples(th, dph, loop.patch)
-    grid = np.linspace(0.0, 2 * math.pi, n + 1)
-    eta_nodes = np.concatenate([[0.0], np.cumsum(a) * ds * loop.charge])
-
-    def eta(s):
-        return np.interp(s, grid, eta_nodes)
-
-    return eta
 
 
 def synth_hadamard_gate(
@@ -298,16 +263,18 @@ def synth_hadamard_gate(
         raise ValidationError("coupling weight q must be positive")
     a = b = math.sqrt(1.0 / q)
     shape = make_ellipse_loop(math.pi / 2, 0.0, a, b, n_samples).reversed()
-    base = HolonomyLoop(shape, BlochField.pinned(), ControlField.zero(), q, steps)
-    eta = accumulated_diagonal_phase(base)
+    # eta(s) = q * integral_0^s A, interpolated between its grid-node values.
+    s_mid, ds = midpoint_grid(steps)
+    eta_ends, _ = cumulative_midpoint(HolonomyLoop(shape).sample(s_mid).a, ds, q)
+    eta_nodes = np.concatenate([[0.0], eta_ends])
+    grid = np.linspace(0.0, 2 * math.pi, steps + 1)
 
     def loop_for(psi_abs: float) -> HolonomyLoop:
-        def psi(s):
-            return psi_abs * np.exp(1j * (math.pi / 2 + eta(s)))
-
-        return HolonomyLoop(
-            shape, BlochField.pinned(), ControlField(psi, check_periodic=False), q, steps
+        control = ControlField._from_arrays(
+            lambda s: psi_abs * np.exp(1j * (math.pi / 2 + np.interp(s, grid, eta_nodes))),
+            check_periodic=False,
         )
+        return HolonomyLoop(shape, BlochField.pinned(), control, q, steps)
 
     def angle_error(psi_abs: float) -> float:
         v = interaction_frame(loop_for(psi_abs)).integrate_transverse()

@@ -34,11 +34,13 @@ from .connection import (
     BlochField,
     ControlField,
     GaugePatch,
-    connection_vector,
-    eigenframe_rates,
+    LoopSamples,
+    connection_vectors,
+    eigenframe_rate_samples,
+    monopole_potential,
 )
 from .errors import NumericalError, ValidationError
-from .shapespace import ShapeLoop, ShapePoint, TriangleConfig
+from .shapespace import ShapeLoop, TriangleConfig
 
 __all__ = [
     "WilsonLine",
@@ -46,7 +48,10 @@ __all__ = [
     "TraceExpansion",
     "integrate_wilson",
     "transport_segment",
+    "wilson_from_samples",
     "wilson_from_rates",
+    "midpoint_grid",
+    "cumulative_midpoint",
     "holonomy_trace",
     "dyson_trace",
     "trace_expansion_from_rates",
@@ -66,9 +71,9 @@ class WilsonLine:
         m = np.asarray(self.matrix, dtype=complex)
         if m.shape != (2, 2):
             raise ValidationError("Wilson line must be 2x2")
-        if np.linalg.norm(m.conj().T @ m - np.eye(2)) > 1e-10:
+        if not np.linalg.norm(m.conj().T @ m - np.eye(2)) <= 1e-10:
             raise ValidationError("Wilson line is not unitary to 1e-10")
-        if abs(np.linalg.det(m) - 1.0) > 1e-10:
+        if not abs(np.linalg.det(m) - 1.0) <= 1e-10:
             raise ValidationError("Wilson line determinant differs from 1 beyond 1e-10")
         if not self.charge > 0:
             raise ValidationError("charge must be positive")
@@ -78,7 +83,7 @@ class WilsonLine:
     @property
     def trace(self) -> float:
         tr = np.trace(self.matrix)
-        if abs(tr.imag) > 1e-8:
+        if not abs(tr.imag) <= 1e-8:
             raise NumericalError(f"SU(2) trace acquired an imaginary part ({tr.imag:.3e})")
         return float(tr.real)
 
@@ -121,18 +126,26 @@ class HolonomyLoop:
         """
         ctrl = self.control
         sign = -1.0 if self.bloch.is_pinned else 1.0
-
-        def rev_psi(s):
-            return sign * ctrl.at(2 * math.pi - s)
-
+        rev_psi = ControlField._from_arrays(
+            lambda s: sign * ctrl.at(2 * math.pi - s), check_periodic=False
+        )
         return HolonomyLoop(
             self.shape.reversed(),
             self.bloch,
-            ControlField(rev_psi, check_periodic=False),
+            rev_psi,
             self.charge,
             self.steps,
             self.patch,
         )
+
+    def sample(self, s) -> LoopSamples:
+        """Transport data (A, psi, axis data) at an array of loop parameters."""
+        th, ph = self.shape.at(s)
+        dth, dph = self.shape.tangent(s)
+        axis = None
+        if not self.bloch.is_pinned:
+            axis = self.bloch.angle_samples(np.clip(th, 0.0, math.pi), ph % (2 * math.pi), dth, dph)
+        return LoopSamples(monopole_potential(th, dph, self.patch), self.control.at(s), axis)
 
 
 def su2_exponentials(vectors: np.ndarray, factor: float) -> np.ndarray:
@@ -162,68 +175,69 @@ def ordered_product(mats: np.ndarray) -> np.ndarray:
     return mats[0]
 
 
-def _midpoint_grid(n_steps: int) -> tuple[np.ndarray, float]:
-    ds = 2 * math.pi / n_steps
-    return (np.arange(n_steps) + 0.5) * ds, ds
+def midpoint_grid(n_steps: int, s0: float = 0.0, s1: float = 2 * math.pi) -> tuple[np.ndarray, float]:
+    """Midpoints of a uniform partition of [s0, s1] into ``n_steps`` cells, and the cell width."""
+    ds = (s1 - s0) / n_steps
+    return s0 + (np.arange(n_steps) + 0.5) * ds, ds
 
 
-def _connection_vectors(loop: HolonomyLoop, s_mid: np.ndarray) -> np.ndarray:
-    """Stack of connection coefficient vectors at the midpoint parameters."""
-    th, _ = loop.shape.at(s_mid)
-    dth, dph = loop.shape.tangent(s_mid)
-    psi = loop.control.at(s_mid)
-    if loop.bloch.is_pinned:
-        if loop.patch is GaugePatch.NORTH:
-            if np.any(th > math.pi - 1e-9):
-                raise NumericalError("loop crosses the excluded pole of the north patch")
-            a = 0.5 * (1.0 - np.cos(th)) * dph
-        else:
-            if np.any(th < 1e-9):
-                raise NumericalError("loop crosses the excluded pole of the south patch")
-            a = -0.5 * (1.0 + np.cos(th)) * dph
-        n = loop.bloch.pinned_axis
-        e1, e2 = loop.bloch.transverse_frame
-        return np.outer(a, n) + np.outer(np.real(psi), e1) - np.outer(np.imag(psi), e2)
-    ph = loop.shape.at(s_mid)[1]
-    vecs = np.empty((s_mid.size, 3))
-    for k in range(s_mid.size):
-        pt = ShapePoint(float(np.clip(th[k], 0.0, math.pi)), float(ph[k]) % (2 * math.pi))
-        vecs[k] = connection_vector(pt, (dth[k], dph[k]), loop.bloch, complex(psi[k]), loop.patch)
-    return vecs
+def cumulative_midpoint(values: np.ndarray, ds: float, weight: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+    """Ordered integral ``weight * int values`` of midpoint samples on a uniform grid.
+
+    Returns the composite-midpoint values at each cell end and at each
+    midpoint (half-cell ends).
+    """
+    ends = np.cumsum(values) * ds * weight
+    return ends, ends - 0.5 * values * ds * weight
+
+
+def _wilson_line(vecs: np.ndarray, charge: float, ds: float) -> WilsonLine:
+    """Ordered product of the step exponentials of sampled connection vectors."""
+    return WilsonLine(ordered_product(su2_exponentials(vecs, charge * ds)), charge)
 
 
 def integrate_wilson(loop: HolonomyLoop) -> WilsonLine:
     """Holonomy of a closed loop as an ordered product of SU(2) step factors."""
-    s_mid, ds = _midpoint_grid(loop.steps)
-    vecs = _connection_vectors(loop, s_mid)
-    steps = su2_exponentials(vecs, loop.charge * ds)
-    return WilsonLine(ordered_product(steps), loop.charge)
+    s_mid, ds = midpoint_grid(loop.steps)
+    return _wilson_line(connection_vectors(loop.sample(s_mid), loop.bloch), loop.charge, ds)
 
 
 def transport_segment(loop: HolonomyLoop, s0: float, s1: float, n_steps: int) -> np.ndarray:
     """Open-path transport matrix over the parameter range [s0, s1] of a loop."""
     if not s1 > s0:
         raise ValidationError("segment must have positive parameter extent")
-    ds = (s1 - s0) / n_steps
-    s_mid = s0 + (np.arange(n_steps) + 0.5) * ds
-    vecs = _connection_vectors(loop, s_mid)
-    return ordered_product(su2_exponentials(vecs, loop.charge * ds))
+    s_mid, ds = midpoint_grid(n_steps, s0, s1)
+    return _wilson_line(connection_vectors(loop.sample(s_mid), loop.bloch), loop.charge, ds).matrix
+
+
+def wilson_from_samples(abelian, control, charge: float) -> WilsonLine:
+    """Transport a pinned-frame connection given as sampled rate data.
+
+    ``abelian`` and ``control`` sample the diagonal coefficient A(s) and the
+    complex transverse coefficient psi(s) at the midpoints of a uniform
+    partition of [0, 2 pi] (see :func:`midpoint_grid`).
+    """
+    a = np.asarray(abelian, dtype=float)
+    psi = np.asarray(control, dtype=complex)
+    if a.ndim != 1 or a.size == 0 or psi.shape != a.shape:
+        raise ValidationError("rate samples must be non-empty 1-d arrays of equal length")
+    vecs = np.stack([psi.real, -psi.imag, a], axis=1)
+    return _wilson_line(vecs, charge, 2 * math.pi / a.size)
 
 
 def wilson_from_rates(abelian, control, charge: float, n_steps: int = 4096) -> WilsonLine:
     """Transport a pinned-frame connection given directly as rate data.
 
     ``abelian`` maps s to the diagonal coefficient A(s); ``control`` maps s
-    to the complex transverse coefficient psi(s).  This is the entry point
-    for gauge-rotation experiments, where (A, psi) are manipulated as data
+    to the complex transverse coefficient psi(s).  Both are scalar callables,
+    evaluated once per midpoint sample.  This is the entry point for
+    gauge-rotation experiments, where (A, psi) are manipulated as data
     rather than derived from loop geometry.
     """
-    s_mid, ds = _midpoint_grid(n_steps)
-    a = np.array([float(abelian(s)) for s in s_mid])
-    psi = np.array([complex(control(s)) for s in s_mid])
-    vecs = np.stack([psi.real, -psi.imag, a], axis=1)
-    steps = su2_exponentials(vecs, charge * ds)
-    return WilsonLine(ordered_product(steps), charge)
+    s_mid, _ = midpoint_grid(n_steps)
+    a = np.vectorize(abelian, otypes=[float])(s_mid)
+    psi = np.vectorize(control, otypes=[complex])(s_mid)
+    return wilson_from_samples(a, psi, charge)
 
 
 def holonomy_trace(loop: HolonomyLoop) -> float:
@@ -244,26 +258,12 @@ class TraceExpansion:
         composed = 2.0 * math.cos(self.abelian_angle) * (
             1.0 + sum(s * c for s, c in zip(signs, self.corrections))
         )
-        if abs(composed - self.trace_estimate) > 1e-12:
+        if not abs(composed - self.trace_estimate) <= 1e-12:
             raise ValidationError("trace estimate does not compose from its corrections")
 
     @property
     def order(self) -> int:
         return 2 * len(self.corrections)
-
-
-def _eigenframe_rate_samples(loop: HolonomyLoop, s_mid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    th, ph = loop.shape.at(s_mid)
-    dth, dph = loop.shape.tangent(s_mid)
-    psi = loop.control.at(s_mid)
-    c = np.empty(s_mid.size)
-    j = np.empty(s_mid.size, dtype=complex)
-    for k in range(s_mid.size):
-        pt = ShapePoint(float(np.clip(th[k], 0.0, math.pi)), float(ph[k]) % (2 * math.pi))
-        c[k], j[k] = eigenframe_rates(
-            pt, (dth[k], dph[k]), loop.bloch, complex(psi[k]), loop.charge, loop.patch
-        )
-    return c, j
 
 
 def trace_expansion_from_rates(
@@ -286,34 +286,28 @@ def trace_expansion_from_rates(
     ds = 2 * math.pi / c.size
 
     # Accumulated diagonal phase at midpoints (composite midpoint rule).
-    eta_end = np.cumsum(c) * ds
-    eta_mid = eta_end - 0.5 * c * ds
+    eta_end, eta_mid = cumulative_midpoint(c, ds)
     eta_total = eta_end[-1]
     g = j * np.exp(-1j * eta_mid)
 
-    def cumulative_half(values: np.ndarray) -> np.ndarray:
-        """Ordered integral of ``values`` up to each midpoint (half-cell ends)."""
-        ends = np.cumsum(values) * ds
-        return ends - 0.5 * values * ds
-
-    inner_gbar = cumulative_half(np.conj(g))
-    c2_at = -0.25 * cumulative_half(g * inner_gbar)
+    inner_gbar = cumulative_midpoint(np.conj(g), ds)[1]
+    c2_at = -0.25 * cumulative_midpoint(g * inner_gbar, ds)[1]
     c2 = -0.25 * ds * complex(np.sum(g * inner_gbar))
 
     half_cos = math.cos(0.5 * eta_total)
     phase = complex(math.cos(0.5 * eta_total), math.sin(0.5 * eta_total))
-    if abs(half_cos) < 1e-12:
+    if not abs(half_cos) >= 1e-12:
         raise NumericalError("abelian angle sits at a trace zero; expansion is ill-conditioned")
 
     i2 = -float((phase * c2).real) / half_cos
-    if abs(i2) > 0.5:
+    if not abs(i2) <= 0.5:
         raise NumericalError(
             f"transverse coupling too strong for the expansion to contract (I2 = {i2:.3f})"
         )
     corrections = [i2]
     estimate = 2.0 * half_cos * (1.0 - i2)
     if order == 4:
-        inner_gbar_c2 = cumulative_half(np.conj(g) * c2_at)
+        inner_gbar_c2 = cumulative_midpoint(np.conj(g) * c2_at, ds)[1]
         c4 = -0.25 * ds * complex(np.sum(g * inner_gbar_c2))
         i4 = float((phase * c4).real) / half_cos
         corrections.append(i4)
@@ -333,15 +327,15 @@ def dyson_trace(loop: HolonomyLoop, order: int = 2) -> TraceExpansion:
         NumericalError: when the measured quadratic correction exceeds the
             contraction bound (the message reports it).
     """
-    s_mid, _ = _midpoint_grid(loop.steps)
-    c, j = _eigenframe_rate_samples(loop, s_mid)
+    s_mid, _ = midpoint_grid(loop.steps)
+    c, j = eigenframe_rate_samples(loop.sample(s_mid), loop.charge)
     return trace_expansion_from_rates(c, j, order)
 
 
 def rotation_angle(w: WilsonLine) -> float:
     """Qubit rotation angle Theta = 2 arccos(Tr W / 2), principal branch in [0, 2 pi]."""
     half_trace = w.trace / 2.0
-    if abs(half_trace) > 1.0 + 1e-10:
+    if not abs(half_trace) <= 1.0 + 1e-10:
         raise NumericalError(f"trace magnitude {2 * half_trace:.6f} exceeds 2 beyond tolerance")
     return 2.0 * math.acos(min(1.0, max(-1.0, half_trace)))
 

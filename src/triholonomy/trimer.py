@@ -150,24 +150,6 @@ class TrimerTrajectory:
     def dt(self) -> float:
         return float(self.times[1] - self.times[0])
 
-    def body_config(self, i: int) -> TriangleConfig:
-        verts = np.concatenate([self.body[i], np.zeros((3, 1))], axis=1)
-        return TriangleConfig.from_vertices(verts, self.masses)
-
-    def lab_config(self, i: int) -> TriangleConfig:
-        verts = np.concatenate([self.lab[i], np.zeros((3, 1))], axis=1)
-        return TriangleConfig.from_vertices(verts, self.masses)
-
-    def configs(self, start: int = 0, stop: int | None = None, frame: str = "lab"):
-        """TriangleConfig list for a sample range (lab or body frame)."""
-        pts = self.lab if frame == "lab" else self.body
-        stop = pts.shape[0] if stop is None else stop
-        out = []
-        for i in range(start, stop):
-            verts = np.concatenate([pts[i], np.zeros((3, 1))], axis=1)
-            out.append(TriangleConfig.from_vertices(verts, self.masses))
-        return out
-
     def moment_of_inertia(self) -> np.ndarray:
         """Planar moment of inertia about the normal through the centroid, per sample."""
         return np.einsum("i,tij->t", self.masses, self.body**2)
@@ -211,15 +193,6 @@ def reconstruct_rotation(
         raise ValidationError("t_end spans fewer than two samples")
     times = np.arange(n + 1) * dt
     xi12, xi13, xi23 = bond_lengths(times, drive)
-    scale = np.maximum(np.maximum(xi12, xi13), xi23)
-    slack = np.minimum(np.minimum(xi13 + xi23 - xi12, xi12 + xi13 - xi23), xi12 + xi23 - xi13)
-    bad = slack <= 1e-9 * scale
-    if np.any(bad):
-        idx = int(np.argmax(bad))
-        raise NumericalError(
-            f"triangle inequality violated at t = {times[idx]:.6g}: bonds "
-            f"({xi12[idx]:.6g}, {xi13[idx]:.6g}, {xi23[idx]:.6g})"
-        )
     body = _body_positions(xi12, xi13, xi23, masses)
     m = np.asarray(masses, dtype=float)
 

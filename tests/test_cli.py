@@ -16,6 +16,19 @@ def write_config(tmp_path, payload, name="config.json"):
     return str(path)
 
 
+def write_hopf_curves(directory, n_points=257):
+    """Two linked circles as curve CSVs in ``directory``; returns their file names."""
+    t = np.linspace(0, 2 * math.pi, n_points)
+    c1 = np.stack([np.cos(t), np.sin(t), 0 * t], axis=1)
+    c2 = np.stack([1 + np.cos(t), 0 * t, -np.sin(t)], axis=1)
+    names = ["c1.csv", "c2.csv"]
+    for name, pts in zip(names, (c1, c2)):
+        pts[-1] = pts[0]
+        lines = ["x,y,z"] + [",".join(format(float(v), ".17g") for v in row) for row in pts]
+        (directory / name).write_text("\n".join(lines))
+    return names
+
+
 def small_gate_config(**overrides):
     cfg = {
         "schema_version": 1,
@@ -103,19 +116,13 @@ class TestRun:
         assert m1["outputs"] == m2["outputs"]  # identical checksums
 
     def test_linking_scenario_with_curve_files(self, tmp_path):
-        t = np.linspace(0, 2 * math.pi, 257)
-        c1 = np.stack([np.cos(t), np.sin(t), 0 * t], axis=1)
-        c2 = np.stack([1 + np.cos(t), 0 * t, -np.sin(t)], axis=1)
-        for name, pts in (("c1.csv", c1), ("c2.csv", c2)):
-            pts[-1] = pts[0]
-            lines = ["x,y,z"] + [",".join(format(float(v), ".17g") for v in row) for row in pts]
-            (tmp_path / name).write_text("\n".join(lines))
+        names = write_hopf_curves(tmp_path)
         cfg = {
             "schema_version": 1,
             "scenario": "linking",
             "seed": 0,
             "params": {
-                "curve_files": [str(tmp_path / "c1.csv"), str(tmp_path / "c2.csv")],
+                "curve_files": [str(tmp_path / name) for name in names],
                 "charges": [3.0, 3.0],
                 "k": 36,
             },
@@ -126,6 +133,25 @@ class TestRun:
         payload = json.loads((out / "linking.json").read_text())
         assert abs(payload["lk_matrix"][0][1]) == 1
         assert payload["cs_phase"] == pytest.approx(math.pi, abs=1e-9)
+
+    def test_relative_curve_files_resolve_against_config_dir(self, tmp_path, monkeypatch):
+        # run and validate both read relative curve_files next to the config
+        cfg_dir = tmp_path / "cfg"
+        cfg_dir.mkdir()
+        cfg = {
+            "schema_version": 1,
+            "scenario": "linking",
+            "seed": 0,
+            "params": {"curve_files": write_hopf_curves(cfg_dir, 129), "charges": [3.0, 3.0], "k": 36},
+        }
+        cfg_path = write_config(cfg_dir, cfg)
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.chdir(elsewhere)
+        assert main(["validate", cfg_path]) == 0
+        assert main(["run", cfg_path, "--out", str(tmp_path / "out")]) == 0
+        payload = json.loads((tmp_path / "out" / "linking.json").read_text())
+        assert abs(payload["lk_matrix"][0][1]) == 1
 
     def test_env_var_default_outdir(self, tmp_path, monkeypatch):
         cfg_path = write_config(tmp_path, small_gate_config())

@@ -21,7 +21,14 @@ from triholonomy.connection import (
     wilczek_zee_sample,
 )
 from triholonomy.errors import NumericalError, ValidationError
-from triholonomy.holonomy import ordered_product, su2_exponentials, wilson_from_rates
+from triholonomy.gates import make_ellipse_loop, synth_hadamard_gate
+from triholonomy.holonomy import (
+    HolonomyLoop,
+    integrate_wilson,
+    ordered_product,
+    su2_exponentials,
+    wilson_from_rates,
+)
 from triholonomy.shapespace import ShapeLoop, ShapePoint
 
 
@@ -352,6 +359,40 @@ class TestControlField:
     def test_winding_control_allowed_when_flagged(self):
         field = ControlField(lambda s: np.exp(0.25j * s), check_periodic=False)
         assert field.periodic is False
+
+    @staticmethod
+    def builtin_controls():
+        wavy = ControlField.from_samples(0.1 * np.exp(1j * np.linspace(0, 2 * math.pi, 65)))
+        shape = make_ellipse_loop(math.pi / 2, 0.0, 0.2, 0.2, 64)
+        return {
+            "constant": ControlField.constant(0.3 + 0.1j),
+            "zero": ControlField.zero(),
+            "from_samples": wavy,
+            "reversed": HolonomyLoop(shape, BlochField.pinned(), wavy, 2.0, 64).reversed().control,
+            "steered": synth_hadamard_gate(100.0, n_samples=128, steps=256).loop.control,
+        }
+
+    def test_array_matches_scalar_for_builtin_controls(self):
+        rng = np.random.default_rng(3)
+        s = np.concatenate([np.linspace(0, 2 * math.pi, 97), rng.uniform(0, 2 * math.pi, 50)])
+        for name, ctrl in self.builtin_controls().items():
+            values = ctrl.at(s)
+            assert isinstance(values, np.ndarray) and values.shape == s.shape, name
+            assert np.array_equal(values, np.array([ctrl.at(x) for x in s])), name
+            assert isinstance(ctrl.at(1.0), complex), name
+
+    def test_scalar_callable_evaluated_once_per_sample(self):
+        calls = []
+
+        def psi(s):
+            calls.append(s)
+            return 0.05 * complex(math.cos(s), math.sin(s))
+
+        ctrl = ControlField(psi)
+        assert len(calls) == 2  # periodicity probes at s = 0 and 2 pi
+        shape = make_ellipse_loop(math.pi / 2, 0.0, 0.2, 0.2, 64)
+        integrate_wilson(HolonomyLoop(shape, BlochField.pinned(), ctrl, 2.0, 300))
+        assert len(calls) == 2 + 300
 
     def test_constant_and_samples(self):
         assert ControlField.constant(0.3 + 0.1j).at(1.7) == 0.3 + 0.1j

@@ -45,9 +45,37 @@ class TestWilsonLine:
         with pytest.raises(ValidationError):
             WilsonLine(phase * np.eye(2), 1.0)
 
+    def test_rejects_nan_matrix(self):
+        with pytest.raises(ValidationError):
+            WilsonLine(np.full((2, 2), np.nan, dtype=complex), 1.0)
+
     def test_inverse_and_compose(self):
         w = WilsonLine(np.array([[0, -1], [1, 0]], dtype=complex), 1.0)
         assert np.allclose(w.then(w.inverse()).matrix, np.eye(2))
+
+
+class TestNonFiniteControl:
+    @staticmethod
+    def nan_after_pi(s):
+        # finite at the periodicity probes s = 0 and s = 2 pi, NaN on (pi, 2 pi)
+        return math.nan if math.pi < s < 2 * math.pi else 0.05
+
+    def test_integrate_wilson_raises(self):
+        loop = pinned_loop(ellipse(), ControlField(self.nan_after_pi), steps=256)
+        with pytest.raises(ValidationError, match="not finite"):
+            integrate_wilson(loop)
+
+    def test_dyson_trace_raises(self):
+        loop = pinned_loop(ellipse(), ControlField(self.nan_after_pi), steps=256)
+        with pytest.raises(ValidationError, match="not finite"):
+            dyson_trace(loop)
+
+    def test_rotation_angle_rejects_nan_trace(self):
+        class NanTrace:
+            trace = math.nan
+
+        with pytest.raises(NumericalError):
+            rotation_angle(NanTrace())
 
 
 class TestIntegrateWilson:
