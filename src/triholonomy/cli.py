@@ -133,13 +133,26 @@ def load_config(path: str) -> dict:
     return cfg
 
 
-def _need(params: dict, key: str, kind, where: str):
+_REQUIRED = object()
+
+
+def _need(params: dict, key: str, kind, where: str, default=_REQUIRED):
+    """``params[key]`` checked against ``kind``, or ``default`` when absent.
+
+    ``bool`` passes neither as ``int`` nor as ``float``; an ``int`` passes as
+    a ``float``.  ``[kind]`` asks for a JSON array whose items are ``kind``.
+    """
     if key not in params:
-        raise ConfigError(f"{where}: missing required parameter {key!r}")
+        if default is _REQUIRED:
+            raise ConfigError(f"{where}: missing required parameter {key!r}")
+        return default
     value = params[key]
-    if kind is float and isinstance(value, int):
+    if isinstance(kind, list) and isinstance(value, list):
+        return [_need({key: item}, key, kind[0], where) for item in value]
+    if kind is float and type(value) is int:
         value = float(value)
-    if not isinstance(value, kind):
+    wrong = isinstance(kind, list) or not isinstance(value, kind)
+    if wrong or (type(value) is bool and kind is not bool):
         raise ConfigError(f"{where}: parameter {key!r} has wrong type")
     return value
 
@@ -308,7 +321,7 @@ def _run_phase_sweep(params: dict, outdir: str, threads: int) -> list[str]:
 def _load_curve_csv(path: str) -> SpaceCurve:
     try:
         data = np.loadtxt(path, delimiter=",", skiprows=1)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read curve file {path}: {exc}") from exc
     if data.ndim != 2 or data.shape[1] != 3:
         raise ConfigError(f"curve file {path} must have three columns (x, y, z)")
@@ -317,37 +330,37 @@ def _load_curve_csv(path: str) -> SpaceCurve:
 
 def _curve_paths(params: dict, base_dir: str) -> list[str]:
     """``curve_files`` with relative entries resolved against the config's directory."""
-    return [os.path.join(base_dir, p) for p in params["curve_files"]]
+    return [os.path.join(base_dir, p) for p in _need(params, "curve_files", [str], "linking")]
 
 
 def _run_linking(params: dict, outdir: str, base_dir: str) -> list[str]:
     if "curve_files" in params:
         curves = [_load_curve_csv(p) for p in _curve_paths(params, base_dir)]
     else:
-        hopf = params.get("hopf", {})
+        hopf = _need(params, "hopf", dict, "linking", {})
         curves = list(
             hopf_pair(
-                float(hopf.get("radius1", 1.0)),
-                float(hopf.get("radius2", 1.0)),
-                int(hopf.get("segments", 512)),
+                _need(hopf, "radius1", float, "linking", 1.0),
+                _need(hopf, "radius2", float, "linking", 1.0),
+                _need(hopf, "segments", int, "linking", 512),
             )
         )
     n = len(curves)
     if n < 2:
         raise ConfigError("linking scenario needs at least two curves")
+    charges = _need(params, "charges", [float], "linking", [1.0] * n)
+    k = _need(params, "k", int, "linking", 4)
+    slk = _need(params, "slk", [int], "linking", [0] * n)
     lk = np.zeros((n, n), dtype=int)
     for i in range(n):
         for j in range(i + 1, n):
             lk[i, j] = lk[j, i] = gauss_linking(curves[i], curves[j])
-    charges = params.get("charges", [1.0] * n)
-    k = int(params.get("k", 4))
-    slk = params.get("slk", [0] * n)
-    link = LinkData(lk, np.asarray(slk, dtype=int))
+    link = LinkData(lk, slk)
     payload = {
         "lk_matrix": lk.tolist(),
-        "charges": [float(c) for c in charges],
+        "charges": charges,
         "level": k,
-        "slk": [int(s) for s in slk],
+        "slk": slk,
         "cs_phase": cs_phase(charges, link, k),
     }
     path = os.path.join(outdir, "linking.json")

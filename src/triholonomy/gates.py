@@ -21,7 +21,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .connection import BlochField, ControlField
 from .errors import NumericalError, ValidationError
@@ -259,6 +258,8 @@ def synth_hadamard_gate(
         NumericalError: if the required |psi| exceeds the weak-coupling
             bound 1/(pi q) within which the trace expansion contracts.
     """
+    from scipy.optimize import brentq  # deferred: the rest of the package never needs scipy
+
     if not q > 0:
         raise ValidationError("coupling weight q must be positive")
     a = b = math.sqrt(1.0 / q)

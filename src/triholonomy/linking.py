@@ -4,9 +4,10 @@
 
     Lk = (1/4 pi) oint oint (dr1 x dr2) . (r1 - r2) / |r1 - r2|^3
 
-by a double midpoint sum over segments and rounds to the nearest integer;
-``cs_phase`` turns charges, linking and self-linking data, and a positive
-integer level k into the state-dependent control phase
+by a double midpoint sum over segments and rounds to the nearest integer.
+The sum runs in fixed blocks of segment pairs, so its memory does not grow
+with curve length.  ``cs_phase`` turns charges, linking and self-linking
+data, and a positive integer level k into the state-dependent control phase
 
     phi = (4 pi / k) sum_{i<j} q_i q_j Lk_ij + (2 pi / k) sum_i q_i^2 SLk_i,
 
@@ -24,6 +25,9 @@ import numpy as np
 from .errors import NumericalError, ValidationError
 
 __all__ = ["SpaceCurve", "LinkData", "gauss_linking", "hopf_pair", "cs_phase"]
+
+# Segment pairs per block of the Gauss double sum (whole rows of curve 1).
+_BLOCK_PAIRS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -119,20 +123,45 @@ class LinkData:
 
 
 def gauss_linking_integral(c1: SpaceCurve, c2: SpaceCurve) -> float:
-    """The raw (pre-rounding) Gauss double integral over segment midpoints."""
+    """The raw (pre-rounding) Gauss double integral over segment midpoints.
+
+    The double sum runs over blocks of whole rows of about ``_BLOCK_PAIRS``
+    segment pairs, so memory is independent of curve length and the
+    summation order is fixed.  The triple product is split as
+    (d1 x d2).(m1 - m2) = (m1 x d1).d2 + d1.(m2 x d2), one matrix product
+    per block, with midpoints centred on a common origin to keep that
+    split exact far from the origin.
+    """
     m1, d1 = c1.midpoints, c1.segments
     m2, d2 = c2.midpoints, c2.segments
-    diff = m1[:, None, :] - m2[None, :, :]  # (n1, n2, 3)
-    dist = np.linalg.norm(diff, axis=2)
-    min_sep = float(dist.min())
+    origin = 0.5 * (m1.mean(axis=0) + m2.mean(axis=0))
+    m1, m2 = m1 - origin, m2 - origin
+    left = np.hstack([np.cross(m1, d1), d1])  # (n1, 6)
+    right = np.vstack([d2.T, np.cross(m2, d2).T])  # (6, n2)
+    x1, x2 = m1.T.copy(), m2.T.copy()
     scale = max(c1.diameter, c2.diameter)
+    rows = max(1, _BLOCK_PAIRS // x2.shape[1])
+    min_sep, total = math.inf, 0.0
+    for start in range(0, x1.shape[1], rows):
+        block = slice(start, start + rows)
+        r2 = np.subtract.outer(x1[0, block], x2[0])
+        r2 *= r2
+        for k in (1, 2):
+            dk = np.subtract.outer(x1[k, block], x2[k])
+            dk *= dk
+            r2 += dk
+        min_sep = min(min_sep, math.sqrt(r2.min()))
+        if min_sep < 1e-3 * scale:
+            continue  # rejected below; only the global minimum is still needed
+        integrand = left[block] @ right
+        r2 *= np.sqrt(r2)
+        integrand /= r2
+        total += float(integrand.sum())
     if min_sep < 1e-3 * scale:
         raise ValidationError(
             f"curves approach within {min_sep:.3e} (< 1e-3 of diameter); linking integral unreliable"
         )
-    cross = np.cross(d1[:, None, :], d2[None, :, :])
-    integrand = np.einsum("ijk,ijk->ij", cross, diff) / dist**3
-    return float(integrand.sum() / (4 * math.pi))
+    return total / (4 * math.pi)
 
 
 def gauss_linking(c1: SpaceCurve, c2: SpaceCurve) -> int:
@@ -160,17 +189,14 @@ def hopf_pair(radius1: float = 1.0, radius2: float = 1.0, n_segments: int = 512)
     """
     if radius1 <= 0 or radius2 <= 0:
         raise ValidationError("radii must be positive")
-
-    def circle1(t):
-        return (radius1 * math.cos(t), radius1 * math.sin(t), 0.0)
-
-    def circle2(t):
-        return (radius1 + radius2 * math.cos(t), 0.0, -radius2 * math.sin(t))
-
-    return (
-        SpaceCurve.from_function(circle1, n_segments),
-        SpaceCurve.from_function(circle2, n_segments),
-    )
+    if n_segments < 16:
+        raise ValidationError("a closed curve needs at least 16 segments (17 samples)")
+    t = np.linspace(0.0, 2 * math.pi, n_segments + 1)
+    cos, sin, zero = np.cos(t), np.sin(t), np.zeros_like(t)
+    pts1 = np.stack([radius1 * cos, radius1 * sin, zero], axis=1)
+    pts2 = np.stack([radius1 + radius2 * cos, zero, -radius2 * sin], axis=1)
+    pts1[-1], pts2[-1] = pts1[0], pts2[0]
+    return SpaceCurve(pts1), SpaceCurve(pts2)
 
 
 def cs_phase(charges, link: LinkData, k: int) -> float:

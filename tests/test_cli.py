@@ -1,10 +1,13 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import triholonomy
 from triholonomy.cli import main
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -152,6 +155,29 @@ class TestRun:
         assert main(["run", cfg_path, "--out", str(tmp_path / "out")]) == 0
         payload = json.loads((tmp_path / "out" / "linking.json").read_text())
         assert abs(payload["lk_matrix"][0][1]) == 1
+
+    @pytest.mark.parametrize(
+        "params, key",
+        [
+            ({"hopf": {"segments": "abc"}}, "segments"),
+            ({"hopf": {"radius1": "r"}}, "radius1"),
+            ({"hopf": [1, 2]}, "hopf"),
+            ({"charges": ["x", 1.0]}, "charges"),
+            ({"slk": ["a", 0]}, "slk"),
+            ({"k": 2.5}, "k"),
+            ({"k": True}, "k"),
+            ({"slk": [0.7, 0]}, "slk"),
+            ({"curve_files": "nofile.csv"}, "curve_files"),
+            ({"curve_files": ["bad.csv", "bad.csv"]}, "bad.csv"),
+        ],
+    )
+    def test_bad_linking_input_exits_2(self, tmp_path, capsys, params, key):
+        (tmp_path / "bad.csv").write_text("x,y,z\na,b,c\n")
+        cfg = {"schema_version": 1, "scenario": "linking", "seed": 0, "params": params}
+        out = tmp_path / "out"
+        assert main(["run", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
 
     def test_env_var_default_outdir(self, tmp_path, monkeypatch):
         cfg_path = write_config(tmp_path, small_gate_config())
@@ -316,3 +342,12 @@ class TestShippedConfigs:
             main(["--version"])
         assert exc.value.code == 0
         assert "triholonomy" in capsys.readouterr().out
+
+
+
+def test_cli_import_does_not_load_scipy():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(triholonomy.__file__)))
+    code = "import sys, triholonomy.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from triholonomy.errors import ValidationError
 from triholonomy.linking import (
+    _BLOCK_PAIRS,
     LinkData,
     SpaceCurve,
     cs_phase,
@@ -66,6 +68,16 @@ def crossing_count_linking(c1: SpaceCurve, c2: SpaceCurve, view=(0.231, 0.117, 0
                 total += int(sign if height_1 > height_2 else -sign)
     assert total % 2 == 0
     return total // 2
+
+
+def broadcast_linking_integral(c1: SpaceCurve, c2: SpaceCurve) -> float:
+    """Oracle: the same midpoint sum as one unblocked (n1, n2, 3) broadcast."""
+    m1, d1 = c1.midpoints, c1.segments
+    m2, d2 = c2.midpoints, c2.segments
+    diff = m1[:, None, :] - m2[None, :, :]
+    cross = np.cross(d1[:, None, :], d2[None, :, :])
+    integrand = np.einsum("ijk,ijk->ij", cross, diff) / np.linalg.norm(diff, axis=2) ** 3
+    return float(integrand.sum() / (4 * math.pi))
 
 
 class TestSpaceCurve:
@@ -141,6 +153,68 @@ class TestGaussLinking:
             gauss_linking(c1, c2)
 
 
+class TestBlockedKernel:
+    """The blocked Gauss sum against the broadcast oracle."""
+
+    @staticmethod
+    def rows_per_block(n2: int) -> int:
+        return max(1, _BLOCK_PAIRS // n2)
+
+    def assert_matches_oracle(self, c1, c2):
+        assert gauss_linking_integral(c1, c2) == pytest.approx(
+            broadcast_linking_integral(c1, c2), abs=1e-12
+        )
+
+    def test_unequal_lengths(self):
+        c1 = circle([0, 0, 0], [0, 0, 1], 1.0, n=300)
+        c2 = circle([1, 0, 0], [0, 1, 0], 0.9, n=170)
+        self.assert_matches_oracle(c1, c2)
+        self.assert_matches_oracle(c2, c1)
+
+    def test_ragged_last_block(self):
+        c1 = circle([0, 0, 0], [0, 0, 1], 1.0, n=301)
+        c2 = circle([1, 0, 0], [0, 1, 0], 1.0, n=1000)
+        rows = self.rows_per_block(1000)
+        assert 1 < rows < 301 and 301 % rows != 0
+        self.assert_matches_oracle(c1, c2)
+
+    def test_one_row_per_block(self):
+        n2 = _BLOCK_PAIRS + 1000
+        c1 = circle([0, 0, 0], [0, 0, 1], 1.0, n=20)
+        c2 = circle([1, 0, 0], [0, 1, 0], 1.0, n=n2)
+        assert self.rows_per_block(n2) == 1
+        self.assert_matches_oracle(c1, c2)
+
+    def test_far_from_origin(self):
+        c1, c2 = hopf_pair(n_segments=256)
+        offset = [1e6, -1e6, 1e6]
+        self.assert_matches_oracle(c1.translated(offset), c2.translated(offset))
+
+    def test_closest_approach_in_last_block_rejected(self):
+        n2 = 4096
+        c1 = circle([0, 0, 0], [0, 0, 1], 1.0, n=64)
+        m = c1.midpoints[-1]
+        # small circle in the plane of c1, just outside it at its last segment
+        c2 = circle(m * (1 + 0.2 / np.linalg.norm(m)), [0, 0, 1], 0.2 - 1e-4, n=n2)
+        rows = self.rows_per_block(n2)
+        dist = np.linalg.norm(c1.midpoints[:, None, :] - c2.midpoints[None, :, :], axis=2)
+        nearest_row = int(np.unravel_index(dist.argmin(), dist.shape)[0])
+        assert 64 // rows > 1 and nearest_row >= 64 - rows
+        assert dist[: 64 - rows].min() > 1e-3 * max(c1.diameter, c2.diameter)
+        with pytest.raises(ValidationError, match=f"approach within {dist.min():.3e}"):
+            gauss_linking(c1, c2)
+
+    def test_memory_independent_of_curve_length(self):
+        c1, c2 = hopf_pair(n_segments=2048)
+        tracemalloc.start()
+        try:
+            gauss_linking_integral(c1, c2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
+
+
 class TestHopfPair:
     def test_default_is_plus_one(self):
         assert gauss_linking(*hopf_pair()) == 1
@@ -157,6 +231,11 @@ class TestHopfPair:
     def test_rejects_bad_radii(self):
         with pytest.raises(ValidationError):
             hopf_pair(radius1=-1.0)
+
+    def test_rejects_too_few_segments(self):
+        for n in (-3, -1, 0, 15):
+            with pytest.raises(ValidationError):
+                hopf_pair(n_segments=n)
 
 
 class TestTopologicalPhase:
