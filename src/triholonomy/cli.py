@@ -81,10 +81,8 @@ SCENARIOS = (
 )
 OUTDIR_ENV = "TRIHOLONOMY_OUTDIR"
 SCHEMA_VERSION = 1
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+# CSV rows formatted per string operation; bounds the text held in memory.
+_CSV_BLOCK_ROWS = 1024
 
 
 def _complex_pairs(matrix: np.ndarray) -> list:
@@ -93,11 +91,14 @@ def _complex_pairs(matrix: np.ndarray) -> list:
 
 
 def _write_csv(path: str, header: list[str], columns: list[np.ndarray]) -> None:
-    rows = len(columns[0])
+    """Columns as float rows; "%.17g" writes the bytes of ``format(float(x), ".17g")``."""
+    columns = [np.asarray(col, dtype=float) for col in columns]
+    row_fmt = ",".join(["%.17g"] * len(columns)) + "\n"
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for i in range(rows):
-            fh.write(",".join(_fmt(col[i]) for col in columns) + "\n")
+        for i in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
+            block = np.column_stack([col[i : i + _CSV_BLOCK_ROWS] for col in columns])
+            fh.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -136,11 +137,13 @@ def load_config(path: str) -> dict:
 _REQUIRED = object()
 
 
-def _need(params: dict, key: str, kind, where: str, default=_REQUIRED):
+def _need(params: dict, key: str, kind, where: str, default=_REQUIRED, positive: bool = False):
     """``params[key]`` checked against ``kind``, or ``default`` when absent.
 
     ``bool`` passes neither as ``int`` nor as ``float``; an ``int`` passes as
-    a ``float``.  ``[kind]`` asks for a JSON array whose items are ``kind``.
+    a ``float``, and either must fit a 64-bit integer; a ``float`` must be
+    finite.  ``[kind]`` asks for a JSON array whose items are ``kind``.
+    ``positive`` requires every given number to be > 0.
     """
     if key not in params:
         if default is _REQUIRED:
@@ -148,13 +151,26 @@ def _need(params: dict, key: str, kind, where: str, default=_REQUIRED):
         return default
     value = params[key]
     if isinstance(kind, list) and isinstance(value, list):
-        return [_need({key: item}, key, kind[0], where) for item in value]
+        return [_need({key: item}, key, kind[0], where, positive=positive) for item in value]
+    if type(value) is int and not -(2**63) <= value < 2**63:
+        raise ConfigError(f"{where}: parameter {key!r} is out of range")
     if kind is float and type(value) is int:
         value = float(value)
     wrong = isinstance(kind, list) or not isinstance(value, kind)
     if wrong or (type(value) is bool and kind is not bool):
         raise ConfigError(f"{where}: parameter {key!r} has wrong type")
+    if kind is float and not math.isfinite(value):
+        raise ConfigError(f"{where}: parameter {key!r} is not finite")
+    if positive and not value > 0:
+        raise ConfigError(f"{where}: parameter {key!r} must be positive")
     return value
+
+
+def _masses(params: dict, where: str) -> list[float]:
+    masses = _need(params, "masses", [float], where, [2.1, 2.1, 4.7], positive=True)
+    if len(masses) != 3:
+        raise ConfigError(f"{where}: parameter 'masses' needs three values")
+    return masses
 
 
 def _drive_from(params: dict, where: str, phi13=None, phi23=None) -> BondDrive:
@@ -166,8 +182,8 @@ def _drive_from(params: dict, where: str, phi13=None, phi23=None) -> BondDrive:
         d=_need(d, "d", float, where),
         a=_need(d, "a", float, where),
         omega=_need(d, "omega", float, where),
-        phi13=float(d.get("phi13", 0.0)) if phi13 is None else phi13,
-        phi23=float(d.get("phi23", 0.0)) if phi23 is None else phi23,
+        phi13=_need(d, "phi13", float, where, 0.0) if phi13 is None else phi13,
+        phi23=_need(d, "phi23", float, where, 0.0) if phi23 is None else phi23,
     )
 
 
@@ -227,7 +243,7 @@ def _run_gate_synth(params: dict, outdir: str) -> list[str]:
 
 
 def _run_trace_sweep(params: dict, outdir: str, seed: int) -> list[str]:
-    q = float(params.get("q", 2.0))
+    q = _need(params, "q", float, "trace-sweep", 2.0)
     a = float(params.get("a", 0.2))
     b = float(params.get("b", 0.2))
     theta0 = float(params.get("theta0", math.pi / 2))
@@ -284,10 +300,10 @@ def _gauge_check(
 
 def _run_trimer_sim(params: dict, outdir: str) -> list[str]:
     drive = _drive_from(params, "trimer-sim")
-    masses = params.get("masses", [2.1, 2.1, 4.7])
-    periods = int(params.get("periods", 20))
+    masses = _masses(params, "trimer-sim")
+    periods = _need(params, "periods", int, "trimer-sim", 20, positive=True)
     period = drive.common_period()
-    dt = period / int(params.get("steps_per_period", 1536))
+    dt = period / _need(params, "steps_per_period", int, "trimer-sim", 1536, positive=True)
     traj = reconstruct_rotation(drive, masses, periods * period, dt)
     from .trimer import bond_lengths
 
@@ -305,14 +321,14 @@ def _run_trimer_sim(params: dict, outdir: str) -> list[str]:
 
 def _run_phase_sweep(params: dict, outdir: str, threads: int) -> list[str]:
     drive = _drive_from(params, "phase-sweep", phi13=0.0, phi23=0.0)
-    masses = params.get("masses", [2.1, 2.1, 4.7])
+    masses = _masses(params, "phase-sweep")
     if "phi_values" in params:
-        grid = np.asarray(params["phi_values"], dtype=float)
+        grid = np.asarray(_need(params, "phi_values", [float], "phase-sweep"), dtype=float)
     else:
-        grid = np.linspace(-math.pi, math.pi, int(params.get("phi_count", 33)))
-    rates = phase_sweep(
-        drive, masses, grid, periods=int(params.get("periods", 8)), workers=threads
-    )
+        count = _need(params, "phi_count", int, "phase-sweep", 33, positive=True)
+        grid = np.linspace(-math.pi, math.pi, count)
+    periods = _need(params, "periods", int, "phase-sweep", 8, positive=True)
+    rates = phase_sweep(drive, masses, grid, periods=periods, workers=threads)
     path = os.path.join(outdir, "phase_sweep.csv")
     _write_csv(path, ["phi", "mean_angular_velocity"], [grid, rates])
     return [path]
@@ -397,7 +413,7 @@ def _run_demo_budget(params: dict, outdir: str) -> list[str]:
 
 def _run_ramsey(params: dict, outdir: str) -> list[str]:
     platform = _platform_from(params)
-    q = float(params.get("q", platform.charge))
+    q = _need(params, "q", float, "ramsey", platform.charge)
     spec = synth_phase_gate(q, n_samples=int(params.get("samples", 1024)),
                             steps=int(params.get("steps", 4096)))
     delta_e = float(params.get("delta_e", platform.splitting))

@@ -8,8 +8,12 @@ with ``A_full`` the anti-Hermitian connection sample of
 :mod:`triholonomy.connection`.  The integrator is an ordered product of
 per-segment closed-form SU(2) exponentials with midpoint-sampled
 connection, so every step is exactly special-unitary and the global error
-is O(ds^2).  The per-step factors are combined by a fixed-order tree
-reduction, which keeps the evaluation deterministic and fast.
+is O(ds^2).  Each factor has the unit-quaternion form
+U = [[a, b], [-conj(b), conj(a)]], and the factors are combined on their
+(a, b) pairs by a fixed-order pairwise tree of elementwise complex
+products, which keeps the evaluation deterministic and the result exactly
+of that form.  Leading axes of the factor stack are a batch: many Wilson
+lines of equal step count reduce in one call.
 
 ``dyson_trace`` evaluates the trace of the loop holonomy by treating the
 diagonal part of the transport exactly and expanding in the transverse
@@ -95,6 +99,14 @@ class WilsonLine:
         return WilsonLine(other.matrix @ self.matrix, self.charge)
 
 
+def _check_transport(steps: int, charge: float) -> None:
+    """Step count and coupling weight of a loop transport."""
+    if steps < 8:
+        raise ValidationError("holonomy integration needs at least 8 steps")
+    if not charge > 0:
+        raise ValidationError("charge must be positive")
+
+
 @dataclass(frozen=True)
 class HolonomyLoop:
     """A shape loop equipped with gauge data and integration resolution."""
@@ -107,10 +119,7 @@ class HolonomyLoop:
     patch: GaugePatch = GaugePatch.NORTH
 
     def __post_init__(self):
-        if self.steps < 8:
-            raise ValidationError("holonomy integration needs at least 8 steps")
-        if not self.charge > 0:
-            raise ValidationError("charge must be positive")
+        _check_transport(self.steps, self.charge)
 
     def with_steps(self, steps: int) -> "HolonomyLoop":
         return HolonomyLoop(self.shape, self.bloch, self.control, self.charge, steps, self.patch)
@@ -165,14 +174,48 @@ def su2_exponentials(vectors: np.ndarray, factor: float) -> np.ndarray:
 
 
 def ordered_product(mats: np.ndarray) -> np.ndarray:
-    """Ordered product M_{N-1} ... M_1 M_0 by pairwise tree reduction."""
-    while mats.shape[0] > 1:
-        n = mats.shape[0]
-        paired = np.matmul(mats[1 : 2 * (n // 2) : 2], mats[0 : 2 * (n // 2) : 2])
+    """Ordered product M_{N-1} ... M_1 M_0 of SU(2) factors, by pairwise tree reduction.
+
+    ``mats`` has shape (..., N, 2, 2) with N >= 1; the product runs along
+    axis -3 and any leading axes are a batch, so the result has shape
+    (..., 2, 2).  Precondition: every factor has the SU(2) form
+    [[a, b], [-conj(b), conj(a)]] to 1e-12, because only its first row
+    (a, b) is read.  Adjacent pairs combine as
+
+        a = a2 a1 - b2 conj(b1),    b = a2 b1 + b2 conj(a1),
+
+    in a fixed order, so the evaluation is deterministic and a batch gives
+    the same bits as separate calls.
+
+    Raises:
+        ValidationError: the stack is not (..., N, 2, 2) with N >= 1, or a
+            factor departs from the SU(2) form by more than 1e-12 (NaN
+            included).
+    """
+    mats = np.asarray(mats, dtype=complex)
+    if mats.ndim < 3 or mats.shape[-2:] != (2, 2) or mats.shape[-3] == 0:
+        raise ValidationError("ordered product needs a (..., N, 2, 2) stack with N >= 1")
+    a, b = mats[..., 0, 0], mats[..., 0, 1]
+    for err in (np.abs(mats[..., 1, 1] - np.conj(a)), np.abs(mats[..., 1, 0] + np.conj(b))):
+        if not np.max(err) <= 1e-12:
+            raise ValidationError(
+                f"product factor departs from SU(2) form by {np.max(err):.3e} (> 1e-12)"
+            )
+    while a.shape[-1] > 1:
+        n = a.shape[-1]
+        even = n - n % 2
+        a1, b1 = a[..., 0:even:2], b[..., 0:even:2]
+        a2, b2 = a[..., 1:even:2], b[..., 1:even:2]
+        paired_a = a2 * a1 - b2 * np.conj(b1)
+        paired_b = a2 * b1 + b2 * np.conj(a1)
         if n % 2:
-            paired = np.concatenate([paired, mats[-1:]], axis=0)
-        mats = paired
-    return mats[0]
+            paired_a = np.concatenate([paired_a, a[..., -1:]], axis=-1)
+            paired_b = np.concatenate([paired_b, b[..., -1:]], axis=-1)
+        a, b = paired_a, paired_b
+    a, b = a[..., 0], b[..., 0]
+    # 0.0 - conj(b) rather than -conj(b): a zero entry stays +0.0.
+    lower = np.stack([0.0 - np.conj(b), np.conj(a)], axis=-1)
+    return np.stack([np.stack([a, b], axis=-1), lower], axis=-2)
 
 
 def midpoint_grid(n_steps: int, s0: float = 0.0, s1: float = 2 * math.pi) -> tuple[np.ndarray, float]:

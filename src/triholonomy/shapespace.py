@@ -185,6 +185,27 @@ class ShapePoint:
         return self.colatitude < _POLE_TOL or self.colatitude > math.pi - _POLE_TOL
 
 
+def _check_loop_samples(th: np.ndarray, ph: np.ndarray) -> None:
+    """Closed-loop invariants of (colatitude, unwrapped azimuth) samples.
+
+    The last axis runs along a loop; leading axes stack several loops of
+    equal length, each held to the same bounds.
+    """
+    if th.shape[-1] < 9:
+        raise ValidationError("a loop needs at least 8 segments (9 samples)")
+    if not (np.all(np.isfinite(th)) and np.all(np.isfinite(ph))):
+        raise ValidationError("non-finite loop samples")
+    if np.any(th < -1e-12) or np.any(th > math.pi + 1e-12):
+        raise ValidationError("colatitude samples outside [0, pi]")
+    gap = np.max(np.abs(th[..., -1] - th[..., 0]))
+    if gap > _CLOSURE_TOL:
+        raise ValidationError(f"loop does not close in colatitude (gap {gap:.3e})")
+    gap = (ph[..., -1] - ph[..., 0]) % (2 * math.pi)
+    gap = np.max(np.minimum(gap, 2 * math.pi - gap))
+    if gap > _CLOSURE_TOL:
+        raise ValidationError(f"loop does not close in azimuth (gap {gap:.3e})")
+
+
 @dataclass(frozen=True)
 class ShapeLoop:
     """Closed parametrised loop on the shape sphere.
@@ -206,20 +227,7 @@ class ShapeLoop:
         ph = _readonly(self.azimuths)
         if th.ndim != 1 or th.shape != ph.shape:
             raise ValidationError("colatitude/azimuth sample arrays must be 1-d and equal length")
-        if th.size < 9:
-            raise ValidationError("a loop needs at least 8 segments (9 samples)")
-        if not (np.all(np.isfinite(th)) and np.all(np.isfinite(ph))):
-            raise ValidationError("non-finite loop samples")
-        if np.any(th < -1e-12) or np.any(th > math.pi + 1e-12):
-            raise ValidationError("colatitude samples outside [0, pi]")
-        if abs(th[-1] - th[0]) > _CLOSURE_TOL:
-            raise ValidationError(
-                f"loop does not close in colatitude (gap {abs(th[-1] - th[0]):.3e})"
-            )
-        gap = (ph[-1] - ph[0]) % (2 * math.pi)
-        gap = min(gap, 2 * math.pi - gap)
-        if gap > _CLOSURE_TOL:
-            raise ValidationError(f"loop does not close in azimuth (gap {gap:.3e})")
+        _check_loop_samples(th, ph)
         if self.orientation not in (-1, 1):
             raise ValidationError("orientation must be +1 or -1")
         object.__setattr__(self, "colatitudes", th)

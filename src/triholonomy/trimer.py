@@ -21,11 +21,23 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .connection import BlochField, ControlField
+from .connection import BlochField, LoopSamples, connection_vectors, monopole_potential
 from .errors import NumericalError, ValidationError
-from .holonomy import HolonomyLoop, integrate_wilson
-from .shapespace import ShapeLoop, TriangleConfig
+from .holonomy import (
+    WilsonLine,
+    _check_transport,
+    midpoint_grid,
+    ordered_product,
+    su2_exponentials,
+)
+from .shapespace import TriangleConfig, _check_loop_samples
+
+# Windows are transported in chunks of about this many SU(2) steps: enough
+# to amortise the per-call cost, while the chunk's arrays (0.5 MB of step
+# factors) stay small enough not to raise the process's peak memory.
+_CHUNK_STEPS = 2**13
 
 __all__ = [
     "BondDrive",
@@ -319,7 +331,10 @@ def effective_momentum_series(
     Each window of one common period is mapped to a closed shape loop, its
     pinned-axis holonomy trace integrated, and the geometric angular
     momentum 2 (I_avg / T) arccos(trace / 2) reported at the window start
-    times.
+    times.  Every window is the same piecewise-linear loop transport as
+    :func:`~triholonomy.holonomy.integrate_wilson` with ``min(steps,
+    n_window)`` steps; all windows share one parameter grid, so they are
+    sampled by one gather and transported as one batch per chunk.
     """
     dt = traj.dt
     n_window = int(round(period / dt))
@@ -330,18 +345,35 @@ def effective_momentum_series(
         raise ValidationError("trajectory shorter than one window period")
     if stride is None:
         stride = max(1, n_window // 4)
-    theta_sh, phi_sh = shape_angles(traj.body, traj.masses)
-    inertia = traj.moment_of_inertia()
     starts = np.arange(0, total - n_window, stride, dtype=int)
-    values = np.empty(starts.size)
-    for w, i0 in enumerate(starts):
-        sl = slice(i0, i0 + n_window + 1)
-        loop = ShapeLoop.from_samples(theta_sh[sl], phi_sh[sl])
-        hloop = HolonomyLoop(
-            loop, BlochField.pinned(), ControlField.zero(), charge, min(steps, n_window)
-        )
-        trace = integrate_wilson(hloop).trace
-        half = min(1.0, max(-1.0, trace / 2.0))
-        i_avg = float(np.mean(inertia[sl]))
-        values[w] = 2.0 * (i_avg / period) * math.acos(half)
+    theta_sh, phi_sh = shape_angles(traj.body, traj.masses)
+    # (windows, n_window + 1) views: row w holds the samples of window w.
+    th_w, ph_w, inertia_w = (
+        sliding_window_view(x, n_window + 1)[::stride]
+        for x in (theta_sh, phi_sh, traj.moment_of_inertia())
+    )
+    _check_loop_samples(th_w, ph_w)
+    n_steps = min(steps, n_window)
+    _check_transport(n_steps, charge)
+    field = BlochField.pinned()
+
+    # ShapeLoop.at (np.interp) and ShapeLoop.tangent, on the shared grid.
+    s_mid, ds = midpoint_grid(n_steps)
+    grid = np.linspace(0.0, 2 * math.pi, n_window + 1)
+    j = np.clip(np.searchsorted(grid, s_mid, side="right") - 1, 0, n_window - 1)
+    offset, width = s_mid - grid[j], grid[j + 1] - grid[j]
+    seg = 2 * math.pi / n_window
+    k = np.clip((s_mid / seg).astype(int), 0, n_window - 1)
+
+    angles = np.empty(starts.size)
+    chunk = max(1, _CHUNK_STEPS // n_steps)
+    for c0 in range(0, starts.size, chunk):
+        th, ph = th_w[c0 : c0 + chunk], ph_w[c0 : c0 + chunk]
+        colat = (th[:, j + 1] - th[:, j]) / width * offset + th[:, j]
+        a = monopole_potential(colat, (ph[:, k + 1] - ph[:, k]) / seg).ravel()
+        vecs = connection_vectors(LoopSamples(a, np.zeros(a.size, dtype=complex), None), field)
+        mats = ordered_product(su2_exponentials(vecs, charge * ds).reshape(-1, n_steps, 2, 2))
+        for w, m in enumerate(mats, start=c0):
+            angles[w] = math.acos(min(1.0, max(-1.0, WilsonLine(m, charge).trace / 2.0)))
+    values = 2.0 * (inertia_w.mean(axis=1) / period) * angles
     return traj.times[starts], values

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import triholonomy
-from triholonomy.cli import main
+from triholonomy.cli import _CSV_BLOCK_ROWS, _write_csv, main
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -43,6 +43,25 @@ def small_gate_config(**overrides):
     return cfg
 
 
+TRIMER_DRIVE = {"d12": 1.1, "a12": 0.2, "omega12": 1.0, "d": 1.0, "a": 0.15, "omega": 3.0}
+
+
+def small_trimer_config():
+    drive = dict(TRIMER_DRIVE, phi13=math.pi / 4, phi23=-math.pi / 4)
+    params = {"drive": drive, "masses": [2.1, 2.1, 4.7], "periods": 3, "steps_per_period": 768}
+    return {"schema_version": 1, "scenario": "trimer-sim", "seed": 0, "params": params}
+
+
+# Small valid params per scenario; each bad-input case overrides one entry.
+BASE_PARAMS = {
+    "trimer-sim": {"drive": TRIMER_DRIVE, "periods": 2, "steps_per_period": 256},
+    "phase-sweep": {"drive": TRIMER_DRIVE, "phi_count": 3, "periods": 2},
+    "ramsey": {"platform": {}, "q": 400.0, "samples": 512, "steps": 2048},
+    "trace-sweep": {"psi_values": [0.05], "steps": 2048, "samples": 512},
+    "linking": {"hopf": {"segments": 64}},
+}
+
+
 class TestRun:
     def test_gate_synth_happy_path(self, tmp_path):
         cfg_path = write_config(tmp_path, small_gate_config())
@@ -56,22 +75,7 @@ class TestRun:
         assert manifest["config"]["scenario"] == "gate-synth"
 
     def test_trimer_sim_columns(self, tmp_path):
-        cfg = {
-            "schema_version": 1,
-            "scenario": "trimer-sim",
-            "seed": 0,
-            "params": {
-                "drive": {
-                    "d12": 1.1, "a12": 0.2, "omega12": 1.0,
-                    "d": 1.0, "a": 0.15, "omega": 3.0,
-                    "phi13": math.pi / 4, "phi23": -math.pi / 4,
-                },
-                "masses": [2.1, 2.1, 4.7],
-                "periods": 3,
-                "steps_per_period": 768,
-            },
-        }
-        cfg_path = write_config(tmp_path, cfg)
+        cfg_path = write_config(tmp_path, small_trimer_config())
         out = tmp_path / "out"
         assert main(["run", cfg_path, "--out", str(out)]) == 0
         header = (out / "trimer_sim.csv").read_text().splitlines()[0]
@@ -109,14 +113,15 @@ class TestRun:
         assert not out.exists() or not any(out.iterdir())
 
     def test_determinism_byte_identical(self, tmp_path):
-        cfg_path = write_config(tmp_path, small_gate_config())
-        out1, out2 = tmp_path / "a", tmp_path / "b"
-        assert main(["run", cfg_path, "--out", str(out1)]) == 0
-        assert main(["run", cfg_path, "--out", str(out2)]) == 0
-        assert (out1 / "gate.json").read_bytes() == (out2 / "gate.json").read_bytes()
-        m1 = json.loads((out1 / "run_manifest.json").read_text())
-        m2 = json.loads((out2 / "run_manifest.json").read_text())
-        assert m1["outputs"] == m2["outputs"]  # identical checksums
+        for cfg, data in ((small_gate_config(), "gate.json"), (small_trimer_config(), "trimer_sim.csv")):
+            cfg_path = write_config(tmp_path, cfg)
+            out1, out2 = tmp_path / data / "a", tmp_path / data / "b"
+            assert main(["run", cfg_path, "--out", str(out1)]) == 0
+            assert main(["run", cfg_path, "--out", str(out2)]) == 0
+            assert (out1 / data).read_bytes() == (out2 / data).read_bytes()
+            m1 = json.loads((out1 / "run_manifest.json").read_text())
+            m2 = json.loads((out2 / "run_manifest.json").read_text())
+            assert m1["outputs"] == m2["outputs"]  # identical checksums
 
     def test_linking_scenario_with_curve_files(self, tmp_path):
         names = write_hopf_curves(tmp_path)
@@ -177,6 +182,37 @@ class TestRun:
         out = tmp_path / "out"
         assert main(["run", write_config(tmp_path, cfg), "--out", str(out)]) == 2
         assert key in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize(
+        "scenario, override, key",
+        [
+            ("trimer-sim", {"periods": "x"}, "periods"),
+            ("trimer-sim", {"periods": 0}, "periods"),
+            ("trimer-sim", {"steps_per_period": 0}, "steps_per_period"),
+            ("trimer-sim", {"masses": "abc"}, "masses"),
+            ("trimer-sim", {"masses": [1.0, 2.0]}, "masses"),
+            ("trimer-sim", {"masses": [1.0, 0.0, 1.0]}, "masses"),
+            ("trimer-sim", {"drive": dict(TRIMER_DRIVE, phi13="abc")}, "phi13"),
+            ("trimer-sim", {"drive": dict(TRIMER_DRIVE, phi13=True)}, "phi13"),
+            ("trimer-sim", {"drive": dict(TRIMER_DRIVE, d=math.inf)}, "d"),
+            ("phase-sweep", {"phi_count": "x"}, "phi_count"),
+            ("phase-sweep", {"phi_count": 0}, "phi_count"),
+            ("phase-sweep", {"phi_values": "x"}, "phi_values"),
+            ("phase-sweep", {"phi_values": [0.5, math.nan]}, "phi_values"),
+            ("phase-sweep", {"periods": 0}, "periods"),
+            ("ramsey", {"q": True}, "q"),
+            ("trace-sweep", {"q": True}, "q"),
+            ("linking", {"slk": [10**30, 0]}, "slk"),
+            ("linking", {"k": 10**400}, "k"),
+        ],
+    )
+    def test_bad_scenario_input_exits_2(self, tmp_path, capsys, scenario, override, key):
+        params = dict(BASE_PARAMS[scenario], **override)
+        cfg = {"schema_version": 1, "scenario": scenario, "seed": 0, "params": params}
+        out = tmp_path / "out"
+        assert main(["run", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+        assert repr(key) in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
 
     def test_env_var_default_outdir(self, tmp_path, monkeypatch):
@@ -351,3 +387,25 @@ def test_cli_import_does_not_load_scipy():
     env = dict(os.environ, PYTHONPATH=src)
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert result.stdout.strip() == "[]"
+
+
+def write_csv_per_value(path, header, columns):
+    """Reference writer: one ``format(float(x), ".17g")`` call per value."""
+    with open(path, "w", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for i in range(len(columns[0])):
+            fh.write(",".join(format(float(col[i]), ".17g") for col in columns) + "\n")
+
+
+@pytest.mark.parametrize("rows", [0, 1, _CSV_BLOCK_ROWS, 2 * _CSV_BLOCK_ROWS + 3])
+def test_write_csv_matches_per_value_format(tmp_path, rows):
+    specials = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e300, -1e-300, 0.1])
+    rng = np.random.default_rng(rows)
+    columns = [
+        np.resize(specials, rows),
+        rng.normal(size=rows) * 10.0 ** rng.integers(-300, 300, size=rows),
+        np.arange(rows) - rows // 2,  # an int column
+    ]
+    _write_csv(str(tmp_path / "block.csv"), ["a", "b", "c"], columns)
+    write_csv_per_value(str(tmp_path / "value.csv"), ["a", "b", "c"], columns)
+    assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "value.csv").read_bytes()

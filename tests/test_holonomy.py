@@ -13,7 +13,9 @@ from triholonomy.holonomy import (
     effective_angular_momentum,
     holonomy_trace,
     integrate_wilson,
+    ordered_product,
     rotation_angle,
+    su2_exponentials,
     transport_segment,
     wilson_from_rates,
 )
@@ -52,6 +54,60 @@ class TestWilsonLine:
     def test_inverse_and_compose(self):
         w = WilsonLine(np.array([[0, -1], [1, 0]], dtype=complex), 1.0)
         assert np.allclose(w.then(w.inverse()).matrix, np.eye(2))
+
+
+def matmul_tree(mats):
+    """Reference product: the same pairwise tree as full 2x2 matrix products."""
+    while mats.shape[0] > 1:
+        n = mats.shape[0]
+        paired = np.matmul(mats[1 : 2 * (n // 2) : 2], mats[0 : 2 * (n // 2) : 2])
+        if n % 2:
+            paired = np.concatenate([paired, mats[-1:]], axis=0)
+        mats = paired
+    return mats[0]
+
+
+def random_su2(rng, n, scale=0.3):
+    return su2_exponentials(rng.normal(size=(n, 3)), scale)
+
+
+class TestOrderedProduct:
+    @pytest.mark.parametrize("n", [1, 2, 7, 1023, 1024, 4096])
+    def test_matches_matmul_tree(self, n):
+        mats = random_su2(np.random.default_rng(n), n)
+        assert np.max(np.abs(ordered_product(mats) - matmul_tree(mats))) <= 1e-12
+
+    def test_result_keeps_su2_form(self):
+        m = ordered_product(random_su2(np.random.default_rng(3), 8192))
+        assert m[1, 1] == np.conj(m[0, 0]) and m[1, 0] == -np.conj(m[0, 1])
+
+    def test_batch_equals_separate_calls_exactly(self):
+        mats = random_su2(np.random.default_rng(5), 6 * 333).reshape(6, 333, 2, 2)
+        batched = ordered_product(mats)
+        assert batched.shape == (6, 2, 2)
+        for b in range(6):
+            assert np.array_equal(batched[b], ordered_product(mats[b]))
+
+    def test_rejects_non_su2_factor(self):
+        mats = random_su2(np.random.default_rng(7), 16)
+        mats[5, 1, 1] += 1e-9
+        with pytest.raises(ValidationError, match="SU\\(2\\) form"):
+            ordered_product(mats)
+        mats = random_su2(np.random.default_rng(7), 16)
+        mats[9] = np.diag([np.exp(0.3j), np.exp(0.3j)])  # unitary, but not SU(2) form
+        with pytest.raises(ValidationError, match="SU\\(2\\) form"):
+            ordered_product(mats)
+
+    @pytest.mark.parametrize("entry", [(0, 0), (0, 1), (1, 0), (1, 1)])
+    def test_rejects_nan_factor(self, entry):
+        mats = random_su2(np.random.default_rng(11), 16)
+        mats[(4, *entry)] = complex(math.nan, 0.0)
+        with pytest.raises(ValidationError):
+            ordered_product(mats)
+
+    def test_rejects_empty_stack(self):
+        with pytest.raises(ValidationError):
+            ordered_product(np.zeros((0, 2, 2), dtype=complex))
 
 
 class TestNonFiniteControl:

@@ -3,7 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from triholonomy.connection import BlochField, ControlField
 from triholonomy.errors import NumericalError, ValidationError
+from triholonomy.holonomy import HolonomyLoop, integrate_wilson
+from triholonomy.shapespace import ShapeLoop
 from triholonomy.trimer import (
     BondDrive,
     bond_lengths,
@@ -213,7 +216,56 @@ class TestPrecessionPhase:
             precession_berry_phase(1.0, 0.15, 3.0, phi13=0.3, phi23=-0.8)
 
 
+def momentum_series_per_window(traj, period, stride=None, charge=1.0, steps=1024):
+    """Reference: one ShapeLoop and one integrate_wilson call per window."""
+    n_window = int(round(period / traj.dt))
+    stride = max(1, n_window // 4) if stride is None else stride
+    theta_sh, phi_sh = shape_angles(traj.body, traj.masses)
+    inertia = traj.moment_of_inertia()
+    starts = np.arange(0, traj.times.size - n_window, stride, dtype=int)
+    values = np.empty(starts.size)
+    for w, i0 in enumerate(starts):
+        sl = slice(i0, i0 + n_window + 1)
+        loop = ShapeLoop.from_samples(theta_sh[sl], phi_sh[sl])
+        hloop = HolonomyLoop(
+            loop, BlochField.pinned(), ControlField.zero(), charge, min(steps, n_window)
+        )
+        half = min(1.0, max(-1.0, integrate_wilson(hloop).trace / 2.0))
+        values[w] = 2.0 * (float(np.mean(inertia[sl])) / period) * math.acos(half)
+    return traj.times[starts], values
+
+
 class TestEffectiveMomentumSeries:
+    @pytest.mark.parametrize(
+        "steps_per_period, periods, stride",
+        [
+            (512, 3, None),  # n_window < 1024: every window sample is a step
+            (1536, 3, None),  # n_window > 1024: 1024 steps interpolate the window
+            (1536, 2, 97),  # the stride does not divide the trajectory
+        ],
+    )
+    def test_matches_per_window_transport(self, steps_per_period, periods, stride):
+        drive = reference_drive()
+        period = drive.common_period()
+        traj = reconstruct_rotation(
+            drive, REFERENCE_MASSES, periods * period, period / steps_per_period
+        )
+        starts, values = effective_momentum_series(traj, period, stride)
+        ref_starts, ref_values = momentum_series_per_window(traj, period, stride)
+        assert np.array_equal(starts, ref_starts)
+        assert np.max(np.abs(values - ref_values)) <= 1e-12
+
+    def test_window_checks_hold(self):
+        drive = reference_drive()
+        period = drive.common_period()
+        traj = reconstruct_rotation(drive, REFERENCE_MASSES, 2 * period)
+        with pytest.raises(ValidationError, match="at least 8 steps"):
+            effective_momentum_series(traj, period, steps=7)
+        with pytest.raises(ValidationError, match="charge"):
+            effective_momentum_series(traj, period, charge=0.0)
+        with pytest.raises(ValidationError, match="does not close"):
+            effective_momentum_series(traj, period / 2)
+
     def test_static_drive_is_zero(self):
         drive = BondDrive(1.1, 0.0, 1.0, 1.0, 0.0, 3.0)
         period = drive.common_period()
