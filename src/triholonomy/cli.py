@@ -22,6 +22,9 @@ success, with a run manifest (config echo, version, checksums, timings)
 written last; reruns with identical config and seed produce byte-identical
 data files.
 
+Each scenario's parameters (JSON kind, default, bound) are declared once, in
+``SCENARIOS``; ``run`` and ``validate`` both read them through one checker.
+
 The seed is echoed into the manifest and drives the randomised property
 sweeps (currently the optional gauge-rotation check of trace-sweep); all
 other scenario outputs are seed-independent.
@@ -40,6 +43,8 @@ import shutil
 import sys
 import tempfile
 import time
+from dataclasses import MISSING, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -70,15 +75,6 @@ from .holonomy import (
 from .linking import LinkData, SpaceCurve, cs_phase, gauss_linking, hopf_pair
 from .trimer import BondDrive, effective_momentum_series, phase_sweep, reconstruct_rotation
 
-SCENARIOS = (
-    "gate-synth",
-    "trace-sweep",
-    "trimer-sim",
-    "phase-sweep",
-    "linking",
-    "demo-budget",
-    "ramsey",
-)
 OUTDIR_ENV = "TRIHOLONOMY_OUTDIR"
 SCHEMA_VERSION = 1
 # CSV rows formatted per string operation; bounds the text held in memory.
@@ -111,6 +107,78 @@ class ConfigError(ValidationError):
     pass
 
 
+_REQUIRED = object()
+
+
+class _Param(NamedTuple):
+    """One config parameter: its JSON kind, its default and its bound.
+
+    ``kind`` is ``bool``, ``int``, ``float``, ``str``, ``[kind]`` (a JSON array)
+    or a nested table (a JSON object).  ``bool`` is neither ``int`` nor
+    ``float``; an ``int`` passes as a ``float``; either must fit int64 and a
+    ``float`` must be finite.  ``default`` is ``_REQUIRED`` for a parameter
+    that must be given, ``None`` where the runner derives it.  ``bound`` is a
+    ``(test, phrase)`` pair that a given value must pass.
+    """
+
+    kind: object
+    default: object = _REQUIRED
+    bound: tuple | None = None
+
+
+_POSITIVE = (lambda v: v > 0, "positive")
+_NON_EMPTY = (lambda v: len(v) > 0, "a non-empty array")
+_SEED = _Param(int, 0, (lambda v: v >= 0, "non-negative"))
+
+
+def _table_of(cls) -> dict:
+    """Table of a parameter dataclass's fields: float, or int where the default is an int."""
+    return {
+        f.name: _Param(float) if f.default is MISSING else _Param(type(f.default), f.default)
+        for f in fields(cls)
+    }
+
+
+def _check(value, param: _Param, key: str, where: str):
+    """``value`` of parameter ``key`` checked against ``param``'s kind and bound."""
+    kind = param.kind
+    if isinstance(kind, list) and isinstance(value, list):
+        value = [_check(item, _Param(kind[0]), key, where) for item in value]
+    elif isinstance(kind, dict) and isinstance(value, dict):
+        value = _read(kind, value, f"{where} {key}")
+    else:
+        if type(value) is int and not -(2**63) <= value < 2**63:
+            raise ConfigError(f"{where}: parameter {key!r} is out of range")
+        if kind is float and type(value) is int:
+            value = float(value)
+        wrong = isinstance(kind, (list, dict)) or not isinstance(value, kind)
+        if wrong or isinstance(value, bool) != (kind is bool):
+            raise ConfigError(f"{where}: parameter {key!r} has wrong type")
+        if kind is float and not math.isfinite(value):
+            raise ConfigError(f"{where}: parameter {key!r} is not finite")
+    if param.bound and not param.bound[0](value):
+        raise ConfigError(f"{where}: parameter {key!r} must be {param.bound[1]}")
+    return value
+
+
+def _read(table: dict, params: dict, where: str) -> dict:
+    """Checked value of every ``table`` entry: given in ``params``, else its default."""
+    for key in params:
+        if key not in table:
+            raise ConfigError(f"{where}: unknown parameter {key!r}")
+    values = {}
+    for key, param in table.items():
+        if key in params:
+            values[key] = _check(params[key], param, key, where)
+        elif param.default is _REQUIRED:
+            raise ConfigError(f"{where}: missing required parameter {key!r}")
+        elif isinstance(param.kind, dict):
+            values[key] = _read(param.kind, param.default, f"{where} {key}")
+        else:
+            values[key] = param.default
+    return values
+
+
 def load_config(path: str) -> dict:
     try:
         with open(path) as fh:
@@ -126,110 +194,23 @@ def load_config(path: str) -> dict:
     scenario = cfg.get("scenario")
     if scenario not in SCENARIOS:
         raise ConfigError(f"unknown scenario {scenario!r}; expected one of {', '.join(SCENARIOS)}")
-    if not isinstance(cfg.get("params", {}), dict):
-        raise ConfigError("params must be an object")
-    seed = cfg.get("seed", 0)
-    if not isinstance(seed, int):
-        raise ConfigError("seed must be an integer")
+    _check(cfg.get("seed", 0), _SEED, "seed", "config")
     return cfg
-
-
-_REQUIRED = object()
-
-
-def _need(params: dict, key: str, kind, where: str, default=_REQUIRED, positive: bool = False):
-    """``params[key]`` checked against ``kind``, or ``default`` when absent.
-
-    ``bool`` passes neither as ``int`` nor as ``float``; an ``int`` passes as
-    a ``float``, and either must fit a 64-bit integer; a ``float`` must be
-    finite.  ``[kind]`` asks for a JSON array whose items are ``kind``.
-    ``positive`` requires every given number to be > 0.
-    """
-    if key not in params:
-        if default is _REQUIRED:
-            raise ConfigError(f"{where}: missing required parameter {key!r}")
-        return default
-    value = params[key]
-    if isinstance(kind, list) and isinstance(value, list):
-        return [_need({key: item}, key, kind[0], where, positive=positive) for item in value]
-    if type(value) is int and not -(2**63) <= value < 2**63:
-        raise ConfigError(f"{where}: parameter {key!r} is out of range")
-    if kind is float and type(value) is int:
-        value = float(value)
-    wrong = isinstance(kind, list) or not isinstance(value, kind)
-    if wrong or (type(value) is bool and kind is not bool):
-        raise ConfigError(f"{where}: parameter {key!r} has wrong type")
-    if kind is float and not math.isfinite(value):
-        raise ConfigError(f"{where}: parameter {key!r} is not finite")
-    if positive and not value > 0:
-        raise ConfigError(f"{where}: parameter {key!r} must be positive")
-    return value
-
-
-def _masses(params: dict, where: str) -> list[float]:
-    masses = _need(params, "masses", [float], where, [2.1, 2.1, 4.7], positive=True)
-    if len(masses) != 3:
-        raise ConfigError(f"{where}: parameter 'masses' needs three values")
-    return masses
-
-
-def _drive_from(params: dict, where: str, phi13=None, phi23=None) -> BondDrive:
-    d = params.get("drive", params)
-    return BondDrive(
-        d12=_need(d, "d12", float, where),
-        a12=_need(d, "a12", float, where),
-        omega12=_need(d, "omega12", float, where),
-        d=_need(d, "d", float, where),
-        a=_need(d, "a", float, where),
-        omega=_need(d, "omega", float, where),
-        phi13=_need(d, "phi13", float, where, 0.0) if phi13 is None else phi13,
-        phi23=_need(d, "phi23", float, where, 0.0) if phi23 is None else phi23,
-    )
-
-
-def _platform_from(params: dict) -> PlatformParams:
-    fields = {}
-    allowed = (
-        "e_a",
-        "e_e1",
-        "e_e2",
-        "t_loop",
-        "tau_r",
-        "r0",
-        "epsilon",
-        "phi",
-        "n_rep",
-        "charge",
-    )
-    src = params.get("platform", {})
-    if not isinstance(src, dict):
-        raise ConfigError("platform must be an object")
-    for key in src:
-        if key not in allowed:
-            raise ConfigError(f"unknown platform field {key!r}")
-        fields[key] = src[key]
-    return PlatformParams(**fields)
 
 
 # ---------------------------------------------------------------- scenarios
 
 
-def _run_gate_synth(params: dict, outdir: str) -> list[str]:
-    q = _need(params, "q", float, "gate-synth")
-    target = params.get("target", "pi2")
-    if target not in ("pi2", "hadamard"):
-        raise ConfigError("gate-synth target must be 'pi2' or 'hadamard'")
-    samples = int(params.get("samples", 1024))
-    steps = int(params.get("steps", 4096))
-    if target == "pi2":
-        spec = synth_phase_gate(q, params.get("n_rep"), n_samples=samples, steps=steps)
+def _run_gate_synth(p: dict, outdir: str, **_) -> list[str]:
+    if p["target"] == "pi2":
+        spec = synth_phase_gate(p["q"], p["n_rep"], n_samples=p["samples"], steps=p["steps"])
         realised = spec.integrate()
     else:
-        spec = synth_hadamard_gate(q, n_samples=samples, steps=steps)
+        spec = synth_hadamard_gate(p["q"], n_samples=p["samples"], steps=p["steps"])
         realised = interaction_frame(spec.loop).integrate_transverse().matrix
     payload = {
-        "target": target,
-        "q": q,
+        "target": p["target"],
+        "q": p["q"],
         "repetitions": spec.repetitions,
         "matrix": _complex_pairs(realised),
         "target_matrix": _complex_pairs(spec.target),
@@ -242,46 +223,33 @@ def _run_gate_synth(params: dict, outdir: str) -> list[str]:
     return [path]
 
 
-def _run_trace_sweep(params: dict, outdir: str, seed: int) -> list[str]:
-    q = _need(params, "q", float, "trace-sweep", 2.0)
-    a = float(params.get("a", 0.2))
-    b = float(params.get("b", 0.2))
-    theta0 = float(params.get("theta0", math.pi / 2))
-    steps = int(params.get("steps", 8192))
-    psi_values = params.get("psi_values", [0.025, 0.05, 0.1])
-    loop_shape = make_ellipse_loop(theta0, 0.0, a, b, int(params.get("samples", 1024)))
-    cols = {k: [] for k in ("psi_abs", "trace_direct", "trace_order2", "trace_order4", "i2", "i4")}
-    for psi_abs in psi_values:
+def _run_trace_sweep(p: dict, outdir: str, seed: int, **_) -> list[str]:
+    loop_shape = make_ellipse_loop(p["theta0"], 0.0, p["a"], p["b"], p["samples"])
+    rows = []
+    for psi_abs in p["psi_values"]:
         hloop = HolonomyLoop(
-            loop_shape, BlochField.pinned(), ControlField.constant(float(psi_abs)), q, steps
+            loop_shape, BlochField.pinned(), ControlField.constant(psi_abs), p["q"], p["steps"]
         )
         direct = integrate_wilson(hloop).trace
         d2 = dyson_trace(hloop, 2)
         d4 = dyson_trace(hloop, 4)
-        cols["psi_abs"].append(float(psi_abs))
-        cols["trace_direct"].append(direct)
-        cols["trace_order2"].append(d2.trace_estimate)
-        cols["trace_order4"].append(d4.trace_estimate)
-        cols["i2"].append(d4.corrections[0])
-        cols["i4"].append(d4.corrections[1])
+        rows.append((psi_abs, direct, d2.trace_estimate, d4.trace_estimate, *d4.corrections[:2]))
     path = os.path.join(outdir, "trace_sweep.csv")
-    _write_csv(path, list(cols), [np.asarray(v) for v in cols.values()])
+    header = ["psi_abs", "trace_direct", "trace_order2", "trace_order4", "i2", "i4"]
+    _write_csv(path, header, [np.asarray(col) for col in zip(*rows)])
     produced = [path]
-
-    rotations = int(params.get("gauge_rotations", 0))
-    if rotations > 0:
-        produced.append(_gauge_check(params, loop_shape, q, seed, rotations, outdir))
+    if p["gauge_rotations"] > 0:
+        produced.append(_gauge_check(p, loop_shape, seed, outdir))
     return produced
 
 
-def _gauge_check(
-    params: dict, loop_shape, q: float, seed: int, rotations: int, outdir: str
-) -> str:
+def _gauge_check(p: dict, loop_shape, seed: int, outdir: str) -> str:
     """Seeded random gauge rotations of the loop's (A, psi) data at unit weight."""
-    psi_abs = float(params.get("psi_values", [0.05])[0])
-    s, _ = midpoint_grid(int(params.get("steps", 8192)))
+    psi_abs = p["psi_values"][0]
+    s, _ = midpoint_grid(p["steps"])
     a = HolonomyLoop(loop_shape).sample(s).a
     base = wilson_from_samples(a, np.full(s.size, psi_abs), 1.0).trace
+    rotations = p["gauge_rotations"]
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(rotations):
@@ -298,13 +266,11 @@ def _gauge_check(
     return path
 
 
-def _run_trimer_sim(params: dict, outdir: str) -> list[str]:
-    drive = _drive_from(params, "trimer-sim")
-    masses = _masses(params, "trimer-sim")
-    periods = _need(params, "periods", int, "trimer-sim", 20, positive=True)
+def _run_trimer_sim(p: dict, outdir: str, **_) -> list[str]:
+    drive = BondDrive(**p["drive"])
     period = drive.common_period()
-    dt = period / _need(params, "steps_per_period", int, "trimer-sim", 1536, positive=True)
-    traj = reconstruct_rotation(drive, masses, periods * period, dt)
+    dt = period / p["steps_per_period"]
+    traj = reconstruct_rotation(drive, p["masses"], p["periods"] * period, dt)
     from .trimer import bond_lengths
 
     xi12, xi13, xi23 = bond_lengths(traj.times, drive)
@@ -319,16 +285,13 @@ def _run_trimer_sim(params: dict, outdir: str) -> list[str]:
     return [path]
 
 
-def _run_phase_sweep(params: dict, outdir: str, threads: int) -> list[str]:
-    drive = _drive_from(params, "phase-sweep", phi13=0.0, phi23=0.0)
-    masses = _masses(params, "phase-sweep")
-    if "phi_values" in params:
-        grid = np.asarray(_need(params, "phi_values", [float], "phase-sweep"), dtype=float)
+def _run_phase_sweep(p: dict, outdir: str, threads: int, **_) -> list[str]:
+    if p["phi_values"] is None:
+        grid = np.linspace(-math.pi, math.pi, p["phi_count"])
     else:
-        count = _need(params, "phi_count", int, "phase-sweep", 33, positive=True)
-        grid = np.linspace(-math.pi, math.pi, count)
-    periods = _need(params, "periods", int, "phase-sweep", 8, positive=True)
-    rates = phase_sweep(drive, masses, grid, periods=periods, workers=threads)
+        grid = np.asarray(p["phi_values"], dtype=float)
+    drive = BondDrive(**p["drive"])
+    rates = phase_sweep(drive, p["masses"], grid, periods=p["periods"], workers=threads)
     path = os.path.join(outdir, "phase_sweep.csv")
     _write_csv(path, ["phi", "mean_angular_velocity"], [grid, rates])
     return [path]
@@ -344,29 +307,20 @@ def _load_curve_csv(path: str) -> SpaceCurve:
     return SpaceCurve(data)
 
 
-def _curve_paths(params: dict, base_dir: str) -> list[str]:
+def _curve_paths(p: dict, base_dir: str) -> list[str]:
     """``curve_files`` with relative entries resolved against the config's directory."""
-    return [os.path.join(base_dir, p) for p in _need(params, "curve_files", [str], "linking")]
+    return [os.path.join(base_dir, name) for name in p["curve_files"]]
 
 
-def _run_linking(params: dict, outdir: str, base_dir: str) -> list[str]:
-    if "curve_files" in params:
-        curves = [_load_curve_csv(p) for p in _curve_paths(params, base_dir)]
+def _run_linking(p: dict, outdir: str, base_dir: str, **_) -> list[str]:
+    if p["curve_files"] is None:
+        hopf = p["hopf"]
+        curves = list(hopf_pair(hopf["radius1"], hopf["radius2"], hopf["segments"]))
     else:
-        hopf = _need(params, "hopf", dict, "linking", {})
-        curves = list(
-            hopf_pair(
-                _need(hopf, "radius1", float, "linking", 1.0),
-                _need(hopf, "radius2", float, "linking", 1.0),
-                _need(hopf, "segments", int, "linking", 512),
-            )
-        )
+        curves = [_load_curve_csv(path) for path in _curve_paths(p, base_dir)]
     n = len(curves)
-    if n < 2:
-        raise ConfigError("linking scenario needs at least two curves")
-    charges = _need(params, "charges", [float], "linking", [1.0] * n)
-    k = _need(params, "k", int, "linking", 4)
-    slk = _need(params, "slk", [int], "linking", [0] * n)
+    charges = [1.0] * n if p["charges"] is None else p["charges"]
+    slk = [0] * n if p["slk"] is None else p["slk"]
     lk = np.zeros((n, n), dtype=int)
     for i in range(n):
         for j in range(i + 1, n):
@@ -375,20 +329,19 @@ def _run_linking(params: dict, outdir: str, base_dir: str) -> list[str]:
     payload = {
         "lk_matrix": lk.tolist(),
         "charges": charges,
-        "level": k,
+        "level": p["k"],
         "slk": slk,
-        "cs_phase": cs_phase(charges, link, k),
+        "cs_phase": cs_phase(charges, link, p["k"]),
     }
     path = os.path.join(outdir, "linking.json")
     _write_json(path, payload)
     return [path]
 
 
-def _run_demo_budget(params: dict, outdir: str) -> list[str]:
-    platform = _platform_from(params)
-    factor = float(params.get("window_factor", 10.0))
-    report = adiabatic_window(platform, factor)
-    budget = gate_budget(platform, float(params.get("contingency", 1.0)))
+def _run_demo_budget(p: dict, outdir: str, **_) -> list[str]:
+    platform = PlatformParams(**p["platform"])
+    report = adiabatic_window(platform, p["window_factor"])
+    budget = gate_budget(platform, p["contingency"])
     payload = {
         "window": {
             "passed": report.passed,
@@ -411,17 +364,12 @@ def _run_demo_budget(params: dict, outdir: str) -> list[str]:
     return [path]
 
 
-def _run_ramsey(params: dict, outdir: str) -> list[str]:
-    platform = _platform_from(params)
-    q = _need(params, "q", float, "ramsey", platform.charge)
-    spec = synth_phase_gate(q, n_samples=int(params.get("samples", 1024)),
-                            steps=int(params.get("steps", 4096)))
-    delta_e = float(params.get("delta_e", platform.splitting))
-    result = ramsey_echo(
-        spec.loop, delta_e, platform,
-        echo=bool(params.get("echo", True)),
-        scan_count=int(params.get("scan_count", 8)),
-    )
+def _run_ramsey(p: dict, outdir: str, **_) -> list[str]:
+    platform = PlatformParams(**p["platform"])
+    q = platform.charge if p["q"] is None else p["q"]
+    spec = synth_phase_gate(q, n_samples=p["samples"], steps=p["steps"])
+    delta_e = platform.splitting if p["delta_e"] is None else p["delta_e"]
+    result = ramsey_echo(spec.loop, delta_e, platform, echo=p["echo"], scan_count=p["scan_count"])
     csv_path = os.path.join(outdir, "fringe.csv")
     cols = [result.scan_phases] + [result.populations[i] for i in range(len(result.prep_phases))]
     headers = ["scan_phase"] + [f"population_prep{i}" for i in range(len(result.prep_phases))]
@@ -446,60 +394,110 @@ def _run_ramsey(params: dict, outdir: str) -> list[str]:
     return [csv_path, json_path]
 
 
+_DRIVE = _table_of(BondDrive)
+_PLATFORM = _table_of(PlatformParams)
+_HOPF = {
+    "radius1": _Param(float, 1.0, _POSITIVE),
+    "radius2": _Param(float, 1.0, _POSITIVE),
+    "segments": _Param(int, 512, _POSITIVE),
+}
+_MASSES = _Param(
+    [float], [2.1, 2.1, 4.7], (lambda v: len(v) == 3 and min(v) > 0, "three positive values")
+)
+
+# Scenario -> (runner, parameter table).  run and validate read the same table.
+SCENARIOS = {
+    "gate-synth": (_run_gate_synth, {
+        "q": _Param(float, bound=_POSITIVE),
+        "target": _Param(str, "pi2", (lambda v: v in ("pi2", "hadamard"), "'pi2' or 'hadamard'")),
+        "n_rep": _Param(int, None, _POSITIVE),  # pi2 only; None picks the small-loop count
+        "samples": _Param(int, 1024, _POSITIVE),
+        "steps": _Param(int, 4096, _POSITIVE),
+    }),
+    "trace-sweep": (_run_trace_sweep, {
+        "q": _Param(float, 2.0, _POSITIVE),
+        "theta0": _Param(float, math.pi / 2),
+        "a": _Param(float, 0.2),
+        "b": _Param(float, 0.2),
+        "psi_values": _Param([float], [0.025, 0.05, 0.1], _NON_EMPTY),
+        "steps": _Param(int, 8192, _POSITIVE),
+        "samples": _Param(int, 1024, _POSITIVE),
+        "gauge_rotations": _Param(int, 0),  # a positive count runs the seeded gauge check
+    }),
+    "trimer-sim": (_run_trimer_sim, {
+        "drive": _Param(_DRIVE),
+        "masses": _MASSES,
+        "periods": _Param(int, 20, _POSITIVE),
+        "steps_per_period": _Param(int, 1536, _POSITIVE),
+    }),
+    "phase-sweep": (_run_phase_sweep, {
+        "drive": _Param(_DRIVE),  # phi13 and phi23 are set by the sweep
+        "masses": _MASSES,
+        "phi_values": _Param([float], None, _NON_EMPTY),  # None: phi_count points on [-pi, pi]
+        "phi_count": _Param(int, 33, _POSITIVE),
+        "periods": _Param(int, 8, _POSITIVE),
+    }),
+    "linking": (_run_linking, {
+        "curve_files": _Param([str], None, (lambda v: len(v) >= 2, "at least two file names")),
+        "hopf": _Param(_HOPF, {}),  # the curves when curve_files is not given
+        "charges": _Param([float], None),  # None: 1.0 per curve
+        "k": _Param(int, 4, _POSITIVE),
+        "slk": _Param([int], None),  # None: 0 per curve
+    }),
+    "demo-budget": (_run_demo_budget, {
+        "platform": _Param(_PLATFORM, {}),
+        "window_factor": _Param(float, 10.0),
+        "contingency": _Param(float, 1.0),
+    }),
+    "ramsey": (_run_ramsey, {
+        "platform": _Param(_PLATFORM, {}),
+        "q": _Param(float, None, _POSITIVE),  # None: the platform's charge
+        "delta_e": _Param(float, None),  # None: the platform's doublet splitting
+        "echo": _Param(bool, True),
+        "scan_count": _Param(int, 8, _POSITIVE),
+        "samples": _Param(int, 1024, _POSITIVE),
+        "steps": _Param(int, 4096, _POSITIVE),
+        "window_factor": _Param(float, 10.0),  # read by validate's adiabatic-window check only
+    }),
+}
+
+
+def _params(cfg: dict) -> dict:
+    """The checked parameters of a loaded config."""
+    table = SCENARIOS[cfg["scenario"]][1]
+    return _check(cfg.get("params", {}), _Param(table), "params", cfg["scenario"])
+
+
 def run_scenario(cfg: dict, outdir: str, threads: int, base_dir: str) -> list[str]:
     """Run a loaded config; ``base_dir`` (the config's directory) anchors relative paths."""
-    scenario = cfg["scenario"]
-    params = cfg.get("params", {})
-    if scenario == "gate-synth":
-        return _run_gate_synth(params, outdir)
-    if scenario == "trace-sweep":
-        return _run_trace_sweep(params, outdir, int(cfg.get("seed", 0)))
-    if scenario == "trimer-sim":
-        return _run_trimer_sim(params, outdir)
-    if scenario == "phase-sweep":
-        return _run_phase_sweep(params, outdir, threads)
-    if scenario == "linking":
-        return _run_linking(params, outdir, base_dir)
-    if scenario == "demo-budget":
-        return _run_demo_budget(params, outdir)
-    if scenario == "ramsey":
-        return _run_ramsey(params, outdir)
-    raise ConfigError(f"unknown scenario {scenario!r}")
+    runner = SCENARIOS[cfg["scenario"]][0]
+    return runner(_params(cfg), outdir, seed=cfg.get("seed", 0), threads=threads, base_dir=base_dir)
 
 
 def validate_config(cfg: dict, base_dir: str) -> list[str]:
-    """Schema plus physics checks; returns report lines (no outputs written)."""
+    """Every parameter ``run`` reads, then the physics checks; returns report lines."""
+    p = _params(cfg)
     lines = [f"scenario: {cfg['scenario']}"]
-    params = cfg.get("params", {})
-    scenario = cfg["scenario"]
-    if scenario in ("trimer-sim", "phase-sweep"):
-        drive = _drive_from(params, scenario)  # validates amplitude bounds
-        period = drive.common_period()
+    if "drive" in p:
+        period = BondDrive(**p["drive"]).common_period()
         lines.append(f"drive ok: common period {period:.6g}")
-    if scenario in ("demo-budget", "ramsey"):
-        platform = _platform_from(params)  # validates epsilon bound
-        report = adiabatic_window(platform, float(params.get("window_factor", 10.0)))
-        lines.append(
-            "adiabatic window "
-            + ("pass" if report.passed else "FAIL")
-            + f": (1/T)/splitting = {report.ratio_lower:.3g}, gap*T = {report.ratio_upper:.3g}"
-        )
+    if "platform" in p:
+        report = adiabatic_window(PlatformParams(**p["platform"]), p["window_factor"])
         if not report.passed:
             raise ValidationError(
                 "adiabatic window violated: need splitting << 1/T_loop << gap "
                 f"with factor {report.factor:g} "
                 f"(got ratios {report.ratio_lower:.3g} and {report.ratio_upper:.3g})"
             )
-    if scenario == "linking" and "curve_files" in params:
-        for path in _curve_paths(params, base_dir):
+        lines.append(
+            f"adiabatic window pass: (1/T)/splitting = {report.ratio_lower:.3g}, "
+            f"gap*T = {report.ratio_upper:.3g}"
+        )
+    if p.get("curve_files"):
+        for path in _curve_paths(p, base_dir):
             if not os.path.exists(path):
                 raise ConfigError(f"referenced curve file does not exist: {path}")
-        lines.append(f"{len(params['curve_files'])} curve files present")
-    if scenario == "gate-synth":
-        q = _need(params, "q", float, "gate-synth")
-        if q <= 0:
-            raise ConfigError("gate-synth: q must be positive")
-        lines.append(f"gate-synth ok: q = {q:g}")
+        lines.append(f"{len(p['curve_files'])} curve files present")
     lines.append("pass")
     return lines
 
@@ -520,7 +518,7 @@ def _cmd_run(args) -> int:
     t_start = time.perf_counter()
     cfg = load_config(args.config)
     if args.seed is not None:
-        cfg["seed"] = args.seed
+        cfg["seed"] = _check(args.seed, _SEED, "seed", "--seed")
     outdir = args.out or cfg.get("output_dir") or os.environ.get(OUTDIR_ENV) or "."
     os.makedirs(outdir, exist_ok=True)
     staging = tempfile.mkdtemp(prefix=".staging-", dir=outdir)

@@ -77,14 +77,6 @@ class SpaceCurve:
     def midpoints(self) -> np.ndarray:
         return 0.5 * (self.points[1:] + self.points[:-1])
 
-    @classmethod
-    def from_function(cls, fn, n_segments: int = 256) -> "SpaceCurve":
-        """Sample a parametric curve fn(t), t in [0, 2 pi], into a closed polygon."""
-        t = np.linspace(0.0, 2 * math.pi, n_segments + 1)
-        pts = np.array([fn(ti) for ti in t], dtype=float)
-        pts[-1] = pts[0]
-        return cls(pts)
-
     def reversed(self) -> "SpaceCurve":
         return SpaceCurve(self.points[::-1], self.closed)
 

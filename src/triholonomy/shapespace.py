@@ -134,8 +134,7 @@ class PreshapePoint:
 
     ``size`` is the preshape radius, ``colatitude`` in [0, pi], and
     ``phase1``/``phase2`` the arguments of the two Jacobi coordinates in
-    [0, 2 pi).  ``internal_phase`` and ``external_phase`` are the derived
-    combinations phi2 - phi1 and -(phi1 + phi2)/2.
+    [0, 2 pi).
     """
 
     size: float
@@ -148,14 +147,6 @@ class PreshapePoint:
             raise ValidationError("preshape size must be positive and finite")
         if not 0.0 <= self.colatitude <= math.pi:
             raise ValidationError("colatitude outside [0, pi]")
-
-    @property
-    def internal_phase(self) -> float:
-        return (self.phase2 - self.phase1) % (2 * math.pi)
-
-    @property
-    def external_phase(self) -> float:
-        return -0.5 * (self.phase1 + self.phase2)
 
     def reconstruct(self) -> JacobiPair:
         """Invert the Hopf parametrisation back to Jacobi coordinates."""
@@ -283,10 +274,6 @@ class ShapeLoop:
     def reversed(self) -> "ShapeLoop":
         """The same geometric loop traversed backwards."""
         return ShapeLoop(self.colatitudes[::-1], self.azimuths[::-1], -self.orientation)
-
-    def point(self, s: float) -> ShapePoint:
-        th, ph = self.at(float(s))
-        return ShapePoint(float(np.clip(th, 0.0, math.pi)), float(ph) % (2 * math.pi))
 
 
 def _plane_basis(verts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

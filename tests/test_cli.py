@@ -1,14 +1,21 @@
+import contextlib
+import copy
+import glob
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import triholonomy
-from triholonomy.cli import _CSV_BLOCK_ROWS, _write_csv, main
+from triholonomy.cli import _CSV_BLOCK_ROWS, SCENARIOS, _write_csv, main
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -59,7 +66,54 @@ BASE_PARAMS = {
     "ramsey": {"platform": {}, "q": 400.0, "samples": 512, "steps": 2048},
     "trace-sweep": {"psi_values": [0.05], "steps": 2048, "samples": 512},
     "linking": {"hopf": {"segments": 64}},
+    "gate-synth": {"q": 50.0, "target": "pi2", "samples": 256, "steps": 1024},
+    "demo-budget": {"platform": {}},
 }
+
+# (scenario, params override, parameter named on stderr); run and validate exit 2 on each.
+BAD_SCENARIO_INPUTS = [
+    ("trimer-sim", {"periods": "x"}, "periods"),
+    ("trimer-sim", {"periods": 0}, "periods"),
+    ("trimer-sim", {"steps_per_period": 0}, "steps_per_period"),
+    ("trimer-sim", {"masses": "abc"}, "masses"),
+    ("trimer-sim", {"masses": [1.0, 2.0]}, "masses"),
+    ("trimer-sim", {"masses": [1.0, 0.0, 1.0]}, "masses"),
+    ("trimer-sim", {"drive": dict(TRIMER_DRIVE, phi13="abc")}, "phi13"),
+    ("trimer-sim", {"drive": dict(TRIMER_DRIVE, phi13=True)}, "phi13"),
+    ("trimer-sim", {"drive": dict(TRIMER_DRIVE, d=math.inf)}, "d"),
+    ("phase-sweep", {"phi_count": "x"}, "phi_count"),
+    ("phase-sweep", {"phi_count": 0}, "phi_count"),
+    ("phase-sweep", {"phi_values": "x"}, "phi_values"),
+    ("phase-sweep", {"phi_values": [0.5, math.nan]}, "phi_values"),
+    ("phase-sweep", {"periods": 0}, "periods"),
+    ("ramsey", {"q": True}, "q"),
+    ("trace-sweep", {"q": True}, "q"),
+    ("linking", {"slk": [10**30, 0]}, "slk"),
+    ("linking", {"k": 10**400}, "k"),
+    # non-numeric text, overflow and an empty magnitude grid
+    ("trace-sweep", {"a": "x"}, "a"),
+    ("trace-sweep", {"psi_values": "x"}, "psi_values"),
+    ("demo-budget", {"window_factor": "x"}, "window_factor"),
+    ("demo-budget", {"platform": {"t_loop": "x"}}, "t_loop"),
+    ("gate-synth", {"n_rep": "3"}, "n_rep"),
+    ("trace-sweep", {"gauge_rotations": 1e400}, "gauge_rotations"),
+    ("trace-sweep", {"psi_values": [], "gauge_rotations": 1}, "psi_values"),
+    # a string as a bool, fractional counts, a bool as a number, misspelt names
+    ("ramsey", {"echo": "no"}, "echo"),
+    ("gate-synth", {"n_rep": 2.5}, "n_rep"),
+    ("demo-budget", {"platform": {"n_rep": 2.5}}, "n_rep"),
+    ("ramsey", {"platform": {"charge": True}}, "charge"),
+    ("trace-sweep", {"stpes": 4096}, "stpes"),
+    ("ramsey", {"platform": {"t_lop": 1e-6}}, "t_lop"),
+    ("trimer-sim", {"drive": dict(TRIMER_DRIVE, omega_12=1.0)}, "omega_12"),
+    # parameters that validate must check as run does
+    ("ramsey", {"steps": "abc"}, "steps"),
+    ("trace-sweep", {"q": "x"}, "q"),
+    ("linking", {"k": "x"}, "k"),
+    ("phase-sweep", {"periods": "x"}, "periods"),
+    ("gate-synth", {"target": "cnot"}, "target"),
+    ("linking", {"curve_files": ["only.csv"]}, "curve_files"),
+]
 
 
 class TestRun:
@@ -184,29 +238,7 @@ class TestRun:
         assert key in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
 
-    @pytest.mark.parametrize(
-        "scenario, override, key",
-        [
-            ("trimer-sim", {"periods": "x"}, "periods"),
-            ("trimer-sim", {"periods": 0}, "periods"),
-            ("trimer-sim", {"steps_per_period": 0}, "steps_per_period"),
-            ("trimer-sim", {"masses": "abc"}, "masses"),
-            ("trimer-sim", {"masses": [1.0, 2.0]}, "masses"),
-            ("trimer-sim", {"masses": [1.0, 0.0, 1.0]}, "masses"),
-            ("trimer-sim", {"drive": dict(TRIMER_DRIVE, phi13="abc")}, "phi13"),
-            ("trimer-sim", {"drive": dict(TRIMER_DRIVE, phi13=True)}, "phi13"),
-            ("trimer-sim", {"drive": dict(TRIMER_DRIVE, d=math.inf)}, "d"),
-            ("phase-sweep", {"phi_count": "x"}, "phi_count"),
-            ("phase-sweep", {"phi_count": 0}, "phi_count"),
-            ("phase-sweep", {"phi_values": "x"}, "phi_values"),
-            ("phase-sweep", {"phi_values": [0.5, math.nan]}, "phi_values"),
-            ("phase-sweep", {"periods": 0}, "periods"),
-            ("ramsey", {"q": True}, "q"),
-            ("trace-sweep", {"q": True}, "q"),
-            ("linking", {"slk": [10**30, 0]}, "slk"),
-            ("linking", {"k": 10**400}, "k"),
-        ],
-    )
+    @pytest.mark.parametrize("scenario, override, key", BAD_SCENARIO_INPUTS)
     def test_bad_scenario_input_exits_2(self, tmp_path, capsys, scenario, override, key):
         params = dict(BASE_PARAMS[scenario], **override)
         cfg = {"schema_version": 1, "scenario": scenario, "seed": 0, "params": params}
@@ -355,20 +387,37 @@ class TestValidate:
         assert main(["validate", cfg_path]) == 0
         assert set(os.listdir(tmp_path)) == before
 
+    @pytest.mark.parametrize("scenario, override, key", BAD_SCENARIO_INPUTS)
+    def test_bad_scenario_input_exits_2(self, tmp_path, capsys, scenario, override, key):
+        params = dict(BASE_PARAMS[scenario], **override)
+        cfg = {"schema_version": 1, "scenario": scenario, "seed": 0, "params": params}
+        assert main(["validate", write_config(tmp_path, cfg)]) == 2
+        assert repr(key) in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["config.json"]
+
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    @pytest.mark.parametrize("seed", [True, -1, "0", 2.5, 2**64])
+    def test_bad_seed_exits_2(self, tmp_path, capsys, command, seed):
+        cfg = {"schema_version": 1, "scenario": "trace-sweep", "seed": seed,
+               "params": dict(BASE_PARAMS["trace-sweep"], gauge_rotations=1)}
+        out = tmp_path / "out"
+        argv = [command, write_config(tmp_path, cfg)] + (["--out", str(out)] if command == "run" else [])
+        assert main(argv) == 2
+        assert "'seed'" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_negative_seed_override_exits_2(self, tmp_path, capsys):
+        cfg = {"schema_version": 1, "scenario": "trace-sweep", "seed": 0,
+               "params": dict(BASE_PARAMS["trace-sweep"], gauge_rotations=1)}
+        out = tmp_path / "out"
+        assert main(["run", write_config(tmp_path, cfg), "--out", str(out), "--seed", "-1"]) == 2
+        assert "'seed'" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
 
 class TestShippedConfigs:
     @pytest.mark.parametrize(
-        "name",
-        [
-            "gate_pi2.json",
-            "gate_hadamard.json",
-            "trace_sweep.json",
-            "trimer_reference.json",
-            "phase_sweep.json",
-            "linking_hopf.json",
-            "demo_budget.json",
-            "ramsey.json",
-        ],
+        "name", sorted(os.path.basename(p) for p in glob.glob(os.path.join(CONFIG_DIR, "*.json")))
     )
     def test_all_shipped_configs_validate(self, name):
         assert main(["validate", os.path.join(CONFIG_DIR, name)]) == 0
@@ -409,3 +458,48 @@ def test_write_csv_matches_per_value_format(tmp_path, rows):
     _write_csv(str(tmp_path / "block.csv"), ["a", "b", "c"], columns)
     write_csv_per_value(str(tmp_path / "value.csv"), ["a", "b", "c"], columns)
     assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "value.csv").read_bytes()
+
+
+HOSTILE_VALUES = ["x", True, None, [], [1], {}, {"x": 1}, 0, -1, 2.5, math.nan]
+
+
+def table_paths(table, prefix=()):
+    """Every parameter of a scenario table as a key path; nested tables add their own keys."""
+    for key, param in table.items():
+        yield prefix + (key,)
+        if isinstance(param.kind, dict):
+            yield from table_paths(param.kind, prefix + (key,))
+
+
+@st.composite
+def hostile_configs(draw):
+    """A small base config with one or two table parameters replaced by hostile values."""
+    scenario = draw(st.sampled_from(sorted(BASE_PARAMS)))
+    params = copy.deepcopy(BASE_PARAMS[scenario])
+    paths = list(table_paths(SCENARIOS[scenario][1]))
+    for path in draw(st.lists(st.sampled_from(paths), min_size=1, max_size=2, unique=True)):
+        target = params
+        for key in path[:-1]:
+            if not isinstance(target.get(key), dict):
+                target[key] = {}
+            target = target[key]
+        target[path[-1]] = copy.deepcopy(draw(st.sampled_from(HOSTILE_VALUES)))
+    return {"schema_version": 1, "scenario": scenario, "seed": 0, "params": params}
+
+
+@settings(max_examples=200, deadline=None)
+@given(hostile_configs())
+def test_hostile_parameters_exit_cleanly(cfg):
+    # validate is stricter than run only through its adiabatic-window check (margin, mode order)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "config.json")
+        with open(path, "w") as fh:
+            json.dump(cfg, fh)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            validated = main(["validate", path])
+            ran = main(["run", path, "--out", os.path.join(tmp, "out")])
+    assert validated in (0, 2, 3) and ran in (0, 2, 3)
+    window = any(m in err.getvalue() for m in ("adiabatic window violated", "mode ordering violated"))
+    if validated == 2 and not window:
+        assert ran == 2
