@@ -49,7 +49,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .connection import BlochField, ControlField
+from .connection import BlochField, ControlField, connection_vectors, eigenframe_rate_samples
 from .demonstrator import (
     PlatformParams,
     adiabatic_window,
@@ -65,11 +65,12 @@ from .gates import (
     synth_hadamard_gate,
     synth_phase_gate,
 )
-from .holonomy import (
+from .holonomy import (  # integrate_wilson: perfbench/test_perfbench.py reads cli's binding
     HolonomyLoop,
-    dyson_trace,
+    _wilson_line,
     integrate_wilson,
     midpoint_grid,
+    trace_expansion_from_rates,
     wilson_from_samples,
 )
 from .linking import LinkData, SpaceCurve, cs_phase, gauss_linking, hopf_pair
@@ -225,29 +226,27 @@ def _run_gate_synth(p: dict, outdir: str, **_) -> list[str]:
 
 def _run_trace_sweep(p: dict, outdir: str, seed: int, **_) -> list[str]:
     loop_shape = make_ellipse_loop(p["theta0"], 0.0, p["a"], p["b"], p["samples"])
+    s_mid, ds = midpoint_grid(p["steps"])
+    base = HolonomyLoop(loop_shape, charge=p["q"], steps=p["steps"]).sample(s_mid)
     rows = []
     for psi_abs in p["psi_values"]:
-        hloop = HolonomyLoop(
-            loop_shape, BlochField.pinned(), ControlField.constant(psi_abs), p["q"], p["steps"]
-        )
-        direct = integrate_wilson(hloop).trace
-        d2 = dyson_trace(hloop, 2)
-        d4 = dyson_trace(hloop, 4)
+        samples = base._replace(psi=ControlField.constant(psi_abs).at(s_mid))
+        direct = _wilson_line(connection_vectors(samples, BlochField.pinned()), p["q"], ds).trace
+        c, j = eigenframe_rate_samples(samples, p["q"])
+        d2, d4 = (trace_expansion_from_rates(c, j, order) for order in (2, 4))
         rows.append((psi_abs, direct, d2.trace_estimate, d4.trace_estimate, *d4.corrections[:2]))
     path = os.path.join(outdir, "trace_sweep.csv")
     header = ["psi_abs", "trace_direct", "trace_order2", "trace_order4", "i2", "i4"]
     _write_csv(path, header, [np.asarray(col) for col in zip(*rows)])
     produced = [path]
     if p["gauge_rotations"] > 0:
-        produced.append(_gauge_check(p, loop_shape, seed, outdir))
+        produced.append(_gauge_check(p, s_mid, base.a, seed, outdir))
     return produced
 
 
-def _gauge_check(p: dict, loop_shape, seed: int, outdir: str) -> str:
+def _gauge_check(p: dict, s: np.ndarray, a: np.ndarray, seed: int, outdir: str) -> str:
     """Seeded random gauge rotations of the loop's (A, psi) data at unit weight."""
     psi_abs = p["psi_values"][0]
-    s, _ = midpoint_grid(p["steps"])
-    a = HolonomyLoop(loop_shape).sample(s).a
     base = wilson_from_samples(a, np.full(s.size, psi_abs), 1.0).trace
     rotations = p["gauge_rotations"]
     rng = np.random.default_rng(seed)
@@ -366,6 +365,7 @@ def _run_demo_budget(p: dict, outdir: str, **_) -> list[str]:
 
 def _run_ramsey(p: dict, outdir: str, **_) -> list[str]:
     platform = PlatformParams(**p["platform"])
+    adiabatic_window(platform)  # raises on mode ordering; the window margin is validate's alone
     q = platform.charge if p["q"] is None else p["q"]
     spec = synth_phase_gate(q, n_samples=p["samples"], steps=p["steps"])
     delta_e = platform.splitting if p["delta_e"] is None else p["delta_e"]

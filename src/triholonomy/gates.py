@@ -249,57 +249,95 @@ def synth_hadamard_gate(
     Uses the same elliptical loop as the phase gate (enclosed angle pi/q)
     with control phase arg psi(s) = pi/2 + eta(s), which keeps the
     rotating-frame transverse generator aligned with one equatorial axis.
-    The control magnitude is calibrated by root bisection so the rotation
-    angle of V(2 pi) equals pi/2 to ``calibration_tol``; the leading-order
-    seed is |psi| = 1/(4 q).  The diagonal factor U_z(2 pi) is returned in
-    ``residual_abelian`` for downstream compensation.
+    The control magnitude is calibrated by a bracketed Brent solve at
+    ``xtol = calibration_tol`` so the rotation angle of V(2 pi) equals pi/2;
+    the leading-order seed is |psi| = 1/(4 q).  The diagonal factor U_z(2 pi)
+    is returned in ``residual_abelian`` for downstream compensation.
 
     Raises:
         NumericalError: if the required |psi| exceeds the weak-coupling
             bound 1/(pi q) within which the trace expansion contracts.
     """
-    from scipy.optimize import brentq  # deferred: the rest of the package never needs scipy
-
     if not q > 0:
         raise ValidationError("coupling weight q must be positive")
     a = b = math.sqrt(1.0 / q)
     shape = make_ellipse_loop(math.pi / 2, 0.0, a, b, n_samples).reversed()
     # eta(s) = q * integral_0^s A, interpolated between its grid-node values.
     s_mid, ds = midpoint_grid(steps)
-    eta_ends, _ = cumulative_midpoint(HolonomyLoop(shape).sample(s_mid).a, ds, q)
+    eta_ends, eta_mid = cumulative_midpoint(HolonomyLoop(shape, steps=steps).sample(s_mid).a, ds, q)
     eta_nodes = np.concatenate([[0.0], eta_ends])
     grid = np.linspace(0.0, 2 * math.pi, steps + 1)
 
-    def loop_for(psi_abs: float) -> HolonomyLoop:
-        control = ControlField._from_arrays(
-            lambda s: psi_abs * np.exp(1j * (math.pi / 2 + np.interp(s, grid, eta_nodes))),
-            check_periodic=False,
-        )
-        return HolonomyLoop(shape, BlochField.pinned(), control, q, steps)
+    steering = ControlField._from_arrays(
+        lambda s: np.exp(1j * (math.pi / 2 + np.interp(s, grid, eta_nodes))), check_periodic=False
+    )
+    # Sampled once: each |psi| scales the rotating-frame samples psi exp(-i eta).
+    phase, unrotate = steering.at(s_mid), np.exp(-1j * eta_mid)
 
     def angle_error(psi_abs: float) -> float:
-        v = interaction_frame(loop_for(psi_abs)).integrate_transverse()
+        v = wilson_from_samples(np.zeros(steps), psi_abs * phase * unrotate, q)
         return rotation_angle(v) - math.pi / 2
 
     psi_max = 1.0 / (math.pi * q)
     seed = 1.0 / (4.0 * q)
     lo, hi = 0.5 * seed, min(1.5 * seed, psi_max)
-    if angle_error(lo) * angle_error(hi) > 0:
-        lo, hi = 0.0, psi_max
-        if angle_error(hi) < 0:
+    f_lo, f_hi = angle_error(lo), angle_error(hi)
+    if f_lo * f_hi > 0:
+        lo, f_lo, hi, f_hi = 0.0, angle_error(0.0), psi_max, angle_error(psi_max)
+        if f_hi < 0:
             raise NumericalError(
                 f"steering infeasible: rotation angle pi/2 needs |psi| > {psi_max:.4g} "
                 "(weak-coupling bound exceeded)"
             )
-    psi_cal = float(brentq(angle_error, lo, hi, xtol=calibration_tol))
-    loop = loop_for(psi_cal)
+    psi_cal = _brent_root(angle_error, lo, hi, f_lo, f_hi, calibration_tol)
+    control = ControlField._from_arrays(lambda s: psi_cal * steering.at(s), check_periodic=False)
+    frame = InteractionFrame(s_mid, eta_mid, psi_cal * phase * unrotate, q, float(eta_ends[-1]))
     return GateSpec(
         target=HADAMARD_ROTATION,
-        loop=loop,
+        loop=HolonomyLoop(shape, BlochField.pinned(), control, q, steps),
         repetitions=1,
-        residual_abelian=interaction_frame(loop).abelian_factor(),
+        residual_abelian=frame.abelian_factor(),
         calibrated_control=psi_cal,
     )
+
+
+def _brent_root(f, x0: float, x1: float, f0: float, f1: float, xtol: float) -> float:
+    """Root of ``f`` in [x0, x1], given f0 = f(x0) and f1 = f(x1) of opposite signs.
+
+    Brent's zeroin (Algorithms for Minimization without Derivatives, 1973, ch. 4):
+    secant or inverse quadratic steps where they shrink the bracket fast enough,
+    bisection otherwise, until the bracket half-width is below (xtol + 4 eps |x|) / 2.
+    """
+    if f0 == 0:
+        return x0
+    pre, fpre, cur, fcur = x0, f0, x1, f1
+    blk = fblk = spre = scur = 0.0
+    for _ in range(100):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            blk, fblk = pre, fpre
+            spre = scur = cur - pre
+        if abs(fblk) < abs(fcur):  # cur holds the best estimate, blk brackets the root
+            pre, cur, blk = cur, blk, cur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + 4 * np.finfo(float).eps * abs(cur)) / 2
+        sbis = (blk - cur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return cur
+        stry = math.inf  # bisect unless an interpolation step is short enough
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if pre == blk:  # secant
+                stry = -fcur * (cur - pre) / (fcur - fpre)
+            else:  # inverse quadratic
+                dpre = (fpre - fcur) / (pre - cur)
+                dblk = (fblk - fcur) / (blk - cur)
+                den = dblk * dpre * (fblk - fpre)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / den if den else math.inf
+        short = 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta)
+        spre, scur = (scur, stry) if short else (sbis, sbis)
+        pre, fpre = cur, fcur
+        cur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(cur)
+    raise NumericalError("calibration root search did not converge in 100 steps")
 
 
 def cs_controlled_phase(q: float, k: int, lk: int = 1, slk=(0, 0)) -> TwoQubitGate:

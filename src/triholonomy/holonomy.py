@@ -157,20 +157,46 @@ class HolonomyLoop:
         return LoopSamples(monopole_potential(th, dph, self.patch), self.control.at(s), axis)
 
 
-def su2_exponentials(vectors: np.ndarray, factor: float) -> np.ndarray:
-    """Closed-form stack of exp(i (factor/2) v . sigma) for rows v of ``vectors``."""
-    v = np.atleast_2d(vectors)
-    norms = np.linalg.norm(v, axis=1)
+def _step_pairs(vectors: np.ndarray, factor: float) -> tuple[np.ndarray, np.ndarray]:
+    """First row (a, b) of exp(i (factor/2) v . sigma) for each 3-vector v on the last axis."""
+    norms = np.linalg.norm(vectors, axis=-1)
     half = 0.5 * factor * norms
     cos = np.cos(half)
     scale = np.where(norms > 0.0, np.sin(half) / np.where(norms > 0.0, norms, 1.0), 0.5 * factor)
-    kx, ky, kz = (scale * v[:, 0], scale * v[:, 1], scale * v[:, 2])
-    out = np.empty((v.shape[0], 2, 2), dtype=complex)
-    out[:, 0, 0] = cos + 1j * kz
-    out[:, 0, 1] = 1j * kx + ky
-    out[:, 1, 0] = 1j * kx - ky
-    out[:, 1, 1] = cos - 1j * kz
-    return out
+    kx, ky, kz = (scale * vectors[..., 0], scale * vectors[..., 1], scale * vectors[..., 2])
+    return cos + 1j * kz, 1j * kx + ky
+
+
+def _pair_product(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First row of the ordered product of the factors with first rows (a, b) on the last axis."""
+    while a.shape[-1] > 1:
+        n = a.shape[-1]
+        even = n - n % 2
+        a1, b1 = a[..., 0:even:2], b[..., 0:even:2]
+        a2, b2 = a[..., 1:even:2], b[..., 1:even:2]
+        paired_a = a2 * a1 - b2 * np.conj(b1)
+        paired_b = a2 * b1 + b2 * np.conj(a1)
+        if n % 2:
+            paired_a = np.concatenate([paired_a, a[..., -1:]], axis=-1)
+            paired_b = np.concatenate([paired_b, b[..., -1:]], axis=-1)
+        a, b = paired_a, paired_b
+    return a[..., 0], b[..., 0]
+
+
+def _su2_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """[[a, b], [-conj(b), conj(a)]] on two new last axes; 0.0 - conj(b) keeps zeros +0.0."""
+    lower = np.stack([0.0 - np.conj(b), np.conj(a)], axis=-1)
+    return np.stack([np.stack([a, b], axis=-1), lower], axis=-2)
+
+
+def _transport(vectors: np.ndarray, factor: float) -> np.ndarray:
+    """Ordered product of the step exponentials of ``vectors`` (..., N, 3): the fused kernel."""
+    return _su2_matrix(*_pair_product(*_step_pairs(vectors, factor)))
+
+
+def su2_exponentials(vectors: np.ndarray, factor: float) -> np.ndarray:
+    """Closed-form stack of exp(i (factor/2) v . sigma) for rows v of ``vectors``."""
+    return _su2_matrix(*_step_pairs(np.atleast_2d(vectors), factor))
 
 
 def ordered_product(mats: np.ndarray) -> np.ndarray:
@@ -201,21 +227,7 @@ def ordered_product(mats: np.ndarray) -> np.ndarray:
             raise ValidationError(
                 f"product factor departs from SU(2) form by {np.max(err):.3e} (> 1e-12)"
             )
-    while a.shape[-1] > 1:
-        n = a.shape[-1]
-        even = n - n % 2
-        a1, b1 = a[..., 0:even:2], b[..., 0:even:2]
-        a2, b2 = a[..., 1:even:2], b[..., 1:even:2]
-        paired_a = a2 * a1 - b2 * np.conj(b1)
-        paired_b = a2 * b1 + b2 * np.conj(a1)
-        if n % 2:
-            paired_a = np.concatenate([paired_a, a[..., -1:]], axis=-1)
-            paired_b = np.concatenate([paired_b, b[..., -1:]], axis=-1)
-        a, b = paired_a, paired_b
-    a, b = a[..., 0], b[..., 0]
-    # 0.0 - conj(b) rather than -conj(b): a zero entry stays +0.0.
-    lower = np.stack([0.0 - np.conj(b), np.conj(a)], axis=-1)
-    return np.stack([np.stack([a, b], axis=-1), lower], axis=-2)
+    return _su2_matrix(*_pair_product(a, b))
 
 
 def midpoint_grid(n_steps: int, s0: float = 0.0, s1: float = 2 * math.pi) -> tuple[np.ndarray, float]:
@@ -235,8 +247,8 @@ def cumulative_midpoint(values: np.ndarray, ds: float, weight: float = 1.0) -> t
 
 
 def _wilson_line(vecs: np.ndarray, charge: float, ds: float) -> WilsonLine:
-    """Ordered product of the step exponentials of sampled connection vectors."""
-    return WilsonLine(ordered_product(su2_exponentials(vecs, charge * ds)), charge)
+    """Fused product of the step exponentials of connection vectors (NaN fails in WilsonLine)."""
+    return WilsonLine(_transport(vecs, charge * ds), charge)
 
 
 def integrate_wilson(loop: HolonomyLoop) -> WilsonLine:

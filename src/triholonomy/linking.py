@@ -195,7 +195,7 @@ def cs_phase(charges, link: LinkData, k: int) -> float:
     """State-dependent topological phase of linked control cycles, mod 2 pi.
 
     Each unordered curve pair contributes (4 pi / k) q_i q_j Lk_ij and each
-    curve (2 pi / k) q_i^2 SLk_i.
+    curve (2 pi / k) q_i^2 SLk_i.  NumericalError if the charge products overflow.
     """
     if not isinstance(k, (int, np.integer)) or k < 1:
         raise ValidationError("level k must be a positive integer")
@@ -210,4 +210,7 @@ def cs_phase(charges, link: LinkData, k: int) -> float:
         for j in range(i + 1, n):
             pair_term += q[i] * q[j] * link.lk_matrix[i, j]
     self_term = float(np.sum(q**2 * link.slk))
-    return float((4 * math.pi / k) * pair_term + (2 * math.pi / k) * self_term) % (2 * math.pi)
+    phase = float((4 * math.pi / k) * pair_term + (2 * math.pi / k) * self_term) % (2 * math.pi)
+    if not math.isfinite(phase):
+        raise NumericalError("cs_phase is not finite: the charge products overflow")
+    return phase

@@ -231,13 +231,6 @@ class ShapeLoop:
         ph = np.unwrap(np.asarray(azimuths, dtype=float))
         return cls(th, ph, orientation)
 
-    @classmethod
-    def from_callable(cls, fn, n_samples: int = 1024, orientation: int = 1) -> "ShapeLoop":
-        """Sample ``fn(s) -> (colatitude, azimuth)`` on a uniform grid over [0, 2 pi]."""
-        s = np.linspace(0.0, 2 * math.pi, n_samples + 1)
-        th, ph = np.array([fn(si) for si in s]).T
-        return cls.from_samples(th, ph, orientation)
-
     @property
     def n_segments(self) -> int:
         return self.colatitudes.size - 1

@@ -25,18 +25,12 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .connection import BlochField, LoopSamples, connection_vectors, monopole_potential
 from .errors import NumericalError, ValidationError
-from .holonomy import (
-    WilsonLine,
-    _check_transport,
-    midpoint_grid,
-    ordered_product,
-    su2_exponentials,
-)
+from .holonomy import WilsonLine, _check_transport, _transport, midpoint_grid
 from .shapespace import TriangleConfig, _check_loop_samples
 
 # Windows are transported in chunks of about this many SU(2) steps: enough
-# to amortise the per-call cost, while the chunk's arrays (0.5 MB of step
-# factors) stay small enough not to raise the process's peak memory.
+# to amortise the per-call cost, while the chunk's arrays (0.25 MB of step
+# pairs) stay small enough not to raise the process's peak memory.
 _CHUNK_STEPS = 2**13
 
 __all__ = [
@@ -372,7 +366,7 @@ def effective_momentum_series(
         colat = (th[:, j + 1] - th[:, j]) / width * offset + th[:, j]
         a = monopole_potential(colat, (ph[:, k + 1] - ph[:, k]) / seg).ravel()
         vecs = connection_vectors(LoopSamples(a, np.zeros(a.size, dtype=complex), None), field)
-        mats = ordered_product(su2_exponentials(vecs, charge * ds).reshape(-1, n_steps, 2, 2))
+        mats = _transport(vecs.reshape(-1, n_steps, 3), charge * ds)
         for w, m in enumerate(mats, start=c0):
             angles[w] = math.acos(min(1.0, max(-1.0, WilsonLine(m, charge).trace / 2.0)))
     values = 2.0 * (inertia_w.mean(axis=1) / period) * angles

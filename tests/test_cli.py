@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -164,6 +165,26 @@ class TestRun:
         cfg_path = write_config(tmp_path, cfg)
         out = tmp_path / "out"
         assert main(["run", cfg_path, "--out", str(out)]) == 3
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_overflowing_cs_phase_exits_3_without_outputs(self, tmp_path, capsys):
+        params = dict(BASE_PARAMS["linking"], charges=[1e200, 1e200])
+        cfg = {"schema_version": 1, "scenario": "linking", "seed": 0, "params": params}
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # numpy reports the overflow itself
+            assert main(["run", write_config(tmp_path, cfg), "--out", str(out)]) == 3
+        assert "cs_phase" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    def test_ramsey_mode_ordering_exits_2(self, tmp_path, capsys, command):
+        params = dict(BASE_PARAMS["ramsey"], platform={"e_a": 2.5})
+        cfg = {"schema_version": 1, "scenario": "ramsey", "seed": 0, "params": params}
+        out = tmp_path / "out"
+        argv = [command, write_config(tmp_path, cfg)] + (["--out", str(out)] if command == "run" else [])
+        assert main(argv) == 2
+        assert "mode ordering violated" in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
 
     def test_determinism_byte_identical(self, tmp_path):
@@ -430,12 +451,22 @@ class TestShippedConfigs:
 
 
 
-def test_cli_import_does_not_load_scipy():
+def test_cli_import_does_not_load_scipy(tmp_path):
+    # neither the import nor a Hadamard calibration run loads any scipy module
     src = os.path.dirname(os.path.dirname(os.path.abspath(triholonomy.__file__)))
-    code = "import sys, triholonomy.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    cfg = write_config(tmp_path, small_gate_config(
+        params={"q": 50.0, "target": "hadamard", "samples": 256, "steps": 1024}))
+    scipy_modules = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+    code = (
+        f"import sys, triholonomy.cli; print({scipy_modules}); "
+        f"rc = triholonomy.cli.main(['run', {cfg!r}, '--out', {str(tmp_path / 'out')!r}]); "
+        f"print(rc, {scipy_modules})"
+    )
     env = dict(os.environ, PYTHONPATH=src)
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert result.stdout.strip() == "[]"
+    lines = result.stdout.strip().splitlines()
+    assert lines[0] == "[]" and lines[-1] == "0 []"
+    assert (tmp_path / "out" / "gate.json").exists()
 
 
 def write_csv_per_value(path, header, columns):
@@ -490,7 +521,7 @@ def hostile_configs(draw):
 @settings(max_examples=200, deadline=None)
 @given(hostile_configs())
 def test_hostile_parameters_exit_cleanly(cfg):
-    # validate is stricter than run only through its adiabatic-window check (margin, mode order)
+    # validate is stricter than run only through the adiabatic-window margin
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "config.json")
         with open(path, "w") as fh:
@@ -500,6 +531,6 @@ def test_hostile_parameters_exit_cleanly(cfg):
             validated = main(["validate", path])
             ran = main(["run", path, "--out", os.path.join(tmp, "out")])
     assert validated in (0, 2, 3) and ran in (0, 2, 3)
-    window = any(m in err.getvalue() for m in ("adiabatic window violated", "mode ordering violated"))
+    window = "adiabatic window violated" in err.getvalue()
     if validated == 2 and not window:
         assert ran == 2

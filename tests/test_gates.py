@@ -1,9 +1,15 @@
+import importlib.util
 import math
+import os
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+from scipy.optimize import brentq
+
+from triholonomy import gates
 from triholonomy.connection import BlochField, ControlField
 from triholonomy.errors import ValidationError
 from triholonomy.gates import (
@@ -23,6 +29,16 @@ from triholonomy.holonomy import HolonomyLoop, integrate_wilson, rotation_angle
 from triholonomy.shapespace import ShapeLoop, solid_angle
 
 SIGMA_Y = np.array([[0, -1j], [1j, 0]])
+
+
+def benchmark_gate_weights():
+    """The coupling weights of the benchmark's gate grid (perfbench/workloads.py)."""
+    path = os.path.join(os.path.dirname(__file__), "..", "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module.GATE_Q
 
 
 class TestEllipseLoop:
@@ -176,6 +192,37 @@ class TestHadamardGate:
         w = spec.integrate()
         v = interaction_frame(spec.loop).integrate_transverse().matrix
         assert np.max(np.abs(spec.residual_abelian @ v - w)) < 1e-7
+
+    @pytest.mark.parametrize("q", benchmark_gate_weights())
+    def test_calibration_matches_brentq(self, monkeypatch, q):
+        solve = gates._brent_root
+        reference = []
+
+        def both(f, lo, hi, f_lo, f_hi, xtol):
+            assert (f(lo), f(hi)) == (f_lo, f_hi)  # the reused bracket values are f's own
+            reference.append(brentq(f, lo, hi, xtol=xtol))
+            return solve(f, lo, hi, f_lo, f_hi, xtol)
+
+        monkeypatch.setattr(gates, "_brent_root", both)
+        spec = synth_hadamard_gate(q, steps=4096)
+        assert abs(spec.calibrated_control - reference[0]) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "f, lo, hi",
+    [
+        (lambda x: x**3 - 2.0, 0.0, 2.0),
+        (lambda x: math.exp(x) - 5.0, -0.5, 3.0),
+        (lambda x: (x - 1.0) ** 5, 0.1, 1.9),
+        (lambda x: math.sin(10.0 * x) + 0.2, 0.0, 0.5),
+        (lambda x: math.copysign(1.0, x - 0.7), 0.0, 2.0),
+        (lambda x: x, 0.0, 1.0),  # root at the lower end
+    ],
+)
+@pytest.mark.parametrize("xtol", [1e-6, 2e-12])
+def test_brent_root_matches_brentq(f, lo, hi, xtol):
+    root = gates._brent_root(f, lo, hi, f(lo), f(hi), xtol)
+    assert root == pytest.approx(brentq(f, lo, hi, xtol=xtol), abs=1e-12)
 
 
 class TestTwoQubitGates:

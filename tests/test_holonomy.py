@@ -9,6 +9,7 @@ from triholonomy.errors import NumericalError, ValidationError
 from triholonomy.holonomy import (
     HolonomyLoop,
     WilsonLine,
+    _transport,
     dyson_trace,
     effective_angular_momentum,
     holonomy_trace,
@@ -18,6 +19,7 @@ from triholonomy.holonomy import (
     su2_exponentials,
     transport_segment,
     wilson_from_rates,
+    wilson_from_samples,
 )
 from triholonomy.shapespace import ShapeLoop, TriangleConfig
 
@@ -108,6 +110,31 @@ class TestOrderedProduct:
     def test_rejects_empty_stack(self):
         with pytest.raises(ValidationError):
             ordered_product(np.zeros((0, 2, 2), dtype=complex))
+
+
+class TestFusedTransport:
+    """The unchecked (a, b) kernel against the checked matrix-stack entry points."""
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 1023, 4096])
+    def test_bit_identical_to_checked_product(self, n):
+        v = np.random.default_rng(n).normal(size=(n, 3))
+        fused = _transport(v, 0.3)
+        assert fused.tobytes() == ordered_product(su2_exponentials(v, 0.3)).tobytes()
+
+    def test_batch_bit_identical(self):
+        v = np.random.default_rng(6).normal(size=(6, 333, 3))
+        fused = _transport(v, 0.3)
+        stacked = su2_exponentials(v.reshape(-1, 3), 0.3).reshape(6, 333, 2, 2)
+        assert fused.shape == (6, 2, 2)
+        assert fused.tobytes() == ordered_product(stacked).tobytes()
+        for b in range(6):
+            assert fused[b].tobytes() == _transport(v[b], 0.3).tobytes()
+
+    def test_nan_sample_fails_closed(self):
+        a = np.full(64, 0.1)
+        a[17] = math.nan
+        with pytest.raises(ValidationError):
+            wilson_from_samples(a, np.zeros(64), 1.0)
 
 
 class TestNonFiniteControl:
