@@ -57,7 +57,7 @@ from .demonstrator import (
     leakage_estimate,
     ramsey_echo,
 )
-from .errors import NumericalError, ValidationError
+from .errors import MAX_SAMPLES, NumericalError, ValidationError
 from .gates import (
     gate_fidelity,
     interaction_frame,
@@ -74,7 +74,9 @@ from .holonomy import (  # integrate_wilson: perfbench/test_perfbench.py reads c
     wilson_from_samples,
 )
 from .linking import LinkData, SpaceCurve, cs_phase, gauss_linking, hopf_pair
-from .trimer import BondDrive, effective_momentum_series, phase_sweep, reconstruct_rotation
+from .trimer import (
+    BondDrive, bond_lengths, effective_momentum_series, phase_sweep, reconstruct_rotation
+)
 
 OUTDIR_ENV = "TRIHOLONOMY_OUTDIR"
 SCHEMA_VERSION = 1
@@ -128,6 +130,7 @@ class _Param(NamedTuple):
 
 
 _POSITIVE = (lambda v: v > 0, "positive")
+_COUNT = (lambda v: 0 < v <= MAX_SAMPLES, f"positive and at most {MAX_SAMPLES}")
 _NON_EMPTY = (lambda v: len(v) > 0, "a non-empty array")
 _SEED = _Param(int, 0, (lambda v: v >= 0, "non-negative"))
 
@@ -270,8 +273,6 @@ def _run_trimer_sim(p: dict, outdir: str, **_) -> list[str]:
     period = drive.common_period()
     dt = period / p["steps_per_period"]
     traj = reconstruct_rotation(drive, p["masses"], p["periods"] * period, dt)
-    from .trimer import bond_lengths
-
     xi12, xi13, xi23 = bond_lengths(traj.times, drive)
     starts, values = effective_momentum_series(traj, period)
     l_eff = np.interp(traj.times, starts, values, left=values[0], right=values[-1])
@@ -284,13 +285,13 @@ def _run_trimer_sim(p: dict, outdir: str, **_) -> list[str]:
     return [path]
 
 
-def _run_phase_sweep(p: dict, outdir: str, threads: int, **_) -> list[str]:
+def _run_phase_sweep(p: dict, outdir: str, **_) -> list[str]:
     if p["phi_values"] is None:
         grid = np.linspace(-math.pi, math.pi, p["phi_count"])
     else:
         grid = np.asarray(p["phi_values"], dtype=float)
     drive = BondDrive(**p["drive"])
-    rates = phase_sweep(drive, p["masses"], grid, periods=p["periods"], workers=threads)
+    rates = phase_sweep(drive, p["masses"], grid, periods=p["periods"])
     path = os.path.join(outdir, "phase_sweep.csv")
     _write_csv(path, ["phi", "mean_angular_velocity"], [grid, rates])
     return [path]
@@ -399,7 +400,7 @@ _PLATFORM = _table_of(PlatformParams)
 _HOPF = {
     "radius1": _Param(float, 1.0, _POSITIVE),
     "radius2": _Param(float, 1.0, _POSITIVE),
-    "segments": _Param(int, 512, _POSITIVE),
+    "segments": _Param(int, 512, _COUNT),
 }
 _MASSES = _Param(
     [float], [2.1, 2.1, 4.7], (lambda v: len(v) == 3 and min(v) > 0, "three positive values")
@@ -410,9 +411,9 @@ SCENARIOS = {
     "gate-synth": (_run_gate_synth, {
         "q": _Param(float, bound=_POSITIVE),
         "target": _Param(str, "pi2", (lambda v: v in ("pi2", "hadamard"), "'pi2' or 'hadamard'")),
-        "n_rep": _Param(int, None, _POSITIVE),  # pi2 only; None picks the small-loop count
-        "samples": _Param(int, 1024, _POSITIVE),
-        "steps": _Param(int, 4096, _POSITIVE),
+        "n_rep": _Param(int, None, _COUNT),  # pi2 only; None picks the small-loop count
+        "samples": _Param(int, 1024, _COUNT),
+        "steps": _Param(int, 4096, _COUNT),
     }),
     "trace-sweep": (_run_trace_sweep, {
         "q": _Param(float, 2.0, _POSITIVE),
@@ -420,22 +421,23 @@ SCENARIOS = {
         "a": _Param(float, 0.2),
         "b": _Param(float, 0.2),
         "psi_values": _Param([float], [0.025, 0.05, 0.1], _NON_EMPTY),
-        "steps": _Param(int, 8192, _POSITIVE),
-        "samples": _Param(int, 1024, _POSITIVE),
-        "gauge_rotations": _Param(int, 0),  # a positive count runs the seeded gauge check
+        "steps": _Param(int, 8192, _COUNT),
+        "samples": _Param(int, 1024, _COUNT),
+        # a positive count runs the seeded gauge check
+        "gauge_rotations": _Param(int, 0, (lambda v: v <= MAX_SAMPLES, f"at most {MAX_SAMPLES}")),
     }),
     "trimer-sim": (_run_trimer_sim, {
         "drive": _Param(_DRIVE),
         "masses": _MASSES,
-        "periods": _Param(int, 20, _POSITIVE),
-        "steps_per_period": _Param(int, 1536, _POSITIVE),
+        "periods": _Param(int, 20, _COUNT),
+        "steps_per_period": _Param(int, 1536, _COUNT),
     }),
     "phase-sweep": (_run_phase_sweep, {
         "drive": _Param(_DRIVE),  # phi13 and phi23 are set by the sweep
         "masses": _MASSES,
         "phi_values": _Param([float], None, _NON_EMPTY),  # None: phi_count points on [-pi, pi]
-        "phi_count": _Param(int, 33, _POSITIVE),
-        "periods": _Param(int, 8, _POSITIVE),
+        "phi_count": _Param(int, 33, _COUNT),
+        "periods": _Param(int, 8, _COUNT),
     }),
     "linking": (_run_linking, {
         "curve_files": _Param([str], None, (lambda v: len(v) >= 2, "at least two file names")),
@@ -454,9 +456,9 @@ SCENARIOS = {
         "q": _Param(float, None, _POSITIVE),  # None: the platform's charge
         "delta_e": _Param(float, None),  # None: the platform's doublet splitting
         "echo": _Param(bool, True),
-        "scan_count": _Param(int, 8, _POSITIVE),
-        "samples": _Param(int, 1024, _POSITIVE),
-        "steps": _Param(int, 4096, _POSITIVE),
+        "scan_count": _Param(int, 8, _COUNT),
+        "samples": _Param(int, 1024, _COUNT),
+        "steps": _Param(int, 4096, _COUNT),
         "window_factor": _Param(float, 10.0),  # read by validate's adiabatic-window check only
     }),
 }
@@ -468,10 +470,10 @@ def _params(cfg: dict) -> dict:
     return _check(cfg.get("params", {}), _Param(table), "params", cfg["scenario"])
 
 
-def run_scenario(cfg: dict, outdir: str, threads: int, base_dir: str) -> list[str]:
+def run_scenario(cfg: dict, outdir: str, base_dir: str) -> list[str]:
     """Run a loaded config; ``base_dir`` (the config's directory) anchors relative paths."""
     runner = SCENARIOS[cfg["scenario"]][0]
-    return runner(_params(cfg), outdir, seed=cfg.get("seed", 0), threads=threads, base_dir=base_dir)
+    return runner(_params(cfg), outdir, seed=cfg.get("seed", 0), base_dir=base_dir)
 
 
 def validate_config(cfg: dict, base_dir: str) -> list[str]:
@@ -479,7 +481,10 @@ def validate_config(cfg: dict, base_dir: str) -> list[str]:
     p = _params(cfg)
     lines = [f"scenario: {cfg['scenario']}"]
     if "drive" in p:
-        period = BondDrive(**p["drive"]).common_period()
+        drive = BondDrive(**p["drive"])
+        period = drive.common_period()
+        spp = p.get("steps_per_period")  # None for phase-sweep: the default step
+        drive.time_steps(p["periods"] * period, None if spp is None else period / spp)
         lines.append(f"drive ok: common period {period:.6g}")
     if "platform" in p:
         report = adiabatic_window(PlatformParams(**p["platform"]), p["window_factor"])
@@ -523,7 +528,7 @@ def _cmd_run(args) -> int:
     os.makedirs(outdir, exist_ok=True)
     staging = tempfile.mkdtemp(prefix=".staging-", dir=outdir)
     try:
-        produced = run_scenario(cfg, staging, max(1, args.threads), _config_dir(args.config))
+        produced = run_scenario(cfg, staging, _config_dir(args.config))
         manifest = {
             "artifact_version": __version__,
             "config": cfg,
@@ -558,7 +563,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="execute a scenario config and write outputs")
     run_p.add_argument("config", help="path to a JSON scenario config")
     run_p.add_argument("--out", help="output directory (overrides config and environment)")
-    run_p.add_argument("--threads", type=int, default=1, help="worker threads for sweeps")
+    run_p.add_argument("--threads", type=int, default=1, help="ignored; runs are single-threaded")
     run_p.add_argument("--seed", type=int, default=None, help="override the config seed")
     run_p.set_defaults(func=_cmd_run)
     val_p = sub.add_parser("validate", help="check a config without running it")

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types and the sample budget shared across the package."""
+
+MAX_SAMPLES = 2**26  # largest sample count a parameter or time grid may ask for
 
 
 class ValidationError(ValueError):

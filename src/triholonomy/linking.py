@@ -161,12 +161,12 @@ def gauss_linking(c1: SpaceCurve, c2: SpaceCurve) -> int:
 
     Raises:
         ValidationError: curves approach closer than 1e-3 of their diameter.
-        NumericalError: the quadrature is more than 0.05 away from an
-            integer (refine the sampling).
+        NumericalError: the quadrature is not finite or more than 0.05
+            away from an integer (refine the sampling).
     """
     raw = gauss_linking_integral(c1, c2)
-    nearest = round(raw)
-    if abs(raw - nearest) > 0.05:
+    nearest = round(raw) if math.isfinite(raw) else math.nan
+    if not abs(raw - nearest) <= 0.05:
         raise NumericalError(
             f"Gauss integral {raw:.4f} deviates from an integer by more than 0.05; refine sampling"
         )

@@ -17,14 +17,14 @@ dtheta/dt = -L_body / I to second order in the time step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .connection import BlochField, LoopSamples, connection_vectors, monopole_potential
-from .errors import NumericalError, ValidationError
+from .errors import MAX_SAMPLES, NumericalError, ValidationError
 from .holonomy import WilsonLine, _check_transport, _transport, midpoint_grid
 from .shapespace import TriangleConfig, _check_loop_samples
 
@@ -82,18 +82,43 @@ class BondDrive:
         # omega / omega12 = p / q  =>  T = q * (2 pi / omega12) = p * (2 pi / omega).
         return ratio.denominator * 2 * math.pi / self.omega12
 
+    def time_steps(self, t_end: float, dt: float | None = None) -> tuple[int, float]:
+        """Count n and step dt of the time grid k dt, k = 0..n, spanning ``t_end``.
+
+        ``dt`` defaults to 1/512 of the fastest period and must resolve it
+        with at least 64 steps; n must lie in [2, MAX_SAMPLES].
+        """
+        fastest = self.fastest_period
+        if dt is None:
+            dt = fastest / 512.0
+        if dt > fastest / 64.0 + 1e-15:
+            raise ValidationError("time step too coarse: need >= 64 steps per fastest period")
+        steps = t_end / dt
+        if not steps <= MAX_SAMPLES:
+            raise ValidationError(
+                f"time grid of {steps:.4g} steps exceeds the budget of {MAX_SAMPLES} samples; "
+                "lower 'periods' or the steps per period"
+            )
+        n = int(round(steps))
+        if n < 2:
+            raise ValidationError("t_end spans fewer than two samples")
+        return n, dt
+
 
 def bond_lengths(t, drive: BondDrive):
     """Bond length triple (xi12, xi13, xi23) at time(s) t."""
     t = np.asarray(t, dtype=float)
-    xi12 = drive.d12 + drive.a12 * np.cos(drive.omega12 * t)
-    xi13 = drive.d + drive.a * np.cos(drive.omega * t + drive.phi13)
-    xi23 = drive.d + drive.a * np.cos(drive.omega * t + drive.phi23)
-    return xi12, xi13, xi23
+    return drive.d12 + drive.a12 * np.cos(drive.omega12 * t), *_pair_bonds(t, drive)
 
 
-def _body_positions(xi12, xi13, xi23, masses, margin: float = 1e-9):
-    """Canonical-frame positions (..., 3, 2) for bond-length arrays."""
+def _pair_bonds(t: np.ndarray, drive: BondDrive) -> tuple:
+    """The symmetric pair (xi13, xi23) at times t."""
+    wt = drive.omega * t
+    return tuple(drive.d + drive.a * np.cos(wt + phase) for phase in (drive.phi13, drive.phi23))
+
+
+def _frames(xi12, xi13, xi23, masses, margin: float = 1e-9):
+    """Canonical-frame vertex coordinates (x, y), each (3, ...), for bond-length arrays."""
     xi12, xi13, xi23 = np.broadcast_arrays(
         np.asarray(xi12, dtype=float), np.asarray(xi13, dtype=float), np.asarray(xi23, dtype=float)
     )
@@ -101,7 +126,7 @@ def _body_positions(xi12, xi13, xi23, masses, margin: float = 1e-9):
     slack = np.minimum(
         np.minimum(xi13 + xi23 - xi12, xi12 + xi13 - xi23), xi12 + xi23 - xi13
     )
-    bad = slack <= margin * scale
+    bad = ~(slack > margin * scale)  # NaN bonds fail too
     if np.any(bad):
         idx = int(np.argmax(bad))
         raise NumericalError(
@@ -110,18 +135,21 @@ def _body_positions(xi12, xi13, xi23, masses, margin: float = 1e-9):
         )
     x3 = (xi13**2 + xi12**2 - xi23**2) / (2 * xi12)
     y3 = np.sqrt(np.maximum(xi13**2 - x3**2, 0.0))
-    zeros = np.zeros_like(xi12)
-    p = np.stack(
-        [
-            np.stack([zeros, zeros], axis=-1),
-            np.stack([xi12, zeros], axis=-1),
-            np.stack([x3, y3], axis=-1),
-        ],
-        axis=-2,
-    )
     m = np.asarray(masses, dtype=float)
-    centroid = np.einsum("i,...ij->...j", m, p) / m.sum()
-    return p - centroid[..., None, :]
+    zeros = np.zeros_like(xi12)
+    x = np.stack([zeros, xi12, x3]) - (m[1] * xi12 + m[2] * x3) / m.sum()
+    y = np.stack([zeros, zeros, y3]) - m[2] * y3 / m.sum()
+    return x, y
+
+
+def _pack(x, y):
+    """(..., 3, 2) positions from (3, ...) vertex coordinates."""
+    return np.stack([np.moveaxis(x, 0, -1), np.moveaxis(y, 0, -1)], axis=-1)
+
+
+def _body_positions(xi12, xi13, xi23, masses):
+    """Canonical-frame positions (..., 3, 2) for bond-length arrays."""
+    return _pack(*_frames(xi12, xi13, xi23, masses))
 
 
 def shape_from_bonds(bonds, masses) -> TriangleConfig:
@@ -134,6 +162,20 @@ def shape_from_bonds(bonds, masses) -> TriangleConfig:
     pos = _body_positions(xi12, xi13, xi23, masses)
     verts = np.concatenate([pos, np.zeros((3, 1))], axis=1)
     return TriangleConfig.from_vertices(verts, masses)
+
+
+def _lab_momentum(x, y, m, dt: float) -> np.ndarray:
+    """Central-difference angular momentum of (3, T) lab coordinates (interior samples)."""
+    dx = (x[:, 2:] - x[:, :-2]) / (2.0 * dt)
+    dy = (y[:, 2:] - y[:, :-2]) / (2.0 * dt)
+    return np.stack(x[:, 1:-1] * dy - y[:, 1:-1] * dx, axis=-1) @ m
+
+
+def _momentum_scale(x, y, theta, m, dt: float) -> float:
+    """Scale m d^2 omega of the zero-momentum invariant; omega from theta, floored at 1."""
+    d = float(np.sqrt(np.max(x * x + y * y)))
+    rate = float(np.max(np.abs(np.diff(theta)))) / dt if theta.size > 1 else 0.0
+    return float(m.sum()) * d * d * max(rate, 1.0)
 
 
 @dataclass(frozen=True)
@@ -162,19 +204,32 @@ class TrimerTrajectory:
 
     def lab_angular_momentum(self) -> np.ndarray:
         """Central-difference mechanical angular momentum of the lab motion (interior samples)."""
-        r = self.lab
-        dr = (r[2:] - r[:-2]) / (2.0 * self.dt)
-        mid = r[1:-1]
-        cross_z = mid[..., 0] * dr[..., 1] - mid[..., 1] * dr[..., 0]  # (T-2, 3)
-        return cross_z @ self.masses
+        return _lab_momentum(self.lab[..., 0].T, self.lab[..., 1].T, self.masses, self.dt)
 
     def angular_momentum_scale(self) -> float:
         """Natural scale m d^2 omega for the zero-momentum invariant."""
-        m = float(self.masses.sum())
-        d = float(np.sqrt(np.max(np.sum(self.body**2, axis=-1))))
-        # rough angular scale from the orientation sweep itself, floored at 1
-        rate = float(np.max(np.abs(np.diff(self.theta)))) / self.dt if self.theta.size > 1 else 0.0
-        return m * d * d * max(rate, 1.0)
+        x, y = self.body[..., 0].T, self.body[..., 1].T
+        return _momentum_scale(x, y, self.theta, self.masses, self.dt)
+
+
+def _rotate(x, y, m, dt: float):
+    """Zero-angular-momentum orientation theta (T,) and lab coordinates of (3, T) body frames.
+
+    Raises NumericalError when the invariant fails, a NaN residual included.
+    """
+    cross = np.stack(x[:, :-1] * y[:, 1:] - y[:, :-1] * x[:, 1:], axis=-1) @ m
+    dot = np.stack(x[:, :-1] * x[:, 1:] + y[:, :-1] * y[:, 1:], axis=-1) @ m
+    theta = np.concatenate([[0.0], np.cumsum(np.arctan2(-cross, dot))])
+    cos_t, sin_t = np.cos(theta), np.sin(theta)
+    lab_x, lab_y = cos_t * x - sin_t * y, sin_t * x + cos_t * y
+    worst = float(np.abs(_lab_momentum(lab_x, lab_y, m, dt)).max())
+    scale = _momentum_scale(x, y, theta, m, dt)
+    if not worst <= 1e-8 * scale:
+        raise NumericalError(
+            f"zero-angular-momentum invariant violated: residual {worst:.3e} "
+            f"exceeds 1e-8 of scale {scale:.3e} (reduce dt)"
+        )
+    return theta, lab_x, lab_y
 
 
 def reconstruct_rotation(
@@ -182,45 +237,19 @@ def reconstruct_rotation(
 ) -> TrimerTrajectory:
     """Integrate the zero-angular-momentum orientation for a bond drive.
 
-    ``dt`` defaults to 1/512 of the fastest drive period and must resolve it
-    with at least 64 steps per period.
+    The time grid, and the default ``dt``, are :meth:`BondDrive.time_steps`'s.
 
     Raises:
+        ValidationError: the time step or the sample count is out of range.
         NumericalError: triangle degeneracy during evolution, or the
             zero-angular-momentum invariant failing after integration.
     """
-    fastest = drive.fastest_period
-    if dt is None:
-        dt = fastest / 512.0
-    if dt > fastest / 64.0 + 1e-15:
-        raise ValidationError("time step too coarse: need >= 64 steps per fastest period")
-    n = int(round(t_end / dt))
-    if n < 2:
-        raise ValidationError("t_end spans fewer than two samples")
+    n, dt = drive.time_steps(t_end, dt)
     times = np.arange(n + 1) * dt
-    xi12, xi13, xi23 = bond_lengths(times, drive)
-    body = _body_positions(xi12, xi13, xi23, masses)
     m = np.asarray(masses, dtype=float)
-
-    cross = (body[:-1, :, 0] * body[1:, :, 1] - body[:-1, :, 1] * body[1:, :, 0]) @ m
-    dot = np.einsum("tij,tij->ti", body[:-1], body[1:]) @ m
-    dtheta = np.arctan2(-cross, dot)
-    theta = np.concatenate([[0.0], np.cumsum(dtheta)])
-
-    cos_t, sin_t = np.cos(theta), np.sin(theta)
-    rot = np.empty_like(body)
-    rot[..., 0] = cos_t[:, None] * body[..., 0] - sin_t[:, None] * body[..., 1]
-    rot[..., 1] = sin_t[:, None] * body[..., 0] + cos_t[:, None] * body[..., 1]
-
-    traj = TrimerTrajectory(times, m, body, theta, rot)
-    residual = np.abs(traj.lab_angular_momentum())
-    scale = traj.angular_momentum_scale()
-    if residual.size and float(residual.max()) > 1e-8 * scale:
-        raise NumericalError(
-            f"zero-angular-momentum invariant violated: residual {residual.max():.3e} "
-            f"exceeds 1e-8 of scale {scale:.3e} (reduce dt)"
-        )
-    return traj
+    x, y = _frames(*bond_lengths(times, drive), m)
+    theta, lab_x, lab_y = _rotate(x, y, m, dt)
+    return TrimerTrajectory(times, m, _pack(x, y), theta, _pack(lab_x, lab_y))
 
 
 def phase_sweep(
@@ -229,37 +258,30 @@ def phase_sweep(
     phi_values,
     periods: int = 8,
     dt: float | None = None,
-    workers: int = 1,
 ) -> np.ndarray:
     """Mean angular velocity over ``periods`` common periods for each relative phase.
 
-    Each grid value phi is run with phi13 = +phi/2, phi23 = -phi/2.
+    Each phi runs :func:`reconstruct_rotation`'s arithmetic (``dt`` as there)
+    with phi13 = +phi/2 and phi23 = -phi/2 on one shared time grid; the
+    template's phases are ignored.  A failed reconstruction names its phi.
     """
     phi_values = np.asarray(phi_values, dtype=float)
     if np.any(phi_values < -math.pi - 1e-12) or np.any(phi_values > math.pi + 1e-12):
         raise ValidationError("phase grid must lie within [-pi, pi]")
-
-    def rate_for(phi: float) -> float:
-        drive = BondDrive(
-            drive_template.d12,
-            drive_template.a12,
-            drive_template.omega12,
-            drive_template.d,
-            drive_template.a,
-            drive_template.omega,
-            phi13=0.5 * phi,
-            phi23=-0.5 * phi,
-        )
-        t_end = periods * drive.common_period()
-        traj = reconstruct_rotation(drive, masses, t_end, dt)
-        return float((traj.theta[-1] - traj.theta[0]) / t_end)
-
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return np.array(list(pool.map(rate_for, phi_values)))
-    return np.array([rate_for(float(p)) for p in phi_values])
+    t_end = periods * drive_template.common_period()
+    n, dt = drive_template.time_steps(t_end, dt)
+    times = np.arange(n + 1) * dt
+    xi12 = bond_lengths(times, drive_template)[0]
+    m = np.asarray(masses, dtype=float)
+    rates = np.empty(phi_values.size)
+    for k, phi in enumerate(phi_values.tolist()):
+        drive = replace(drive_template, phi13=0.5 * phi, phi23=-0.5 * phi)
+        try:
+            theta = _rotate(*_frames(xi12, *_pair_bonds(times, drive), m), m, dt)[0]
+        except NumericalError as exc:
+            raise NumericalError(f"phase sweep at phi = {phi:.6g}: {exc}") from exc
+        rates[k] = (theta[-1] - theta[0]) / t_end
+    return rates
 
 
 def precession_berry_phase(

@@ -114,6 +114,21 @@ BAD_SCENARIO_INPUTS = [
     ("phase-sweep", {"periods": "x"}, "periods"),
     ("gate-synth", {"target": "cnot"}, "target"),
     ("linking", {"curve_files": ["only.csv"]}, "curve_files"),
+    # counts above the sample budget, which used to fail in numpy's allocator
+    ("gate-synth", {"steps": 10**12}, "steps"),
+    ("gate-synth", {"samples": 10**12}, "samples"),
+    ("trimer-sim", {"periods": 10**12}, "periods"),
+    ("trimer-sim", {"steps_per_period": 10**12}, "steps_per_period"),
+    ("phase-sweep", {"phi_count": 10**12}, "phi_count"),
+    ("ramsey", {"scan_count": 10**12}, "scan_count"),
+    ("linking", {"hopf": {"segments": 10**12}}, "segments"),
+    ("trace-sweep", {"gauge_rotations": 10**12}, "gauge_rotations"),
+]
+
+# Drives whose time grid exceeds the sample budget although each count is within it.
+OVERSIZED_TIME_GRIDS = [
+    ("trimer-sim", {"periods": 2**14, "steps_per_period": 2**13}),
+    ("phase-sweep", {"drive": dict(TRIMER_DRIVE, omega=1e200)}),
 ]
 
 
@@ -175,6 +190,35 @@ class TestRun:
             warnings.simplefilter("ignore", RuntimeWarning)  # numpy reports the overflow itself
             assert main(["run", write_config(tmp_path, cfg), "--out", str(out)]) == 3
         assert "cs_phase" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    @pytest.mark.parametrize("scenario, override", OVERSIZED_TIME_GRIDS)
+    def test_oversized_time_grid_exits_2(self, tmp_path, capsys, command, scenario, override):
+        params = dict(BASE_PARAMS[scenario], **override)
+        cfg = {"schema_version": 1, "scenario": scenario, "seed": 0, "params": params}
+        out = tmp_path / "out"
+        argv = [command, write_config(tmp_path, cfg)] + (["--out", str(out)] if command == "run" else [])
+        assert main(argv) == 2
+        assert "time grid" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize(
+        "scenario, params, invariant",
+        [
+            ("phase-sweep", {"drive": dict(TRIMER_DRIVE, d12=1e200, d=1e200, a12=0, a=0)},
+             "zero-angular-momentum invariant"),
+            ("linking", {"hopf": {"radius1": 1e200, "segments": 64}}, "Gauss integral"),
+        ],
+    )
+    def test_overflow_to_nan_exits_3_without_outputs(self, tmp_path, capsys, scenario, params, invariant):
+        cfg = {"schema_version": 1, "scenario": scenario, "seed": 0,
+               "params": dict(BASE_PARAMS[scenario], **params)}
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # numpy reports the overflow itself
+            assert main(["run", write_config(tmp_path, cfg), "--out", str(out)]) == 3
+        assert invariant in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
 
     @pytest.mark.parametrize("command", ["run", "validate"])
@@ -491,7 +535,7 @@ def test_write_csv_matches_per_value_format(tmp_path, rows):
     assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "value.csv").read_bytes()
 
 
-HOSTILE_VALUES = ["x", True, None, [], [1], {}, {"x": 1}, 0, -1, 2.5, math.nan]
+HOSTILE_VALUES = ["x", True, None, [], [1], {}, {"x": 1}, 0, -1, 2.5, math.nan, 10**12]
 
 
 def table_paths(table, prefix=()):

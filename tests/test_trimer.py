@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from triholonomy.connection import BlochField, ControlField
-from triholonomy.errors import NumericalError, ValidationError
+from triholonomy.errors import MAX_SAMPLES, NumericalError, ValidationError
 from triholonomy.holonomy import HolonomyLoop, integrate_wilson
 from triholonomy.shapespace import ShapeLoop
 from triholonomy.trimer import (
     BondDrive,
+    _body_positions,
     bond_lengths,
     effective_momentum_series,
     phase_sweep,
@@ -175,6 +176,84 @@ class TestReconstructRotation:
         assert np.max(np.abs(dth - dth[::-1])) < 1e-10
 
 
+# The masses of the benchmark's trimer grid (perfbench/workloads.py MASSES).
+BENCHMARK_MASSES = [(2.1, 2.1, 4.7), (1.0, 1.0, 1.0), (1.5, 2.5, 3.5)]
+ORACLE_DRIVES = [
+    reference_drive(),
+    BondDrive(1.2, 0.2, 1.0, 1.0, 0.12, 3.0, math.pi / 3, -math.pi / 6),
+]
+
+
+def reference_body(xi12, xi13, xi23, masses):
+    """Canonical (T, 3, 2) body frames by stacked vertex rows and a mass einsum."""
+    x3 = (xi13**2 + xi12**2 - xi23**2) / (2 * xi12)
+    y3 = np.sqrt(np.maximum(xi13**2 - x3**2, 0.0))
+    zeros = np.zeros_like(xi12)
+    p = np.stack(
+        [np.stack([zeros, zeros], -1), np.stack([xi12, zeros], -1), np.stack([x3, y3], -1)], -2
+    )
+    m = np.asarray(masses, dtype=float)
+    return p - (np.einsum("i,...ij->...j", m, p) / m.sum())[..., None, :]
+
+
+def reference_reconstruction(drive, masses, t_end, dt):
+    """Reference arithmetic on the (T, 3, 2) layout: theta, body, lab, |residual|, scale."""
+    times = np.arange(int(round(t_end / dt)) + 1) * dt
+    xi12 = drive.d12 + drive.a12 * np.cos(drive.omega12 * times)
+    xi13 = drive.d + drive.a * np.cos(drive.omega * times + drive.phi13)
+    xi23 = drive.d + drive.a * np.cos(drive.omega * times + drive.phi23)
+    body = reference_body(xi12, xi13, xi23, masses)
+    m = np.asarray(masses, dtype=float)
+    cross = (body[:-1, :, 0] * body[1:, :, 1] - body[:-1, :, 1] * body[1:, :, 0]) @ m
+    dot = np.einsum("tij,tij->ti", body[:-1], body[1:]) @ m
+    theta = np.concatenate([[0.0], np.cumsum(np.arctan2(-cross, dot))])
+    c, s = np.cos(theta)[:, None], np.sin(theta)[:, None]
+    lab = np.stack([c * body[..., 0] - s * body[..., 1], s * body[..., 0] + c * body[..., 1]], -1)
+    dr = (lab[2:] - lab[:-2]) / (2.0 * dt)
+    residual = np.abs((lab[1:-1, :, 0] * dr[..., 1] - lab[1:-1, :, 1] * dr[..., 0]) @ m)
+    d = float(np.sqrt(np.max(np.sum(body**2, axis=-1))))
+    rate = float(np.max(np.abs(np.diff(theta)))) / dt
+    return theta, body, lab, residual, float(m.sum()) * d * d * max(rate, 1.0)
+
+
+class TestReferenceArithmetic:
+    @pytest.mark.parametrize("masses", BENCHMARK_MASSES)
+    @pytest.mark.parametrize("drive", ORACLE_DRIVES)
+    @pytest.mark.parametrize("divisor", [512, 100])
+    def test_reconstruction_is_bit_identical(self, masses, drive, divisor):
+        dt = drive.fastest_period / divisor
+        t_end = 2 * drive.common_period()
+        traj = reconstruct_rotation(drive, masses, t_end, dt)
+        theta, body, lab, residual, scale = reference_reconstruction(drive, masses, t_end, dt)
+        assert traj.theta.tobytes() == theta.tobytes()
+        assert traj.body.tobytes() == body.tobytes()
+        assert traj.lab.tobytes() == lab.tobytes()
+        assert np.abs(traj.lab_angular_momentum()).tobytes() == residual.tobytes()
+        assert traj.angular_momentum_scale() == scale
+
+    def test_random_bonds_match_reference_frames(self):
+        rng = np.random.default_rng(7)
+        xi13, xi23 = rng.uniform(0.6, 1.4, size=(2, 100_000))
+        xi12 = rng.uniform(np.abs(xi13 - xi23) + 0.05, xi13 + xi23 - 0.05)
+        for masses in BENCHMARK_MASSES:
+            expected = reference_body(xi12, xi13, xi23, masses)
+            assert _body_positions(xi12, xi13, xi23, masses).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("masses", BENCHMARK_MASSES)
+    def test_phase_sweep_matches_reference_per_phase(self, masses):
+        template = ORACLE_DRIVES[1]
+        grid = np.linspace(-math.pi, math.pi, 9)
+        periods = 2
+        expected = []
+        for phi in grid:
+            drive = BondDrive(1.2, 0.2, 1.0, 1.0, 0.12, 3.0, 0.5 * phi, -0.5 * phi)
+            t_end = periods * drive.common_period()
+            theta = reference_reconstruction(drive, masses, t_end, drive.fastest_period / 512)[0]
+            expected.append((theta[-1] - theta[0]) / t_end)
+        rates = phase_sweep(template, masses, grid, periods=periods)
+        assert rates.tobytes() == np.array(expected).tobytes()
+
+
 class TestPhaseSweep:
     def test_zeros_maxima_antisymmetry(self):
         drive = reference_drive(0.0, 0.0)
@@ -196,6 +275,32 @@ class TestPhaseSweep:
     def test_grid_range_enforced(self):
         with pytest.raises(ValidationError):
             phase_sweep(reference_drive(0, 0), REFERENCE_MASSES, [4.0])
+
+
+    def test_failure_names_its_phase(self):
+        # the bonds overflow to NaN frames: the invariant fails closed, naming phi
+        drive = BondDrive(1e200, 0.0, 1.0, 1e200, 0.0, 3.0)
+        named = r"phi = -3\.14159.*zero-angular-momentum"
+        with np.errstate(all="ignore"), pytest.raises(NumericalError, match=named):
+            phase_sweep(drive, REFERENCE_MASSES, [-math.pi, 0.0])
+
+
+class TestFailClosed:
+    def test_nan_bonds_rejected(self):
+        with pytest.raises(NumericalError, match="triangle inequality"):
+            shape_from_bonds((math.nan, 1.0, 1.0), [1.0, 1.0, 1.0])
+
+    def test_nan_frames_fail_the_invariant(self):
+        drive = BondDrive(1e200, 0.0, 1.0, 1e200, 0.0, 3.0)
+        with np.errstate(all="ignore"), pytest.raises(NumericalError, match="zero-angular-momentum"):
+            reconstruct_rotation(drive, REFERENCE_MASSES, drive.common_period())
+
+    def test_time_grid_over_budget_rejected(self):
+        drive = reference_drive()
+        with pytest.raises(ValidationError, match="time grid"):
+            reconstruct_rotation(drive, REFERENCE_MASSES, (MAX_SAMPLES + 1) * drive.fastest_period / 512)
+        with pytest.raises(ValidationError, match="time grid"):
+            phase_sweep(BondDrive(1.1, 0.2, 1.0, 1.0, 0.15, 1e200), REFERENCE_MASSES, [0.0])
 
 
 class TestPrecessionPhase:
