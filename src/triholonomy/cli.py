@@ -29,7 +29,7 @@ The seed is echoed into the manifest and drives the randomised property
 sweeps (currently the optional gauge-rotation check of trace-sweep); all
 other scenario outputs are seed-independent.
 
-Exit codes: 0 success, 2 validation error, 3 numerical failure.
+Exit codes: 0 success, 2 validation error or out of memory, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -582,6 +582,9 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except MemoryError:
+        print("validation error: out of memory; lower the sample counts", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

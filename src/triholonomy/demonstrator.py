@@ -20,8 +20,8 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .holonomy import HolonomyLoop, integrate_wilson
-from .shapespace import ShapeLoop, solid_angle
-from .trimer import _body_positions, shape_angles
+from .shapespace import ShapeLoop, shape_angles, solid_angle
+from .trimer import _body_positions
 
 __all__ = [
     "PlatformParams",
@@ -148,7 +148,7 @@ def drive_to_loop(params: PlatformParams, n_samples: int = 1024) -> DriveLoopRes
     loop = ShapeLoop.from_samples(theta, phi)
     size = np.sqrt(np.einsum("i,tij->t", masses, body**2))
     breathing = float((size.max() - size.min()) / size.mean()) if eps > 0 else 0.0
-    if eps > 0 and breathing > 10.0 * eps**2:
+    if eps > 0 and not breathing <= 10.0 * eps**2:
         raise NumericalError(
             f"breathing suppression failed: relative size variation {breathing:.3e} "
             f"exceeds 10 eps^2 = {10 * eps**2:.3e}"
@@ -281,7 +281,7 @@ def ramsey_echo(
         doubled, geometric, trace = _reconstruct(amps, prep_phases)
         _, amps_shifted = _fringe_record(block_for(2.0 * delta_e), prep_phases, scan)
         _, _, trace_shifted = _reconstruct(amps_shifted, prep_phases)
-        if abs(trace_shifted - trace) > 1e-6:
+        if not abs(trace_shifted - trace) <= 1e-6:
             raise NumericalError(
                 "echo failed to cancel the dynamical phase: reconstructed trace moved by "
                 f"{abs(trace_shifted - trace):.2e} under a doubled splitting"

@@ -62,6 +62,7 @@ CANONICAL_CNOT = np.array(
 )
 
 _SMALL_LOOP_WARN = 0.3
+_CALIBRATION_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -76,12 +77,13 @@ class GateSpec:
 
     def __post_init__(self):
         t = np.asarray(self.target, dtype=complex)
-        if np.linalg.norm(t.conj().T @ t - np.eye(t.shape[0])) > 1e-12:
+        if not np.linalg.norm(t.conj().T @ t - np.eye(t.shape[0])) <= 1e-12:
             raise ValidationError("gate target must be unitary to 1e-12")
         if self.repetitions < 1:
             raise ValidationError("repetitions must be at least 1")
         r = np.asarray(self.residual_abelian, dtype=complex)
-        if np.linalg.norm(r.conj().T @ r - np.eye(2)) > 1e-10 or abs(r[0, 1]) + abs(r[1, 0]) > 1e-10:
+        if not (np.linalg.norm(r.conj().T @ r - np.eye(2)) <= 1e-10
+                and abs(r[0, 1]) + abs(r[1, 0]) <= 1e-10):
             raise ValidationError("residual abelian factor must be a diagonal unitary")
         t.setflags(write=False)
         r.setflags(write=False)
@@ -110,7 +112,7 @@ class TwoQubitGate:
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
-        if m.shape != (4, 4) or np.linalg.norm(m.conj().T @ m - np.eye(4)) > 1e-12:
+        if m.shape != (4, 4) or not np.linalg.norm(m.conj().T @ m - np.eye(4)) <= 1e-12:
             raise ValidationError("two-qubit gate must be a 4x4 unitary to 1e-12")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
@@ -238,19 +240,14 @@ def interaction_frame(loop: HolonomyLoop) -> InteractionFrame:
     return InteractionFrame(s_mid, eta_mid, g, loop.charge, float(eta_end[-1]))
 
 
-def synth_hadamard_gate(
-    q: float,
-    n_samples: int = 1024,
-    steps: int = 4096,
-    calibration_tol: float = 1e-6,
-) -> GateSpec:
+def synth_hadamard_gate(q: float, n_samples: int = 1024, steps: int = 4096) -> GateSpec:
     """Steered-control loop whose transverse holonomy is the y-axis pi/2 rotation.
 
     Uses the same elliptical loop as the phase gate (enclosed angle pi/q)
     with control phase arg psi(s) = pi/2 + eta(s), which keeps the
     rotating-frame transverse generator aligned with one equatorial axis.
     The control magnitude is calibrated by a bracketed Brent solve at
-    ``xtol = calibration_tol`` so the rotation angle of V(2 pi) equals pi/2;
+    ``xtol = 1e-6`` so the rotation angle of V(2 pi) equals pi/2;
     the leading-order seed is |psi| = 1/(4 q).  The diagonal factor U_z(2 pi)
     is returned in ``residual_abelian`` for downstream compensation.
 
@@ -289,7 +286,7 @@ def synth_hadamard_gate(
                 f"steering infeasible: rotation angle pi/2 needs |psi| > {psi_max:.4g} "
                 "(weak-coupling bound exceeded)"
             )
-    psi_cal = _brent_root(angle_error, lo, hi, f_lo, f_hi, calibration_tol)
+    psi_cal = _brent_root(angle_error, lo, hi, f_lo, f_hi, _CALIBRATION_TOL)
     control = ControlField._from_arrays(lambda s: psi_cal * steering.at(s), check_periodic=False)
     frame = InteractionFrame(s_mid, eta_mid, psi_cal * phase * unrotate, q, float(eta_ends[-1]))
     return GateSpec(
@@ -388,6 +385,6 @@ def gate_fidelity(u: np.ndarray, v: np.ndarray) -> float:
     if u.shape != v.shape or u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValidationError("gate fidelity needs two square matrices of equal dimension")
     for m in (u, v):
-        if np.linalg.norm(m.conj().T @ m - np.eye(m.shape[0])) > 1e-9:
+        if not np.linalg.norm(m.conj().T @ m - np.eye(m.shape[0])) <= 1e-9:
             raise ValidationError("gate fidelity inputs must be unitary")
     return float(abs(np.trace(u.conj().T @ v)) / u.shape[0])

@@ -44,7 +44,7 @@ from .connection import (
     monopole_potential,
 )
 from .errors import NumericalError, ValidationError
-from .shapespace import ShapeLoop, TriangleConfig
+from .shapespace import ShapeLoop, TriangleConfig, _plane_basis
 
 __all__ = [
     "WilsonLine",
@@ -408,8 +408,6 @@ def effective_angular_momentum(
         raise ValidationError("period must be positive")
     if not trajectory:
         raise ValidationError("empty trajectory")
-    from .shapespace import _plane_basis  # deterministic normal orientation
-
     normals = np.array([_plane_basis(cfg.vertices)[2] for cfg in trajectory])
     mean_normal = normals.mean(axis=0)
     norm = np.linalg.norm(mean_normal)

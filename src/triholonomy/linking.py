@@ -39,7 +39,6 @@ class SpaceCurve:
     """
 
     points: np.ndarray
-    closed: bool = True
 
     def __post_init__(self):
         pts = np.array(self.points, dtype=float)
@@ -53,7 +52,7 @@ class SpaceCurve:
         if np.any(seglen == 0.0):
             raise ValidationError("consecutive duplicate points on curve")
         diam = self.diameter_of(pts)
-        if self.closed and np.linalg.norm(pts[-1] - pts[0]) > 1e-10 * diam:
+        if np.linalg.norm(pts[-1] - pts[0]) > 1e-10 * diam:
             raise ValidationError(
                 f"curve closure gap {np.linalg.norm(pts[-1] - pts[0]):.3e} exceeds 1e-10 of diameter"
             )
@@ -78,13 +77,13 @@ class SpaceCurve:
         return 0.5 * (self.points[1:] + self.points[:-1])
 
     def reversed(self) -> "SpaceCurve":
-        return SpaceCurve(self.points[::-1], self.closed)
+        return SpaceCurve(self.points[::-1])
 
     def translated(self, offset) -> "SpaceCurve":
-        return SpaceCurve(self.points + np.asarray(offset, dtype=float), self.closed)
+        return SpaceCurve(self.points + np.asarray(offset, dtype=float))
 
     def scaled(self, factor: float) -> "SpaceCurve":
-        return SpaceCurve(self.points * float(factor), self.closed)
+        return SpaceCurve(self.points * float(factor))
 
 
 @dataclass(frozen=True)

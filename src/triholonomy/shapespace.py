@@ -6,7 +6,9 @@ The chain of maps is
                    --hopf_project--> ShapePoint,
 
 plus ``ShapeLoop`` for closed control cycles and ``solid_angle`` for their
-enclosed (signed) solid angle.
+enclosed (signed) solid angle.  ``shape_angles`` is the same map over
+arrays of planar body frames: the scalar chain and the array path share
+one Jacobi map (``_jacobi``) and one set of Hopf angles (``_hopf_angles``).
 
 Conventions
 -----------
@@ -47,6 +49,7 @@ __all__ = [
     "to_jacobi",
     "to_preshape",
     "hopf_project",
+    "shape_angles",
     "solid_angle",
 ]
 
@@ -300,6 +303,36 @@ def _plane_basis(verts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return e1, e2, normal
 
 
+def _jacobi(planar: np.ndarray, masses) -> tuple[np.ndarray, np.ndarray]:
+    """Mass-weighted Jacobi coordinates (z1, z2) of planar vertices (..., 3, 2)."""
+    m1, m2, m3 = (float(x) for x in np.asarray(masses, dtype=float))
+    mu1 = m1 * m2 / (m1 + m2)
+    mu2 = (m1 + m2) * m3 / (m1 + m2 + m3)
+    p = np.asarray(planar, dtype=float)
+    z1 = math.sqrt(mu1) * ((p[..., 1, 0] - p[..., 0, 0]) + 1j * (p[..., 1, 1] - p[..., 0, 1]))
+    base = (m1 * p[..., 0, :] + m2 * p[..., 1, :]) / (m1 + m2)
+    z2 = math.sqrt(mu2) * ((p[..., 2, 0] - base[..., 0]) + 1j * (p[..., 2, 1] - base[..., 1]))
+    return z1, z2
+
+
+def _hopf_angles(z1, z2):
+    """Colatitude and the two phases in (-pi, pi] of Jacobi coordinates.
+
+    ``angle(0) = 0`` pins the undefined phase of a vanishing component.
+    """
+    return 2.0 * np.arctan2(np.abs(z2), np.abs(z1)), np.angle(z1), np.angle(z2)
+
+
+def shape_angles(planar: np.ndarray, masses) -> tuple[np.ndarray, np.ndarray]:
+    """Shape-sphere coordinates (colatitude, unwrapped azimuth) of planar body frames.
+
+    ``planar`` has shape (T, 3, 2); the azimuth is continuity-unwrapped along
+    the trajectory.
+    """
+    theta, phase1, phase2 = _hopf_angles(*_jacobi(planar, masses))
+    return theta, np.unwrap(phase2 - phase1)
+
+
 def to_jacobi(config: TriangleConfig) -> JacobiPair:
     """Mass-weighted Jacobi coordinates of a (projected-planar) configuration.
 
@@ -311,16 +344,9 @@ def to_jacobi(config: TriangleConfig) -> JacobiPair:
         ValidationError: if all three vertices coincide (zero preshape size).
     """
     verts = config.vertices
-    m1, m2, m3 = config.masses
     e1, e2, _ = _plane_basis(verts)
     planar = np.stack([verts @ e1, verts @ e2], axis=1)  # (3, 2)
-    mu1 = m1 * m2 / (m1 + m2)
-    mu2 = (m1 + m2) * m3 / (m1 + m2 + m3)
-    s1 = planar[1] - planar[0]
-    s2 = planar[2] - (m1 * planar[0] + m2 * planar[1]) / (m1 + m2)
-    z1 = math.sqrt(mu1) * complex(s1[0], s1[1])
-    z2 = math.sqrt(mu2) * complex(s2[0], s2[1])
-    pair = JacobiPair(z1, z2)
+    pair = JacobiPair(*(complex(z) for z in _jacobi(planar, config.masses)))
     if pair.size_sq == 0.0:
         raise ValidationError("degenerate configuration: all vertices coincide")
     return pair
@@ -328,15 +354,9 @@ def to_jacobi(config: TriangleConfig) -> JacobiPair:
 
 def to_preshape(j: JacobiPair) -> PreshapePoint:
     """Hopf coordinates (size, colatitude, two phases) of a Jacobi pair."""
-    r1, r2 = abs(j.z1), abs(j.z2)
-    size = math.hypot(r1, r2)
-    if size == 0.0:
-        raise ValidationError("zero-size configuration has no preshape point")
-    theta = 2.0 * math.atan2(r2, r1)
-    # atan2(0, 0) = 0 pins the undefined phase of a vanishing component.
-    phi1 = math.atan2(j.z1.imag, j.z1.real) % (2 * math.pi)
-    phi2 = math.atan2(j.z2.imag, j.z2.real) % (2 * math.pi)
-    return PreshapePoint(size, theta, phi1, phi2)
+    theta, phi1, phi2 = (float(x) for x in _hopf_angles(j.z1, j.z2))
+    size = math.hypot(abs(j.z1), abs(j.z2))
+    return PreshapePoint(size, theta, phi1 % (2 * math.pi), phi2 % (2 * math.pi))
 
 
 def hopf_project(p: PreshapePoint) -> ShapePoint:

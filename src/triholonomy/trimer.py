@@ -26,7 +26,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .connection import BlochField, LoopSamples, connection_vectors, monopole_potential
 from .errors import MAX_SAMPLES, NumericalError, ValidationError
 from .holonomy import WilsonLine, _check_transport, _transport, midpoint_grid
-from .shapespace import TriangleConfig, _check_loop_samples
+from .shapespace import TriangleConfig, _check_loop_samples, shape_angles
 
 # Windows are transported in chunks of about this many SU(2) steps: enough
 # to amortise the per-call cost, while the chunk's arrays (0.25 MB of step
@@ -42,7 +42,6 @@ __all__ = [
     "phase_sweep",
     "precession_berry_phase",
     "effective_momentum_series",
-    "shape_angles",
 ]
 
 
@@ -117,7 +116,7 @@ def _pair_bonds(t: np.ndarray, drive: BondDrive) -> tuple:
     return tuple(drive.d + drive.a * np.cos(wt + phase) for phase in (drive.phi13, drive.phi23))
 
 
-def _frames(xi12, xi13, xi23, masses, margin: float = 1e-9):
+def _frames(xi12, xi13, xi23, masses):
     """Canonical-frame vertex coordinates (x, y), each (3, ...), for bond-length arrays."""
     xi12, xi13, xi23 = np.broadcast_arrays(
         np.asarray(xi12, dtype=float), np.asarray(xi13, dtype=float), np.asarray(xi23, dtype=float)
@@ -126,7 +125,7 @@ def _frames(xi12, xi13, xi23, masses, margin: float = 1e-9):
     slack = np.minimum(
         np.minimum(xi13 + xi23 - xi12, xi12 + xi13 - xi23), xi12 + xi23 - xi13
     )
-    bad = ~(slack > margin * scale)  # NaN bonds fail too
+    bad = ~(slack > 1e-9 * scale)  # NaN bonds fail too
     if np.any(bad):
         idx = int(np.argmax(bad))
         raise NumericalError(
@@ -309,30 +308,12 @@ def precession_berry_phase(
     v = a * np.cos(omega * t + phi23)
     radius_sq = u**2 + v**2
     mean_r2 = float(np.mean(radius_sq[:-1]))
-    if mean_r2 == 0.0 or float(np.std(radius_sq[:-1])) > 1e-9 * mean_r2:
+    if mean_r2 == 0.0 or not float(np.std(radius_sq[:-1])) <= 1e-9 * mean_r2:
         raise NumericalError(
             "drive is not a circular precession (radius varies along the cycle)"
         )
     area = 0.5 * float(np.sum(u[:-1] * v[1:] - v[:-1] * u[1:]))
     return area / mean_r2
-
-
-def shape_angles(body: np.ndarray, masses) -> tuple[np.ndarray, np.ndarray]:
-    """Shape-sphere coordinates (colatitude, unwrapped azimuth) of body frames.
-
-    ``body`` has shape (T, 3, 2); the azimuth is continuity-unwrapped along
-    the trajectory.
-    """
-    m1, m2, m3 = (float(x) for x in np.asarray(masses, dtype=float))
-    mu1 = m1 * m2 / (m1 + m2)
-    mu2 = (m1 + m2) * m3 / (m1 + m2 + m3)
-    p = np.asarray(body, dtype=float)
-    z1 = math.sqrt(mu1) * ((p[:, 1, 0] - p[:, 0, 0]) + 1j * (p[:, 1, 1] - p[:, 0, 1]))
-    base = (m1 * p[:, 0] + m2 * p[:, 1]) / (m1 + m2)
-    z2 = math.sqrt(mu2) * ((p[:, 2, 0] - base[:, 0]) + 1j * (p[:, 2, 1] - base[:, 1]))
-    theta = 2.0 * np.arctan2(np.abs(z2), np.abs(z1))
-    phi = np.unwrap(np.angle(z2) - np.angle(z1))
-    return theta, phi
 
 
 def effective_momentum_series(

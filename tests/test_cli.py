@@ -513,6 +513,29 @@ def test_cli_import_does_not_load_scipy(tmp_path):
     assert (tmp_path / "out" / "gate.json").exists()
 
 
+def test_out_of_memory_exits_2_without_traceback(tmp_path):
+    # 2**26 samples pass the budget but need gigabytes; the child may map only 1.5 GB
+    resource = pytest.importorskip("resource")
+    params = dict(BASE_PARAMS["trimer-sim"], periods=8192, steps_per_period=8192)
+    cfg = write_config(tmp_path, {"schema_version": 1, "scenario": "trimer-sim", "seed": 0, "params": params})
+    out = tmp_path / "out"
+    src = os.path.dirname(os.path.dirname(os.path.abspath(triholonomy.__file__)))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    limit = 1_500_000_000
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    result = subprocess.run(
+        [sys.executable, "-m", "triholonomy.cli", "run", cfg, "--out", str(out)],
+        env=env, capture_output=True, text=True, preexec_fn=cap_address_space,
+    )
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+    assert "validation error: out of memory" in result.stderr
+    assert not out.exists() or not any(out.iterdir())
+
+
 def write_csv_per_value(path, header, columns):
     """Reference writer: one ``format(float(x), ".17g")`` call per value."""
     with open(path, "w", newline="\n") as fh:

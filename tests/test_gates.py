@@ -11,7 +11,7 @@ from scipy.optimize import brentq
 
 from triholonomy import gates
 from triholonomy.connection import BlochField, ControlField
-from triholonomy.errors import ValidationError
+from triholonomy.errors import NumericalError, ValidationError
 from triholonomy.gates import (
     CANONICAL_CNOT,
     CANONICAL_HADAMARD,
@@ -27,6 +27,7 @@ from triholonomy.gates import (
 )
 from triholonomy.holonomy import HolonomyLoop, integrate_wilson, rotation_angle
 from triholonomy.shapespace import ShapeLoop, solid_angle
+from triholonomy.trimer import precession_berry_phase
 
 SIGMA_Y = np.array([[0, -1j], [1j, 0]])
 
@@ -281,3 +282,20 @@ class TestGateFidelity:
     def test_dimension_mismatch(self):
         with pytest.raises(ValidationError):
             gate_fidelity(np.eye(2), np.eye(4))
+
+
+NAN2 = np.full((2, 2), np.nan)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: compile_cnot(2.0, 16, hadamard=NAN2), ValidationError, "unitary"),
+        (lambda: gate_fidelity(NAN2, NAN2), ValidationError, "unitary"),
+        (lambda: precession_berry_phase(1.0, 0.15, 3.0, phi13=math.nan), NumericalError, "circular"),
+    ],
+    ids=["compile_cnot", "gate_fidelity", "precession_berry_phase"],
+)
+def test_nan_fails_closed(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

@@ -6,7 +6,7 @@ import pytest
 from triholonomy.connection import BlochField, ControlField
 from triholonomy.errors import MAX_SAMPLES, NumericalError, ValidationError
 from triholonomy.holonomy import HolonomyLoop, integrate_wilson
-from triholonomy.shapespace import ShapeLoop
+from triholonomy.shapespace import ShapeLoop, TriangleConfig, hopf_project, to_jacobi, to_preshape
 from triholonomy.trimer import (
     BondDrive,
     _body_positions,
@@ -216,7 +216,40 @@ def reference_reconstruction(drive, masses, t_end, dt):
     return theta, body, lab, residual, float(m.sum()) * d * d * max(rate, 1.0)
 
 
+def reference_shape_angles(body, masses):
+    """(T, 3, 2) frames to (colatitude, unwrapped azimuth) by the Jacobi arithmetic, row-indexed."""
+    m1, m2, m3 = (float(x) for x in np.asarray(masses, dtype=float))
+    mu1 = m1 * m2 / (m1 + m2)
+    mu2 = (m1 + m2) * m3 / (m1 + m2 + m3)
+    p = np.asarray(body, dtype=float)
+    z1 = math.sqrt(mu1) * ((p[:, 1, 0] - p[:, 0, 0]) + 1j * (p[:, 1, 1] - p[:, 0, 1]))
+    base = (m1 * p[:, 0] + m2 * p[:, 1]) / (m1 + m2)
+    z2 = math.sqrt(mu2) * ((p[:, 2, 0] - base[:, 0]) + 1j * (p[:, 2, 1] - base[:, 1]))
+    theta = 2.0 * np.arctan2(np.abs(z2), np.abs(z1))
+    phi = np.unwrap(np.angle(z2) - np.angle(z1))
+    return theta, phi
+
+
 class TestReferenceArithmetic:
+    @pytest.mark.parametrize("masses", BENCHMARK_MASSES)
+    def test_shape_angles_match_reference(self, masses):
+        body = np.random.default_rng(11).normal(size=(100_000, 3, 2))
+        theta, phi = shape_angles(body, masses)
+        ref_theta, ref_phi = reference_shape_angles(body, masses)
+        assert theta.tobytes() == ref_theta.tobytes()
+        assert phi.tobytes() == ref_phi.tobytes()
+
+    @pytest.mark.parametrize("masses", BENCHMARK_MASSES)
+    def test_scalar_chain_matches_shape_angles(self, masses):
+        rng = np.random.default_rng(13)
+        for _ in range(200):
+            verts = np.concatenate([rng.normal(size=(3, 2)), np.zeros((3, 1))], axis=1)
+            cfg = TriangleConfig.from_vertices(verts, masses)
+            point = hopf_project(to_preshape(to_jacobi(cfg)))
+            theta, phi = shape_angles(cfg.vertices[None, :, :2], masses)
+            assert point.colatitude == pytest.approx(theta[0], abs=1e-12)
+            gap = (point.azimuth - phi[0] + math.pi) % (2 * math.pi) - math.pi
+            assert abs(gap) <= 1e-12
     @pytest.mark.parametrize("masses", BENCHMARK_MASSES)
     @pytest.mark.parametrize("drive", ORACLE_DRIVES)
     @pytest.mark.parametrize("divisor", [512, 100])
