@@ -23,7 +23,11 @@ written last; reruns with identical config and seed produce byte-identical
 data files.
 
 Each scenario's parameters (JSON kind, default, bound) are declared once, in
-``SCENARIOS``; ``run`` and ``validate`` both read them through one checker.
+``SCENARIOS``.  ``run`` and ``validate`` share one pre-flight: the table, then
+the physics checks.  ``run`` then calls the scenario's runner, which returns
+its outputs as data, and writes them through one writer.  Only a
+``demo-budget`` run reports a failed adiabatic window (in ``budget.json``)
+instead of exiting 2.
 
 The seed is echoed into the manifest and drives the randomised property
 sweeps (currently the optional gauge-rotation check of trace-sweep); all
@@ -205,14 +209,14 @@ def load_config(path: str) -> dict:
 # ---------------------------------------------------------------- scenarios
 
 
-def _run_gate_synth(p: dict, outdir: str, **_) -> list[str]:
+def _run_gate_synth(p: dict, seed: int) -> dict:
     if p["target"] == "pi2":
         spec = synth_phase_gate(p["q"], p["n_rep"], n_samples=p["samples"], steps=p["steps"])
         realised = spec.integrate()
     else:
         spec = synth_hadamard_gate(p["q"], n_samples=p["samples"], steps=p["steps"])
         realised = interaction_frame(spec.loop).integrate_transverse().matrix
-    payload = {
+    return {"gate.json": {
         "target": p["target"],
         "q": p["q"],
         "repetitions": spec.repetitions,
@@ -221,13 +225,10 @@ def _run_gate_synth(p: dict, outdir: str, **_) -> list[str]:
         "fidelity": gate_fidelity(spec.target, realised),
         "residual_abelian": _complex_pairs(spec.residual_abelian),
         "calibrated_control": spec.calibrated_control,
-    }
-    path = os.path.join(outdir, "gate.json")
-    _write_json(path, payload)
-    return [path]
+    }}
 
 
-def _run_trace_sweep(p: dict, outdir: str, seed: int, **_) -> list[str]:
+def _run_trace_sweep(p: dict, seed: int) -> dict:
     loop_shape = make_ellipse_loop(p["theta0"], 0.0, p["a"], p["b"], p["samples"])
     s_mid, ds = midpoint_grid(p["steps"])
     base = HolonomyLoop(loop_shape, charge=p["q"], steps=p["steps"]).sample(s_mid)
@@ -238,16 +239,14 @@ def _run_trace_sweep(p: dict, outdir: str, seed: int, **_) -> list[str]:
         c, j = eigenframe_rate_samples(samples, p["q"])
         d2, d4 = (trace_expansion_from_rates(c, j, order) for order in (2, 4))
         rows.append((psi_abs, direct, d2.trace_estimate, d4.trace_estimate, *d4.corrections[:2]))
-    path = os.path.join(outdir, "trace_sweep.csv")
     header = ["psi_abs", "trace_direct", "trace_order2", "trace_order4", "i2", "i4"]
-    _write_csv(path, header, [np.asarray(col) for col in zip(*rows)])
-    produced = [path]
+    outputs = {"trace_sweep.csv": (header, [np.asarray(col) for col in zip(*rows)])}
     if p["gauge_rotations"] > 0:
-        produced.append(_gauge_check(p, s_mid, base.a, seed, outdir))
-    return produced
+        outputs["gauge_check.json"] = _gauge_check(p, s_mid, base.a, seed)
+    return outputs
 
 
-def _gauge_check(p: dict, s: np.ndarray, a: np.ndarray, seed: int, outdir: str) -> str:
+def _gauge_check(p: dict, s: np.ndarray, a: np.ndarray, seed: int) -> dict:
     """Seeded random gauge rotations of the loop's (A, psi) data at unit weight."""
     psi_abs = p["psi_values"][0]
     base = wilson_from_samples(a, np.full(s.size, psi_abs), 1.0).trace
@@ -260,41 +259,30 @@ def _gauge_check(p: dict, s: np.ndarray, a: np.ndarray, seed: int, outdir: str) 
         dalpha = coef[0] * np.cos(s) - coef[1] * np.sin(s) + 2 * coef[2] * np.cos(2 * s)
         rotated = wilson_from_samples(a + dalpha, np.exp(1j * alpha) * psi_abs, 1.0).trace
         worst = max(worst, abs(rotated - base))
-    path = os.path.join(outdir, "gauge_check.json")
-    _write_json(
-        path,
-        {"seed": seed, "rotations": rotations, "worst_trace_shift": worst, "base_trace": base},
-    )
-    return path
+    return {"seed": seed, "rotations": rotations, "worst_trace_shift": worst, "base_trace": base}
 
 
-def _run_trimer_sim(p: dict, outdir: str, **_) -> list[str]:
-    drive = BondDrive(**p["drive"])
+def _run_trimer_sim(p: dict, seed: int) -> dict:
+    drive = p["drive"]
     period = drive.common_period()
     dt = period / p["steps_per_period"]
     traj = reconstruct_rotation(drive, p["masses"], p["periods"] * period, dt)
     xi12, xi13, xi23 = bond_lengths(traj.times, drive)
     starts, values = effective_momentum_series(traj, period)
     l_eff = np.interp(traj.times, starts, values, left=values[0], right=values[-1])
-    path = os.path.join(outdir, "trimer_sim.csv")
-    _write_csv(
-        path,
+    return {"trimer_sim.csv": (
         ["t", "xi12", "xi13", "xi23", "theta", "L_eff"],
         [traj.times, xi12, xi13, xi23, traj.theta, l_eff],
-    )
-    return [path]
+    )}
 
 
-def _run_phase_sweep(p: dict, outdir: str, **_) -> list[str]:
+def _run_phase_sweep(p: dict, seed: int) -> dict:
     if p["phi_values"] is None:
         grid = np.linspace(-math.pi, math.pi, p["phi_count"])
     else:
         grid = np.asarray(p["phi_values"], dtype=float)
-    drive = BondDrive(**p["drive"])
-    rates = phase_sweep(drive, p["masses"], grid, periods=p["periods"])
-    path = os.path.join(outdir, "phase_sweep.csv")
-    _write_csv(path, ["phi", "mean_angular_velocity"], [grid, rates])
-    return [path]
+    rates = phase_sweep(p["drive"], p["masses"], grid, periods=p["periods"])
+    return {"phase_sweep.csv": (["phi", "mean_angular_velocity"], [grid, rates])}
 
 
 def _load_curve_csv(path: str) -> SpaceCurve:
@@ -307,17 +295,12 @@ def _load_curve_csv(path: str) -> SpaceCurve:
     return SpaceCurve(data)
 
 
-def _curve_paths(p: dict, base_dir: str) -> list[str]:
-    """``curve_files`` with relative entries resolved against the config's directory."""
-    return [os.path.join(base_dir, name) for name in p["curve_files"]]
-
-
-def _run_linking(p: dict, outdir: str, base_dir: str, **_) -> list[str]:
+def _run_linking(p: dict, seed: int) -> dict:
     if p["curve_files"] is None:
         hopf = p["hopf"]
         curves = list(hopf_pair(hopf["radius1"], hopf["radius2"], hopf["segments"]))
     else:
-        curves = [_load_curve_csv(path) for path in _curve_paths(p, base_dir)]
+        curves = [_load_curve_csv(path) for path in p["curve_files"]]
     n = len(curves)
     charges = [1.0] * n if p["charges"] is None else p["charges"]
     slk = [0] * n if p["slk"] is None else p["slk"]
@@ -326,23 +309,19 @@ def _run_linking(p: dict, outdir: str, base_dir: str, **_) -> list[str]:
         for j in range(i + 1, n):
             lk[i, j] = lk[j, i] = gauss_linking(curves[i], curves[j])
     link = LinkData(lk, slk)
-    payload = {
+    return {"linking.json": {
         "lk_matrix": lk.tolist(),
         "charges": charges,
         "level": p["k"],
         "slk": slk,
         "cs_phase": cs_phase(charges, link, p["k"]),
-    }
-    path = os.path.join(outdir, "linking.json")
-    _write_json(path, payload)
-    return [path]
+    }}
 
 
-def _run_demo_budget(p: dict, outdir: str, **_) -> list[str]:
-    platform = PlatformParams(**p["platform"])
-    report = adiabatic_window(platform, p["window_factor"])
+def _run_demo_budget(p: dict, seed: int) -> dict:
+    platform, report = p["platform"], p["window"]
     budget = gate_budget(platform, p["contingency"])
-    payload = {
+    return {"budget.json": {
         "window": {
             "passed": report.passed,
             "gap_rad_per_s": report.gap,
@@ -358,31 +337,24 @@ def _run_demo_budget(p: dict, outdir: str, **_) -> list[str]:
             "phase_drift_rad": budget.phase_drift,
             "total_infidelity_estimate": budget.total_infidelity_estimate,
         },
-    }
-    path = os.path.join(outdir, "budget.json")
-    _write_json(path, payload)
-    return [path]
+    }}
 
 
-def _run_ramsey(p: dict, outdir: str, **_) -> list[str]:
-    platform = PlatformParams(**p["platform"])
-    adiabatic_window(platform)  # raises on mode ordering; the window margin is validate's alone
+def _run_ramsey(p: dict, seed: int) -> dict:
+    platform = p["platform"]
     q = platform.charge if p["q"] is None else p["q"]
     spec = synth_phase_gate(q, n_samples=p["samples"], steps=p["steps"])
     delta_e = platform.splitting if p["delta_e"] is None else p["delta_e"]
     result = ramsey_echo(spec.loop, delta_e, platform, echo=p["echo"], scan_count=p["scan_count"])
-    csv_path = os.path.join(outdir, "fringe.csv")
     cols = [result.scan_phases] + [result.populations[i] for i in range(len(result.prep_phases))]
     headers = ["scan_phase"] + [f"population_prep{i}" for i in range(len(result.prep_phases))]
-    _write_csv(csv_path, headers, cols)
-    json_path = os.path.join(outdir, "ramsey.json")
 
     def _maybe(x: float):
         return x if math.isfinite(x) else None
 
-    _write_json(
-        json_path,
-        {
+    return {
+        "fringe.csv": (headers, cols),
+        "ramsey.json": {
             "echo": result.echo,
             "delta_e_rad_per_s": delta_e,
             "doubled_phase": _maybe(result.doubled_phase),
@@ -391,8 +363,7 @@ def _run_ramsey(p: dict, outdir: str, **_) -> list[str]:
             "contrast": result.contrast,
             "prep_phases": list(result.prep_phases),
         },
-    )
-    return [csv_path, json_path]
+    }
 
 
 _DRIVE = _table_of(BondDrive)
@@ -406,7 +377,8 @@ _MASSES = _Param(
     [float], [2.1, 2.1, 4.7], (lambda v: len(v) == 3 and min(v) > 0, "three positive values")
 )
 
-# Scenario -> (runner, parameter table).  run and validate read the same table.
+# Scenario -> (runner, parameter table).  A runner takes the pre-flight's parameters and
+# the seed and returns {file name: JSON dict or CSV (header, columns)}.
 SCENARIOS = {
     "gate-synth": (_run_gate_synth, {
         "q": _Param(float, bound=_POSITIVE),
@@ -459,36 +431,33 @@ SCENARIOS = {
         "scan_count": _Param(int, 8, _COUNT),
         "samples": _Param(int, 1024, _COUNT),
         "steps": _Param(int, 4096, _COUNT),
-        "window_factor": _Param(float, 10.0),  # read by validate's adiabatic-window check only
+        "window_factor": _Param(float, 10.0),  # margin of the pre-flight's adiabatic-window check
     }),
 }
 
 
-def _params(cfg: dict) -> dict:
-    """The checked parameters of a loaded config."""
+def _preflight(cfg: dict, base_dir: str, run: bool = False) -> tuple[dict, list[str]]:
+    """The checked parameters of a loaded config and the report lines of its checks.
+
+    Past the table: the drive's common period and time grid, mode ordering and
+    the adiabatic window, and that the curve files exist.  The runners get
+    ``drive`` as a ``BondDrive``, ``platform`` as ``PlatformParams`` with its
+    ``window`` report, and ``curve_files`` resolved against ``base_dir``.
+    """
     table = SCENARIOS[cfg["scenario"]][1]
-    return _check(cfg.get("params", {}), _Param(table), "params", cfg["scenario"])
-
-
-def run_scenario(cfg: dict, outdir: str, base_dir: str) -> list[str]:
-    """Run a loaded config; ``base_dir`` (the config's directory) anchors relative paths."""
-    runner = SCENARIOS[cfg["scenario"]][0]
-    return runner(_params(cfg), outdir, seed=cfg.get("seed", 0), base_dir=base_dir)
-
-
-def validate_config(cfg: dict, base_dir: str) -> list[str]:
-    """Every parameter ``run`` reads, then the physics checks; returns report lines."""
-    p = _params(cfg)
+    p = _check(cfg.get("params", {}), _Param(table), "params", cfg["scenario"])
     lines = [f"scenario: {cfg['scenario']}"]
     if "drive" in p:
-        drive = BondDrive(**p["drive"])
+        drive = p["drive"] = BondDrive(**p["drive"])
         period = drive.common_period()
         spp = p.get("steps_per_period")  # None for phase-sweep: the default step
         drive.time_steps(p["periods"] * period, None if spp is None else period / spp)
         lines.append(f"drive ok: common period {period:.6g}")
     if "platform" in p:
-        report = adiabatic_window(PlatformParams(**p["platform"]), p["window_factor"])
-        if not report.passed:
+        p["platform"] = PlatformParams(**p["platform"])
+        report = p["window"] = adiabatic_window(p["platform"], p["window_factor"])
+        # The one exception: a demo-budget run reports a failed window in budget.json.
+        if not report.passed and not (run and cfg["scenario"] == "demo-budget"):
             raise ValidationError(
                 "adiabatic window violated: need splitting << 1/T_loop << gap "
                 f"with factor {report.factor:g} "
@@ -499,12 +468,22 @@ def validate_config(cfg: dict, base_dir: str) -> list[str]:
             f"gap*T = {report.ratio_upper:.3g}"
         )
     if p.get("curve_files"):
-        for path in _curve_paths(p, base_dir):
+        p["curve_files"] = [os.path.join(base_dir, name) for name in p["curve_files"]]
+        for path in p["curve_files"]:
             if not os.path.exists(path):
                 raise ConfigError(f"referenced curve file does not exist: {path}")
         lines.append(f"{len(p['curve_files'])} curve files present")
     lines.append("pass")
-    return lines
+    return p, lines
+
+
+def run_scenario(cfg: dict, base_dir: str) -> dict:
+    """Pre-flight and run a loaded config from ``base_dir``, its directory.
+
+    Returns the outputs as {file name: JSON dict or CSV (header, columns)}.
+    """
+    p, _ = _preflight(cfg, base_dir, run=True)
+    return SCENARIOS[cfg["scenario"]][0](p, cfg.get("seed", 0))
 
 
 def _sha256(path: str) -> str:
@@ -528,27 +507,32 @@ def _cmd_run(args) -> int:
     os.makedirs(outdir, exist_ok=True)
     staging = tempfile.mkdtemp(prefix=".staging-", dir=outdir)
     try:
-        produced = run_scenario(cfg, staging, _config_dir(args.config))
+        outputs = run_scenario(cfg, _config_dir(args.config))
+        for name, payload in outputs.items():
+            path = os.path.join(staging, name)
+            if isinstance(payload, dict):
+                _write_json(path, payload)
+            else:
+                _write_csv(path, *payload)
         manifest = {
             "artifact_version": __version__,
             "config": cfg,
             "seed": cfg.get("seed", 0),
-            "outputs": {os.path.basename(p): _sha256(p) for p in produced},
+            "outputs": {name: _sha256(os.path.join(staging, name)) for name in outputs},
             "wall_seconds": time.perf_counter() - t_start,
         }
-        manifest_path = os.path.join(staging, "run_manifest.json")
-        _write_json(manifest_path, manifest)
-        for path in produced + [manifest_path]:
-            os.replace(path, os.path.join(outdir, os.path.basename(path)))
+        _write_json(os.path.join(staging, "run_manifest.json"), manifest)
+        for name in [*outputs, "run_manifest.json"]:
+            os.replace(os.path.join(staging, name), os.path.join(outdir, name))
     finally:
         shutil.rmtree(staging, ignore_errors=True)
-    print(f"wrote {len(produced)} output file(s) + manifest to {outdir}")
+    print(f"wrote {len(outputs)} output file(s) + manifest to {outdir}")
     return 0
 
 
 def _cmd_validate(args) -> int:
     cfg = load_config(args.config)
-    for line in validate_config(cfg, _config_dir(args.config)):
+    for line in _preflight(cfg, _config_dir(args.config))[1]:
         print(line)
     return 0
 

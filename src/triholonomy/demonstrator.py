@@ -112,7 +112,13 @@ def leakage_estimate(params: PlatformParams) -> float:
     gap = params.gap
     if gap <= 0:
         raise ValidationError("mode ordering violated: breathing mode below the doublet mean")
-    return (1.0 / (params.t_loop * gap)) ** 2
+    try:
+        leak = (1.0 / (params.t_loop * gap)) ** 2
+        if math.isfinite(leak):
+            return leak
+    except (OverflowError, ZeroDivisionError):
+        pass
+    raise NumericalError(f"leakage estimate overflows: T_loop * gap = {params.t_loop * gap:.3g}")
 
 
 @dataclass(frozen=True)

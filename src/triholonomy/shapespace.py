@@ -352,18 +352,24 @@ def to_jacobi(config: TriangleConfig) -> JacobiPair:
     return pair
 
 
+def _wrap(angle: float) -> float:
+    """``angle`` reduced to [0, 2 pi); a remainder that rounds up to 2 pi becomes 0."""
+    reduced = angle % (2 * math.pi)
+    return 0.0 if reduced == 2 * math.pi else reduced
+
+
 def to_preshape(j: JacobiPair) -> PreshapePoint:
     """Hopf coordinates (size, colatitude, two phases) of a Jacobi pair."""
     theta, phi1, phi2 = (float(x) for x in _hopf_angles(j.z1, j.z2))
     size = math.hypot(abs(j.z1), abs(j.z2))
-    return PreshapePoint(size, theta, phi1 % (2 * math.pi), phi2 % (2 * math.pi))
+    return PreshapePoint(size, theta, _wrap(phi1), _wrap(phi2))
 
 
 def hopf_project(p: PreshapePoint) -> ShapePoint:
     """Project a preshape point along the Hopf fibre to the shape sphere."""
     theta = p.colatitude
     degenerate = theta < _POLE_TOL or theta > math.pi - _POLE_TOL
-    phi = 0.0 if degenerate else (p.phase2 - p.phase1) % (2 * math.pi)
+    phi = 0.0 if degenerate else _wrap(p.phase2 - p.phase1)
     return ShapePoint(theta, phi, degenerate)
 
 

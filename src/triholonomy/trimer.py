@@ -62,7 +62,7 @@ class BondDrive:
     phi23: float = 0.0
 
     def __post_init__(self):
-        if self.omega <= 0 or self.omega12 <= 0:
+        if not (self.omega > 0 and self.omega12 > 0):  # NaN fails too
             raise ValidationError("drive frequencies must be positive")
         if not (0 <= self.a12 < self.d12 and 0 <= self.a < self.d):
             raise ValidationError("amplitudes must be non-negative and below the mean lengths")
@@ -73,6 +73,8 @@ class BondDrive:
 
     def common_period(self, max_denominator: int = 64) -> float:
         """Least common period of the two oscillations (rational frequency ratio)."""
+        if not math.isfinite(self.omega / self.omega12):
+            raise ValidationError("frequency ratio overflows; no common period")
         ratio = Fraction(self.omega / self.omega12).limit_denominator(max_denominator)
         if abs(float(ratio) - self.omega / self.omega12) > 1e-9:
             raise ValidationError(

@@ -131,6 +131,21 @@ OVERSIZED_TIME_GRIDS = [
     ("phase-sweep", {"drive": dict(TRIMER_DRIVE, omega=1e200)}),
 ]
 
+# A platform whose modes are ordered but whose doublet splitting is not << 1/T_loop.
+WINDOW_VIOLATION = {
+    "e_e1": 2 * math.pi * 1.0e6, "e_e2": 2 * math.pi * 14.0e6, "e_a": 2 * math.pi * 18.0e6,
+}
+
+RATIO = (2, "frequency ratio overflows")
+OVERFLOWING_DRIVE = dict(TRIMER_DRIVE, omega12=1e-300, omega=1e200)
+# (scenario, params override, {command: (exit code, stderr phrase)}): overflows that once exited 1.
+OVERFLOWING_INPUTS = [
+    ("demo-budget", {"platform": {"t_loop": 1e-300}},
+     {"run": (3, "leakage estimate overflows"), "validate": (2, "adiabatic window violated")}),
+    ("trimer-sim", {"drive": OVERFLOWING_DRIVE}, {"run": RATIO, "validate": RATIO}),
+    ("phase-sweep", {"drive": OVERFLOWING_DRIVE}, {"run": RATIO, "validate": RATIO}),
+]
+
 
 class TestRun:
     def test_gate_synth_happy_path(self, tmp_path):
@@ -223,12 +238,36 @@ class TestRun:
 
     @pytest.mark.parametrize("command", ["run", "validate"])
     def test_ramsey_mode_ordering_exits_2(self, tmp_path, capsys, command):
-        params = dict(BASE_PARAMS["ramsey"], platform={"e_a": 2.5})
-        cfg = {"schema_version": 1, "scenario": "ramsey", "seed": 0, "params": params}
+        # a ramsey run needs the whole adiabatic window, not only the mode ordering
+        for platform, message in (({"e_a": 2.5}, "mode ordering violated"),
+                                  (WINDOW_VIOLATION, "adiabatic window violated")):
+            params = dict(BASE_PARAMS["ramsey"], platform=platform)
+            cfg = {"schema_version": 1, "scenario": "ramsey", "seed": 0, "params": params}
+            out = tmp_path / "out"
+            argv = [command, write_config(tmp_path, cfg)]
+            assert main(argv + (["--out", str(out)] if command == "run" else [])) == 2
+            assert message in capsys.readouterr().err
+            assert not out.exists() or not any(out.iterdir())
+
+    def test_demo_budget_reports_failed_window(self, tmp_path):
+        cfg = {"schema_version": 1, "scenario": "demo-budget", "seed": 0,
+               "params": {"platform": WINDOW_VIOLATION}}
+        out = tmp_path / "out"
+        assert main(["run", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+        window = json.loads((out / "budget.json").read_text())["window"]
+        assert window["passed"] is False and window["ratio_lower"] < window["factor"]
+
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    @pytest.mark.parametrize("scenario, params, outcome", OVERFLOWING_INPUTS)
+    def test_overflowing_input_exits_cleanly(self, tmp_path, capsys, command, scenario, params, outcome):
+        cfg = {"schema_version": 1, "scenario": scenario, "seed": 0,
+               "params": dict(BASE_PARAMS[scenario], **params)}
         out = tmp_path / "out"
         argv = [command, write_config(tmp_path, cfg)] + (["--out", str(out)] if command == "run" else [])
-        assert main(argv) == 2
-        assert "mode ordering violated" in capsys.readouterr().err
+        code, phrase = outcome[command]
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and phrase in err
         assert not out.exists() or not any(out.iterdir())
 
     def test_determinism_byte_identical(self, tmp_path):
@@ -558,7 +597,9 @@ def test_write_csv_matches_per_value_format(tmp_path, rows):
     assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "value.csv").read_bytes()
 
 
-HOSTILE_VALUES = ["x", True, None, [], [1], {}, {"x": 1}, 0, -1, 2.5, math.nan, 10**12]
+HOSTILE_VALUES = [
+    "x", True, None, [], [1], {}, {"x": 1}, 0, -1, 2.5, math.nan, 10**12, 1e200, -1e200, 1e-300,
+]
 
 
 def table_paths(table, prefix=()):
@@ -588,7 +629,7 @@ def hostile_configs(draw):
 @settings(max_examples=200, deadline=None)
 @given(hostile_configs())
 def test_hostile_parameters_exit_cleanly(cfg):
-    # validate is stricter than run only through the adiabatic-window margin
+    # run and validate share one pre-flight; only a demo-budget run reports a failed window
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "config.json")
         with open(path, "w") as fh:
@@ -598,6 +639,6 @@ def test_hostile_parameters_exit_cleanly(cfg):
             validated = main(["validate", path])
             ran = main(["run", path, "--out", os.path.join(tmp, "out")])
     assert validated in (0, 2, 3) and ran in (0, 2, 3)
-    window = "adiabatic window violated" in err.getvalue()
+    window = cfg["scenario"] == "demo-budget" and "adiabatic window violated" in err.getvalue()
     if validated == 2 and not window:
         assert ran == 2

@@ -12,7 +12,7 @@ from triholonomy.demonstrator import (
     leakage_estimate,
     ramsey_echo,
 )
-from triholonomy.errors import ValidationError
+from triholonomy.errors import NumericalError, ValidationError
 from triholonomy.gates import make_ellipse_loop, synth_phase_gate
 from triholonomy.holonomy import HolonomyLoop
 from triholonomy.shapespace import ShapeLoop
@@ -67,6 +67,18 @@ class TestLeakage:
         p1 = PlatformParams(t_loop=1e-6)
         p2 = PlatformParams(t_loop=2e-6)
         assert leakage_estimate(p1) == pytest.approx(4.0 * leakage_estimate(p2), rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"t_loop": 1e-300},  # (1/(T gap))**2 overflows
+            {"t_loop": 5e-324},  # 1/(T gap) is already inf
+            {"t_loop": 1e-300, "e_e1": 1e-300, "e_e2": 1e-300, "e_a": 1e-30},  # T gap underflows to 0
+        ],
+    )
+    def test_overflow_raises(self, overrides):
+        with pytest.raises(NumericalError, match="leakage estimate overflows"):
+            leakage_estimate(PlatformParams(**overrides))
 
     def test_per_gate_union_bound(self):
         p1 = PlatformParams(n_rep=1)

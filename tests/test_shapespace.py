@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from triholonomy.errors import ValidationError
 from triholonomy.shapespace import (
     JacobiPair,
+    PreshapePoint,
     ShapeLoop,
     TriangleConfig,
     hopf_project,
@@ -124,11 +125,20 @@ class TestToPreshape:
         with pytest.raises(ValidationError):
             to_preshape(JacobiPair(0j, 0j))
 
+    def test_tiny_negative_phase_stays_below_two_pi(self):
+        # -1e-17 % (2 pi) rounds to 2 pi, outside the documented [0, 2 pi)
+        p = to_preshape(JacobiPair(1 + 0j, complex(1, -1e-17)))
+        assert 0.0 <= p.phase2 < 2 * math.pi
+
 
 class TestHopfProject:
     def test_pole_is_flagged_azimuth_degenerate(self):
         pt = hopf_project(to_preshape(JacobiPair(1.0 + 0j, 0j)))
         assert pt.azimuth_degenerate and pt.azimuth == 0.0 and pt.is_polar
+
+    def test_tiny_negative_phase_difference_projects(self):
+        pt = hopf_project(PreshapePoint(1.0, 1.0, 1e-17, 0.0))
+        assert pt.azimuth == 0.0
 
     def test_phase_difference(self):
         p = to_preshape(JacobiPair(math.cos(0.3) + 1j * math.sin(0.3), 1j))

@@ -60,6 +60,15 @@ class TestBondDrive:
         with pytest.raises(ValidationError):
             drive.common_period(max_denominator=8)
 
+    def test_nan_frequency_rejected(self):
+        with pytest.raises(ValidationError, match="frequencies must be positive"):
+            BondDrive(1.1, 0.2, 1.0, 1.0, 0.15, math.nan)
+
+    def test_overflowing_ratio_rejected(self):
+        drive = BondDrive(1.1, 0.2, 1e-300, 1.0, 0.15, 1e200)
+        with pytest.raises(ValidationError, match="frequency ratio overflows"):
+            drive.common_period()
+
 
 class TestShapeFromBonds:
     def test_equilateral_symmetric(self):
