@@ -183,9 +183,9 @@ def gate_budget(params: PlatformParams, contingency: float = 1.0) -> ErrorBudget
 
     p_decay = 1 - exp(-T_gate / tau_R); leakage uses the per-loop estimate
     times n_rep (leading-order union bound); phase_drift is the pre-echo
-    dynamical phase splitting * T_gate.  ``contingency`` is a documented
-    multiplicative allowance for unmodelled channels (stray fields,
-    waveform noise) applied to the total.
+    dynamical phase splitting * T_gate, and NumericalError is raised when it
+    is not finite.  ``contingency`` is a documented multiplicative allowance
+    for unmodelled channels (stray fields, waveform noise) applied to the total.
     """
     if contingency < 1.0:
         raise ValidationError("contingency factor cannot be below 1")
@@ -193,6 +193,8 @@ def gate_budget(params: PlatformParams, contingency: float = 1.0) -> ErrorBudget
     p_decay = 1.0 - math.exp(-t_gate / params.tau_r)
     p_leak = min(1.0, params.n_rep * leakage_estimate(params))
     phase_drift = params.splitting * t_gate
+    if not math.isfinite(phase_drift):
+        raise NumericalError(f"phase drift is not finite: splitting x gate time = {phase_drift}")
     total = min(1.0, (1.0 - (1.0 - p_decay) * (1.0 - p_leak)) * contingency)
     return ErrorBudget(p_leak, p_decay, phase_drift, total)
 

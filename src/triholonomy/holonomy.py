@@ -387,12 +387,17 @@ def dyson_trace(loop: HolonomyLoop, order: int = 2) -> TraceExpansion:
     return trace_expansion_from_rates(c, j, order)
 
 
-def rotation_angle(w: WilsonLine) -> float:
-    """Qubit rotation angle Theta = 2 arccos(Tr W / 2), principal branch in [0, 2 pi]."""
-    half_trace = w.trace / 2.0
+def _half_trace_angle(trace: float) -> float:
+    """arccos(trace / 2) in [0, pi]; |trace / 2| must be <= 1 + 1e-10 (NaN fails)."""
+    half_trace = trace / 2.0
     if not abs(half_trace) <= 1.0 + 1e-10:
         raise NumericalError(f"trace magnitude {2 * half_trace:.6f} exceeds 2 beyond tolerance")
-    return 2.0 * math.acos(min(1.0, max(-1.0, half_trace)))
+    return math.acos(min(1.0, max(-1.0, half_trace)))
+
+
+def rotation_angle(w: WilsonLine) -> float:
+    """Qubit rotation angle Theta = 2 arccos(Tr W / 2), principal branch in [0, 2 pi]."""
+    return 2.0 * _half_trace_angle(w.trace)
 
 
 def effective_angular_momentum(
@@ -402,7 +407,7 @@ def effective_angular_momentum(
 
     L_eff = 2 (I_avg / T) arccos(loop_trace / 2), with I_avg the time-averaged
     moment of inertia about the time-averaged triangle normal through the
-    centroid.
+    centroid.  A NaN loop_trace, or one beyond [-2, 2] by 1e-10, raises NumericalError.
     """
     if period <= 0:
         raise ValidationError("period must be positive")
@@ -414,15 +419,8 @@ def effective_angular_momentum(
     if norm < 1e-12:
         raise ValidationError("time-averaged normal vanishes")
     mean_normal = mean_normal / norm
-    inertias = np.array(
-        [
-            float(
-                cfg.masses
-                @ (np.sum(cfg.vertices**2, axis=1) - (cfg.vertices @ mean_normal) ** 2)
-            )
-            for cfg in trajectory
-        ]
-    )
-    i_avg = float(np.mean(inertias))
-    half_trace = min(1.0, max(-1.0, loop_trace / 2.0))
-    return 2.0 * (i_avg / period) * math.acos(half_trace)
+    i_avg = float(np.mean([
+        cfg.masses @ (np.sum(cfg.vertices**2, axis=1) - (cfg.vertices @ mean_normal) ** 2)
+        for cfg in trajectory
+    ]))
+    return 2.0 * (i_avg / period) * _half_trace_angle(loop_trace)

@@ -23,15 +23,10 @@ from fractions import Fraction
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .connection import BlochField, LoopSamples, connection_vectors, monopole_potential
+from .connection import monopole_potential
 from .errors import MAX_SAMPLES, NumericalError, ValidationError
-from .holonomy import WilsonLine, _check_transport, _transport, midpoint_grid
+from .holonomy import _check_transport, midpoint_grid
 from .shapespace import TriangleConfig, _check_loop_samples, shape_angles
-
-# Windows are transported in chunks of about this many SU(2) steps: enough
-# to amortise the per-call cost, while the chunk's arrays (0.25 MB of step
-# pairs) stay small enough not to raise the process's peak memory.
-_CHUNK_STEPS = 2**13
 
 __all__ = [
     "BondDrive",
@@ -327,13 +322,16 @@ def effective_momentum_series(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sliding one-period geometric angular momentum estimates.
 
-    Each window of one common period is mapped to a closed shape loop, its
-    pinned-axis holonomy trace integrated, and the geometric angular
-    momentum 2 (I_avg / T) arccos(trace / 2) reported at the window start
-    times.  Every window is the same piecewise-linear loop transport as
-    :func:`~triholonomy.holonomy.integrate_wilson` with ``min(steps,
-    n_window)`` steps; all windows share one parameter grid, so they are
-    sampled by one gather and transported as one batch per chunk.
+    Each window of one common period is mapped to a closed shape loop and
+    2 (I_avg / T) arccos(Tr W / 2) is reported at the window start times.  A
+    window is a pinned-axis loop with zero control, so its holonomy is
+    diagonal and Tr W = 2 cos(eta_T / 2): eta_T is charge times the monopole
+    potential summed at the ``min(steps, n_window)`` midpoints of
+    :func:`~triholonomy.holonomy.integrate_wilson`, which it matches to
+    round-off.  All windows share one parameter grid and one gather.
+
+    Raises ValidationError for a bad period, stride, step count or charge or
+    an open window loop, and NumericalError for a non-finite window phase.
     """
     dt = traj.dt
     n_window = int(round(period / dt))
@@ -344,6 +342,8 @@ def effective_momentum_series(
         raise ValidationError("trajectory shorter than one window period")
     if stride is None:
         stride = max(1, n_window // 4)
+    elif isinstance(stride, bool) or not isinstance(stride, (int, np.integer)) or stride < 1:
+        raise ValidationError(f"window stride must be a positive integer, got {stride!r}")
     starts = np.arange(0, total - n_window, stride, dtype=int)
     theta_sh, phi_sh = shape_angles(traj.body, traj.masses)
     # (windows, n_window + 1) views: row w holds the samples of window w.
@@ -354,7 +354,6 @@ def effective_momentum_series(
     _check_loop_samples(th_w, ph_w)
     n_steps = min(steps, n_window)
     _check_transport(n_steps, charge)
-    field = BlochField.pinned()
 
     # ShapeLoop.at (np.interp) and ShapeLoop.tangent, on the shared grid.
     s_mid, ds = midpoint_grid(n_steps)
@@ -363,16 +362,12 @@ def effective_momentum_series(
     offset, width = s_mid - grid[j], grid[j + 1] - grid[j]
     seg = 2 * math.pi / n_window
     k = np.clip((s_mid / seg).astype(int), 0, n_window - 1)
-
-    angles = np.empty(starts.size)
-    chunk = max(1, _CHUNK_STEPS // n_steps)
-    for c0 in range(0, starts.size, chunk):
-        th, ph = th_w[c0 : c0 + chunk], ph_w[c0 : c0 + chunk]
-        colat = (th[:, j + 1] - th[:, j]) / width * offset + th[:, j]
-        a = monopole_potential(colat, (ph[:, k + 1] - ph[:, k]) / seg).ravel()
-        vecs = connection_vectors(LoopSamples(a, np.zeros(a.size, dtype=complex), None), field)
-        mats = _transport(vecs.reshape(-1, n_steps, 3), charge * ds)
-        for w, m in enumerate(mats, start=c0):
-            angles[w] = math.acos(min(1.0, max(-1.0, WilsonLine(m, charge).trace / 2.0)))
+    colat = (th_w[:, j + 1] - th_w[:, j]) / width * offset + th_w[:, j]
+    a = monopole_potential(colat, (ph_w[:, k + 1] - ph_w[:, k]) / seg)
+    half_eta = 0.5 * charge * ds * a.sum(axis=1)
+    if not np.all(np.isfinite(half_eta)):
+        t_bad = traj.times[starts][~np.isfinite(half_eta)][0]
+        raise NumericalError(f"window phase is not finite in the window at t = {t_bad:.6g}")
+    angles = np.arccos(np.clip(np.cos(half_eta), -1.0, 1.0))
     values = 2.0 * (inertia_w.mean(axis=1) / period) * angles
     return traj.times[starts], values

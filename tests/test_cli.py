@@ -224,6 +224,11 @@ class TestRun:
             ("phase-sweep", {"drive": dict(TRIMER_DRIVE, d12=1e200, d=1e200, a12=0, a=0)},
              "zero-angular-momentum invariant"),
             ("linking", {"hopf": {"radius1": 1e200, "segments": 64}}, "Gauss integral"),
+            ("demo-budget", {"platform": {"e_e1": 1e200, "e_a": 1e201, "t_loop": 1e200}},
+             "phase drift"),
+            # zero splitting times an infinite gate time
+            ("demo-budget", {"platform": {"e_e1": 31415926.5, "e_e2": 31415926.5, "t_loop": 1e308}},
+             "phase drift"),
         ],
     )
     def test_overflow_to_nan_exits_3_without_outputs(self, tmp_path, capsys, scenario, params, invariant):

@@ -354,3 +354,8 @@ class TestEffectiveAngularMomentum:
     def test_zero_period_rejected(self):
         with pytest.raises(ValidationError):
             effective_angular_momentum(self._static_configs([1, 1, 1]), 2.0, 0.0)
+
+    @pytest.mark.parametrize("trace", [math.nan, 7.0])
+    def test_bad_trace_rejected(self, trace):
+        with pytest.raises(NumericalError, match="trace magnitude"):
+            effective_angular_momentum(self._static_configs([1, 1, 1]), trace, 1.0)

@@ -412,6 +412,11 @@ class TestEffectiveMomentumSeries:
             effective_momentum_series(traj, period, charge=0.0)
         with pytest.raises(ValidationError, match="does not close"):
             effective_momentum_series(traj, period / 2)
+        for stride in (0, -1, 2.5):
+            with pytest.raises(ValidationError, match="stride"):
+                effective_momentum_series(traj, period, stride)
+        with pytest.raises(NumericalError, match="window phase is not finite"):
+            effective_momentum_series(traj, period, charge=math.inf)
 
     def test_static_drive_is_zero(self):
         drive = BondDrive(1.1, 0.0, 1.0, 1.0, 0.0, 3.0)
