@@ -101,8 +101,8 @@ class WilsonLine:
 
 def _check_transport(steps: int, charge: float) -> None:
     """Step count and coupling weight of a loop transport."""
-    if steps < 8:
-        raise ValidationError("holonomy integration needs at least 8 steps")
+    if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)) or steps < 8:
+        raise ValidationError(f"holonomy integration needs an integer of at least 8 steps, got {steps!r}")
     if not charge > 0:
         raise ValidationError("charge must be positive")
 

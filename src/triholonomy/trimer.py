@@ -39,6 +39,10 @@ __all__ = [
     "effective_momentum_series",
 ]
 
+# Bytes of one (windows, steps) sample array per block of windows: one
+# block holds every window of a CLI run up to about 128 periods.
+_WINDOW_BLOCK_BYTES = 1 << 22
+
 
 @dataclass(frozen=True)
 class BondDrive:
@@ -328,7 +332,8 @@ def effective_momentum_series(
     diagonal and Tr W = 2 cos(eta_T / 2): eta_T is charge times the monopole
     potential summed at the ``min(steps, n_window)`` midpoints of
     :func:`~triholonomy.holonomy.integrate_wilson`, which it matches to
-    round-off.  All windows share one parameter grid and one gather.
+    round-off.  All windows share one parameter grid and are gathered in
+    row blocks of at most ``_WINDOW_BLOCK_BYTES`` per sample array.
 
     Raises ValidationError for a bad period, stride, step count or charge or
     an open window loop, and NumericalError for a non-finite window phase.
@@ -352,8 +357,8 @@ def effective_momentum_series(
         for x in (theta_sh, phi_sh, traj.moment_of_inertia())
     )
     _check_loop_samples(th_w, ph_w)
+    _check_transport(steps, charge)
     n_steps = min(steps, n_window)
-    _check_transport(n_steps, charge)
 
     # ShapeLoop.at (np.interp) and ShapeLoop.tangent, on the shared grid.
     s_mid, ds = midpoint_grid(n_steps)
@@ -362,9 +367,13 @@ def effective_momentum_series(
     offset, width = s_mid - grid[j], grid[j + 1] - grid[j]
     seg = 2 * math.pi / n_window
     k = np.clip((s_mid / seg).astype(int), 0, n_window - 1)
-    colat = (th_w[:, j + 1] - th_w[:, j]) / width * offset + th_w[:, j]
-    a = monopole_potential(colat, (ph_w[:, k + 1] - ph_w[:, k]) / seg)
-    half_eta = 0.5 * charge * ds * a.sum(axis=1)
+    rows = max(1, _WINDOW_BLOCK_BYTES // (8 * n_steps))
+    sums = np.empty(starts.size)
+    for w in range(0, starts.size, rows):
+        th, ph = th_w[w : w + rows], ph_w[w : w + rows]
+        colat = (th[:, j + 1] - th[:, j]) / width * offset + th[:, j]
+        sums[w : w + rows] = monopole_potential(colat, (ph[:, k + 1] - ph[:, k]) / seg).sum(axis=1)
+    half_eta = 0.5 * charge * ds * sums
     if not np.all(np.isfinite(half_eta)):
         t_bad = traj.times[starts][~np.isfinite(half_eta)][0]
         raise NumericalError(f"window phase is not finite in the window at t = {t_bad:.6g}")

@@ -256,6 +256,13 @@ class TestHolonomyTrace:
     def test_equator(self):
         assert abs(holonomy_trace(pinned_loop(equator(), q=1.0))) < 1e-6
 
+    def test_step_count_must_be_an_integer(self):
+        # 100.5 steps used to run ds = 2 pi / 100.5 over 101 midpoints
+        for steps in (100.5, True, 7):
+            with pytest.raises(ValidationError, match="integer of at least 8 steps"):
+                pinned_loop(equator(), steps=steps)
+        assert pinned_loop(equator(), steps=np.int64(100)).steps == 100
+
     def test_gauge_rotated_data(self):
         base = wilson_from_rates(lambda s: 0.1, lambda s: 0.05, 1.0, 4096).trace
         rotated = wilson_from_rates(

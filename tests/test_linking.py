@@ -4,9 +4,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from triholonomy.errors import ValidationError
+from triholonomy import linking
+from triholonomy.errors import NumericalError, ValidationError
 from triholonomy.linking import (
     _BLOCK_PAIRS,
+    _VIEWS,
+    _crossings,
     LinkData,
     SpaceCurve,
     cs_phase,
@@ -68,6 +71,35 @@ def crossing_count_linking(c1: SpaceCurve, c2: SpaceCurve, view=(0.231, 0.117, 0
                 total += int(sign if height_1 > height_2 else -sign)
     assert total % 2 == 0
     return total // 2
+
+
+def solid_angle_linking(c1: SpaceCurve, c2: SpaceCurve) -> float:
+    """Oracle: the exact polygon Gauss integral as a sum of signed solid angles.
+
+    Klenin & Langowski, Biopolymers 54, 307 (2000): segment pair (1-2, 3-4)
+    spans the solid angle of the quadrilateral 1-3-2-4 seen from the origin of
+    r = r1 - r2, signed by (r34 x r12) . r13.
+    """
+    a, b = c1.points[:-1, None, :], c1.points[1:, None, :]
+    c, d = c2.points[None, :-1, :], c2.points[None, 1:, :]
+    r13, r14, r23, r24 = c - a, d - a, c - b, d - b
+    faces = [np.cross(r13, r14), np.cross(r14, r24), np.cross(r24, r23), np.cross(r23, r13)]
+    faces = [f / np.linalg.norm(f, axis=-1, keepdims=True) for f in faces]
+    omega = sum(
+        np.arcsin(np.clip(np.sum(faces[k] * faces[(k + 1) % 4], axis=-1), -1.0, 1.0)) for k in range(4)
+    )
+    sign = np.sign(np.sum(np.cross(d - c, b - a) * r13, axis=-1))
+    return float(np.sum(omega * sign) / (4 * math.pi))
+
+
+def smooth_curve(rng, n, offset):
+    """A random closed trigonometric curve with three harmonics."""
+    t = np.linspace(0, 2 * math.pi, n + 1)[:, None]
+    pts = offset + sum(
+        (rng.normal(size=3) * np.cos(m * t) + rng.normal(size=3) * np.sin(m * t)) / m for m in (1, 2, 3)
+    )
+    pts[-1] = pts[0]
+    return SpaceCurve(pts)
 
 
 def broadcast_linking_integral(c1: SpaceCurve, c2: SpaceCurve) -> float:
@@ -151,6 +183,105 @@ class TestGaussLinking:
         c2 = circle([0, 0, 1e-4], [0, 0, 1], 1.0, n=64)
         with pytest.raises(ValidationError):
             gauss_linking(c1, c2)
+
+
+class TestExactCrossings:
+    """The signed-crossing count against the exact polygon integral."""
+
+    def test_near_miss_polygons_are_unlinked(self):
+        # The midpoint quadrature returned -257.013 here, within 0.05 of -257.
+        t = 2 * math.pi * np.arange(17) / 16
+        p1 = np.stack([np.cos(t), np.sin(t), 0 * t], axis=1)
+        s = 2 * math.pi * (np.arange(33) + 0.5) / 32
+        p2 = 0.5 * (p1[0] + p1[1]) + [1.0, 0.0, 0.0] + np.stack([-np.cos(s), 0 * s, np.sin(s)], axis=1)
+        p1[-1], p2[-1] = p1[0], p2[0]
+        c1, c2 = SpaceCurve(p1), SpaceCurve(p2)
+        assert abs(solid_angle_linking(c1, c2)) < 1e-12
+        assert gauss_linking(c1, c2) == 0
+
+    @pytest.mark.parametrize(
+        "n1, n2, center, normal, radius, lk",
+        [
+            (16, 16, [0.295, 0.448, -0.725], [-0.39, -0.09, -0.22], 1.03, 0),  # quadrature -4.048
+            (16, 32, [-1.362, -0.755, 0.829], [-1.66, -0.45, -1.24], 1.01, 0),  # quadrature 6.012
+            (24, 64, [0.444, -1.377, 0.363], [0.78, 0.22, 1.19], 0.93, 1),  # quadrature 3.971
+        ],
+    )
+    def test_near_miss_circle_pairs(self, n1, n2, center, normal, radius, lk):
+        c1 = circle([0, 0, 0], [0, 0, 1], 1.0, n=n1)
+        c2 = circle(center, normal, radius, n=n2)
+        assert solid_angle_linking(c1, c2) == pytest.approx(lk, abs=1e-9)
+        assert gauss_linking(c1, c2) == lk
+
+    def test_random_smooth_pairs_match_oracles(self):
+        rng = np.random.default_rng(0)
+        seen = set()
+        for _ in range(24):
+            c1, c2 = smooth_curve(rng, 48, 0.0), smooth_curve(rng, 48, 0.7 * rng.normal(size=3))
+            exact = solid_angle_linking(c1, c2)
+            assert exact == pytest.approx(round(exact), abs=1e-9)
+            lk = gauss_linking(c1, c2)
+            assert lk == round(exact) == crossing_count_linking(c1, c2)
+            seen.add(lk)
+        assert len(seen) >= 3
+
+    def test_vertex_on_projected_segment_retries_second_view(self):
+        c1, c2 = hopf_pair(n_segments=64)
+        v = np.asarray(_VIEWS[0]) / np.linalg.norm(_VIEWS[0])
+        flat = np.eye(3) - np.outer(v, v)
+        # move c2 within the view plane so its vertex nearest (in projection)
+        # to a segment midpoint of c1 lands exactly on that midpoint
+        gap = (c1.midpoints[:, None, :] - c2.points[None, :-1, :]) @ flat
+        i, k = np.unravel_index(np.argmin(np.linalg.norm(gap, axis=2)), gap.shape[:2])
+        moved = c2.translated(gap[i, k])
+        p1, p2 = (c.points / max(c1.diameter, moved.diameter) for c in (c1, moved))
+        assert np.linalg.norm(gap[i, k]) < 0.05
+        assert _crossings(p1, p2, _VIEWS[0])[1]
+        assert not _crossings(p1, p2, _VIEWS[1])[1]
+        assert gauss_linking(c1, moved) == 1 == crossing_count_linking(c1, moved)
+
+    def test_touching_curves_fail_closed(self):
+        # c2 passes through c1's vertex (1, 0, 0); midpoints stay 0.28 apart
+        c1 = circle([0, 0, 0], [0, 0, 1], 1.0, n=16)
+        t = 2 * math.pi * np.arange(17) / 16
+        p2 = np.stack([2.0 + np.cos(t), 0 * t, np.sin(t)], axis=1)
+        p2[8], p2[-1] = c1.points[0], p2[0]
+        with pytest.raises(NumericalError, match="degenerate"):
+            gauss_linking(c1, SpaceCurve(p2))
+
+    def test_memory_bounded_when_every_interval_overlaps(self, monkeypatch):
+        v = np.asarray(_VIEWS[0]) / np.linalg.norm(_VIEWS[0])
+        e1 = np.cross(v, [1.0, 0.0, 0.0])
+        e1 /= np.linalg.norm(e1)
+
+        def zigzag(n, shift, height):
+            # every segment spans the projected x-range [-1, 1] of the first view
+            k = np.arange(n + 1)[:, None]
+            pts = np.where(k % 2 == 0, -1.0, 1.0) * e1 + (shift + k / n) * np.cross(v, e1) + height * v
+            pts[-1] = pts[0]
+            return SpaceCurve(pts)
+
+        blocks = []
+        sweep = linking._overlapping
+
+        def counted(*boxes):
+            blocks.append(0)
+            for i, j in sweep(*boxes):
+                blocks[-1] += 1
+                yield i, j
+
+        monkeypatch.setattr(linking, "_overlapping", counted)
+        n = 1024
+        c1, c2 = zigzag(n, 0.0, 0.0), zigzag(n, 0.3 + 0.5 / n, 0.5)
+        tracemalloc.start()
+        try:
+            lk = gauss_linking(c1, c2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert blocks[1] == n * n // _BLOCK_PAIRS  # the crossing sweep of the first view
+        assert lk == 0
+        assert peak < 16e6
 
 
 class TestBlockedKernel:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from triholonomy.connection import BlochField, ControlField
 from triholonomy.errors import MAX_SAMPLES, NumericalError, ValidationError
 from triholonomy.holonomy import HolonomyLoop, integrate_wilson
 from triholonomy.shapespace import ShapeLoop, TriangleConfig, hopf_project, to_jacobi, to_preshape
+from triholonomy import trimer
 from triholonomy.trimer import (
     BondDrive,
     _body_positions,
@@ -406,8 +408,9 @@ class TestEffectiveMomentumSeries:
         drive = reference_drive()
         period = drive.common_period()
         traj = reconstruct_rotation(drive, REFERENCE_MASSES, 2 * period)
-        with pytest.raises(ValidationError, match="at least 8 steps"):
-            effective_momentum_series(traj, period, steps=7)
+        for steps in (7, 100.5, True):
+            with pytest.raises(ValidationError, match="at least 8 steps"):
+                effective_momentum_series(traj, period, steps=steps)
         with pytest.raises(ValidationError, match="charge"):
             effective_momentum_series(traj, period, charge=0.0)
         with pytest.raises(ValidationError, match="does not close"):
@@ -417,6 +420,31 @@ class TestEffectiveMomentumSeries:
                 effective_momentum_series(traj, period, stride)
         with pytest.raises(NumericalError, match="window phase is not finite"):
             effective_momentum_series(traj, period, charge=math.inf)
+
+    def test_row_blocks_are_bit_identical(self, monkeypatch):
+        drive = reference_drive()
+        period = drive.common_period()
+        traj = reconstruct_rotation(drive, REFERENCE_MASSES, 3 * period, period / 512)
+        _, one_block = effective_momentum_series(traj, period, 7)
+        assert one_block.size > 8 * 7
+        # 7 windows of 512 steps per block, the last block ragged
+        monkeypatch.setattr(trimer, "_WINDOW_BLOCK_BYTES", 7 * 8 * 512)
+        _, many_blocks = effective_momentum_series(traj, period, 7)
+        assert many_blocks.tobytes() == one_block.tobytes()
+
+    def test_memory_bounded_at_stride_one(self):
+        drive = reference_drive()
+        period = drive.common_period()
+        traj = reconstruct_rotation(drive, REFERENCE_MASSES, 8 * period, period / 512)
+        tracemalloc.start()
+        try:
+            starts, _ = effective_momentum_series(traj, period, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 3585 windows x 512 steps: one gather of every window peaked near 59 MB
+        assert starts.size == 7 * 512 + 1
+        assert peak < 30e6
 
     def test_static_drive_is_zero(self):
         drive = BondDrive(1.1, 0.0, 1.0, 1.0, 0.0, 3.0)
