@@ -13,11 +13,7 @@ from .connection import (
     ConnectionSample,
     ControlField,
     GaugePatch,
-    bloch_area_potential,
-    bloch_axis,
-    curvature_sample,
     curvature_vector,
-    guichardet_connection,
     wilczek_zee_sample,
 )
 from .demonstrator import (
@@ -53,7 +49,6 @@ from .holonomy import (
     TraceExpansion,
     WilsonLine,
     dyson_trace,
-    effective_angular_momentum,
     holonomy_trace,
     integrate_wilson,
     rotation_angle,

@@ -33,8 +33,7 @@ pinned fields, ``psi (d mu - i sin mu d lambda)`` for analytic ones), with
 through the axis field.
 
 Every quantity is evaluated on arrays of samples (``monopole_potential``,
-``connection_vectors``, ``eigenframe_rate_samples``); the pointwise
-functions are one-sample calls into these kernels.
+``connection_vectors``, ``eigenframe_rate_samples``).
 """
 
 from __future__ import annotations
@@ -58,15 +57,12 @@ __all__ = [
     "monopole_potential",
     "connection_vectors",
     "eigenframe_rate_samples",
-    "guichardet_connection",
-    "bloch_axis",
-    "bloch_area_potential",
     "wilczek_zee_sample",
-    "curvature_sample",
     "curvature_vector",
 ]
 
 _FD_STEP = 1e-6  # central-difference step for angle partials
+_CURVATURE_STEP = 1e-5  # central-difference step of the curvature's exterior derivative
 _PAULI = (
     np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
     np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
@@ -79,12 +75,6 @@ class GaugePatch(enum.Enum):
 
     NORTH = "north"  # regular at theta = 0, excluded pole at theta = pi
     SOUTH = "south"  # regular at theta = pi, excluded pole at theta = 0
-
-
-def vector_to_su2(v) -> np.ndarray:
-    """Embed a real 3-vector as v . sigma / 2i (anti-Hermitian traceless)."""
-    vx, vy, vz = v
-    return (vx * _PAULI[0] + vy * _PAULI[1] + vz * _PAULI[2]) / 2j
 
 
 class BlochField:
@@ -207,22 +197,6 @@ class BlochField:
             return np.full(np.shape(th), mu), np.full(np.shape(th), math.atan2(n[1], n[0]))
         return self._mu(th, ph), self._lam(th, ph)
 
-    def angles(self, point: ShapePoint) -> tuple[float, float]:
-        """Bloch angles (mu, lam) at a shape point."""
-        mu, lam = self._angles(point.colatitude, point.azimuth)
-        return float(mu), float(lam)
-
-    def angle_rates(self, point: ShapePoint, tangent) -> tuple[float, float]:
-        """(d mu/ds, d lam/ds) along a shape-space tangent (dtheta/ds, dphi/ds)."""
-        _, _, dmu, dlam = self.angle_samples(point.colatitude, point.azimuth, *tangent)
-        return float(dmu), float(dlam)
-
-    def axis(self, point: ShapePoint) -> np.ndarray:
-        """The unit axis n at a shape point."""
-        if self.is_pinned:
-            return self._axis
-        return _axis_and_rate(*self.angles(point), 0.0, 0.0)[0]
-
 
 def _axis_and_rate(mu, lam, dmu, dlam) -> tuple[np.ndarray, np.ndarray]:
     """Unit axes n(mu, lam) and their rates dn/ds, stacked along a last axis of length 3."""
@@ -233,18 +207,6 @@ def _axis_and_rate(mu, lam, dmu, dlam) -> tuple[np.ndarray, np.ndarray]:
     dn_dmu = np.stack([cl * cm, sl * cm, -sm], axis=-1)
     dn_dlam = np.stack([-sl * sm, cl * sm, np.zeros_like(sm)], axis=-1)
     return n, np.asarray(dmu)[..., None] * dn_dmu + np.asarray(dlam)[..., None] * dn_dlam
-
-
-def bloch_axis(field: BlochField, point: ShapePoint, tangent) -> tuple[np.ndarray, np.ndarray]:
-    """Axis n and its parameter derivative dn/ds along a tangent.
-
-    The derivative is assembled from the exact angle gradients of the unit
-    sphere, so it is orthogonal to n at machine precision even when the
-    angle rates come from finite differences.
-    """
-    if field.is_pinned:
-        return field.pinned_axis, np.zeros(3)
-    return _axis_and_rate(*field.angle_samples(point.colatitude, point.azimuth, *tangent))
 
 
 class ControlField:
@@ -376,117 +338,7 @@ def connection_vectors(samples: LoopSamples, field: BlochField) -> np.ndarray:
 
 
 def eigenframe_rate_samples(samples: LoopSamples, q: float) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenframe transport rates (c, j) at each sample; see :func:`eigenframe_rates`."""
-    a, psi, axis = samples
-    if axis is None:
-        return q * a, q * psi
-    mu, lam, dmu, dlam = axis
-    omega = monopole_potential(mu, dlam, where="Bloch axis")
-    w = np.exp(-1j * lam) * (dmu - 1j * np.sin(mu) * dlam)
-    return q * a - 2.0 * omega, w * (q * psi + 1j * (q - 1.0))
-
-
-def _point_samples(point: ShapePoint, tangent, field: BlochField, psi, patch: GaugePatch) -> LoopSamples:
-    """Transport data at one shape point and tangent, as length-1 arrays."""
-    th, ph, dth, dph = (np.array([float(x)]) for x in (point.colatitude, point.azimuth, *tangent))
-    axis = None if field.is_pinned else field.angle_samples(th, ph, dth, dph)
-    return LoopSamples(monopole_potential(th, dph, patch, "shape point"), np.array([complex(psi)]), axis)
-
-
-def guichardet_connection(point: ShapePoint, tangent, patch: GaugePatch = GaugePatch.NORTH) -> float:
-    """Contraction of the shape-sphere monopole potential with a tangent.
-
-    Raises:
-        NumericalError: when evaluated at the patch's excluded pole.
-    """
-    return float(monopole_potential(point.colatitude, tangent[1], patch, "shape point"))
-
-
-def bloch_area_potential(
-    field: BlochField,
-    point: ShapePoint,
-    tangent,
-    bloch_patch: GaugePatch = GaugePatch.NORTH,
-) -> float:
-    """Contraction of omega, the unit-monopole potential on the Bloch sphere.
-
-    omega = (1/2)(1 - cos mu) d lambda in the north Bloch patch (the south
-    analog when the axis visits the neighbourhood of mu = pi), pulled back
-    through the axis field.  Pinned fields give exactly zero.
-    """
-    if field.is_pinned:
-        return 0.0
-    mu, _, _, dlam = field.angle_samples(point.colatitude, point.azimuth, *tangent)
-    return float(monopole_potential(mu, dlam, bloch_patch, "Bloch axis"))
-
-
-def connection_vector(
-    point: ShapePoint,
-    tangent,
-    field: BlochField,
-    psi: complex,
-    patch: GaugePatch = GaugePatch.NORTH,
-) -> np.ndarray:
-    """Real 3-vector V such that the full connection sample is V . sigma / 2i."""
-    return connection_vectors(_point_samples(point, tangent, field, psi, patch), field)[0]
-
-
-def wilczek_zee_sample(
-    point: ShapePoint,
-    tangent,
-    field: BlochField,
-    psi: complex,
-    patch: GaugePatch = GaugePatch.NORTH,
-    bloch_patch: GaugePatch = GaugePatch.NORTH,
-) -> ConnectionSample:
-    """Full SU(2) connection on a tangent with its abelian/transverse split."""
-    psi = complex(psi)
-    if not (np.isfinite(psi.real) and np.isfinite(psi.imag)):
-        raise ValidationError("control value must be finite")
-    samples = _point_samples(point, tangent, field, psi, patch)
-    full = vector_to_su2(connection_vectors(samples, field)[0])
-    a = float(samples.a[0])
-    if samples.axis is None:
-        return ConnectionSample(full, a, psi)
-    mu, _, dmu, dlam = (float(x[0]) for x in samples.axis)
-    omega = float(monopole_potential(mu, dlam, bloch_patch, "Bloch axis"))
-    return ConnectionSample(full, a + omega, psi * (dmu - 1j * math.sin(mu) * dlam))
-
-
-def section_frame(mu: float, lam: float) -> np.ndarray:
-    """SU(2) frame whose columns are the axis eigenvectors, north-regular section.
-
-    Columns: (cos(mu/2), e^{i lam} sin(mu/2)) and (-e^{-i lam} sin(mu/2),
-    cos(mu/2)).  Single-valued in lam; ill-defined at mu = pi.
-    """
-    c, s = math.cos(0.5 * mu), math.sin(0.5 * mu)
-    phase = complex(math.cos(lam), math.sin(lam))
-    return np.array([[c, -s / phase], [s * phase, c]], dtype=complex)
-
-
-def section_frame_derivative(mu: float, lam: float, dmu: float, dlam: float) -> np.ndarray:
-    """Parameter derivative of :func:`section_frame` along (dmu/ds, dlam/ds)."""
-    c, s = math.cos(0.5 * mu), math.sin(0.5 * mu)
-    phase = complex(math.cos(lam), math.sin(lam))
-    dc, dsn = -0.5 * s * dmu, 0.5 * c * dmu
-    return np.array(
-        [
-            [dc, (-dsn + 1j * s * dlam) / phase],
-            [(dsn + 1j * s * dlam) * phase, dc],
-        ],
-        dtype=complex,
-    )
-
-
-def eigenframe_rates(
-    point: ShapePoint,
-    tangent,
-    field: BlochField,
-    psi: complex,
-    q: float,
-    patch: GaugePatch = GaugePatch.NORTH,
-) -> tuple[float, complex]:
-    """Exact eigenframe transport rates (c, j) along a tangent.
+    """Exact eigenframe transport rates (c, j) at each sample.
 
     The transported state in the instantaneous eigenframe of the axis obeys
     dV/ds = (i/2) [[c, j], [conj(j), -c]] V.  For a pinned field c = q A and
@@ -500,8 +352,42 @@ def eigenframe_rates(
     These are the rates the trace expansion integrates; they agree with the
     reported (C, J) decomposition exactly in the pinned regime.
     """
-    c, j = eigenframe_rate_samples(_point_samples(point, tangent, field, psi, patch), q)
-    return float(c[0]), complex(j[0])
+    a, psi, axis = samples
+    if axis is None:
+        return q * a, q * psi
+    mu, lam, dmu, dlam = axis
+    omega = monopole_potential(mu, dlam, where="Bloch axis")
+    w = np.exp(-1j * lam) * (dmu - 1j * np.sin(mu) * dlam)
+    return q * a - 2.0 * omega, w * (q * psi + 1j * (q - 1.0))
+
+
+def _samples_at(th, ph, dth, dph, field: BlochField, psi, patch: GaugePatch) -> LoopSamples:
+    """Transport data at arrays of shape points (th, ph), tangents (dth, dph) and controls psi."""
+    axis = None if field.is_pinned else field.angle_samples(th, ph, dth, dph)
+    return LoopSamples(monopole_potential(th, dph, patch, "shape point"), psi, axis)
+
+
+def wilczek_zee_sample(
+    point: ShapePoint,
+    tangent,
+    field: BlochField,
+    psi: complex,
+    patch: GaugePatch = GaugePatch.NORTH,
+) -> ConnectionSample:
+    """Full SU(2) connection on a tangent with its (C, J) split, omega in the north Bloch patch."""
+    psi = complex(psi)
+    if not (np.isfinite(psi.real) and np.isfinite(psi.imag)):
+        raise ValidationError("control value must be finite")
+    th, ph, dth, dph = (np.array([float(x)]) for x in (point.colatitude, point.azimuth, *tangent))
+    samples = _samples_at(th, ph, dth, dph, field, np.array([psi]), patch)
+    vx, vy, vz = connection_vectors(samples, field)[0]
+    full = (vx * _PAULI[0] + vy * _PAULI[1] + vz * _PAULI[2]) / 2j
+    a = float(samples.a[0])
+    if samples.axis is None:
+        return ConnectionSample(full, a, psi)
+    mu, _, dmu, dlam = (float(x[0]) for x in samples.axis)
+    omega = float(monopole_potential(mu, dlam, where="Bloch axis"))
+    return ConnectionSample(full, a + omega, psi * (dmu - 1j * math.sin(mu) * dlam))
 
 
 def curvature_vector(
@@ -510,7 +396,6 @@ def curvature_vector(
     psi: complex,
     dpsi: tuple[complex, complex],
     patch: GaugePatch = GaugePatch.NORTH,
-    step: float = 1e-5,
 ) -> np.ndarray:
     """Real 3-vector f with the curvature's theta-phi component f . sigma / 2i.
 
@@ -527,28 +412,18 @@ def curvature_vector(
     ):
         raise ValidationError("control derivative data must be finite")
 
-    def comp(th, ph, direction):
-        pt = ShapePoint(th, ph % (2 * math.pi))
-        tang = (1.0, 0.0) if direction == 0 else (0.0, 1.0)
-        local_psi = psi + (th - th0) * dpsi_th + (ph - ph0) * dpsi_ph
-        return connection_vector(pt, tang, field, local_psi, patch)
-
-    h = step
-    d_th_of_Aphi = (comp(th0 + h, ph0, 1) - comp(th0 - h, ph0, 1)) / (2 * h)
-    d_ph_of_Ath = (comp(th0, ph0 + h, 0) - comp(th0, ph0 - h, 0)) / (2 * h)
-    a_th = comp(th0, ph0, 0)
-    a_ph = comp(th0, ph0, 1)
+    # Stencil rows: A_phi at theta0 +- h, A_theta at phi0 +- h, then A_theta and A_phi at the point.
+    h = _CURVATURE_STEP
+    th = th0 + h * np.array([1.0, -1.0, 0.0, 0.0, 0.0, 0.0])
+    ph = ph0 + h * np.array([0.0, 0.0, 1.0, -1.0, 0.0, 0.0])
+    if not np.all((th >= 0.0) & (th <= math.pi)):
+        raise ValidationError("colatitude outside [0, pi]")
+    dth = np.array([0.0, 0.0, 1.0, 1.0, 1.0, 0.0])
+    local_psi = psi + (th - th0) * dpsi_th + (ph - ph0) * dpsi_ph
+    samples = _samples_at(th, ph % (2 * math.pi), dth, 1.0 - dth, field, local_psi, patch)
+    v = connection_vectors(samples, field)
+    d_th_of_Aphi = (v[0] - v[1]) / (2 * h)
+    d_ph_of_Ath = (v[2] - v[3]) / (2 * h)
     # [v.sigma/2i, w.sigma/2i] = (v x w).sigma/2i  (cross-product commutator)
-    commutator = np.cross(a_th, a_ph)
+    commutator = np.cross(v[4], v[5])
     return d_th_of_Aphi - d_ph_of_Ath + commutator
-
-
-def curvature_sample(
-    point: ShapePoint,
-    field: BlochField,
-    psi: complex,
-    dpsi: tuple[complex, complex],
-    patch: GaugePatch = GaugePatch.NORTH,
-) -> np.ndarray:
-    """Curvature theta-phi component as a 2x2 anti-Hermitian matrix."""
-    return vector_to_su2(curvature_vector(point, field, psi, dpsi, patch))

@@ -1,5 +1,7 @@
 """Exception types and the sample budget shared across the package."""
 
+__all__ = ["MAX_SAMPLES", "ValidationError", "NumericalError"]
+
 MAX_SAMPLES = 2**26  # largest sample count a parameter or time grid may ask for
 
 

@@ -44,14 +44,13 @@ from .connection import (
     monopole_potential,
 )
 from .errors import NumericalError, ValidationError
-from .shapespace import ShapeLoop, TriangleConfig, _plane_basis
+from .shapespace import ShapeLoop
 
 __all__ = [
     "WilsonLine",
     "HolonomyLoop",
     "TraceExpansion",
     "integrate_wilson",
-    "transport_segment",
     "wilson_from_samples",
     "wilson_from_rates",
     "midpoint_grid",
@@ -60,7 +59,6 @@ __all__ = [
     "dyson_trace",
     "trace_expansion_from_rates",
     "rotation_angle",
-    "effective_angular_momentum",
 ]
 
 
@@ -90,13 +88,6 @@ class WilsonLine:
         if not abs(tr.imag) <= 1e-8:
             raise NumericalError(f"SU(2) trace acquired an imaginary part ({tr.imag:.3e})")
         return float(tr.real)
-
-    def inverse(self) -> "WilsonLine":
-        return WilsonLine(self.matrix.conj().T, self.charge)
-
-    def then(self, other: "WilsonLine") -> "WilsonLine":
-        """Composition: ``other`` transported after ``self``."""
-        return WilsonLine(other.matrix @ self.matrix, self.charge)
 
 
 def _check_transport(steps: int, charge: float) -> None:
@@ -257,14 +248,6 @@ def integrate_wilson(loop: HolonomyLoop) -> WilsonLine:
     return _wilson_line(connection_vectors(loop.sample(s_mid), loop.bloch), loop.charge, ds)
 
 
-def transport_segment(loop: HolonomyLoop, s0: float, s1: float, n_steps: int) -> np.ndarray:
-    """Open-path transport matrix over the parameter range [s0, s1] of a loop."""
-    if not s1 > s0:
-        raise ValidationError("segment must have positive parameter extent")
-    s_mid, ds = midpoint_grid(n_steps, s0, s1)
-    return _wilson_line(connection_vectors(loop.sample(s_mid), loop.bloch), loop.charge, ds).matrix
-
-
 def wilson_from_samples(abelian, control, charge: float) -> WilsonLine:
     """Transport a pinned-frame connection given as sampled rate data.
 
@@ -315,10 +298,6 @@ class TraceExpansion:
         )
         if not abs(composed - self.trace_estimate) <= 1e-12:
             raise ValidationError("trace estimate does not compose from its corrections")
-
-    @property
-    def order(self) -> int:
-        return 2 * len(self.corrections)
 
 
 def trace_expansion_from_rates(
@@ -398,29 +377,3 @@ def _half_trace_angle(trace: float) -> float:
 def rotation_angle(w: WilsonLine) -> float:
     """Qubit rotation angle Theta = 2 arccos(Tr W / 2), principal branch in [0, 2 pi]."""
     return 2.0 * _half_trace_angle(w.trace)
-
-
-def effective_angular_momentum(
-    trajectory: list[TriangleConfig], loop_trace: float, period: float
-) -> float:
-    """Geometric angular-momentum scale of a one-period shape cycle.
-
-    L_eff = 2 (I_avg / T) arccos(loop_trace / 2), with I_avg the time-averaged
-    moment of inertia about the time-averaged triangle normal through the
-    centroid.  A NaN loop_trace, or one beyond [-2, 2] by 1e-10, raises NumericalError.
-    """
-    if period <= 0:
-        raise ValidationError("period must be positive")
-    if not trajectory:
-        raise ValidationError("empty trajectory")
-    normals = np.array([_plane_basis(cfg.vertices)[2] for cfg in trajectory])
-    mean_normal = normals.mean(axis=0)
-    norm = np.linalg.norm(mean_normal)
-    if norm < 1e-12:
-        raise ValidationError("time-averaged normal vanishes")
-    mean_normal = mean_normal / norm
-    i_avg = float(np.mean([
-        cfg.masses @ (np.sum(cfg.vertices**2, axis=1) - (cfg.vertices @ mean_normal) ** 2)
-        for cfg in trajectory
-    ]))
-    return 2.0 * (i_avg / period) * _half_trace_angle(loop_trace)

@@ -55,11 +55,12 @@ class SpaceCurve:
         seglen = np.linalg.norm(np.diff(pts, axis=0), axis=1)
         if np.any(seglen == 0.0):
             raise ValidationError("consecutive duplicate points on curve")
-        diam = self.diameter_of(pts)
-        if np.linalg.norm(pts[-1] - pts[0]) > 1e-10 * diam:
-            raise ValidationError(
-                f"curve closure gap {np.linalg.norm(pts[-1] - pts[0]):.3e} exceeds 1e-10 of diameter"
-            )
+        # Compared in units of the largest coordinate, so no norm overflows (an
+        # inf diameter would accept any gap).
+        scale = np.max(np.abs(pts))
+        gap = np.linalg.norm(pts[-1] / scale - pts[0] / scale)
+        if gap > 1e-10 * self.diameter_of(pts / scale):
+            raise ValidationError(f"curve closure gap {gap * scale:.3e} exceeds 1e-10 of diameter")
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
 
@@ -79,15 +80,6 @@ class SpaceCurve:
     @property
     def midpoints(self) -> np.ndarray:
         return 0.5 * (self.points[1:] + self.points[:-1])
-
-    def reversed(self) -> "SpaceCurve":
-        return SpaceCurve(self.points[::-1])
-
-    def translated(self, offset) -> "SpaceCurve":
-        return SpaceCurve(self.points + np.asarray(offset, dtype=float))
-
-    def scaled(self, factor: float) -> "SpaceCurve":
-        return SpaceCurve(self.points * float(factor))
 
 
 @dataclass(frozen=True)

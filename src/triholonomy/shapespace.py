@@ -49,6 +49,7 @@ __all__ = [
     "to_jacobi",
     "to_preshape",
     "hopf_project",
+    "shape_point_of",
     "shape_angles",
     "solid_angle",
 ]
@@ -174,10 +175,6 @@ class ShapePoint:
         if not 0.0 <= self.azimuth < 2 * math.pi:
             raise ValidationError("azimuth outside [0, 2 pi)")
 
-    @property
-    def is_polar(self) -> bool:
-        return self.colatitude < _POLE_TOL or self.colatitude > math.pi - _POLE_TOL
-
 
 def _check_loop_samples(th: np.ndarray, ph: np.ndarray) -> None:
     """Closed-loop invariants of (colatitude, unwrapped azimuth) samples.
@@ -241,11 +238,6 @@ class ShapeLoop:
     @property
     def params(self) -> np.ndarray:
         return np.linspace(0.0, 2 * math.pi, self.colatitudes.size)
-
-    @property
-    def azimuth_winding(self) -> int:
-        """Number of times the loop winds around the polar axis."""
-        return round((self.azimuths[-1] - self.azimuths[0]) / (2 * math.pi))
 
     def at(self, s):
         """Piecewise-linear (colatitude, unwrapped azimuth) at parameter(s) s."""

@@ -338,6 +338,8 @@ def effective_momentum_series(
     Raises ValidationError for a bad period, stride, step count or charge or
     an open window loop, and NumericalError for a non-finite window phase.
     """
+    if not 0.0 < period < math.inf:
+        raise ValidationError(f"window period must be a positive finite number, got {period!r}")
     dt = traj.dt
     n_window = int(round(period / dt))
     if abs(n_window * dt - period) > 1e-9 * period:

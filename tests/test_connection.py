@@ -5,19 +5,16 @@ import pytest
 from scipy.linalg import logm
 
 from triholonomy.connection import (
+    _PAULI,
     BlochField,
     ControlField,
     GaugePatch,
-    bloch_area_potential,
-    bloch_axis,
-    connection_vector,
-    curvature_sample,
+    _axis_and_rate,
+    _samples_at,
+    connection_vectors,
     curvature_vector,
-    eigenframe_rates,
-    guichardet_connection,
-    section_frame,
-    section_frame_derivative,
-    vector_to_su2,
+    eigenframe_rate_samples,
+    monopole_potential,
     wilczek_zee_sample,
 )
 from triholonomy.errors import NumericalError, ValidationError
@@ -39,83 +36,125 @@ def smooth_field():
     )
 
 
+def su2_of(v):
+    """v . sigma / 2i for a real 3-vector v (anti-Hermitian traceless)."""
+    return np.einsum("k,kij->ij", np.asarray(v, dtype=float), np.array(_PAULI)) / 2j
+
+
+def axis_and_rate(field, th, ph, dth, dph):
+    """Axes n and rates dn/ds at arrays of shape points and tangents, from the array kernels."""
+    th, ph, dth, dph = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (th, ph, dth, dph)))
+    return _axis_and_rate(*field.angle_samples(th, ph % (2 * math.pi), dth, dph))
+
+
+def random_tangents(rng, n, lo, hi):
+    """Arrays (th, ph, dth, dph) of n shape points with colatitude in [lo, hi], drawn point by point."""
+    draws = [
+        (rng.uniform(lo, hi), rng.uniform(0, 2 * math.pi), rng.normal(), rng.normal()) for _ in range(n)
+    ]
+    return np.array(draws).T
+
+
+def section_frame(mu: float, lam: float) -> np.ndarray:
+    """SU(2) frame whose columns are the axis eigenvectors, north-regular section.
+
+    Columns: (cos(mu/2), e^{i lam} sin(mu/2)) and (-e^{-i lam} sin(mu/2),
+    cos(mu/2)).  Single-valued in lam; ill-defined at mu = pi.
+    """
+    c, s = math.cos(0.5 * mu), math.sin(0.5 * mu)
+    phase = complex(math.cos(lam), math.sin(lam))
+    return np.array([[c, -s / phase], [s * phase, c]], dtype=complex)
+
+
+def section_frame_derivative(mu: float, lam: float, dmu: float, dlam: float) -> np.ndarray:
+    """Parameter derivative of :func:`section_frame` along (dmu/ds, dlam/ds)."""
+    c, s = math.cos(0.5 * mu), math.sin(0.5 * mu)
+    phase = complex(math.cos(lam), math.sin(lam))
+    dc, dsn = -0.5 * s * dmu, 0.5 * c * dmu
+    return np.array(
+        [
+            [dc, (-dsn + 1j * s * dlam) / phase],
+            [(dsn + 1j * s * dlam) * phase, dc],
+        ],
+        dtype=complex,
+    )
+
+
 class TestGuichardet:
+    """The shape-sphere monopole potential (Guichardet connection) on tangents."""
+
     def test_equator_value_north(self):
-        pt = ShapePoint(math.pi / 2, 0.0)
-        assert guichardet_connection(pt, (0.0, 1.0)) == pytest.approx(0.5)
+        assert monopole_potential(math.pi / 2, 1.0) == pytest.approx(0.5)
 
     def test_regular_at_own_pole(self):
-        pt = ShapePoint(1e-7, 0.0)
-        assert guichardet_connection(pt, (0.0, 1.0)) == pytest.approx(0.0, abs=1e-13)
+        assert monopole_potential(1e-7, 1.0) == pytest.approx(0.0, abs=1e-13)
 
     def test_excluded_pole_raises(self):
         with pytest.raises(NumericalError):
-            guichardet_connection(ShapePoint(math.pi, 0.0), (0.0, 1.0))
+            monopole_potential(math.pi, 1.0)
         with pytest.raises(NumericalError):
-            guichardet_connection(ShapePoint(0.0, 0.0), (0.0, 1.0), GaugePatch.SOUTH)
+            monopole_potential(0.0, 1.0, GaugePatch.SOUTH)
 
     def test_equator_loop_integrals_and_transition(self):
         # north gives +pi, south -pi; the difference is one 2 pi monopole unit
         s = np.linspace(0, 2 * math.pi, 513)
-        pts = [ShapePoint(math.pi / 2, si % (2 * math.pi)) for si in s[:-1]]
+        colat, dazimuth = np.full(512, math.pi / 2), np.ones(512)
         ds = s[1] - s[0]
-        north = sum(guichardet_connection(p, (0.0, 1.0)) for p in pts) * ds
-        south = sum(guichardet_connection(p, (0.0, 1.0), GaugePatch.SOUTH) for p in pts) * ds
+        north = np.sum(monopole_potential(colat, dazimuth)) * ds
+        south = np.sum(monopole_potential(colat, dazimuth, GaugePatch.SOUTH)) * ds
         assert north == pytest.approx(math.pi, abs=1e-12)
         assert south == pytest.approx(-math.pi, abs=1e-12)
         assert north - south == pytest.approx(2 * math.pi, abs=1e-12)
 
 
 class TestBlochAxis:
+    """Axis n and its rate dn/ds from ``BlochField.angle_samples`` and ``_axis_and_rate``."""
+
     def test_pinned(self):
-        n, dn = bloch_axis(BlochField.pinned(), ShapePoint(1.0, 2.0), (0.3, -0.4))
+        n, dn = axis_and_rate(BlochField.pinned(), 1.0, 2.0, 0.3, -0.4)
         assert np.allclose(n, [0, 0, 1])
         assert np.allclose(dn, 0.0)
 
     def test_radial_equator_rate(self):
-        n, dn = bloch_axis(BlochField.radial(), ShapePoint(math.pi / 2, 0.7), (0.0, 1.0))
+        n, dn = axis_and_rate(BlochField.radial(), math.pi / 2, 0.7, 0.0, 1.0)
         assert np.linalg.norm(n - [math.cos(0.7), math.sin(0.7), 0.0]) < 1e-12
         assert np.linalg.norm(dn) == pytest.approx(1.0, abs=1e-12)
         assert abs(np.dot(n, dn)) < 1e-14
 
     def test_finite_difference_oracle(self):
-        # dn/ds along a parametrised path vs central differences of n(s)
+        # dn/ds along parametrised paths vs central differences of n(s)
         field = smooth_field()
         rng = np.random.default_rng(5)
-        for _ in range(10):
-            th0, ph0 = rng.uniform(0.5, 2.5), rng.uniform(0, 2 * math.pi)
-            vth, vph = rng.normal(), rng.normal()
+        th0, ph0, vth, vph = random_tangents(rng, 10, 0.5, 2.5)
 
-            def n_of(s):
-                return field.axis(ShapePoint(th0 + vth * s, (ph0 + vph * s) % (2 * math.pi)))
+        def n_of(s):
+            return axis_and_rate(field, th0 + vth * s, ph0 + vph * s, 0.0, 0.0)[0]
 
-            _, dn = bloch_axis(field, ShapePoint(th0, ph0), (vth, vph))
-            h = 1e-5
-            fd = (n_of(h) - n_of(-h)) / (2 * h)
-            assert np.linalg.norm(dn - fd) < 1e-6
+        _, dn = axis_and_rate(field, th0, ph0, vth, vph)
+        h = 1e-5
+        fd = (n_of(h) - n_of(-h)) / (2 * h)
+        assert np.max(np.linalg.norm(dn - fd, axis=1)) < 1e-6
 
     def test_orthogonality_always(self):
         field = smooth_field()
         rng = np.random.default_rng(6)
-        for _ in range(20):
-            pt = ShapePoint(rng.uniform(0.3, 2.8), rng.uniform(0, 2 * math.pi))
-            n, dn = bloch_axis(field, pt, (rng.normal(), rng.normal()))
-            assert abs(np.dot(n, dn)) < 1e-10
+        n, dn = axis_and_rate(field, *random_tangents(rng, 20, 0.3, 2.8))
+        assert np.max(np.abs(np.sum(n * dn, axis=1))) < 1e-10
 
 
 class TestAreaPotential:
+    """omega, the Bloch-sphere monopole potential pulled back through the axis field."""
+
     def test_pinned_zero(self):
-        assert bloch_area_potential(BlochField.pinned(), ShapePoint(1.0, 1.0), (1.0, 2.0)) == 0.0
+        mu, _, _, dlam = BlochField.pinned().angle_samples(*np.array([[1.0], [1.0], [1.0], [2.0]]))
+        assert monopole_potential(mu, dlam, where="Bloch axis")[0] == 0.0
 
     def test_radial_field_matches_guichardet(self):
-        field = BlochField.radial()
         rng = np.random.default_rng(8)
-        for _ in range(20):
-            pt = ShapePoint(rng.uniform(0.2, 2.6), rng.uniform(0, 2 * math.pi))
-            tang = (rng.normal(), rng.normal())
-            assert bloch_area_potential(field, pt, tang) == pytest.approx(
-                guichardet_connection(pt, tang), abs=1e-10
-            )
+        th, ph, dth, dph = random_tangents(rng, 20, 0.2, 2.6)
+        mu, _, _, dlam = BlochField.radial().angle_samples(th, ph, dth, dph)
+        omega = monopole_potential(mu, dlam, where="Bloch axis")
+        assert np.max(np.abs(omega - monopole_potential(th, dph))) <= 1e-10
 
     def test_stokes_area(self):
         # loop integral of omega ~ half the signed area swept by the axis image
@@ -123,32 +162,23 @@ class TestAreaPotential:
         n_samp = 2048
         s = np.linspace(0, 2 * math.pi, n_samp + 1)
         radius = 0.05
-        th = 1.2 + radius * np.cos(s)
-        ph = 0.8 + radius * np.sin(s)
         ds = s[1] - s[0]
-        total = 0.0
-        images = []
-        for k in range(n_samp):
-            sm = s[k] + 0.5 * ds
-            pt = ShapePoint(1.2 + radius * math.cos(sm), (0.8 + radius * math.sin(sm)) % (2 * math.pi))
-            tang = (-radius * math.sin(sm), radius * math.cos(sm))
-            total += bloch_area_potential(field, pt, tang) * ds
-            images.append(field.axis(pt))
-        images = np.array(images)
+        sm = s[:-1] + 0.5 * ds
+        th, ph = 1.2 + radius * np.cos(sm), (0.8 + radius * np.sin(sm)) % (2 * math.pi)
+        mu, lam, dmu, dlam = field.angle_samples(th, ph, -radius * np.sin(sm), radius * np.cos(sm))
+        total = np.sum(monopole_potential(mu, dlam, where="Bloch axis")) * ds
+        images = _axis_and_rate(mu, lam, dmu, dlam)[0]
         center = images.mean(axis=0)
         center /= np.linalg.norm(center)
         # triangulate the swept cap against the mean direction
-        swept = 0.0
-        for k in range(n_samp):
-            a = images[k] - center
-            b = images[(k + 1) % n_samp] - center
-            swept += 0.5 * np.dot(np.cross(a, b), center)
+        swept = 0.5 * np.sum(np.cross(images - center, np.roll(images, -1, axis=0) - center) @ center)
         assert total == pytest.approx(0.5 * swept, rel=0.01)
 
     def test_bloch_pole_guard(self):
         field = BlochField.from_angles(mu=lambda th, ph: math.pi - 1e-12, lam=lambda th, ph: ph)
+        mu, _, _, dlam = field.angle_samples(*np.array([[1.0], [1.0], [0.0], [1.0]]))
         with pytest.raises(NumericalError):
-            bloch_area_potential(field, ShapePoint(1.0, 1.0), (0.0, 1.0))
+            monopole_potential(mu, dlam, where="Bloch axis")
 
 
 class TestWilczekZeeSample:
@@ -156,7 +186,7 @@ class TestWilczekZeeSample:
         pt = ShapePoint(1.0, 0.4)
         tang = (0.2, 1.3)
         sample = wilczek_zee_sample(pt, tang, BlochField.pinned(), 0.0)
-        a = guichardet_connection(pt, tang)
+        a = monopole_potential(pt.colatitude, tang[1])
         assert sample.abelian == pytest.approx(a)
         assert sample.transverse == 0.0
         expected = a * np.array([[1, 0], [0, -1]], dtype=complex) / 2j
@@ -193,21 +223,19 @@ class TestWilczekZeeSample:
         #   (i/2) [[c, j], [j*, -c]] == -(q G^dag A_full G + G^dag dG/ds)
         field = smooth_field()
         rng = np.random.default_rng(10)
-        for _ in range(10):
-            th, ph = rng.uniform(0.5, 2.2), rng.uniform(0.1, 6.0)
-            pt = ShapePoint(th, ph % (2 * math.pi))
-            tang = (rng.normal(), rng.normal())
-            psi = 0.4 * complex(rng.normal(), rng.normal())
-            q = rng.choice([0.5, 1.0, 2.0, 3.5])
-            a_full = vector_to_su2(connection_vector(pt, tang, field, psi))
-            mu, lam = field.angles(pt)
-            dmu, dlam = field.angle_rates(pt, tang)
-            g = section_frame(mu, lam)
-            dg = section_frame_derivative(mu, lam, dmu, dlam)
-            direct = -(q * g.conj().T @ a_full @ g + g.conj().T @ dg)
-            c, j = eigenframe_rates(pt, tang, field, psi, q)
-            formula = 0.5j * np.array([[c, j], [np.conj(j), -c]])
-            assert np.max(np.abs(direct - formula)) < 1e-10
+        th, ph = rng.uniform(0.5, 2.2, 10), rng.uniform(0.1, 6.0, 10)
+        dth, dph = rng.normal(size=10), rng.normal(size=10)
+        psi = 0.4 * (rng.normal(size=10) + 1j * rng.normal(size=10))
+        samples = _samples_at(th, ph, dth, dph, field, psi, GaugePatch.NORTH)
+        vectors = connection_vectors(samples, field)
+        for q in (0.5, 1.0, 2.0, 3.5):
+            c, j = eigenframe_rate_samples(samples, q)
+            for k, (mu, lam, dmu, dlam) in enumerate(zip(*samples.axis)):
+                g = section_frame(mu, lam)
+                dg = section_frame_derivative(mu, lam, dmu, dlam)
+                direct = -(q * g.conj().T @ su2_of(vectors[k]) @ g + g.conj().T @ dg)
+                formula = 0.5j * np.array([[c[k], j[k]], [np.conj(j[k]), -c[k]]])
+                assert np.max(np.abs(direct - formula)) < 1e-10
 
     def test_transverse_magnitude_matches_reported(self):
         # |j| at q = 1 equals |J| of the reported decomposition
@@ -216,8 +244,10 @@ class TestWilczekZeeSample:
         tang = (0.4, 1.1)
         psi = 0.2 + 0.1j
         sample = wilczek_zee_sample(pt, tang, field, psi)
-        _, j = eigenframe_rates(pt, tang, field, psi, 1.0)
-        assert abs(j) == pytest.approx(abs(sample.transverse), abs=1e-12)
+        th, ph, dth, dph = (np.array([x]) for x in (pt.colatitude, pt.azimuth, *tang))
+        samples = _samples_at(th, ph, dth, dph, field, np.array([psi]), GaugePatch.NORTH)
+        _, j = eigenframe_rate_samples(samples, 1.0)
+        assert abs(j[0]) == pytest.approx(abs(sample.transverse), abs=1e-12)
 
 
 class TestGaugeAndPatchProperties:
@@ -285,27 +315,22 @@ class TestCurvature:
     def test_pinned_monopole_curvature(self):
         f = curvature_vector(ShapePoint(math.pi / 2, 0.3), BlochField.pinned(), 0.0, (0.0, 0.0))
         assert np.allclose(f, [0.0, 0.0, 0.5], atol=1e-9)
-        m = curvature_sample(ShapePoint(math.pi / 2, 0.3), BlochField.pinned(), 0.0, (0.0, 0.0))
-        assert np.allclose(m, np.diag([-0.25j, 0.25j]), atol=1e-9)
+        assert np.allclose(su2_of(f), np.diag([-0.25j, 0.25j]), atol=1e-9)
 
     @staticmethod
     def _plaquette(field, psi_field, th0, ph0, h, substeps=64):
-        mats = []
-        for leg, (dth, dph) in enumerate([(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)]):
-            for k in range(substeps):
-                frac = (k + 0.5) / substeps
-                if leg == 0:
-                    th, ph = th0 + frac * h, ph0
-                elif leg == 1:
-                    th, ph = th0 + h, ph0 + frac * h
-                elif leg == 2:
-                    th, ph = th0 + (1 - frac) * h, ph0 + h
-                else:
-                    th, ph = th0, ph0 + (1 - frac) * h
-                pt = ShapePoint(th, ph % (2 * math.pi))
-                v = connection_vector(pt, (dth, dph), field, psi_field(th, ph))
-                mats.append(su2_exponentials(v[None, :], h / substeps)[0])
-        return ordered_product(np.array(mats))
+        frac = (np.arange(substeps) + 0.5) / substeps
+        legs = [  # (theta, phi, dtheta, dphi) along each side of the square, in order
+            (th0 + frac * h, np.full(substeps, ph0), 1.0, 0.0),
+            (np.full(substeps, th0 + h), ph0 + frac * h, 0.0, 1.0),
+            (th0 + (1 - frac) * h, np.full(substeps, ph0 + h), -1.0, 0.0),
+            (np.full(substeps, th0), ph0 + (1 - frac) * h, 0.0, -1.0),
+        ]
+        th, ph, dth, dph = (
+            np.concatenate([np.broadcast_to(leg[i], substeps) for leg in legs]) for i in range(4)
+        )
+        samples = _samples_at(th, ph % (2 * math.pi), dth, dph, field, psi_field(th, ph), GaugePatch.NORTH)
+        return ordered_product(su2_exponentials(connection_vectors(samples, field), h / substeps))
 
     def test_plaquette_stokes_oracle(self):
         # -log(holonomy of a small square) agrees with curvature x area to
@@ -313,7 +338,7 @@ class TestCurvature:
         field = smooth_field()
 
         def psi_field(th, ph):
-            return 0.2 * complex(math.cos(th + ph), math.sin(2 * ph - th))
+            return 0.2 * (np.cos(th + ph) + 1j * np.sin(2 * ph - th))
 
         def dpsi(th, ph, h=1e-6):
             return (
@@ -326,8 +351,8 @@ class TestCurvature:
         for h in (0.1, 0.05, 0.025):
             w = self._plaquette(field, psi_field, th0, ph0, h)
             thc, phc = th0 + h / 2, ph0 + h / 2
-            f_center = curvature_sample(
-                ShapePoint(thc, phc), field, psi_field(thc, phc), dpsi(thc, phc)
+            f_center = su2_of(
+                curvature_vector(ShapePoint(thc, phc), field, psi_field(thc, phc), dpsi(thc, phc))
             )
             errs.append(np.max(np.abs(-logm(w) - f_center * h**2)))
         # O(h^3): each halving shrinks the defect by ~8; require at least 6

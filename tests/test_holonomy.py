@@ -4,24 +4,25 @@ import warnings
 import numpy as np
 import pytest
 
-from triholonomy.connection import BlochField, ControlField
+from triholonomy.connection import BlochField, ControlField, connection_vectors
 from triholonomy.errors import NumericalError, ValidationError
 from triholonomy.holonomy import (
     HolonomyLoop,
     WilsonLine,
+    _half_trace_angle,
     _transport,
+    _wilson_line,
     dyson_trace,
-    effective_angular_momentum,
     holonomy_trace,
     integrate_wilson,
+    midpoint_grid,
     ordered_product,
     rotation_angle,
     su2_exponentials,
-    transport_segment,
     wilson_from_rates,
     wilson_from_samples,
 )
-from triholonomy.shapespace import ShapeLoop, TriangleConfig
+from triholonomy.shapespace import ShapeLoop
 
 
 def ellipse(theta0=math.pi / 2, a=0.2, b=0.2, n=1024, phi0=0.0):
@@ -55,7 +56,8 @@ class TestWilsonLine:
 
     def test_inverse_and_compose(self):
         w = WilsonLine(np.array([[0, -1], [1, 0]], dtype=complex), 1.0)
-        assert np.allclose(w.then(w.inverse()).matrix, np.eye(2))
+        inverse = WilsonLine(w.matrix.conj().T, w.charge)
+        assert np.allclose(WilsonLine(inverse.matrix @ w.matrix, w.charge).matrix, np.eye(2))
 
 
 def matmul_tree(mats):
@@ -195,8 +197,13 @@ class TestIntegrateWilson:
     def test_composition_of_segments(self):
         loop = pinned_loop(ellipse(), ControlField(lambda s: 0.08 * np.exp(1j * s)), q=1.5, steps=8192)
         w = integrate_wilson(loop).matrix
-        first = transport_segment(loop, 0.0, math.pi, 4096)
-        second = transport_segment(loop, math.pi, 2 * math.pi, 8192)
+
+        def segment(s0, s1, n_steps):
+            s_mid, ds = midpoint_grid(n_steps, s0, s1)
+            return _wilson_line(connection_vectors(loop.sample(s_mid), loop.bloch), loop.charge, ds).matrix
+
+        first = segment(0.0, math.pi, 4096)
+        second = segment(math.pi, 2 * math.pi, 8192)
         assert np.max(np.abs(second @ first - w)) < 1e-8
 
     def test_inversion_is_exact(self):
@@ -338,31 +345,8 @@ class TestRotationAngle:
         assert rotation_angle(w) == pytest.approx(math.pi / 2, abs=1e-10)
 
 
-class TestEffectiveAngularMomentum:
-    @staticmethod
-    def _static_configs(masses, n=16):
-        cfg = TriangleConfig.from_vertices(
-            [[0, 0, 0], [1.0, 0, 0], [0.4, 0.8, 0]], masses
-        )
-        return [cfg] * n
-
-    def test_static_triangle_zero(self):
-        configs = self._static_configs([1.0, 2.0, 3.0])
-        assert effective_angular_momentum(configs, 2.0, 1.0) == 0.0
-
-    def test_mass_scaling_is_exact(self):
-        configs_1 = self._static_configs([1.0, 2.0, 3.0])
-        configs_2 = self._static_configs([2.0, 4.0, 6.0])
-        trace = 2 * math.cos(0.3)
-        l1 = effective_angular_momentum(configs_1, trace, 2.0)
-        l2 = effective_angular_momentum(configs_2, trace, 2.0)
-        assert l2 == pytest.approx(2.0 * l1, rel=1e-14)
-
-    def test_zero_period_rejected(self):
-        with pytest.raises(ValidationError):
-            effective_angular_momentum(self._static_configs([1, 1, 1]), 2.0, 0.0)
-
+class TestHalfTraceAngle:
     @pytest.mark.parametrize("trace", [math.nan, 7.0])
     def test_bad_trace_rejected(self, trace):
         with pytest.raises(NumericalError, match="trace magnitude"):
-            effective_angular_momentum(self._static_configs([1, 1, 1]), trace, 1.0)
+            _half_trace_angle(trace)

@@ -126,6 +126,17 @@ class TestSpaceCurve:
         with pytest.raises(ValidationError):
             SpaceCurve(np.vstack([pts, [[2.0, 0.0, 0.0]]]))
 
+    def test_closure_gap_enforced_when_diameter_overflows(self):
+        # the bounding-box diagonal of this 32-gon overflows to inf; a last
+        # point 1e-5 of the diameter off the first must still be rejected
+        t = np.linspace(0, 2 * math.pi, 33)
+        pts = 1e160 * np.stack([np.cos(t), np.sin(t), 0 * t], axis=1)
+        pts[-1] = pts[0] + [0.0, 0.0, 1e155]
+        with pytest.raises(ValidationError, match="closure gap"):
+            SpaceCurve(pts)
+        pts[-1] = pts[0]
+        assert SpaceCurve(pts).points.shape == (33, 3)
+
     def test_duplicate_points_rejected(self):
         t = np.linspace(0, 2 * math.pi, 33)
         pts = np.stack([np.cos(t), np.sin(t), 0 * t], axis=1)
@@ -151,9 +162,9 @@ class TestGaussLinking:
     def test_reversal_negates(self):
         c1, c2 = hopf_pair(n_segments=128)
         raw = gauss_linking_integral(c1, c2)
-        raw_rev = gauss_linking_integral(c1, c2.reversed())
+        raw_rev = gauss_linking_integral(c1, SpaceCurve(c2.points[::-1]))
         assert raw_rev == pytest.approx(-raw, abs=1e-12)
-        assert gauss_linking(c1, c2.reversed()) == -gauss_linking(c1, c2)
+        assert gauss_linking(c1, SpaceCurve(c2.points[::-1])) == -gauss_linking(c1, c2)
 
     def test_symmetry(self):
         c1, c2 = hopf_pair(n_segments=128)
@@ -233,7 +244,7 @@ class TestExactCrossings:
         # to a segment midpoint of c1 lands exactly on that midpoint
         gap = (c1.midpoints[:, None, :] - c2.points[None, :-1, :]) @ flat
         i, k = np.unravel_index(np.argmin(np.linalg.norm(gap, axis=2)), gap.shape[:2])
-        moved = c2.translated(gap[i, k])
+        moved = SpaceCurve(c2.points + gap[i, k])
         p1, p2 = (c.points / max(c1.diameter, moved.diameter) for c in (c1, moved))
         assert np.linalg.norm(gap[i, k]) < 0.05
         assert _crossings(p1, p2, _VIEWS[0])[1]
@@ -319,7 +330,7 @@ class TestBlockedKernel:
     def test_far_from_origin(self):
         c1, c2 = hopf_pair(n_segments=256)
         offset = [1e6, -1e6, 1e6]
-        self.assert_matches_oracle(c1.translated(offset), c2.translated(offset))
+        self.assert_matches_oracle(SpaceCurve(c1.points + offset), SpaceCurve(c2.points + offset))
 
     def test_closest_approach_in_last_block_rejected(self):
         n2 = 4096
@@ -352,12 +363,12 @@ class TestHopfPair:
 
     def test_scale_invariance(self):
         c1, c2 = hopf_pair()
-        assert gauss_linking(c1.scaled(10.0), c2.scaled(10.0)) == 1
+        assert gauss_linking(SpaceCurve(c1.points * 10.0), SpaceCurve(c2.points * 10.0)) == 1
 
     def test_translation_invariance(self):
         c1, c2 = hopf_pair()
         offset = [3.0, -2.0, 7.0]
-        assert gauss_linking(c1.translated(offset), c2.translated(offset)) == 1
+        assert gauss_linking(SpaceCurve(c1.points + offset), SpaceCurve(c2.points + offset)) == 1
 
     def test_rejects_bad_radii(self):
         with pytest.raises(ValidationError):

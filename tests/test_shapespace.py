@@ -134,7 +134,7 @@ class TestToPreshape:
 class TestHopfProject:
     def test_pole_is_flagged_azimuth_degenerate(self):
         pt = hopf_project(to_preshape(JacobiPair(1.0 + 0j, 0j)))
-        assert pt.azimuth_degenerate and pt.azimuth == 0.0 and pt.is_polar
+        assert pt.azimuth_degenerate and pt.azimuth == 0.0 and pt.colatitude < 1e-9
 
     def test_tiny_negative_phase_difference_projects(self):
         pt = hopf_project(PreshapePoint(1.0, 1.0, 1e-17, 0.0))
@@ -239,4 +239,4 @@ class TestShapeLoop:
     def test_winding_counter(self):
         s = np.linspace(0, 2 * math.pi, 65)
         loop = ShapeLoop.from_samples(np.full_like(s, 1.0), 2 * s)
-        assert loop.azimuth_winding == 2
+        assert round((loop.azimuths[-1] - loop.azimuths[0]) / (2 * math.pi)) == 2

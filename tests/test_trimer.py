@@ -446,6 +446,25 @@ class TestEffectiveMomentumSeries:
         assert starts.size == 7 * 512 + 1
         assert peak < 30e6
 
+    @pytest.mark.parametrize("factor", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_period_rejected(self, factor):
+        # each must fail as ValidationError before int(round(period / dt)) sees it
+        drive = reference_drive()
+        period = drive.common_period()
+        traj = reconstruct_rotation(drive, REFERENCE_MASSES, 2 * period)
+        with pytest.raises(ValidationError, match="positive finite"):
+            effective_momentum_series(traj, factor * period)
+
+    def test_mass_scaling_is_exact(self):
+        # the shape angles do not change under a common mass scale; the inertia doubles
+        drive = reference_drive()
+        period = drive.common_period()
+        heavy = [2.0 * m for m in REFERENCE_MASSES]
+        t1, l1 = effective_momentum_series(reconstruct_rotation(drive, REFERENCE_MASSES, 2 * period), period)
+        t2, l2 = effective_momentum_series(reconstruct_rotation(drive, heavy, 2 * period), period)
+        assert np.array_equal(t1, t2)
+        assert np.max(np.abs(l2 - 2.0 * l1)) <= 1e-12 * np.max(np.abs(l1))
+
     def test_static_drive_is_zero(self):
         drive = BondDrive(1.1, 0.0, 1.0, 1.0, 0.0, 3.0)
         period = drive.common_period()
