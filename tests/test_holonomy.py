@@ -22,7 +22,7 @@ from triholonomy.holonomy import (
     wilson_from_rates,
     wilson_from_samples,
 )
-from triholonomy.shapespace import ShapeLoop
+from triholonomy.shapespace import ShapeLoop, TriangleConfig, shape_point_of
 
 
 def ellipse(theta0=math.pi / 2, a=0.2, b=0.2, n=1024, phi0=0.0):
@@ -343,6 +343,18 @@ class TestRotationAngle:
 
         w = WilsonLine(PHASE_GATE_TARGET, 1.0)
         assert rotation_angle(w) == pytest.approx(math.pi / 2, abs=1e-10)
+
+
+class TestEffectiveAngularMomentum:
+    def test_static_triangle_zero(self):
+        # a triangle that holds still stays at one shape point: its shape loop
+        # transports to the identity, so L_eff = I Theta / P is exactly zero
+        cfg = TriangleConfig.from_vertices([[0, 0, 0], [1.0, 0, 0], [0.4, 0.8, 0]], [1.0, 2.0, 3.0])
+        point = shape_point_of(cfg)
+        loop = ShapeLoop.from_samples(np.full(17, point.colatitude), np.full(17, point.azimuth))
+        w = integrate_wilson(pinned_loop(loop, steps=64))
+        assert w.trace == 2.0
+        assert cfg.weighted_size_sq * rotation_angle(w) / 2.0 == 0.0
 
 
 class TestHalfTraceAngle:
