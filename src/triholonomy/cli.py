@@ -64,7 +64,6 @@ from .demonstrator import (
 from .errors import MAX_SAMPLES, NumericalError, ValidationError
 from .gates import (
     gate_fidelity,
-    interaction_frame,
     make_ellipse_loop,
     synth_hadamard_gate,
     synth_phase_gate,
@@ -215,7 +214,7 @@ def _run_gate_synth(p: dict, seed: int) -> dict:
         realised = spec.integrate()
     else:
         spec = synth_hadamard_gate(p["q"], n_samples=p["samples"], steps=p["steps"])
-        realised = interaction_frame(spec.loop).integrate_transverse().matrix
+        realised = spec.transverse.matrix
     return {"gate.json": {
         "target": p["target"],
         "q": p["q"],
@@ -237,8 +236,9 @@ def _run_trace_sweep(p: dict, seed: int) -> dict:
         samples = base._replace(psi=ControlField.constant(psi_abs).at(s_mid))
         direct = _wilson_line(connection_vectors(samples, BlochField.pinned()), p["q"], ds).trace
         c, j = eigenframe_rate_samples(samples, p["q"])
-        d2, d4 = (trace_expansion_from_rates(c, j, order) for order in (2, 4))
-        rows.append((psi_abs, direct, d2.trace_estimate, d4.trace_estimate, *d4.corrections[:2]))
+        d4 = trace_expansion_from_rates(c, j, 4)  # its I2 gives the order-2 estimate exactly
+        d2 = 2.0 * math.cos(d4.abelian_angle) * (1.0 - d4.corrections[0])
+        rows.append((psi_abs, direct, d2, d4.trace_estimate, *d4.corrections))
     header = ["psi_abs", "trace_direct", "trace_order2", "trace_order4", "i2", "i4"]
     outputs = {"trace_sweep.csv": (header, [np.asarray(col) for col in zip(*rows)])}
     if p["gauge_rotations"] > 0:
@@ -504,8 +504,11 @@ def _cmd_run(args) -> int:
     if args.seed is not None:
         cfg["seed"] = _check(args.seed, _SEED, "seed", "--seed")
     outdir = args.out or cfg.get("output_dir") or os.environ.get(OUTDIR_ENV) or "."
-    os.makedirs(outdir, exist_ok=True)
-    staging = tempfile.mkdtemp(prefix=".staging-", dir=outdir)
+    try:
+        os.makedirs(outdir, exist_ok=True)
+        staging = tempfile.mkdtemp(prefix=".staging-", dir=outdir)
+    except OSError as exc:
+        raise ValidationError(f"cannot use output directory {outdir}: {exc.strerror or exc}") from exc
     try:
         outputs = run_scenario(cfg, _config_dir(args.config))
         for name, payload in outputs.items():

@@ -326,15 +326,16 @@ def monopole_potential(colat, dazimuth, patch: GaugePatch = GaugePatch.NORTH, wh
 
 
 def connection_vectors(samples: LoopSamples, field: BlochField) -> np.ndarray:
-    """Rows V such that each connection sample (per unit s) is V . sigma / 2i."""
+    """Component-first V, shape (3, N): sample i (per unit s) is V[:, i] . sigma / 2i; vx, vy, vz = V."""
     a, psi, axis = samples
     if axis is None:
         n = field.pinned_axis
         e1, e2 = field.transverse_frame
-        return np.outer(a, n) + np.outer(psi.real, e1) - np.outer(psi.imag, e2)
+        return np.stack([a * n[k] + psi.real * e1[k] - psi.imag * e2[k] for k in range(3)])
     n, dn = _axis_and_rate(*axis)
     dn_cross_n = np.cross(dn, n)
-    return a[:, None] * n + dn_cross_n + psi.real[:, None] * dn + psi.imag[:, None] * dn_cross_n
+    rows = a[:, None] * n + dn_cross_n + psi.real[:, None] * dn + psi.imag[:, None] * dn_cross_n
+    return np.moveaxis(rows, -1, 0)
 
 
 def eigenframe_rate_samples(samples: LoopSamples, q: float) -> tuple[np.ndarray, np.ndarray]:
@@ -380,7 +381,7 @@ def wilczek_zee_sample(
         raise ValidationError("control value must be finite")
     th, ph, dth, dph = (np.array([float(x)]) for x in (point.colatitude, point.azimuth, *tangent))
     samples = _samples_at(th, ph, dth, dph, field, np.array([psi]), patch)
-    vx, vy, vz = connection_vectors(samples, field)[0]
+    vx, vy, vz = connection_vectors(samples, field)[:, 0]
     full = (vx * _PAULI[0] + vy * _PAULI[1] + vz * _PAULI[2]) / 2j
     a = float(samples.a[0])
     if samples.axis is None:
@@ -421,7 +422,7 @@ def curvature_vector(
     dth = np.array([0.0, 0.0, 1.0, 1.0, 1.0, 0.0])
     local_psi = psi + (th - th0) * dpsi_th + (ph - ph0) * dpsi_ph
     samples = _samples_at(th, ph % (2 * math.pi), dth, 1.0 - dth, field, local_psi, patch)
-    v = connection_vectors(samples, field)
+    v = connection_vectors(samples, field).T
     d_th_of_Aphi = (v[0] - v[1]) / (2 * h)
     d_ph_of_Ath = (v[2] - v[3]) / (2 * h)
     # [v.sigma/2i, w.sigma/2i] = (v x w).sigma/2i  (cross-product commutator)

@@ -74,6 +74,7 @@ class GateSpec:
     repetitions: int
     residual_abelian: np.ndarray
     calibrated_control: float = 0.0  # |psi| after calibration (0 for pure phase gates)
+    transverse: WilsonLine | None = None  # steered gates: V(2 pi) at the calibrated |psi|
 
     def __post_init__(self):
         t = np.asarray(self.target, dtype=complex)
@@ -249,7 +250,8 @@ def synth_hadamard_gate(q: float, n_samples: int = 1024, steps: int = 4096) -> G
     The control magnitude is calibrated by a bracketed Brent solve at
     ``xtol = 1e-6`` so the rotation angle of V(2 pi) equals pi/2;
     the leading-order seed is |psi| = 1/(4 q).  The diagonal factor U_z(2 pi)
-    is returned in ``residual_abelian`` for downstream compensation.
+    is returned in ``residual_abelian`` for downstream compensation, and V(2 pi)
+    itself, as the calibration evaluated it, in ``transverse``.
 
     Raises:
         NumericalError: if the required |psi| exceeds the weak-coupling
@@ -271,8 +273,10 @@ def synth_hadamard_gate(q: float, n_samples: int = 1024, steps: int = 4096) -> G
     # Sampled once: each |psi| scales the rotating-frame samples psi exp(-i eta).
     phase, unrotate = steering.at(s_mid), np.exp(-1j * eta_mid)
 
+    lines = {}  # V(2 pi) of each evaluated |psi|; Brent returns one of them
+
     def angle_error(psi_abs: float) -> float:
-        v = wilson_from_samples(np.zeros(steps), psi_abs * phase * unrotate, q)
+        v = lines[psi_abs] = wilson_from_samples(np.zeros(steps), psi_abs * phase * unrotate, q)
         return rotation_angle(v) - math.pi / 2
 
     psi_max = 1.0 / (math.pi * q)
@@ -295,6 +299,7 @@ def synth_hadamard_gate(q: float, n_samples: int = 1024, steps: int = 4096) -> G
         repetitions=1,
         residual_abelian=frame.abelian_factor(),
         calibrated_control=psi_cal,
+        transverse=lines[psi_cal],
     )
 
 

@@ -12,8 +12,9 @@ is O(ds^2).  Each factor has the unit-quaternion form
 U = [[a, b], [-conj(b), conj(a)]], and the factors are combined on their
 (a, b) pairs by a fixed-order pairwise tree of elementwise complex
 products, which keeps the evaluation deterministic and the result exactly
-of that form.  Leading axes of the factor stack are a batch: many Wilson
-lines of equal step count reduce in one call.
+of that form.  The transport kernel reads the connection component-first:
+three arrays (vx, vy, vz), each of shape (..., N), whose leading axes are a
+batch, so many Wilson lines of equal step count reduce in one call.
 
 ``dyson_trace`` evaluates the trace of the loop holonomy by treating the
 diagonal part of the transport exactly and expanding in the transverse
@@ -148,14 +149,21 @@ class HolonomyLoop:
         return LoopSamples(monopole_potential(th, dph, self.patch), self.control.at(s), axis)
 
 
-def _step_pairs(vectors: np.ndarray, factor: float) -> tuple[np.ndarray, np.ndarray]:
-    """First row (a, b) of exp(i (factor/2) v . sigma) for each 3-vector v on the last axis."""
-    norms = np.linalg.norm(vectors, axis=-1)
+def _step_pairs(vx, vy, vz, factor: float) -> tuple[np.ndarray, np.ndarray]:
+    """First row (a, b) of exp(i (factor/2) v . sigma) for v with components (vx, vy, vz)."""
+    norms = np.sqrt(vx * vx + vy * vy + vz * vz)  # the bits of np.linalg.norm on (..., 3) rows
     half = 0.5 * factor * norms
-    cos = np.cos(half)
     scale = np.where(norms > 0.0, np.sin(half) / np.where(norms > 0.0, norms, 1.0), 0.5 * factor)
-    kx, ky, kz = (scale * vectors[..., 0], scale * vectors[..., 1], scale * vectors[..., 2])
-    return cos + 1j * kz, 1j * kx + ky
+    # a = cos + 1j kz and b = 1j kx + ky, written part by part; the 0.0 terms
+    # keep the signed zeros of that complex arithmetic (k = scale v may underflow).
+    a, b = np.empty(norms.shape, dtype=complex), np.empty(norms.shape, dtype=complex)
+    kx = scale * vx
+    np.cos(half, out=a.real)
+    np.add(scale * vz, 0.0, out=a.imag)
+    np.multiply(0.0, kx, out=b.real)
+    b.real += scale * vy
+    np.add(kx, 0.0, out=b.imag)
+    return a, b
 
 
 def _pair_product(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -180,14 +188,14 @@ def _su2_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.stack([np.stack([a, b], axis=-1), lower], axis=-2)
 
 
-def _transport(vectors: np.ndarray, factor: float) -> np.ndarray:
-    """Ordered product of the step exponentials of ``vectors`` (..., N, 3): the fused kernel."""
-    return _su2_matrix(*_pair_product(*_step_pairs(vectors, factor)))
+def _transport(v, factor: float) -> np.ndarray:
+    """Ordered product of the step exponentials of components ``v`` = (vx, vy, vz), each (..., N)."""
+    return _su2_matrix(*_pair_product(*_step_pairs(*v, factor)))
 
 
 def su2_exponentials(vectors: np.ndarray, factor: float) -> np.ndarray:
     """Closed-form stack of exp(i (factor/2) v . sigma) for rows v of ``vectors``."""
-    return _su2_matrix(*_step_pairs(np.atleast_2d(vectors), factor))
+    return _su2_matrix(*_step_pairs(*np.moveaxis(np.atleast_2d(vectors), -1, 0), factor))
 
 
 def ordered_product(mats: np.ndarray) -> np.ndarray:
@@ -237,9 +245,9 @@ def cumulative_midpoint(values: np.ndarray, ds: float, weight: float = 1.0) -> t
     return ends, ends - 0.5 * values * ds * weight
 
 
-def _wilson_line(vecs: np.ndarray, charge: float, ds: float) -> WilsonLine:
-    """Fused product of the step exponentials of connection vectors (NaN fails in WilsonLine)."""
-    return WilsonLine(_transport(vecs, charge * ds), charge)
+def _wilson_line(v, charge: float, ds: float) -> WilsonLine:
+    """Fused product of the step exponentials of components (vx, vy, vz) (NaN fails in WilsonLine)."""
+    return WilsonLine(_transport(v, charge * ds), charge)
 
 
 def integrate_wilson(loop: HolonomyLoop) -> WilsonLine:
@@ -259,8 +267,7 @@ def wilson_from_samples(abelian, control, charge: float) -> WilsonLine:
     psi = np.asarray(control, dtype=complex)
     if a.ndim != 1 or a.size == 0 or psi.shape != a.shape:
         raise ValidationError("rate samples must be non-empty 1-d arrays of equal length")
-    vecs = np.stack([psi.real, -psi.imag, a], axis=1)
-    return _wilson_line(vecs, charge, 2 * math.pi / a.size)
+    return _wilson_line((psi.real, -psi.imag, a), charge, 2 * math.pi / a.size)
 
 
 def wilson_from_rates(abelian, control, charge: float, n_steps: int = 4096) -> WilsonLine:

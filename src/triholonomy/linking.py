@@ -52,8 +52,7 @@ class SpaceCurve:
             raise ValidationError("a closed curve needs at least 16 segments (17 samples)")
         if not np.all(np.isfinite(pts)):
             raise ValidationError("non-finite curve points")
-        seglen = np.linalg.norm(np.diff(pts, axis=0), axis=1)
-        if np.any(seglen == 0.0):
+        if np.any(np.all(np.diff(pts, axis=0) == 0.0, axis=1)):  # exact zeros: no squares to overflow
             raise ValidationError("consecutive duplicate points on curve")
         # Compared in units of the largest coordinate, so no norm overflows (an
         # inf diameter would accept any gap).

@@ -17,6 +17,9 @@ from hypothesis import strategies as st
 
 import triholonomy
 from triholonomy.cli import _CSV_BLOCK_ROWS, SCENARIOS, _write_csv, main
+from triholonomy.connection import eigenframe_rate_samples
+from triholonomy.gates import make_ellipse_loop
+from triholonomy.holonomy import HolonomyLoop, midpoint_grid, trace_expansion_from_rates
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -363,6 +366,24 @@ class TestRun:
         assert main(["run", cfg_path]) == 0
         assert (target / "gate.json").exists()
 
+    @pytest.mark.parametrize("source", ["--out", "output_dir", "TRIHOLONOMY_OUTDIR"])
+    @pytest.mark.parametrize("name", ["file", "file/sub", "dangling/sub"])
+    def test_unusable_output_dir_exits_2(self, tmp_path, capsys, monkeypatch, source, name):
+        # an existing file, a path under a file, and a path under a dangling symlink
+        (tmp_path / "file").write_text("kept")
+        (tmp_path / "dangling").symlink_to(tmp_path / "missing")
+        outdir = str(tmp_path / name)
+        monkeypatch.delenv("TRIHOLONOMY_OUTDIR", raising=False)
+        if source == "TRIHOLONOMY_OUTDIR":
+            monkeypatch.setenv(source, outdir)
+        cfg = small_gate_config(output_dir=outdir) if source == "output_dir" else small_gate_config()
+        argv = ["run", write_config(tmp_path, cfg)] + (["--out", outdir] if source == "--out" else [])
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"validation error: cannot use output directory {outdir}: ")
+        assert err.count("\n") == 1
+        assert (tmp_path / "file").read_text() == "kept"
+
     def test_trace_sweep_scenario(self, tmp_path):
         cfg = {
             "schema_version": 1,
@@ -376,6 +397,21 @@ class TestRun:
         assert rows[0] == "psi_abs,trace_direct,trace_order2,trace_order4,i2,i4"
         direct, order2 = (float(x) for x in rows[1].split(",")[1:3])
         assert abs(direct - order2) < 1e-2
+
+    def test_trace_sweep_order2_is_the_order2_expansion(self, tmp_path):
+        # trace_order2 is derived from the order-4 expansion's I2: the bits of an order-2 call
+        params = {"q": 2.0, "a": 0.2, "b": 0.2, "psi_values": [0.025, 0.05, 0.1], "steps": 2048,
+                  "samples": 512}
+        cfg = {"schema_version": 1, "scenario": "trace-sweep", "seed": 0, "params": params}
+        out = tmp_path / "out"
+        assert main(["run", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+        rows = [row.split(",") for row in (out / "trace_sweep.csv").read_text().splitlines()[1:]]
+        shape = make_ellipse_loop(math.pi / 2, 0.0, 0.2, 0.2, 512)
+        s_mid, _ = midpoint_grid(2048)
+        base = HolonomyLoop(shape, charge=2.0, steps=2048).sample(s_mid)
+        for row, psi_abs in zip(rows, params["psi_values"], strict=True):
+            c, j = eigenframe_rate_samples(base._replace(psi=np.full(2048, complex(psi_abs))), 2.0)
+            assert row[2] == format(trace_expansion_from_rates(c, j, 2).trace_estimate, ".17g")
 
     def test_trace_sweep_seeded_gauge_check(self, tmp_path):
         cfg = {

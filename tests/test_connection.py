@@ -227,7 +227,7 @@ class TestWilczekZeeSample:
         dth, dph = rng.normal(size=10), rng.normal(size=10)
         psi = 0.4 * (rng.normal(size=10) + 1j * rng.normal(size=10))
         samples = _samples_at(th, ph, dth, dph, field, psi, GaugePatch.NORTH)
-        vectors = connection_vectors(samples, field)
+        vectors = connection_vectors(samples, field).T  # rows, for su2_of
         for q in (0.5, 1.0, 2.0, 3.5):
             c, j = eigenframe_rate_samples(samples, q)
             for k, (mu, lam, dmu, dlam) in enumerate(zip(*samples.axis)):
@@ -330,7 +330,7 @@ class TestCurvature:
             np.concatenate([np.broadcast_to(leg[i], substeps) for leg in legs]) for i in range(4)
         )
         samples = _samples_at(th, ph % (2 * math.pi), dth, dph, field, psi_field(th, ph), GaugePatch.NORTH)
-        return ordered_product(su2_exponentials(connection_vectors(samples, field), h / substeps))
+        return ordered_product(su2_exponentials(connection_vectors(samples, field).T, h / substeps))
 
     def test_plaquette_stokes_oracle(self):
         # -log(holonomy of a small square) agrees with curvature x area to

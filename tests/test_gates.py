@@ -194,6 +194,17 @@ class TestHadamardGate:
         v = interaction_frame(spec.loop).integrate_transverse().matrix
         assert np.max(np.abs(spec.residual_abelian @ v - w)) < 1e-7
 
+    @pytest.mark.parametrize("steps", [4096, 8192])
+    @pytest.mark.parametrize("q", benchmark_gate_weights())
+    def test_transverse_is_the_interaction_frame_transport(self, q, steps):
+        # the calibration's own V(2 pi) at |psi|_cal, bit for bit the re-integrated one
+        spec = synth_hadamard_gate(q, steps=steps)
+        v = interaction_frame(spec.loop).integrate_transverse()
+        assert spec.transverse.matrix.tobytes() == v.matrix.tobytes()
+
+    def test_phase_gate_has_no_transverse_line(self):
+        assert synth_phase_gate(50.0).transverse is None
+
     @pytest.mark.parametrize("q", benchmark_gate_weights())
     def test_calibration_matches_brentq(self, monkeypatch, q):
         solve = gates._brent_root

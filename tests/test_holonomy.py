@@ -10,6 +10,7 @@ from triholonomy.holonomy import (
     HolonomyLoop,
     WilsonLine,
     _half_trace_angle,
+    _step_pairs,
     _transport,
     _wilson_line,
     dyson_trace,
@@ -114,23 +115,73 @@ class TestOrderedProduct:
             ordered_product(np.zeros((0, 2, 2), dtype=complex))
 
 
+def step_pairs_rows(vectors, factor):
+    """Oracle: the step kernel as it read (N, 3) rows, before the component-first layout."""
+    norms = np.linalg.norm(vectors, axis=-1)
+    half = 0.5 * factor * norms
+    cos = np.cos(half)
+    scale = np.where(norms > 0.0, np.sin(half) / np.where(norms > 0.0, norms, 1.0), 0.5 * factor)
+    kx, ky, kz = (scale * vectors[..., 0], scale * vectors[..., 1], scale * vectors[..., 2])
+    return cos + 1j * kz, 1j * kx + ky
+
+
+def magnitude_rows(rng, shape, lo=-300.0, hi=150.0):
+    """Rows with log-uniform magnitudes 10**lo to 10**hi and random signs."""
+    return 10.0 ** rng.uniform(lo, hi, size=shape) * rng.choice([-1.0, 1.0], size=shape)
+
+
+class TestStepKernelOracle:
+    """The component-first step kernel gives the bytes of the former (N, 3)-row kernel."""
+
+    @staticmethod
+    def assert_same_bytes(rows, factor=0.3):
+        a, b = _step_pairs(*np.moveaxis(rows, -1, 0), factor)
+        a_ref, b_ref = step_pairs_rows(rows, factor)
+        assert a.shape == a_ref.shape and b.shape == b_ref.shape
+        assert a.tobytes() == a_ref.tobytes() and b.tobytes() == b_ref.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 7, 1023, 4096])
+    def test_random_rows(self, n):
+        self.assert_same_bytes(np.random.default_rng(n).normal(size=(n, 3)))
+
+    @pytest.mark.parametrize("n", [1, 7, 1023])
+    def test_zero_rows(self, n):
+        self.assert_same_bytes(np.zeros((n, 3)))
+        self.assert_same_bytes(-np.zeros((n, 3)))
+        rows = np.random.default_rng(n).normal(size=(n, 3))
+        rows[::3] = 0.0
+        rows[1::3, 1] = -0.0  # as -Im(psi) of a real control
+        self.assert_same_bytes(rows)
+
+    def test_batch(self):
+        self.assert_same_bytes(np.random.default_rng(6).normal(size=(6, 333, 3)))
+
+    @pytest.mark.parametrize("factor", [0.3, 1e-3, 2.0])
+    def test_magnitudes_1e_minus_300_to_1e150(self, factor):
+        rng = np.random.default_rng(12)
+        self.assert_same_bytes(magnitude_rows(rng, (1023, 3)), factor)
+        self.assert_same_bytes(magnitude_rows(rng, (6, 333, 3)), factor)
+        for lo in range(-300, 150, 50):  # each row within one decade band, so no component dominates
+            self.assert_same_bytes(magnitude_rows(rng, (257, 3), lo, lo + 1), factor)
+
+
 class TestFusedTransport:
     """The unchecked (a, b) kernel against the checked matrix-stack entry points."""
 
     @pytest.mark.parametrize("n", [1, 2, 7, 1023, 4096])
     def test_bit_identical_to_checked_product(self, n):
         v = np.random.default_rng(n).normal(size=(n, 3))
-        fused = _transport(v, 0.3)
+        fused = _transport(v.T, 0.3)
         assert fused.tobytes() == ordered_product(su2_exponentials(v, 0.3)).tobytes()
 
     def test_batch_bit_identical(self):
         v = np.random.default_rng(6).normal(size=(6, 333, 3))
-        fused = _transport(v, 0.3)
+        fused = _transport(np.moveaxis(v, -1, 0), 0.3)
         stacked = su2_exponentials(v.reshape(-1, 3), 0.3).reshape(6, 333, 2, 2)
         assert fused.shape == (6, 2, 2)
         assert fused.tobytes() == ordered_product(stacked).tobytes()
         for b in range(6):
-            assert fused[b].tobytes() == _transport(v[b], 0.3).tobytes()
+            assert fused[b].tobytes() == _transport(v[b].T, 0.3).tobytes()
 
     def test_nan_sample_fails_closed(self):
         a = np.full(64, 0.1)

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -132,10 +133,23 @@ class TestSpaceCurve:
         t = np.linspace(0, 2 * math.pi, 33)
         pts = 1e160 * np.stack([np.cos(t), np.sin(t), 0 * t], axis=1)
         pts[-1] = pts[0] + [0.0, 0.0, 1e155]
-        with pytest.raises(ValidationError, match="closure gap"):
-            SpaceCurve(pts)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no check may overflow on the way
+            with pytest.raises(ValidationError, match="closure gap"):
+                SpaceCurve(pts)
+            pts[-1] = pts[0]
+            assert SpaceCurve(pts).points.shape == (33, 3)
+
+    def test_tiny_step_is_not_a_duplicate(self):
+        # the squared length of a 1e-170 step underflows to 0, the step itself does not
+        t = np.linspace(0, 2 * math.pi, 33)
+        pts = 1e-160 * np.stack([np.cos(t), np.sin(t), 0 * t], axis=1)
+        pts[5] = pts[4] + [1e-170, 0.0, 0.0]
         pts[-1] = pts[0]
         assert SpaceCurve(pts).points.shape == (33, 3)
+        pts[5] = pts[4]
+        with pytest.raises(ValidationError, match="consecutive duplicate points"):
+            SpaceCurve(pts)
 
     def test_duplicate_points_rejected(self):
         t = np.linspace(0, 2 * math.pi, 33)
