@@ -10,11 +10,9 @@ feasibility estimates with an interferometric readout model.
 
 from .connection import (
     BlochField,
-    ConnectionSample,
     ControlField,
     GaugePatch,
     curvature_vector,
-    wilczek_zee_sample,
 )
 from .demonstrator import (
     DriveLoopResult,

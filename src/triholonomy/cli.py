@@ -39,6 +39,7 @@ Exit codes: 0 success, 2 validation error or out of memory, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -504,13 +505,13 @@ def _cmd_run(args) -> int:
     if args.seed is not None:
         cfg["seed"] = _check(args.seed, _SEED, "seed", "--seed")
     outdir = args.out or cfg.get("output_dir") or os.environ.get(OUTDIR_ENV) or "."
+    outputs = run_scenario(cfg, _config_dir(args.config))  # a failed run leaves no directory behind
     try:
         os.makedirs(outdir, exist_ok=True)
         staging = tempfile.mkdtemp(prefix=".staging-", dir=outdir)
     except OSError as exc:
         raise ValidationError(f"cannot use output directory {outdir}: {exc.strerror or exc}") from exc
     try:
-        outputs = run_scenario(cfg, _config_dir(args.config))
         for name, payload in outputs.items():
             path = os.path.join(staging, name)
             if isinstance(payload, dict):
@@ -540,6 +541,7 @@ def _cmd_validate(args) -> int:
     return 0
 
 
+@functools.cache  # built once per process; parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="triholonomy",

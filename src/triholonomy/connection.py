@@ -26,12 +26,6 @@ an abelian-Higgs pair under frame rotations about n,
 
 exactly (the stated unit-charge law at transport weight q = 1).
 
-A ``ConnectionSample`` additionally reports the abelian coefficient
-``C = A + omega`` and the transverse coefficient ``J`` (``psi`` itself for
-pinned fields, ``psi (d mu - i sin mu d lambda)`` for analytic ones), with
-``omega`` the unit-monopole potential on the Bloch sphere pulled back
-through the axis field.
-
 Every quantity is evaluated on arrays of samples (``monopole_potential``,
 ``connection_vectors``, ``eigenframe_rate_samples``).
 """
@@ -40,7 +34,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -52,22 +45,15 @@ __all__ = [
     "GaugePatch",
     "BlochField",
     "ControlField",
-    "ConnectionSample",
     "LoopSamples",
     "monopole_potential",
     "connection_vectors",
     "eigenframe_rate_samples",
-    "wilczek_zee_sample",
     "curvature_vector",
 ]
 
 _FD_STEP = 1e-6  # central-difference step for angle partials
 _CURVATURE_STEP = 1e-5  # central-difference step of the curvature's exterior derivative
-_PAULI = (
-    np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-    np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
-    np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
-)
 
 
 class GaugePatch(enum.Enum):
@@ -267,30 +253,6 @@ class ControlField:
         return complex(values) if values.ndim == 0 else values
 
 
-@dataclass(frozen=True)
-class ConnectionSample:
-    """SU(2) connection contracted with a loop tangent, plus its decomposition.
-
-    Attributes:
-        full: 2x2 anti-Hermitian traceless matrix (connection per unit s).
-        abelian: the diagonal coefficient C = A + omega on the tangent.
-        transverse: the off-diagonal coefficient J on the tangent.
-    """
-
-    full: np.ndarray
-    abelian: float
-    transverse: complex
-
-    def __post_init__(self):
-        m = np.asarray(self.full, dtype=complex)
-        if m.shape != (2, 2):
-            raise ValidationError("connection sample must be 2x2")
-        if not (abs(np.trace(m)) <= 1e-12 and np.max(np.abs(m + m.conj().T)) <= 1e-12):
-            raise ValidationError("connection sample must be traceless and anti-Hermitian")
-        m.setflags(write=False)
-        object.__setattr__(self, "full", m)
-
-
 class LoopSamples(NamedTuple):
     """Transport data sampled along a loop.
 
@@ -350,8 +312,7 @@ def eigenframe_rate_samples(samples: LoopSamples, q: float) -> tuple[np.ndarray,
         c = q A - 2 omega,
         j = w (q psi + i (q - 1)),   w = e^{-i lam} (dmu - i sin mu dlam).
 
-    These are the rates the trace expansion integrates; they agree with the
-    reported (C, J) decomposition exactly in the pinned regime.
+    These are the rates the trace expansion integrates.
     """
     a, psi, axis = samples
     if axis is None:
@@ -366,29 +327,6 @@ def _samples_at(th, ph, dth, dph, field: BlochField, psi, patch: GaugePatch) -> 
     """Transport data at arrays of shape points (th, ph), tangents (dth, dph) and controls psi."""
     axis = None if field.is_pinned else field.angle_samples(th, ph, dth, dph)
     return LoopSamples(monopole_potential(th, dph, patch, "shape point"), psi, axis)
-
-
-def wilczek_zee_sample(
-    point: ShapePoint,
-    tangent,
-    field: BlochField,
-    psi: complex,
-    patch: GaugePatch = GaugePatch.NORTH,
-) -> ConnectionSample:
-    """Full SU(2) connection on a tangent with its (C, J) split, omega in the north Bloch patch."""
-    psi = complex(psi)
-    if not (np.isfinite(psi.real) and np.isfinite(psi.imag)):
-        raise ValidationError("control value must be finite")
-    th, ph, dth, dph = (np.array([float(x)]) for x in (point.colatitude, point.azimuth, *tangent))
-    samples = _samples_at(th, ph, dth, dph, field, np.array([psi]), patch)
-    vx, vy, vz = connection_vectors(samples, field)[:, 0]
-    full = (vx * _PAULI[0] + vy * _PAULI[1] + vz * _PAULI[2]) / 2j
-    a = float(samples.a[0])
-    if samples.axis is None:
-        return ConnectionSample(full, a, psi)
-    mu, _, dmu, dlam = (float(x[0]) for x in samples.axis)
-    omega = float(monopole_potential(mu, dlam, where="Bloch axis"))
-    return ConnectionSample(full, a + omega, psi * (dmu - 1j * math.sin(mu) * dlam))
 
 
 def curvature_vector(

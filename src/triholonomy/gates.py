@@ -7,7 +7,10 @@ transport angle is the coupling weight times half the enclosed angle, so
 ``a b = 1/q`` realises a pi/2 phase rotation.  The Hadamard-type gate keeps
 the same loop but steers the control phase against the accumulated
 diagonal phase so the interaction-picture transverse generator stays
-aligned with one equatorial axis.
+aligned with one equatorial axis.  Its step factors then commute, the
+transverse rotation angle is 2 pi q |psi| up to round-off, and the control
+magnitude is the closed form |psi| = 1/(4 q); a single transport checks
+the resulting pi/2 rotation instead of a root search.
 
 Two-qubit gates are compiled from the topological phase of linked control
 cycles: a level-k controlled phase diag(1, 1, 1, e^{i 4 pi q^2 Lk / k}),
@@ -203,23 +206,6 @@ class InteractionFrame:
     charge: float
     eta_total: float
 
-    def matrices(self) -> np.ndarray:
-        """The sampled generators as 2x2 matrices (z-components identically zero)."""
-        g = self.transverse
-        out = np.zeros((g.size, 2, 2), dtype=complex)
-        out[:, 0, 1] = g / 2j
-        out[:, 1, 0] = np.conj(g) / 2j
-        return out
-
-    def abelian_factor(self) -> np.ndarray:
-        """U_z(2 pi) = diag(e^{i eta_T / 2}, e^{-i eta_T / 2})."""
-        return np.diag(
-            [
-                np.exp(1j * self.eta_total / 2.0),
-                np.exp(-1j * self.eta_total / 2.0),
-            ]
-        )
-
     def integrate_transverse(self) -> WilsonLine:
         """Ordered-product holonomy V(2 pi) of the transverse generator alone."""
         return wilson_from_samples(np.zeros(self.params.size), self.transverse, self.charge)
@@ -245,17 +231,19 @@ def synth_hadamard_gate(q: float, n_samples: int = 1024, steps: int = 4096) -> G
     """Steered-control loop whose transverse holonomy is the y-axis pi/2 rotation.
 
     Uses the same elliptical loop as the phase gate (enclosed angle pi/q)
-    with control phase arg psi(s) = pi/2 + eta(s), which keeps the
-    rotating-frame transverse generator aligned with one equatorial axis.
-    The control magnitude is calibrated by a bracketed Brent solve at
-    ``xtol = 1e-6`` so the rotation angle of V(2 pi) equals pi/2;
-    the leading-order seed is |psi| = 1/(4 q).  The diagonal factor U_z(2 pi)
-    is returned in ``residual_abelian`` for downstream compensation, and V(2 pi)
-    itself, as the calibration evaluated it, in ``transverse``.
+    with control phase arg psi(s) = pi/2 + eta(s).  The rotating-frame
+    samples psi exp(-i eta) then all equal i |psi| to round-off, so every
+    step factor of V(2 pi) turns about the same axis, the factors commute,
+    and the rotation angle is 2 pi q |psi| exactly up to round-off (no
+    discretisation error).  The control magnitude is therefore the
+    closed form |psi| = 1/(4 q); one transport checks that the angle of
+    V(2 pi) is pi/2 to within 1e-6.  The diagonal factor U_z(2 pi) is
+    returned in ``residual_abelian`` for downstream compensation, and V(2 pi)
+    itself, as the check transported it, in ``transverse``.
 
     Raises:
-        NumericalError: if the required |psi| exceeds the weak-coupling
-            bound 1/(pi q) within which the trace expansion contracts.
+        NumericalError: if the transported rotation angle misses pi/2 by more
+            than 1e-6 (or is not finite).
     """
     if not q > 0:
         raise ValidationError("coupling weight q must be positive")
@@ -270,76 +258,24 @@ def synth_hadamard_gate(q: float, n_samples: int = 1024, steps: int = 4096) -> G
     steering = ControlField._from_arrays(
         lambda s: np.exp(1j * (math.pi / 2 + np.interp(s, grid, eta_nodes))), check_periodic=False
     )
-    # Sampled once: each |psi| scales the rotating-frame samples psi exp(-i eta).
-    phase, unrotate = steering.at(s_mid), np.exp(-1j * eta_mid)
-
-    lines = {}  # V(2 pi) of each evaluated |psi|; Brent returns one of them
-
-    def angle_error(psi_abs: float) -> float:
-        v = lines[psi_abs] = wilson_from_samples(np.zeros(steps), psi_abs * phase * unrotate, q)
-        return rotation_angle(v) - math.pi / 2
-
-    psi_max = 1.0 / (math.pi * q)
-    seed = 1.0 / (4.0 * q)
-    lo, hi = 0.5 * seed, min(1.5 * seed, psi_max)
-    f_lo, f_hi = angle_error(lo), angle_error(hi)
-    if f_lo * f_hi > 0:
-        lo, f_lo, hi, f_hi = 0.0, angle_error(0.0), psi_max, angle_error(psi_max)
-        if f_hi < 0:
-            raise NumericalError(
-                f"steering infeasible: rotation angle pi/2 needs |psi| > {psi_max:.4g} "
-                "(weak-coupling bound exceeded)"
-            )
-    psi_cal = _brent_root(angle_error, lo, hi, f_lo, f_hi, _CALIBRATION_TOL)
+    psi_cal = 1.0 / (4.0 * q)
+    v = wilson_from_samples(np.zeros(steps), psi_cal * steering.at(s_mid) * np.exp(-1j * eta_mid), q)
+    miss = abs(rotation_angle(v) - math.pi / 2)
+    if not miss <= _CALIBRATION_TOL:
+        raise NumericalError(
+            f"steered transverse rotation misses pi/2 by {miss:.3e} at |psi| = 1/(4 q) "
+            f"(bound {_CALIBRATION_TOL:g})"
+        )
     control = ControlField._from_arrays(lambda s: psi_cal * steering.at(s), check_periodic=False)
-    frame = InteractionFrame(s_mid, eta_mid, psi_cal * phase * unrotate, q, float(eta_ends[-1]))
+    eta_total = float(eta_ends[-1])
     return GateSpec(
         target=HADAMARD_ROTATION,
         loop=HolonomyLoop(shape, BlochField.pinned(), control, q, steps),
         repetitions=1,
-        residual_abelian=frame.abelian_factor(),
+        residual_abelian=np.diag([np.exp(1j * eta_total / 2.0), np.exp(-1j * eta_total / 2.0)]),
         calibrated_control=psi_cal,
-        transverse=lines[psi_cal],
+        transverse=v,
     )
-
-
-def _brent_root(f, x0: float, x1: float, f0: float, f1: float, xtol: float) -> float:
-    """Root of ``f`` in [x0, x1], given f0 = f(x0) and f1 = f(x1) of opposite signs.
-
-    Brent's zeroin (Algorithms for Minimization without Derivatives, 1973, ch. 4):
-    secant or inverse quadratic steps where they shrink the bracket fast enough,
-    bisection otherwise, until the bracket half-width is below (xtol + 4 eps |x|) / 2.
-    """
-    if f0 == 0:
-        return x0
-    pre, fpre, cur, fcur = x0, f0, x1, f1
-    blk = fblk = spre = scur = 0.0
-    for _ in range(100):
-        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
-            blk, fblk = pre, fpre
-            spre = scur = cur - pre
-        if abs(fblk) < abs(fcur):  # cur holds the best estimate, blk brackets the root
-            pre, cur, blk = cur, blk, cur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + 4 * np.finfo(float).eps * abs(cur)) / 2
-        sbis = (blk - cur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return cur
-        stry = math.inf  # bisect unless an interpolation step is short enough
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if pre == blk:  # secant
-                stry = -fcur * (cur - pre) / (fcur - fpre)
-            else:  # inverse quadratic
-                dpre = (fpre - fcur) / (pre - cur)
-                dblk = (fblk - fcur) / (blk - cur)
-                den = dblk * dpre * (fblk - fpre)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / den if den else math.inf
-        short = 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta)
-        spre, scur = (scur, stry) if short else (sbis, sbis)
-        pre, fpre = cur, fcur
-        cur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = f(cur)
-    raise NumericalError("calibration root search did not converge in 100 steps")
 
 
 def cs_controlled_phase(q: float, k: int, lk: int = 1, slk=(0, 0)) -> TwoQubitGate:

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import triholonomy
+from triholonomy import gates
 from triholonomy.cli import _CSV_BLOCK_ROWS, SCENARIOS, _write_csv, main
 from triholonomy.connection import eigenframe_rate_samples
 from triholonomy.gates import make_ellipse_loop
@@ -383,6 +384,24 @@ class TestRun:
         assert err.startswith(f"validation error: cannot use output directory {outdir}: ")
         assert err.count("\n") == 1
         assert (tmp_path / "file").read_text() == "kept"
+
+    @pytest.mark.parametrize(
+        "params, angle, code",
+        [
+            ({"q": -1.0}, None, 2),
+            ({"target": "hadamard"}, math.pi / 2 + 2e-6, 3),
+            ({"target": "hadamard"}, math.nan, 3),
+        ],
+        ids=["bad-q", "missed-angle", "nan-angle"],
+    )
+    def test_failed_run_leaves_no_output_dir(self, tmp_path, capsys, monkeypatch, params, angle, code):
+        if angle is not None:
+            monkeypatch.setattr(gates, "rotation_angle", lambda line: angle)
+        cfg = small_gate_config(params=dict(BASE_PARAMS["gate-synth"], **params))
+        out = tmp_path / "new" / "out"
+        assert main(["run", write_config(tmp_path, cfg), "--out", str(out)]) == code
+        assert capsys.readouterr().err.startswith("validation error" if code == 2 else "numerical failure")
+        assert not out.exists() and not out.parent.exists()
 
     def test_trace_sweep_scenario(self, tmp_path):
         cfg = {

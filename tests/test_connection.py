@@ -5,7 +5,6 @@ import pytest
 from scipy.linalg import logm
 
 from triholonomy.connection import (
-    _PAULI,
     BlochField,
     ControlField,
     GaugePatch,
@@ -15,7 +14,6 @@ from triholonomy.connection import (
     curvature_vector,
     eigenframe_rate_samples,
     monopole_potential,
-    wilczek_zee_sample,
 )
 from triholonomy.errors import NumericalError, ValidationError
 from triholonomy.gates import make_ellipse_loop, synth_hadamard_gate
@@ -36,9 +34,18 @@ def smooth_field():
     )
 
 
+PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=complex)
+
+
 def su2_of(v):
     """v . sigma / 2i for a real 3-vector v (anti-Hermitian traceless)."""
-    return np.einsum("k,kij->ij", np.asarray(v, dtype=float), np.array(_PAULI)) / 2j
+    return np.einsum("k,kij->ij", np.asarray(v, dtype=float), PAULI) / 2j
+
+
+def sample_at(pt, tangent, field, psi):
+    """Transport data at one shape point, tangent (dtheta, dphi) and control value."""
+    th, ph, dth, dph = (np.array([float(x)]) for x in (pt.colatitude, pt.azimuth, *tangent))
+    return _samples_at(th, ph, dth, dph, field, np.array([complex(psi)]), GaugePatch.NORTH)
 
 
 def axis_and_rate(field, th, ph, dth, dph):
@@ -185,12 +192,14 @@ class TestWilczekZeeSample:
     def test_pinned_collapse(self):
         pt = ShapePoint(1.0, 0.4)
         tang = (0.2, 1.3)
-        sample = wilczek_zee_sample(pt, tang, BlochField.pinned(), 0.0)
+        samples = sample_at(pt, tang, BlochField.pinned(), 0.0)
+        c, j = eigenframe_rate_samples(samples, 1.0)
+        full = su2_of(connection_vectors(samples, BlochField.pinned())[:, 0])
         a = monopole_potential(pt.colatitude, tang[1])
-        assert sample.abelian == pytest.approx(a)
-        assert sample.transverse == 0.0
+        assert c[0] == pytest.approx(a)
+        assert j[0] == 0.0
         expected = a * np.array([[1, 0], [0, -1]], dtype=complex) / 2j
-        assert np.allclose(sample.full, expected, atol=1e-15)
+        assert np.allclose(full, expected, atol=1e-15)
 
     def test_traceless_antihermitian(self):
         field = smooth_field()
@@ -198,7 +207,8 @@ class TestWilczekZeeSample:
         for _ in range(30):
             pt = ShapePoint(rng.uniform(0.3, 2.7), rng.uniform(0, 2 * math.pi))
             psi = complex(rng.normal(), rng.normal())
-            m = wilczek_zee_sample(pt, (rng.normal(), rng.normal()), field, psi).full
+            samples = sample_at(pt, (rng.normal(), rng.normal()), field, psi)
+            m = su2_of(connection_vectors(samples, field)[:, 0])
             assert abs(np.trace(m)) < 1e-12
             assert np.max(np.abs(m + m.conj().T)) < 1e-12
 
@@ -206,17 +216,19 @@ class TestWilczekZeeSample:
         pt = ShapePoint(0.9, 5.1)
         tang = (0.7, -0.2)
         psi = 0.3 - 0.4j
-        sample = wilczek_zee_sample(pt, tang, BlochField.pinned(), psi)
-        c, j = sample.abelian, sample.transverse
+        samples = sample_at(pt, tang, BlochField.pinned(), psi)
+        full = su2_of(connection_vectors(samples, BlochField.pinned())[:, 0])
+        c, j = (x[0] for x in eigenframe_rate_samples(samples, 1.0))
+        assert j == psi
         reassembled = np.array([[c, j], [np.conj(j), -c]], dtype=complex) / 2j
-        assert np.max(np.abs(reassembled - sample.full)) < 1e-10
+        assert np.max(np.abs(reassembled - full)) < 1e-10
 
     def test_analytic_has_transverse_part(self):
-        sample = wilczek_zee_sample(
-            ShapePoint(1.0, 0.5), (1.0, 0.5), smooth_field(), 0.0
-        )
-        assert abs(sample.full[0, 1]) > 1e-3  # geometric axis motion couples off-diagonally
-        assert sample.transverse == 0.0  # control coefficient itself vanishes at psi = 0
+        samples = sample_at(ShapePoint(1.0, 0.5), (1.0, 0.5), smooth_field(), 0.0)
+        full = su2_of(connection_vectors(samples, smooth_field())[:, 0])
+        assert abs(full[0, 1]) > 1e-3  # geometric axis motion couples off-diagonally
+        _, j = eigenframe_rate_samples(samples, 1.0)
+        assert j[0] == 0.0  # control coefficient itself vanishes at psi = 0 (and q = 1)
 
     def test_eigenframe_identity(self):
         # The closed-form transport rates match the frame-rotated connection:
@@ -238,16 +250,14 @@ class TestWilczekZeeSample:
                 assert np.max(np.abs(direct - formula)) < 1e-10
 
     def test_transverse_magnitude_matches_reported(self):
-        # |j| at q = 1 equals |J| of the reported decomposition
-        field = smooth_field()
+        # |j| at q = 1 equals |J| = |psi (dmu - i sin mu dlam)| of the (C, J) decomposition
         pt = ShapePoint(1.3, 0.9)
         tang = (0.4, 1.1)
         psi = 0.2 + 0.1j
-        sample = wilczek_zee_sample(pt, tang, field, psi)
-        th, ph, dth, dph = (np.array([x]) for x in (pt.colatitude, pt.azimuth, *tang))
-        samples = _samples_at(th, ph, dth, dph, field, np.array([psi]), GaugePatch.NORTH)
+        samples = sample_at(pt, tang, smooth_field(), psi)
+        mu, _, dmu, dlam = (x[0] for x in samples.axis)
         _, j = eigenframe_rate_samples(samples, 1.0)
-        assert abs(j[0]) == pytest.approx(abs(sample.transverse), abs=1e-12)
+        assert abs(j[0]) == pytest.approx(abs(psi * (dmu - 1j * math.sin(mu) * dlam)), abs=1e-12)
 
 
 class TestGaugeAndPatchProperties:

@@ -7,8 +7,6 @@ import warnings
 import numpy as np
 import pytest
 
-from scipy.optimize import brentq
-
 from triholonomy import gates
 from triholonomy.connection import BlochField, ControlField
 from triholonomy.errors import NumericalError, ValidationError
@@ -120,8 +118,7 @@ class TestInteractionFrame:
         spec = synth_phase_gate(50.0)
         frame = interaction_frame(spec.loop)
         assert np.max(np.abs(frame.transverse)) == 0.0
-        mats = frame.matrices()
-        assert np.max(np.abs(mats[:, 0, 0])) == 0.0  # stays in the x-y plane
+        assert np.array_equal(frame.integrate_transverse().matrix, np.eye(2))
 
     def test_meridian_loop_has_no_diagonal_phase(self):
         # phi constant => abelian part vanishes and the frame transform is trivial
@@ -139,7 +136,8 @@ class TestInteractionFrame:
         loop = HolonomyLoop(shape, BlochField.pinned(), ctrl, q, 16384)
         w = integrate_wilson(loop).matrix
         frame = interaction_frame(loop)
-        w_factored = frame.abelian_factor() @ frame.integrate_transverse().matrix
+        u_z = np.diag([np.exp(0.5j * frame.eta_total), np.exp(-0.5j * frame.eta_total)])
+        w_factored = u_z @ frame.integrate_transverse().matrix
         assert np.max(np.abs(w_factored - w)) < 1e-8
 
     def test_requires_pinned_axis(self):
@@ -206,35 +204,18 @@ class TestHadamardGate:
         assert synth_phase_gate(50.0).transverse is None
 
     @pytest.mark.parametrize("q", benchmark_gate_weights())
-    def test_calibration_matches_brentq(self, monkeypatch, q):
-        solve = gates._brent_root
-        reference = []
+    def test_calibration_is_closed_form(self, q):
+        # steered step factors commute, so the rotation angle is 2 pi q |psi| exactly
+        for steps in (4096, 8192, 16384):
+            spec = synth_hadamard_gate(q, steps=steps)
+            assert spec.calibrated_control == 1.0 / (4.0 * q)
+            assert abs(rotation_angle(spec.transverse) - math.pi / 2) <= 1e-12
 
-        def both(f, lo, hi, f_lo, f_hi, xtol):
-            assert (f(lo), f(hi)) == (f_lo, f_hi)  # the reused bracket values are f's own
-            reference.append(brentq(f, lo, hi, xtol=xtol))
-            return solve(f, lo, hi, f_lo, f_hi, xtol)
-
-        monkeypatch.setattr(gates, "_brent_root", both)
-        spec = synth_hadamard_gate(q, steps=4096)
-        assert abs(spec.calibrated_control - reference[0]) <= 1e-12
-
-
-@pytest.mark.parametrize(
-    "f, lo, hi",
-    [
-        (lambda x: x**3 - 2.0, 0.0, 2.0),
-        (lambda x: math.exp(x) - 5.0, -0.5, 3.0),
-        (lambda x: (x - 1.0) ** 5, 0.1, 1.9),
-        (lambda x: math.sin(10.0 * x) + 0.2, 0.0, 0.5),
-        (lambda x: math.copysign(1.0, x - 0.7), 0.0, 2.0),
-        (lambda x: x, 0.0, 1.0),  # root at the lower end
-    ],
-)
-@pytest.mark.parametrize("xtol", [1e-6, 2e-12])
-def test_brent_root_matches_brentq(f, lo, hi, xtol):
-    root = gates._brent_root(f, lo, hi, f(lo), f(hi), xtol)
-    assert root == pytest.approx(brentq(f, lo, hi, xtol=xtol), abs=1e-12)
+    @pytest.mark.parametrize("angle", [math.pi / 2 + 2e-6, math.nan], ids=["missed", "nan"])
+    def test_missed_rotation_angle_raises(self, monkeypatch, angle):
+        monkeypatch.setattr(gates, "rotation_angle", lambda line: angle)
+        with pytest.raises(NumericalError, match="misses pi/2"):
+            synth_hadamard_gate(100.0)
 
 
 class TestTwoQubitGates:
