@@ -187,7 +187,7 @@ def gate_budget(params: PlatformParams, contingency: float = 1.0) -> ErrorBudget
     is not finite.  ``contingency`` is a documented multiplicative allowance
     for unmodelled channels (stray fields, waveform noise) applied to the total.
     """
-    if contingency < 1.0:
+    if not contingency >= 1.0:
         raise ValidationError("contingency factor cannot be below 1")
     t_gate = params.n_rep * params.t_loop
     p_decay = 1.0 - math.exp(-t_gate / params.tau_r)
@@ -214,25 +214,17 @@ class RamseyResult:
     echo: bool
 
 
-def _pulse(beta: float, axis_phase: float) -> np.ndarray:
-    """Rotation by beta about the equatorial axis at the given azimuth."""
-    gen = math.cos(axis_phase) * np.array([[0, 1], [1, 0]], dtype=complex) + math.sin(
-        axis_phase
-    ) * np.array([[0, -1j], [1j, 0]], dtype=complex)
-    return math.cos(beta / 2) * np.eye(2) - 1j * math.sin(beta / 2) * gen
-
-
 def _fringe_record(block: np.ndarray, prep_phases, scan: np.ndarray):
-    """Populations and complex first-harmonic fringe amplitudes per preparation."""
-    pops = np.empty((len(prep_phases), scan.size))
-    amps = []
-    for p_idx, prep in enumerate(prep_phases):
-        chi = block @ _pulse(math.pi / 2, prep) @ np.array([1.0, 0.0], dtype=complex)
-        for s_idx, phi_s in enumerate(scan):
-            out = _pulse(math.pi / 2, phi_s) @ chi
-            pops[p_idx, s_idx] = abs(out[0]) ** 2
-        amps.append(complex(2.0 / scan.size * np.sum(pops[p_idx] * np.exp(1j * scan))))
-    return pops, amps
+    """Populations (prep, scan) and complex first-harmonic fringe amplitudes per preparation.
+
+    The pi/2 pulse about the equatorial axis at azimuth phi is
+    c - i s (cos phi sigma_x + sin phi sigma_y), with c = cos(pi/4) and s = sin(pi/4).
+    """
+    c, s = math.cos(math.pi / 4), math.sin(math.pi / 4)
+    prep = np.asarray(prep_phases, dtype=float)
+    chi = block @ np.stack([np.full(prep.shape, c, dtype=complex), -1j * s * np.exp(1j * prep)])
+    pops = np.abs(c * chi[0][:, None] - 1j * s * np.exp(-1j * scan) * chi[1][:, None]) ** 2
+    return pops, 2.0 / scan.size * np.sum(pops * np.exp(1j * scan), axis=1)
 
 
 def _reconstruct(amps, prep_phases) -> tuple[float, float, float]:
@@ -256,7 +248,8 @@ def ramsey_echo(
 
     Sequence: (i) pi/2 preparation pulse; (ii) loop holonomy with the
     dynamical phase exp(-i delta_e T_loop sigma_z / 2); (iii) ideal pi swap
-    (sigma_x); (iv) reversed-loop holonomy with the second dynamical phase;
+    (sigma_x); (iv) reversed-loop holonomy, taken as W^dagger (the exact
+    inverse, see :meth:`HolonomyLoop.reversed`), with the second dynamical phase;
     (v) closing pi/2 pulse whose axis phase is scanned to record the fringe.
     The swap and loop reversal cancel the dynamical phase while doubling
     the geometric one; two linearly independent preparations pin the
@@ -275,7 +268,7 @@ def ramsey_echo(
     if scan_count < 3:
         raise ValidationError("need at least 3 scan phases to extract the fringe harmonic")
     w = integrate_wilson(loop).matrix
-    w_rev = integrate_wilson(loop.reversed()).matrix
+    w_rev = w.conj().T
     swap = np.array([[0, 1], [1, 0]], dtype=complex)
     scan = 2 * math.pi * np.arange(scan_count) / scan_count
 
@@ -300,10 +293,10 @@ def ramsey_echo(
         scan_phases=scan,
         populations=pops,
         prep_phases=tuple(float(p) for p in prep_phases),
-        fringe_amplitudes=tuple(amps),
+        fringe_amplitudes=tuple(complex(a) for a in amps),
         doubled_phase=doubled,
         geometric_phase=geometric,
         reconstructed_trace=trace,
-        contrast=float(2.0 * np.mean([abs(a) for a in amps])),
+        contrast=float(2.0 * np.mean(np.abs(amps))),
         echo=echo,
     )

@@ -254,10 +254,7 @@ class ShapeLoop:
         n = self.n_segments
         ds = 2 * math.pi / n
         idx = np.clip((s / ds).astype(int), 0, n - 1)
-        return (
-            (self.colatitudes[idx + 1] - self.colatitudes[idx]) / ds,
-            (self.azimuths[idx + 1] - self.azimuths[idx]) / ds,
-        )
+        return np.diff(self.colatitudes)[idx] / ds, np.diff(self.azimuths)[idx] / ds
 
     def reversed(self) -> "ShapeLoop":
         """The same geometric loop traversed backwards."""

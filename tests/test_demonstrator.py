@@ -14,7 +14,7 @@ from triholonomy.demonstrator import (
 )
 from triholonomy.errors import NumericalError, ValidationError
 from triholonomy.gates import make_ellipse_loop, synth_phase_gate
-from triholonomy.holonomy import HolonomyLoop
+from triholonomy.holonomy import HolonomyLoop, integrate_wilson
 from triholonomy.shapespace import ShapeLoop
 
 
@@ -137,6 +137,11 @@ class TestDriveToLoop:
 
 
 class TestGateBudget:
+    def test_contingency_below_one_or_nan_rejected(self):
+        for contingency in (0.5, math.nan):
+            with pytest.raises(ValidationError, match="contingency factor cannot be below 1"):
+                gate_budget(PlatformParams(), contingency)
+
     def test_reference_numbers(self):
         budget = gate_budget(PlatformParams())
         assert budget.p_decay == pytest.approx(1 - math.exp(-0.2), rel=1e-12)
@@ -221,3 +226,48 @@ class TestRamseyEcho:
     def test_scan_count_guard(self):
         with pytest.raises(ValidationError):
             ramsey_echo(point_loop(), 0.0, PlatformParams(), scan_count=2)
+
+
+def pulse(beta, axis_phase):
+    """Rotation by beta about the equatorial axis at the given azimuth."""
+    gen = math.cos(axis_phase) * np.array([[0, 1], [1, 0]], dtype=complex) + math.sin(
+        axis_phase
+    ) * np.array([[0, -1j], [1j, 0]], dtype=complex)
+    return math.cos(beta / 2) * np.eye(2) - 1j * math.sin(beta / 2) * gen
+
+
+def fringe_by_matrices(loop, delta_e, params, echo, scan_count, prep_phases):
+    """Reference: both transports and one 2x2 product chain per preparation and scan phase."""
+    w = integrate_wilson(loop).matrix
+    w_rev = integrate_wilson(loop.reversed()).matrix
+    dyn = delta_e * params.t_loop
+    d = np.diag([np.exp(-0.5j * dyn), np.exp(0.5j * dyn)])
+    swap = np.array([[0, 1], [1, 0]], dtype=complex)
+    block = d @ w_rev @ swap @ d @ w if echo else d @ w @ d @ w
+    scan = 2 * math.pi * np.arange(scan_count) / scan_count
+    pops = np.empty((len(prep_phases), scan_count))
+    amps = []
+    for p_idx, prep in enumerate(prep_phases):
+        chi = block @ pulse(math.pi / 2, prep) @ np.array([1.0, 0.0], dtype=complex)
+        for s_idx, phi_s in enumerate(scan):
+            pops[p_idx, s_idx] = abs((pulse(math.pi / 2, phi_s) @ chi)[0]) ** 2
+        amps.append(complex(2.0 / scan_count * np.sum(pops[p_idx] * np.exp(1j * scan))))
+    return pops, np.array(amps)
+
+
+class TestRamseyFringeOracle:
+    @pytest.mark.parametrize("echo", [True, False])
+    @pytest.mark.parametrize("scan_count", [3, 16])
+    @pytest.mark.parametrize("prep_phases", [(0.0, math.pi / 2), (0.3, 1.9)])
+    @pytest.mark.parametrize("controlled", [False, True])
+    def test_matches_matrix_products(self, echo, scan_count, prep_phases, controlled):
+        # the pi/2 gate loop (commuting-step transport) and a loop with control (SU(2) kernel)
+        p = PlatformParams()
+        loop = synth_phase_gate(400.0).loop
+        if controlled:
+            loop = HolonomyLoop(loop.shape, loop.bloch, ControlField.constant(2e-6 + 1e-6j), 400.0, 2048)
+        result = ramsey_echo(loop, p.splitting, p, echo, scan_count, prep_phases)
+        pops, amps = fringe_by_matrices(loop, p.splitting, p, echo, scan_count, prep_phases)
+        assert result.populations.shape == pops.shape
+        assert np.max(np.abs(result.populations - pops)) <= 1e-13
+        assert np.max(np.abs(np.array(result.fringe_amplitudes) - amps)) <= 1e-13

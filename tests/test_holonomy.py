@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from triholonomy.connection import BlochField, ControlField, connection_vectors
+from triholonomy import holonomy
 from triholonomy.errors import NumericalError, ValidationError
 from triholonomy.holonomy import (
     HolonomyLoop,
@@ -304,6 +305,48 @@ class TestIntegrateWilson:
         shape = ShapeLoop.from_samples(np.full_like(s, math.pi - 1e-10), s)
         with pytest.raises(NumericalError):
             integrate_wilson(pinned_loop(shape))
+
+
+class TestCommutingStepPath:
+    """Zero-control pinned loops transport the summed vector; the SU(2) kernel is the oracle."""
+
+    TILTED = (math.sin(0.7) * math.cos(0.3), math.sin(0.7) * math.sin(0.3), math.cos(0.7))
+
+    @staticmethod
+    def kernel(loop):
+        s_mid, ds = midpoint_grid(loop.steps)
+        return _transport(connection_vectors(loop.sample(s_mid), loop.bloch), loop.charge * ds)
+
+    @staticmethod
+    def spy(monkeypatch):
+        """Step counts of every _transport call integrate_wilson makes."""
+        steps = []
+
+        def counted(v, factor):
+            steps.append(v[0].shape[-1])
+            return _transport(v, factor)
+
+        monkeypatch.setattr(holonomy, "_transport", counted)
+        return steps
+
+    @pytest.mark.parametrize("axis", [None, TILTED])
+    @pytest.mark.parametrize("q, steps, a", [(1.0, 4096, 0.2), (8.0, 8192, 0.3), (100.0, 16384, 0.2)])
+    def test_matches_su2_kernel(self, monkeypatch, axis, q, steps, a):
+        loop = HolonomyLoop(ellipse(a=a, b=a), BlochField.pinned(axis), ControlField.zero(), q, steps)
+        seen = self.spy(monkeypatch)
+        w = integrate_wilson(loop).matrix
+        assert seen == [1]
+        assert np.max(np.abs(w - self.kernel(loop))) <= 1e-13
+
+    def test_one_nonzero_control_sample_takes_su2_path(self, monkeypatch):
+        s_mid, _ = midpoint_grid(256)
+        ctrl = ControlField(lambda s: 1e-3 if abs(s - s_mid[37]) < 1e-12 else 0.0)
+        loop = HolonomyLoop(ellipse(), BlochField.pinned(self.TILTED), ctrl, 2.0, 256)
+        assert np.count_nonzero(loop.sample(s_mid).psi) == 1
+        seen = self.spy(monkeypatch)
+        w = integrate_wilson(loop).matrix
+        assert seen == [256]
+        assert np.array_equal(w, self.kernel(loop))
 
 
 class TestHolonomyTrace:

@@ -4,9 +4,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from triholonomy.connection import BlochField, ControlField
+from triholonomy.connection import BlochField, ControlField, connection_vectors
 from triholonomy.errors import MAX_SAMPLES, NumericalError, ValidationError
-from triholonomy.holonomy import HolonomyLoop, integrate_wilson
+from triholonomy.holonomy import HolonomyLoop, _transport, midpoint_grid
 from triholonomy.shapespace import ShapeLoop, TriangleConfig, hopf_project, to_jacobi, to_preshape
 from triholonomy import trimer
 from triholonomy.trimer import (
@@ -366,7 +366,11 @@ class TestPrecessionPhase:
 
 
 def momentum_series_per_window(traj, period, stride=None, charge=1.0, steps=1024):
-    """Reference: one ShapeLoop and one integrate_wilson call per window."""
+    """Reference: one ShapeLoop and one SU(2) step-product transport per window.
+
+    The windows have zero control, so integrate_wilson would take its
+    commuting-step path; the reference calls the SU(2) kernel directly.
+    """
     n_window = int(round(period / traj.dt))
     stride = max(1, n_window // 4) if stride is None else stride
     theta_sh, phi_sh = shape_angles(traj.body, traj.masses)
@@ -376,10 +380,10 @@ def momentum_series_per_window(traj, period, stride=None, charge=1.0, steps=1024
     for w, i0 in enumerate(starts):
         sl = slice(i0, i0 + n_window + 1)
         loop = ShapeLoop.from_samples(theta_sh[sl], phi_sh[sl])
-        hloop = HolonomyLoop(
-            loop, BlochField.pinned(), ControlField.zero(), charge, min(steps, n_window)
-        )
-        half = min(1.0, max(-1.0, integrate_wilson(hloop).trace / 2.0))
+        s_mid, ds = midpoint_grid(min(steps, n_window))
+        hloop = HolonomyLoop(loop, BlochField.pinned(), ControlField.zero(), charge, s_mid.size)
+        m = _transport(connection_vectors(hloop.sample(s_mid), hloop.bloch), charge * ds)
+        half = min(1.0, max(-1.0, np.trace(m).real / 2.0))
         values[w] = 2.0 * (float(np.mean(inertia[sl])) / period) * math.acos(half)
     return traj.times[starts], values
 
