@@ -1,11 +1,12 @@
 """Holonomies of deformable triangles on Kendall's shape sphere.
 
 A numerical library and CLI for the SU(2) geometric transport generated by
-closed shape cycles of three-body systems: shape-space coordinates, the
-Guichardet and Wilczek-Zee connections, Wilson-line holonomies and their
-trace expansion, holonomic gate synthesis (phase, Hadamard-type, linked
-CZ/CNOT), zero-angular-momentum trimer dynamics, and demonstrator
-feasibility estimates with an interferometric readout model.
+closed shape cycles of three-body systems: the Kendall shape map of planar
+body frames and closed shape loops, the Guichardet and Wilczek-Zee
+connections, Wilson-line holonomies and their trace expansion, holonomic
+gate synthesis (phase, Hadamard-type, linked CZ/CNOT),
+zero-angular-momentum trimer dynamics, and demonstrator feasibility
+estimates with an interferometric readout model.
 """
 
 from .connection import (
@@ -54,18 +55,7 @@ from .holonomy import (
     wilson_from_rates,
 )
 from .linking import LinkData, SpaceCurve, cs_phase, gauss_linking, hopf_pair
-from .shapespace import (
-    JacobiPair,
-    PreshapePoint,
-    ShapeLoop,
-    ShapePoint,
-    TriangleConfig,
-    hopf_project,
-    shape_point_of,
-    solid_angle,
-    to_jacobi,
-    to_preshape,
-)
+from .shapespace import ShapeLoop, ShapePoint, solid_angle
 from .trimer import (
     BondDrive,
     TrimerTrajectory,
@@ -74,7 +64,6 @@ from .trimer import (
     phase_sweep,
     precession_berry_phase,
     reconstruct_rotation,
-    shape_from_bonds,
 )
 
 __version__ = "0.1.0"

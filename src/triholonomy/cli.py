@@ -137,6 +137,7 @@ _POSITIVE = (lambda v: v > 0, "positive")
 _COUNT = (lambda v: 0 < v <= MAX_SAMPLES, f"positive and at most {MAX_SAMPLES}")
 _NON_EMPTY = (lambda v: len(v) > 0, "a non-empty array")
 _SEED = _Param(int, 0, (lambda v: v >= 0, "non-negative"))
+_WINDOW_FACTOR = _Param(float, 10.0, (lambda v: v >= 1, "at least 1"))  # adiabatic-window margin
 
 
 def _table_of(cls) -> dict:
@@ -203,6 +204,8 @@ def load_config(path: str) -> dict:
     if scenario not in SCENARIOS:
         raise ConfigError(f"unknown scenario {scenario!r}; expected one of {', '.join(SCENARIOS)}")
     _check(cfg.get("seed", 0), _SEED, "seed", "config")
+    if not isinstance(cfg.get("output_dir", ""), str):
+        raise ConfigError("config: 'output_dir' must be a string")
     return cfg
 
 
@@ -421,7 +424,7 @@ SCENARIOS = {
     }),
     "demo-budget": (_run_demo_budget, {
         "platform": _Param(_PLATFORM, {}),
-        "window_factor": _Param(float, 10.0),
+        "window_factor": _WINDOW_FACTOR,
         "contingency": _Param(float, 1.0),
     }),
     "ramsey": (_run_ramsey, {
@@ -432,7 +435,7 @@ SCENARIOS = {
         "scan_count": _Param(int, 8, _COUNT),
         "samples": _Param(int, 1024, _COUNT),
         "steps": _Param(int, 4096, _COUNT),
-        "window_factor": _Param(float, 10.0),  # margin of the pre-flight's adiabatic-window check
+        "window_factor": _WINDOW_FACTOR,
     }),
 }
 
@@ -509,8 +512,9 @@ def _cmd_run(args) -> int:
     try:
         os.makedirs(outdir, exist_ok=True)
         staging = tempfile.mkdtemp(prefix=".staging-", dir=outdir)
-    except OSError as exc:
-        raise ValidationError(f"cannot use output directory {outdir}: {exc.strerror or exc}") from exc
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
+        reason = getattr(exc, "strerror", None) or exc
+        raise ValidationError(f"cannot use output directory {outdir}: {reason}") from exc
     try:
         for name, payload in outputs.items():
             path = os.path.join(staging, name)

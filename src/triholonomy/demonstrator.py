@@ -252,10 +252,12 @@ def ramsey_echo(
     inverse, see :meth:`HolonomyLoop.reversed`), with the second dynamical phase;
     (v) closing pi/2 pulse whose axis phase is scanned to record the fringe.
     The swap and loop reversal cancel the dynamical phase while doubling
-    the geometric one; two linearly independent preparations pin the
-    doubled phase, from which the per-traversal rotation angle and the
-    holonomy trace are reconstructed.  The cancellation is verified by
-    re-running the readout arithmetic at the doubled splitting.
+    the geometric one, but only when W commutes with sigma_z (a diagonal W,
+    as for a pinned loop with zero control); two linearly independent
+    preparations pin the doubled phase, from which the per-traversal
+    rotation angle and the holonomy trace are reconstructed.  The
+    cancellation is verified by re-running the readout arithmetic at the
+    doubled splitting, so a W that does not commute with sigma_z fails there.
 
     With ``echo=False`` the swap and reversal are omitted (the loop and
     dynamical phase simply repeat), leaving the fringe exposed to the

@@ -127,8 +127,9 @@ def make_ellipse_loop(
 ) -> ShapeLoop:
     """Small elliptical loop theta = theta0 + a cos s, phi = phi0 + (b/sin theta0) sin s.
 
-    Warns for semi-axes above 0.3 (the small-loop regime) and refuses loops
-    that reach within 1e-6 of a pole.
+    Warns for semi-axes above 0.3 (the small-loop regime), refuses loops
+    that reach within 1e-6 of a pole, and refuses semi-axes that rounding at
+    the base point resolves to worse than 1e-6 of their size.
     """
     if not 0.0 < theta0 < math.pi:
         raise ValidationError("base colatitude must lie strictly between the poles")
@@ -144,8 +145,17 @@ def make_ellipse_loop(
     if theta0 + a > math.pi - 1e-6 or theta0 - a < 1e-6:
         raise ValidationError("ellipse reaches within 1e-6 of a pole")
     s = np.linspace(0.0, 2 * math.pi, n_samples + 1)
-    theta = theta0 + a * np.cos(s)
-    phi = phi0 + (b / math.sin(theta0)) * np.sin(s)
+    cos_s, sin_s, b_phi = np.cos(s), np.sin(s), b / math.sin(theta0)
+    theta = theta0 + a * cos_s
+    phi = phi0 + b_phi * sin_s
+    # A semi-axis far below the base point's spacing of floats rounds away.
+    for name, got, base, amp, wave in (("a", theta, theta0, a, cos_s), ("b", phi, phi0, b_phi, sin_s)):
+        err = float(np.max(np.abs((got - base) - amp * wave)))
+        if not err <= 1e-6 * amp:  # NaN fails too
+            raise ValidationError(
+                f"semi-axis {name} is lost to rounding at the base point: "
+                f"error {err:.3g} against amplitude {amp:.3g}"
+            )
     theta[-1] = theta[0]
     phi[-1] = phi[0] + 0.0
     return ShapeLoop(theta, phi)

@@ -26,13 +26,12 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .connection import monopole_potential
 from .errors import MAX_SAMPLES, NumericalError, ValidationError
 from .holonomy import _check_transport, midpoint_grid
-from .shapespace import TriangleConfig, _check_loop_samples, shape_angles
+from .shapespace import _check_loop_samples, shape_angles
 
 __all__ = [
     "BondDrive",
     "TrimerTrajectory",
     "bond_lengths",
-    "shape_from_bonds",
     "reconstruct_rotation",
     "phase_sweep",
     "precession_berry_phase",
@@ -150,18 +149,6 @@ def _pack(x, y):
 def _body_positions(xi12, xi13, xi23, masses):
     """Canonical-frame positions (..., 3, 2) for bond-length arrays."""
     return _pack(*_frames(xi12, xi13, xi23, masses))
-
-
-def shape_from_bonds(bonds, masses) -> TriangleConfig:
-    """Canonical body-frame configuration realising the given side lengths.
-
-    Raises:
-        NumericalError: triangle inequality violated (margin 1e-9).
-    """
-    xi12, xi13, xi23 = (float(b) for b in bonds)
-    pos = _body_positions(xi12, xi13, xi23, masses)
-    verts = np.concatenate([pos, np.zeros((3, 1))], axis=1)
-    return TriangleConfig.from_vertices(verts, masses)
 
 
 def _lab_momentum(x, y, m, dt: float) -> np.ndarray:

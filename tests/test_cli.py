@@ -127,6 +127,27 @@ BAD_SCENARIO_INPUTS = [
     ("ramsey", {"scan_count": 10**12}, "scan_count"),
     ("linking", {"hopf": {"segments": 10**12}}, "segments"),
     ("trace-sweep", {"gauge_rotations": 10**12}, "gauge_rotations"),
+    # an adiabatic-window margin below 1 lets every platform pass
+    ("demo-budget", {"window_factor": -1.0}, "window_factor"),
+    ("demo-budget", {"window_factor": 0}, "window_factor"),
+    ("ramsey", {"window_factor": -1.0}, "window_factor"),
+    ("ramsey", {"window_factor": 0.5}, "window_factor"),
+]
+
+# Loops whose semi-axes round away at the base point; each run once exited 0 with wrong numbers.
+UNRESOLVED_ELLIPSES = [
+    ("gate-synth", {"q": 1e300}),  # wrote the identity matrix
+    ("ramsey", {"q": 1e30}),  # wrote reconstructed_trace 1.453 where sqrt(2) is expected
+    ("trace-sweep", {"a": 1e-15, "b": 1e-15}),  # traced the staircase that rounding left of it
+]
+
+# Output directories that cannot be created: an existing file, a path under a file, a path
+# under a dangling symlink and a path with a NUL byte (which no environment variable can hold).
+UNUSABLE_OUTPUT_DIRS = [
+    (name, source)
+    for name in ("dangling/sub", "file", "file/sub", "nul\0byte")
+    for source in ("--out", "TRIHOLONOMY_OUTDIR", "output_dir")
+    if not (source == "TRIHOLONOMY_OUTDIR" and "\0" in name)
 ]
 
 # Drives whose time grid exceeds the sample budget although each count is within it.
@@ -367,10 +388,8 @@ class TestRun:
         assert main(["run", cfg_path]) == 0
         assert (target / "gate.json").exists()
 
-    @pytest.mark.parametrize("source", ["--out", "output_dir", "TRIHOLONOMY_OUTDIR"])
-    @pytest.mark.parametrize("name", ["file", "file/sub", "dangling/sub"])
+    @pytest.mark.parametrize("name, source", UNUSABLE_OUTPUT_DIRS)
     def test_unusable_output_dir_exits_2(self, tmp_path, capsys, monkeypatch, source, name):
-        # an existing file, a path under a file, and a path under a dangling symlink
         (tmp_path / "file").write_text("kept")
         (tmp_path / "dangling").symlink_to(tmp_path / "missing")
         outdir = str(tmp_path / name)
@@ -384,6 +403,22 @@ class TestRun:
         assert err.startswith(f"validation error: cannot use output directory {outdir}: ")
         assert err.count("\n") == 1
         assert (tmp_path / "file").read_text() == "kept"
+
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    def test_non_string_output_dir_exits_2(self, tmp_path, capsys, monkeypatch, command):
+        monkeypatch.chdir(tmp_path)
+        assert main([command, write_config(tmp_path, small_gate_config(output_dir=5))]) == 2
+        assert capsys.readouterr().err == "validation error: config: 'output_dir' must be a string\n"
+        assert os.listdir(tmp_path) == ["config.json"]
+
+    @pytest.mark.parametrize("scenario, override", UNRESOLVED_ELLIPSES)
+    def test_unresolved_ellipse_exits_2(self, tmp_path, capsys, scenario, override):
+        cfg = {"schema_version": 1, "scenario": scenario, "seed": 0,
+               "params": dict(BASE_PARAMS[scenario], **override)}
+        out = tmp_path / "out"
+        assert main(["run", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+        assert "semi-axis a is lost to rounding" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "params, angle, code",

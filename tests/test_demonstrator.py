@@ -227,6 +227,20 @@ class TestRamseyEcho:
         with pytest.raises(ValidationError):
             ramsey_echo(point_loop(), 0.0, PlatformParams(), scan_count=2)
 
+    def test_echo_cancels_only_when_w_commutes_with_sigma_z(self):
+        # a transverse control makes W non-diagonal; a large one moves the trace
+        # under the doubled splitting beyond 1e-6, and the re-check fails closed
+        p = PlatformParams()
+        gate = synth_phase_gate(400.0).loop
+
+        def controlled(psi):
+            return HolonomyLoop(gate.shape, gate.bloch, ControlField.constant(psi), 400.0, 2048)
+
+        with pytest.raises(NumericalError, match="echo failed to cancel"):
+            ramsey_echo(controlled(2e-4 + 1e-4j), p.splitting, p)
+        result = ramsey_echo(controlled(2e-6 + 1e-6j), p.splitting, p)
+        assert math.isfinite(result.reconstructed_trace)
+
 
 def pulse(beta, axis_phase):
     """Rotation by beta about the equatorial axis at the given azimuth."""

@@ -61,6 +61,19 @@ class TestEllipseLoop:
         with pytest.raises(ValidationError):
             make_ellipse_loop(0.1, 0.0, 0.2, 0.1)
 
+    @pytest.mark.parametrize(
+        "phi0, a, b, axis", [(0.0, 1e-15, 0.1, "a"), (1.0, 0.1, 1e-15, "b"), (1.0, 1e-150, 0.0, "a")]
+    )
+    def test_axis_lost_to_rounding_rejected(self, phi0, a, b, axis):
+        # theta0 + a cos s and phi0 + b' sin s must keep each nonzero axis to 1e-6 of it
+        with pytest.raises(ValidationError, match=f"semi-axis {axis} is lost to rounding"):
+            make_ellipse_loop(math.pi / 2, phi0, a, b)
+
+    def test_resolved_tiny_axes_accepted(self):
+        # at phi0 = 0 the azimuth carries b exactly; a = 1e-8 keeps about 1e-8 relative
+        loop = make_ellipse_loop(math.pi / 2, 0.0, 1e-8, 1e-30)
+        assert solid_angle(loop) == pytest.approx(math.pi * 1e-38, rel=1e-6)
+
 
 class TestPhaseGate:
     def test_q100_single_loop(self):

@@ -24,7 +24,7 @@ from triholonomy.holonomy import (
     wilson_from_rates,
     wilson_from_samples,
 )
-from triholonomy.shapespace import ShapeLoop, TriangleConfig, shape_point_of
+from triholonomy.shapespace import ShapeLoop, shape_angles
 
 
 def ellipse(theta0=math.pi / 2, a=0.2, b=0.2, n=1024, phi0=0.0):
@@ -443,12 +443,14 @@ class TestEffectiveAngularMomentum:
     def test_static_triangle_zero(self):
         # a triangle that holds still stays at one shape point: its shape loop
         # transports to the identity, so L_eff = I Theta / P is exactly zero
-        cfg = TriangleConfig.from_vertices([[0, 0, 0], [1.0, 0, 0], [0.4, 0.8, 0]], [1.0, 2.0, 3.0])
-        point = shape_point_of(cfg)
-        loop = ShapeLoop.from_samples(np.full(17, point.colatitude), np.full(17, point.azimuth))
+        masses = np.array([1.0, 2.0, 3.0])
+        verts = np.array([[0, 0], [1.0, 0], [0.4, 0.8]])
+        r = verts - masses @ verts / masses.sum()
+        theta, phi = shape_angles(r[None], masses)
+        loop = ShapeLoop.from_samples(np.full(17, theta[0]), np.full(17, phi[0]))
         w = integrate_wilson(pinned_loop(loop, steps=64))
         assert w.trace == 2.0
-        assert cfg.weighted_size_sq * rotation_angle(w) / 2.0 == 0.0
+        assert masses @ (r**2).sum(-1) * rotation_angle(w) / 2.0 == 0.0
 
 
 class TestHalfTraceAngle:

@@ -6,107 +6,71 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from triholonomy.errors import ValidationError
-from triholonomy.shapespace import (
-    JacobiPair,
-    PreshapePoint,
-    ShapeLoop,
-    TriangleConfig,
-    hopf_project,
-    shape_point_of,
-    solid_angle,
-    to_jacobi,
-    to_preshape,
-)
+from triholonomy.shapespace import ShapeLoop, _hopf_angles, _jacobi, shape_angles, solid_angle
+from triholonomy.trimer import _body_positions
 
 
-def random_planar_config(rng, masses=None):
+def random_planar_frame(rng, masses=None):
+    """A non-degenerate planar frame (3, 2) with its mass-weighted centroid at the origin."""
     masses = np.array([1.0, 2.0, 3.0]) if masses is None else np.asarray(masses)
     while True:
-        verts = np.zeros((3, 3))
-        verts[:, :2] = rng.normal(size=(3, 2))
+        verts = rng.normal(size=(3, 2))
         e1, e2 = verts[1] - verts[0], verts[2] - verts[0]
         if abs(e1[0] * e2[1] - e1[1] * e2[0]) > 1e-3:
-            return TriangleConfig.from_vertices(verts, masses)
-
-
-class TestTriangleConfig:
-    def test_centroid_enforced(self):
-        verts = np.array([[1.0, 0, 0], [0, 1.0, 0], [0, 0, 0]])
-        with pytest.raises(ValidationError):
-            TriangleConfig(verts, np.array([1.0, 1.0, 1.0]))
-
-    def test_from_vertices_recenters(self):
-        cfg = TriangleConfig.from_vertices(
-            [[1, 0, 0], [0, 1, 0], [0, 0, 0]], [1.0, 1.0, 2.0]
-        )
-        centroid = cfg.masses @ cfg.vertices
-        assert np.linalg.norm(centroid) < 1e-14
-
-    def test_rejects_nonpositive_mass(self):
-        with pytest.raises(ValidationError):
-            TriangleConfig.from_vertices(np.eye(3), [1.0, -1.0, 1.0])
+            return verts - masses @ verts / masses.sum()
 
 
 class TestToJacobi:
+    """The mass-weighted Jacobi map ``_jacobi`` of planar frames."""
+
     def test_kinetic_metric_isometry(self):
         # |z1|^2 + |z2|^2 must reproduce the mass-weighted size for any
         # planar configuration: brute-force check on random configurations.
         rng = np.random.default_rng(7)
         for _ in range(100):
             masses = rng.uniform(0.5, 5.0, size=3)
-            cfg = random_planar_config(rng, masses)
-            pair = to_jacobi(cfg)
-            assert pair.size_sq == pytest.approx(cfg.weighted_size_sq, rel=1e-10)
+            r = random_planar_frame(rng, masses)
+            z1, z2 = _jacobi(r, masses)
+            assert abs(z1) ** 2 + abs(z2) ** 2 == pytest.approx(masses @ (r**2).sum(-1), rel=1e-10)
 
     def test_equilateral_equal_masses_balances_jacobi_norms(self):
         # with the Euclidean-kinetic mass weights the two Jacobi vectors of a
         # unit-side equilateral triangle have equal magnitude
-        from triholonomy.trimer import shape_from_bonds
-
-        pair = to_jacobi(shape_from_bonds((1.0, 1.0, 1.0), [1.0, 1.0, 1.0]))
-        assert abs(pair.z1) == pytest.approx(abs(pair.z2), rel=1e-12)
-        assert abs(pair.z1) == pytest.approx(math.sqrt(0.5), rel=1e-12)
+        masses = [1.0, 1.0, 1.0]
+        z1, z2 = _jacobi(_body_positions(1.0, 1.0, 1.0, masses), masses)
+        assert abs(z1) == pytest.approx(abs(z2), rel=1e-12)
+        assert abs(z1) == pytest.approx(math.sqrt(0.5), rel=1e-12)
 
     def test_collinear_second_vector_vanishes(self):
-        cfg = TriangleConfig.from_vertices(
-            [[-1.0, 0, 0], [1.0, 0, 0], [0.0, 0, 0]], [1.0, 1.0, 1.0]
-        )
-        pair = to_jacobi(cfg)
-        assert abs(pair.z2) < 1e-14
+        z1, z2 = _jacobi(np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, 0.0]]), [1.0, 1.0, 1.0])
+        assert abs(z2) < 1e-14
 
     def test_reference_drive_triangle_regression(self):
         # Bond triple of the oscillating-bond demo at t = 0 (phases +-pi/4).
-        from triholonomy.trimer import shape_from_bonds
-
+        masses = [2.1, 2.1, 4.7]
         xi13 = 1.0 + 0.15 * math.cos(math.pi / 4)
-        cfg = shape_from_bonds((1.3, xi13, xi13), [2.1, 2.1, 4.7])
-        pair = to_jacobi(cfg)
+        z1, z2 = _jacobi(_body_positions(1.3, xi13, xi13, masses), masses)
         # isosceles symmetry in the canonical frame: z1 real, z2 imaginary
-        assert pair.z1.real == pytest.approx(1.3321035995747479, abs=1e-12)
-        assert abs(pair.z1.imag) < 1e-12
-        assert abs(pair.z2.real) < 1e-12
-        assert pair.z2.imag == pytest.approx(1.3327934404297022, abs=1e-12)
-
-    def test_coincident_vertices_rejected(self):
-        cfg = TriangleConfig(np.zeros((3, 3)), np.ones(3))
-        with pytest.raises(ValidationError):
-            to_jacobi(cfg)
+        assert z1.real == pytest.approx(1.3321035995747479, abs=1e-12)
+        assert abs(z1.imag) < 1e-12
+        assert abs(z2.real) < 1e-12
+        assert z2.imag == pytest.approx(1.3327934404297022, abs=1e-12)
 
 
 class TestToPreshape:
+    """Hopf coordinates (colatitude, phase1, phase2) of a Jacobi pair, ``_hopf_angles``."""
+
     def test_first_axis_pole(self):
-        p = to_preshape(JacobiPair(1.0 + 0j, 0j))
-        assert p.size == pytest.approx(1.0)
-        assert p.colatitude == pytest.approx(0.0)
-        assert p.phase1 == 0.0
-        assert p.phase2 == 0.0  # undefined phase pinned to zero
+        theta, phase1, phase2 = _hopf_angles(1.0 + 0j, 0j)
+        assert theta == pytest.approx(0.0)
+        assert phase1 == 0.0
+        assert phase2 == 0.0  # undefined phase pinned to zero
 
     def test_equal_magnitude_quarter_turn(self):
-        p = to_preshape(JacobiPair(1 / math.sqrt(2) + 0j, 1j / math.sqrt(2)))
-        assert p.size == pytest.approx(1.0)
-        assert p.colatitude == pytest.approx(math.pi / 2)
-        assert p.phase1 == pytest.approx(0.0)
-        assert p.phase2 == pytest.approx(math.pi / 2)
+        theta, phase1, phase2 = _hopf_angles(1 / math.sqrt(2) + 0j, 1j / math.sqrt(2))
+        assert theta == pytest.approx(math.pi / 2)
+        assert phase1 == pytest.approx(0.0)
+        assert phase2 == pytest.approx(math.pi / 2)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -115,60 +79,46 @@ class TestToPreshape:
         ).filter(lambda t: math.hypot(math.hypot(t[0], t[1]), math.hypot(t[2], t[3])) > 1e-6)
     )
     def test_round_trip(self, reim):
-        pair = JacobiPair(complex(reim[0], reim[1]), complex(reim[2], reim[3]))
-        back = to_preshape(pair).reconstruct()
-        scale = math.sqrt(pair.size_sq)
-        assert abs(back.z1 - pair.z1) < 1e-12 * scale
-        assert abs(back.z2 - pair.z2) < 1e-12 * scale
-
-    def test_zero_size_rejected(self):
-        with pytest.raises(ValidationError):
-            to_preshape(JacobiPair(0j, 0j))
-
-    def test_tiny_negative_phase_stays_below_two_pi(self):
-        # -1e-17 % (2 pi) rounds to 2 pi, outside the documented [0, 2 pi)
-        p = to_preshape(JacobiPair(1 + 0j, complex(1, -1e-17)))
-        assert 0.0 <= p.phase2 < 2 * math.pi
+        # Z = rho (cos(theta/2) e^{i phase1}, sin(theta/2) e^{i phase2}) gives the pair back
+        z1, z2 = complex(reim[0], reim[1]), complex(reim[2], reim[3])
+        theta, phase1, phase2 = _hopf_angles(z1, z2)
+        scale = math.hypot(abs(z1), abs(z2))
+        assert abs(scale * math.cos(theta / 2) * np.exp(1j * phase1) - z1) < 1e-12 * scale
+        assert abs(scale * math.sin(theta / 2) * np.exp(1j * phase2) - z2) < 1e-12 * scale
 
 
 class TestHopfProject:
-    def test_pole_is_flagged_azimuth_degenerate(self):
-        pt = hopf_project(to_preshape(JacobiPair(1.0 + 0j, 0j)))
-        assert pt.azimuth_degenerate and pt.azimuth == 0.0 and pt.colatitude < 1e-9
-
-    def test_tiny_negative_phase_difference_projects(self):
-        pt = hopf_project(PreshapePoint(1.0, 1.0, 1e-17, 0.0))
-        assert pt.azimuth == 0.0
+    """The shape-sphere point (theta, phase2 - phase1) of the Hopf coordinates."""
 
     def test_phase_difference(self):
-        p = to_preshape(JacobiPair(math.cos(0.3) + 1j * math.sin(0.3), 1j))
-        pt = hopf_project(p)
-        assert pt.colatitude == pytest.approx(math.pi / 2)
-        assert pt.azimuth == pytest.approx(math.pi / 2 - 0.3)
+        theta, phase1, phase2 = _hopf_angles(math.cos(0.3) + 1j * math.sin(0.3), 1j)
+        assert theta == pytest.approx(math.pi / 2)
+        assert phase2 - phase1 == pytest.approx(math.pi / 2 - 0.3)
 
     @settings(max_examples=100, deadline=None)
     @given(st.floats(0, 2 * math.pi))
     def test_fiber_invariance(self, alpha):
         z1, z2 = 0.8 + 0.2j, -0.3 + 0.7j
         rot = complex(math.cos(alpha), math.sin(alpha))
-        a = hopf_project(to_preshape(JacobiPair(z1, z2)))
-        b = hopf_project(to_preshape(JacobiPair(rot * z1, rot * z2)))
-        assert b.colatitude == pytest.approx(a.colatitude, abs=1e-12)
-        assert math.cos(b.azimuth - a.azimuth) == pytest.approx(1.0, abs=1e-12)
+        theta_a, *phases_a = _hopf_angles(z1, z2)
+        theta_b, *phases_b = _hopf_angles(rot * z1, rot * z2)
+        assert theta_b == pytest.approx(theta_a, abs=1e-12)
+        gap = (phases_b[1] - phases_b[0]) - (phases_a[1] - phases_a[0])
+        assert math.cos(gap) == pytest.approx(1.0, abs=1e-12)
 
     def test_rigid_rotation_invariance(self):
         # Rotating the triangle about its plane normal leaves the shape point fixed.
         rng = np.random.default_rng(11)
+        masses = np.array([1.0, 2.0, 3.0])
         for _ in range(25):
-            cfg = random_planar_config(rng)
-            before = shape_point_of(cfg)
+            frame = random_planar_frame(rng, masses)
+            before = shape_angles(frame[None], masses)
             angle = rng.uniform(0, 2 * math.pi)
             c, s = math.cos(angle), math.sin(angle)
-            rot = np.array([[c, -s, 0], [s, c, 0], [0, 0, 1.0]])
-            rotated = TriangleConfig.from_vertices(cfg.vertices @ rot.T, cfg.masses)
-            after = shape_point_of(rotated)
-            assert after.colatitude == pytest.approx(before.colatitude, abs=1e-10)
-            assert math.cos(after.azimuth - before.azimuth) == pytest.approx(1.0, abs=1e-10)
+            rot = np.array([[c, -s], [s, c]])
+            after = shape_angles((frame @ rot.T)[None], masses)
+            assert after[0][0] == pytest.approx(before[0][0], abs=1e-10)
+            assert math.cos(after[1][0] - before[1][0]) == pytest.approx(1.0, abs=1e-10)
 
 
 def ellipse_loop(theta0, a, b, n=1024):
