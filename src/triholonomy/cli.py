@@ -54,7 +54,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .connection import BlochField, ControlField, connection_vectors, eigenframe_rate_samples
+from .connection import eigenframe_rate_samples
 from .demonstrator import (
     PlatformParams,
     adiabatic_window,
@@ -71,7 +71,6 @@ from .gates import (
 )
 from .holonomy import (  # integrate_wilson: perfbench/test_perfbench.py reads cli's binding
     HolonomyLoop,
-    _wilson_line,
     integrate_wilson,
     midpoint_grid,
     trace_expansion_from_rates,
@@ -136,6 +135,8 @@ class _Param(NamedTuple):
 _POSITIVE = (lambda v: v > 0, "positive")
 _COUNT = (lambda v: 0 < v <= MAX_SAMPLES, f"positive and at most {MAX_SAMPLES}")
 _NON_EMPTY = (lambda v: len(v) > 0, "a non-empty array")
+# trimer.phase_sweep's grid rule
+_PHASE_GRID = (lambda v: len(v) > 0 and max(map(abs, v)) <= math.pi + 1e-12, "a non-empty array in [-pi, pi]")
 _SEED = _Param(int, 0, (lambda v: v >= 0, "non-negative"))
 _WINDOW_FACTOR = _Param(float, 10.0, (lambda v: v >= 1, "at least 1"))  # adiabatic-window margin
 
@@ -206,6 +207,8 @@ def load_config(path: str) -> dict:
     _check(cfg.get("seed", 0), _SEED, "seed", "config")
     if not isinstance(cfg.get("output_dir", ""), str):
         raise ConfigError("config: 'output_dir' must be a string")
+    if "\0" in cfg.get("output_dir", ""):
+        raise ConfigError(f"cannot use output directory {cfg['output_dir']}: embedded null byte")
     return cfg
 
 
@@ -213,11 +216,11 @@ def load_config(path: str) -> dict:
 
 
 def _run_gate_synth(p: dict, seed: int) -> dict:
+    spec = p["spec"]
     if p["target"] == "pi2":
-        spec = synth_phase_gate(p["q"], p["n_rep"], n_samples=p["samples"], steps=p["steps"])
         realised = spec.integrate()
     else:
-        spec = synth_hadamard_gate(p["q"], n_samples=p["samples"], steps=p["steps"])
+        spec = synth_hadamard_gate(p["q"], steps=p["steps"], shape=spec.loop.shape)
         realised = spec.transverse.matrix
     return {"gate.json": {
         "target": p["target"],
@@ -232,14 +235,13 @@ def _run_gate_synth(p: dict, seed: int) -> dict:
 
 
 def _run_trace_sweep(p: dict, seed: int) -> dict:
-    loop_shape = make_ellipse_loop(p["theta0"], 0.0, p["a"], p["b"], p["samples"])
-    s_mid, ds = midpoint_grid(p["steps"])
-    base = HolonomyLoop(loop_shape, charge=p["q"], steps=p["steps"]).sample(s_mid)
+    s_mid, _ = midpoint_grid(p["steps"])
+    base = HolonomyLoop(p["shape"], charge=p["q"], steps=p["steps"]).sample(s_mid)
     rows = []
     for psi_abs in p["psi_values"]:
-        samples = base._replace(psi=ControlField.constant(psi_abs).at(s_mid))
-        direct = _wilson_line(connection_vectors(samples, BlochField.pinned()), p["q"], ds).trace
-        c, j = eigenframe_rate_samples(samples, p["q"])
+        psi = np.full(s_mid.size, complex(psi_abs))
+        direct = wilson_from_samples(base.a, psi, p["q"]).trace
+        c, j = eigenframe_rate_samples(base._replace(psi=psi), p["q"])
         d4 = trace_expansion_from_rates(c, j, 4)  # its I2 gives the order-2 estimate exactly
         d2 = 2.0 * math.cos(d4.abelian_angle) * (1.0 - d4.corrections[0])
         rows.append((psi_abs, direct, d2, d4.trace_estimate, *d4.corrections))
@@ -300,11 +302,7 @@ def _load_curve_csv(path: str) -> SpaceCurve:
 
 
 def _run_linking(p: dict, seed: int) -> dict:
-    if p["curve_files"] is None:
-        hopf = p["hopf"]
-        curves = list(hopf_pair(hopf["radius1"], hopf["radius2"], hopf["segments"]))
-    else:
-        curves = [_load_curve_csv(path) for path in p["curve_files"]]
+    curves = p["curves"]
     n = len(curves)
     charges = [1.0] * n if p["charges"] is None else p["charges"]
     slk = [0] * n if p["slk"] is None else p["slk"]
@@ -345,9 +343,7 @@ def _run_demo_budget(p: dict, seed: int) -> dict:
 
 
 def _run_ramsey(p: dict, seed: int) -> dict:
-    platform = p["platform"]
-    q = platform.charge if p["q"] is None else p["q"]
-    spec = synth_phase_gate(q, n_samples=p["samples"], steps=p["steps"])
+    platform, spec = p["platform"], p["spec"]
     delta_e = platform.splitting if p["delta_e"] is None else p["delta_e"]
     result = ramsey_echo(spec.loop, delta_e, platform, echo=p["echo"], scan_count=p["scan_count"])
     cols = [result.scan_phases] + [result.populations[i] for i in range(len(result.prep_phases))]
@@ -411,7 +407,7 @@ SCENARIOS = {
     "phase-sweep": (_run_phase_sweep, {
         "drive": _Param(_DRIVE),  # phi13 and phi23 are set by the sweep
         "masses": _MASSES,
-        "phi_values": _Param([float], None, _NON_EMPTY),  # None: phi_count points on [-pi, pi]
+        "phi_values": _Param([float], None, _PHASE_GRID),  # None: phi_count points on [-pi, pi]
         "phi_count": _Param(int, 33, _COUNT),
         "periods": _Param(int, 8, _COUNT),
     }),
@@ -444,9 +440,11 @@ def _preflight(cfg: dict, base_dir: str, run: bool = False) -> tuple[dict, list[
     """The checked parameters of a loaded config and the report lines of its checks.
 
     Past the table: the drive's common period and time grid, mode ordering and
-    the adiabatic window, and that the curve files exist.  The runners get
-    ``drive`` as a ``BondDrive``, ``platform`` as ``PlatformParams`` with its
-    ``window`` report, and ``curve_files`` resolved against ``base_dir``.
+    the adiabatic window, the loop geometry, and the curves with one charge and
+    self-linking count each.  The runners get ``drive`` as a ``BondDrive``,
+    ``platform`` as ``PlatformParams`` with its ``window`` report, ``shape``
+    (trace-sweep) or ``spec`` (the pi/2 gate, whose loop Hadamard steers) as
+    built without transport, and ``curves`` read against ``base_dir``.
     """
     table = SCENARIOS[cfg["scenario"]][1]
     p = _check(cfg.get("params", {}), _Param(table), "params", cfg["scenario"])
@@ -471,12 +469,22 @@ def _preflight(cfg: dict, base_dir: str, run: bool = False) -> tuple[dict, list[
             f"adiabatic window pass: (1/T)/splitting = {report.ratio_lower:.3g}, "
             f"gap*T = {report.ratio_upper:.3g}"
         )
-    if p.get("curve_files"):
-        p["curve_files"] = [os.path.join(base_dir, name) for name in p["curve_files"]]
-        for path in p["curve_files"]:
-            if not os.path.exists(path):
-                raise ConfigError(f"referenced curve file does not exist: {path}")
-        lines.append(f"{len(p['curve_files'])} curve files present")
+    if cfg["scenario"] == "trace-sweep":
+        p["shape"] = make_ellipse_loop(p["theta0"], 0.0, p["a"], p["b"], p["samples"])
+    elif cfg["scenario"] in ("gate-synth", "ramsey"):
+        q = p["platform"].charge if p["q"] is None else p["q"]
+        reps = 1 if p.get("target") == "hadamard" else p.get("n_rep")
+        p["spec"] = synth_phase_gate(q, reps, n_samples=p["samples"], steps=p["steps"])
+    elif cfg["scenario"] == "linking":
+        if p["curve_files"] is None:
+            curves = list(hopf_pair(p["hopf"]["radius1"], p["hopf"]["radius2"], p["hopf"]["segments"]))
+        else:
+            curves = [_load_curve_csv(os.path.join(base_dir, name)) for name in p["curve_files"]]
+        for key in ("charges", "slk"):
+            if p[key] is not None and len(p[key]) != len(curves):
+                raise ConfigError(f"linking: parameter {key!r} needs one value per curve ({len(curves)})")
+        p["curves"] = curves
+        lines.append(f"{len(curves)} curves read")
     lines.append("pass")
     return p, lines
 

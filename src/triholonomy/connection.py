@@ -95,9 +95,8 @@ class BlochField:
         )
         if mu is None:
             n = np.array([0.0, 0.0, 1.0]) if axis is None else np.asarray(axis, dtype=float)
-            norm = np.linalg.norm(n)
-            if not np.isfinite(norm) or abs(norm - 1.0) > 1e-12:
-                raise ValidationError("pinned axis must be a unit vector to 1e-12")
+            if n.shape != (3,) or not abs(np.linalg.norm(n) - 1.0) <= 1e-12:  # NaN fails too
+                raise ValidationError("pinned axis must be a unit 3-vector to 1e-12")
             self._axis = n
             self._frame = self._transverse_frame(n)
         else:
@@ -108,17 +107,17 @@ class BlochField:
 
     @staticmethod
     def _transverse_frame(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Deterministic right-handed completion (e1, e2) of a unit vector."""
-        trial = np.array([0.0, 0.0, 1.0])
-        if abs(np.dot(trial, n)) > 0.9:
-            trial = np.array([1.0, 0.0, 0.0])
-        e1 = np.cross(trial, n)
-        e1 /= np.linalg.norm(e1)
-        # For the default +z axis this yields e1 = x, e2 = y.
+        """Deterministic right-handed completion (e1, e2) of a unit vector.
+
+        Near +z, e1 is x projected off n, so the +z axis gets (x, y); elsewhere
+        e1 is along z x n, or x x n near -z.
+        """
         if n[2] > 0.9:
-            e1 = np.array([1.0, 0.0, 0.0])
-        e2 = np.cross(n, e1)
-        return e1, e2
+            e1 = np.array([1.0, 0.0, 0.0]) - n[0] * n
+        else:
+            e1 = np.cross([0.0, 0.0, 1.0] if n[2] >= -0.9 else [1.0, 0.0, 0.0], n)
+        e1 /= np.linalg.norm(e1)
+        return e1, np.cross(n, e1)
 
     @classmethod
     def pinned(cls, axis=None) -> "BlochField":

@@ -210,7 +210,6 @@ class InteractionFrame:
     frame-rotated transverse generator (1/2i) [[0, g], [conj(g), 0]].
     """
 
-    params: np.ndarray
     eta: np.ndarray
     transverse: np.ndarray
     charge: float
@@ -218,7 +217,7 @@ class InteractionFrame:
 
     def integrate_transverse(self) -> WilsonLine:
         """Ordered-product holonomy V(2 pi) of the transverse generator alone."""
-        return wilson_from_samples(np.zeros(self.params.size), self.transverse, self.charge)
+        return wilson_from_samples(np.zeros(self.eta.size), self.transverse, self.charge)
 
 
 def interaction_frame(loop: HolonomyLoop) -> InteractionFrame:
@@ -234,18 +233,20 @@ def interaction_frame(loop: HolonomyLoop) -> InteractionFrame:
     a, psi, _ = loop.sample(s_mid)
     eta_end, eta_mid = cumulative_midpoint(a, ds, loop.charge)
     g = psi * np.exp(-1j * eta_mid)
-    return InteractionFrame(s_mid, eta_mid, g, loop.charge, float(eta_end[-1]))
+    return InteractionFrame(eta_mid, g, loop.charge, float(eta_end[-1]))
 
 
-def synth_hadamard_gate(q: float, n_samples: int = 1024, steps: int = 4096) -> GateSpec:
+def synth_hadamard_gate(
+    q: float, n_samples: int = 1024, steps: int = 4096, shape: ShapeLoop | None = None
+) -> GateSpec:
     """Steered-control loop whose transverse holonomy is the y-axis pi/2 rotation.
 
-    Uses the same elliptical loop as the phase gate (enclosed angle pi/q)
-    with control phase arg psi(s) = pi/2 + eta(s).  The rotating-frame
-    samples psi exp(-i eta) then all equal i |psi| to round-off, so every
-    step factor of V(2 pi) turns about the same axis, the factors commute,
-    and the rotation angle is 2 pi q |psi| exactly up to round-off (no
-    discretisation error).  The control magnitude is therefore the
+    Steers ``shape``, by default the single loop of the phase gate at
+    ``n_samples`` (enclosed angle pi/q), with control phase
+    arg psi(s) = pi/2 + eta(s).  The rotating-frame samples psi exp(-i eta)
+    then all equal i |psi| to round-off, so every step factor of V(2 pi)
+    turns about the same axis, the factors commute, and the rotation angle
+    is 2 pi q |psi| exactly up to round-off (no discretisation error).  The control magnitude is therefore the
     closed form |psi| = 1/(4 q); one transport checks that the angle of
     V(2 pi) is pi/2 to within 1e-6.  The diagonal factor U_z(2 pi) is
     returned in ``residual_abelian`` for downstream compensation, and V(2 pi)
@@ -257,26 +258,25 @@ def synth_hadamard_gate(q: float, n_samples: int = 1024, steps: int = 4096) -> G
     """
     if not q > 0:
         raise ValidationError("coupling weight q must be positive")
-    a = b = math.sqrt(1.0 / q)
-    shape = make_ellipse_loop(math.pi / 2, 0.0, a, b, n_samples).reversed()
+    if shape is None:
+        shape = synth_phase_gate(q, 1, n_samples=n_samples).loop.shape
     # eta(s) = q * integral_0^s A, interpolated between its grid-node values.
     s_mid, ds = midpoint_grid(steps)
     eta_ends, eta_mid = cumulative_midpoint(HolonomyLoop(shape, steps=steps).sample(s_mid).a, ds, q)
     eta_nodes = np.concatenate([[0.0], eta_ends])
     grid = np.linspace(0.0, 2 * math.pi, steps + 1)
-
-    steering = ControlField._from_arrays(
-        lambda s: np.exp(1j * (math.pi / 2 + np.interp(s, grid, eta_nodes))), check_periodic=False
-    )
     psi_cal = 1.0 / (4.0 * q)
-    v = wilson_from_samples(np.zeros(steps), psi_cal * steering.at(s_mid) * np.exp(-1j * eta_mid), q)
+    control = ControlField._from_arrays(
+        lambda s: psi_cal * np.exp(1j * (math.pi / 2 + np.interp(s, grid, eta_nodes))),
+        check_periodic=False,
+    )
+    v = wilson_from_samples(np.zeros(steps), control.at(s_mid) * np.exp(-1j * eta_mid), q)
     miss = abs(rotation_angle(v) - math.pi / 2)
     if not miss <= _CALIBRATION_TOL:
         raise NumericalError(
             f"steered transverse rotation misses pi/2 by {miss:.3e} at |psi| = 1/(4 q) "
             f"(bound {_CALIBRATION_TOL:g})"
         )
-    control = ControlField._from_arrays(lambda s: psi_cal * steering.at(s), check_periodic=False)
     eta_total = float(eta_ends[-1])
     return GateSpec(
         target=HADAMARD_ROTATION,

@@ -89,14 +89,12 @@ class ShapeLoop:
     Stored as N + 1 uniformly spaced samples of (colatitude, unwrapped
     azimuth) over s in [0, 2 pi], first and last shape points coinciding.
     The azimuth may close onto ``azimuth[0] + 2 pi k`` for loops that wind
-    around the polar axis.  Interpolation is piecewise linear; traversal
-    follows array order and ``orientation`` records the handedness relative
-    to the original construction (flipped by :meth:`reversed`).
+    around the polar axis.  Interpolation is piecewise linear, and traversal
+    follows array order.
     """
 
     colatitudes: np.ndarray
     azimuths: np.ndarray  # unwrapped (continuous) azimuth samples
-    orientation: int = 1
 
     def __post_init__(self):
         th = _readonly(self.colatitudes)
@@ -104,17 +102,15 @@ class ShapeLoop:
         if th.ndim != 1 or th.shape != ph.shape:
             raise ValidationError("colatitude/azimuth sample arrays must be 1-d and equal length")
         _check_loop_samples(th, ph)
-        if self.orientation not in (-1, 1):
-            raise ValidationError("orientation must be +1 or -1")
         object.__setattr__(self, "colatitudes", th)
         object.__setattr__(self, "azimuths", ph)
 
     @classmethod
-    def from_samples(cls, colatitudes, azimuths, orientation: int = 1) -> "ShapeLoop":
+    def from_samples(cls, colatitudes, azimuths) -> "ShapeLoop":
         """Build a loop from raw samples; the azimuth is unwrapped for continuity."""
         th = np.asarray(colatitudes, dtype=float)
         ph = np.unwrap(np.asarray(azimuths, dtype=float))
-        return cls(th, ph, orientation)
+        return cls(th, ph)
 
     @property
     def n_segments(self) -> int:
@@ -143,7 +139,7 @@ class ShapeLoop:
 
     def reversed(self) -> "ShapeLoop":
         """The same geometric loop traversed backwards."""
-        return ShapeLoop(self.colatitudes[::-1], self.azimuths[::-1], -self.orientation)
+        return ShapeLoop(self.colatitudes[::-1], self.azimuths[::-1])
 
 
 def _jacobi(planar: np.ndarray, masses) -> tuple[np.ndarray, np.ndarray]:

@@ -18,9 +18,9 @@ from hypothesis import strategies as st
 import triholonomy
 from triholonomy import gates
 from triholonomy.cli import _CSV_BLOCK_ROWS, SCENARIOS, _write_csv, main
-from triholonomy.connection import eigenframe_rate_samples
+from triholonomy.connection import BlochField, ControlField, eigenframe_rate_samples
 from triholonomy.gates import make_ellipse_loop
-from triholonomy.holonomy import HolonomyLoop, midpoint_grid, trace_expansion_from_rates
+from triholonomy.holonomy import HolonomyLoop, integrate_wilson, midpoint_grid, trace_expansion_from_rates
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -139,6 +139,21 @@ UNRESOLVED_ELLIPSES = [
     ("gate-synth", {"q": 1e300}),  # wrote the identity matrix
     ("ramsey", {"q": 1e30}),  # wrote reconstructed_trace 1.453 where sqrt(2) is expected
     ("trace-sweep", {"a": 1e-15, "b": 1e-15}),  # traced the staircase that rounding left of it
+]
+
+# Configs the pre-flight rejects by building what the runner uses, without transport:
+# (scenario, params override, config override, stderr phrase); run and validate both exit 2.
+PREFLIGHT_BUILDS = [
+    ("gate-synth", {"q": 1e300}, {}, "semi-axis a is lost to rounding"),
+    ("gate-synth", {"q": 1e300, "target": "hadamard"}, {}, "semi-axis a is lost to rounding"),
+    ("ramsey", {"q": 1e30}, {}, "semi-axis a is lost to rounding"),
+    ("trace-sweep", {"a": 1e-15, "b": 1e-15}, {}, "semi-axis a is lost to rounding"),
+    ("trace-sweep", {"theta0": 4.0}, {}, "base colatitude must lie strictly between the poles"),
+    ("gate-synth", {}, {"output_dir": "nul\0byte"}, "cannot use output directory nul\0byte: "),
+    ("phase-sweep", {"phi_values": [4.0]}, {}, "'phi_values' must be a non-empty array in [-pi, pi]"),
+    ("linking", {"charges": [1, 2, 3]}, {}, "'charges' needs one value per curve (2)"),
+    ("linking", {"slk": [0]}, {}, "'slk' needs one value per curve (2)"),
+    ("linking", {"curve_files": ["two.csv", "two.csv"]}, {}, "must have three columns"),
 ]
 
 # Output directories that cannot be created: an existing file, a path under a file, a path
@@ -467,6 +482,19 @@ class TestRun:
             c, j = eigenframe_rate_samples(base._replace(psi=np.full(2048, complex(psi_abs))), 2.0)
             assert row[2] == format(trace_expansion_from_rates(c, j, 2).trace_estimate, ".17g")
 
+    def test_trace_sweep_direct_is_the_loop_transport(self, tmp_path):
+        # trace_direct carries the bits of integrate_wilson on the pinned loop at constant psi
+        params = {"q": 2.5, "theta0": 1.2, "a": 0.2, "b": 0.15, "psi_values": [0.03, 0.06, 0.09],
+                  "steps": 2048, "samples": 512}
+        cfg = {"schema_version": 1, "scenario": "trace-sweep", "seed": 0, "params": params}
+        out = tmp_path / "out"
+        assert main(["run", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+        rows = [row.split(",") for row in (out / "trace_sweep.csv").read_text().splitlines()[1:]]
+        shape = make_ellipse_loop(1.2, 0.0, 0.2, 0.15, 512)
+        for row, psi_abs in zip(rows, params["psi_values"], strict=True):
+            loop = HolonomyLoop(shape, BlochField.pinned(), ControlField.constant(psi_abs), 2.5, 2048)
+            assert row[1] == format(integrate_wilson(loop).trace, ".17g")
+
     def test_trace_sweep_seeded_gauge_check(self, tmp_path):
         cfg = {
             "schema_version": 1,
@@ -593,6 +621,23 @@ class TestValidate:
         assert main(["validate", write_config(tmp_path, cfg)]) == 2
         assert repr(key) in capsys.readouterr().err
         assert os.listdir(tmp_path) == ["config.json"]
+
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    @pytest.mark.parametrize("scenario, override, top, phrase", PREFLIGHT_BUILDS, ids=[
+        "gate-q", "hadamard-q", "ramsey-q", "trace-ab", "trace-theta0", "nul-output-dir", "phi-values",
+        "charges", "slk", "two-column-curve",
+    ])
+    def test_preflight_builds_what_run_builds(self, tmp_path, capsys, command, scenario, override, top,
+                                              phrase):
+        (tmp_path / "two.csv").write_text("x,y\n" + "\n".join(f"{i},{i * i}" for i in range(20)))
+        params = dict(BASE_PARAMS[scenario], **override)
+        cfg = dict({"schema_version": 1, "scenario": scenario, "seed": 0, "params": params}, **top)
+        out = tmp_path / "out"
+        argv = [command, write_config(tmp_path, cfg)] + (["--out", str(out)] if command == "run" else [])
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and phrase in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["run", "validate"])
     @pytest.mark.parametrize("seed", [True, -1, "0", 2.5, 2**64])

@@ -148,6 +148,28 @@ class TestBlochAxis:
         n, dn = axis_and_rate(field, *random_tangents(rng, 20, 0.3, 2.8))
         assert np.max(np.abs(np.sum(n * dn, axis=1))) < 1e-10
 
+    def test_pinned_frame_orthonormal_and_right_handed(self):
+        # random axes, half of them with n_z > 0.9, where e1 is x projected off n
+        rng = np.random.default_rng(7)
+        axes = rng.normal(size=(400, 3))
+        axes[:200, :2] *= 0.05
+        axes[:200, 2] = np.abs(axes[:200, 2]) + 1.0
+        axes = np.vstack([axes, [[0.3, 0.0, 0.954], [0.1, 0.0, 0.995], [0.0, 0.0, -1.0], [1.0, 0.0, 0.0]]])
+        axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+        assert np.sum(axes[:, 2] > 0.9) >= 200
+        for n in axes:
+            e1, e2 = BlochField.pinned(n).transverse_frame
+            frame = np.array([e1, e2, n])
+            assert np.max(np.abs(frame @ frame.T - np.eye(3))) <= 1e-15
+            assert np.max(np.abs(np.cross(e1, e2) - n)) <= 1e-15
+        e1, e2 = BlochField.pinned().transverse_frame
+        assert e1.tolist() == [1.0, 0.0, 0.0] and e2.tolist() == [0.0, 1.0, 0.0]
+
+    @pytest.mark.parametrize("axis", [[0.0, 1.0], [[0.0, 0.0, 1.0]], [0.0, 0.0, 1.0, 0.0], 1.0])
+    def test_pinned_axis_must_be_a_unit_3_vector(self, axis):
+        with pytest.raises(ValidationError, match="unit 3-vector"):
+            BlochField.pinned(axis)
+
 
 class TestAreaPotential:
     """omega, the Bloch-sphere monopole potential pulled back through the axis field."""
@@ -304,6 +326,15 @@ class TestGaugeAndPatchProperties:
                 )
             ).trace
             assert t_north == pytest.approx(t_south, abs=1e-8)
+
+    def test_trace_is_the_same_on_every_pinned_axis(self):
+        # rotating the pinned axis conjugates the holonomy, so its trace cannot move
+        shape = make_ellipse_loop(math.pi / 2, 0.0, 0.2, 0.2)
+        traces = []
+        for axis in ([0.0, 0.0, 1.0], [0.3, 0.0, 0.954], [0.1, 0.0, 0.995]):
+            field = BlochField.pinned(np.divide(axis, np.linalg.norm(axis)))
+            traces.append(integrate_wilson(HolonomyLoop(shape, field, ControlField.constant(0.1), 2.0, 4096)).trace)
+        assert max(traces) - min(traces) <= 1e-12
 
     def test_exact_form_shift_of_decomposition(self):
         # c -> c + d(beta), j -> e^{i beta} j is a representative change of the

@@ -30,3 +30,13 @@ def test_package_imports_only_exported_names():
         exported = importlib.import_module(f"triholonomy.{node.module}").__all__
         unexported = [alias.name for alias in node.names if alias.name not in exported]
         assert unexported == [], f"triholonomy.{node.module} does not export these names"
+
+
+def test_cli_binds_one_connection_name():
+    # trace-sweep transports through holonomy.wilson_from_samples, not connection-layer parts
+    cli = importlib.import_module("triholonomy.cli")
+    bound = sorted(
+        name for name, obj in vars(cli).items() if getattr(obj, "__module__", None) == "triholonomy.connection"
+    )
+    assert bound == ["eigenframe_rate_samples"]
+    assert not hasattr(cli, "_wilson_line")
