@@ -17,10 +17,10 @@ Configs are JSON with a versioned schema::
 
 Angles are radians and quantities SI throughout; complex matrix entries
 serialise as [re, im] pairs; CSV floats carry 17 significant digits so a
-round-trip is bit-stable.  Outputs are staged and moved into place only on
-success, with a run manifest (config echo, version, checksums, timings)
-written last; reruns with identical config and seed produce byte-identical
-data files.
+round-trip is bit-stable.  Each output is written once into the output
+directory as a partial file and renamed into place only on success, the run
+manifest (config echo, version, checksums of the bytes written, timings) last;
+a failure removes the partial files.  Reruns give byte-identical data files.
 
 Each scenario's parameters (JSON kind, default, bound) are declared once, in
 ``SCENARIOS``.  ``run`` and ``validate`` share one pre-flight: the table, then
@@ -39,14 +39,14 @@ Exit codes: 0 success, 2 validation error or out of memory, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import hashlib
+import itertools
 import json
 import math
 import os
-import shutil
 import sys
-import tempfile
 import time
 from dataclasses import MISSING, fields
 from typing import NamedTuple
@@ -92,21 +92,30 @@ def _complex_pairs(matrix: np.ndarray) -> list:
     return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(matrix)]
 
 
-def _write_csv(path: str, header: list[str], columns: list[np.ndarray]) -> None:
-    """Columns as float rows; "%.17g" writes the bytes of ``format(float(x), ".17g")``."""
+def _write_new(path: str, chunks) -> str:
+    """Write text chunks to a file that must not exist yet; returns the sha256 hex digest of its bytes."""
+    digest = hashlib.sha256()
+    with open(path, "xb") as fh:
+        for text in chunks:
+            data = text.encode()
+            digest.update(data)
+            fh.write(data)
+    return digest.hexdigest()
+
+
+def _write_csv(path: str, header: list[str], columns: list[np.ndarray]) -> str:
+    """Columns as "%.17g" rows (``format(float(x), ".17g")``) in a new file; returns its sha256 hex digest."""
     columns = [np.asarray(col, dtype=float) for col in columns]
     row_fmt = ",".join(["%.17g"] * len(columns)) + "\n"
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for i in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
-            block = np.column_stack([col[i : i + _CSV_BLOCK_ROWS] for col in columns])
-            fh.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
+    blocks = (np.column_stack([col[i : i + _CSV_BLOCK_ROWS] for col in columns])
+              for i in range(0, len(columns[0]), _CSV_BLOCK_ROWS))
+    rows = ((row_fmt * len(block)) % tuple(block.ravel().tolist()) for block in blocks)
+    return _write_new(path, itertools.chain([",".join(header) + "\n"], rows))
 
 
-def _write_json(path: str, payload: dict) -> None:
-    with open(path, "w", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def _write_json(path: str, payload: dict) -> str:
+    """``payload`` as indented JSON in a new file; returns the sha256 hex digest of the bytes written."""
+    return _write_new(path, [json.dumps(payload, indent=2, sort_keys=True) + "\n"])
 
 
 class ConfigError(ValidationError):
@@ -498,14 +507,6 @@ def run_scenario(cfg: dict, base_dir: str) -> dict:
     return SCENARIOS[cfg["scenario"]][0](p, cfg.get("seed", 0))
 
 
-def _sha256(path: str) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
 def _config_dir(config_path: str) -> str:
     return os.path.dirname(os.path.abspath(config_path))
 
@@ -517,31 +518,31 @@ def _cmd_run(args) -> int:
         cfg["seed"] = _check(args.seed, _SEED, "seed", "--seed")
     outdir = args.out or cfg.get("output_dir") or os.environ.get(OUTDIR_ENV) or "."
     outputs = run_scenario(cfg, _config_dir(args.config))  # a failed run leaves no directory behind
+    pending = {}  # final name -> its partial file, until renamed into place
     try:
         os.makedirs(outdir, exist_ok=True)
-        staging = tempfile.mkdtemp(prefix=".staging-", dir=outdir)
-    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
-        reason = getattr(exc, "strerror", None) or exc
-        raise ValidationError(f"cannot use output directory {outdir}: {reason}") from exc
-    try:
-        for name, payload in outputs.items():
-            path = os.path.join(staging, name)
-            if isinstance(payload, dict):
-                _write_json(path, payload)
-            else:
-                _write_csv(path, *payload)
+        partial = os.path.join(outdir, f".partial-{os.getpid()}-{os.urandom(4).hex()}-")  # unique to this run
+        pending = {name: partial + name for name in [*outputs, "run_manifest.json"]}  # in renaming order
+        digests = {name: _write_json(pending[name], out) if isinstance(out, dict)
+                   else _write_csv(pending[name], *out) for name, out in outputs.items()}
         manifest = {
             "artifact_version": __version__,
             "config": cfg,
             "seed": cfg.get("seed", 0),
-            "outputs": {name: _sha256(os.path.join(staging, name)) for name in outputs},
+            "outputs": digests,
             "wall_seconds": time.perf_counter() - t_start,
         }
-        _write_json(os.path.join(staging, "run_manifest.json"), manifest)
-        for name in [*outputs, "run_manifest.json"]:
-            os.replace(os.path.join(staging, name), os.path.join(outdir, name))
+        _write_json(pending["run_manifest.json"], manifest)
+        for name in list(pending):
+            os.replace(pending[name], os.path.join(outdir, name))
+            del pending[name]
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
+        reason = getattr(exc, "strerror", None) or exc
+        raise ValidationError(f"cannot use output directory {outdir}: {reason}") from exc
     finally:
-        shutil.rmtree(staging, ignore_errors=True)
+        for path in pending.values():
+            with contextlib.suppress(OSError):
+                os.remove(path)
     print(f"wrote {len(outputs)} output file(s) + manifest to {outdir}")
     return 0
 

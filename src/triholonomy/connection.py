@@ -94,16 +94,16 @@ class BlochField:
             for fn in (mu_partials, lam_partials)
         )
         if mu is None:
-            n = np.array([0.0, 0.0, 1.0]) if axis is None else np.asarray(axis, dtype=float)
+            n = np.array([0.0, 0.0, 1.0] if axis is None else axis, dtype=float)  # a copy, made read-only
             if n.shape != (3,) or not abs(np.linalg.norm(n) - 1.0) <= 1e-12:  # NaN fails too
                 raise ValidationError("pinned axis must be a unit 3-vector to 1e-12")
-            self._axis = n
-            self._frame = self._transverse_frame(n)
+            self._axis, self._frame = n, self._transverse_frame(n)
+            for v in (n, *self._frame):  # read-only, so one field can serve every caller
+                v.flags.writeable = False
         else:
             if axis is not None:
                 raise ValidationError("give either a pinned axis or angle callables, not both")
-            self._axis = None
-            self._frame = None
+            self._axis = self._frame = None
 
     @staticmethod
     def _transverse_frame(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -121,7 +121,8 @@ class BlochField:
 
     @classmethod
     def pinned(cls, axis=None) -> "BlochField":
-        return cls(axis=axis)
+        """A pinned field; with no axis, the one shared +z field."""
+        return _PLUS_Z if axis is None else cls(axis=axis)
 
     @classmethod
     def from_angles(cls, mu, lam, mu_partials=None, lam_partials=None) -> "BlochField":
@@ -228,7 +229,8 @@ class ControlField:
 
     @classmethod
     def zero(cls) -> "ControlField":
-        return cls.constant(0.0)
+        """The one shared zero field."""
+        return _ZERO
 
     @classmethod
     def from_samples(cls, values, check_periodic: bool = True) -> "ControlField":
@@ -250,6 +252,10 @@ class ControlField:
         if not np.all(np.isfinite(values)):
             raise ValidationError("control field value is not finite")
         return complex(values) if values.ndim == 0 else values
+
+
+_PLUS_Z = BlochField()
+_ZERO = ControlField.constant(0.0)
 
 
 class LoopSamples(NamedTuple):

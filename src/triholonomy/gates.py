@@ -135,7 +135,7 @@ def make_ellipse_loop(
         raise ValidationError("base colatitude must lie strictly between the poles")
     if math.sin(theta0) <= 1e-6:
         raise ValidationError("base point too close to a pole (sin theta0 <= 1e-6)")
-    if a < 0 or b < 0:
+    if not (a >= 0 and b >= 0):  # NaN fails too
         raise ValidationError("semi-axes must be non-negative")
     if max(a, b) > _SMALL_LOOP_WARN:
         warnings.warn(

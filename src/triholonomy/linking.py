@@ -232,7 +232,7 @@ def hopf_pair(radius1: float = 1.0, radius2: float = 1.0, n_segments: int = 512)
     Circle 1 lies in the xy-plane centred at the origin; circle 2 lies in
     the xz-plane centred at (radius1, 0, 0) and threads through circle 1.
     """
-    if radius1 <= 0 or radius2 <= 0:
+    if not (radius1 > 0 and radius2 > 0):  # NaN fails too
         raise ValidationError("radii must be positive")
     if n_segments < 16:
         raise ValidationError("a closed curve needs at least 16 segments (17 samples)")

@@ -289,7 +289,7 @@ def precession_berry_phase(
     Raises:
         NumericalError: the drive does not precess on a circle.
     """
-    if a <= 0 or d <= a or omega <= 0:
+    if not (0 < a < d) or not omega > 0:  # NaN fails too
         raise ValidationError("need 0 < a < d and a positive frequency")
     t = np.linspace(0.0, 2 * math.pi / omega, n_samples + 1)
     u = a * np.cos(omega * t + phi13)

@@ -1,10 +1,12 @@
 import contextlib
 import copy
 import glob
+import hashlib
 import io
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 import tempfile
@@ -17,12 +19,13 @@ from hypothesis import strategies as st
 
 import triholonomy
 from triholonomy import gates
-from triholonomy.cli import _CSV_BLOCK_ROWS, SCENARIOS, _write_csv, main
+from triholonomy.cli import _CSV_BLOCK_ROWS, SCENARIOS, _write_csv, _write_json, main
 from triholonomy.connection import BlochField, ControlField, eigenframe_rate_samples
 from triholonomy.gates import make_ellipse_loop
 from triholonomy.holonomy import HolonomyLoop, integrate_wilson, midpoint_grid, trace_expansion_from_rates
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
+SHIPPED_CONFIGS = sorted(os.path.basename(p) for p in glob.glob(os.path.join(CONFIG_DIR, "*.json")))
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -453,6 +456,38 @@ class TestRun:
         assert capsys.readouterr().err.startswith("validation error" if code == 2 else "numerical failure")
         assert not out.exists() and not out.parent.exists()
 
+    @pytest.mark.parametrize("scenario, name", [("gate-synth", "gate.json"), ("ramsey", "fringe.csv")])
+    def test_output_name_taken_by_a_directory_exits_2(self, tmp_path, capsys, scenario, name):
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)
+        cfg = {"schema_version": 1, "scenario": scenario, "seed": 0, "params": BASE_PARAMS[scenario]}
+        assert main(["run", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"validation error: cannot use output directory {out}: ")
+        assert err.count("\n") == 1
+        assert os.listdir(out) == [name] and os.listdir(out / name) == []
+
+    @pytest.mark.parametrize(
+        "error, message",
+        [
+            (OSError(28, "No space left on device"), "cannot use output directory {out}: No space left on device"),
+            (MemoryError(), "out of memory; lower the sample counts"),
+        ],
+        ids=["oserror", "memoryerror"],
+    )
+    def test_failed_write_leaves_no_file(self, tmp_path, capsys, monkeypatch, error, message):
+        # ramsey writes fringe.csv, then ramsey.json, which fails here once its partial file exists
+        def write_then_fail(path, payload):
+            _write_json(path, payload)
+            raise error
+
+        monkeypatch.setattr("triholonomy.cli._write_json", write_then_fail)
+        cfg = {"schema_version": 1, "scenario": "ramsey", "seed": 0, "params": BASE_PARAMS["ramsey"]}
+        out = tmp_path / "out"
+        assert main(["run", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"validation error: {message.format(out=out)}\n"
+        assert os.listdir(out) == []
+
     def test_trace_sweep_scenario(self, tmp_path):
         cfg = {
             "schema_version": 1,
@@ -660,11 +695,22 @@ class TestValidate:
 
 
 class TestShippedConfigs:
-    @pytest.mark.parametrize(
-        "name", sorted(os.path.basename(p) for p in glob.glob(os.path.join(CONFIG_DIR, "*.json")))
-    )
+    @pytest.mark.parametrize("name", SHIPPED_CONFIGS)
     def test_all_shipped_configs_validate(self, name):
         assert main(["validate", os.path.join(CONFIG_DIR, name)]) == 0
+
+    @pytest.mark.parametrize("name", SHIPPED_CONFIGS)
+    def test_run_leaves_only_checksummed_final_files(self, tmp_path, name):
+        # the manifest's checksums are those of the bytes on disk; files keep mode 0644 under umask 022
+        umask = os.umask(0o022)
+        try:
+            assert main(["run", os.path.join(CONFIG_DIR, name), "--out", str(tmp_path)]) == 0
+        finally:
+            os.umask(umask)
+        outputs = json.loads((tmp_path / "run_manifest.json").read_text())["outputs"]
+        assert sorted(os.listdir(tmp_path)) == sorted([*outputs, "run_manifest.json"])
+        assert outputs == {n: hashlib.sha256((tmp_path / n).read_bytes()).hexdigest() for n in outputs}
+        assert {stat.S_IMODE(f.stat().st_mode) for f in tmp_path.iterdir()} == {0o644}
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -165,6 +165,17 @@ class TestBlochAxis:
         e1, e2 = BlochField.pinned().transverse_frame
         assert e1.tolist() == [1.0, 0.0, 0.0] and e2.tolist() == [0.0, 1.0, 0.0]
 
+    def test_default_fields_are_shared_and_read_only(self):
+        # one +z field and one zero control serve every caller, so no caller may write to them
+        axis = np.array([0.0, 0.6, 0.8])
+        for field in (BlochField.pinned(), BlochField.pinned(axis)):
+            assert not any(v.flags.writeable for v in (field.pinned_axis, *field.transverse_frame))
+        assert axis.flags.writeable  # the given axis is copied, not frozen
+        assert BlochField.pinned() is BlochField.pinned()
+        assert ControlField.zero() is ControlField.zero()
+        loop = HolonomyLoop(make_ellipse_loop(math.pi / 2, 0.0, 0.1, 0.1, 64))
+        assert loop.bloch is BlochField.pinned() and loop.control is ControlField.zero()
+
     @pytest.mark.parametrize("axis", [[0.0, 1.0], [[0.0, 0.0, 1.0]], [0.0, 0.0, 1.0, 0.0], 1.0])
     def test_pinned_axis_must_be_a_unit_3_vector(self, axis):
         with pytest.raises(ValidationError, match="unit 3-vector"):

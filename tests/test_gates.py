@@ -24,6 +24,7 @@ from triholonomy.gates import (
     synth_phase_gate,
 )
 from triholonomy.holonomy import HolonomyLoop, integrate_wilson, rotation_angle
+from triholonomy.linking import hopf_pair
 from triholonomy.shapespace import ShapeLoop, solid_angle
 from triholonomy.trimer import precession_berry_phase
 
@@ -298,8 +299,12 @@ NAN2 = np.full((2, 2), np.nan)
         (lambda: compile_cnot(2.0, 16, hadamard=NAN2), ValidationError, "unitary"),
         (lambda: gate_fidelity(NAN2, NAN2), ValidationError, "unitary"),
         (lambda: precession_berry_phase(1.0, 0.15, 3.0, phi13=math.nan), NumericalError, "circular"),
+        (lambda: precession_berry_phase(math.nan, 0.15, 3.0), ValidationError, "0 < a < d"),
+        (lambda: make_ellipse_loop(math.pi / 2, 0.0, math.nan, 0.2), ValidationError, "non-negative"),
+        (lambda: hopf_pair(math.nan, 1.0), ValidationError, "radii must be positive"),
     ],
-    ids=["compile_cnot", "gate_fidelity", "precession_berry_phase"],
+    ids=["compile_cnot", "gate_fidelity", "precession_berry_phase", "precession_berry_phase-nan-d",
+         "make_ellipse_loop-nan-a", "hopf_pair-nan-radius"],
 )
 def test_nan_fails_closed(call, error, message):
     with pytest.raises(error, match=message):
