@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import functools
 import hashlib
 import itertools
@@ -85,6 +86,12 @@ OUTDIR_ENV = "TRIHOLONOMY_OUTDIR"
 SCHEMA_VERSION = 1
 # CSV rows formatted per string operation; bounds the text held in memory.
 _CSV_BLOCK_ROWS = 1024
+# A block of fewer cells goes to "%" whole: the digit path's fixed cost (~0.1 ms) loses below it.
+_CSV_FAST_MIN_CELLS = 256
+_DEKKER = 134217729.0  # 2**27 + 1 splits a double into two halves whose products are exact
+_TIE_GAP = 2.0**-30  # a product this close to a rounding tie goes to "%"; the product errs by < 1e-12
+_G17_RANGE = (1e-250, 1e250)  # |x| the digit path takes; 10**(16 - E) stays a normal double
+_POW10_MIN = -235  # the 10**k table spans k in [-235, 270), what that range needs
 
 
 def _complex_pairs(matrix: np.ndarray) -> list:
@@ -92,30 +99,176 @@ def _complex_pairs(matrix: np.ndarray) -> list:
     return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(matrix)]
 
 
+def _dekker_split(a):
+    hi = _DEKKER * a
+    hi -= hi - a
+    return hi, a - hi
+
+
+def _divmod(a, b: int):
+    q = a // b  # np.divmod of int64 by a constant is several times slower
+    return q, a - q * b
+
+
+@functools.cache
+def _g17_tables() -> tuple:
+    """10**k as the double-double hi + lo (hi also Dekker-split), the digit limbs and the exponent tails.
+
+    hi is the correctly rounded 10**k and lo the correctly rounded residual,
+    both from exact integer arithmetic.  Limb entry L is L's four "%04d"
+    bytes with trailing '0' bytes as NUL (entry 0 is all NUL); entry
+    10000 + L keeps them, for a limb followed by a nonzero one.  Tail row
+    E + 300 is "e%+03d" % E, NUL-padded to five bytes.
+    """
+    hi, lo = [], []
+    for k in range(_POW10_MIN, 270):
+        num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
+        h_num, h_den = (num / den).as_integer_ratio()
+        hi.append(num / den)
+        lo.append((num * h_den - h_num * den) / (den * h_den))
+    hi = np.array(hi)
+    q = np.arange(10000)
+    text = np.stack([q // 1000, q // 100 % 10, q // 10 % 10, q % 10], axis=1).astype(np.uint8) + 48
+    zeros = np.cumprod(text[:, ::-1] == 48, axis=1)[:, ::-1].astype(bool)  # the trailing '0' bytes
+    limbs = np.concatenate([np.where(zeros, 0, text), text]).view(np.uint32).ravel()
+    tails = np.array([b"e%+03d" % e for e in range(-300, 300)], "S5").view(np.uint8).reshape(-1, 5)
+    return (hi, *_dekker_split(hi), np.array(lo)), limbs, tails
+
+
+def _round17(a, e, pow10):
+    """|x| * 10**(16 - e) rounded to the int64 D, and the rounding's remainder in [-0.5, 0.5]."""
+    k = 16 - _POW10_MIN - e
+    p_hi, p_split_hi, p_split_lo, p_lo = (table[k] for table in pow10)
+    a_hi, a_lo = _dekker_split(a)
+    p = a * p_hi
+    # Dekker's exact error of p, then |x| times the residual of 10**k
+    err = ((a_hi * p_split_hi - p) + a_hi * p_split_lo + a_lo * p_split_hi) + a_lo * p_split_lo + a * p_lo
+    hi = p + err  # hi + lo is the double-double product; hi is an integer above 2**53
+    lo = err - (hi - p)
+    q = np.rint(lo)
+    return hi.astype(np.int64) + q.astype(np.int64), lo - q
+
+
+def _g17_digits(a):
+    """The cells of ``a`` (|x| values) that the digit path decides, and their digits: (idx, D, E).
+
+    |x| rounds half-even to D * 10**(E - 16), D an int64 in [1e16, 1e17).  The
+    path takes |x| in ``_G17_RANGE`` only, and leaves out a product
+    |x| * 10**(16 - E) within ``_TIE_GAP`` of a tie.  The biased log10 never
+    overshoots E, so only a product at or above 1e17 is redone, with E + 1.
+    """
+    idx = np.flatnonzero((a >= _G17_RANGE[0]) & (a < _G17_RANGE[1]))
+    if idx.size < a.size:
+        a = a[idx]
+    pow10 = _g17_tables()[0]
+    e = np.floor(np.log10(a) - 1e-9).astype(np.int64)
+    d, rem = _round17(a, e, pow10)
+    low = np.flatnonzero(d > 10**17)
+    if low.size:
+        e[low] += 1
+        d[low], rem[low] = _round17(a[low], e[low], pow10)
+    top = d == 10**17  # rounded up to the next power of ten
+    d[top] = 10**16
+    e[top] += 1
+    decided = np.abs(rem) < 0.5 - _TIE_GAP
+    if not decided.all():
+        idx, d, e = idx[decided], d[decided], e[decided]
+    return idx, d, e
+
+
+def _format_g17(block: np.ndarray) -> bytes:
+    """``(row_fmt * len(block)) % tuple(block.ravel().tolist())`` as bytes, without per-value formatting.
+
+    ``row_fmt`` is one "%.17g" per column of the float ``block``, joined by
+    "," and ended by "\\n".  Cells are NUL-padded 25-byte slots.  The digit
+    path fills them grouped by layout (one per fixed-notation exponent, one for
+    e-notation); "%" fills the cells it leaves (0, non-finite, |x| outside
+    ``_G17_RANGE``, near a rounding tie) in one batch; deleting the NULs joins
+    them.  Blocks below ``_CSV_FAST_MIN_CELLS`` cells go to "%" whole, and
+    longer blocks ``_CSV_BLOCK_ROWS`` rows at a time.
+    """
+    if len(block) > _CSV_BLOCK_ROWS:  # bounded temporaries stay in cache instead of faulting in fresh pages
+        return b"".join(map(_format_g17, np.split(block, range(_CSV_BLOCK_ROWS, len(block), _CSV_BLOCK_ROWS))))
+    rows, cols = block.shape
+    x = block.ravel()
+    if x.size < _CSV_FAST_MIN_CELLS:
+        return ((",".join(["%.17g"] * cols) + "\n") * rows % tuple(x.tolist())).encode()
+    idx, d, e = _g17_digits(np.abs(x))
+    layout = np.clip(e, -5, 17).astype(np.int16)  # %g's fixed notation in [-4, 16], e-notation outside
+    order = np.argsort(layout, kind="stable")  # a radix sort
+    d, e, layout = d[order], e[order], layout[order]
+    # D = d0 * 10**16 + four base-10**4 limbs; a limb followed by a nonzero one keeps its trailing zeros
+    hi9, lo8 = _divmod(d, 10**8)
+    hi5, l2 = _divmod(hi9, 10**4)
+    d0, l1 = _divmod(hi5, 10**4)
+    l3, l4 = _divmod(lo8, 10**4)
+    limbs, tails = _g17_tables()[1:]
+    digits = np.empty((len(d), 5), np.uint32)
+    digits[:, 0] = limbs[d0 + 10000]
+    digits[:, 4] = limbs[l4]
+    digits[:, 3] = limbs[l3 + 10000 * (l4 != 0)]
+    digits[:, 2] = limbs[l2 + 10000 * (lo8 != 0)]
+    digits[:, 1] = limbs[l1 + 10000 * ((l2 != 0) | (lo8 != 0))]
+    s = digits.view(np.uint8)[:, 3:]  # the 17 digits, trailing zeros as NUL
+    cells = np.zeros((len(d), 25), np.uint8)  # sign, at most 23 bytes of text, separator
+    starts = np.flatnonzero(np.diff(layout, prepend=layout[:1] - 1))  # where each layout's run begins
+    for lo, hi in itertools.pairwise([*starts, len(d)]):
+        p, g, out = int(layout[lo]), s[lo:hi], cells[lo:hi]
+        if 0 <= p <= 16:  # d.ddd with the integer part's zeros kept
+            np.maximum(g[:, : p + 1], 48, out=out[:, 1 : p + 2])
+            if p < 16:
+                out[:, p + 2] = (g[:, p + 1] != 0) * 46
+                out[:, p + 3 : 19] = g[:, p + 1 :]
+        elif -4 <= p < 0:  # 0.000ddd
+            out[:, 1 : 2 - p] = np.frombuffer(b"0." + b"0" * (-1 - p), np.uint8)
+            out[:, 2 - p : 19 - p] = g
+        else:
+            out[:, 1] = g[:, 0]
+            out[:, 2] = (g[:, 1] != 0) * 46
+            out[:, 3:19] = g[:, 1:]
+            out[:, 19:24] = tails[e[lo:hi] + 300]
+    slots = np.empty(x.size, "V25")
+    slots[idx[order]] = cells.view("V25")[:, 0]
+    buf = slots.view(np.uint8).reshape(x.size, 25)
+    buf[:, 0] = (x < 0).view(np.uint8) * 45
+    slow = np.ones(x.size, bool)
+    slow[idx] = False
+    slow = np.flatnonzero(slow)
+    if slow.size:
+        text = np.frombuffer(("%-24.17g" * slow.size % tuple(x[slow].tolist())).encode(), np.uint8)
+        buf[slow, :24] = np.where(text == 32, 0, text).reshape(-1, 24)
+    buf.reshape(rows, cols, 25)[:, :, 24] = [44] * (cols - 1) + [10]
+    return buf.tobytes().translate(None, b"\0")
+
+
 def _write_new(path: str, chunks) -> str:
-    """Write text chunks to a file that must not exist yet; returns the sha256 hex digest of its bytes."""
+    """Write byte chunks to a file that must not exist yet; returns the sha256 hex digest of its bytes."""
     digest = hashlib.sha256()
     with open(path, "xb") as fh:
-        for text in chunks:
-            data = text.encode()
+        for data in chunks:
             digest.update(data)
             fh.write(data)
     return digest.hexdigest()
 
 
 def _write_csv(path: str, header: list[str], columns: list[np.ndarray]) -> str:
-    """Columns as "%.17g" rows (``format(float(x), ".17g")``) in a new file; returns its sha256 hex digest."""
+    """Columns as "%.17g" rows in a new file; returns its sha256 hex digest.
+
+    The floats are the exact bytes of ``"%.17g" % x``: ``_format_g17`` writes
+    them from a numpy digit path, ``_CSV_BLOCK_ROWS`` rows at a time, and
+    leaves zero, non-finite, out-of-range and tie-adjacent cells, and blocks
+    below ``_CSV_FAST_MIN_CELLS`` cells, to "%".
+    """
     columns = [np.asarray(col, dtype=float) for col in columns]
-    row_fmt = ",".join(["%.17g"] * len(columns)) + "\n"
     blocks = (np.column_stack([col[i : i + _CSV_BLOCK_ROWS] for col in columns])
               for i in range(0, len(columns[0]), _CSV_BLOCK_ROWS))
-    rows = ((row_fmt * len(block)) % tuple(block.ravel().tolist()) for block in blocks)
-    return _write_new(path, itertools.chain([",".join(header) + "\n"], rows))
+    rows = map(_format_g17, blocks)
+    return _write_new(path, itertools.chain([(",".join(header) + "\n").encode()], rows))
 
 
 def _write_json(path: str, payload: dict) -> str:
     """``payload`` as indented JSON in a new file; returns the sha256 hex digest of the bytes written."""
-    return _write_new(path, [json.dumps(payload, indent=2, sort_keys=True) + "\n"])
+    return _write_new(path, [(json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()])
 
 
 class ConfigError(ValidationError):
@@ -533,6 +686,9 @@ def _cmd_run(args) -> int:
             "wall_seconds": time.perf_counter() - t_start,
         }
         _write_json(pending["run_manifest.json"], manifest)
+        for name in pending:  # before the first rename, so a clash leaves no data file behind
+            if os.path.isdir(os.path.join(outdir, name)):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), name)
         for name in list(pending):
             os.replace(pending[name], os.path.join(outdir, name))
             del pending[name]

@@ -19,7 +19,18 @@ from hypothesis import strategies as st
 
 import triholonomy
 from triholonomy import gates
-from triholonomy.cli import _CSV_BLOCK_ROWS, SCENARIOS, _write_csv, _write_json, main
+from triholonomy.cli import (
+    _CSV_BLOCK_ROWS,
+    _CSV_FAST_MIN_CELLS,
+    SCENARIOS,
+    _format_g17,
+    _g17_digits,
+    _write_csv,
+    _write_json,
+    load_config,
+    main,
+    run_scenario,
+)
 from triholonomy.connection import BlochField, ControlField, eigenframe_rate_samples
 from triholonomy.gates import make_ellipse_loop
 from triholonomy.holonomy import HolonomyLoop, integrate_wilson, midpoint_grid, trace_expansion_from_rates
@@ -456,7 +467,9 @@ class TestRun:
         assert capsys.readouterr().err.startswith("validation error" if code == 2 else "numerical failure")
         assert not out.exists() and not out.parent.exists()
 
-    @pytest.mark.parametrize("scenario, name", [("gate-synth", "gate.json"), ("ramsey", "fringe.csv")])
+    @pytest.mark.parametrize(
+        "scenario, name", [("gate-synth", "gate.json"), ("ramsey", "fringe.csv"), ("ramsey", "ramsey.json")]
+    )
     def test_output_name_taken_by_a_directory_exits_2(self, tmp_path, capsys, scenario, name):
         out = tmp_path / "out"
         (out / name).mkdir(parents=True)
@@ -781,6 +794,67 @@ def test_write_csv_matches_per_value_format(tmp_path, rows):
     _write_csv(str(tmp_path / "block.csv"), ["a", "b", "c"], columns)
     write_csv_per_value(str(tmp_path / "value.csv"), ["a", "b", "c"], columns)
     assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "value.csv").read_bytes()
+
+
+def percent_g17(block):
+    """Reference: the block's rows through one "%" operation."""
+    rows, cols = block.shape
+    return ((",".join(["%.17g"] * cols) + "\n") * rows % tuple(block.ravel().tolist())).encode()
+
+
+def assert_g17_matches_percent(values, cols=4, rows_per_block=1 << 16):
+    for block in np.array_split(values.reshape(-1, cols), max(1, len(values) // cols // rows_per_block)):
+        assert _format_g17(block) == percent_g17(block)
+
+
+def test_format_g17_matches_percent_on_random_bit_patterns():
+    # about a fifth of all doubles lie outside the digit path's range and go to "%"
+    assert_g17_matches_percent(np.frombuffer(np.random.default_rng(17).bytes(8 * 3_000_000), np.float64))
+
+
+def test_format_g17_matches_percent_over_the_digit_range():
+    rng = np.random.default_rng(18)
+    n = 1_000_000
+    bits = rng.integers(0, 2**52, size=n, dtype=np.uint64)
+    bits |= rng.integers(1023 - 831, 1023 + 832, size=n).astype(np.uint64) << np.uint64(52)  # 2**±831 ~ 1e±250
+    bits |= rng.integers(0, 2, size=n).astype(np.uint64) << np.uint64(63)
+    assert_g17_matches_percent(bits.view(np.float64))
+
+
+def test_format_g17_matches_percent_on_edge_values():
+    powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    near = 99999999999999990.0
+    values = np.concatenate([
+        powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf),
+        [2.0**50 + 0.25, 2.0**50 + 0.75],  # exact ties
+        [0.0, np.inf, np.nan, 5e-324, 1e-310, 2.2250738585072009e-308, np.finfo(float).max, 1e20],
+        [near, np.nextafter(near, 0), np.nextafter(near, np.inf)],
+    ])
+    values = np.concatenate([values, -values])
+    assert_g17_matches_percent(values, cols=1)
+    assert_g17_matches_percent(values, cols=2)
+
+
+@pytest.mark.parametrize(
+    "rows, cols",
+    [(0, 6), (1, 6), (_CSV_FAST_MIN_CELLS - 1, 1), (_CSV_FAST_MIN_CELLS, 1), (_CSV_BLOCK_ROWS, 6),
+     (_CSV_BLOCK_ROWS + 1, 6)],
+)
+def test_format_g17_matches_percent_on_block_shapes(rows, cols):
+    rng = np.random.default_rng(rows)
+    values = rng.normal(size=rows * cols) * 10.0 ** rng.integers(-120, 120, size=rows * cols)
+    values[::7] = np.resize([0.0, -0.0, np.nan, -np.inf, 1e300, 0.5], values[::7].size)
+    block = values.reshape(rows, cols)
+    assert _format_g17(block) == percent_g17(block)
+
+
+def test_format_g17_leaves_only_the_zeros_of_trimer_reference_to_percent():
+    # a regression that sent every cell to "%" would keep the bytes and lose the speed
+    cfg = load_config(os.path.join(CONFIG_DIR, "trimer_reference.json"))
+    block = np.column_stack(run_scenario(cfg, CONFIG_DIR)["trimer_sim.csv"][1])
+    left = np.setdiff1d(np.arange(block.size), _g17_digits(np.abs(block.ravel()))[0])
+    assert left.size == 2 and (block.ravel()[left] == 0).all()
+    assert _format_g17(block) == percent_g17(block)
 
 
 HOSTILE_VALUES = [
