@@ -6,7 +6,8 @@
 
 of two closed polygons exactly: half their signed crossing count in a generic
 projection, over the segment pairs a sort-and-sweep finds, in fixed blocks.
-Degenerate crossings and odd sums fail closed.  ``gauss_linking_integral``
+Degenerate crossings and odd sums fail closed.  Each ``SpaceCurve`` is
+prepared once, so a pair does no per-curve work.  ``gauss_linking_integral``
 keeps the double midpoint sum; its memory does not grow with curve length.
 ``cs_phase`` turns charges, linking and self-linking data, and a positive
 integer level k into the state-dependent control phase
@@ -34,12 +35,31 @@ _VIEWS = ((0.3141, 0.5927, 0.7419), (-0.6691, 0.2236, 0.7071))  # generic, fixed
 _ROUNDOFF = 1e-9  # of the larger diameter
 
 
+def _frame(view) -> np.ndarray:
+    """Rows e1, e2, v of an orthonormal frame looking along ``view``."""
+    v = np.asarray(view) / np.linalg.norm(view)
+    e1 = np.cross(v, [1.0, 0.0, 0.0])
+    e1 /= np.linalg.norm(e1)
+    return np.stack([e1, np.cross(v, e1), v])
+
+
+_FRAMES = tuple(_frame(view) for view in _VIEWS)
+
+
+def _lift(size: float) -> int:
+    """Exponent of the power of two that takes a length below 1/2 to order one (exactly), else 0."""
+    return max(0, -math.frexp(size)[1])
+
+
 @dataclass(frozen=True)
 class SpaceCurve:
     """Closed polygonal space curve.
 
     ``points`` holds at least 17 samples (16 segments) with the last sample
-    closing onto the first to within 1e-10 of the curve diameter.
+    closing onto the first to within 1e-10 of the curve diameter.  Built once
+    and read-only: ``rows`` and ``midrows``, the points and segment midpoints
+    as (3, n) x, y, z rows; ``centroid``, the mean point; and ``diameter``,
+    of the bounding box (a small one in units of ``_lift``).
     """
 
     points: np.ndarray
@@ -50,35 +70,26 @@ class SpaceCurve:
             raise ValidationError("curve points must have shape (n, 3)")
         if pts.shape[0] < 17:
             raise ValidationError("a closed curve needs at least 16 segments (17 samples)")
-        if not np.all(np.isfinite(pts)):
+        rows = pts.T.copy()
+        if not np.all(np.isfinite(rows)):
             raise ValidationError("non-finite curve points")
-        if np.any(np.all(np.diff(pts, axis=0) == 0.0, axis=1)):  # exact zeros: no squares to overflow
+        if np.any(np.all(rows[:, 1:] == rows[:, :-1], axis=0)):  # exact: no squares to overflow
             raise ValidationError("consecutive duplicate points on curve")
         # Compared in units of the largest coordinate, so no norm overflows (an
         # inf diameter would accept any gap).
-        scale = np.max(np.abs(pts))
-        gap = np.linalg.norm(pts[-1] / scale - pts[0] / scale)
-        if gap > 1e-10 * self.diameter_of(pts / scale):
-            raise ValidationError(f"curve closure gap {gap * scale:.3e} exceeds 1e-10 of diameter")
-        pts.setflags(write=False)
-        object.__setattr__(self, "points", pts)
-
-    @staticmethod
-    def diameter_of(pts: np.ndarray) -> float:
-        lo, hi = pts.min(axis=0), pts.max(axis=0)
-        return float(np.linalg.norm(hi - lo))
-
-    @property
-    def diameter(self) -> float:
-        return self.diameter_of(self.points)
-
-    @property
-    def segments(self) -> np.ndarray:
-        return np.diff(self.points, axis=0)
-
-    @property
-    def midpoints(self) -> np.ndarray:
-        return 0.5 * (self.points[1:] + self.points[:-1])
+        size = np.max(np.abs(rows))
+        lo, hi = rows.min(axis=1), rows.max(axis=1)
+        gap = np.linalg.norm(rows[:, -1] / size - rows[:, 0] / size)
+        if gap > 1e-10 * np.linalg.norm(hi / size - lo / size):
+            raise ValidationError(f"curve closure gap {gap * size:.3e} exceeds 1e-10 of diameter")
+        lift = _lift(size)  # exact: the bits of |hi - lo| wherever its squares are normal
+        with np.errstate(over="ignore"):  # an inf diameter fails in gauss_linking
+            diameter = math.ldexp(float(np.linalg.norm(np.ldexp(hi - lo, lift))), -lift)
+        object.__setattr__(self, "diameter", diameter)
+        for name, value in (("points", rows.T), ("rows", rows), ("centroid", pts.mean(axis=0)),
+                            ("midrows", 0.5 * (rows[:, 1:] + rows[:, :-1]))):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -118,18 +129,15 @@ def gauss_linking_integral(c1: SpaceCurve, c2: SpaceCurve) -> float:
     per block, with midpoints centred on a common origin to keep that
     split exact far from the origin.
     """
-    m1, d1 = c1.midpoints, c1.segments
-    m2, d2 = c2.midpoints, c2.segments
-    origin = 0.5 * (m1.mean(axis=0) + m2.mean(axis=0))
-    m1, m2 = m1 - origin, m2 - origin
-    left = np.hstack([np.cross(m1, d1), d1])  # (n1, 6)
-    right = np.vstack([d2.T, np.cross(m2, d2).T])  # (6, n2)
-    x1, x2 = m1.T.copy(), m2.T.copy()
+    origin = 0.5 * (c1.centroid + c2.centroid)[:, None]
+    (x1, d1), (x2, d2) = ((c.midrows - origin, np.diff(c.rows, axis=1)) for c in (c1, c2))
+    left = np.vstack([np.cross(x1, d1, axis=0), d1]).T  # (n1, 6)
+    right = np.vstack([d2, np.cross(x2, d2, axis=0)])  # (6, n2)
     scale = max(c1.diameter, c2.diameter)
-    rows = max(1, _BLOCK_PAIRS // x2.shape[1])
+    per_block = max(1, _BLOCK_PAIRS // x2.shape[1])
     min_sep, total = math.inf, 0.0
-    for start in range(0, x1.shape[1], rows):
-        block = slice(start, start + rows)
+    for start in range(0, x1.shape[1], per_block):
+        block = slice(start, start + per_block)
         r2 = np.subtract.outer(x1[0, block], x2[0])
         r2 *= r2
         for k in (1, 2):
@@ -162,20 +170,18 @@ def _overlapping(lo1, hi1, lo2, hi2):
         i = np.searchsorted(ends, k, side="right")
         j = order[start[i] + k - ends[i] + count[i]]
         keep = (lo1.take(i, axis=1) <= hi2.take(j, axis=1)) & (lo2.take(j, axis=1) <= hi1.take(i, axis=1))
-        yield i[keep.all(axis=0)], j[keep.all(axis=0)]
+        keep = keep.all(axis=0)
+        yield i[keep], j[keep]
 
 
-def _crossings(p1: np.ndarray, p2: np.ndarray, view) -> tuple[int, bool]:
-    """Signed crossing sum of two unit-diameter polygons seen along ``view``, and if one is degenerate.
+def _crossings(p1: np.ndarray, p2: np.ndarray, frame: np.ndarray) -> tuple[int, bool]:
+    """Signed crossing sum of two unit-diameter (3, n) polygons in ``frame``, and if one is degenerate.
 
     sign(d1 x d2 . v) sign(h1 - h2), heights h along v, is the sign of (d1 x d2) . (a - b).  A crossing
     is degenerate (or NaN) when a projected segment end lies within ``_ROUNDOFF`` of the other's line
     (t or u at an end, as at every near-parallel crossing) or the heights do.
     """
-    v = np.asarray(view) / np.linalg.norm(view)
-    e1 = np.cross(v, [1.0, 0.0, 0.0])
-    e1 /= np.linalg.norm(e1)
-    q1, q2 = (np.stack([e1, np.cross(v, e1), v]) @ p.T for p in (p1, p2))  # rows: x, y, height
+    q1, q2 = frame @ p1, frame @ p2  # rows: x, y, height
     total, degenerate = 0, False
     for i, j in _overlapping(*(f(q[:2, :-1], q[:2, 1:]) for q in (q1, q2) for f in (np.minimum, np.maximum))):
         a, b = q1.take(i + 1, axis=1) - q1.take(i, axis=1), q2.take(j + 1, axis=1) - q2.take(j, axis=1)
@@ -185,7 +191,8 @@ def _crossings(p1: np.ndarray, p2: np.ndarray, view) -> tuple[int, bool]:
         lb, la = np.hypot(b[0], b[1]), np.hypot(a[0], a[1])
         dist = np.stack([num_t / lb, num_u / la, (num_t - den) / lb, (num_u - den) / la])
         ends = (np.sign(dist) * (np.abs(dist) > _ROUNDOFF)).reshape(2, 2, -1).prod(axis=0)
-        triple = -np.einsum("ij,ij->j", np.cross(a, b, axis=0), r)
+        triple = (b[1] * a[2] - b[2] * a[1]) * r[0] + (b[2] * a[0] - b[0] * a[2]) * r[1]  # (b x a) . r
+        triple += (b[0] * a[1] - b[1] * a[0]) * r[2]
         proper = (ends < 0).all(axis=0) & (np.abs(triple) > _ROUNDOFF * np.abs(den))
         degenerate |= bool(np.any(~(ends > 0).any(axis=0) & ~proper))
         total += int(np.sign(triple[proper]).sum())
@@ -195,28 +202,32 @@ def _crossings(p1: np.ndarray, p2: np.ndarray, view) -> tuple[int, bool]:
 def gauss_linking(c1: SpaceCurve, c2: SpaceCurve) -> int:
     """Gauss linking number of two disjoint closed polygons, exactly.
 
-    Half the signed crossing count along the first of ``_VIEWS``, or the second if a crossing is
+    Half the signed crossing count in the first of ``_FRAMES``, or the second if a crossing is
     degenerate in the first (Banchoff 1976).  The close-approach check uses the same sweep.
 
     Raises:
         ValidationError: segment midpoints approach closer than 1e-3 of the larger diameter.
-        NumericalError: the diameter overflows, a crossing is degenerate in both views (see
-            ``_crossings``), or the signed crossing sum is odd.
+        NumericalError: the diameter overflows, the points overflow in units of it, a crossing is
+            degenerate in both views (see ``_crossings``), or the signed crossing sum is odd.
     """
     scale = max(c1.diameter, c2.diameter)
     if not math.isfinite(scale):
         raise NumericalError(f"Gauss integral undefined: the curve diameter {scale} overflows")
-    m1, m2, w, min_sep = c1.midpoints.T.copy(), c2.midpoints.T.copy(), 1e-3 * scale, math.inf
+    m1, m2, w, lift, min_sep = c1.midrows, c2.midrows, 1e-3 * scale, _lift(scale), math.inf
     for i, j in _overlapping(m1, m1, m2 - w, m2 + w):
-        r2 = ((m1.take(i, axis=1) - m2.take(j, axis=1)) ** 2).sum(axis=0)
-        min_sep = min(min_sep, math.sqrt(r2.min(initial=math.inf)))
+        r2 = (np.ldexp(m1.take(i, axis=1) - m2.take(j, axis=1), lift) ** 2).sum(axis=0)
+        min_sep = min(min_sep, math.ldexp(math.sqrt(r2.min(initial=math.inf)), -lift))
     if min_sep < w:
         raise ValidationError(
             f"curves approach within {min_sep:.3e} (< 1e-3 of diameter); linking integral unreliable"
         )
-    origin = 0.5 * (c1.points.mean(axis=0) + c2.points.mean(axis=0))
-    for view in _VIEWS:
-        total, degenerate = _crossings((c1.points - origin) / scale, (c2.points - origin) / scale, view)
+    origin = 0.5 * (c1.centroid + c2.centroid)[:, None]
+    with np.errstate(over="ignore"):
+        p1, p2 = (c1.rows - origin) / scale, (c2.rows - origin) / scale
+    if not (np.isfinite(p1).all() and np.isfinite(p2).all()):
+        raise NumericalError(f"Gauss integral undefined: points overflow in units of diameter {scale:.3e}")
+    for frame in _FRAMES:
+        total, degenerate = _crossings(p1, p2, frame)
         if not degenerate:
             break
     else:
@@ -230,10 +241,12 @@ def hopf_pair(radius1: float = 1.0, radius2: float = 1.0, n_segments: int = 512)
     """The standard Hopf-linked circle pair, oriented so gauss_linking = +1.
 
     Circle 1 lies in the xy-plane centred at the origin; circle 2 lies in
-    the xz-plane centred at (radius1, 0, 0) and threads through circle 1.
+    the xz-plane centred at (radius1, 0, 0) and threads through circle 1 if radius2 < 2 radius1.
     """
     if not (radius1 > 0 and radius2 > 0):  # NaN fails too
         raise ValidationError("radii must be positive")
+    if not radius2 < 2 * radius1:
+        raise ValidationError("hopf radius2 must be below 2 * radius1 for the circles to link")
     if n_segments < 16:
         raise ValidationError("a closed curve needs at least 16 segments (17 samples)")
     t = np.linspace(0.0, 2 * math.pi, n_segments + 1)

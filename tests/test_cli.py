@@ -168,6 +168,9 @@ PREFLIGHT_BUILDS = [
     ("linking", {"charges": [1, 2, 3]}, {}, "'charges' needs one value per curve (2)"),
     ("linking", {"slk": [0]}, {}, "'slk' needs one value per curve (2)"),
     ("linking", {"curve_files": ["two.csv", "two.csv"]}, {}, "must have three columns"),
+    # circle 2 misses circle 1's disc, so the "Hopf pair" is unlinked
+    ("linking", {"hopf": {"radius1": 1.0, "radius2": 2.5, "segments": 64}}, {}, "radius2 must be below 2"),
+    ("linking", {"hopf": {"radius1": 1e-8, "radius2": 1e8, "segments": 64}}, {}, "radius2 must be below 2"),
 ]
 
 # Output directories that cannot be created: an existing file, a path under a file, a path
@@ -377,6 +380,29 @@ class TestRun:
         assert main(["run", cfg_path, "--out", str(tmp_path / "out")]) == 0
         payload = json.loads((tmp_path / "out" / "linking.json").read_text())
         assert abs(payload["lk_matrix"][0][1]) == 1
+
+    @pytest.mark.parametrize("radius", [1e-200, 1e-300])
+    def test_tiny_hopf_pair_links(self, tmp_path, capsys, radius):
+        # the squared diameter underflows; such a run once wrote Lk = 0 with exit 0
+        params = {"hopf": {"radius1": radius, "radius2": radius, "segments": 64}}
+        cfg = {"schema_version": 1, "scenario": "linking", "seed": 0, "params": params}
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+        assert json.loads((out / "linking.json").read_text())["lk_matrix"] == [[0, 1], [1, 0]]
+        assert capsys.readouterr().err == ""
+
+    def test_same_curve_twice_passes_validate_and_fails_run(self, tmp_path, capsys):
+        # the close-approach check needs the pair, so only run makes it (README, exit codes)
+        name = write_hopf_curves(tmp_path)[0]
+        cfg = {"schema_version": 1, "scenario": "linking", "seed": 0, "params": {"curve_files": [name, name]}}
+        cfg_path = write_config(tmp_path, cfg)
+        assert main(["validate", cfg_path]) == 0
+        out = tmp_path / "out"
+        assert main(["run", cfg_path, "--out", str(out)]) == 2
+        assert "curves approach within 0.000e+00" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "params, key",
@@ -673,7 +699,7 @@ class TestValidate:
     @pytest.mark.parametrize("command", ["run", "validate"])
     @pytest.mark.parametrize("scenario, override, top, phrase", PREFLIGHT_BUILDS, ids=[
         "gate-q", "hadamard-q", "ramsey-q", "trace-ab", "trace-theta0", "nul-output-dir", "phi-values",
-        "charges", "slk", "two-column-curve",
+        "charges", "slk", "two-column-curve", "hopf-radius2", "hopf-radius2-far",
     ])
     def test_preflight_builds_what_run_builds(self, tmp_path, capsys, command, scenario, override, top,
                                               phrase):

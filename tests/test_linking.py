@@ -9,6 +9,7 @@ from triholonomy import linking
 from triholonomy.errors import NumericalError, ValidationError
 from triholonomy.linking import (
     _BLOCK_PAIRS,
+    _FRAMES,
     _VIEWS,
     _crossings,
     LinkData,
@@ -103,10 +104,15 @@ def smooth_curve(rng, n, offset):
     return SpaceCurve(pts)
 
 
+def midpoints(c: SpaceCurve) -> np.ndarray:
+    """Segment midpoints as (n - 1, 3), from the points."""
+    return 0.5 * (c.points[1:] + c.points[:-1])
+
+
 def broadcast_linking_integral(c1: SpaceCurve, c2: SpaceCurve) -> float:
     """Oracle: the same midpoint sum as one unblocked (n1, n2, 3) broadcast."""
-    m1, d1 = c1.midpoints, c1.segments
-    m2, d2 = c2.midpoints, c2.segments
+    m1, d1 = midpoints(c1), np.diff(c1.points, axis=0)
+    m2, d2 = midpoints(c2), np.diff(c2.points, axis=0)
     diff = m1[:, None, :] - m2[None, :, :]
     cross = np.cross(d1[:, None, :], d2[None, :, :])
     integrand = np.einsum("ijk,ijk->ij", cross, diff) / np.linalg.norm(diff, axis=2) ** 3
@@ -160,6 +166,58 @@ class TestSpaceCurve:
             SpaceCurve(pts)
 
 
+class TestPreparedCurves:
+    """Each curve builds its rows, midpoint rows, diameter and centroid once."""
+
+    def test_diameter_is_the_point_array_formula(self):
+        rng = np.random.default_rng(5)
+        for _ in range(40):
+            c = smooth_curve(rng, int(rng.integers(16, 400)), rng.normal(size=3))
+            pts = c.points * 10.0 ** rng.uniform(-100, 100)
+            assert SpaceCurve(pts).diameter == float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))
+
+    def test_prepared_arrays_are_read_only(self):
+        c = circle([0.3, -0.2, 0.1], [1, 2, 3], 0.7, n=64)
+        pts = np.ascontiguousarray(c.points)  # the (n, 3) layout the centroid keeps the bits of
+        assert c.rows.flags.c_contiguous and np.shares_memory(c.points, c.rows)
+        assert np.array_equal(c.rows, pts.T) and np.array_equal(c.midrows, midpoints(c).T)
+        assert np.array_equal(c.centroid, pts.mean(axis=0))
+        for prepared in (c.points, c.rows, c.midrows, c.centroid):
+            assert not prepared.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                prepared[..., 0] = 0.0
+
+    def test_chain_reads_each_curve_as_prepared(self, tmp_path, monkeypatch):
+        from triholonomy import cli
+
+        names = []
+        for i in range(4):  # alternately flat and upright unit circles, each threading its neighbours
+            c = circle([1.5 * i, 0, 0], [0, 0, 1] if i % 2 == 0 else [0, 1, 0], 1.0, n=128)
+            names.append(str(tmp_path / f"curve{i}.csv"))
+            np.savetxt(names[-1], c.points, fmt="%.17g", delimiter=",", header="x,y,z", comments="")
+        pairs, reads = [], []
+
+        class Spy(SpaceCurve):
+            def __getattribute__(self, name):
+                if pairs:  # attributes a pair reads, after every curve is built
+                    reads.append(name)
+                return super().__getattribute__(name)
+
+        def counted(c1, c2):
+            pairs.append((c1, c2))
+            return gauss_linking(c1, c2)
+
+        monkeypatch.setattr(cli, "SpaceCurve", Spy)
+        monkeypatch.setattr(cli, "gauss_linking", counted)
+        cfg = {"schema_version": 1, "scenario": "linking", "params": {"curve_files": names}}
+        lk = cli.run_scenario(cfg, str(tmp_path))["linking.json"]["lk_matrix"]
+        assert lk == [[0, 1, 0, 0], [1, 0, -1, 0], [0, -1, 0, 1], [0, 0, 1, 0]]
+        assert len(pairs) == 6 and len({id(c) for pair in pairs for c in pair}) == 4
+        # Six pairs read twelve prepared centroids and row sets, and never rebuild them from the points.
+        assert reads.count("centroid") == reads.count("rows") == reads.count("midrows") == 12
+        assert "points" not in reads
+
+
 class TestGaussLinking:
     def test_distant_unlinked_circles(self):
         c1 = circle([0, 0, 0], [0, 0, 1], 1.0)
@@ -202,6 +260,23 @@ class TestGaussLinking:
             c2 = circle([1 + shift, 0.1 * shift, 0.05 * shift], [0, 1, 0.2 * shift], 1.0 + 0.3 * shift)
             assert gauss_linking(c1, c2) == 1 or gauss_linking(c1, c2) == -1
             assert gauss_linking(c1, c2) == gauss_linking(*hopf_pair(n_segments=256))
+
+    @pytest.mark.parametrize("radius", [1e-160, 1e-200, 1e-300, 1e-310])
+    def test_tiny_hopf_pair_links(self, radius):
+        # the squared diameter underflows below about 1e-154; it once gave Lk = 0 here
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert gauss_linking(*hopf_pair(radius, radius, 64)) == 1
+
+    def test_points_overflowing_in_units_of_the_diameter_fail_closed(self):
+        t = np.linspace(0, 2 * math.pi, 33)
+        ring = 1e-10 * np.stack([0 * t, np.cos(t), np.sin(t)], axis=1)
+        ring[-1] = ring[0]
+        far = [SpaceCurve(ring + [x, 0.0, 0.0]) for x in (1e306, -1e306)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="overflow in units of diameter"):
+                gauss_linking(*far)
 
     def test_near_intersection_rejected(self):
         c1 = circle([0, 0, 0], [0, 0, 1], 1.0, n=64)
@@ -256,13 +331,13 @@ class TestExactCrossings:
         flat = np.eye(3) - np.outer(v, v)
         # move c2 within the view plane so its vertex nearest (in projection)
         # to a segment midpoint of c1 lands exactly on that midpoint
-        gap = (c1.midpoints[:, None, :] - c2.points[None, :-1, :]) @ flat
+        gap = (midpoints(c1)[:, None, :] - c2.points[None, :-1, :]) @ flat
         i, k = np.unravel_index(np.argmin(np.linalg.norm(gap, axis=2)), gap.shape[:2])
         moved = SpaceCurve(c2.points + gap[i, k])
-        p1, p2 = (c.points / max(c1.diameter, moved.diameter) for c in (c1, moved))
+        p1, p2 = (c.rows / max(c1.diameter, moved.diameter) for c in (c1, moved))
         assert np.linalg.norm(gap[i, k]) < 0.05
-        assert _crossings(p1, p2, _VIEWS[0])[1]
-        assert not _crossings(p1, p2, _VIEWS[1])[1]
+        assert _crossings(p1, p2, _FRAMES[0])[1]
+        assert not _crossings(p1, p2, _FRAMES[1])[1]
         assert gauss_linking(c1, moved) == 1 == crossing_count_linking(c1, moved)
 
     def test_touching_curves_fail_closed(self):
@@ -349,11 +424,11 @@ class TestBlockedKernel:
     def test_closest_approach_in_last_block_rejected(self):
         n2 = 4096
         c1 = circle([0, 0, 0], [0, 0, 1], 1.0, n=64)
-        m = c1.midpoints[-1]
+        m = midpoints(c1)[-1]
         # small circle in the plane of c1, just outside it at its last segment
         c2 = circle(m * (1 + 0.2 / np.linalg.norm(m)), [0, 0, 1], 0.2 - 1e-4, n=n2)
         rows = self.rows_per_block(n2)
-        dist = np.linalg.norm(c1.midpoints[:, None, :] - c2.midpoints[None, :, :], axis=2)
+        dist = np.linalg.norm(midpoints(c1)[:, None, :] - midpoints(c2)[None, :, :], axis=2)
         nearest_row = int(np.unravel_index(dist.argmin(), dist.shape)[0])
         assert 64 // rows > 1 and nearest_row >= 64 - rows
         assert dist[: 64 - rows].min() > 1e-3 * max(c1.diameter, c2.diameter)
@@ -387,6 +462,11 @@ class TestHopfPair:
     def test_rejects_bad_radii(self):
         with pytest.raises(ValidationError):
             hopf_pair(radius1=-1.0)
+        # circle 2 misses circle 1's disc: these pairs once gave Lk = 0
+        for radius1, radius2 in ((1.0, 2.0), (1.0, 2.5), (1e-8, 1e8)):
+            with pytest.raises(ValidationError, match=r"radius2 must be below 2 \* radius1"):
+                hopf_pair(radius1, radius2)
+        assert gauss_linking(*hopf_pair(1.0, 1.99)) == 1
 
     def test_rejects_too_few_segments(self):
         for n in (-3, -1, 0, 15):
