@@ -22,12 +22,12 @@ directory as a partial file and renamed into place only on success, the run
 manifest (config echo, version, checksums of the bytes written, timings) last;
 a failure removes the partial files.  Reruns give byte-identical data files.
 
-Each scenario's parameters (JSON kind, default, bound) are declared once, in
-``SCENARIOS``.  ``run`` and ``validate`` share one pre-flight: the table, then
-the physics checks.  ``run`` then calls the scenario's runner, which returns
-its outputs as data, and writes them through one writer.  Only a
-``demo-budget`` run reports a failed adiabatic window (in ``budget.json``)
-instead of exiting 2.
+Each ``SCENARIOS`` entry is ``(runner, table, prepare)``.  ``run`` and
+``validate`` share one pre-flight: the table's parameters (JSON kind, default,
+bound), then the prepare, which checks the physics and builds what the runner
+uses.  ``run`` then calls the runner, which returns its outputs as data, and
+writes them through one writer.  Only ``demo-budget``'s prepare lets a ``run``
+report a failed adiabatic window (in ``budget.json``) instead of exiting 2.
 
 The seed is echoed into the manifest and drives the randomised property
 sweeps (currently the optional gauge-rotation check of trace-sweep); all
@@ -431,10 +431,8 @@ def _gauge_check(p: dict, s: np.ndarray, a: np.ndarray, seed: int) -> dict:
 
 
 def _run_trimer_sim(p: dict, seed: int) -> dict:
-    drive = p["drive"]
-    period = drive.common_period()
-    dt = period / p["steps_per_period"]
-    traj = reconstruct_rotation(drive, p["masses"], p["periods"] * period, dt)
+    drive, period = p["drive"], p["period"]
+    traj = reconstruct_rotation(drive, p["masses"], p["periods"] * period, period / p["steps_per_period"])
     xi12, xi13, xi23 = bond_lengths(traj.times, drive)
     starts, values = effective_momentum_series(traj, period)
     l_eff = np.interp(traj.times, starts, values, left=values[0], right=values[-1])
@@ -451,16 +449,6 @@ def _run_phase_sweep(p: dict, seed: int) -> dict:
         grid = np.asarray(p["phi_values"], dtype=float)
     rates = phase_sweep(p["drive"], p["masses"], grid, periods=p["periods"])
     return {"phase_sweep.csv": (["phi", "mean_angular_velocity"], [grid, rates])}
-
-
-def _load_curve_csv(path: str) -> SpaceCurve:
-    try:
-        data = np.loadtxt(path, delimiter=",", skiprows=1)
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot read curve file {path}: {exc}") from exc
-    if data.ndim != 2 or data.shape[1] != 3:
-        raise ConfigError(f"curve file {path} must have three columns (x, y, z)")
-    return SpaceCurve(data)
 
 
 def _run_linking(p: dict, seed: int) -> dict:
@@ -535,12 +523,65 @@ _HOPF = {
     "radius2": _Param(float, 1.0, _POSITIVE),
     "segments": _Param(int, 512, _COUNT),
 }
-_MASSES = _Param(
-    [float], [2.1, 2.1, 4.7], (lambda v: len(v) == 3 and min(v) > 0, "three positive values")
-)
+_MASSES = _Param([float], [2.1, 2.1, 4.7], (lambda v: len(v) == 3 and min(v) > 0, "three positive values"))
 
-# Scenario -> (runner, parameter table).  A runner takes the pre-flight's parameters and
-# the seed and returns {file name: JSON dict or CSV (header, columns)}.
+
+def _prepare_drive(p: dict, steps_per_period: int | None) -> list[str]:
+    """``drive`` as a ``BondDrive`` and its common ``period``, whose time grid must fit the budget."""
+    drive = p["drive"] = BondDrive(**p["drive"])
+    period = p["period"] = drive.common_period()
+    drive.time_steps(p["periods"] * period, None if steps_per_period is None else period / steps_per_period)
+    return [f"drive ok: common period {period:.6g}"]
+
+
+def _prepare_platform(p: dict, refuse_failed_window: bool = True) -> list[str]:
+    """``platform`` as ``PlatformParams`` with its mode ordering and adiabatic ``window`` report."""
+    p["platform"] = PlatformParams(**p["platform"])
+    report = p["window"] = adiabatic_window(p["platform"], p["window_factor"])
+    if refuse_failed_window and not report.passed:
+        raise ValidationError("adiabatic window violated: need splitting << 1/T_loop << gap with factor "
+                              f"{report.factor:g} (got ratios {report.ratio_lower:.3g} and "
+                              f"{report.ratio_upper:.3g})")
+    return [f"adiabatic window pass: (1/T)/splitting = {report.ratio_lower:.3g}, "
+            f"gap*T = {report.ratio_upper:.3g}"]
+
+
+def _prepare_spec(p: dict, q: float, n_rep: int | None) -> list[str]:
+    """``spec``: the pi/2 gate, whose loop Hadamard steers, built without transport."""
+    p["spec"] = synth_phase_gate(q, n_rep, n_samples=p["samples"], steps=p["steps"])
+    return []
+
+
+def _prepare_curves(p: dict, base_dir: str, run: bool) -> list[str]:
+    """``curves``: the Hopf pair, or the curve files read against ``base_dir``; one charge and slk each."""
+    if p["curve_files"] is None:
+        curves = list(hopf_pair(p["hopf"]["radius1"], p["hopf"]["radius2"], p["hopf"]["segments"]))
+    else:
+        curves = []
+        for path in (os.path.join(base_dir, name) for name in p["curve_files"]):
+            try:
+                data = np.loadtxt(path, delimiter=",", skiprows=1)
+            except (OSError, ValueError) as exc:
+                raise ConfigError(f"cannot read curve file {path}: {exc}") from exc
+            if data.ndim != 2 or data.shape[1] != 3:
+                raise ConfigError(f"curve file {path} must have three columns (x, y, z)")
+            curves.append(SpaceCurve(data))
+    for key in ("charges", "slk"):
+        if p[key] is not None and len(p[key]) != len(curves):
+            raise ConfigError(f"linking: parameter {key!r} needs one value per curve ({len(curves)})")
+    p["curves"] = curves
+    return [f"{len(curves)} curves read"]
+
+
+def _prepare_trace_sweep(p: dict, base_dir: str, run: bool) -> list[str]:
+    p["shape"] = make_ellipse_loop(p["theta0"], 0.0, p["a"], p["b"], p["samples"])
+    return []
+
+
+# Scenario -> (runner, parameter table, prepare).  prepare(p, base_dir, run) is the pre-flight past
+# the table: it checks the physics, builds into ``p`` what the runner uses, without transport, and
+# returns report lines.  A runner takes those parameters and the seed and returns {file name: JSON
+# dict or CSV (header, columns)}.
 SCENARIOS = {
     "gate-synth": (_run_gate_synth, {
         "q": _Param(float, bound=_POSITIVE),
@@ -548,7 +589,7 @@ SCENARIOS = {
         "n_rep": _Param(int, None, _COUNT),  # pi2 only; None picks the small-loop count
         "samples": _Param(int, 1024, _COUNT),
         "steps": _Param(int, 4096, _COUNT),
-    }),
+    }, lambda p, base_dir, run: _prepare_spec(p, p["q"], 1 if p["target"] == "hadamard" else p["n_rep"])),
     "trace-sweep": (_run_trace_sweep, {
         "q": _Param(float, 2.0, _POSITIVE),
         "theta0": _Param(float, math.pi / 2),
@@ -559,32 +600,32 @@ SCENARIOS = {
         "samples": _Param(int, 1024, _COUNT),
         # a positive count runs the seeded gauge check
         "gauge_rotations": _Param(int, 0, (lambda v: v <= MAX_SAMPLES, f"at most {MAX_SAMPLES}")),
-    }),
+    }, _prepare_trace_sweep),
     "trimer-sim": (_run_trimer_sim, {
         "drive": _Param(_DRIVE),
         "masses": _MASSES,
         "periods": _Param(int, 20, _COUNT),
         "steps_per_period": _Param(int, 1536, _COUNT),
-    }),
+    }, lambda p, base_dir, run: _prepare_drive(p, p["steps_per_period"])),
     "phase-sweep": (_run_phase_sweep, {
         "drive": _Param(_DRIVE),  # phi13 and phi23 are set by the sweep
         "masses": _MASSES,
         "phi_values": _Param([float], None, _PHASE_GRID),  # None: phi_count points on [-pi, pi]
         "phi_count": _Param(int, 33, _COUNT),
         "periods": _Param(int, 8, _COUNT),
-    }),
+    }, lambda p, base_dir, run: _prepare_drive(p, None)),
     "linking": (_run_linking, {
         "curve_files": _Param([str], None, (lambda v: len(v) >= 2, "at least two file names")),
         "hopf": _Param(_HOPF, {}),  # the curves when curve_files is not given
         "charges": _Param([float], None),  # None: 1.0 per curve
         "k": _Param(int, 4, _POSITIVE),
         "slk": _Param([int], None),  # None: 0 per curve
-    }),
+    }, _prepare_curves),
     "demo-budget": (_run_demo_budget, {
         "platform": _Param(_PLATFORM, {}),
         "window_factor": _WINDOW_FACTOR,
         "contingency": _Param(float, 1.0),
-    }),
+    }, lambda p, base_dir, run: _prepare_platform(p, refuse_failed_window=not run)),  # budget.json reports it
     "ramsey": (_run_ramsey, {
         "platform": _Param(_PLATFORM, {}),
         "q": _Param(float, None, _POSITIVE),  # None: the platform's charge
@@ -594,61 +635,20 @@ SCENARIOS = {
         "samples": _Param(int, 1024, _COUNT),
         "steps": _Param(int, 4096, _COUNT),
         "window_factor": _WINDOW_FACTOR,
-    }),
+    }, lambda p, base_dir, run: _prepare_platform(p) + _prepare_spec(
+        p, p["platform"].charge if p["q"] is None else p["q"], None)),
 }
 
 
 def _preflight(cfg: dict, base_dir: str, run: bool = False) -> tuple[dict, list[str]]:
     """The checked parameters of a loaded config and the report lines of its checks.
 
-    Past the table: the drive's common period and time grid, mode ordering and
-    the adiabatic window, the loop geometry, and the curves with one charge and
-    self-linking count each.  The runners get ``drive`` as a ``BondDrive``,
-    ``platform`` as ``PlatformParams`` with its ``window`` report, ``shape``
-    (trace-sweep) or ``spec`` (the pi/2 gate, whose loop Hadamard steers) as
-    built without transport, and ``curves`` read against ``base_dir``.
+    The scenario's table reads ``params``; its prepare then checks the physics
+    and builds what the runner uses, curve files read against ``base_dir``.
     """
-    table = SCENARIOS[cfg["scenario"]][1]
+    _, table, prepare = SCENARIOS[cfg["scenario"]]
     p = _check(cfg.get("params", {}), _Param(table), "params", cfg["scenario"])
-    lines = [f"scenario: {cfg['scenario']}"]
-    if "drive" in p:
-        drive = p["drive"] = BondDrive(**p["drive"])
-        period = drive.common_period()
-        spp = p.get("steps_per_period")  # None for phase-sweep: the default step
-        drive.time_steps(p["periods"] * period, None if spp is None else period / spp)
-        lines.append(f"drive ok: common period {period:.6g}")
-    if "platform" in p:
-        p["platform"] = PlatformParams(**p["platform"])
-        report = p["window"] = adiabatic_window(p["platform"], p["window_factor"])
-        # The one exception: a demo-budget run reports a failed window in budget.json.
-        if not report.passed and not (run and cfg["scenario"] == "demo-budget"):
-            raise ValidationError(
-                "adiabatic window violated: need splitting << 1/T_loop << gap "
-                f"with factor {report.factor:g} "
-                f"(got ratios {report.ratio_lower:.3g} and {report.ratio_upper:.3g})"
-            )
-        lines.append(
-            f"adiabatic window pass: (1/T)/splitting = {report.ratio_lower:.3g}, "
-            f"gap*T = {report.ratio_upper:.3g}"
-        )
-    if cfg["scenario"] == "trace-sweep":
-        p["shape"] = make_ellipse_loop(p["theta0"], 0.0, p["a"], p["b"], p["samples"])
-    elif cfg["scenario"] in ("gate-synth", "ramsey"):
-        q = p["platform"].charge if p["q"] is None else p["q"]
-        reps = 1 if p.get("target") == "hadamard" else p.get("n_rep")
-        p["spec"] = synth_phase_gate(q, reps, n_samples=p["samples"], steps=p["steps"])
-    elif cfg["scenario"] == "linking":
-        if p["curve_files"] is None:
-            curves = list(hopf_pair(p["hopf"]["radius1"], p["hopf"]["radius2"], p["hopf"]["segments"]))
-        else:
-            curves = [_load_curve_csv(os.path.join(base_dir, name)) for name in p["curve_files"]]
-        for key in ("charges", "slk"):
-            if p[key] is not None and len(p[key]) != len(curves):
-                raise ConfigError(f"linking: parameter {key!r} needs one value per curve ({len(curves)})")
-        p["curves"] = curves
-        lines.append(f"{len(curves)} curves read")
-    lines.append("pass")
-    return p, lines
+    return p, [f"scenario: {cfg['scenario']}", *prepare(p, base_dir, run), "pass"]
 
 
 def run_scenario(cfg: dict, base_dir: str) -> dict:

@@ -127,9 +127,9 @@ def make_ellipse_loop(
 ) -> ShapeLoop:
     """Small elliptical loop theta = theta0 + a cos s, phi = phi0 + (b/sin theta0) sin s.
 
-    Warns for semi-axes above 0.3 (the small-loop regime), refuses loops
-    that reach within 1e-6 of a pole, and refuses semi-axes that rounding at
-    the base point resolves to worse than 1e-6 of their size.
+    Refuses loops that reach within 1e-6 of a pole and semi-axes that
+    rounding at the base point resolves to worse than 1e-6 of their size;
+    warns for a loop it keeps whose semi-axes exceed 0.3 (the small-loop regime).
     """
     if not 0.0 < theta0 < math.pi:
         raise ValidationError("base colatitude must lie strictly between the poles")
@@ -137,11 +137,6 @@ def make_ellipse_loop(
         raise ValidationError("base point too close to a pole (sin theta0 <= 1e-6)")
     if not (a >= 0 and b >= 0):  # NaN fails too
         raise ValidationError("semi-axes must be non-negative")
-    if max(a, b) > _SMALL_LOOP_WARN:
-        warnings.warn(
-            f"ellipse semi-axis {max(a, b):.3f} exceeds the small-loop regime (0.3)",
-            stacklevel=2,
-        )
     if theta0 + a > math.pi - 1e-6 or theta0 - a < 1e-6:
         raise ValidationError("ellipse reaches within 1e-6 of a pole")
     s = np.linspace(0.0, 2 * math.pi, n_samples + 1)
@@ -156,6 +151,8 @@ def make_ellipse_loop(
                 f"semi-axis {name} is lost to rounding at the base point: "
                 f"error {err:.3g} against amplitude {amp:.3g}"
             )
+    if max(a, b) > _SMALL_LOOP_WARN:  # only a loop that passes every check
+        warnings.warn(f"ellipse semi-axis {max(a, b):.3g} exceeds the small-loop regime (0.3)", stacklevel=2)
     theta[-1] = theta[0]
     phi[-1] = phi[0] + 0.0
     return ShapeLoop(theta, phi)

@@ -75,13 +75,21 @@ class SpaceCurve:
             raise ValidationError("non-finite curve points")
         if np.any(np.all(rows[:, 1:] == rows[:, :-1], axis=0)):  # exact: no squares to overflow
             raise ValidationError("consecutive duplicate points on curve")
-        # Compared in units of the largest coordinate, so no norm overflows (an
-        # inf diameter would accept any gap).
+        # Compared in units of the curve's extent, a power of two, so neither a tiny
+        # curve far from the origin underflows nor a norm overflows (an inf diameter
+        # would accept any gap); where the extent overflows, of the largest coordinate.
         size = np.max(np.abs(rows))
         lo, hi = rows.min(axis=1), rows.max(axis=1)
-        gap = np.linalg.norm(rows[:, -1] / size - rows[:, 0] / size)
-        if gap > 1e-10 * np.linalg.norm(hi / size - lo / size):
-            raise ValidationError(f"curve closure gap {gap * size:.3e} exceeds 1e-10 of diameter")
+        with np.errstate(over="ignore"):
+            unit, ext = 1.0, hi - lo
+        if not np.all(np.isfinite(ext)):
+            unit, ext = size, hi / size - lo / size
+        e = math.frexp(np.max(ext))[1]
+        gap = np.linalg.norm(np.ldexp(rows[:, -1] / unit - rows[:, 0] / unit, -e))
+        if gap > 1e-10 * np.linalg.norm(np.ldexp(ext, -e)):
+            with np.errstate(over="ignore"):
+                gap = np.ldexp(gap, e) * unit
+            raise ValidationError(f"curve closure gap {gap:.3e} exceeds 1e-10 of diameter")
         lift = _lift(size)  # exact: the bits of |hi - lo| wherever its squares are normal
         with np.errstate(over="ignore"):  # an inf diameter fails in gauss_linking
             diameter = math.ldexp(float(np.linalg.norm(np.ldexp(hi - lo, lift))), -lift)

@@ -475,6 +475,21 @@ class TestRun:
         assert "semi-axis a is lost to rounding" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    @pytest.mark.parametrize("a", [2.5, 1e200])
+    def test_refused_ellipse_prints_no_warning(self, tmp_path, capsys, command, a):
+        # the small-loop warning is for a loop that is kept; this one reaches a pole
+        cfg = {"schema_version": 1, "scenario": "trace-sweep", "seed": 0,
+               "params": dict(BASE_PARAMS["trace-sweep"], a=a)}
+        out = tmp_path / "out"
+        argv = [command, write_config(tmp_path, cfg)] + (["--out", str(out)] if command == "run" else [])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == 2
+        assert caught == []
+        assert capsys.readouterr().err == "validation error: ellipse reaches within 1e-6 of a pole\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "params, angle, code",
         [
@@ -733,10 +748,30 @@ class TestValidate:
         assert not out.exists() or not any(out.iterdir())
 
 
+WINDOW_PASS = "adiabatic window pass: (1/T)/splitting = 15.9, gap*T = 62.8\n"
+DRIVE_OK = "drive ok: common period 6.28319\n"
+# validate's exact report on each shipped config
+VALIDATE_REPORTS = {
+    "demo_budget.json": "scenario: demo-budget\n" + WINDOW_PASS + "pass\n",
+    "gate_hadamard.json": "scenario: gate-synth\npass\n",
+    "gate_pi2.json": "scenario: gate-synth\npass\n",
+    "linking_hopf.json": "scenario: linking\n2 curves read\npass\n",
+    "phase_sweep.json": "scenario: phase-sweep\n" + DRIVE_OK + "pass\n",
+    "ramsey.json": "scenario: ramsey\n" + WINDOW_PASS + "pass\n",
+    "trace_sweep.json": "scenario: trace-sweep\npass\n",
+    "trimer_reference.json": "scenario: trimer-sim\n" + DRIVE_OK + "pass\n",
+}
+
+
 class TestShippedConfigs:
     @pytest.mark.parametrize("name", SHIPPED_CONFIGS)
     def test_all_shipped_configs_validate(self, name):
         assert main(["validate", os.path.join(CONFIG_DIR, name)]) == 0
+
+    @pytest.mark.parametrize("name", SHIPPED_CONFIGS)
+    def test_validate_report_is_unchanged(self, capsys, name):
+        assert main(["validate", os.path.join(CONFIG_DIR, name)]) == 0
+        assert capsys.readouterr() == (VALIDATE_REPORTS[name], "")
 
     @pytest.mark.parametrize("name", SHIPPED_CONFIGS)
     def test_run_leaves_only_checksummed_final_files(self, tmp_path, name):

@@ -146,6 +146,32 @@ class TestSpaceCurve:
             pts[-1] = pts[0]
             assert SpaceCurve(pts).points.shape == (33, 3)
 
+    @pytest.mark.parametrize("x", [0.0, 1.0, 1e150, 1e300])
+    def test_closure_gap_of_a_tiny_ring_far_from_the_origin(self, x):
+        # in units of the largest coordinate the gap of this ring underflowed at x = 1e300
+        t = np.linspace(0, 2 * math.pi, 33)
+        pts = np.stack([np.full_like(t, x), 1e-10 * np.cos(t), 1e-10 * np.sin(t)], axis=1)
+        pts[-1] = pts[0] + [0.0, 0.0, 3e-11]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="closure gap 3.000e-11"):
+                SpaceCurve(pts)
+            pts[-1] = pts[0]
+            assert SpaceCurve(pts).points.shape == (33, 3)
+
+    def test_closure_gap_enforced_when_the_extent_overflows(self):
+        # x spans +-1e308, so hi - lo overflows to inf: the gap is taken in units of the largest coordinate
+        t = np.linspace(0, 2 * math.pi, 33)
+        pts = np.stack([np.cos(t), np.sin(t), 0 * t], axis=1)
+        pts[8, 0], pts[24, 0] = 1e308, -1e308
+        pts[-1] = pts[0] + [0.0, 0.0, 1e303]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="closure gap 1.000e\\+303"):
+                SpaceCurve(pts)
+            pts[-1] = pts[0]
+            assert SpaceCurve(pts).points.shape == (33, 3)
+
     def test_tiny_step_is_not_a_duplicate(self):
         # the squared length of a 1e-170 step underflows to 0, the step itself does not
         t = np.linspace(0, 2 * math.pi, 33)
