@@ -16,13 +16,11 @@ from .connection import (
     curvature_vector,
 )
 from .demonstrator import (
-    DriveLoopResult,
     ErrorBudget,
     PlatformParams,
     RamseyResult,
     WindowReport,
     adiabatic_window,
-    drive_to_loop,
     gate_budget,
     leakage_estimate,
     ramsey_echo,

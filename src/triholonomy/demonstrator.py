@@ -1,4 +1,4 @@
-"""Cs-trimer demonstrator estimates: operating window, drive mapping, readout.
+"""Cs-trimer demonstrator estimates: operating window, error budget, readout.
 
 Energies are carried as angular frequencies (energy over hbar, rad/s), so
 the adiabaticity comparison "splitting << hbar / T_loop << gap" reads
@@ -7,31 +7,26 @@ operationalised as a configurable factor (default 10).
 
 The default parameter set is a consistent instance of the demonstrator's
 stated operating ranges (loop time 1 us, gap 2 pi x 10 MHz, residual
-splitting 2 pi x 10 kHz, lifetime 50 us, bond length 0.1 um), not a
-tabulated reference point.
+splitting 2 pi x 10 kHz, lifetime 50 us), not a tabulated reference point.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .holonomy import HolonomyLoop, integrate_wilson
-from .shapespace import ShapeLoop, shape_angles, solid_angle
-from .trimer import _body_positions
 
 __all__ = [
     "PlatformParams",
     "WindowReport",
     "ErrorBudget",
-    "DriveLoopResult",
     "RamseyResult",
     "adiabatic_window",
     "leakage_estimate",
-    "drive_to_loop",
     "gate_budget",
     "ramsey_echo",
 ]
@@ -46,18 +41,13 @@ class PlatformParams:
     e_e2: float = 2 * math.pi * (5.0e6 + 5.0e3)  # upper doublet mode
     t_loop: float = 1.0e-6  # single-loop duration (s)
     tau_r: float = 50.0e-6  # Rydberg lifetime (s)
-    r0: float = 1.0e-7  # equilibrium bond length (m)
-    epsilon: float = 0.05  # drive amplitude fraction
-    phi: float = 0.0  # drive relative phase (rad); 0 is the maximal-area point
     n_rep: int = 10  # loop repetitions per gate
     charge: float = 100.0  # coupling weight of the encoded doublet
 
     def __post_init__(self):
-        for name in ("e_a", "e_e1", "e_e2", "t_loop", "tau_r", "r0", "charge"):
+        for name in ("e_a", "e_e1", "e_e2", "t_loop", "tau_r", "charge"):
             if not getattr(self, name) > 0:
                 raise ValidationError(f"{name} must be positive")
-        if not 0 <= self.epsilon < 0.5:
-            raise ValidationError("drive amplitude fraction must satisfy 0 <= epsilon < 0.5")
         if self.n_rep < 1:
             raise ValidationError("n_rep must be at least 1")
 
@@ -119,47 +109,6 @@ def leakage_estimate(params: PlatformParams) -> float:
     except (OverflowError, ZeroDivisionError):
         pass
     raise NumericalError(f"leakage estimate overflows: T_loop * gap = {params.t_loop * gap:.3g}")
-
-
-@dataclass(frozen=True)
-class DriveLoopResult:
-    """Shape loop generated by the bond-modulation drive."""
-
-    loop: ShapeLoop
-    apex_compensation: np.ndarray  # the co-modulation series of the third bond
-    enclosed_angle: float
-    breathing: float  # max relative preshape-size variation over the cycle
-
-
-def drive_to_loop(params: PlatformParams, n_samples: int = 1024) -> DriveLoopResult:
-    """Map the two-bond modulation with apex compensation to a closed shape loop.
-
-    dR1 = eps R0 cos(Omega t), dR2 = eps R0 sin(Omega t + phi), and the
-    third bond takes dR3 = -(dR1 + dR2), which cancels the size (breathing)
-    response to first order in the amplitude; the residual variation is
-    verified to stay within a 10 eps^2 bound.
-    """
-    eps, r0 = params.epsilon, params.r0
-    t = np.linspace(0.0, params.t_loop, n_samples + 1)
-    omega = 2 * math.pi / params.t_loop
-    dr1 = eps * r0 * np.cos(omega * t)
-    dr2 = eps * r0 * np.sin(omega * t + params.phi)
-    dr3 = -(dr1 + dr2)
-    masses = np.ones(3)
-    body = _body_positions(r0 + dr3, r0 + dr1, r0 + dr2, masses)
-    theta, phi = shape_angles(body, masses)
-    # Bonds are exactly periodic; snap the closing sample to kill round-off.
-    theta[-1] = theta[0]
-    phi[-1] = phi[0] + 2 * math.pi * round((phi[-1] - phi[0]) / (2 * math.pi))
-    loop = ShapeLoop.from_samples(theta, phi)
-    size = np.sqrt(np.einsum("i,tij->t", masses, body**2))
-    breathing = float((size.max() - size.min()) / size.mean()) if eps > 0 else 0.0
-    if eps > 0 and not breathing <= 10.0 * eps**2:
-        raise NumericalError(
-            f"breathing suppression failed: relative size variation {breathing:.3e} "
-            f"exceeds 10 eps^2 = {10 * eps**2:.3e}"
-        )
-    return DriveLoopResult(loop, dr3, solid_angle(loop), breathing)
 
 
 @dataclass(frozen=True)

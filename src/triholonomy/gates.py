@@ -127,9 +127,10 @@ def make_ellipse_loop(
 ) -> ShapeLoop:
     """Small elliptical loop theta = theta0 + a cos s, phi = phi0 + (b/sin theta0) sin s.
 
-    Refuses loops that reach within 1e-6 of a pole and semi-axes that
-    rounding at the base point resolves to worse than 1e-6 of their size;
-    warns for a loop it keeps whose semi-axes exceed 0.3 (the small-loop regime).
+    Refuses loops that reach within 1e-6 of a pole or swing pi or more either
+    way in azimuth, and semi-axes that rounding at the base point resolves to
+    worse than 1e-6 of their size; warns for a loop it keeps whose semi-axes
+    exceed 0.3 (the small-loop regime).
     """
     if not 0.0 < theta0 < math.pi:
         raise ValidationError("base colatitude must lie strictly between the poles")
@@ -139,8 +140,11 @@ def make_ellipse_loop(
         raise ValidationError("semi-axes must be non-negative")
     if theta0 + a > math.pi - 1e-6 or theta0 - a < 1e-6:
         raise ValidationError("ellipse reaches within 1e-6 of a pole")
+    b_phi = b / math.sin(theta0)
+    if not b_phi < math.pi:  # the azimuth swing would cover the whole circle, and samples alias turns
+        raise ValidationError(f"ellipse azimuth semi-axis b / sin theta0 = {b_phi:.3g} is not below pi")
     s = np.linspace(0.0, 2 * math.pi, n_samples + 1)
-    cos_s, sin_s, b_phi = np.cos(s), np.sin(s), b / math.sin(theta0)
+    cos_s, sin_s = np.cos(s), np.sin(s)
     theta = theta0 + a * cos_s
     phi = phi0 + b_phi * sin_s
     # A semi-axis far below the base point's spacing of floats rounds away.

@@ -20,7 +20,9 @@ as declared input (default 0) rather than computed from geometry.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,7 +58,8 @@ class SpaceCurve:
     """Closed polygonal space curve.
 
     ``points`` holds at least 17 samples (16 segments) with the last sample
-    closing onto the first to within 1e-10 of the curve diameter.  Built once
+    closing onto the first to within 1e-10 of the curve diameter, and a
+    finite centroid and segment midpoints.  Built once
     and read-only: ``rows`` and ``midrows``, the points and segment midpoints
     as (3, n) x, y, z rows; ``centroid``, the mean point; and ``diameter``,
     of the bounding box (a small one in units of ``_lift``).
@@ -94,8 +97,13 @@ class SpaceCurve:
         with np.errstate(over="ignore"):  # an inf diameter fails in gauss_linking
             diameter = math.ldexp(float(np.linalg.norm(np.ldexp(hi - lo, lift))), -lift)
         object.__setattr__(self, "diameter", diameter)
-        for name, value in (("points", rows.T), ("rows", rows), ("centroid", pts.mean(axis=0)),
-                            ("midrows", 0.5 * (rows[:, 1:] + rows[:, :-1]))):
+        # A sum of n coordinates can overflow only where size * n does; then a non-finite one fails closed.
+        huge = float(size) * rows.shape[1] >= sys.float_info.max
+        with np.errstate(over="ignore") if huge else contextlib.nullcontext():
+            centroid, midrows = pts.mean(axis=0), 0.5 * (rows[:, 1:] + rows[:, :-1])
+        if huge and not (np.all(np.isfinite(centroid)) and np.all(np.isfinite(midrows))):
+            raise ValidationError("curve coordinates overflow its centroid or segment midpoints")
+        for name, value in (("points", rows.T), ("rows", rows), ("centroid", centroid), ("midrows", midrows)):
             value.setflags(write=False)
             object.__setattr__(self, name, value)
 

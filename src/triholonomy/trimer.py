@@ -146,11 +146,6 @@ def _pack(x, y):
     return np.stack([np.moveaxis(x, 0, -1), np.moveaxis(y, 0, -1)], axis=-1)
 
 
-def _body_positions(xi12, xi13, xi23, masses):
-    """Canonical-frame positions (..., 3, 2) for bond-length arrays."""
-    return _pack(*_frames(xi12, xi13, xi23, masses))
-
-
 def _lab_momentum(x, y, m, dt: float) -> np.ndarray:
     """Central-difference angular momentum of (3, T) lab coordinates (interior samples)."""
     dx = (x[:, 2:] - x[:, :-2]) / (2.0 * dt)

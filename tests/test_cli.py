@@ -45,12 +45,12 @@ def write_config(tmp_path, payload, name="config.json"):
     return str(path)
 
 
-def write_hopf_curves(directory, n_points=257):
-    """Two linked circles as curve CSVs in ``directory``; returns their file names."""
+def write_hopf_curves(directory, n_points=257, scale=1.0, names=("c1.csv", "c2.csv")):
+    """Two linked circles, times ``scale``, as curve CSVs in ``directory``; returns their file names."""
     t = np.linspace(0, 2 * math.pi, n_points)
-    c1 = np.stack([np.cos(t), np.sin(t), 0 * t], axis=1)
-    c2 = np.stack([1 + np.cos(t), 0 * t, -np.sin(t)], axis=1)
-    names = ["c1.csv", "c2.csv"]
+    c1 = scale * np.stack([np.cos(t), np.sin(t), 0 * t], axis=1)
+    c2 = scale * np.stack([1 + np.cos(t), 0 * t, -np.sin(t)], axis=1)
+    names = list(names)
     for name, pts in zip(names, (c1, c2)):
         pts[-1] = pts[0]
         lines = ["x,y,z"] + [",".join(format(float(v), ".17g") for v in row) for row in pts]
@@ -168,6 +168,8 @@ PREFLIGHT_BUILDS = [
     ("linking", {"charges": [1, 2, 3]}, {}, "'charges' needs one value per curve (2)"),
     ("linking", {"slk": [0]}, {}, "'slk' needs one value per curve (2)"),
     ("linking", {"curve_files": ["two.csv", "two.csv"]}, {}, "must have three columns"),
+    # a Hopf pair times 6e307: validate once passed it with two RuntimeWarnings, and run exited 3
+    ("linking", {"curve_files": ["far1.csv", "far2.csv"]}, {}, "overflow its centroid or segment midpoints"),
     # circle 2 misses circle 1's disc, so the "Hopf pair" is unlinked
     ("linking", {"hopf": {"radius1": 1.0, "radius2": 2.5, "segments": 64}}, {}, "radius2 must be below 2"),
     ("linking", {"hopf": {"radius1": 1e-8, "radius2": 1e8, "segments": 64}}, {}, "radius2 must be below 2"),
@@ -476,18 +478,28 @@ class TestRun:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["run", "validate"])
-    @pytest.mark.parametrize("a", [2.5, 1e200])
-    def test_refused_ellipse_prints_no_warning(self, tmp_path, capsys, command, a):
-        # the small-loop warning is for a loop that is kept; this one reaches a pole
+    @pytest.mark.parametrize(
+        "axes, message",
+        [
+            ({"a": 2.5}, "ellipse reaches within 1e-6 of a pole"),
+            ({"a": 1e200}, "ellipse reaches within 1e-6 of a pole"),
+            # b >= pi at theta0 = pi/2 winds the azimuth; 1e10 once aliased into a CSV with exit 0
+            ({"b": 1e10}, "ellipse azimuth semi-axis b / sin theta0 = 1e+10 is not below pi"),
+            ({"b": 1e200}, "ellipse azimuth semi-axis b / sin theta0 = 1e+200 is not below pi"),
+        ],
+        ids=["2.5", "1e+200", "b=1e+10", "b=1e+200"],
+    )
+    def test_refused_ellipse_prints_no_warning(self, tmp_path, capsys, command, axes, message):
+        # the small-loop warning is for a loop that is kept; this one is refused
         cfg = {"schema_version": 1, "scenario": "trace-sweep", "seed": 0,
-               "params": dict(BASE_PARAMS["trace-sweep"], a=a)}
+               "params": dict(BASE_PARAMS["trace-sweep"], **axes)}
         out = tmp_path / "out"
         argv = [command, write_config(tmp_path, cfg)] + (["--out", str(out)] if command == "run" else [])
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             assert main(argv) == 2
         assert caught == []
-        assert capsys.readouterr().err == "validation error: ellipse reaches within 1e-6 of a pole\n"
+        assert capsys.readouterr().err == f"validation error: {message}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -661,14 +673,21 @@ class TestValidate:
         text = capsys.readouterr().out
         assert "pass" in text and "window" in text
 
-    def test_amplitude_bound_rejected(self, tmp_path):
-        cfg = {
-            "schema_version": 1,
-            "scenario": "demo-budget",
-            "seed": 0,
-            "params": {"platform": {"epsilon": 0.9}},
-        }
-        assert main(["validate", write_config(tmp_path, cfg)]) == 2
+    def test_amplitude_bound_rejected(self, tmp_path, capsys):
+        # no output reads a drive amplitude, phase or bond length, so the platform has none
+        for platform in ({"epsilon": 0.9}, {"epsilon": 0.3}, {"epsilon": 0.49, "phi": -3.1},
+                         {"phi": 0.4}, {"r0": 1e-7}):
+            cfg = {"schema_version": 1, "scenario": "demo-budget", "seed": 0,
+                   "params": {"platform": platform}}
+            out = tmp_path / "out"
+            for argv in (["validate", write_config(tmp_path, cfg)],
+                         ["run", write_config(tmp_path, cfg), "--out", str(out)]):
+                assert main(argv) == 2
+                assert capsys.readouterr().err == (
+                    "validation error: demo-budget params platform: "
+                    f"unknown parameter {next(iter(platform))!r}\n"
+                )
+                assert not out.exists()
 
     def test_window_violation_rejected_with_named_condition(self, tmp_path, capsys):
         cfg = {
@@ -714,16 +733,20 @@ class TestValidate:
     @pytest.mark.parametrize("command", ["run", "validate"])
     @pytest.mark.parametrize("scenario, override, top, phrase", PREFLIGHT_BUILDS, ids=[
         "gate-q", "hadamard-q", "ramsey-q", "trace-ab", "trace-theta0", "nul-output-dir", "phi-values",
-        "charges", "slk", "two-column-curve", "hopf-radius2", "hopf-radius2-far",
+        "charges", "slk", "two-column-curve", "far-curves", "hopf-radius2", "hopf-radius2-far",
     ])
     def test_preflight_builds_what_run_builds(self, tmp_path, capsys, command, scenario, override, top,
                                               phrase):
         (tmp_path / "two.csv").write_text("x,y\n" + "\n".join(f"{i},{i * i}" for i in range(20)))
+        write_hopf_curves(tmp_path, scale=6e307, names=("far1.csv", "far2.csv"))
         params = dict(BASE_PARAMS[scenario], **override)
         cfg = dict({"schema_version": 1, "scenario": scenario, "seed": 0, "params": params}, **top)
         out = tmp_path / "out"
         argv = [command, write_config(tmp_path, cfg)] + (["--out", str(out)] if command == "run" else [])
-        assert main(argv) == 2
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == 2
+        assert caught == []
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and phrase in err
         assert not out.exists()

@@ -7,7 +7,6 @@ from triholonomy.connection import BlochField, ControlField
 from triholonomy.demonstrator import (
     PlatformParams,
     adiabatic_window,
-    drive_to_loop,
     gate_budget,
     leakage_estimate,
     ramsey_echo,
@@ -23,10 +22,6 @@ class TestPlatformParams:
         p = PlatformParams()
         assert p.gap == pytest.approx(2 * math.pi * 10e6)
         assert p.splitting == pytest.approx(2 * math.pi * 10e3)
-
-    def test_amplitude_bound(self):
-        with pytest.raises(ValidationError):
-            PlatformParams(epsilon=0.9)
 
     def test_positivity(self):
         with pytest.raises(ValidationError):
@@ -84,56 +79,6 @@ class TestLeakage:
         p1 = PlatformParams(n_rep=1)
         p10 = PlatformParams(n_rep=10)
         assert gate_budget(p10).p_leak == pytest.approx(10 * gate_budget(p1).p_leak, rel=1e-12)
-
-
-class TestDriveToLoop:
-    def test_zero_amplitude_point_loop(self):
-        result = drive_to_loop(PlatformParams(epsilon=0.0))
-        assert result.enclosed_angle == 0.0
-        assert np.all(result.apex_compensation == 0.0)
-
-    def test_phase_flip_reverses_orientation(self):
-        a0 = drive_to_loop(PlatformParams(phi=0.0)).enclosed_angle
-        api = drive_to_loop(PlatformParams(phi=math.pi)).enclosed_angle
-        assert api == pytest.approx(-a0, abs=1e-6 * abs(a0))
-        assert abs(a0) > 1e-3
-
-    def test_quadratic_amplitude_scaling(self):
-        eps = np.array([0.025, 0.05, 0.1])
-        angles = [abs(drive_to_loop(PlatformParams(epsilon=e)).enclosed_angle) for e in eps]
-        slope = np.polyfit(np.log(eps), np.log(angles), 1)[0]
-        assert slope == pytest.approx(2.0, abs=0.2)
-
-    def test_closure_and_breathing_for_random_settings(self):
-        rng = np.random.default_rng(21)
-        for _ in range(5):
-            p = PlatformParams(epsilon=float(rng.uniform(0.01, 0.2)), phi=float(rng.uniform(-math.pi, math.pi)))
-            result = drive_to_loop(p)
-            th = result.loop.colatitudes
-            ph = result.loop.azimuths
-            assert abs(th[-1] - th[0]) < 1e-10
-            assert abs(ph[-1] - ph[0]) % (2 * math.pi) < 1e-10
-            assert result.breathing < 10 * p.epsilon**2
-
-    def test_drive_loop_sets_the_gate_angle(self):
-        # pinned transport around the drive loop rotates by exactly half the
-        # enclosed angle times the coupling weight
-        from triholonomy.holonomy import integrate_wilson, rotation_angle
-
-        result = drive_to_loop(PlatformParams(epsilon=0.05), n_samples=1024)
-        q = 30.0
-        loop = HolonomyLoop(result.loop, BlochField.pinned(), ControlField.zero(), q, 4096)
-        theta = rotation_angle(integrate_wilson(loop))
-        assert theta == pytest.approx(0.5 * q * abs(result.enclosed_angle), rel=1e-6)
-
-    def test_apex_compensation_cancels_sum(self):
-        p = PlatformParams(epsilon=0.08, phi=0.4)
-        result = drive_to_loop(p)
-        t = np.linspace(0.0, p.t_loop, result.apex_compensation.size)
-        omega = 2 * math.pi / p.t_loop
-        dr1 = p.epsilon * p.r0 * np.cos(omega * t)
-        dr2 = p.epsilon * p.r0 * np.sin(omega * t + p.phi)
-        assert np.max(np.abs(dr1 + dr2 + result.apex_compensation)) < 1e-18
 
 
 class TestGateBudget:

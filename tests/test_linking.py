@@ -172,6 +172,18 @@ class TestSpaceCurve:
             pts[-1] = pts[0]
             assert SpaceCurve(pts).points.shape == (33, 3)
 
+    @pytest.mark.parametrize("spikes", [{}, {8: -1e308, 20: 1e308, 21: 1e308}], ids=["centroid", "midpoint"])
+    def test_overflowing_centroid_or_midpoint_rejected(self, spikes):
+        # 33 x-coordinates of 8e307 sum past the float maximum; 1e308 + 1e308 does at a midpoint alone
+        t = np.linspace(0, 2 * math.pi, 33)
+        pts = np.stack([(0.0 if spikes else 8e307) + 0 * t, np.cos(t), np.sin(t)], axis=1)
+        for k, x in spikes.items():
+            pts[k, 0] = x
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="overflow its centroid or segment midpoints"):
+                SpaceCurve(pts)
+
     def test_tiny_step_is_not_a_duplicate(self):
         # the squared length of a 1e-170 step underflows to 0, the step itself does not
         t = np.linspace(0, 2 * math.pi, 33)

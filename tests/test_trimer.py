@@ -11,7 +11,8 @@ from triholonomy.shapespace import ShapeLoop
 from triholonomy import trimer
 from triholonomy.trimer import (
     BondDrive,
-    _body_positions,
+    _frames,
+    _pack,
     bond_lengths,
     effective_momentum_series,
     phase_sweep,
@@ -72,17 +73,17 @@ class TestBondDrive:
 
 
 class TestShapeFromBonds:
-    """Canonical body-frame positions of a bond triple, ``_body_positions``."""
+    """Canonical body-frame positions of a bond triple, ``_pack(*_frames(...))``."""
 
     def test_equilateral_symmetric(self):
         masses = np.array([1.0, 1.0, 1.0])
-        pos = _body_positions(1.0, 1.0, 1.0, masses)
+        pos = _pack(*_frames(1.0, 1.0, 1.0, masses))
         assert np.linalg.norm(masses @ pos) < 1e-14
         d12 = np.linalg.norm(pos[1] - pos[0])
         assert d12 == pytest.approx(1.0, abs=1e-12)
 
     def test_isosceles_law_of_cosines(self):
-        verts = _body_positions(1.3, 1.106, 1.106, REFERENCE_MASSES)
+        verts = _pack(*_frames(1.3, 1.106, 1.106, REFERENCE_MASSES))
         assert np.linalg.norm(verts[1] - verts[0]) == pytest.approx(1.3, abs=1e-12)
         assert np.linalg.norm(verts[2] - verts[0]) == pytest.approx(1.106, abs=1e-12)
         assert np.linalg.norm(verts[2] - verts[1]) == pytest.approx(1.106, abs=1e-12)
@@ -95,7 +96,7 @@ class TestShapeFromBonds:
 
     def test_degenerate_rejected(self):
         with pytest.raises(NumericalError):
-            _body_positions(2.0, 1.0, 1.0, [1.0, 1.0, 1.0])
+            _pack(*_frames(2.0, 1.0, 1.0, [1.0, 1.0, 1.0]))
 
 
 class TestReconstructRotation:
@@ -271,7 +272,7 @@ class TestReferenceArithmetic:
         xi12 = rng.uniform(np.abs(xi13 - xi23) + 0.05, xi13 + xi23 - 0.05)
         for masses in BENCHMARK_MASSES:
             expected = reference_body(xi12, xi13, xi23, masses)
-            assert _body_positions(xi12, xi13, xi23, masses).tobytes() == expected.tobytes()
+            assert _pack(*_frames(xi12, xi13, xi23, masses)).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("masses", BENCHMARK_MASSES)
     def test_phase_sweep_matches_reference_per_phase(self, masses):
@@ -322,7 +323,7 @@ class TestPhaseSweep:
 class TestFailClosed:
     def test_nan_bonds_rejected(self):
         with pytest.raises(NumericalError, match="triangle inequality"):
-            _body_positions(math.nan, 1.0, 1.0, [1.0, 1.0, 1.0])
+            _pack(*_frames(math.nan, 1.0, 1.0, [1.0, 1.0, 1.0]))
 
     def test_nan_frames_fail_the_invariant(self):
         drive = BondDrive(1e200, 0.0, 1.0, 1e200, 0.0, 3.0)
