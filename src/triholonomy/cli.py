@@ -77,7 +77,7 @@ from .holonomy import (  # integrate_wilson: perfbench/test_perfbench.py reads c
     trace_expansion_from_rates,
     wilson_from_samples,
 )
-from .linking import LinkData, SpaceCurve, cs_phase, gauss_linking, hopf_pair
+from .linking import LinkData, SpaceCurve, _scale, cs_phase, gauss_linking, hopf_pair
 from .trimer import (
     BondDrive, bond_lengths, effective_momentum_series, phase_sweep, reconstruct_rotation
 )
@@ -569,6 +569,7 @@ def _prepare_curves(p: dict, base_dir: str, run: bool) -> list[str]:
     for key in ("charges", "slk"):
         if p[key] is not None and len(p[key]) != len(curves):
             raise ConfigError(f"linking: parameter {key!r} needs one value per curve ({len(curves)})")
+    _scale(curves)  # gauss_linking's refusal of an overflowing diameter, before any output
     p["curves"] = curves
     return [f"{len(curves)} curves read"]
 

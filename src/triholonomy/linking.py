@@ -5,9 +5,10 @@
     Lk = (1/4 pi) oint oint (dr1 x dr2) . (r1 - r2) / |r1 - r2|^3
 
 of two closed polygons exactly: half their signed crossing count in a generic
-projection, over the segment pairs a sort-and-sweep finds, in fixed blocks.
-Degenerate crossings and odd sums fail closed.  Each ``SpaceCurve`` is
-prepared once, so a pair does no per-curve work.  ``gauss_linking_integral``
+projection, over the segment pairs a two-level sort-and-sweep finds (boxes of
+runs of 32 segments first, then the segments of the runs that meet), in fixed
+blocks.  Degenerate crossings and odd sums fail closed.  Each ``SpaceCurve``
+is prepared once, so a pair does no per-curve work.  ``gauss_linking_integral``
 keeps the double midpoint sum; its memory does not grow with curve length.
 ``cs_phase`` turns charges, linking and self-linking data, and a positive
 integer level k into the state-dependent control phase
@@ -33,6 +34,7 @@ __all__ = ["SpaceCurve", "LinkData", "gauss_linking", "hopf_pair", "cs_phase"]
 
 # Segment pairs per block of the Gauss double sum and of the crossing sweeps.
 _BLOCK_PAIRS = 1 << 16
+_CHUNK = 32  # boxes per run in the first level of ``_overlapping``
 _VIEWS = ((0.3141, 0.5927, 0.7419), (-0.6691, 0.2236, 0.7071))  # generic, fixed
 _ROUNDOFF = 1e-9  # of the larger diameter
 
@@ -94,7 +96,7 @@ class SpaceCurve:
                 gap = np.ldexp(gap, e) * unit
             raise ValidationError(f"curve closure gap {gap:.3e} exceeds 1e-10 of diameter")
         lift = _lift(size)  # exact: the bits of |hi - lo| wherever its squares are normal
-        with np.errstate(over="ignore"):  # an inf diameter fails in gauss_linking
+        with np.errstate(over="ignore"):  # an inf diameter fails in _scale
             diameter = math.ldexp(float(np.linalg.norm(np.ldexp(hi - lo, lift))), -lift)
         object.__setattr__(self, "diameter", diameter)
         # A sum of n coordinates can overflow only where size * n does; then a non-finite one fails closed.
@@ -174,7 +176,7 @@ def gauss_linking_integral(c1: SpaceCurve, c2: SpaceCurve) -> float:
     return total / (4 * math.pi)
 
 
-def _overlapping(lo1, hi1, lo2, hi2):
+def _sweep(lo1, hi1, lo2, hi2):
     """Overlapping pairs (i, j) of boxes [lo, hi] (dims, n), swept on row 0, ``_BLOCK_PAIRS`` at a time."""
     order = np.argsort(lo2[0], kind="stable")
     # Partners of box i have lower ends in [lo1_i - (widest box 2), hi1_i] on row 0.
@@ -188,6 +190,27 @@ def _overlapping(lo1, hi1, lo2, hi2):
         keep = (lo1.take(i, axis=1) <= hi2.take(j, axis=1)) & (lo2.take(j, axis=1) <= hi1.take(i, axis=1))
         keep = keep.all(axis=0)
         yield i[keep], j[keep]
+
+
+def _overlapping(lo1, hi1, lo2, hi2):
+    """Overlapping pairs (i, j) of boxes [lo, hi] (dims, n), in blocks of at most ``_BLOCK_PAIRS``.
+
+    Two boxes overlap only where the boxes of their runs of ``_CHUNK`` do, so ``_sweep`` pairs the
+    run boxes first and then only the boxes of runs that meet one on the other side.
+    """
+    runs = []
+    for lo, hi in ((lo1, hi1), (lo2, hi2)):
+        starts = np.arange(0, lo.shape[1], _CHUNK)  # the last run may be short
+        runs.append((np.minimum.reduceat(lo, starts, axis=1), np.maximum.reduceat(hi, starts, axis=1)))
+    hit1, hit2 = (np.zeros(lo.shape[1], dtype=bool) for lo, _ in runs)
+    for i, j in _sweep(*runs[0], *runs[1]):
+        hit1[i], hit2[j] = True, True
+    if not hit1.any():
+        return  # no pair, and _sweep needs a box on each side
+    idx1 = np.flatnonzero(np.repeat(hit1, _CHUNK)[: lo1.shape[1]])
+    idx2 = np.flatnonzero(np.repeat(hit2, _CHUNK)[: lo2.shape[1]])
+    for i, j in _sweep(lo1[:, idx1], hi1[:, idx1], lo2[:, idx2], hi2[:, idx2]):
+        yield idx1[i], idx2[j]
 
 
 def _crossings(p1: np.ndarray, p2: np.ndarray, frame: np.ndarray) -> tuple[int, bool]:
@@ -215,6 +238,14 @@ def _crossings(p1: np.ndarray, p2: np.ndarray, frame: np.ndarray) -> tuple[int, 
     return total, degenerate
 
 
+def _scale(curves) -> float:
+    """The largest diameter of ``curves``; NumericalError where it overflows: no Gauss sum is defined."""
+    scale = max(c.diameter for c in curves)
+    if not math.isfinite(scale):
+        raise NumericalError(f"Gauss integral undefined: the curve diameter {scale} overflows")
+    return scale
+
+
 def gauss_linking(c1: SpaceCurve, c2: SpaceCurve) -> int:
     """Gauss linking number of two disjoint closed polygons, exactly.
 
@@ -226,9 +257,7 @@ def gauss_linking(c1: SpaceCurve, c2: SpaceCurve) -> int:
         NumericalError: the diameter overflows, the points overflow in units of it, a crossing is
             degenerate in both views (see ``_crossings``), or the signed crossing sum is odd.
     """
-    scale = max(c1.diameter, c2.diameter)
-    if not math.isfinite(scale):
-        raise NumericalError(f"Gauss integral undefined: the curve diameter {scale} overflows")
+    scale = _scale((c1, c2))
     m1, m2, w, lift, min_sep = c1.midrows, c2.midrows, 1e-3 * scale, _lift(scale), math.inf
     for i, j in _overlapping(m1, m1, m2 - w, m2 + w):
         r2 = (np.ldexp(m1.take(i, axis=1) - m2.take(j, axis=1), lift) ** 2).sum(axis=0)

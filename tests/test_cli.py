@@ -406,6 +406,29 @@ class TestRun:
         assert "curves approach within 0.000e+00" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    def test_overflowing_extent_exits_3_under_run_and_validate(self, tmp_path, capsys, command):
+        # x spans +-1e308, so the curve's diameter overflows while its centroid and midpoints stay finite
+        t = np.linspace(0, 2 * math.pi, 33)
+        ring = np.stack([np.cos(t), np.sin(t), 0 * t], axis=1)
+        wide = ring.copy()
+        wide[8, 0], wide[24, 0] = 1e308, -1e308
+        for name, pts in (("wide.csv", wide), ("ring.csv", ring + [1.0, 0.0, 0.0])):
+            pts[-1] = pts[0]
+            rows = [",".join(format(float(v), ".17g") for v in row) for row in pts]
+            (tmp_path / name).write_text("\n".join(["x,y,z"] + rows))
+        cfg = {"schema_version": 1, "scenario": "linking", "seed": 0,
+               "params": {"curve_files": ["wide.csv", "ring.csv"]}}
+        out = tmp_path / "out"
+        argv = [command, write_config(tmp_path, cfg)] + (["--out", str(out)] if command == "run" else [])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 3
+        assert capsys.readouterr().err == (
+            "numerical failure: Gauss integral undefined: the curve diameter inf overflows\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "params, key",
         [

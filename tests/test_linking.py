@@ -9,6 +9,7 @@ from triholonomy import linking
 from triholonomy.errors import NumericalError, ValidationError
 from triholonomy.linking import (
     _BLOCK_PAIRS,
+    _CHUNK,
     _FRAMES,
     _VIEWS,
     _crossings,
@@ -393,7 +394,8 @@ class TestExactCrossings:
         e1 /= np.linalg.norm(e1)
 
         def zigzag(n, shift, height):
-            # every segment spans the projected x-range [-1, 1] of the first view
+            # every segment spans the projected x-range [-1, 1] of the first view; the two curves'
+            # y-ranges coincide but for half a step, so every run of _CHUNK segments meets one opposite
             k = np.arange(n + 1)[:, None]
             pts = np.where(k % 2 == 0, -1.0, 1.0) * e1 + (shift + k / n) * np.cross(v, e1) + height * v
             pts[-1] = pts[0]
@@ -410,7 +412,7 @@ class TestExactCrossings:
 
         monkeypatch.setattr(linking, "_overlapping", counted)
         n = 1024
-        c1, c2 = zigzag(n, 0.0, 0.0), zigzag(n, 0.3 + 0.5 / n, 0.5)
+        c1, c2 = zigzag(n, 0.0, 0.0), zigzag(n, 0.5 / n, 0.5)
         tracemalloc.start()
         try:
             lk = gauss_linking(c1, c2)
@@ -420,6 +422,46 @@ class TestExactCrossings:
         assert blocks[1] == n * n // _BLOCK_PAIRS  # the crossing sweep of the first view
         assert lk == 0
         assert peak < 16e6
+
+    def test_segment_candidates_grow_linearly(self, monkeypatch):
+        # a sweep on x alone expands 5.5 million close-approach candidates here
+        n, sweep = 65536, linking._overlapping
+
+        def counted(*boxes):
+            for blocks, pairs in enumerate(sweep(*boxes), 1):
+                assert 64 * blocks <= n // 16  # a bound on the candidates, in blocks of at most 64
+                yield pairs
+
+        monkeypatch.setattr(linking, "_BLOCK_PAIRS", 64)
+        monkeypatch.setattr(linking, "_overlapping", counted)
+        assert gauss_linking(*hopf_pair(1.0, 0.9, n)) == 1
+
+
+class TestOverlapping:
+    """The two-level box sweep against an all-pairs overlap test."""
+
+    @staticmethod
+    def boxes(rng, dims, n, offset, spread):
+        lo = offset + spread * rng.random((dims, n))
+        return lo, lo + 0.5 + rng.random((dims, n))
+
+    @pytest.mark.parametrize("dims", [2, 3])
+    @pytest.mark.parametrize("n1, n2", [(5, 17), (_CHUNK, _CHUNK), (3 * _CHUNK + 7, 2 * _CHUNK + 1)])
+    @pytest.mark.parametrize("kind, offset, spread", [("disjoint", 20.0, 2.0), ("partial", 0.0, 2.0),
+                                                      ("full", 0.0, 0.5)])
+    def test_yields_exactly_the_overlapping_pairs(self, monkeypatch, dims, n1, n2, kind, offset, spread):
+        monkeypatch.setattr(linking, "_BLOCK_PAIRS", 7)  # several blocks per sweep
+        rng = np.random.default_rng([dims, n1, n2, int(offset), int(10 * spread)])
+        lo1, hi1 = self.boxes(rng, dims, n1, 0.0, spread)
+        lo2, hi2 = self.boxes(rng, dims, n2, offset, spread)
+        meet = ((lo1[:, :, None] <= hi2[:, None, :]) & (lo2[:, None, :] <= hi1[:, :, None])).all(axis=0)
+        found = []
+        for i, j in linking._overlapping(lo1, hi1, lo2, hi2):
+            assert len(i) == len(j) <= 7
+            found += zip(i.tolist(), j.tolist())
+        assert sorted(found) == sorted(zip(*map(np.ndarray.tolist, np.nonzero(meet))))
+        assert (meet.any(), meet.all()) == {"disjoint": (False, False), "partial": (True, False),
+                                            "full": (True, True)}[kind]
 
 
 class TestBlockedKernel:
