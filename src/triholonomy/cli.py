@@ -625,7 +625,7 @@ SCENARIOS = {
     "demo-budget": (_run_demo_budget, {
         "platform": _Param(_PLATFORM, {}),
         "window_factor": _WINDOW_FACTOR,
-        "contingency": _Param(float, 1.0),
+        "contingency": _Param(float, 1.0, (lambda v: v >= 1, "at least 1")),
     }, lambda p, base_dir, run: _prepare_platform(p, refuse_failed_window=not run)),  # budget.json reports it
     "ramsey": (_run_ramsey, {
         "platform": _Param(_PLATFORM, {}),

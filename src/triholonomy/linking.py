@@ -21,9 +21,7 @@ as declared input (default 0) rather than computed from geometry.
 
 from __future__ import annotations
 
-import contextlib
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,11 +48,6 @@ def _frame(view) -> np.ndarray:
 _FRAMES = tuple(_frame(view) for view in _VIEWS)
 
 
-def _lift(size: float) -> int:
-    """Exponent of the power of two that takes a length below 1/2 to order one (exactly), else 0."""
-    return max(0, -math.frexp(size)[1])
-
-
 @dataclass(frozen=True)
 class SpaceCurve:
     """Closed polygonal space curve.
@@ -64,7 +57,7 @@ class SpaceCurve:
     finite centroid and segment midpoints.  Built once
     and read-only: ``rows`` and ``midrows``, the points and segment midpoints
     as (3, n) x, y, z rows; ``centroid``, the mean point; and ``diameter``,
-    of the bounding box (a small one in units of ``_lift``).
+    of the bounding box, in units of the power of two of the curve's extent.
     """
 
     points: np.ndarray
@@ -80,31 +73,27 @@ class SpaceCurve:
             raise ValidationError("non-finite curve points")
         if np.any(np.all(rows[:, 1:] == rows[:, :-1], axis=0)):  # exact: no squares to overflow
             raise ValidationError("consecutive duplicate points on curve")
-        # Compared in units of the curve's extent, a power of two, so neither a tiny
-        # curve far from the origin underflows nor a norm overflows (an inf diameter
-        # would accept any gap); where the extent overflows, of the largest coordinate.
-        size = np.max(np.abs(rows))
+        # One unit per curve, 2^e with e the exponent of its extent, for the closure gap and the
+        # diameter: neither a tiny curve far from the origin underflows nor a norm overflows, and a
+        # power of two keeps every bit where the squares are normal.  An extent that overflows is
+        # first taken in units of the largest coordinate.
         lo, hi = rows.min(axis=1), rows.max(axis=1)
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore"):  # an inf diameter fails in _scale, an inf centroid or midpoint below
             unit, ext = 1.0, hi - lo
-        if not np.all(np.isfinite(ext)):
-            unit, ext = size, hi / size - lo / size
-        e = math.frexp(np.max(ext))[1]
-        gap = np.linalg.norm(np.ldexp(rows[:, -1] / unit - rows[:, 0] / unit, -e))
-        if gap > 1e-10 * np.linalg.norm(np.ldexp(ext, -e)):
-            with np.errstate(over="ignore"):
+            if not np.all(np.isfinite(ext)):
+                unit = np.max(np.abs(rows))
+                ext = hi / unit - lo / unit
+            e = math.frexp(np.max(ext))[1]
+            span = np.linalg.norm(np.ldexp(ext, -e))
+            gap = np.linalg.norm(np.ldexp(rows[:, -1] / unit - rows[:, 0] / unit, -e))
+            if gap > 1e-10 * span:
                 gap = np.ldexp(gap, e) * unit
-            raise ValidationError(f"curve closure gap {gap:.3e} exceeds 1e-10 of diameter")
-        lift = _lift(size)  # exact: the bits of |hi - lo| wherever its squares are normal
-        with np.errstate(over="ignore"):  # an inf diameter fails in _scale
-            diameter = math.ldexp(float(np.linalg.norm(np.ldexp(hi - lo, lift))), -lift)
-        object.__setattr__(self, "diameter", diameter)
-        # A sum of n coordinates can overflow only where size * n does; then a non-finite one fails closed.
-        huge = float(size) * rows.shape[1] >= sys.float_info.max
-        with np.errstate(over="ignore") if huge else contextlib.nullcontext():
+                raise ValidationError(f"curve closure gap {gap:.3e} exceeds 1e-10 of diameter")
+            diameter = float(np.ldexp(span, e) * unit)
             centroid, midrows = pts.mean(axis=0), 0.5 * (rows[:, 1:] + rows[:, :-1])
-        if huge and not (np.all(np.isfinite(centroid)) and np.all(np.isfinite(midrows))):
+        if not (np.all(np.isfinite(centroid)) and np.all(np.isfinite(midrows))):
             raise ValidationError("curve coordinates overflow its centroid or segment midpoints")
+        object.__setattr__(self, "diameter", diameter)
         for name, value in (("points", rows.T), ("rows", rows), ("centroid", centroid), ("midrows", midrows)):
             value.setflags(write=False)
             object.__setattr__(self, name, value)
@@ -145,13 +134,14 @@ def gauss_linking_integral(c1: SpaceCurve, c2: SpaceCurve) -> float:
     summation order is fixed.  The triple product is split as
     (d1 x d2).(m1 - m2) = (m1 x d1).d2 + d1.(m2 x d2), one matrix product
     per block, with midpoints centred on a common origin to keep that
-    split exact far from the origin.
+    split exact far from the origin.  NumericalError where the larger
+    diameter overflows, as in ``gauss_linking``.
     """
+    scale = _scale((c1, c2))
     origin = 0.5 * (c1.centroid + c2.centroid)[:, None]
     (x1, d1), (x2, d2) = ((c.midrows - origin, np.diff(c.rows, axis=1)) for c in (c1, c2))
     left = np.vstack([np.cross(x1, d1, axis=0), d1]).T  # (n1, 6)
     right = np.vstack([d2, np.cross(x2, d2, axis=0)])  # (6, n2)
-    scale = max(c1.diameter, c2.diameter)
     per_block = max(1, _BLOCK_PAIRS // x2.shape[1])
     min_sep, total = math.inf, 0.0
     for start in range(0, x1.shape[1], per_block):
@@ -226,10 +216,11 @@ def _crossings(p1: np.ndarray, p2: np.ndarray, frame: np.ndarray) -> tuple[int, 
         a, b = q1.take(i + 1, axis=1) - q1.take(i, axis=1), q2.take(j + 1, axis=1) - q2.take(j, axis=1)
         r = q2.take(j, axis=1) - q1.take(i, axis=1)
         den, num_t, num_u = (x[0] * y[1] - x[1] * y[0] for x, y in ((a, b), (r, b), (r, a)))
-        # Signed distances of a's ends from b's line and of b's from a's; sides are 0 within round-off.
-        lb, la = np.hypot(b[0], b[1]), np.hypot(a[0], a[1])
-        dist = np.stack([num_t / lb, num_u / la, (num_t - den) / lb, (num_u - den) / la])
-        ends = (np.sign(dist) * (np.abs(dist) > _ROUNDOFF)).reshape(2, 2, -1).prod(axis=0)
+        # The side of b's line each end of a lies on, and of a's line each end of b: signed distances
+        # times the line's length, 0 within round-off (always 0 for a zero-length segment: no 0/0).
+        side = np.stack([num_t, num_u, num_t - den, num_u - den])
+        tol = _ROUNDOFF * np.stack([np.hypot(b[0], b[1]), np.hypot(a[0], a[1])] * 2)
+        ends = (np.sign(side) * (np.abs(side) > tol)).reshape(2, 2, -1).prod(axis=0)
         triple = (b[1] * a[2] - b[2] * a[1]) * r[0] + (b[2] * a[0] - b[0] * a[2]) * r[1]  # (b x a) . r
         triple += (b[0] * a[1] - b[1] * a[0]) * r[2]
         proper = (ends < 0).all(axis=0) & (np.abs(triple) > _ROUNDOFF * np.abs(den))
@@ -258,10 +249,10 @@ def gauss_linking(c1: SpaceCurve, c2: SpaceCurve) -> int:
             degenerate in both views (see ``_crossings``), or the signed crossing sum is odd.
     """
     scale = _scale((c1, c2))
-    m1, m2, w, lift, min_sep = c1.midrows, c2.midrows, 1e-3 * scale, _lift(scale), math.inf
+    m1, m2, w, e, min_sep = c1.midrows, c2.midrows, 1e-3 * scale, math.frexp(scale)[1], math.inf
     for i, j in _overlapping(m1, m1, m2 - w, m2 + w):
-        r2 = (np.ldexp(m1.take(i, axis=1) - m2.take(j, axis=1), lift) ** 2).sum(axis=0)
-        min_sep = min(min_sep, math.ldexp(math.sqrt(r2.min(initial=math.inf)), -lift))
+        r2 = (np.ldexp(m1.take(i, axis=1) - m2.take(j, axis=1), -e) ** 2).sum(axis=0)
+        min_sep = min(min_sep, math.ldexp(math.sqrt(r2.min(initial=math.inf)), e))
     if min_sep < w:
         raise ValidationError(
             f"curves approach within {min_sep:.3e} (< 1e-3 of diameter); linking integral unreliable"

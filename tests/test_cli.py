@@ -146,6 +146,11 @@ BAD_SCENARIO_INPUTS = [
     ("demo-budget", {"window_factor": 0}, "window_factor"),
     ("ramsey", {"window_factor": -1.0}, "window_factor"),
     ("ramsey", {"window_factor": 0.5}, "window_factor"),
+    # a contingency below 1 once passed validate and failed only in run
+    ("demo-budget", {"contingency": 0}, "contingency"),
+    ("demo-budget", {"contingency": -1.0}, "contingency"),
+    ("demo-budget", {"contingency": 0.5}, "contingency"),
+    ("demo-budget", {"contingency": 1e-300}, "contingency"),
 ]
 
 # Loops whose semi-axes round away at the base point; each run once exited 0 with wrong numbers.
@@ -173,6 +178,9 @@ PREFLIGHT_BUILDS = [
     # circle 2 misses circle 1's disc, so the "Hopf pair" is unlinked
     ("linking", {"hopf": {"radius1": 1.0, "radius2": 2.5, "segments": 64}}, {}, "radius2 must be below 2"),
     ("linking", {"hopf": {"radius1": 1e-8, "radius2": 1e8, "segments": 64}}, {}, "radius2 must be below 2"),
+    # the diameter of this pair is finite but its centroid overflows
+    ("linking", {"hopf": {"radius1": 6.5e307, "segments": 64}}, {},
+     "overflow its centroid or segment midpoints"),
 ]
 
 # Output directories that cannot be created: an existing file, a path under a file, a path
@@ -282,7 +290,6 @@ class TestRun:
         [
             ("phase-sweep", {"drive": dict(TRIMER_DRIVE, d12=1e200, d=1e200, a12=0, a=0)},
              "zero-angular-momentum invariant"),
-            ("linking", {"hopf": {"radius1": 1e200, "segments": 64}}, "Gauss integral"),
             ("demo-budget", {"platform": {"e_e1": 1e200, "e_a": 1e201, "t_loop": 1e200}},
              "phase drift"),
             # zero splitting times an infinite gate time
@@ -394,6 +401,24 @@ class TestRun:
             assert main(["run", write_config(tmp_path, cfg), "--out", str(out)]) == 0
         assert json.loads((out / "linking.json").read_text())["lk_matrix"] == [[0, 1], [1, 0]]
         assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("hopf", [{"radius1": 1e200}, {"radius2": 1e-300}, {"radius2": 1e-100}],
+                             ids=["radius1-1e200", "radius2-1e-300", "radius2-1e-100"])
+    def test_hopf_pair_on_a_vertex_validates_and_exits_3_under_run(self, tmp_path, capsys, hopf):
+        # Circle 2 rounds onto circle 1's vertex at (radius1, 0, 0): its x coordinates all round to
+        # 1e200, or in units of the diameter it shrinks to a point with zero-length segments.
+        cfg = {"schema_version": 1, "scenario": "linking", "seed": 0, "params": {"hopf": dict(hopf, segments=64)}}
+        cfg_path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["validate", cfg_path]) == 0
+            capsys.readouterr()
+            assert main(["run", cfg_path, "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "numerical failure: a crossing is degenerate in both fixed views; perturb the curves\n"
+        )
+        assert not out.exists()
 
     def test_same_curve_twice_passes_validate_and_fails_run(self, tmp_path, capsys):
         # the close-approach check needs the pair, so only run makes it (README, exit codes)
@@ -757,6 +782,7 @@ class TestValidate:
     @pytest.mark.parametrize("scenario, override, top, phrase", PREFLIGHT_BUILDS, ids=[
         "gate-q", "hadamard-q", "ramsey-q", "trace-ab", "trace-theta0", "nul-output-dir", "phi-values",
         "charges", "slk", "two-column-curve", "far-curves", "hopf-radius2", "hopf-radius2-far",
+        "hopf-radius1-huge",
     ])
     def test_preflight_builds_what_run_builds(self, tmp_path, capsys, command, scenario, override, top,
                                               phrase):

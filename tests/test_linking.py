@@ -135,8 +135,8 @@ class TestSpaceCurve:
             SpaceCurve(np.vstack([pts, [[2.0, 0.0, 0.0]]]))
 
     def test_closure_gap_enforced_when_diameter_overflows(self):
-        # the bounding-box diagonal of this 32-gon overflows to inf; a last
-        # point 1e-5 of the diameter off the first must still be rejected
+        # the squares of this 32-gon's bounding-box diagonal overflow to inf; a
+        # last point 1e-5 of the diameter off the first must still be rejected
         t = np.linspace(0, 2 * math.pi, 33)
         pts = 1e160 * np.stack([np.cos(t), np.sin(t), 0 * t], axis=1)
         pts[-1] = pts[0] + [0.0, 0.0, 1e155]
@@ -300,12 +300,26 @@ class TestGaussLinking:
             assert gauss_linking(c1, c2) == 1 or gauss_linking(c1, c2) == -1
             assert gauss_linking(c1, c2) == gauss_linking(*hopf_pair(n_segments=256))
 
-    @pytest.mark.parametrize("radius", [1e-160, 1e-200, 1e-300, 1e-310])
+    @pytest.mark.parametrize("radius", [1e-160, 1e-200, 1e-300, 1e-310, 1e154, 1e200, 1e300])
     def test_tiny_hopf_pair_links(self, radius):
-        # the squared diameter underflows below about 1e-154; it once gave Lk = 0 here
+        # the squared diameter underflows below about 1e-154, where it once gave Lk = 0, and
+        # overflows above about 1e154, where the diameter was once inf and the pair refused
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert gauss_linking(*hopf_pair(radius, radius, 64)) == 1
+
+    @pytest.mark.parametrize("gauss", [gauss_linking, gauss_linking_integral])
+    def test_overflowing_diameter_leaves_the_gauss_sum_undefined(self, gauss):
+        # x spans +-1e308; the integral once overflowed in its sum and then refused a close approach
+        t = np.linspace(0, 2 * math.pi, 33)
+        ring = np.stack([np.cos(t), np.sin(t), 0 * t], axis=1)
+        wide = ring.copy()
+        wide[8, 0], wide[24, 0] = 1e308, -1e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            message = "^Gauss integral undefined: the curve diameter inf overflows$"
+            with pytest.raises(NumericalError, match=message):
+                gauss(SpaceCurve(wide), SpaceCurve(ring + [1.0, 0.0, 0.0]))
 
     def test_points_overflowing_in_units_of_the_diameter_fail_closed(self):
         t = np.linspace(0, 2 * math.pi, 33)
