@@ -23,11 +23,11 @@ manifest (config echo, version, checksums of the bytes written, timings) last;
 a failure removes the partial files.  Reruns give byte-identical data files.
 
 Each ``SCENARIOS`` entry is ``(runner, table, prepare)``.  ``run`` and
-``validate`` share one pre-flight: the table's parameters (JSON kind, default,
-bound), then the prepare, which checks the physics and builds what the runner
-uses.  ``run`` then calls the runner, which returns its outputs as data, and
-writes them through one writer.  Only ``demo-budget``'s prepare lets a ``run``
-report a failed adiabatic window (in ``budget.json``) instead of exiting 2.
+``validate`` run one pre-flight verbatim: the table's parameters (JSON kind,
+default, bound), then the prepare, which checks the physics and builds what the
+runner uses.  ``run`` then calls the runner, which returns its outputs as data,
+and writes them through one writer.  So ``validate`` exits 2 exactly when ``run``
+does, but for an unusable output directory or running out of memory.
 
 The seed is echoed into the manifest and drives the randomised property
 sweeps (currently the optional gauge-rotation check of trace-sweep); all
@@ -77,7 +77,7 @@ from .holonomy import (  # integrate_wilson: perfbench/test_perfbench.py reads c
     trace_expansion_from_rates,
     wilson_from_samples,
 )
-from .linking import LinkData, SpaceCurve, _scale, cs_phase, gauss_linking, hopf_pair
+from .linking import LinkData, SpaceCurve, cs_phase, gauss_linking, hopf_pair
 from .trimer import (
     BondDrive, bond_lengths, effective_momentum_series, phase_sweep, reconstruct_rotation
 )
@@ -299,6 +299,7 @@ _COUNT = (lambda v: 0 < v <= MAX_SAMPLES, f"positive and at most {MAX_SAMPLES}")
 _NON_EMPTY = (lambda v: len(v) > 0, "a non-empty array")
 # trimer.phase_sweep's grid rule
 _PHASE_GRID = (lambda v: len(v) > 0 and max(map(abs, v)) <= math.pi + 1e-12, "a non-empty array in [-pi, pi]")
+_MAX_REPETITIONS = 2**22  # a pi/2 gate's matrix_power drifts from unitary by < 6e-10 here, 1.2e-9 at 2**23
 _SEED = _Param(int, 0, (lambda v: v >= 0, "non-negative"))
 _WINDOW_FACTOR = _Param(float, 10.0, (lambda v: v >= 1, "at least 1"))  # adiabatic-window margin
 
@@ -452,14 +453,10 @@ def _run_phase_sweep(p: dict, seed: int) -> dict:
 
 
 def _run_linking(p: dict, seed: int) -> dict:
-    curves = p["curves"]
-    n = len(curves)
+    lk = p["lk"]
+    n = len(lk)
     charges = [1.0] * n if p["charges"] is None else p["charges"]
     slk = [0] * n if p["slk"] is None else p["slk"]
-    lk = np.zeros((n, n), dtype=int)
-    for i in range(n):
-        for j in range(i + 1, n):
-            lk[i, j] = lk[j, i] = gauss_linking(curves[i], curves[j])
     link = LinkData(lk, slk)
     return {"linking.json": {
         "lk_matrix": lk.tolist(),
@@ -471,8 +468,7 @@ def _run_linking(p: dict, seed: int) -> dict:
 
 
 def _run_demo_budget(p: dict, seed: int) -> dict:
-    platform, report = p["platform"], p["window"]
-    budget = gate_budget(platform, p["contingency"])
+    report, budget = p["window"], p["budget"]
     return {"budget.json": {
         "window": {
             "passed": report.passed,
@@ -482,7 +478,7 @@ def _run_demo_budget(p: dict, seed: int) -> dict:
             "ratio_upper": report.ratio_upper,
             "factor": report.factor,
         },
-        "per_loop_leakage": leakage_estimate(platform),
+        "per_loop_leakage": p["leakage"],
         "budget": {
             "p_leak": budget.p_leak,
             "p_decay": budget.p_decay,
@@ -516,7 +512,8 @@ def _run_ramsey(p: dict, seed: int) -> dict:
     }
 
 
-_DRIVE = _table_of(BondDrive)
+_TURN = _Param(float, 0.0, (lambda v: abs(v) <= 2 * math.pi, "within one turn, [-2 pi, 2 pi]"))
+_DRIVE = dict(_table_of(BondDrive), phi13=_TURN, phi23=_TURN)  # a larger phase only rounds omega t + phi
 _PLATFORM = _table_of(PlatformParams)
 _HOPF = {
     "radius1": _Param(float, 1.0, _POSITIVE),
@@ -534,26 +531,30 @@ def _prepare_drive(p: dict, steps_per_period: int | None) -> list[str]:
     return [f"drive ok: common period {period:.6g}"]
 
 
-def _prepare_platform(p: dict, refuse_failed_window: bool = True) -> list[str]:
-    """``platform`` as ``PlatformParams`` with its mode ordering and adiabatic ``window`` report."""
-    p["platform"] = PlatformParams(**p["platform"])
-    report = p["window"] = adiabatic_window(p["platform"], p["window_factor"])
-    if refuse_failed_window and not report.passed:
+def _prepare_platform(p: dict, budget: bool = False) -> list[str]:
+    """``platform`` and its adiabatic ``window``, refused if failed unless its error ``budget`` reports it."""
+    platform = p["platform"] = PlatformParams(**p["platform"])
+    report = p["window"] = adiabatic_window(platform, p["window_factor"])
+    if budget:
+        p["budget"], p["leakage"] = gate_budget(platform, p["contingency"]), leakage_estimate(platform)
+    elif not report.passed:
         raise ValidationError("adiabatic window violated: need splitting << 1/T_loop << gap with factor "
                               f"{report.factor:g} (got ratios {report.ratio_lower:.3g} and "
                               f"{report.ratio_upper:.3g})")
-    return [f"adiabatic window pass: (1/T)/splitting = {report.ratio_lower:.3g}, "
-            f"gap*T = {report.ratio_upper:.3g}"]
+    return [f"adiabatic window {'pass' if report.passed else f'FAIL, need both ratios >= {report.factor:g}'}: "
+            f"(1/T)/splitting = {report.ratio_lower:.3g}, gap*T = {report.ratio_upper:.3g}"]
 
 
-def _prepare_spec(p: dict, q: float, n_rep: int | None) -> list[str]:
-    """``spec``: the pi/2 gate, whose loop Hadamard steers, built without transport."""
-    p["spec"] = synth_phase_gate(q, n_rep, n_samples=p["samples"], steps=p["steps"])
+def _prepare_spec(p: dict, q: float, n_rep: int | None, most: float = math.inf) -> list[str]:
+    """``spec``: the pi/2 gate, whose loop Hadamard steers, built without transport; at most ``most`` loops."""
+    spec = p["spec"] = synth_phase_gate(q, n_rep, n_samples=p["samples"], steps=p["steps"])
+    if spec.repetitions > most:
+        raise ConfigError(f"{spec.repetitions:.10g} loop repetitions exceed {most}; raise q or lower n_rep")
     return []
 
 
-def _prepare_curves(p: dict, base_dir: str, run: bool) -> list[str]:
-    """``curves``: the Hopf pair, or the curve files read against ``base_dir``; one charge and slk each."""
+def _prepare_curves(p: dict, base_dir: str) -> list[str]:
+    """``lk`` of the Hopf pair or of the curve files read against ``base_dir``, one charge and slk each."""
     if p["curve_files"] is None:
         curves = list(hopf_pair(p["hopf"]["radius1"], p["hopf"]["radius2"], p["hopf"]["segments"]))
     else:
@@ -569,17 +570,18 @@ def _prepare_curves(p: dict, base_dir: str, run: bool) -> list[str]:
     for key in ("charges", "slk"):
         if p[key] is not None and len(p[key]) != len(curves):
             raise ConfigError(f"linking: parameter {key!r} needs one value per curve ({len(curves)})")
-    _scale(curves)  # gauss_linking's refusal of an overflowing diameter, before any output
-    p["curves"] = curves
+    lk = p["lk"] = np.zeros((len(curves), len(curves)), dtype=int)
+    for i, j in itertools.combinations(range(len(curves)), 2):
+        lk[i, j] = lk[j, i] = gauss_linking(curves[i], curves[j])
     return [f"{len(curves)} curves read"]
 
 
-def _prepare_trace_sweep(p: dict, base_dir: str, run: bool) -> list[str]:
+def _prepare_trace_sweep(p: dict, base_dir: str) -> list[str]:
     p["shape"] = make_ellipse_loop(p["theta0"], 0.0, p["a"], p["b"], p["samples"])
     return []
 
 
-# Scenario -> (runner, parameter table, prepare).  prepare(p, base_dir, run) is the pre-flight past
+# Scenario -> (runner, parameter table, prepare).  prepare(p, base_dir) is the pre-flight past
 # the table: it checks the physics, builds into ``p`` what the runner uses, without transport, and
 # returns report lines.  A runner takes those parameters and the seed and returns {file name: JSON
 # dict or CSV (header, columns)}.
@@ -590,7 +592,8 @@ SCENARIOS = {
         "n_rep": _Param(int, None, _COUNT),  # pi2 only; None picks the small-loop count
         "samples": _Param(int, 1024, _COUNT),
         "steps": _Param(int, 4096, _COUNT),
-    }, lambda p, base_dir, run: _prepare_spec(p, p["q"], 1 if p["target"] == "hadamard" else p["n_rep"])),
+    }, lambda p, base_dir: _prepare_spec(
+        p, p["q"], 1 if p["target"] == "hadamard" else p["n_rep"], _MAX_REPETITIONS)),
     "trace-sweep": (_run_trace_sweep, {
         "q": _Param(float, 2.0, _POSITIVE),
         "theta0": _Param(float, math.pi / 2),
@@ -607,14 +610,14 @@ SCENARIOS = {
         "masses": _MASSES,
         "periods": _Param(int, 20, _COUNT),
         "steps_per_period": _Param(int, 1536, _COUNT),
-    }, lambda p, base_dir, run: _prepare_drive(p, p["steps_per_period"])),
+    }, lambda p, base_dir: _prepare_drive(p, p["steps_per_period"])),
     "phase-sweep": (_run_phase_sweep, {
         "drive": _Param(_DRIVE),  # phi13 and phi23 are set by the sweep
         "masses": _MASSES,
         "phi_values": _Param([float], None, _PHASE_GRID),  # None: phi_count points on [-pi, pi]
         "phi_count": _Param(int, 33, _COUNT),
         "periods": _Param(int, 8, _COUNT),
-    }, lambda p, base_dir, run: _prepare_drive(p, None)),
+    }, lambda p, base_dir: _prepare_drive(p, None)),
     "linking": (_run_linking, {
         "curve_files": _Param([str], None, (lambda v: len(v) >= 2, "at least two file names")),
         "hopf": _Param(_HOPF, {}),  # the curves when curve_files is not given
@@ -626,7 +629,7 @@ SCENARIOS = {
         "platform": _Param(_PLATFORM, {}),
         "window_factor": _WINDOW_FACTOR,
         "contingency": _Param(float, 1.0, (lambda v: v >= 1, "at least 1")),
-    }, lambda p, base_dir, run: _prepare_platform(p, refuse_failed_window=not run)),  # budget.json reports it
+    }, lambda p, base_dir: _prepare_platform(p, budget=True)),  # budget.json reports a failed window
     "ramsey": (_run_ramsey, {
         "platform": _Param(_PLATFORM, {}),
         "q": _Param(float, None, _POSITIVE),  # None: the platform's charge
@@ -636,20 +639,16 @@ SCENARIOS = {
         "samples": _Param(int, 1024, _COUNT),
         "steps": _Param(int, 4096, _COUNT),
         "window_factor": _WINDOW_FACTOR,
-    }, lambda p, base_dir, run: _prepare_platform(p) + _prepare_spec(
+    }, lambda p, base_dir: _prepare_platform(p) + _prepare_spec(
         p, p["platform"].charge if p["q"] is None else p["q"], None)),
 }
 
 
-def _preflight(cfg: dict, base_dir: str, run: bool = False) -> tuple[dict, list[str]]:
-    """The checked parameters of a loaded config and the report lines of its checks.
-
-    The scenario's table reads ``params``; its prepare then checks the physics
-    and builds what the runner uses, curve files read against ``base_dir``.
-    """
+def _preflight(cfg: dict, base_dir: str) -> tuple[dict, list[str]]:
+    """The parameters of a loaded config, as its table reads and its prepare builds them, and the report."""
     _, table, prepare = SCENARIOS[cfg["scenario"]]
     p = _check(cfg.get("params", {}), _Param(table), "params", cfg["scenario"])
-    return p, [f"scenario: {cfg['scenario']}", *prepare(p, base_dir, run), "pass"]
+    return p, [f"scenario: {cfg['scenario']}", *prepare(p, base_dir), "pass"]
 
 
 def run_scenario(cfg: dict, base_dir: str) -> dict:
@@ -657,7 +656,7 @@ def run_scenario(cfg: dict, base_dir: str) -> dict:
 
     Returns the outputs as {file name: JSON dict or CSV (header, columns)}.
     """
-    p, _ = _preflight(cfg, base_dir, run=True)
+    p, _ = _preflight(cfg, base_dir)
     return SCENARIOS[cfg["scenario"]][0](p, cfg.get("seed", 0))
 
 

@@ -168,7 +168,10 @@ def _phase_gate_reps(q: float, n_rep: int | None) -> int:
             raise ValidationError("repetitions must be at least 1")
         return int(n_rep)
     # Smallest repetition count keeping the per-loop semi-axis in the small-loop regime.
-    return max(1, math.ceil(1.0 / (q * _SMALL_LOOP_WARN**2)))
+    try:
+        return max(1, math.ceil(1.0 / (q * _SMALL_LOOP_WARN**2)))
+    except (OverflowError, ZeroDivisionError):
+        raise ValidationError(f"coupling weight q = {q:.3g} overflows the repetition count") from None
 
 
 def synth_phase_gate(

@@ -336,14 +336,17 @@ def trace_expansion_from_rates(
     j = np.asarray(j, dtype=complex)
     ds = 2 * math.pi / c.size
 
-    # Accumulated diagonal phase at midpoints (composite midpoint rule).
-    eta_end, eta_mid = cumulative_midpoint(c, ds)
-    eta_total = eta_end[-1]
-    g = j * np.exp(-1j * eta_mid)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below, by name
+        # Accumulated diagonal phase at midpoints (composite midpoint rule).
+        eta_end, eta_mid = cumulative_midpoint(c, ds)
+        eta_total = eta_end[-1]
+        g = j * np.exp(-1j * eta_mid)
 
-    inner_gbar = cumulative_midpoint(np.conj(g), ds)[1]
-    c2_at = -0.25 * cumulative_midpoint(g * inner_gbar, ds)[1]
-    c2 = -0.25 * ds * complex(np.sum(g * inner_gbar))
+        inner_gbar = cumulative_midpoint(np.conj(g), ds)[1]
+        c2_at = -0.25 * cumulative_midpoint(g * inner_gbar, ds)[1]
+        c2 = -0.25 * ds * complex(np.sum(g * inner_gbar))
+    if not (math.isfinite(eta_total) and np.isfinite(c2)):
+        raise NumericalError("coupling is not finite over the loop: the I2 integral overflows")
 
     half_cos = math.cos(0.5 * eta_total)
     phase = complex(math.cos(0.5 * eta_total), math.sin(0.5 * eta_total))

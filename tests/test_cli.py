@@ -181,6 +181,16 @@ PREFLIGHT_BUILDS = [
     # the diameter of this pair is finite but its centroid overflows
     ("linking", {"hopf": {"radius1": 6.5e307, "segments": 64}}, {},
      "overflow its centroid or segment midpoints"),
+    # repetition counts whose product drifts from unitary; validate once passed them and run exited 2
+    ("gate-synth", {"q": 1e-300}, {}, "1.111111111e+301 loop repetitions exceed 4194304; raise q"),
+    ("gate-synth", {"q": 1e-8}, {}, "1111111112 loop repetitions exceed 4194304"),
+    ("gate-synth", {"n_rep": 2**22 + 1}, {}, "4194305 loop repetitions exceed 4194304"),
+    # a count that overflows a float once raised a traceback (exit 1)
+    ("gate-synth", {"q": 1e-320}, {}, "coupling weight q = 1e-320 overflows the repetition count"),
+    ("ramsey", {"q": 5e-324}, {}, "coupling weight q = 4.94e-324 overflows the repetition count"),
+    # a phase of 1e12 rounds omega t + phi so coarsely that the window loops open
+    ("trimer-sim", {"drive": dict(TRIMER_DRIVE, phi13=1e12)}, {}, "'phi13' must be within one turn"),
+    ("phase-sweep", {"drive": dict(TRIMER_DRIVE, phi23=-7.0)}, {}, "'phi23' must be within one turn, [-2 pi"),
 ]
 
 # Output directories that cannot be created: an existing file, a path under a file, a path
@@ -206,9 +216,9 @@ WINDOW_VIOLATION = {
 RATIO = (2, "frequency ratio overflows")
 OVERFLOWING_DRIVE = dict(TRIMER_DRIVE, omega12=1e-300, omega=1e200)
 # (scenario, params override, {command: (exit code, stderr phrase)}): overflows that once exited 1.
+LEAK = (3, "leakage estimate overflows")
 OVERFLOWING_INPUTS = [
-    ("demo-budget", {"platform": {"t_loop": 1e-300}},
-     {"run": (3, "leakage estimate overflows"), "validate": (2, "adiabatic window violated")}),
+    ("demo-budget", {"platform": {"t_loop": 1e-300}}, {"run": LEAK, "validate": LEAK}),
     ("trimer-sim", {"drive": OVERFLOWING_DRIVE}, {"run": RATIO, "validate": RATIO}),
     ("phase-sweep", {"drive": OVERFLOWING_DRIVE}, {"run": RATIO, "validate": RATIO}),
 ]
@@ -320,6 +330,29 @@ class TestRun:
             assert message in capsys.readouterr().err
             assert not out.exists() or not any(out.iterdir())
 
+    def test_most_repetitions_still_make_the_gate(self, tmp_path):
+        cfg = small_gate_config(params=dict(BASE_PARAMS["gate-synth"], n_rep=2**22))
+        out = tmp_path / "out"
+        assert main(["run", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+        gate = json.loads((out / "gate.json").read_text())
+        assert gate["repetitions"] == 2**22 and gate["fidelity"] == pytest.approx(1.0, abs=1e-8)
+
+    @pytest.mark.parametrize("q", [1e200, 1.7e308])
+    def test_overflowing_coupling_exits_3_without_warning(self, tmp_path, capsys, q):
+        # the I2 integral overflows; such a run once printed six RuntimeWarnings and "I2 = nan"
+        cfg = {"schema_version": 1, "scenario": "trace-sweep", "seed": 0,
+               "params": dict(BASE_PARAMS["trace-sweep"], q=q)}
+        cfg_path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["validate", cfg_path]) == 0
+            assert main(["run", cfg_path, "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "numerical failure: coupling is not finite over the loop: the I2 integral overflows\n"
+        )
+        assert not out.exists()
+
     def test_demo_budget_reports_failed_window(self, tmp_path):
         cfg = {"schema_version": 1, "scenario": "demo-budget", "seed": 0,
                "params": {"platform": WINDOW_VIOLATION}}
@@ -404,31 +437,30 @@ class TestRun:
 
     @pytest.mark.parametrize("hopf", [{"radius1": 1e200}, {"radius2": 1e-300}, {"radius2": 1e-100}],
                              ids=["radius1-1e200", "radius2-1e-300", "radius2-1e-100"])
-    def test_hopf_pair_on_a_vertex_validates_and_exits_3_under_run(self, tmp_path, capsys, hopf):
+    def test_hopf_pair_on_a_vertex_exits_3_under_run_and_validate(self, tmp_path, capsys, hopf):
         # Circle 2 rounds onto circle 1's vertex at (radius1, 0, 0): its x coordinates all round to
         # 1e200, or in units of the diameter it shrinks to a point with zero-length segments.
         cfg = {"schema_version": 1, "scenario": "linking", "seed": 0, "params": {"hopf": dict(hopf, segments=64)}}
         cfg_path = write_config(tmp_path, cfg)
         out = tmp_path / "out"
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert main(["validate", cfg_path]) == 0
-            capsys.readouterr()
-            assert main(["run", cfg_path, "--out", str(out)]) == 3
-        assert capsys.readouterr().err == (
-            "numerical failure: a crossing is degenerate in both fixed views; perturb the curves\n"
-        )
+        for argv in (["validate", cfg_path], ["run", cfg_path, "--out", str(out)]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main(argv) == 3
+            assert capsys.readouterr().err == (
+                "numerical failure: a crossing is degenerate in both fixed views; perturb the curves\n"
+            )
         assert not out.exists()
 
-    def test_same_curve_twice_passes_validate_and_fails_run(self, tmp_path, capsys):
-        # the close-approach check needs the pair, so only run makes it (README, exit codes)
+    def test_same_curve_twice_exits_2_under_run_and_validate(self, tmp_path, capsys):
+        # pre-flight links each pair, so validate makes the close-approach check too
         name = write_hopf_curves(tmp_path)[0]
         cfg = {"schema_version": 1, "scenario": "linking", "seed": 0, "params": {"curve_files": [name, name]}}
         cfg_path = write_config(tmp_path, cfg)
-        assert main(["validate", cfg_path]) == 0
         out = tmp_path / "out"
-        assert main(["run", cfg_path, "--out", str(out)]) == 2
-        assert "curves approach within 0.000e+00" in capsys.readouterr().err
+        for argv in (["validate", cfg_path], ["run", cfg_path, "--out", str(out)]):
+            assert main(argv) == 2
+            assert "curves approach within 0.000e+00" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["run", "validate"])
@@ -737,7 +769,7 @@ class TestValidate:
                 )
                 assert not out.exists()
 
-    def test_window_violation_rejected_with_named_condition(self, tmp_path, capsys):
+    def test_window_violation_reported_with_named_condition(self, tmp_path, capsys):
         cfg = {
             "schema_version": 1,
             "scenario": "demo-budget",
@@ -750,10 +782,12 @@ class TestValidate:
                 }
             },
         }
-        assert main(["validate", write_config(tmp_path, cfg)]) == 2
-        err = capsys.readouterr().err
-        assert "adiabatic window" in err
-        assert "splitting << 1/T_loop << gap" in err
+        # demo-budget reports a failed window, as budget.json does, under validate as under run
+        assert main(["validate", write_config(tmp_path, cfg)]) == 0
+        assert capsys.readouterr() == (
+            "scenario: demo-budget\n"
+            "adiabatic window FAIL, need both ratios >= 10: (1/T)/splitting = 0.0122, gap*T = 66\n"
+            "pass\n", "")
 
     def test_missing_curve_file_rejected(self, tmp_path):
         cfg = {
@@ -782,7 +816,8 @@ class TestValidate:
     @pytest.mark.parametrize("scenario, override, top, phrase", PREFLIGHT_BUILDS, ids=[
         "gate-q", "hadamard-q", "ramsey-q", "trace-ab", "trace-theta0", "nul-output-dir", "phi-values",
         "charges", "slk", "two-column-curve", "far-curves", "hopf-radius2", "hopf-radius2-far",
-        "hopf-radius1-huge",
+        "hopf-radius1-huge", "gate-q-tiny", "gate-q-small", "gate-n-rep", "gate-q-subnormal",
+        "ramsey-q-subnormal", "trimer-phi13", "phase-sweep-phi23",
     ])
     def test_preflight_builds_what_run_builds(self, tmp_path, capsys, command, scenario, override, top,
                                               phrase):
@@ -1003,35 +1038,59 @@ def table_paths(table, prefix=()):
             yield from table_paths(param.kind, prefix + (key,))
 
 
-@st.composite
-def hostile_configs(draw):
-    """A small base config with one or two table parameters replaced by hostile values."""
-    scenario = draw(st.sampled_from(sorted(BASE_PARAMS)))
+def with_values(scenario, values):
+    """A config of ``scenario``'s small base params with each (key path, value) of ``values`` set."""
     params = copy.deepcopy(BASE_PARAMS[scenario])
-    paths = list(table_paths(SCENARIOS[scenario][1]))
-    for path in draw(st.lists(st.sampled_from(paths), min_size=1, max_size=2, unique=True)):
+    for path, value in values:
         target = params
         for key in path[:-1]:
             if not isinstance(target.get(key), dict):
                 target[key] = {}
             target = target[key]
-        target[path[-1]] = copy.deepcopy(draw(st.sampled_from(HOSTILE_VALUES)))
+        target[path[-1]] = copy.deepcopy(value)
     return {"schema_version": 1, "scenario": scenario, "seed": 0, "params": params}
+
+
+@st.composite
+def hostile_configs(draw):
+    """A small base config with one or two table parameters replaced by hostile values."""
+    scenario = draw(st.sampled_from(sorted(BASE_PARAMS)))
+    paths = list(table_paths(SCENARIOS[scenario][1]))
+    chosen = draw(st.lists(st.sampled_from(paths), min_size=1, max_size=2, unique=True))
+    return with_values(scenario, [(path, draw(st.sampled_from(HOSTILE_VALUES))) for path in chosen])
+
+
+def exit_codes(cfg, tmp) -> tuple[int, int]:
+    """The exit codes of ``validate`` and ``run`` on ``cfg``, written into the directory ``tmp``."""
+    path = os.path.join(tmp, "config.json")
+    with open(path, "w") as fh:
+        json.dump(cfg, fh)
+    with contextlib.redirect_stderr(io.StringIO()), contextlib.redirect_stdout(io.StringIO()):
+        return main(["validate", path]), main(["run", path, "--out", os.path.join(tmp, "out")])
 
 
 @settings(max_examples=200, deadline=None)
 @given(hostile_configs())
 def test_hostile_parameters_exit_cleanly(cfg):
-    # run and validate share one pre-flight; only a demo-budget run reports a failed window
     with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "config.json")
-        with open(path, "w") as fh:
-            json.dump(cfg, fh)
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-            validated = main(["validate", path])
-            ran = main(["run", path, "--out", os.path.join(tmp, "out")])
+        validated, ran = exit_codes(cfg, tmp)
     assert validated in (0, 2, 3) and ran in (0, 2, 3)
-    window = cfg["scenario"] == "demo-budget" and "adiabatic window violated" in err.getvalue()
-    if validated == 2 and not window:
+    if validated == 2:
         assert ran == 2
+
+
+def test_validate_exits_2_exactly_when_run_does(tmp_path):
+    # every base config with one table parameter replaced by one hostile value, under both commands
+    grid = [with_values(scenario, [(path, value)])
+            for scenario in sorted(BASE_PARAMS)
+            for path in table_paths(SCENARIOS[scenario][1])
+            for value in HOSTILE_VALUES]
+    assert len(grid) == 1065
+    for cfg in grid:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            validated, ran = exit_codes(cfg, str(tmp_path))
+        assert validated in (0, 2, 3) and ran in (0, 2, 3), cfg
+        assert (validated == 2) == (ran == 2), (cfg, validated, ran)
+        # the small-loop UserWarning is allowed
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], cfg
