@@ -79,7 +79,7 @@ from .holonomy import (  # integrate_wilson: perfbench/test_perfbench.py reads c
 )
 from .linking import LinkData, SpaceCurve, cs_phase, gauss_linking, hopf_pair
 from .trimer import (
-    BondDrive, bond_lengths, effective_momentum_series, phase_sweep, reconstruct_rotation
+    BondDrive, _at_phase, _frames, bond_lengths, effective_momentum_series, phase_sweep, reconstruct_rotation
 )
 
 OUTDIR_ENV = "TRIHOLONOMY_OUTDIR"
@@ -184,11 +184,10 @@ def _format_g17(block: np.ndarray) -> bytes:
     path fills them grouped by layout (one per fixed-notation exponent, one for
     e-notation); "%" fills the cells it leaves (0, non-finite, |x| outside
     ``_G17_RANGE``, near a rounding tie) in one batch; deleting the NULs joins
-    them.  Blocks below ``_CSV_FAST_MIN_CELLS`` cells go to "%" whole, and
-    longer blocks ``_CSV_BLOCK_ROWS`` rows at a time.
+    them.  Blocks below ``_CSV_FAST_MIN_CELLS`` cells go to "%" whole.  The
+    temporaries grow with the block, so ``_write_csv`` passes at most
+    ``_CSV_BLOCK_ROWS`` rows, which keeps them in cache.
     """
-    if len(block) > _CSV_BLOCK_ROWS:  # bounded temporaries stay in cache instead of faulting in fresh pages
-        return b"".join(map(_format_g17, np.split(block, range(_CSV_BLOCK_ROWS, len(block), _CSV_BLOCK_ROWS))))
     rows, cols = block.shape
     x = block.ravel()
     if x.size < _CSV_FAST_MIN_CELLS:
@@ -255,9 +254,9 @@ def _write_csv(path: str, header: list[str], columns: list[np.ndarray]) -> str:
     """Columns as "%.17g" rows in a new file; returns its sha256 hex digest.
 
     The floats are the exact bytes of ``"%.17g" % x``: ``_format_g17`` writes
-    them from a numpy digit path, ``_CSV_BLOCK_ROWS`` rows at a time, and
-    leaves zero, non-finite, out-of-range and tie-adjacent cells, and blocks
-    below ``_CSV_FAST_MIN_CELLS`` cells, to "%".
+    them from a numpy digit path and leaves zero, non-finite, out-of-range and
+    tie-adjacent cells, and blocks below ``_CSV_FAST_MIN_CELLS`` cells, to "%".
+    The rows are blocked here, and only here: ``_CSV_BLOCK_ROWS`` per block.
     """
     columns = [np.asarray(col, dtype=float) for col in columns]
     blocks = (np.column_stack([col[i : i + _CSV_BLOCK_ROWS] for col in columns])
@@ -444,12 +443,8 @@ def _run_trimer_sim(p: dict, seed: int) -> dict:
 
 
 def _run_phase_sweep(p: dict, seed: int) -> dict:
-    if p["phi_values"] is None:
-        grid = np.linspace(-math.pi, math.pi, p["phi_count"])
-    else:
-        grid = np.asarray(p["phi_values"], dtype=float)
-    rates = phase_sweep(p["drive"], p["masses"], grid, periods=p["periods"])
-    return {"phase_sweep.csv": (["phi", "mean_angular_velocity"], [grid, rates])}
+    rates = phase_sweep(p["drive"], p["masses"], p["grid"], periods=p["periods"])
+    return {"phase_sweep.csv": (["phi", "mean_angular_velocity"], [p["grid"], rates])}
 
 
 def _run_linking(p: dict, seed: int) -> dict:
@@ -531,6 +526,24 @@ def _prepare_drive(p: dict, steps_per_period: int | None) -> list[str]:
     return [f"drive ok: common period {period:.6g}"]
 
 
+def _prepare_trimer_sim(p: dict, base_dir: str) -> list[str]:
+    """The drive, whose triangle inequality holds at t = 0 (the run checks the later samples)."""
+    lines = _prepare_drive(p, p["steps_per_period"])
+    _frames(*bond_lengths(0.0, p["drive"]), p["masses"])
+    return lines
+
+
+def _prepare_phase_sweep(p: dict, base_dir: str) -> list[str]:
+    """The drive, the phase ``grid`` (phi_count points on [-pi, pi] unless phi_values lists them) and each
+    phase's triangle inequality at t = 0, a failure named as :func:`phase_sweep` names it."""
+    lines = _prepare_drive(p, None)
+    grid = p["grid"] = (np.linspace(-math.pi, math.pi, p["phi_count"]) if p["phi_values"] is None
+                        else np.asarray(p["phi_values"], dtype=float))
+    for phi in grid.tolist():
+        _at_phase(p["drive"], phi, lambda drive: _frames(*bond_lengths(0.0, drive), p["masses"]))
+    return lines
+
+
 def _prepare_platform(p: dict, budget: bool = False) -> list[str]:
     """``platform`` and its adiabatic ``window``, refused if failed unless its error ``budget`` reports it."""
     platform = p["platform"] = PlatformParams(**p["platform"])
@@ -610,14 +623,14 @@ SCENARIOS = {
         "masses": _MASSES,
         "periods": _Param(int, 20, _COUNT),
         "steps_per_period": _Param(int, 1536, _COUNT),
-    }, lambda p, base_dir: _prepare_drive(p, p["steps_per_period"])),
+    }, _prepare_trimer_sim),
     "phase-sweep": (_run_phase_sweep, {
         "drive": _Param(_DRIVE),  # phi13 and phi23 are set by the sweep
         "masses": _MASSES,
         "phi_values": _Param([float], None, _PHASE_GRID),  # None: phi_count points on [-pi, pi]
         "phi_count": _Param(int, 33, _COUNT),
         "periods": _Param(int, 8, _COUNT),
-    }, lambda p, base_dir: _prepare_drive(p, None)),
+    }, _prepare_phase_sweep),
     "linking": (_run_linking, {
         "curve_files": _Param([str], None, (lambda v: len(v) >= 2, "at least two file names")),
         "hopf": _Param(_HOPF, {}),  # the curves when curve_files is not given

@@ -31,6 +31,8 @@ __all__ = [
     "ramsey_echo",
 ]
 
+_PREP_PHASES = (0.0, math.pi / 2)  # azimuths of the Ramsey readout's two pi/2 preparation pulses
+
 
 @dataclass(frozen=True)
 class PlatformParams:
@@ -176,10 +178,10 @@ def _fringe_record(block: np.ndarray, prep_phases, scan: np.ndarray):
     return pops, 2.0 / scan.size * np.sum(pops * np.exp(1j * scan), axis=1)
 
 
-def _reconstruct(amps, prep_phases) -> tuple[float, float, float]:
-    """(doubled phase, geometric phase, trace) from echo fringe amplitudes."""
+def _reconstruct(amps) -> tuple[float, float, float]:
+    """(doubled phase, geometric phase, trace) from the echo fringe amplitudes of ``_PREP_PHASES``."""
     # Each echo fringe amplitude carries arg = -(doubled_phase + prep phase).
-    unit = sum(np.exp(1j * (-(np.angle(a) + prep))) for a, prep in zip(amps, prep_phases))
+    unit = sum(np.exp(1j * (-(np.angle(a) + prep))) for a, prep in zip(amps, _PREP_PHASES))
     doubled = float(np.angle(unit))
     geometric = 0.5 * doubled
     return doubled, geometric, 2.0 * math.cos(0.5 * geometric)
@@ -191,7 +193,6 @@ def ramsey_echo(
     params: PlatformParams,
     echo: bool = True,
     scan_count: int = 8,
-    prep_phases: tuple[float, float] = (0.0, math.pi / 2),
 ) -> RamseyResult:
     """Simulate the five-step interferometric readout of a loop holonomy.
 
@@ -202,8 +203,8 @@ def ramsey_echo(
     (v) closing pi/2 pulse whose axis phase is scanned to record the fringe.
     The swap and loop reversal cancel the dynamical phase while doubling
     the geometric one, but only when W commutes with sigma_z (a diagonal W,
-    as for a pinned loop with zero control); two linearly independent
-    preparations pin the doubled phase, from which the per-traversal
+    as for a pinned loop with zero control); preparations about x and y
+    (``_PREP_PHASES``) pin the doubled phase, from which the per-traversal
     rotation angle and the holonomy trace are reconstructed.  The
     cancellation is verified by re-running the readout arithmetic at the
     doubled splitting, so a W that does not commute with sigma_z fails there.
@@ -228,11 +229,11 @@ def ramsey_echo(
         d = np.diag([np.exp(-0.5j * dyn), np.exp(0.5j * dyn)])
         return d @ w_rev @ swap @ d @ w if echo else d @ w @ d @ w
 
-    pops, amps = _fringe_record(block_for(delta_e), prep_phases, scan)
+    pops, amps = _fringe_record(block_for(delta_e), _PREP_PHASES, scan)
     if echo:
-        doubled, geometric, trace = _reconstruct(amps, prep_phases)
-        _, amps_shifted = _fringe_record(block_for(2.0 * delta_e), prep_phases, scan)
-        _, _, trace_shifted = _reconstruct(amps_shifted, prep_phases)
+        doubled, geometric, trace = _reconstruct(amps)
+        _, amps_shifted = _fringe_record(block_for(2.0 * delta_e), _PREP_PHASES, scan)
+        _, _, trace_shifted = _reconstruct(amps_shifted)
         if not abs(trace_shifted - trace) <= 1e-6:
             raise NumericalError(
                 "echo failed to cancel the dynamical phase: reconstructed trace moved by "
@@ -243,7 +244,7 @@ def ramsey_echo(
     return RamseyResult(
         scan_phases=scan,
         populations=pops,
-        prep_phases=tuple(float(p) for p in prep_phases),
+        prep_phases=_PREP_PHASES,
         fringe_amplitudes=tuple(complex(a) for a in amps),
         doubled_phase=doubled,
         geometric_phase=geometric,

@@ -175,19 +175,16 @@ def _phase_gate_reps(q: float, n_rep: int | None) -> int:
 
 
 def synth_phase_gate(
-    q: float,
-    n_rep: int | None = None,
-    theta0: float = math.pi / 2,
-    n_samples: int = 1024,
-    steps: int = 4096,
+    q: float, n_rep: int | None = None, n_samples: int = 1024, steps: int = 4096
 ) -> GateSpec:
     """Loop construction for the pi/2 phase rotation about the z axis.
 
-    One loop encloses a solid angle of pi/(q n_rep); repeating it n_rep
-    times accumulates the full pi/2 diagonal rotation.  The construction is
-    leading-order in the loop size, with tolerance budget O(area^2) from
-    the small-loop expansion plus O(ds^2) from integration.  The gate is
-    itself diagonal, so the residual abelian factor is the identity.
+    One loop, an ellipse about the equatorial base point (pi/2, 0), encloses
+    a solid angle of pi/(q n_rep); repeating it n_rep times accumulates the
+    full pi/2 diagonal rotation.  The construction is leading-order in the
+    loop size, with tolerance budget O(area^2) from the small-loop expansion
+    plus O(ds^2) from integration.  The gate is itself diagonal, so the
+    residual abelian factor is the identity.
     """
     if not q > 0:
         raise ValidationError("coupling weight q must be positive")
@@ -195,7 +192,7 @@ def synth_phase_gate(
     a = b = math.sqrt(1.0 / (q * reps))
     # Traversal sense pinned so the integrated holonomy matches the target
     # diag(e^{-i pi/4}, e^{+i pi/4}) rather than its inverse.
-    loop = make_ellipse_loop(theta0, 0.0, a, b, n_samples).reversed()
+    loop = make_ellipse_loop(math.pi / 2, 0.0, a, b, n_samples).reversed()
     hloop = HolonomyLoop(loop, BlochField.pinned(), ControlField.zero(), q, steps)
     return GateSpec(
         target=PHASE_GATE_TARGET,
@@ -292,16 +289,15 @@ def synth_hadamard_gate(
     )
 
 
-def cs_controlled_phase(q: float, k: int, lk: int = 1, slk=(0, 0)) -> TwoQubitGate:
+def cs_controlled_phase(q: float, k: int, lk: int = 1) -> TwoQubitGate:
     """Diagonal controlled-phase gate from the linking phase of a joint cycle.
 
     Each triangle couples with charge q when its logical state is |1> and
-    charge 0 for |0>; the |11> branch acquires exp(i 4 pi q^2 Lk / k) (plus
-    declared self-linking contributions on any branch with charge).
+    charge 0 for |0>; the |11> branch acquires exp(i 4 pi q^2 Lk / k), as no cycle self-links.
     """
     if not q > 0:
         raise ValidationError("charge q must be positive")
-    link = LinkData.pair(lk, slk)
+    link = LinkData.pair(lk)
     charge_table = ((0.0, q), (0.0, q))  # per logical state, per triangle
     phases = np.empty(4)
     for idx, (alpha, beta) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):

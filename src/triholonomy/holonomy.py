@@ -93,14 +93,6 @@ class WilsonLine:
         return float(tr.real)
 
 
-def _check_transport(steps: int, charge: float) -> None:
-    """Step count and coupling weight of a loop transport."""
-    if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)) or steps < 8:
-        raise ValidationError(f"holonomy integration needs an integer of at least 8 steps, got {steps!r}")
-    if not charge > 0:
-        raise ValidationError("charge must be positive")
-
-
 @dataclass(frozen=True)
 class HolonomyLoop:
     """A shape loop equipped with gauge data and integration resolution."""
@@ -113,7 +105,11 @@ class HolonomyLoop:
     patch: GaugePatch = GaugePatch.NORTH
 
     def __post_init__(self):
-        _check_transport(self.steps, self.charge)
+        steps = self.steps
+        if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)) or steps < 8:
+            raise ValidationError(f"holonomy integration needs an integer of at least 8 steps, got {steps!r}")
+        if not self.charge > 0:
+            raise ValidationError("charge must be positive")
 
     def with_steps(self, steps: int) -> "HolonomyLoop":
         return HolonomyLoop(self.shape, self.bloch, self.control, self.charge, steps, self.patch)
@@ -356,7 +352,7 @@ def trace_expansion_from_rates(
     i2 = -float((phase * c2).real) / half_cos
     if not abs(i2) <= 0.5:
         raise NumericalError(
-            f"transverse coupling too strong for the expansion to contract (I2 = {i2:.3f})"
+            f"transverse coupling too strong for the expansion to contract (I2 = {i2:.3g})"
         )
     corrections = [i2]
     estimate = 2.0 * half_cos * (1.0 - i2)

@@ -25,7 +25,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .connection import monopole_potential
 from .errors import MAX_SAMPLES, NumericalError, ValidationError
-from .holonomy import _check_transport, midpoint_grid
+from .holonomy import midpoint_grid
 from .shapespace import _check_loop_samples, shape_angles
 
 __all__ = [
@@ -41,6 +41,8 @@ __all__ = [
 # Bytes of one (windows, steps) sample array per block of windows: one
 # block holds every window of a CLI run up to about 128 periods.
 _WINDOW_BLOCK_BYTES = 1 << 22
+# Midpoints per window transport at most: integrate_wilson's default step count.
+_WINDOW_STEPS = 1024
 
 
 @dataclass(frozen=True)
@@ -69,11 +71,11 @@ class BondDrive:
     def fastest_period(self) -> float:
         return 2 * math.pi / max(self.omega, self.omega12)
 
-    def common_period(self, max_denominator: int = 64) -> float:
-        """Least common period of the two oscillations (rational frequency ratio)."""
+    def common_period(self) -> float:
+        """Least common period of the two oscillations (frequency ratio rational, denominator <= 64)."""
         if not math.isfinite(self.omega / self.omega12):
             raise ValidationError("frequency ratio overflows; no common period")
-        ratio = Fraction(self.omega / self.omega12).limit_denominator(max_denominator)
+        ratio = Fraction(self.omega / self.omega12).limit_denominator(64)
         if abs(float(ratio) - self.omega / self.omega12) > 1e-9:
             raise ValidationError(
                 "frequency ratio is not rational within tolerance; no common period"
@@ -234,36 +236,35 @@ def reconstruct_rotation(
     return TrimerTrajectory(times, m, _pack(x, y), theta, _pack(lab_x, lab_y))
 
 
-def phase_sweep(
-    drive_template: BondDrive,
-    masses,
-    phi_values,
-    periods: int = 8,
-    dt: float | None = None,
-) -> np.ndarray:
+def _at_phase(drive_template: BondDrive, phi: float, step):
+    """``step`` of the drive at sweep phase phi (phi13 = +phi/2, phi23 = -phi/2); a failure names phi."""
+    try:
+        return step(replace(drive_template, phi13=0.5 * phi, phi23=-0.5 * phi))
+    except NumericalError as exc:
+        raise NumericalError(f"phase sweep at phi = {phi:.6g}: {exc}") from exc
+
+
+def phase_sweep(drive_template: BondDrive, masses, phi_values, periods: int = 8) -> np.ndarray:
     """Mean angular velocity over ``periods`` common periods for each relative phase.
 
-    Each phi runs :func:`reconstruct_rotation`'s arithmetic (``dt`` as there)
-    with phi13 = +phi/2 and phi23 = -phi/2 on one shared time grid; the
+    Each phi runs :func:`reconstruct_rotation`'s arithmetic at its default
+    step with phi13 = +phi/2 and phi23 = -phi/2, on one shared time grid; the
     template's phases are ignored.  A failed reconstruction names its phi.
     """
     phi_values = np.asarray(phi_values, dtype=float)
     if np.any(phi_values < -math.pi - 1e-12) or np.any(phi_values > math.pi + 1e-12):
         raise ValidationError("phase grid must lie within [-pi, pi]")
     t_end = periods * drive_template.common_period()
-    n, dt = drive_template.time_steps(t_end, dt)
+    n, dt = drive_template.time_steps(t_end)
     times = np.arange(n + 1) * dt
     xi12 = bond_lengths(times, drive_template)[0]
     m = np.asarray(masses, dtype=float)
-    rates = np.empty(phi_values.size)
-    for k, phi in enumerate(phi_values.tolist()):
-        drive = replace(drive_template, phi13=0.5 * phi, phi23=-0.5 * phi)
-        try:
-            theta = _rotate(*_frames(xi12, *_pair_bonds(times, drive), m), m, dt)[0]
-        except NumericalError as exc:
-            raise NumericalError(f"phase sweep at phi = {phi:.6g}: {exc}") from exc
-        rates[k] = (theta[-1] - theta[0]) / t_end
-    return rates
+
+    def rate(drive: BondDrive) -> float:
+        theta = _rotate(*_frames(xi12, *_pair_bonds(times, drive), m), m, dt)[0]
+        return (theta[-1] - theta[0]) / t_end
+
+    return np.array([_at_phase(drive_template, phi, rate) for phi in phi_values.tolist()], dtype=float)
 
 
 def precession_berry_phase(
@@ -272,21 +273,20 @@ def precession_berry_phase(
     omega: float,
     phi13: float = math.pi / 4,
     phi23: float = -math.pi / 4,
-    n_samples: int = 16384,
 ) -> float:
     """Normalised phase-space area of one bond-precession cycle.
 
     For the circular precession (phi13 = -phi23 = pi/4, equal amplitudes)
     the displacements (xi13 - d, xi23 - d) trace a circle of radius a once
-    per period; the signed enclosed area divided by the squared precession
-    radius is the accumulated phase, pi for the forward cycle.
+    per period; the signed area of its 16384 chords over the squared
+    precession radius is the accumulated phase, pi for the forward cycle.
 
     Raises:
         NumericalError: the drive does not precess on a circle.
     """
     if not (0 < a < d) or not omega > 0:  # NaN fails too
         raise ValidationError("need 0 < a < d and a positive frequency")
-    t = np.linspace(0.0, 2 * math.pi / omega, n_samples + 1)
+    t = np.linspace(0.0, 2 * math.pi / omega, 16384 + 1)
     u = a * np.cos(omega * t + phi13)
     v = a * np.cos(omega * t + phi23)
     radius_sq = u**2 + v**2
@@ -299,26 +299,21 @@ def precession_berry_phase(
     return area / mean_r2
 
 
-def effective_momentum_series(
-    traj: TrimerTrajectory,
-    period: float,
-    stride: int | None = None,
-    charge: float = 1.0,
-    steps: int = 1024,
-) -> tuple[np.ndarray, np.ndarray]:
+def effective_momentum_series(traj: TrimerTrajectory, period: float) -> tuple[np.ndarray, np.ndarray]:
     """Sliding one-period geometric angular momentum estimates.
 
-    Each window of one common period is mapped to a closed shape loop and
-    2 (I_avg / T) arccos(Tr W / 2) is reported at the window start times.  A
-    window is a pinned-axis loop with zero control, so its holonomy is
-    diagonal and Tr W = 2 cos(eta_T / 2): eta_T is charge times the monopole
-    potential summed at the ``min(steps, n_window)`` midpoints of
+    A window of one common period starts every ``max(1, n_window // 4)``
+    samples; each is mapped to a closed shape loop, and
+    2 (I_avg / T) arccos(Tr W / 2) is reported at the window starts.  A
+    window is a pinned-axis loop with zero control and unit weight, so its
+    holonomy is diagonal and Tr W = 2 cos(eta_T / 2): eta_T is the monopole
+    potential summed at the ``min(_WINDOW_STEPS, n_window)`` midpoints of
     :func:`~triholonomy.holonomy.integrate_wilson`, which it matches to
     round-off.  All windows share one parameter grid and are gathered in
     row blocks of at most ``_WINDOW_BLOCK_BYTES`` per sample array.
 
-    Raises ValidationError for a bad period, stride, step count or charge or
-    an open window loop, and NumericalError for a non-finite window phase.
+    Raises ValidationError for a bad period or an open window loop, and
+    NumericalError for a non-finite window phase.
     """
     if not 0.0 < period < math.inf:
         raise ValidationError(f"window period must be a positive finite number, got {period!r}")
@@ -329,10 +324,7 @@ def effective_momentum_series(
     total = traj.times.size
     if n_window + 1 > total:
         raise ValidationError("trajectory shorter than one window period")
-    if stride is None:
-        stride = max(1, n_window // 4)
-    elif isinstance(stride, bool) or not isinstance(stride, (int, np.integer)) or stride < 1:
-        raise ValidationError(f"window stride must be a positive integer, got {stride!r}")
+    stride = max(1, n_window // 4)
     starts = np.arange(0, total - n_window, stride, dtype=int)
     theta_sh, phi_sh = shape_angles(traj.body, traj.masses)
     # (windows, n_window + 1) views: row w holds the samples of window w.
@@ -341,8 +333,7 @@ def effective_momentum_series(
         for x in (theta_sh, phi_sh, traj.moment_of_inertia())
     )
     _check_loop_samples(th_w, ph_w)
-    _check_transport(steps, charge)
-    n_steps = min(steps, n_window)
+    n_steps = min(_WINDOW_STEPS, n_window)
 
     # ShapeLoop.at (np.interp) and ShapeLoop.tangent, on the shared grid.
     s_mid, ds = midpoint_grid(n_steps)
@@ -357,7 +348,7 @@ def effective_momentum_series(
         th, ph = th_w[w : w + rows], ph_w[w : w + rows]
         colat = (th[:, j + 1] - th[:, j]) / width * offset + th[:, j]
         sums[w : w + rows] = monopole_potential(colat, (ph[:, k + 1] - ph[:, k]) / seg).sum(axis=1)
-    half_eta = 0.5 * charge * ds * sums
+    half_eta = 0.5 * ds * sums
     if not np.all(np.isfinite(half_eta)):
         t_bad = traj.times[starts][~np.isfinite(half_eta)][0]
         raise NumericalError(f"window phase is not finite in the window at t = {t_bad:.6g}")

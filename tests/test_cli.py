@@ -223,6 +223,12 @@ OVERFLOWING_INPUTS = [
     ("phase-sweep", {"drive": OVERFLOWING_DRIVE}, {"run": RATIO, "validate": RATIO}),
 ]
 
+# A drive whose triangle inequality breaks at t = 0: (scenario, the message of both commands).
+TRIANGLE_AT_START = [
+    ("trimer-sim", "triangle inequality violated: bonds (3.2, 1.15, 1.15) at sample 0"),
+    ("phase-sweep", "phase sweep at phi = -3.14159: triangle inequality violated: bonds (3.2, 1, 1) at sample 0"),
+]
+
 
 class TestRun:
     def test_gate_synth_happy_path(self, tmp_path):
@@ -352,6 +358,38 @@ class TestRun:
             "numerical failure: coupling is not finite over the loop: the I2 integral overflows\n"
         )
         assert not out.exists()
+
+    def test_large_i2_prints_three_significant_digits(self, tmp_path, capsys):
+        cfg = {"schema_version": 1, "scenario": "trace-sweep", "seed": 0,
+               "params": dict(BASE_PARAMS["trace-sweep"], q=1e150)}
+        out = tmp_path / "out"
+        assert main(["run", write_config(tmp_path, cfg), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "(I2 = 2.08e+294)" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    @pytest.mark.parametrize("scenario, message", TRIANGLE_AT_START)
+    def test_triangle_broken_at_start_exits_3_under_run_and_validate(self, tmp_path, capsys, command, scenario,
+                                                                     message):
+        params = dict(BASE_PARAMS[scenario], drive=dict(TRIMER_DRIVE, d12=3.0))
+        cfg = {"schema_version": 1, "scenario": scenario, "seed": 0, "params": params}
+        out = tmp_path / "out"
+        argv = [command, write_config(tmp_path, cfg)] + (["--out", str(out)] if command == "run" else [])
+        assert main(argv) == 3
+        assert capsys.readouterr() == ("", f"numerical failure: {message}\n")
+        assert not out.exists()
+
+    def test_triangle_broken_after_start_is_left_to_the_run(self, tmp_path, capsys):
+        # pre-flight decides the triangle inequality at t = 0 only; this one breaks later
+        drive = {"d12": 2.2, "a12": 0.3, "omega12": 1.0, "d": 1.0, "a": 0.4, "omega": 3.0}
+        cfg = {"schema_version": 1, "scenario": "trimer-sim", "seed": 0,
+               "params": dict(BASE_PARAMS["trimer-sim"], drive=drive)}
+        cfg_path = write_config(tmp_path, cfg)
+        assert main(["validate", cfg_path]) == 0
+        assert main(["run", cfg_path, "--out", str(tmp_path / "out")]) == 3
+        assert "triangle inequality violated" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_demo_budget_reports_failed_window(self, tmp_path):
         cfg = {"schema_version": 1, "scenario": "demo-budget", "seed": 0,

@@ -6,6 +6,8 @@ import pytest
 from triholonomy.connection import BlochField, ControlField
 from triholonomy.demonstrator import (
     PlatformParams,
+    _PREP_PHASES,
+    _fringe_record,
     adiabatic_window,
     gate_budget,
     leakage_estimate,
@@ -195,22 +197,25 @@ def pulse(beta, axis_phase):
     return math.cos(beta / 2) * np.eye(2) - 1j * math.sin(beta / 2) * gen
 
 
-def fringe_by_matrices(loop, delta_e, params, echo, scan_count, prep_phases):
-    """Reference: both transports and one 2x2 product chain per preparation and scan phase."""
+def readout_block(loop, delta_e, params, echo):
+    """Reference: the matrix between the two pi/2 pulses, from the forward and the reversed transport."""
     w = integrate_wilson(loop).matrix
     w_rev = integrate_wilson(loop.reversed()).matrix
     dyn = delta_e * params.t_loop
     d = np.diag([np.exp(-0.5j * dyn), np.exp(0.5j * dyn)])
     swap = np.array([[0, 1], [1, 0]], dtype=complex)
-    block = d @ w_rev @ swap @ d @ w if echo else d @ w @ d @ w
-    scan = 2 * math.pi * np.arange(scan_count) / scan_count
-    pops = np.empty((len(prep_phases), scan_count))
+    return d @ w_rev @ swap @ d @ w if echo else d @ w @ d @ w
+
+
+def fringe_by_matrices(block, scan, prep_phases):
+    """Reference: one 2x2 product chain per preparation and scan phase."""
+    pops = np.empty((len(prep_phases), scan.size))
     amps = []
     for p_idx, prep in enumerate(prep_phases):
         chi = block @ pulse(math.pi / 2, prep) @ np.array([1.0, 0.0], dtype=complex)
         for s_idx, phi_s in enumerate(scan):
             pops[p_idx, s_idx] = abs((pulse(math.pi / 2, phi_s) @ chi)[0]) ** 2
-        amps.append(complex(2.0 / scan_count * np.sum(pops[p_idx] * np.exp(1j * scan))))
+        amps.append(complex(2.0 / scan.size * np.sum(pops[p_idx] * np.exp(1j * scan))))
     return pops, np.array(amps)
 
 
@@ -220,13 +225,20 @@ class TestRamseyFringeOracle:
     @pytest.mark.parametrize("prep_phases", [(0.0, math.pi / 2), (0.3, 1.9)])
     @pytest.mark.parametrize("controlled", [False, True])
     def test_matches_matrix_products(self, echo, scan_count, prep_phases, controlled):
-        # the pi/2 gate loop (commuting-step transport) and a loop with control (SU(2) kernel)
+        # the pi/2 gate loop (commuting-step transport) and a loop with control (SU(2) kernel);
+        # ramsey_echo prepares about x and y, and its fringe record takes any pair of preparations
         p = PlatformParams()
         loop = synth_phase_gate(400.0).loop
         if controlled:
             loop = HolonomyLoop(loop.shape, loop.bloch, ControlField.constant(2e-6 + 1e-6j), 400.0, 2048)
-        result = ramsey_echo(loop, p.splitting, p, echo, scan_count, prep_phases)
-        pops, amps = fringe_by_matrices(loop, p.splitting, p, echo, scan_count, prep_phases)
-        assert result.populations.shape == pops.shape
-        assert np.max(np.abs(result.populations - pops)) <= 1e-13
-        assert np.max(np.abs(np.array(result.fringe_amplitudes) - amps)) <= 1e-13
+        block = readout_block(loop, p.splitting, p, echo)
+        scan = 2 * math.pi * np.arange(scan_count) / scan_count
+        if prep_phases == _PREP_PHASES:
+            result = ramsey_echo(loop, p.splitting, p, echo, scan_count)
+            got_pops, got_amps = result.populations, result.fringe_amplitudes
+        else:
+            got_pops, got_amps = _fringe_record(block, prep_phases, scan)
+        pops, amps = fringe_by_matrices(block, scan, prep_phases)
+        assert got_pops.shape == pops.shape
+        assert np.max(np.abs(got_pops - pops)) <= 1e-13
+        assert np.max(np.abs(np.array(got_amps) - amps)) <= 1e-13

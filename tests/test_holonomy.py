@@ -364,6 +364,11 @@ class TestHolonomyTrace:
                 pinned_loop(equator(), steps=steps)
         assert pinned_loop(equator(), steps=np.int64(100)).steps == 100
 
+    def test_coupling_weight_must_be_positive(self):
+        for q in (0.0, -1.0, math.nan):
+            with pytest.raises(ValidationError, match="charge must be positive"):
+                pinned_loop(equator(), q=q)
+
     def test_gauge_rotated_data(self):
         base = wilson_from_rates(lambda s: 0.1, lambda s: 0.05, 1.0, 4096).trace
         rotated = wilson_from_rates(

@@ -60,7 +60,7 @@ class TestBondDrive:
     def test_irrational_ratio_rejected(self):
         drive = BondDrive(1.1, 0.2, 1.0, 1.0, 0.15, math.sqrt(2) * 100)
         with pytest.raises(ValidationError):
-            drive.common_period(max_denominator=8)
+            drive.common_period()
 
     def test_nan_frequency_rejected(self):
         with pytest.raises(ValidationError, match="frequencies must be positive"):
@@ -356,24 +356,25 @@ class TestPrecessionPhase:
             precession_berry_phase(1.0, 0.15, 3.0, phi13=0.3, phi23=-0.8)
 
 
-def momentum_series_per_window(traj, period, stride=None, charge=1.0, steps=1024):
+def momentum_series_per_window(traj, period):
     """Reference: one ShapeLoop and one SU(2) step-product transport per window.
 
-    The windows have zero control, so integrate_wilson would take its
-    commuting-step path; the reference calls the SU(2) kernel directly.
+    A window starts every quarter period and is transported at unit weight
+    over at most 1024 steps.  The windows have zero control, so
+    integrate_wilson would take its commuting-step path; the reference calls
+    the SU(2) kernel directly.
     """
     n_window = int(round(period / traj.dt))
-    stride = max(1, n_window // 4) if stride is None else stride
     theta_sh, phi_sh = shape_angles(traj.body, traj.masses)
     inertia = traj.moment_of_inertia()
-    starts = np.arange(0, traj.times.size - n_window, stride, dtype=int)
+    starts = np.arange(0, traj.times.size - n_window, max(1, n_window // 4), dtype=int)
     values = np.empty(starts.size)
     for w, i0 in enumerate(starts):
         sl = slice(i0, i0 + n_window + 1)
         loop = ShapeLoop.from_samples(theta_sh[sl], phi_sh[sl])
-        s_mid, ds = midpoint_grid(min(steps, n_window))
-        hloop = HolonomyLoop(loop, BlochField.pinned(), ControlField.zero(), charge, s_mid.size)
-        m = _transport(connection_vectors(hloop.sample(s_mid), hloop.bloch), charge * ds)
+        s_mid, ds = midpoint_grid(min(1024, n_window))
+        hloop = HolonomyLoop(loop, BlochField.pinned(), ControlField.zero(), 1.0, s_mid.size)
+        m = _transport(connection_vectors(hloop.sample(s_mid), hloop.bloch), ds)
         half = min(1.0, max(-1.0, np.trace(m).real / 2.0))
         values[w] = 2.0 * (float(np.mean(inertia[sl])) / period) * math.acos(half)
     return traj.times[starts], values
@@ -381,21 +382,20 @@ def momentum_series_per_window(traj, period, stride=None, charge=1.0, steps=1024
 
 class TestEffectiveMomentumSeries:
     @pytest.mark.parametrize(
-        "steps_per_period, periods, stride",
+        "steps_per_period, periods",
         [
-            (512, 3, None),  # n_window < 1024: every window sample is a step
-            (1536, 3, None),  # n_window > 1024: 1024 steps interpolate the window
-            (1536, 2, 97),  # the stride does not divide the trajectory
+            (512, 3),  # n_window < 1024: every window sample is a step
+            (1536, 3),  # n_window > 1024: 1024 steps interpolate the window
         ],
     )
-    def test_matches_per_window_transport(self, steps_per_period, periods, stride):
+    def test_matches_per_window_transport(self, steps_per_period, periods):
         drive = reference_drive()
         period = drive.common_period()
         traj = reconstruct_rotation(
             drive, REFERENCE_MASSES, periods * period, period / steps_per_period
         )
-        starts, values = effective_momentum_series(traj, period, stride)
-        ref_starts, ref_values = momentum_series_per_window(traj, period, stride)
+        starts, values = effective_momentum_series(traj, period)
+        ref_starts, ref_values = momentum_series_per_window(traj, period)
         assert np.array_equal(starts, ref_starts)
         assert np.max(np.abs(values - ref_values)) <= 1e-12
 
@@ -403,43 +403,42 @@ class TestEffectiveMomentumSeries:
         drive = reference_drive()
         period = drive.common_period()
         traj = reconstruct_rotation(drive, REFERENCE_MASSES, 2 * period)
-        for steps in (7, 100.5, True):
-            with pytest.raises(ValidationError, match="at least 8 steps"):
-                effective_momentum_series(traj, period, steps=steps)
-        with pytest.raises(ValidationError, match="charge"):
-            effective_momentum_series(traj, period, charge=0.0)
         with pytest.raises(ValidationError, match="does not close"):
             effective_momentum_series(traj, period / 2)
-        for stride in (0, -1, 2.5):
-            with pytest.raises(ValidationError, match="stride"):
-                effective_momentum_series(traj, period, stride)
-        with pytest.raises(NumericalError, match="window phase is not finite"):
-            effective_momentum_series(traj, period, charge=math.inf)
+
+    def test_non_finite_window_phase_fails_closed(self, monkeypatch):
+        drive = reference_drive()
+        period = drive.common_period()
+        traj = reconstruct_rotation(drive, REFERENCE_MASSES, 2 * period)
+        monkeypatch.setattr(trimer, "monopole_potential", lambda colat, dphi: np.full(colat.shape, math.inf))
+        with pytest.raises(NumericalError, match=r"window phase is not finite in the window at t = 0$"):
+            effective_momentum_series(traj, period)
 
     def test_row_blocks_are_bit_identical(self, monkeypatch):
         drive = reference_drive()
         period = drive.common_period()
-        traj = reconstruct_rotation(drive, REFERENCE_MASSES, 3 * period, period / 512)
-        _, one_block = effective_momentum_series(traj, period, 7)
-        assert one_block.size > 8 * 7
+        traj = reconstruct_rotation(drive, REFERENCE_MASSES, 8 * period, period / 512)
+        _, one_block = effective_momentum_series(traj, period)
+        assert one_block.size > 4 * 7
         # 7 windows of 512 steps per block, the last block ragged
         monkeypatch.setattr(trimer, "_WINDOW_BLOCK_BYTES", 7 * 8 * 512)
-        _, many_blocks = effective_momentum_series(traj, period, 7)
+        _, many_blocks = effective_momentum_series(traj, period)
         assert many_blocks.tobytes() == one_block.tobytes()
 
-    def test_memory_bounded_at_stride_one(self):
+    def test_memory_bounded_by_the_row_blocks(self, monkeypatch):
         drive = reference_drive()
         period = drive.common_period()
-        traj = reconstruct_rotation(drive, REFERENCE_MASSES, 8 * period, period / 512)
+        traj = reconstruct_rotation(drive, REFERENCE_MASSES, 128 * period, period / 512)
+        monkeypatch.setattr(trimer, "_WINDOW_BLOCK_BYTES", 16 * 8 * 512)  # 16 windows of 512 steps
         tracemalloc.start()
         try:
-            starts, _ = effective_momentum_series(traj, period, 1)
+            starts, _ = effective_momentum_series(traj, period)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # 3585 windows x 512 steps: one gather of every window peaked near 59 MB
-        assert starts.size == 7 * 512 + 1
-        assert peak < 30e6
+        # 509 windows x 512 steps: one gather of every window peaked near 10 MB, 16 rows at a time near 4.7 MB
+        assert starts.size == 127 * 4 + 1
+        assert peak < 7e6
 
     @pytest.mark.parametrize("factor", [0.0, -1.0, math.nan, math.inf])
     def test_bad_period_rejected(self, factor):
