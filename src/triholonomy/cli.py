@@ -448,17 +448,12 @@ def _run_phase_sweep(p: dict, seed: int) -> dict:
 
 
 def _run_linking(p: dict, seed: int) -> dict:
-    lk = p["lk"]
-    n = len(lk)
-    charges = [1.0] * n if p["charges"] is None else p["charges"]
-    slk = [0] * n if p["slk"] is None else p["slk"]
-    link = LinkData(lk, slk)
     return {"linking.json": {
-        "lk_matrix": lk.tolist(),
-        "charges": charges,
+        "lk_matrix": p["lk"].tolist(),
+        "charges": p["charges"],
         "level": p["k"],
-        "slk": slk,
-        "cs_phase": cs_phase(charges, link, p["k"]),
+        "slk": p["slk"],
+        "cs_phase": p["cs_phase"],
     }}
 
 
@@ -567,7 +562,8 @@ def _prepare_spec(p: dict, q: float, n_rep: int | None, most: float = math.inf) 
 
 
 def _prepare_curves(p: dict, base_dir: str) -> list[str]:
-    """``lk`` of the Hopf pair or of the curve files read against ``base_dir``, one charge and slk each."""
+    """``lk`` of the Hopf pair or of the curve files read against ``base_dir``, one charge and slk each
+    (1.0 and 0 unless given), and their ``cs_phase``."""
     if p["curve_files"] is None:
         curves = list(hopf_pair(p["hopf"]["radius1"], p["hopf"]["radius2"], p["hopf"]["segments"]))
     else:
@@ -580,13 +576,17 @@ def _prepare_curves(p: dict, base_dir: str) -> list[str]:
             if data.ndim != 2 or data.shape[1] != 3:
                 raise ConfigError(f"curve file {path} must have three columns (x, y, z)")
             curves.append(SpaceCurve(data))
+    n = len(curves)
     for key in ("charges", "slk"):
-        if p[key] is not None and len(p[key]) != len(curves):
-            raise ConfigError(f"linking: parameter {key!r} needs one value per curve ({len(curves)})")
-    lk = p["lk"] = np.zeros((len(curves), len(curves)), dtype=int)
-    for i, j in itertools.combinations(range(len(curves)), 2):
+        if p[key] is not None and len(p[key]) != n:
+            raise ConfigError(f"linking: parameter {key!r} needs one value per curve ({n})")
+    lk = p["lk"] = np.zeros((n, n), dtype=int)
+    for i, j in itertools.combinations(range(n), 2):
         lk[i, j] = lk[j, i] = gauss_linking(curves[i], curves[j])
-    return [f"{len(curves)} curves read"]
+    p["charges"] = [1.0] * n if p["charges"] is None else p["charges"]
+    p["slk"] = [0] * n if p["slk"] is None else p["slk"]
+    p["cs_phase"] = cs_phase(p["charges"], LinkData(lk, p["slk"]), p["k"])
+    return [f"{n} curves read"]
 
 
 def _prepare_trace_sweep(p: dict, base_dir: str) -> list[str]:

@@ -11,20 +11,22 @@ control ``psi``.  For a moving (analytic) axis the lab-frame one-form is
 
     A_full = [A n + dn x n + Re(psi) dn + Im(psi) dn x n] . sigma / 2i,
 
-while for a *pinned* axis (constant ``n``, the regime of the explicit gate
-constructions) the control couples directly through a fixed right-handed
-transverse frame (e1, e2, n):
+while for a *pinned* axis (n = +z, the regime of the explicit gate
+constructions) the control couples directly through the fixed right-handed
+frame ``PINNED_FRAME`` (e1, e2, n) = (x, y, z):
 
     A_full = [A n + Re(psi) e1 - Im(psi) e2] . sigma / 2i,
 
-which in the frame basis is the matrix (1/2i) [[A, psi], [conj(psi), -A]].
-This is the standard rescaled-control convention in which ``psi`` is the
-transverse connection component per unit loop parameter; it makes (A, psi)
-an abelian-Higgs pair under frame rotations about n,
+which is the matrix (1/2i) [[A, psi], [conj(psi), -A]].  This is the
+standard rescaled-control convention in which ``psi`` is the transverse
+connection component per unit loop parameter; it makes (A, psi) an
+abelian-Higgs pair under frame rotations about n,
 
     A -> A + d alpha,   psi -> e^{i q alpha} psi,
 
-exactly (the stated unit-charge law at transport weight q = 1).
+exactly (the stated unit-charge law at transport weight q = 1).  Another
+constant axis would only rotate the frame: it conjugates the holonomy and
+leaves its trace unchanged, so pinned always means +z.
 
 Every quantity is evaluated on arrays of samples (``monopole_potential``,
 ``connection_vectors``, ``eigenframe_rate_samples``).
@@ -42,6 +44,7 @@ from .errors import NumericalError, ValidationError
 from .shapespace import ShapePoint
 
 __all__ = [
+    "PINNED_FRAME",
     "GaugePatch",
     "BlochField",
     "ControlField",
@@ -55,6 +58,10 @@ __all__ = [
 _FD_STEP = 1e-6  # central-difference step for angle partials
 _CURVATURE_STEP = 1e-5  # central-difference step of the curvature's exterior derivative
 
+# Rows e1, e2, n of the pinned frame: the axis n = +z, the control along e1 = x and e2 = y.
+PINNED_FRAME = np.eye(3)
+PINNED_FRAME.flags.writeable = False  # one frame serves every caller
+
 
 class GaugePatch(enum.Enum):
     """Monopole gauge patch: which pole carries the Dirac string."""
@@ -66,9 +73,9 @@ class GaugePatch(enum.Enum):
 class BlochField:
     """Quantisation-axis field over the shape sphere.
 
-    Either *pinned* (a constant unit vector, default +z) or *analytic*,
-    given by Bloch-sphere angle callables ``mu(theta, phi)`` (polar) and
-    ``lam(theta, phi)`` (azimuthal), so that
+    Either *pinned* to +z, its control coupling along x and y (see
+    ``PINNED_FRAME``), or *analytic*, given by Bloch-sphere angle callables
+    ``mu(theta, phi)`` (polar) and ``lam(theta, phi)`` (azimuthal), so that
 
         n = (cos lam sin mu, sin lam sin mu, cos mu).
 
@@ -81,7 +88,6 @@ class BlochField:
         self,
         mu: Callable[[float, float], float] | None = None,
         lam: Callable[[float, float], float] | None = None,
-        axis=None,
         mu_partials: Callable[[float, float], tuple[float, float]] | None = None,
         lam_partials: Callable[[float, float], tuple[float, float]] | None = None,
     ):
@@ -93,36 +99,11 @@ class BlochField:
             None if fn is None else np.vectorize(fn, otypes=[float, float])
             for fn in (mu_partials, lam_partials)
         )
-        if mu is None:
-            n = np.array([0.0, 0.0, 1.0] if axis is None else axis, dtype=float)  # a copy, made read-only
-            if n.shape != (3,) or not abs(np.linalg.norm(n) - 1.0) <= 1e-12:  # NaN fails too
-                raise ValidationError("pinned axis must be a unit 3-vector to 1e-12")
-            self._axis, self._frame = n, self._transverse_frame(n)
-            for v in (n, *self._frame):  # read-only, so one field can serve every caller
-                v.flags.writeable = False
-        else:
-            if axis is not None:
-                raise ValidationError("give either a pinned axis or angle callables, not both")
-            self._axis = self._frame = None
-
-    @staticmethod
-    def _transverse_frame(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Deterministic right-handed completion (e1, e2) of a unit vector.
-
-        Near +z, e1 is x projected off n, so the +z axis gets (x, y); elsewhere
-        e1 is along z x n, or x x n near -z.
-        """
-        if n[2] > 0.9:
-            e1 = np.array([1.0, 0.0, 0.0]) - n[0] * n
-        else:
-            e1 = np.cross([0.0, 0.0, 1.0] if n[2] >= -0.9 else [1.0, 0.0, 0.0], n)
-        e1 /= np.linalg.norm(e1)
-        return e1, np.cross(n, e1)
 
     @classmethod
-    def pinned(cls, axis=None) -> "BlochField":
-        """A pinned field; with no axis, the one shared +z field."""
-        return _PLUS_Z if axis is None else cls(axis=axis)
+    def pinned(cls) -> "BlochField":
+        """The one shared field pinned to +z."""
+        return _PLUS_Z
 
     @classmethod
     def from_angles(cls, mu, lam, mu_partials=None, lam_partials=None) -> "BlochField":
@@ -142,27 +123,16 @@ class BlochField:
     def is_pinned(self) -> bool:
         return self._mu is None
 
-    @property
-    def pinned_axis(self) -> np.ndarray:
-        if not self.is_pinned:
-            raise ValidationError("not a pinned field")
-        return self._axis
-
-    @property
-    def transverse_frame(self) -> tuple[np.ndarray, np.ndarray]:
-        if not self.is_pinned:
-            raise ValidationError("not a pinned field")
-        return self._frame
-
     def angle_samples(self, th, ph, dth, dph) -> tuple[np.ndarray, ...]:
         """Bloch angles and their rates (mu, lam, dmu/ds, dlam/ds) at sampled points.
 
         ``th``, ``ph`` are shape-sphere coordinates and ``dth``, ``dph`` the
         tangent (dtheta/ds, dphi/ds) there; all four are arrays of one shape.
+        A pinned field's are all zero.
         """
-        mu, lam = self._angles(th, ph)
         if self.is_pinned:
-            return mu, lam, np.zeros_like(mu), np.zeros_like(mu)
+            return tuple(np.zeros(np.shape(th)) for _ in range(4))
+        mu, lam = self._mu(th, ph), self._lam(th, ph)
         rates = []
         for fn, partials in zip((self._mu, self._lam), self._partials):
             if partials is not None:
@@ -175,13 +145,6 @@ class BlochField:
         if not all(np.all(np.isfinite(x)) for x in (mu, lam, *rates)):
             raise ValidationError("Bloch field angles and their rates must be finite")
         return mu, lam, rates[0], rates[1]
-
-    def _angles(self, th, ph) -> tuple[np.ndarray, np.ndarray]:
-        if self.is_pinned:
-            n = self._axis
-            mu = math.acos(np.clip(n[2], -1.0, 1.0))
-            return np.full(np.shape(th), mu), np.full(np.shape(th), math.atan2(n[1], n[0]))
-        return self._mu(th, ph), self._lam(th, ph)
 
 
 def _axis_and_rate(mu, lam, dmu, dlam) -> tuple[np.ndarray, np.ndarray]:
@@ -233,14 +196,11 @@ class ControlField:
         return _ZERO
 
     @classmethod
-    def from_samples(cls, values, check_periodic: bool = True) -> "ControlField":
-        """Piecewise-linear interpolation of uniform samples over [0, 2 pi]."""
+    def from_samples(cls, values) -> "ControlField":
+        """Piecewise-linear interpolation of uniform samples over [0, 2 pi]; they must close."""
         vals = np.asarray(values, dtype=complex)
         grid = np.linspace(0.0, 2 * math.pi, vals.size)
-        return cls._from_arrays(
-            lambda s: np.interp(s, grid, vals.real) + 1j * np.interp(s, grid, vals.imag),
-            check_periodic,
-        )
+        return cls._from_arrays(lambda s: np.interp(s, grid, vals.real) + 1j * np.interp(s, grid, vals.imag))
 
     def at(self, s) -> complex | np.ndarray:
         """psi at a parameter value or an array of them.
@@ -292,12 +252,11 @@ def monopole_potential(colat, dazimuth, patch: GaugePatch = GaugePatch.NORTH, wh
     return -0.5 * (1.0 + np.cos(colat)) * dazimuth
 
 
-def connection_vectors(samples: LoopSamples, field: BlochField) -> np.ndarray:
+def connection_vectors(samples: LoopSamples) -> np.ndarray:
     """Component-first V, shape (3, N): sample i (per unit s) is V[:, i] . sigma / 2i; vx, vy, vz = V."""
     a, psi, axis = samples
     if axis is None:
-        n = field.pinned_axis
-        e1, e2 = field.transverse_frame
+        e1, e2, n = PINNED_FRAME
         return np.stack([a * n[k] + psi.real * e1[k] - psi.imag * e2[k] for k in range(3)])
     n, dn = _axis_and_rate(*axis)
     dn_cross_n = np.cross(dn, n)
@@ -365,7 +324,7 @@ def curvature_vector(
     dth = np.array([0.0, 0.0, 1.0, 1.0, 1.0, 0.0])
     local_psi = psi + (th - th0) * dpsi_th + (ph - ph0) * dpsi_ph
     samples = _samples_at(th, ph % (2 * math.pi), dth, 1.0 - dth, field, local_psi, patch)
-    v = connection_vectors(samples, field).T
+    v = connection_vectors(samples).T
     d_th_of_Aphi = (v[0] - v[1]) / (2 * h)
     d_ph_of_Ath = (v[2] - v[3]) / (2 * h)
     # [v.sigma/2i, w.sigma/2i] = (v x w).sigma/2i  (cross-product commutator)

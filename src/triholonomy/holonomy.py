@@ -14,9 +14,9 @@ U = [[a, b], [-conj(b), conj(a)]], and the factors are combined on their
 products, which keeps the evaluation deterministic and the result exactly
 of that form.  The transport kernel reads the connection component-first:
 three arrays (vx, vy, vz), each of shape (..., N), whose leading axes are a
-batch, so many Wilson lines of equal step count reduce in one call.  On a
-pinned axis n with zero control the steps commute, and ``integrate_wilson``
-transports their sum alone: exp(i (eta/2) n . sigma), eta = q ds sum A.
+batch, so many Wilson lines of equal step count reduce in one call.  On the
+pinned axis n = +z with zero control the steps commute, and ``integrate_wilson``
+transports their sum alone: exp(i (eta/2) sigma_z), eta = q ds sum A.
 
 ``dyson_trace`` evaluates the trace of the loop holonomy by treating the
 diagonal part of the transport exactly and expanding in the transverse
@@ -38,6 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .connection import (
+    PINNED_FRAME,
     BlochField,
     ControlField,
     GaugePatch,
@@ -251,15 +252,17 @@ def _wilson_line(v, charge: float, ds: float) -> WilsonLine:
 def integrate_wilson(loop: HolonomyLoop) -> WilsonLine:
     """Holonomy of a closed loop as an ordered product of SU(2) step factors.
 
-    On a pinned axis n with every sampled psi exactly 0 the steps commute and
-    reduce to the one factor exp(i (eta/2) n . sigma), eta = q ds sum A.
+    A pinned loop is transported in the frame ``PINNED_FRAME`` (n = +z), so
+    its matrix is the one ``wilson_from_samples`` gives on the loop's samples.
+    With every sampled psi exactly 0 its steps commute and reduce to the one
+    factor exp(i (eta/2) sigma_z), eta = q ds sum A.
     """
     s_mid, ds = midpoint_grid(loop.steps)
     samples = loop.sample(s_mid)
     if loop.bloch.is_pinned and not np.any(samples.psi):
         total = np.sum(samples.a, keepdims=True)
-        return _wilson_line([total * n_k for n_k in loop.bloch.pinned_axis], loop.charge, ds)
-    return _wilson_line(connection_vectors(samples, loop.bloch), loop.charge, ds)
+        return _wilson_line([total * n_k for n_k in PINNED_FRAME[2]], loop.charge, ds)
+    return _wilson_line(connection_vectors(samples), loop.charge, ds)
 
 
 def wilson_from_samples(abelian, control, charge: float) -> WilsonLine:

@@ -35,6 +35,7 @@ _BLOCK_PAIRS = 1 << 16
 _CHUNK = 32  # boxes per run in the first level of ``_overlapping``
 _VIEWS = ((0.3141, 0.5927, 0.7419), (-0.6691, 0.2236, 0.7071))  # generic, fixed
 _ROUNDOFF = 1e-9  # of the larger diameter
+_MAX_PHASE = 2.0**20  # rad; a few ulps of a larger cs_phase exceed 1e-9 rad
 
 
 def _frame(view) -> np.ndarray:
@@ -297,7 +298,8 @@ def cs_phase(charges, link: LinkData, k: int) -> float:
     """State-dependent topological phase of linked control cycles, mod 2 pi.
 
     Each unordered curve pair contributes (4 pi / k) q_i q_j Lk_ij and each
-    curve (2 pi / k) q_i^2 SLk_i.  NumericalError if the charge products overflow.
+    curve (2 pi / k) q_i^2 SLk_i.  NumericalError if the charge products overflow,
+    or if the sum exceeds ``_MAX_PHASE`` before its reduction.
     """
     if not isinstance(k, (int, np.integer)) or k < 1:
         raise ValidationError("level k must be a positive integer")
@@ -308,11 +310,15 @@ def cs_phase(charges, link: LinkData, k: int) -> float:
         raise ValidationError("charges must be finite")
     pair_term = 0.0
     n = q.size
-    for i in range(n):
-        for j in range(i + 1, n):
-            pair_term += q[i] * q[j] * link.lk_matrix[i, j]
-    self_term = float(np.sum(q**2 * link.slk))
-    phase = float((4 * math.pi / k) * pair_term + (2 * math.pi / k) * self_term) % (2 * math.pi)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below, by name
+        for i in range(n):
+            for j in range(i + 1, n):
+                pair_term += q[i] * q[j] * link.lk_matrix[i, j]
+        self_term = float(np.sum(q**2 * link.slk))
+        phase = float((4 * math.pi / k) * pair_term + (2 * math.pi / k) * self_term)
     if not math.isfinite(phase):
         raise NumericalError("cs_phase is not finite: the charge products overflow")
-    return phase
+    if not abs(phase) <= _MAX_PHASE:
+        raise NumericalError(f"cs_phase of {phase:.6g} rad exceeds 2^20 rad before its reduction mod 2 pi, "
+                             "where rounding exceeds 1e-9 rad")
+    return phase % (2 * math.pi)

@@ -284,11 +284,26 @@ class TestRun:
         params = dict(BASE_PARAMS["linking"], charges=[1e200, 1e200])
         cfg = {"schema_version": 1, "scenario": "linking", "seed": 0, "params": params}
         out = tmp_path / "out"
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # numpy reports the overflow itself
-            assert main(["run", write_config(tmp_path, cfg), "--out", str(out)]) == 3
+        assert main(["run", write_config(tmp_path, cfg), "--out", str(out)]) == 3
         assert "cs_phase" in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    @pytest.mark.parametrize("charges, phrase", [
+        ([1e8, 1e8], "exceeds 2^20 rad"),  # pi 1e16 rad, whose reduction mod 2 pi is rounding
+        ([1e200, 1e200], "charge products overflow"),
+    ], ids=["unreduced", "overflow"])
+    def test_unreduced_cs_phase_exits_3_under_run_and_validate(self, tmp_path, capsys, command, charges, phrase):
+        cfg = {"schema_version": 1, "scenario": "linking", "seed": 0,
+               "params": dict(BASE_PARAMS["linking"], charges=charges, k=4)}
+        out = tmp_path / "out"
+        argv = [command, write_config(tmp_path, cfg)] + (["--out", str(out)] if command == "run" else [])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "cs_phase" in err and phrase in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["run", "validate"])
     @pytest.mark.parametrize("scenario, override", OVERSIZED_TIME_GRIDS)

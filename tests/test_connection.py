@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from scipy.linalg import logm
 
+from triholonomy import holonomy
 from triholonomy.connection import (
+    PINNED_FRAME,
     BlochField,
     ControlField,
     GaugePatch,
@@ -20,9 +22,11 @@ from triholonomy.gates import make_ellipse_loop, synth_hadamard_gate
 from triholonomy.holonomy import (
     HolonomyLoop,
     integrate_wilson,
+    midpoint_grid,
     ordered_product,
     su2_exponentials,
     wilson_from_rates,
+    wilson_from_samples,
 )
 from triholonomy.shapespace import ShapeLoop, ShapePoint
 
@@ -149,37 +153,29 @@ class TestBlochAxis:
         assert np.max(np.abs(np.sum(n * dn, axis=1))) < 1e-10
 
     def test_pinned_frame_orthonormal_and_right_handed(self):
-        # random axes, half of them with n_z > 0.9, where e1 is x projected off n
-        rng = np.random.default_rng(7)
-        axes = rng.normal(size=(400, 3))
-        axes[:200, :2] *= 0.05
-        axes[:200, 2] = np.abs(axes[:200, 2]) + 1.0
-        axes = np.vstack([axes, [[0.3, 0.0, 0.954], [0.1, 0.0, 0.995], [0.0, 0.0, -1.0], [1.0, 0.0, 0.0]]])
-        axes /= np.linalg.norm(axes, axis=1, keepdims=True)
-        assert np.sum(axes[:, 2] > 0.9) >= 200
-        for n in axes:
-            e1, e2 = BlochField.pinned(n).transverse_frame
-            frame = np.array([e1, e2, n])
-            assert np.max(np.abs(frame @ frame.T - np.eye(3))) <= 1e-15
-            assert np.max(np.abs(np.cross(e1, e2) - n)) <= 1e-15
-        e1, e2 = BlochField.pinned().transverse_frame
-        assert e1.tolist() == [1.0, 0.0, 0.0] and e2.tolist() == [0.0, 1.0, 0.0]
+        # (e1, e2, n) is orthonormal with e1 x e2 = n, and n is the pinned field's axis
+        e1, e2, n = PINNED_FRAME
+        assert np.array_equal(PINNED_FRAME @ PINNED_FRAME.T, np.eye(3))
+        assert np.array_equal(np.cross(e1, e2), n)
+        assert np.array_equal(axis_and_rate(BlochField.pinned(), 1.0, 2.0, 0.3, -0.4)[0], n)
+        # the frame carries psi into the (1/2i) [[A, psi], [conj(psi), -A]] coupling
+        psi = 0.3 - 0.4j
+        samples = sample_at(ShapePoint(1.0, 0.5), (0.2, 1.3), BlochField.pinned(), psi)
+        full = su2_of(connection_vectors(samples)[:, 0])
+        a = samples.a[0]
+        assert np.max(np.abs(full - np.array([[a, psi], [np.conj(psi), -a]]) / 2j)) <= 1e-15
 
     def test_default_fields_are_shared_and_read_only(self):
-        # one +z field and one zero control serve every caller, so no caller may write to them
-        axis = np.array([0.0, 0.6, 0.8])
-        for field in (BlochField.pinned(), BlochField.pinned(axis)):
-            assert not any(v.flags.writeable for v in (field.pinned_axis, *field.transverse_frame))
-        assert axis.flags.writeable  # the given axis is copied, not frozen
+        # one +z frame, one +z field and one zero control serve every caller, so no caller may write to them
+        assert PINNED_FRAME.tolist() == [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+        assert not PINNED_FRAME.flags.writeable and not any(v.flags.writeable for v in PINNED_FRAME)
+        with pytest.raises(ValueError):
+            PINNED_FRAME[2, 2] = -1.0
+        assert holonomy.PINNED_FRAME is PINNED_FRAME
         assert BlochField.pinned() is BlochField.pinned()
         assert ControlField.zero() is ControlField.zero()
         loop = HolonomyLoop(make_ellipse_loop(math.pi / 2, 0.0, 0.1, 0.1, 64))
         assert loop.bloch is BlochField.pinned() and loop.control is ControlField.zero()
-
-    @pytest.mark.parametrize("axis", [[0.0, 1.0], [[0.0, 0.0, 1.0]], [0.0, 0.0, 1.0, 0.0], 1.0])
-    def test_pinned_axis_must_be_a_unit_3_vector(self, axis):
-        with pytest.raises(ValidationError, match="unit 3-vector"):
-            BlochField.pinned(axis)
 
 
 class TestAreaPotential:
@@ -227,7 +223,7 @@ class TestWilczekZeeSample:
         tang = (0.2, 1.3)
         samples = sample_at(pt, tang, BlochField.pinned(), 0.0)
         c, j = eigenframe_rate_samples(samples, 1.0)
-        full = su2_of(connection_vectors(samples, BlochField.pinned())[:, 0])
+        full = su2_of(connection_vectors(samples)[:, 0])
         a = monopole_potential(pt.colatitude, tang[1])
         assert c[0] == pytest.approx(a)
         assert j[0] == 0.0
@@ -241,7 +237,7 @@ class TestWilczekZeeSample:
             pt = ShapePoint(rng.uniform(0.3, 2.7), rng.uniform(0, 2 * math.pi))
             psi = complex(rng.normal(), rng.normal())
             samples = sample_at(pt, (rng.normal(), rng.normal()), field, psi)
-            m = su2_of(connection_vectors(samples, field)[:, 0])
+            m = su2_of(connection_vectors(samples)[:, 0])
             assert abs(np.trace(m)) < 1e-12
             assert np.max(np.abs(m + m.conj().T)) < 1e-12
 
@@ -250,7 +246,7 @@ class TestWilczekZeeSample:
         tang = (0.7, -0.2)
         psi = 0.3 - 0.4j
         samples = sample_at(pt, tang, BlochField.pinned(), psi)
-        full = su2_of(connection_vectors(samples, BlochField.pinned())[:, 0])
+        full = su2_of(connection_vectors(samples)[:, 0])
         c, j = (x[0] for x in eigenframe_rate_samples(samples, 1.0))
         assert j == psi
         reassembled = np.array([[c, j], [np.conj(j), -c]], dtype=complex) / 2j
@@ -258,7 +254,7 @@ class TestWilczekZeeSample:
 
     def test_analytic_has_transverse_part(self):
         samples = sample_at(ShapePoint(1.0, 0.5), (1.0, 0.5), smooth_field(), 0.0)
-        full = su2_of(connection_vectors(samples, smooth_field())[:, 0])
+        full = su2_of(connection_vectors(samples)[:, 0])
         assert abs(full[0, 1]) > 1e-3  # geometric axis motion couples off-diagonally
         _, j = eigenframe_rate_samples(samples, 1.0)
         assert j[0] == 0.0  # control coefficient itself vanishes at psi = 0 (and q = 1)
@@ -272,7 +268,7 @@ class TestWilczekZeeSample:
         dth, dph = rng.normal(size=10), rng.normal(size=10)
         psi = 0.4 * (rng.normal(size=10) + 1j * rng.normal(size=10))
         samples = _samples_at(th, ph, dth, dph, field, psi, GaugePatch.NORTH)
-        vectors = connection_vectors(samples, field).T  # rows, for su2_of
+        vectors = connection_vectors(samples).T  # rows, for su2_of
         for q in (0.5, 1.0, 2.0, 3.5):
             c, j = eigenframe_rate_samples(samples, q)
             for k, (mu, lam, dmu, dlam) in enumerate(zip(*samples.axis)):
@@ -338,14 +334,12 @@ class TestGaugeAndPatchProperties:
             ).trace
             assert t_north == pytest.approx(t_south, abs=1e-8)
 
-    def test_trace_is_the_same_on_every_pinned_axis(self):
-        # rotating the pinned axis conjugates the holonomy, so its trace cannot move
-        shape = make_ellipse_loop(math.pi / 2, 0.0, 0.2, 0.2)
-        traces = []
-        for axis in ([0.0, 0.0, 1.0], [0.3, 0.0, 0.954], [0.1, 0.0, 0.995]):
-            field = BlochField.pinned(np.divide(axis, np.linalg.norm(axis)))
-            traces.append(integrate_wilson(HolonomyLoop(shape, field, ControlField.constant(0.1), 2.0, 4096)).trace)
-        assert max(traces) - min(traces) <= 1e-12
+    def test_loop_and_sampled_transport_share_one_pinned_frame(self):
+        # integrate_wilson and wilson_from_samples (interaction_frame, the Hadamard calibration) give one matrix
+        loop = HolonomyLoop(make_ellipse_loop(math.pi / 2, 0.0, 0.2, 0.2), control=ControlField.constant(0.1),
+                            charge=2.0, steps=4096)
+        a, psi, _ = loop.sample(midpoint_grid(loop.steps)[0])
+        assert np.array_equal(integrate_wilson(loop).matrix, wilson_from_samples(a, psi, 2.0).matrix)
 
     def test_exact_form_shift_of_decomposition(self):
         # c -> c + d(beta), j -> e^{i beta} j is a representative change of the
@@ -382,7 +376,7 @@ class TestCurvature:
             np.concatenate([np.broadcast_to(leg[i], substeps) for leg in legs]) for i in range(4)
         )
         samples = _samples_at(th, ph % (2 * math.pi), dth, dph, field, psi_field(th, ph), GaugePatch.NORTH)
-        return ordered_product(su2_exponentials(connection_vectors(samples, field).T, h / substeps))
+        return ordered_product(su2_exponentials(connection_vectors(samples).T, h / substeps))
 
     def test_plaquette_stokes_oracle(self):
         # -log(holonomy of a small square) agrees with curvature x area to

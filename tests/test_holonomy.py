@@ -252,7 +252,7 @@ class TestIntegrateWilson:
 
         def segment(s0, s1, n_steps):
             s_mid, ds = midpoint_grid(n_steps, s0, s1)
-            return _wilson_line(connection_vectors(loop.sample(s_mid), loop.bloch), loop.charge, ds).matrix
+            return _wilson_line(connection_vectors(loop.sample(s_mid)), loop.charge, ds).matrix
 
         first = segment(0.0, math.pi, 4096)
         second = segment(math.pi, 2 * math.pi, 8192)
@@ -310,12 +310,10 @@ class TestIntegrateWilson:
 class TestCommutingStepPath:
     """Zero-control pinned loops transport the summed vector; the SU(2) kernel is the oracle."""
 
-    TILTED = (math.sin(0.7) * math.cos(0.3), math.sin(0.7) * math.sin(0.3), math.cos(0.7))
-
     @staticmethod
     def kernel(loop):
         s_mid, ds = midpoint_grid(loop.steps)
-        return _transport(connection_vectors(loop.sample(s_mid), loop.bloch), loop.charge * ds)
+        return _transport(connection_vectors(loop.sample(s_mid)), loop.charge * ds)
 
     @staticmethod
     def spy(monkeypatch):
@@ -329,10 +327,9 @@ class TestCommutingStepPath:
         monkeypatch.setattr(holonomy, "_transport", counted)
         return steps
 
-    @pytest.mark.parametrize("axis", [None, TILTED])
     @pytest.mark.parametrize("q, steps, a", [(1.0, 4096, 0.2), (8.0, 8192, 0.3), (100.0, 16384, 0.2)])
-    def test_matches_su2_kernel(self, monkeypatch, axis, q, steps, a):
-        loop = HolonomyLoop(ellipse(a=a, b=a), BlochField.pinned(axis), ControlField.zero(), q, steps)
+    def test_matches_su2_kernel(self, monkeypatch, q, steps, a):
+        loop = HolonomyLoop(ellipse(a=a, b=a), BlochField.pinned(), ControlField.zero(), q, steps)
         seen = self.spy(monkeypatch)
         w = integrate_wilson(loop).matrix
         assert seen == [1]
@@ -341,7 +338,7 @@ class TestCommutingStepPath:
     def test_one_nonzero_control_sample_takes_su2_path(self, monkeypatch):
         s_mid, _ = midpoint_grid(256)
         ctrl = ControlField(lambda s: 1e-3 if abs(s - s_mid[37]) < 1e-12 else 0.0)
-        loop = HolonomyLoop(ellipse(), BlochField.pinned(self.TILTED), ctrl, 2.0, 256)
+        loop = HolonomyLoop(ellipse(), BlochField.pinned(), ctrl, 2.0, 256)
         assert np.count_nonzero(loop.sample(s_mid).psi) == 1
         seen = self.spy(monkeypatch)
         w = integrate_wilson(loop).matrix

@@ -592,6 +592,19 @@ class TestTopologicalPhase:
         phase = cs_phase([q, q], LinkData.pair(0, slk=(1, 0)), k)
         assert phase == pytest.approx((2 * math.pi / k) * q * q, abs=1e-12)
 
+    def test_unreduced_phase_beyond_2_pow_20_is_refused(self):
+        # the phase's reduction mod 2 pi is exact only while a few ulps of it stay below 1e-9 rad
+        assert cs_phase([577.0, 577.0], LinkData.pair(1), 4) == pytest.approx(math.pi, abs=1e-9)  # 577^2 pi rad
+        for q in (578.0, 1e8):  # 578^2 pi rad is just above 2^20 rad
+            with pytest.raises(NumericalError, match="exceeds 2\\^20 rad"):
+                cs_phase([q, q], LinkData.pair(1), 4)
+        with pytest.raises(NumericalError, match="exceeds 2\\^20 rad"):
+            cs_phase([1e5, 0.0], LinkData.pair(0, slk=(-1, 0)), 4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="charge products overflow"):
+                cs_phase([1e200, 1e200], LinkData.pair(1), 4)
+
     def test_level_must_be_positive_integer(self):
         with pytest.raises(ValidationError):
             cs_phase([1.0, 1.0], LinkData.pair(1), 0)

@@ -374,7 +374,7 @@ def momentum_series_per_window(traj, period):
         loop = ShapeLoop.from_samples(theta_sh[sl], phi_sh[sl])
         s_mid, ds = midpoint_grid(min(1024, n_window))
         hloop = HolonomyLoop(loop, BlochField.pinned(), ControlField.zero(), 1.0, s_mid.size)
-        m = _transport(connection_vectors(hloop.sample(s_mid), hloop.bloch), ds)
+        m = _transport(connection_vectors(hloop.sample(s_mid)), ds)
         half = min(1.0, max(-1.0, np.trace(m).real / 2.0))
         values[w] = 2.0 * (float(np.mean(inertia[sl])) / period) * math.acos(half)
     return traj.times[starts], values
