@@ -1,10 +1,10 @@
 """Kendall's shape sphere: the shape map, shape points and closed shape loops.
 
-``shape_angles`` maps planar body frames (..., 3, 2) to shape-sphere
-coordinates in one array pass: ``_jacobi`` forms the mass-weighted Jacobi
-pair and ``_hopf_angles`` its Hopf coordinates.  ``ShapePoint`` is one point
-of the sphere, ``ShapeLoop`` a closed control cycle and ``solid_angle`` its
-enclosed (signed) solid angle.
+``shape_angles`` maps planar body frames, given as (3, T) vertex rows, to
+shape-sphere coordinates in one array pass: ``_jacobi`` forms the
+mass-weighted Jacobi pair and ``_hopf_angles`` its Hopf coordinates.
+``ShapePoint`` is one point of the sphere, ``ShapeLoop`` a closed control
+cycle and ``solid_angle`` its enclosed (signed) solid angle.
 
 Conventions
 -----------
@@ -142,15 +142,15 @@ class ShapeLoop:
         return ShapeLoop(self.colatitudes[::-1], self.azimuths[::-1])
 
 
-def _jacobi(planar: np.ndarray, masses) -> tuple[np.ndarray, np.ndarray]:
-    """Mass-weighted Jacobi coordinates (z1, z2) of planar vertices (..., 3, 2)."""
-    m1, m2, m3 = (float(x) for x in np.asarray(masses, dtype=float))
+def _jacobi(x, y, masses) -> tuple[np.ndarray, np.ndarray]:
+    """Mass-weighted Jacobi coordinates (z1, z2) of planar vertex rows x, y (3, ...)."""
+    m1, m2, m3 = (float(v) for v in np.asarray(masses, dtype=float))
     mu1 = m1 * m2 / (m1 + m2)
     mu2 = (m1 + m2) * m3 / (m1 + m2 + m3)
-    p = np.asarray(planar, dtype=float)
-    z1 = math.sqrt(mu1) * ((p[..., 1, 0] - p[..., 0, 0]) + 1j * (p[..., 1, 1] - p[..., 0, 1]))
-    base = (m1 * p[..., 0, :] + m2 * p[..., 1, :]) / (m1 + m2)
-    z2 = math.sqrt(mu2) * ((p[..., 2, 0] - base[..., 0]) + 1j * (p[..., 2, 1] - base[..., 1]))
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    z1 = math.sqrt(mu1) * ((x[1] - x[0]) + 1j * (y[1] - y[0]))
+    base_x, base_y = ((m1 * r[0] + m2 * r[1]) / (m1 + m2) for r in (x, y))
+    z2 = math.sqrt(mu2) * ((x[2] - base_x) + 1j * (y[2] - base_y))
     return z1, z2
 
 
@@ -162,13 +162,13 @@ def _hopf_angles(z1, z2):
     return 2.0 * np.arctan2(np.abs(z2), np.abs(z1)), np.angle(z1), np.angle(z2)
 
 
-def shape_angles(planar: np.ndarray, masses) -> tuple[np.ndarray, np.ndarray]:
+def shape_angles(x, y, masses) -> tuple[np.ndarray, np.ndarray]:
     """Shape-sphere coordinates (colatitude, unwrapped azimuth) of planar body frames.
 
-    ``planar`` has shape (T, 3, 2); the azimuth is continuity-unwrapped along
-    the trajectory.
+    ``x`` and ``y`` are (3, T) vertex rows; the azimuth is continuity-unwrapped
+    along the trajectory.
     """
-    theta, phase1, phase2 = _hopf_angles(*_jacobi(planar, masses))
+    theta, phase1, phase2 = _hopf_angles(*_jacobi(x, y, masses))
     return theta, np.unwrap(phase2 - phase1)
 
 

@@ -73,12 +73,14 @@ class BondDrive:
 
     def common_period(self) -> float:
         """Least common period of the two oscillations (frequency ratio rational, denominator <= 64)."""
-        if not math.isfinite(self.omega / self.omega12):
+        exact = self.omega / self.omega12
+        if not math.isfinite(exact):
             raise ValidationError("frequency ratio overflows; no common period")
-        ratio = Fraction(self.omega / self.omega12).limit_denominator(64)
-        if abs(float(ratio) - self.omega / self.omega12) > 1e-9:
+        ratio = Fraction(exact).limit_denominator(64)
+        if ratio == 0 or abs(float(ratio) - exact) > 1e-9:
             raise ValidationError(
-                "frequency ratio is not rational within tolerance; no common period"
+                f"frequency ratio omega/omega12 = {exact:.6g} is not a nonzero rational p/q "
+                "with q <= 64 within 1e-9; no common period"
             )
         # omega / omega12 = p / q  =>  T = q * (2 pi / omega12) = p * (2 pi / omega).
         return ratio.denominator * 2 * math.pi / self.omega12
@@ -90,8 +92,10 @@ class BondDrive:
         with at least 64 steps; n must lie in [2, MAX_SAMPLES].
         """
         fastest = self.fastest_period
-        if dt is None:
-            dt = fastest / 512.0
+        dt = fastest / 512.0 if dt is None else dt
+        for name, value in (("t_end", t_end), ("dt", dt)):
+            if not 0.0 < value < math.inf:  # NaN fails too
+                raise ValidationError(f"{name} must be positive and finite, got {value:.6g}")
         if dt > fastest / 64.0 + 1e-15:
             raise ValidationError("time step too coarse: need >= 64 steps per fastest period")
         steps = t_end / dt
@@ -143,9 +147,10 @@ def _frames(xi12, xi13, xi23, masses):
     return x, y
 
 
-def _pack(x, y):
-    """(..., 3, 2) positions from (3, ...) vertex coordinates."""
-    return np.stack([np.moveaxis(x, 0, -1), np.moveaxis(y, 0, -1)], axis=-1)
+def _rotated(x, y, theta):
+    """Rows (x, y) of (3, T) vertex rows rotated by the angles theta (T,)."""
+    cos_t, sin_t = np.cos(theta), np.sin(theta)
+    return cos_t * x - sin_t * y, sin_t * x + cos_t * y
 
 
 def _lab_momentum(x, y, m, dt: float) -> np.ndarray:
@@ -164,16 +169,16 @@ def _momentum_scale(x, y, theta, m, dt: float) -> float:
 
 @dataclass(frozen=True)
 class TrimerTrajectory:
-    """Reconstructed trimer motion: body frames, orientation, lab frames."""
+    """Reconstructed trimer motion: body frames and orientation (lab = body rotated by theta)."""
 
     times: np.ndarray
     masses: np.ndarray
-    body: np.ndarray  # (T, 3, 2) canonical body-frame positions
-    theta: np.ndarray  # (T,) reconstructed orientation angle
-    lab: np.ndarray  # (T, 3, 2) rotated (lab-frame) positions
+    x: np.ndarray  # (3, T) canonical body-frame vertex coordinates
+    y: np.ndarray
+    theta: np.ndarray  # (T,) reconstructed orientation angle, body to lab
 
     def __post_init__(self):
-        for name in ("times", "masses", "body", "theta", "lab"):
+        for name in ("times", "masses", "x", "y", "theta"):
             arr = np.asarray(getattr(self, name), dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -184,36 +189,33 @@ class TrimerTrajectory:
 
     def moment_of_inertia(self) -> np.ndarray:
         """Planar moment of inertia about the normal through the centroid, per sample."""
-        return np.einsum("i,tij->t", self.masses, self.body**2)
+        return np.einsum("i,it->t", self.masses, self.x**2 + self.y**2)
 
     def lab_angular_momentum(self) -> np.ndarray:
         """Central-difference mechanical angular momentum of the lab motion (interior samples)."""
-        return _lab_momentum(self.lab[..., 0].T, self.lab[..., 1].T, self.masses, self.dt)
+        return _lab_momentum(*_rotated(self.x, self.y, self.theta), self.masses, self.dt)
 
     def angular_momentum_scale(self) -> float:
         """Natural scale m d^2 omega for the zero-momentum invariant."""
-        x, y = self.body[..., 0].T, self.body[..., 1].T
-        return _momentum_scale(x, y, self.theta, self.masses, self.dt)
+        return _momentum_scale(self.x, self.y, self.theta, self.masses, self.dt)
 
 
-def _rotate(x, y, m, dt: float):
-    """Zero-angular-momentum orientation theta (T,) and lab coordinates of (3, T) body frames.
+def _rotate(x, y, m, dt: float) -> np.ndarray:
+    """Zero-angular-momentum orientation theta (T,) of (3, T) body frames.
 
     Raises NumericalError when the invariant fails, a NaN residual included.
     """
     cross = np.stack(x[:, :-1] * y[:, 1:] - y[:, :-1] * x[:, 1:], axis=-1) @ m
     dot = np.stack(x[:, :-1] * x[:, 1:] + y[:, :-1] * y[:, 1:], axis=-1) @ m
     theta = np.concatenate([[0.0], np.cumsum(np.arctan2(-cross, dot))])
-    cos_t, sin_t = np.cos(theta), np.sin(theta)
-    lab_x, lab_y = cos_t * x - sin_t * y, sin_t * x + cos_t * y
-    worst = float(np.abs(_lab_momentum(lab_x, lab_y, m, dt)).max())
+    worst = float(np.abs(_lab_momentum(*_rotated(x, y, theta), m, dt)).max())
     scale = _momentum_scale(x, y, theta, m, dt)
     if not worst <= 1e-8 * scale:
         raise NumericalError(
             f"zero-angular-momentum invariant violated: residual {worst:.3e} "
             f"exceeds 1e-8 of scale {scale:.3e} (reduce dt)"
         )
-    return theta, lab_x, lab_y
+    return theta
 
 
 def reconstruct_rotation(
@@ -232,8 +234,7 @@ def reconstruct_rotation(
     times = np.arange(n + 1) * dt
     m = np.asarray(masses, dtype=float)
     x, y = _frames(*bond_lengths(times, drive), m)
-    theta, lab_x, lab_y = _rotate(x, y, m, dt)
-    return TrimerTrajectory(times, m, _pack(x, y), theta, _pack(lab_x, lab_y))
+    return TrimerTrajectory(times, m, x, y, _rotate(x, y, m, dt))
 
 
 def _at_phase(drive_template: BondDrive, phi: float, step):
@@ -260,9 +261,8 @@ def phase_sweep(drive_template: BondDrive, masses, phi_values, periods: int = 8)
     xi12 = bond_lengths(times, drive_template)[0]
     m = np.asarray(masses, dtype=float)
 
-    def rate(drive: BondDrive) -> float:
-        theta = _rotate(*_frames(xi12, *_pair_bonds(times, drive), m), m, dt)[0]
-        return (theta[-1] - theta[0]) / t_end
+    def rate(drive: BondDrive) -> float:  # theta[0] = 0
+        return _rotate(*_frames(xi12, *_pair_bonds(times, drive), m), m, dt)[-1] / t_end
 
     return np.array([_at_phase(drive_template, phi, rate) for phi in phi_values.tolist()], dtype=float)
 
@@ -326,7 +326,7 @@ def effective_momentum_series(traj: TrimerTrajectory, period: float) -> tuple[np
         raise ValidationError("trajectory shorter than one window period")
     stride = max(1, n_window // 4)
     starts = np.arange(0, total - n_window, stride, dtype=int)
-    theta_sh, phi_sh = shape_angles(traj.body, traj.masses)
+    theta_sh, phi_sh = shape_angles(traj.x, traj.y, traj.masses)
     # (windows, n_window + 1) views: row w holds the samples of window w.
     th_w, ph_w, inertia_w = (
         sliding_window_view(x, n_window + 1)[::stride]

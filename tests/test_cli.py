@@ -208,6 +208,9 @@ OVERSIZED_TIME_GRIDS = [
     ("phase-sweep", {"drive": dict(TRIMER_DRIVE, omega=1e200)}),
 ]
 
+# Drives whose frequency ratio omega/omega12 rounds to the fraction 0 (denominator <= 64).
+ZERO_RATIO_DRIVES = [{"omega12": 10**12}, {"omega12": 1e200}, {"omega": 1e-300}]
+
 # A platform whose modes are ordered but whose doublet splitting is not << 1/T_loop.
 WINDOW_VIOLATION = {
     "e_e1": 2 * math.pi * 1.0e6, "e_e2": 2 * math.pi * 14.0e6, "e_a": 2 * math.pi * 18.0e6,
@@ -315,6 +318,20 @@ class TestRun:
         assert main(argv) == 2
         assert "time grid" in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    @pytest.mark.parametrize("scenario", ["trimer-sim", "phase-sweep"])
+    @pytest.mark.parametrize("override", ZERO_RATIO_DRIVES, ids=["omega12-1e12", "omega12-1e200", "omega-1e-300"])
+    def test_frequency_ratio_rounding_to_zero_exits_2(self, tmp_path, capsys, command, scenario, override):
+        # pre-flight refuses the ratio: 2 pi/omega12 is no period of the (1,3)/(2,3) bond pair
+        params = dict(BASE_PARAMS[scenario], drive=dict(TRIMER_DRIVE, **override))
+        cfg = {"schema_version": 1, "scenario": scenario, "seed": 0, "params": params}
+        out = tmp_path / "out"
+        argv = [command, write_config(tmp_path, cfg)] + (["--out", str(out)] if command == "run" else [])
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "frequency ratio omega/omega12 = " in err and "nonzero rational" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "scenario, params, invariant",
@@ -1134,12 +1151,14 @@ def test_hostile_parameters_exit_cleanly(cfg):
 
 def test_validate_exits_2_exactly_when_run_does(tmp_path):
     # every base config with one table parameter replaced by one hostile value, under both commands
-    grid = [with_values(scenario, [(path, value)])
+    grid = [(scenario, path, value)
             for scenario in sorted(BASE_PARAMS)
             for path in table_paths(SCENARIOS[scenario][1])
             for value in HOSTILE_VALUES]
     assert len(grid) == 1065
-    for cfg in grid:
+    failed_runs = set()  # the configs that pass validate and then exit 3 under run
+    for scenario, path, value in grid:
+        cfg = with_values(scenario, [(path, value)])
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             validated, ran = exit_codes(cfg, str(tmp_path))
@@ -1147,3 +1166,11 @@ def test_validate_exits_2_exactly_when_run_does(tmp_path):
         assert (validated == 2) == (ran == 2), (cfg, validated, ran)
         # the small-loop UserWarning is allowed
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], cfg
+        if (validated, ran) == (0, 3):
+            failed_runs.add((scenario, path, repr(value)))
+    # only the I2 contraction of trace-sweep, which needs the transport, is left to the run
+    assert failed_runs == {
+        ("trace-sweep", ("q",), repr(10**12)),
+        ("trace-sweep", ("q",), repr(1e200)),
+        ("trace-sweep", ("psi_values",), repr([1])),
+    }

@@ -448,7 +448,7 @@ class TestEffectiveAngularMomentum:
         masses = np.array([1.0, 2.0, 3.0])
         verts = np.array([[0, 0], [1.0, 0], [0.4, 0.8]])
         r = verts - masses @ verts / masses.sum()
-        theta, phi = shape_angles(r[None], masses)
+        theta, phi = shape_angles(*r.T[..., None], masses)
         loop = ShapeLoop.from_samples(np.full(17, theta[0]), np.full(17, phi[0]))
         w = integrate_wilson(pinned_loop(loop, steps=64))
         assert w.trace == 2.0

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from triholonomy.errors import ValidationError
 from triholonomy.shapespace import ShapeLoop, _hopf_angles, _jacobi, shape_angles, solid_angle
-from triholonomy.trimer import _frames, _pack
+from triholonomy.trimer import _frames
 
 
 def random_planar_frame(rng, masses=None):
@@ -21,7 +21,7 @@ def random_planar_frame(rng, masses=None):
 
 
 class TestToJacobi:
-    """The mass-weighted Jacobi map ``_jacobi`` of planar frames."""
+    """The mass-weighted Jacobi map ``_jacobi`` of planar vertex rows."""
 
     def test_kinetic_metric_isometry(self):
         # |z1|^2 + |z2|^2 must reproduce the mass-weighted size for any
@@ -30,26 +30,26 @@ class TestToJacobi:
         for _ in range(100):
             masses = rng.uniform(0.5, 5.0, size=3)
             r = random_planar_frame(rng, masses)
-            z1, z2 = _jacobi(r, masses)
+            z1, z2 = _jacobi(*r.T, masses)
             assert abs(z1) ** 2 + abs(z2) ** 2 == pytest.approx(masses @ (r**2).sum(-1), rel=1e-10)
 
     def test_equilateral_equal_masses_balances_jacobi_norms(self):
         # with the Euclidean-kinetic mass weights the two Jacobi vectors of a
         # unit-side equilateral triangle have equal magnitude
         masses = [1.0, 1.0, 1.0]
-        z1, z2 = _jacobi(_pack(*_frames(1.0, 1.0, 1.0, masses)), masses)
+        z1, z2 = _jacobi(*_frames(1.0, 1.0, 1.0, masses), masses)
         assert abs(z1) == pytest.approx(abs(z2), rel=1e-12)
         assert abs(z1) == pytest.approx(math.sqrt(0.5), rel=1e-12)
 
     def test_collinear_second_vector_vanishes(self):
-        z1, z2 = _jacobi(np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, 0.0]]), [1.0, 1.0, 1.0])
+        z1, z2 = _jacobi([-1.0, 1.0, 0.0], [0.0, 0.0, 0.0], [1.0, 1.0, 1.0])
         assert abs(z2) < 1e-14
 
     def test_reference_drive_triangle_regression(self):
         # Bond triple of the oscillating-bond demo at t = 0 (phases +-pi/4).
         masses = [2.1, 2.1, 4.7]
         xi13 = 1.0 + 0.15 * math.cos(math.pi / 4)
-        z1, z2 = _jacobi(_pack(*_frames(1.3, xi13, xi13, masses)), masses)
+        z1, z2 = _jacobi(*_frames(1.3, xi13, xi13, masses), masses)
         # isosceles symmetry in the canonical frame: z1 real, z2 imaginary
         assert z1.real == pytest.approx(1.3321035995747479, abs=1e-12)
         assert abs(z1.imag) < 1e-12
@@ -112,11 +112,11 @@ class TestHopfProject:
         masses = np.array([1.0, 2.0, 3.0])
         for _ in range(25):
             frame = random_planar_frame(rng, masses)
-            before = shape_angles(frame[None], masses)
+            before = shape_angles(*frame.T[..., None], masses)
             angle = rng.uniform(0, 2 * math.pi)
             c, s = math.cos(angle), math.sin(angle)
             rot = np.array([[c, -s], [s, c]])
-            after = shape_angles((frame @ rot.T)[None], masses)
+            after = shape_angles(*(frame @ rot.T).T[..., None], masses)
             assert after[0][0] == pytest.approx(before[0][0], abs=1e-10)
             assert math.cos(after[1][0] - before[1][0]) == pytest.approx(1.0, abs=1e-10)
 

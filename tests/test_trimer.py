@@ -12,7 +12,6 @@ from triholonomy import trimer
 from triholonomy.trimer import (
     BondDrive,
     _frames,
-    _pack,
     bond_lengths,
     effective_momentum_series,
     phase_sweep,
@@ -62,6 +61,23 @@ class TestBondDrive:
         with pytest.raises(ValidationError):
             drive.common_period()
 
+    @pytest.mark.parametrize("omega, omega12", [(3.0, 1e12), (3.0, 1e200), (1e-300, 1.0)])
+    def test_ratio_rounding_to_zero_rejected(self, omega, omega12):
+        # limit_denominator(64) rounds omega/omega12 to 0, and 2 pi/omega12 is no period of the pair
+        drive = BondDrive(1.1, 0.2, omega12, 1.0, 0.15, omega)
+        with pytest.raises(ValidationError, match=f"omega/omega12 = {omega / omega12:.6g} is not a nonzero"):
+            drive.common_period()
+
+    @pytest.mark.parametrize("value", [0.0, -1e-3, math.nan, math.inf])
+    def test_time_grid_inputs_must_be_positive_and_finite(self, value):
+        drive = reference_drive()
+        with pytest.raises(ValidationError, match=f"dt must be positive and finite, got {value:.6g}"):
+            drive.time_steps(1.0, value)
+        with pytest.raises(ValidationError, match=f"t_end must be positive and finite, got {value:.6g}"):
+            drive.time_steps(value)
+        with pytest.raises(ValidationError, match="dt must be positive"):
+            reconstruct_rotation(drive, REFERENCE_MASSES, 1.0, value)
+
     def test_nan_frequency_rejected(self):
         with pytest.raises(ValidationError, match="frequencies must be positive"):
             BondDrive(1.1, 0.2, 1.0, 1.0, 0.15, math.nan)
@@ -73,30 +89,30 @@ class TestBondDrive:
 
 
 class TestShapeFromBonds:
-    """Canonical body-frame positions of a bond triple, ``_pack(*_frames(...))``."""
+    """Canonical body-frame vertex rows (x, y) of a bond triple, ``_frames``."""
 
     def test_equilateral_symmetric(self):
         masses = np.array([1.0, 1.0, 1.0])
-        pos = _pack(*_frames(1.0, 1.0, 1.0, masses))
-        assert np.linalg.norm(masses @ pos) < 1e-14
-        d12 = np.linalg.norm(pos[1] - pos[0])
+        x, y = _frames(1.0, 1.0, 1.0, masses)
+        assert math.hypot(masses @ x, masses @ y) < 1e-14
+        d12 = math.hypot(x[1] - x[0], y[1] - y[0])
         assert d12 == pytest.approx(1.0, abs=1e-12)
 
     def test_isosceles_law_of_cosines(self):
-        verts = _pack(*_frames(1.3, 1.106, 1.106, REFERENCE_MASSES))
-        assert np.linalg.norm(verts[1] - verts[0]) == pytest.approx(1.3, abs=1e-12)
-        assert np.linalg.norm(verts[2] - verts[0]) == pytest.approx(1.106, abs=1e-12)
-        assert np.linalg.norm(verts[2] - verts[1]) == pytest.approx(1.106, abs=1e-12)
+        x, y = _frames(1.3, 1.106, 1.106, REFERENCE_MASSES)
+        assert math.hypot(x[1] - x[0], y[1] - y[0]) == pytest.approx(1.3, abs=1e-12)
+        assert math.hypot(x[2] - x[0], y[2] - y[0]) == pytest.approx(1.106, abs=1e-12)
+        assert math.hypot(x[2] - x[1], y[2] - y[1]) == pytest.approx(1.106, abs=1e-12)
         # apex angle from the law of cosines
         cos_apex = (1.106**2 + 1.106**2 - 1.3**2) / (2 * 1.106 * 1.106)
-        v1 = verts[0] - verts[2]
-        v2 = verts[1] - verts[2]
-        measured = v1 @ v2 / (np.linalg.norm(v1) * np.linalg.norm(v2))
+        v1 = (x[0] - x[2], y[0] - y[2])
+        v2 = (x[1] - x[2], y[1] - y[2])
+        measured = (v1[0] * v2[0] + v1[1] * v2[1]) / (math.hypot(*v1) * math.hypot(*v2))
         assert measured == pytest.approx(cos_apex, abs=1e-12)
 
     def test_degenerate_rejected(self):
         with pytest.raises(NumericalError):
-            _pack(*_frames(2.0, 1.0, 1.0, [1.0, 1.0, 1.0]))
+            _frames(2.0, 1.0, 1.0, [1.0, 1.0, 1.0])
 
 
 class TestReconstructRotation:
@@ -181,9 +197,10 @@ class TestReconstructRotation:
             assert xa[0] == pytest.approx(xb[0], abs=1e-14)
             assert xa[1] == pytest.approx(xb[2], abs=1e-14)
             assert xa[2] == pytest.approx(xb[1], abs=1e-14)
-        mirror = np.array([[-1.0, 0.0], [0.0, 1.0]])
-        mapped = traj.body[::-1][:, [1, 0, 2], :] @ mirror.T
-        assert np.max(np.abs(traj.body - mapped)) < 1e-10
+        # the exchange mirror x -> -x, on the vertex rows reversed in time
+        exchange = [1, 0, 2]
+        assert np.max(np.abs(traj.x + traj.x[exchange, ::-1])) < 1e-10
+        assert np.max(np.abs(traj.y - traj.y[exchange, ::-1])) < 1e-10
         # the rotation increments are palindromic over the period
         dth = np.diff(traj.theta)
         assert np.max(np.abs(dth - dth[::-1])) < 1e-10
@@ -247,7 +264,7 @@ class TestReferenceArithmetic:
     @pytest.mark.parametrize("masses", BENCHMARK_MASSES)
     def test_shape_angles_match_reference(self, masses):
         body = np.random.default_rng(11).normal(size=(100_000, 3, 2))
-        theta, phi = shape_angles(body, masses)
+        theta, phi = shape_angles(body[..., 0].T, body[..., 1].T, masses)
         ref_theta, ref_phi = reference_shape_angles(body, masses)
         assert theta.tobytes() == ref_theta.tobytes()
         assert phi.tobytes() == ref_phi.tobytes()
@@ -261,8 +278,13 @@ class TestReferenceArithmetic:
         traj = reconstruct_rotation(drive, masses, t_end, dt)
         theta, body, lab, residual, scale = reference_reconstruction(drive, masses, t_end, dt)
         assert traj.theta.tobytes() == theta.tobytes()
-        assert traj.body.tobytes() == body.tobytes()
-        assert traj.lab.tobytes() == lab.tobytes()
+        assert traj.x.tobytes() == body[..., 0].T.tobytes()
+        assert traj.y.tobytes() == body[..., 1].T.tobytes()
+        lab_x, lab_y = trimer._rotated(traj.x, traj.y, traj.theta)
+        assert lab_x.tobytes() == lab[..., 0].T.tobytes()
+        assert lab_y.tobytes() == lab[..., 1].T.tobytes()
+        inertia = np.einsum("i,tij->t", np.asarray(masses, dtype=float), body**2)
+        assert traj.moment_of_inertia().tobytes() == inertia.tobytes()
         assert np.abs(traj.lab_angular_momentum()).tobytes() == residual.tobytes()
         assert traj.angular_momentum_scale() == scale
 
@@ -272,7 +294,9 @@ class TestReferenceArithmetic:
         xi12 = rng.uniform(np.abs(xi13 - xi23) + 0.05, xi13 + xi23 - 0.05)
         for masses in BENCHMARK_MASSES:
             expected = reference_body(xi12, xi13, xi23, masses)
-            assert _pack(*_frames(xi12, xi13, xi23, masses)).tobytes() == expected.tobytes()
+            x, y = _frames(xi12, xi13, xi23, masses)
+            assert x.tobytes() == expected[..., 0].T.tobytes()
+            assert y.tobytes() == expected[..., 1].T.tobytes()
 
     @pytest.mark.parametrize("masses", BENCHMARK_MASSES)
     def test_phase_sweep_matches_reference_per_phase(self, masses):
@@ -323,7 +347,7 @@ class TestPhaseSweep:
 class TestFailClosed:
     def test_nan_bonds_rejected(self):
         with pytest.raises(NumericalError, match="triangle inequality"):
-            _pack(*_frames(math.nan, 1.0, 1.0, [1.0, 1.0, 1.0]))
+            _frames(math.nan, 1.0, 1.0, [1.0, 1.0, 1.0])
 
     def test_nan_frames_fail_the_invariant(self):
         drive = BondDrive(1e200, 0.0, 1.0, 1e200, 0.0, 3.0)
@@ -365,7 +389,7 @@ def momentum_series_per_window(traj, period):
     the SU(2) kernel directly.
     """
     n_window = int(round(period / traj.dt))
-    theta_sh, phi_sh = shape_angles(traj.body, traj.masses)
+    theta_sh, phi_sh = shape_angles(traj.x, traj.y, traj.masses)
     inertia = traj.moment_of_inertia()
     starts = np.arange(0, traj.times.size - n_window, max(1, n_window // 4), dtype=int)
     values = np.empty(starts.size)
@@ -489,7 +513,7 @@ class TestEffectiveMomentumSeries:
         drive = reference_drive()
         period = drive.common_period()
         traj = reconstruct_rotation(drive, REFERENCE_MASSES, period)
-        theta_sh, phi_sh = shape_angles(traj.body, traj.masses)
+        theta_sh, phi_sh = shape_angles(traj.x, traj.y, traj.masses)
         integrand = 0.5 * (1.0 - np.cos(theta_sh))
         a_loop = float(np.sum(0.5 * (integrand[1:] + integrand[:-1]) * np.diff(phi_sh)))
         d_theta = traj.theta[-1] - traj.theta[0]
