@@ -433,12 +433,11 @@ def _gauge_check(p: dict, s: np.ndarray, a: np.ndarray, seed: int) -> dict:
 def _run_trimer_sim(p: dict, seed: int) -> dict:
     drive, period = p["drive"], p["period"]
     traj = reconstruct_rotation(drive, p["masses"], p["periods"] * period, period / p["steps_per_period"])
-    xi12, xi13, xi23 = bond_lengths(traj.times, drive)
     starts, values = effective_momentum_series(traj, period)
     l_eff = np.interp(traj.times, starts, values, left=values[0], right=values[-1])
     return {"trimer_sim.csv": (
         ["t", "xi12", "xi13", "xi23", "theta", "L_eff"],
-        [traj.times, xi12, xi13, xi23, traj.theta, l_eff],
+        [traj.times, *bond_lengths(traj.times, drive), traj.theta, l_eff],
     )}
 
 

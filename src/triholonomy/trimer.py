@@ -29,13 +29,8 @@ from .holonomy import midpoint_grid
 from .shapespace import _check_loop_samples, shape_angles
 
 __all__ = [
-    "BondDrive",
-    "TrimerTrajectory",
-    "bond_lengths",
-    "reconstruct_rotation",
-    "phase_sweep",
-    "precession_berry_phase",
-    "effective_momentum_series",
+    "BondDrive", "TrimerTrajectory", "bond_lengths", "reconstruct_rotation", "phase_sweep",
+    "precession_berry_phase", "effective_momentum_series",
 ]
 
 # Bytes of one (windows, steps) sample array per block of windows: one
@@ -62,8 +57,10 @@ class BondDrive:
     phi23: float = 0.0
 
     def __post_init__(self):
-        if not (self.omega > 0 and self.omega12 > 0):  # NaN fails too
-            raise ValidationError("drive frequencies must be positive")
+        for name, value in (("omega", self.omega), ("omega12", self.omega12)):
+            if not 0.0 < value < math.inf:  # NaN fails too
+                raise ValidationError(f"drive frequencies must be positive and finite, "
+                                      f"got {name} = {value:.6g}")
         if not (0 <= self.a12 < self.d12 and 0 <= self.a < self.d):
             raise ValidationError("amplitudes must be non-negative and below the mean lengths")
 
@@ -78,10 +75,8 @@ class BondDrive:
             raise ValidationError("frequency ratio overflows; no common period")
         ratio = Fraction(exact).limit_denominator(64)
         if ratio == 0 or abs(float(ratio) - exact) > 1e-9:
-            raise ValidationError(
-                f"frequency ratio omega/omega12 = {exact:.6g} is not a nonzero rational p/q "
-                "with q <= 64 within 1e-9; no common period"
-            )
+            raise ValidationError(f"frequency ratio omega/omega12 = {exact:.6g} is not a nonzero "
+                                  "rational p/q with q <= 64 within 1e-9; no common period")
         # omega / omega12 = p / q  =>  T = q * (2 pi / omega12) = p * (2 pi / omega).
         return ratio.denominator * 2 * math.pi / self.omega12
 
@@ -100,10 +95,8 @@ class BondDrive:
             raise ValidationError("time step too coarse: need >= 64 steps per fastest period")
         steps = t_end / dt
         if not steps <= MAX_SAMPLES:
-            raise ValidationError(
-                f"time grid of {steps:.4g} steps exceeds the budget of {MAX_SAMPLES} samples; "
-                "lower 'periods' or the steps per period"
-            )
+            raise ValidationError(f"time grid of {steps:.4g} steps exceeds the budget of {MAX_SAMPLES} "
+                                  "samples; lower 'periods' or the steps per period")
         n = int(round(steps))
         if n < 2:
             raise ValidationError("t_end spans fewer than two samples")
@@ -113,24 +106,16 @@ class BondDrive:
 def bond_lengths(t, drive: BondDrive):
     """Bond length triple (xi12, xi13, xi23) at time(s) t."""
     t = np.asarray(t, dtype=float)
-    return drive.d12 + drive.a12 * np.cos(drive.omega12 * t), *_pair_bonds(t, drive)
-
-
-def _pair_bonds(t: np.ndarray, drive: BondDrive) -> tuple:
-    """The symmetric pair (xi13, xi23) at times t."""
     wt = drive.omega * t
-    return tuple(drive.d + drive.a * np.cos(wt + phase) for phase in (drive.phi13, drive.phi23))
+    pair = (drive.d + drive.a * np.cos(wt + phase) for phase in (drive.phi13, drive.phi23))
+    return drive.d12 + drive.a12 * np.cos(drive.omega12 * t), *pair
 
 
 def _frames(xi12, xi13, xi23, masses):
     """Canonical-frame vertex coordinates (x, y), each (3, ...), for bond-length arrays."""
-    xi12, xi13, xi23 = np.broadcast_arrays(
-        np.asarray(xi12, dtype=float), np.asarray(xi13, dtype=float), np.asarray(xi23, dtype=float)
-    )
+    xi12, xi13, xi23 = np.broadcast_arrays(*(np.asarray(xi, dtype=float) for xi in (xi12, xi13, xi23)))
     scale = np.maximum(np.maximum(xi12, xi13), xi23)
-    slack = np.minimum(
-        np.minimum(xi13 + xi23 - xi12, xi12 + xi13 - xi23), xi12 + xi23 - xi13
-    )
+    slack = np.minimum(np.minimum(xi13 + xi23 - xi12, xi12 + xi13 - xi23), xi12 + xi23 - xi13)
     bad = ~(slack > 1e-9 * scale)  # NaN bonds fail too
     if np.any(bad):
         idx = int(np.argmax(bad))
@@ -179,9 +164,8 @@ class TrimerTrajectory:
 
     def __post_init__(self):
         for name in ("times", "masses", "x", "y", "theta"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+            getattr(self, name).setflags(write=False)
 
     @property
     def dt(self) -> float:
@@ -211,19 +195,20 @@ def _rotate(x, y, m, dt: float) -> np.ndarray:
     worst = float(np.abs(_lab_momentum(*_rotated(x, y, theta), m, dt)).max())
     scale = _momentum_scale(x, y, theta, m, dt)
     if not worst <= 1e-8 * scale:
-        raise NumericalError(
-            f"zero-angular-momentum invariant violated: residual {worst:.3e} "
-            f"exceeds 1e-8 of scale {scale:.3e} (reduce dt)"
-        )
+        raise NumericalError(f"zero-angular-momentum invariant violated: residual {worst:.3e} "
+                             f"exceeds 1e-8 of scale {scale:.3e}")
     return theta
 
 
-def reconstruct_rotation(
-    drive: BondDrive, masses, t_end: float, dt: float | None = None
-) -> TrimerTrajectory:
+def reconstruct_rotation(drive: BondDrive, masses, t_end: float, dt: float | None = None) -> TrimerTrajectory:
     """Integrate the zero-angular-momentum orientation for a bond drive.
 
     The time grid, and the default ``dt``, are :meth:`BondDrive.time_steps`'s.
+    The bonds repeat in the common period P of n_P steps, and so do the body
+    frames and theta's gain per period, a geometric phase of the shape loop:
+    both are built for n_P + 2 samples (the invariant's stencil crosses the
+    period's end) and tiled, theta[k] = theta_1[k mod n_P] + floor(k / n_P)
+    theta_1[n_P].  n_P spans the grid where :func:`_period_steps` finds no repeat.
 
     Raises:
         ValidationError: the time step or the sample count is out of range.
@@ -232,9 +217,25 @@ def reconstruct_rotation(
     """
     n, dt = drive.time_steps(t_end, dt)
     times = np.arange(n + 1) * dt
+    n_p = _period_steps(drive, n, dt)
     m = np.asarray(masses, dtype=float)
-    x, y = _frames(*bond_lengths(times, drive), m)
-    return TrimerTrajectory(times, m, x, y, _rotate(x, y, m, dt))
+    x, y = _frames(*bond_lengths(times[: n_p + 2], drive), m)
+    theta = _rotate(x, y, m, dt)
+    reps = n // n_p + 1  # periods the grid reaches into, 1 where it does not repeat
+    gain = np.repeat(np.arange(reps) * theta[-2], n_p)[: n + 1]  # theta[-2] is theta_1[n_P] if reps > 1
+    x, y, theta = (np.tile(r[..., :n_p], reps)[..., : n + 1] for r in (x, y, theta))
+    return TrimerTrajectory(times, m, x, y, theta + gain)
+
+
+def _period_steps(drive: BondDrive, n: int, dt: float) -> int:
+    """Steps n_P < n of a common period in which both oscillations of the grid k dt, k = 0..n,
+    turn a whole number of times to 1e-14 (dt divides it, the ratio is exact); else n + 1."""
+    try:
+        n_p = round(drive.common_period() / dt)
+    except ValidationError:  # no common period
+        return n + 1
+    turns = [omega * (n_p * dt / (2 * math.pi)) for omega in (drive.omega, drive.omega12)]
+    return n_p if n_p < n and all(abs(k - round(k)) <= 1e-14 * k for k in turns) else n + 1
 
 
 def _at_phase(drive_template: BondDrive, phi: float, step):
@@ -248,31 +249,25 @@ def _at_phase(drive_template: BondDrive, phi: float, step):
 def phase_sweep(drive_template: BondDrive, masses, phi_values, periods: int = 8) -> np.ndarray:
     """Mean angular velocity over ``periods`` common periods for each relative phase.
 
-    Each phi runs :func:`reconstruct_rotation`'s arithmetic at its default
-    step with phi13 = +phi/2 and phi23 = -phi/2, on one shared time grid; the
+    The bonds repeat in the common period P, so theta gains the same amount
+    in every period: the mean over ``periods`` periods is the one-period mean
+    theta(P) / P.  Each phi runs :func:`reconstruct_rotation` over one period
+    at its default step with phi13 = +phi/2 and phi23 = -phi/2; the
     template's phases are ignored.  A failed reconstruction names its phi.
     """
     phi_values = np.asarray(phi_values, dtype=float)
     if np.any(phi_values < -math.pi - 1e-12) or np.any(phi_values > math.pi + 1e-12):
         raise ValidationError("phase grid must lie within [-pi, pi]")
-    t_end = periods * drive_template.common_period()
-    n, dt = drive_template.time_steps(t_end)
-    times = np.arange(n + 1) * dt
-    xi12 = bond_lengths(times, drive_template)[0]
-    m = np.asarray(masses, dtype=float)
-
-    def rate(drive: BondDrive) -> float:  # theta[0] = 0
-        return _rotate(*_frames(xi12, *_pair_bonds(times, drive), m), m, dt)[-1] / t_end
-
-    return np.array([_at_phase(drive_template, phi, rate) for phi in phi_values.tolist()], dtype=float)
+    period = drive_template.common_period()
+    gains = [  # theta[0] = 0
+        _at_phase(drive_template, phi, lambda drive: reconstruct_rotation(drive, masses, period)).theta[-1]
+        for phi in phi_values.tolist()
+    ]
+    return np.array(gains, dtype=float) / period
 
 
 def precession_berry_phase(
-    d: float,
-    a: float,
-    omega: float,
-    phi13: float = math.pi / 4,
-    phi23: float = -math.pi / 4,
+    d: float, a: float, omega: float, phi13: float = math.pi / 4, phi23: float = -math.pi / 4
 ) -> float:
     """Normalised phase-space area of one bond-precession cycle.
 
@@ -292,9 +287,7 @@ def precession_berry_phase(
     radius_sq = u**2 + v**2
     mean_r2 = float(np.mean(radius_sq[:-1]))
     if mean_r2 == 0.0 or not float(np.std(radius_sq[:-1])) <= 1e-9 * mean_r2:
-        raise NumericalError(
-            "drive is not a circular precession (radius varies along the cycle)"
-        )
+        raise NumericalError("drive is not a circular precession (radius varies along the cycle)")
     area = 0.5 * float(np.sum(u[:-1] * v[1:] - v[:-1] * u[1:]))
     return area / mean_r2
 
@@ -310,7 +303,10 @@ def effective_momentum_series(traj: TrimerTrajectory, period: float) -> tuple[np
     potential summed at the ``min(_WINDOW_STEPS, n_window)`` midpoints of
     :func:`~triholonomy.holonomy.integrate_wilson`, which it matches to
     round-off.  All windows share one parameter grid and are gathered in
-    row blocks of at most ``_WINDOW_BLOCK_BYTES`` per sample array.
+    row blocks of at most ``_WINDOW_BLOCK_BYTES`` per sample array.  Where
+    the body rows repeat bit for bit every n_window samples, as
+    :func:`reconstruct_rotation` tiles them, each distinct window is computed
+    once, from the shape angles of the samples it reads, and repeated.
 
     Raises ValidationError for a bad period or an open window loop, and
     NumericalError for a non-finite window phase.
@@ -326,11 +322,16 @@ def effective_momentum_series(traj: TrimerTrajectory, period: float) -> tuple[np
         raise ValidationError("trajectory shorter than one window period")
     stride = max(1, n_window // 4)
     starts = np.arange(0, total - n_window, stride, dtype=int)
-    theta_sh, phi_sh = shape_angles(traj.x, traj.y, traj.masses)
+    # Windows `cycle` apart read equal samples of rows repeating every n_window (canonical phi never wraps).
+    cycle = starts.size
+    if all(np.array_equal(r[:, n_window:], r[:, :-n_window]) for r in (traj.x, traj.y)):
+        cycle = min(cycle, n_window // math.gcd(n_window, stride))
+    end = int(starts[cycle - 1]) + n_window + 1  # the samples the distinct windows read
+    theta_sh, phi_sh = shape_angles(traj.x[:, :end], traj.y[:, :end], traj.masses)
     # (windows, n_window + 1) views: row w holds the samples of window w.
     th_w, ph_w, inertia_w = (
         sliding_window_view(x, n_window + 1)[::stride]
-        for x in (theta_sh, phi_sh, traj.moment_of_inertia())
+        for x in (theta_sh, phi_sh, traj.moment_of_inertia()[:end])
     )
     _check_loop_samples(th_w, ph_w)
     n_steps = min(_WINDOW_STEPS, n_window)
@@ -343,15 +344,15 @@ def effective_momentum_series(traj: TrimerTrajectory, period: float) -> tuple[np
     seg = 2 * math.pi / n_window
     k = np.clip((s_mid / seg).astype(int), 0, n_window - 1)
     rows = max(1, _WINDOW_BLOCK_BYTES // (8 * n_steps))
-    sums = np.empty(starts.size)
-    for w in range(0, starts.size, rows):
+    sums = np.empty(cycle)
+    for w in range(0, cycle, rows):
         th, ph = th_w[w : w + rows], ph_w[w : w + rows]
         colat = (th[:, j + 1] - th[:, j]) / width * offset + th[:, j]
         sums[w : w + rows] = monopole_potential(colat, (ph[:, k + 1] - ph[:, k]) / seg).sum(axis=1)
     half_eta = 0.5 * ds * sums
     if not np.all(np.isfinite(half_eta)):
-        t_bad = traj.times[starts][~np.isfinite(half_eta)][0]
+        t_bad = traj.times[starts[:cycle]][~np.isfinite(half_eta)][0]
         raise NumericalError(f"window phase is not finite in the window at t = {t_bad:.6g}")
     angles = np.arccos(np.clip(np.cos(half_eta), -1.0, 1.0))
     values = 2.0 * (inertia_w.mean(axis=1) / period) * angles
-    return traj.times[starts], values
+    return traj.times[starts], values[np.arange(starts.size) % cycle]

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from triholonomy.shapespace import ShapeLoop
 from triholonomy import trimer
 from triholonomy.trimer import (
     BondDrive,
+    TrimerTrajectory,
     _frames,
     bond_lengths,
     effective_momentum_series,
@@ -77,6 +79,14 @@ class TestBondDrive:
             drive.time_steps(value)
         with pytest.raises(ValidationError, match="dt must be positive"):
             reconstruct_rotation(drive, REFERENCE_MASSES, 1.0, value)
+
+    @pytest.mark.parametrize("name", ["omega", "omega12"])
+    def test_infinite_frequency_rejected(self, name):
+        # an infinite frequency has fastest period 0, which the time grid would blame on dt
+        params = dict(d12=1.1, a12=0.2, omega12=1.0, d=1.0, a=0.15, omega=3.0)
+        params[name] = math.inf
+        with pytest.raises(ValidationError, match=f"positive and finite, got {name} = inf"):
+            BondDrive(**params)
 
     def test_nan_frequency_rejected(self):
         with pytest.raises(ValidationError, match="frequencies must be positive"):
@@ -226,9 +236,8 @@ def reference_body(xi12, xi13, xi23, masses):
     return p - (np.einsum("i,...ij->...j", m, p) / m.sum())[..., None, :]
 
 
-def reference_reconstruction(drive, masses, t_end, dt):
-    """Reference arithmetic on the (T, 3, 2) layout: theta, body, lab, |residual|, scale."""
-    times = np.arange(int(round(t_end / dt)) + 1) * dt
+def reference_theta(drive, masses, times):
+    """(T, 3, 2) body frames and orientation theta at ``times`` by the reference arithmetic."""
     xi12 = drive.d12 + drive.a12 * np.cos(drive.omega12 * times)
     xi13 = drive.d + drive.a * np.cos(drive.omega * times + drive.phi13)
     xi23 = drive.d + drive.a * np.cos(drive.omega * times + drive.phi23)
@@ -236,7 +245,25 @@ def reference_reconstruction(drive, masses, t_end, dt):
     m = np.asarray(masses, dtype=float)
     cross = (body[:-1, :, 0] * body[1:, :, 1] - body[:-1, :, 1] * body[1:, :, 0]) @ m
     dot = np.einsum("tij,tij->ti", body[:-1], body[1:]) @ m
-    theta = np.concatenate([[0.0], np.cumsum(np.arctan2(-cross, dot))])
+    return np.concatenate([[0.0], np.cumsum(np.arctan2(-cross, dot))]), body
+
+
+def reference_reconstruction(drive, masses, t_end, dt):
+    """Reference per-period arithmetic on the (T, 3, 2) layout: theta, body, lab, |residual|, scale.
+
+    theta_1 and the body frames are built over one common period of n_P steps
+    and two samples more, and tiled: theta[k] = theta_1[k mod n_P] +
+    floor(k / n_P) theta_1[n_P].  A grid of at most one period is built whole.
+    """
+    n = int(round(t_end / dt))
+    n_p = int(round(drive.common_period() / dt))
+    if n_p >= n:
+        theta, body = reference_theta(drive, masses, np.arange(n + 1) * dt)
+    else:
+        theta_1, body_1 = reference_theta(drive, masses, np.arange(n_p + 2) * dt)
+        periods, k = np.divmod(np.arange(n + 1), n_p)
+        theta, body = theta_1[k] + periods * theta_1[n_p], body_1[k]
+    m = np.asarray(masses, dtype=float)
     c, s = np.cos(theta)[:, None], np.sin(theta)[:, None]
     lab = np.stack([c * body[..., 0] - s * body[..., 1], s * body[..., 0] + c * body[..., 1]], -1)
     dr = (lab[2:] - lab[:-2]) / (2.0 * dt)
@@ -244,6 +271,19 @@ def reference_reconstruction(drive, masses, t_end, dt):
     d = float(np.sqrt(np.max(np.sum(body**2, axis=-1))))
     rate = float(np.max(np.abs(np.diff(theta)))) / dt
     return theta, body, lab, residual, float(m.sum()) * d * d * max(rate, 1.0)
+
+
+def full_grid_trajectory(drive, masses, t_end, dt):
+    """Frames and theta built on every sample of the grid, as a caller builds a trajectory by hand."""
+    times = np.arange(int(round(t_end / dt)) + 1) * dt
+    m = np.asarray(masses, dtype=float)
+    x, y = _frames(*bond_lengths(times, drive), m)
+    return TrimerTrajectory(times, m, x, y, trimer._rotate(x, y, m, dt))
+
+
+def repeats(traj, n):
+    """Whether the body rows of ``traj`` repeat bit for bit every n samples."""
+    return np.array_equal(traj.x[:, n:], traj.x[:, :-n]) and np.array_equal(traj.y[:, n:], traj.y[:, :-n])
 
 
 def reference_shape_angles(body, masses):
@@ -305,12 +345,107 @@ class TestReferenceArithmetic:
         periods = 2
         expected = []
         for phi in grid:
+            # the mean over periods periods is the one-period mean
             drive = BondDrive(1.2, 0.2, 1.0, 1.0, 0.12, 3.0, 0.5 * phi, -0.5 * phi)
-            t_end = periods * drive.common_period()
-            theta = reference_reconstruction(drive, masses, t_end, drive.fastest_period / 512)[0]
-            expected.append((theta[-1] - theta[0]) / t_end)
+            period = drive.common_period()
+            theta = reference_reconstruction(drive, masses, period, drive.fastest_period / 512)[0]
+            expected.append((theta[-1] - theta[0]) / period)
         rates = phase_sweep(template, masses, grid, periods=periods)
         assert rates.tobytes() == np.array(expected).tobytes()
+
+
+class TestOnePeriod:
+    """One common period reconstructed and tiled, against every sample of the grid built whole."""
+
+    @pytest.mark.parametrize("masses", BENCHMARK_MASSES)
+    @pytest.mark.parametrize("drive", ORACLE_DRIVES)
+    @pytest.mark.parametrize("periods, steps_per_period", [(48, 2048), (7.5, 1536)])
+    def test_theta_and_l_eff_match_the_full_grid(self, masses, drive, periods, steps_per_period):
+        # at most 1.7e-13 in theta (|theta| up to 7.9) and 1.1e-13 in L_eff (up to 0.08)
+        period = drive.common_period()
+        dt = period / steps_per_period
+        traj = reconstruct_rotation(drive, masses, periods * period, dt)
+        full = full_grid_trajectory(drive, masses, periods * period, dt)
+        assert repeats(traj, steps_per_period) and not repeats(full, steps_per_period)
+        assert np.array_equal(traj.times, full.times)
+        assert np.max(np.abs(traj.theta - full.theta)) <= 1e-12
+        starts, values = effective_momentum_series(traj, period)
+        full_starts, full_values = effective_momentum_series(full, period)
+        assert np.array_equal(starts, full_starts)
+        assert np.max(np.abs(values - full_values)) <= 1e-12
+
+    @pytest.mark.parametrize("masses", BENCHMARK_MASSES)
+    def test_phase_sweep_rate_matches_the_full_grid(self, masses):
+        # at most 2.6e-16 against rates up to 0.026
+        template = ORACLE_DRIVES[0]
+        grid = np.linspace(-math.pi, math.pi, 33)
+        expected = []
+        for phi in grid:
+            drive = replace(template, phi13=0.5 * phi, phi23=-0.5 * phi)
+            t_end = 8 * drive.common_period()
+            theta = full_grid_trajectory(drive, masses, t_end, drive.fastest_period / 512).theta
+            expected.append(theta[-1] / t_end)
+        rates = phase_sweep(template, masses, grid, periods=8)
+        assert np.max(np.abs(rates - np.array(expected))) <= 1e-15
+
+    def test_repeated_windows_are_bit_identical_to_every_window(self):
+        drive = reference_drive()
+        period = drive.common_period()
+        traj = reconstruct_rotation(drive, REFERENCE_MASSES, 20 * period, period / 1536)
+        starts, values = effective_momentum_series(traj, period)
+        assert starts.size == 77 and np.array_equal(values[4:], values[:-4])
+        # the same rows with the last sample scaled no longer repeat, so every window is computed
+        scale = np.ones(traj.times.size)
+        scale[-1] += 2.0**-30
+        edited = TrimerTrajectory(traj.times, traj.masses, traj.x * scale, traj.y * scale, traj.theta)
+        assert not repeats(edited, 1536)
+        edited_starts, edited_values = effective_momentum_series(edited, period)
+        assert np.array_equal(edited_starts, starts)
+        assert edited_values[:-1].tobytes() == values[:-1].tobytes()
+        assert edited_values[-1] != values[-1]  # the last window reads the scaled sample
+
+    def test_hand_built_trajectory_gets_every_window(self):
+        # rows that grow in scale keep their shape loop closed, and each window's inertia differs
+        drive = reference_drive()
+        period = drive.common_period()
+        traj = reconstruct_rotation(drive, REFERENCE_MASSES, 3 * period, period / 512)
+        grow = 1.0 + 0.5 * traj.times / traj.times[-1]
+        built = TrimerTrajectory(traj.times, traj.masses, traj.x * grow, traj.y * grow, traj.theta)
+        starts, values = effective_momentum_series(built, period)
+        ref_starts, ref_values = momentum_series_per_window(built, period)
+        assert np.array_equal(starts, ref_starts)
+        assert np.max(np.abs(values - ref_values)) <= 1e-12
+        assert np.all(values[4:] > values[:-4])
+
+    def test_step_that_does_not_divide_the_period_builds_the_whole_grid(self):
+        drive = ORACLE_DRIVES[1]
+        dt = drive.common_period() / 1536.5
+        traj = reconstruct_rotation(drive, REFERENCE_MASSES, 3 * drive.common_period(), dt)
+        theta, body = reference_theta(drive, REFERENCE_MASSES, traj.times)
+        assert traj.theta.tobytes() == theta.tobytes()
+        assert traj.x.tobytes() == body[..., 0].T.tobytes()
+        assert traj.y.tobytes() == body[..., 1].T.tobytes()
+
+    def test_ratio_off_by_rounding_more_builds_the_whole_grid(self):
+        # omega/omega12 = 3 (1 + 1e-12) passes as 3 (its common period is 2 pi), but the fast bonds
+        # slip by 6 pi 1e-12 rad a period: tiling would carry that slip, so the grid is built whole
+        drive = replace(ORACLE_DRIVES[0], omega=3.0 * (1 + 1e-12))
+        assert drive.common_period() == ORACLE_DRIVES[0].common_period()
+        traj = reconstruct_rotation(drive, REFERENCE_MASSES, 3 * drive.common_period())
+        theta, body = reference_theta(drive, REFERENCE_MASSES, traj.times)
+        assert traj.theta.tobytes() == theta.tobytes()
+        assert traj.x.tobytes() == body[..., 0].T.tobytes()
+
+    def test_irrational_frequency_ratio_builds_the_whole_grid(self):
+        drive = BondDrive(1.1, 0.2, 1.0, 1.0, 0.15, math.sqrt(2) * 3, math.pi / 4, -math.pi / 4)
+        with pytest.raises(ValidationError, match="no common period"):
+            drive.common_period()
+        traj = reconstruct_rotation(drive, REFERENCE_MASSES, 20.0)
+        theta, body = reference_theta(drive, REFERENCE_MASSES, traj.times)
+        assert traj.theta.tobytes() == theta.tobytes()
+        assert traj.x.tobytes() == body[..., 0].T.tobytes()
+        assert traj.y.tobytes() == body[..., 1].T.tobytes()
+        assert abs(traj.theta[-1]) > 1e-3
 
 
 class TestPhaseSweep:
@@ -441,7 +576,8 @@ class TestEffectiveMomentumSeries:
     def test_row_blocks_are_bit_identical(self, monkeypatch):
         drive = reference_drive()
         period = drive.common_period()
-        traj = reconstruct_rotation(drive, REFERENCE_MASSES, 8 * period, period / 512)
+        # every window: a trajectory that repeats computes one period of them
+        traj = full_grid_trajectory(drive, REFERENCE_MASSES, 8 * period, period / 512)
         _, one_block = effective_momentum_series(traj, period)
         assert one_block.size > 4 * 7
         # 7 windows of 512 steps per block, the last block ragged
@@ -452,7 +588,7 @@ class TestEffectiveMomentumSeries:
     def test_memory_bounded_by_the_row_blocks(self, monkeypatch):
         drive = reference_drive()
         period = drive.common_period()
-        traj = reconstruct_rotation(drive, REFERENCE_MASSES, 128 * period, period / 512)
+        traj = full_grid_trajectory(drive, REFERENCE_MASSES, 128 * period, period / 512)  # every window
         monkeypatch.setattr(trimer, "_WINDOW_BLOCK_BYTES", 16 * 8 * 512)  # 16 windows of 512 steps
         tracemalloc.start()
         try:
