@@ -78,16 +78,16 @@ from .holonomy import (  # integrate_wilson: perfbench/test_perfbench.py reads c
     wilson_from_samples,
 )
 from .linking import LinkData, SpaceCurve, cs_phase, gauss_linking, hopf_pair
-from .trimer import (
-    BondDrive, _at_phase, _frames, bond_lengths, effective_momentum_series, phase_sweep, reconstruct_rotation
-)
+from .trimer import (BondDrive, _at_phase, _frames, _period_steps, _tiled, bond_lengths,
+                     effective_momentum_series, phase_sweep, reconstruct_rotation)
 
 OUTDIR_ENV = "TRIHOLONOMY_OUTDIR"
 SCHEMA_VERSION = 1
 # CSV rows formatted per string operation; bounds the text held in memory.
 _CSV_BLOCK_ROWS = 1024
-# A block of fewer cells goes to "%" whole: the digit path's fixed cost (~0.1 ms) loses below it.
+# _g17_slots sends fewer values to "%" whole: the digit path's fixed cost (~0.1 ms) loses below it.
 _CSV_FAST_MIN_CELLS = 256
+_REPEAT_TRIES = 8  # the repeat lengths a column is tried for at most
 _DEKKER = 134217729.0  # 2**27 + 1 splits a double into two halves whose products are exact
 _TIE_GAP = 2.0**-30  # a product this close to a rounding tie goes to "%"; the product errs by < 1e-12
 _G17_RANGE = (1e-250, 1e250)  # |x| the digit path takes; 10**(16 - E) stays a normal double
@@ -176,68 +176,62 @@ def _g17_digits(a):
     return idx, d, e
 
 
-def _format_g17(block: np.ndarray) -> bytes:
-    """``(row_fmt * len(block)) % tuple(block.ravel().tolist())`` as bytes, without per-value formatting.
+def _g17_slots(x: np.ndarray) -> np.ndarray:
+    """``"%.17g" % v`` of each value v of the float vector ``x`` as (x.size, 25) NUL-padded byte slots.
 
-    ``row_fmt`` is one "%.17g" per column of the float ``block``, joined by
-    "," and ended by "\\n".  Cells are NUL-padded 25-byte slots.  The digit
-    path fills them grouped by layout (one per fixed-notation exponent, one for
-    e-notation); "%" fills the cells it leaves (0, non-finite, |x| outside
-    ``_G17_RANGE``, near a rounding tie) in one batch; deleting the NULs joins
-    them.  Blocks below ``_CSV_FAST_MIN_CELLS`` cells go to "%" whole.  The
-    temporaries grow with the block, so ``_write_csv`` passes at most
+    A slot holds the sign, at most 23 bytes of text and a NUL last byte, where
+    ``_write_csv`` puts the separator.  The digit path fills the slots grouped
+    by layout (one per fixed-notation exponent, one for e-notation); "%" fills
+    the cells it leaves (0, non-finite, |x| outside ``_G17_RANGE``, near a
+    rounding tie) in one batch, and fewer than ``_CSV_FAST_MIN_CELLS`` values
+    whole.  The temporaries grow with ``x``, so ``_write_csv`` passes at most
     ``_CSV_BLOCK_ROWS`` rows, which keeps them in cache.
     """
-    rows, cols = block.shape
-    x = block.ravel()
-    if x.size < _CSV_FAST_MIN_CELLS:
-        return ((",".join(["%.17g"] * cols) + "\n") * rows % tuple(x.tolist())).encode()
-    idx, d, e = _g17_digits(np.abs(x))
-    layout = np.clip(e, -5, 17).astype(np.int16)  # %g's fixed notation in [-4, 16], e-notation outside
-    order = np.argsort(layout, kind="stable")  # a radix sort
-    d, e, layout = d[order], e[order], layout[order]
-    # D = d0 * 10**16 + four base-10**4 limbs; a limb followed by a nonzero one keeps its trailing zeros
-    hi9, lo8 = _divmod(d, 10**8)
-    hi5, l2 = _divmod(hi9, 10**4)
-    d0, l1 = _divmod(hi5, 10**4)
-    l3, l4 = _divmod(lo8, 10**4)
-    limbs, tails = _g17_tables()[1:]
-    digits = np.empty((len(d), 5), np.uint32)
-    digits[:, 0] = limbs[d0 + 10000]
-    digits[:, 4] = limbs[l4]
-    digits[:, 3] = limbs[l3 + 10000 * (l4 != 0)]
-    digits[:, 2] = limbs[l2 + 10000 * (lo8 != 0)]
-    digits[:, 1] = limbs[l1 + 10000 * ((l2 != 0) | (lo8 != 0))]
-    s = digits.view(np.uint8)[:, 3:]  # the 17 digits, trailing zeros as NUL
-    cells = np.zeros((len(d), 25), np.uint8)  # sign, at most 23 bytes of text, separator
-    starts = np.flatnonzero(np.diff(layout, prepend=layout[:1] - 1))  # where each layout's run begins
-    for lo, hi in itertools.pairwise([*starts, len(d)]):
-        p, g, out = int(layout[lo]), s[lo:hi], cells[lo:hi]
-        if 0 <= p <= 16:  # d.ddd with the integer part's zeros kept
-            np.maximum(g[:, : p + 1], 48, out=out[:, 1 : p + 2])
-            if p < 16:
-                out[:, p + 2] = (g[:, p + 1] != 0) * 46
-                out[:, p + 3 : 19] = g[:, p + 1 :]
-        elif -4 <= p < 0:  # 0.000ddd
-            out[:, 1 : 2 - p] = np.frombuffer(b"0." + b"0" * (-1 - p), np.uint8)
-            out[:, 2 - p : 19 - p] = g
-        else:
-            out[:, 1] = g[:, 0]
-            out[:, 2] = (g[:, 1] != 0) * 46
-            out[:, 3:19] = g[:, 1:]
-            out[:, 19:24] = tails[e[lo:hi] + 300]
-    slots = np.empty(x.size, "V25")
-    slots[idx[order]] = cells.view("V25")[:, 0]
-    buf = slots.view(np.uint8).reshape(x.size, 25)
-    buf[:, 0] = (x < 0).view(np.uint8) * 45
+    buf = np.empty((x.size, 25), np.uint8)
     slow = np.ones(x.size, bool)
-    slow[idx] = False
+    if x.size >= _CSV_FAST_MIN_CELLS:
+        idx, d, e = _g17_digits(np.abs(x))
+        layout = np.clip(e, -5, 17).astype(np.int16)  # %g's fixed notation in [-4, 16], e-notation outside
+        order = np.argsort(layout, kind="stable")  # a radix sort
+        d, e, layout = d[order], e[order], layout[order]
+        # D = d0 * 10**16 + four base-10**4 limbs; a limb followed by a nonzero one keeps its trailing zeros
+        hi9, lo8 = _divmod(d, 10**8)
+        hi5, l2 = _divmod(hi9, 10**4)
+        d0, l1 = _divmod(hi5, 10**4)
+        l3, l4 = _divmod(lo8, 10**4)
+        limbs, tails = _g17_tables()[1:]
+        digits = np.empty((len(d), 5), np.uint32)
+        digits[:, 0] = limbs[d0 + 10000]
+        digits[:, 4] = limbs[l4]
+        digits[:, 3] = limbs[l3 + 10000 * (l4 != 0)]
+        digits[:, 2] = limbs[l2 + 10000 * (lo8 != 0)]
+        digits[:, 1] = limbs[l1 + 10000 * ((l2 != 0) | (lo8 != 0))]
+        s = digits.view(np.uint8)[:, 3:]  # the 17 digits, trailing zeros as NUL
+        cells = np.zeros((len(d), 25), np.uint8)  # sign, at most 23 bytes of text, separator
+        starts = np.flatnonzero(np.diff(layout, prepend=layout[:1] - 1))  # where each layout's run begins
+        for lo, hi in itertools.pairwise([*starts, len(d)]):
+            p, g, out = int(layout[lo]), s[lo:hi], cells[lo:hi]
+            if 0 <= p <= 16:  # d.ddd with the integer part's zeros kept
+                np.maximum(g[:, : p + 1], 48, out=out[:, 1 : p + 2])
+                if p < 16:
+                    out[:, p + 2] = (g[:, p + 1] != 0) * 46
+                    out[:, p + 3 : 19] = g[:, p + 1 :]
+            elif -4 <= p < 0:  # 0.000ddd
+                out[:, 1 : 2 - p] = np.frombuffer(b"0." + b"0" * (-1 - p), np.uint8)
+                out[:, 2 - p : 19 - p] = g
+            else:
+                out[:, 1] = g[:, 0]
+                out[:, 2] = (g[:, 1] != 0) * 46
+                out[:, 3:19] = g[:, 1:]
+                out[:, 19:24] = tails[e[lo:hi] + 300]
+        buf.view("V25")[idx[order], 0] = cells.view("V25")[:, 0]
+        buf[:, 0] = (x < 0).view(np.uint8) * 45
+        slow[idx] = False
     slow = np.flatnonzero(slow)
     if slow.size:
-        text = np.frombuffer(("%-24.17g" * slow.size % tuple(x[slow].tolist())).encode(), np.uint8)
-        buf[slow, :24] = np.where(text == 32, 0, text).reshape(-1, 24)
-    buf.reshape(rows, cols, 25)[:, :, 24] = [44] * (cols - 1) + [10]
-    return buf.tobytes().translate(None, b"\0")
+        text = ("%-25.17g" * slow.size % tuple(x[slow].tolist())).encode().replace(b" ", b"\0")  # the padding
+        buf[slow] = np.frombuffer(text, np.uint8).reshape(-1, 25)
+    return buf
 
 
 def _write_new(path: str, chunks) -> str:
@@ -250,19 +244,46 @@ def _write_new(path: str, chunks) -> str:
     return digest.hexdigest()
 
 
+def _repeat_length(col: np.ndarray) -> int:
+    """The least L <= n/2 with col[L:] == col[:-L] bit for bit, or 0.  Only the first ``_REPEAT_TRIES``
+    L at which row 0 recurs are tried, each on its last L rows before the whole column."""
+    bits = col.view(np.uint64)
+    lengths = np.flatnonzero(bits[1 : bits.size // 2 + 1] == bits[:1]) + 1
+    return next((k for k in lengths[:_REPEAT_TRIES].tolist()
+                 if np.array_equal(bits[-k:], bits[-2 * k : -k]) and np.array_equal(bits[k:], bits[:-k])), 0)
+
+
 def _write_csv(path: str, header: list[str], columns: list[np.ndarray]) -> str:
     """Columns as "%.17g" rows in a new file; returns its sha256 hex digest.
 
-    The floats are the exact bytes of ``"%.17g" % x``: ``_format_g17`` writes
-    them from a numpy digit path and leaves zero, non-finite, out-of-range and
-    tie-adjacent cells, and blocks below ``_CSV_FAST_MIN_CELLS`` cells, to "%".
-    The rows are blocked here, and only here: ``_CSV_BLOCK_ROWS`` per block.
+    The floats are the exact bytes of ``"%.17g" % x`` from ``_g17_slots``, one call per block of
+    ``_CSV_BLOCK_ROWS`` rows.  A column that repeats its first L rows (``_repeat_length``) is
+    formatted in the blocks that start before row L + ``_CSV_BLOCK_ROWS`` only; every later block
+    copies its rows as one slice of those slots.  The rows are blocked here, and only here.
     """
     columns = [np.asarray(col, dtype=float) for col in columns]
-    blocks = (np.column_stack([col[i : i + _CSV_BLOCK_ROWS] for col in columns])
-              for i in range(0, len(columns[0]), _CSV_BLOCK_ROWS))
-    rows = map(_format_g17, blocks)
-    return _write_new(path, itertools.chain([(",".join(header) + "\n").encode()], rows))
+    n, size = len(columns[0]), _CSV_BLOCK_ROWS
+    # column -> (L, the slots of its rows [0, L + 2 size), filled as they are formatted); the first block
+    # to slice one starts at row L + size > size, so a file of two blocks slices none
+    heads = {j: (k, np.empty((k + 2 * size, 25), np.uint8))
+             for j, col in enumerate(columns) if n > 2 * size and (k := _repeat_length(col))}
+
+    def block(first: int) -> bytes:
+        rows = min(size, n - first)
+        buf = np.empty((rows, len(columns), 25), np.uint8)
+        new = [j for j in range(len(columns)) if j not in heads or first < heads[j][0] + size]
+        cells = np.array([columns[j][first : first + rows] for j in new]).T.ravel()  # row by row
+        buf[:, new] = _g17_slots(cells).reshape(rows, len(new), 25)
+        for j, (k, head) in heads.items():
+            if first < k + size:
+                head[first : first + rows] = buf[:, j]
+            else:
+                buf[:, j] = head[first % k : first % k + rows]
+        buf[:, :, 24] = [44] * (len(columns) - 1) + [10]
+        return buf.tobytes().translate(None, b"\0")
+
+    blocks = map(block, range(0, n, size))
+    return _write_new(path, itertools.chain([(",".join(header) + "\n").encode()], blocks))
 
 
 def _write_json(path: str, payload: dict) -> str:
@@ -431,14 +452,15 @@ def _gauge_check(p: dict, s: np.ndarray, a: np.ndarray, seed: int) -> dict:
 
 
 def _run_trimer_sim(p: dict, seed: int) -> dict:
+    """t, the bonds the frames were built from (one period ``_tiled``), theta, and L_eff between windows."""
     drive, period = p["drive"], p["period"]
     traj = reconstruct_rotation(drive, p["masses"], p["periods"] * period, period / p["steps_per_period"])
+    n_p = _period_steps(drive, traj.times.size - 1, traj.dt)
+    bonds = _tiled(np.stack(bond_lengths(traj.times[:n_p], drive)), n_p, traj.times.size - 1)
     starts, values = effective_momentum_series(traj, period)
     l_eff = np.interp(traj.times, starts, values, left=values[0], right=values[-1])
-    return {"trimer_sim.csv": (
-        ["t", "xi12", "xi13", "xi23", "theta", "L_eff"],
-        [traj.times, *bond_lengths(traj.times, drive), traj.theta, l_eff],
-    )}
+    header = ["t", "xi12", "xi13", "xi23", "theta", "L_eff"]
+    return {"trimer_sim.csv": (header, [traj.times, *bonds, traj.theta, l_eff])}
 
 
 def _run_phase_sweep(p: dict, seed: int) -> dict:

@@ -171,9 +171,9 @@ class TrimerTrajectory:
     def dt(self) -> float:
         return float(self.times[1] - self.times[0])
 
-    def moment_of_inertia(self) -> np.ndarray:
-        """Planar moment of inertia about the normal through the centroid, per sample."""
-        return np.einsum("i,it->t", self.masses, self.x**2 + self.y**2)
+    def moment_of_inertia(self, end: int | None = None) -> np.ndarray:
+        """Planar moment of inertia about the normal through the centroid, per sample (the first ``end``)."""
+        return np.einsum("i,it->t", self.masses, self.x[:, :end] ** 2 + self.y[:, :end] ** 2)
 
     def lab_angular_momentum(self) -> np.ndarray:
         """Central-difference mechanical angular momentum of the lab motion (interior samples)."""
@@ -221,10 +221,14 @@ def reconstruct_rotation(drive: BondDrive, masses, t_end: float, dt: float | Non
     m = np.asarray(masses, dtype=float)
     x, y = _frames(*bond_lengths(times[: n_p + 2], drive), m)
     theta = _rotate(x, y, m, dt)
-    reps = n // n_p + 1  # periods the grid reaches into, 1 where it does not repeat
-    gain = np.repeat(np.arange(reps) * theta[-2], n_p)[: n + 1]  # theta[-2] is theta_1[n_P] if reps > 1
-    x, y, theta = (np.tile(r[..., :n_p], reps)[..., : n + 1] for r in (x, y, theta))
+    gain = np.repeat(np.arange(n // n_p + 1) * theta[-2], n_p)[: n + 1]  # theta[-2] is theta_1[n_P] if n_p <= n
+    x, y, theta = (_tiled(r, n_p, n) for r in (x, y, theta))
     return TrimerTrajectory(times, m, x, y, theta + gain)
+
+
+def _tiled(rows, n_p: int, n: int) -> np.ndarray:
+    """Rows over the samples k = 0..n of the grid as r[k mod n_P], from their first n_P samples."""
+    return np.tile(rows[..., :n_p], n // n_p + 1)[..., : n + 1]
 
 
 def _period_steps(drive: BondDrive, n: int, dt: float) -> int:
@@ -256,7 +260,7 @@ def phase_sweep(drive_template: BondDrive, masses, phi_values, periods: int = 8)
     template's phases are ignored.  A failed reconstruction names its phi.
     """
     phi_values = np.asarray(phi_values, dtype=float)
-    if np.any(phi_values < -math.pi - 1e-12) or np.any(phi_values > math.pi + 1e-12):
+    if not np.all(np.abs(phi_values) <= math.pi + 1e-12):  # NaN fails too
         raise ValidationError("phase grid must lie within [-pi, pi]")
     period = drive_template.common_period()
     gains = [  # theta[0] = 0
@@ -331,7 +335,7 @@ def effective_momentum_series(traj: TrimerTrajectory, period: float) -> tuple[np
     # (windows, n_window + 1) views: row w holds the samples of window w.
     th_w, ph_w, inertia_w = (
         sliding_window_view(x, n_window + 1)[::stride]
-        for x in (theta_sh, phi_sh, traj.moment_of_inertia()[:end])
+        for x in (theta_sh, phi_sh, traj.moment_of_inertia(end))
     )
     _check_loop_samples(th_w, ph_w)
     n_steps = min(_WINDOW_STEPS, n_window)

@@ -23,8 +23,10 @@ from triholonomy.cli import (
     _CSV_BLOCK_ROWS,
     _CSV_FAST_MIN_CELLS,
     SCENARIOS,
-    _format_g17,
     _g17_digits,
+    _g17_slots,
+    _repeat_length,
+    _run_trimer_sim,
     _write_csv,
     _write_json,
     load_config,
@@ -34,6 +36,7 @@ from triholonomy.cli import (
 from triholonomy.connection import BlochField, ControlField, eigenframe_rate_samples
 from triholonomy.gates import make_ellipse_loop
 from triholonomy.holonomy import HolonomyLoop, integrate_wilson, midpoint_grid, trace_expansion_from_rates
+from triholonomy.trimer import BondDrive, _frames, bond_lengths, reconstruct_rotation
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 SHIPPED_CONFIGS = sorted(os.path.basename(p) for p in glob.glob(os.path.join(CONFIG_DIR, "*.json")))
@@ -1034,6 +1037,71 @@ def test_write_csv_matches_per_value_format(tmp_path, rows):
     assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "value.csv").read_bytes()
 
 
+def format_g17(block):
+    """The block's rows from ``_g17_slots``, joined by "," and "\\n" as ``_write_csv`` joins them."""
+    rows, cols = block.shape
+    buf = _g17_slots(block.ravel()).reshape(rows, cols, 25)
+    buf[:, :, 24] = [44] * (cols - 1) + [10]
+    return buf.tobytes().translate(None, b"\0")
+
+
+def repeating_columns(case):
+    """(columns, the repeat length ``_repeat_length`` must find in each) for one case of repeating columns."""
+    rng = np.random.default_rng(len(case))
+    n = 5 * _CSV_BLOCK_ROWS + 7
+
+    def tiled(period):
+        return np.resize(period, n)
+
+    noise = rng.normal(size=n)  # repeats nowhere
+    if case.startswith("length "):
+        length = int(case.split()[1])
+        return [tiled(rng.normal(size=length)), noise, tiled(np.arange(length) - 3.5)], [length, 0, length]
+    if case == "constant":
+        return [np.full(n, 0.1), np.zeros(n), noise], [1, 1, 0]
+    if case == "signed zero":
+        # 0.0 and -0.0 are equal values but not equal bits: the values repeat every 2 rows, the bits never
+        zeros = np.where(rng.random(n // 2 + 1) < 0.5, 0.0, -0.0)
+        return [np.column_stack([zeros, np.full(zeros.size, 0.5)]).ravel()[:n], noise], [0, 0]
+    if case == "mirror point":
+        # row 0 recurs at the mirror point of each period, as a cosine's does, before the period ends
+        half = 1.0 + 0.15 * np.cos(np.linspace(0.7, 2.9, 400))
+        period = np.concatenate([half, half[::-1]])
+        assert np.flatnonzero(period == period[0]).tolist() == [0, 799]
+        mirrored = np.concatenate([period, noise[800:]])  # recurs at the mirror, never repeats
+        return [tiled(period), mirrored], [800, 0]
+    if case == "non-finite":
+        period = [np.nan, np.inf, -np.inf, 1.0, -0.0, 0.0, 5e-324, 1e300]
+        return [tiled(period), noise, tiled([np.nan, 2.5])], [8, 0, 2]
+    if case == "every column":  # nothing is left to format per block
+        return [tiled([1.0, 2.0, 3.0]), tiled(rng.normal(size=1500))], [3, 1500]
+    assert case == "below the fast path"
+    return [np.resize([0.25, -1e-7], 60), np.linspace(0.0, 1.0, 60), np.full(60, -3.0)], [2, 0, 1]
+
+
+@pytest.mark.parametrize("case", [
+    "length 3", "length 256", "length 1000", "length 1536", "length 2048", "constant", "signed zero",
+    "mirror point", "non-finite", "every column", "below the fast path",
+])
+def test_write_csv_matches_per_value_format_on_repeating_columns(tmp_path, case):
+    # repeat lengths below, at a divisor of, and above _CSV_BLOCK_ROWS, and ones that divide no block
+    columns, lengths = repeating_columns(case)
+    assert [_repeat_length(col) for col in columns] == lengths
+    header = [f"c{j}" for j in range(len(columns))]
+    if case == "below the fast path":
+        assert len(columns) * len(columns[0]) < _CSV_FAST_MIN_CELLS
+    _write_csv(str(tmp_path / "block.csv"), header, columns)
+    write_csv_per_value(str(tmp_path / "value.csv"), header, columns)
+    assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "value.csv").read_bytes()
+
+
+def test_repeat_length_is_the_least_length_and_at_most_half_the_column():
+    assert _repeat_length(np.resize([1.0, 2.0, 1.0, 2.0], 9)) == 2
+    assert _repeat_length(np.array([1.0, 2.0, 3.0, 1.0, 2.0])) == 0  # a repeat of 3 rows would be more than half
+    assert _repeat_length(np.array([1.0, 2.0, 3.0, 1.0, 2.0, 3.0])) == 3
+    assert _repeat_length(np.array([7.0])) == 0 and _repeat_length(np.array([])) == 0
+
+
 def percent_g17(block):
     """Reference: the block's rows through one "%" operation."""
     rows, cols = block.shape
@@ -1042,7 +1110,7 @@ def percent_g17(block):
 
 def assert_g17_matches_percent(values, cols=4, rows_per_block=1 << 16):
     for block in np.array_split(values.reshape(-1, cols), max(1, len(values) // cols // rows_per_block)):
-        assert _format_g17(block) == percent_g17(block)
+        assert format_g17(block) == percent_g17(block)
 
 
 def test_format_g17_matches_percent_on_random_bit_patterns():
@@ -1083,7 +1151,7 @@ def test_format_g17_matches_percent_on_block_shapes(rows, cols):
     values = rng.normal(size=rows * cols) * 10.0 ** rng.integers(-120, 120, size=rows * cols)
     values[::7] = np.resize([0.0, -0.0, np.nan, -np.inf, 1e300, 0.5], values[::7].size)
     block = values.reshape(rows, cols)
-    assert _format_g17(block) == percent_g17(block)
+    assert format_g17(block) == percent_g17(block)
 
 
 def test_format_g17_leaves_only_the_zeros_of_trimer_reference_to_percent():
@@ -1092,7 +1160,56 @@ def test_format_g17_leaves_only_the_zeros_of_trimer_reference_to_percent():
     block = np.column_stack(run_scenario(cfg, CONFIG_DIR)["trimer_sim.csv"][1])
     left = np.setdiff1d(np.arange(block.size), _g17_digits(np.abs(block.ravel()))[0])
     assert left.size == 2 and (block.ravel()[left] == 0).all()
-    assert _format_g17(block) == percent_g17(block)
+    assert format_g17(block) == percent_g17(block)
+
+
+def trimer_sim_columns(drive, periods, steps_per_period, masses=(2.1, 2.1, 4.7)):
+    """The trimer-sim CSV columns of a drive table, run through the scenario's pre-flight."""
+    params = {"drive": drive, "masses": list(masses), "periods": periods, "steps_per_period": steps_per_period}
+    cfg = {"schema_version": 1, "scenario": "trimer-sim", "seed": 0, "params": params}
+    return run_scenario(cfg, CONFIG_DIR)["trimer_sim.csv"][1]
+
+
+class TestTrimerSimBonds:
+    """The CSV's bond columns are the bonds the frames were built from: one common period, tiled."""
+
+    REFERENCE = {"d12": 1.1, "a12": 0.2, "omega12": 1.0, "d": 1.0, "a": 0.15, "omega": 3.0,
+                 "phi13": math.pi / 4, "phi23": -math.pi / 4}
+
+    @pytest.mark.parametrize("phases", [(math.pi / 4, -math.pi / 4), (math.pi / 3, -math.pi / 6), (0.0, 0.0)])
+    @pytest.mark.parametrize("periods, steps_per_period", [(20, 1536), (48, 2048), (7, 256)])
+    def test_bonds_repeat_every_period_near_the_full_grid(self, phases, periods, steps_per_period):
+        # at most 3.1e-14 from the bonds evaluated at every sample
+        table = dict(self.REFERENCE, phi13=phases[0], phi23=phases[1])
+        drive = BondDrive(**table)
+        t, *bonds = trimer_sim_columns(table, periods, steps_per_period)[:4]
+        for col, full in zip(bonds, bond_lengths(t, drive)):
+            assert _repeat_length(col) == steps_per_period
+            assert col[steps_per_period:].tobytes() == col[:-steps_per_period].tobytes()
+            assert np.max(np.abs(col - full)) <= 1e-13
+        traj = reconstruct_rotation(drive, [2.1, 2.1, 4.7], periods * drive.common_period(), t[1])
+        x, y = _frames(*bonds, [2.1, 2.1, 4.7])
+        assert x.tobytes() == traj.x.tobytes() and y.tobytes() == traj.y.tobytes()
+
+    def test_ratio_off_by_rounding_keeps_the_full_grid_bonds(self):
+        # omega/omega12 = 3 (1 + 1e-12) passes the pre-flight as 3, but the grid does not repeat
+        table = dict(self.REFERENCE, omega=3.0 * (1 + 1e-12))
+        t, *bonds = trimer_sim_columns(table, 4, 512)[:4]
+        assert np.array(bonds).tobytes() == np.array(bond_lengths(t, BondDrive(**table))).tobytes()
+
+    def test_irrational_frequency_ratio_keeps_the_full_grid_bonds(self, monkeypatch):
+        # no common period: the pre-flight refuses such a drive, so the runner gets it directly, and
+        # its L_eff windows, which need closed shape loops, are stubbed out
+        def no_windows(traj, period):
+            return traj.times[:1], [0.0]
+
+        monkeypatch.setattr("triholonomy.cli.effective_momentum_series", no_windows)
+        drive = BondDrive(**dict(self.REFERENCE, omega=3.0 * math.sqrt(2)))
+        p = {"drive": drive, "period": 2 * math.pi, "masses": [2.1, 2.1, 4.7], "periods": 4,
+             "steps_per_period": 1024}
+        t, *bonds = _run_trimer_sim(p, 0)["trimer_sim.csv"][1][:4]
+        assert t.size == 4097
+        assert np.array(bonds).tobytes() == np.array(bond_lengths(t, drive)).tobytes()
 
 
 HOSTILE_VALUES = [

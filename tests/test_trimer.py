@@ -404,6 +404,13 @@ class TestOnePeriod:
         assert edited_values[:-1].tobytes() == values[:-1].tobytes()
         assert edited_values[-1] != values[-1]  # the last window reads the scaled sample
 
+    def test_inertia_of_the_first_samples_is_bit_identical(self):
+        # effective_momentum_series reads the inertia of the samples its distinct windows read only
+        period = reference_drive().common_period()
+        traj = reconstruct_rotation(reference_drive(), REFERENCE_MASSES, 3 * period, period / 512)
+        for end in (1, 700, traj.times.size):
+            assert traj.moment_of_inertia(end).tobytes() == traj.moment_of_inertia()[:end].tobytes()
+
     def test_hand_built_trajectory_gets_every_window(self):
         # rows that grow in scale keep their shape loop closed, and each window's inertia differs
         drive = reference_drive()
@@ -470,6 +477,10 @@ class TestPhaseSweep:
         with pytest.raises(ValidationError):
             phase_sweep(reference_drive(0, 0), REFERENCE_MASSES, [4.0])
 
+    @pytest.mark.parametrize("grid", [[math.nan], [0.0, math.nan]])
+    def test_nan_phase_rejected_by_name(self, grid):
+        with pytest.raises(ValidationError, match=r"phase grid must lie within \[-pi, pi\]"):
+            phase_sweep(BondDrive(1.1, 0.2, 1.0, 1.0, 0.15, 3.0), REFERENCE_MASSES, grid)
 
     def test_failure_names_its_phase(self):
         # the bonds overflow to NaN frames: the invariant fails closed, naming phi
