@@ -78,8 +78,8 @@ from .holonomy import (  # integrate_wilson: perfbench/test_perfbench.py reads c
     wilson_from_samples,
 )
 from .linking import LinkData, SpaceCurve, cs_phase, gauss_linking, hopf_pair
-from .trimer import (BondDrive, _at_phase, _frames, _period_steps, _tiled, bond_lengths,
-                     effective_momentum_series, phase_sweep, reconstruct_rotation)
+from .trimer import (BondDrive, _frames, _period_steps, _tiled, bond_lengths, effective_momentum_series,
+                     phase_sweep, reconstruct_rotation)
 
 OUTDIR_ENV = "TRIHOLONOMY_OUTDIR"
 SCHEMA_VERSION = 1
@@ -418,26 +418,17 @@ def _run_gate_synth(p: dict, seed: int) -> dict:
 
 
 def _run_trace_sweep(p: dict, seed: int) -> dict:
-    s_mid, _ = midpoint_grid(p["steps"])
-    base = HolonomyLoop(p["shape"], charge=p["q"], steps=p["steps"]).sample(s_mid)
-    rows = []
-    for psi_abs in p["psi_values"]:
-        psi = np.full(s_mid.size, complex(psi_abs))
-        direct = wilson_from_samples(base.a, psi, p["q"]).trace
-        c, j = eigenframe_rate_samples(base._replace(psi=psi), p["q"])
-        d4 = trace_expansion_from_rates(c, j, 4)  # its I2 gives the order-2 estimate exactly
-        d2 = 2.0 * math.cos(d4.abelian_angle) * (1.0 - d4.corrections[0])
-        rows.append((psi_abs, direct, d2, d4.trace_estimate, *d4.corrections))
+    """The rows pre-flight computed, and the seeded gauge check if asked for."""
     header = ["psi_abs", "trace_direct", "trace_order2", "trace_order4", "i2", "i4"]
-    outputs = {"trace_sweep.csv": (header, [np.asarray(col) for col in zip(*rows)])}
+    outputs = {"trace_sweep.csv": (header, [np.asarray(col) for col in zip(*p["rows"])])}
     if p["gauge_rotations"] > 0:
-        outputs["gauge_check.json"] = _gauge_check(p, s_mid, base.a, seed)
+        outputs["gauge_check.json"] = _gauge_check(p, seed)
     return outputs
 
 
-def _gauge_check(p: dict, s: np.ndarray, a: np.ndarray, seed: int) -> dict:
+def _gauge_check(p: dict, seed: int) -> dict:
     """Seeded random gauge rotations of the loop's (A, psi) data at unit weight."""
-    psi_abs = p["psi_values"][0]
+    s, a, psi_abs = p["s_mid"], p["base"].a, p["psi_values"][0]
     base = wilson_from_samples(a, np.full(s.size, psi_abs), 1.0).trace
     rotations = p["gauge_rotations"]
     rng = np.random.default_rng(seed)
@@ -464,8 +455,7 @@ def _run_trimer_sim(p: dict, seed: int) -> dict:
 
 
 def _run_phase_sweep(p: dict, seed: int) -> dict:
-    rates = phase_sweep(p["drive"], p["masses"], p["grid"], periods=p["periods"])
-    return {"phase_sweep.csv": (["phi", "mean_angular_velocity"], [p["grid"], rates])}
+    return {"phase_sweep.csv": (["phi", "mean_angular_velocity"], [p["grid"], p["rates"]])}
 
 
 def _run_linking(p: dict, seed: int) -> dict:
@@ -550,13 +540,12 @@ def _prepare_trimer_sim(p: dict, base_dir: str) -> list[str]:
 
 
 def _prepare_phase_sweep(p: dict, base_dir: str) -> list[str]:
-    """The drive, the phase ``grid`` (phi_count points on [-pi, pi] unless phi_values lists them) and each
-    phase's triangle inequality at t = 0, a failure named as :func:`phase_sweep` names it."""
+    """The drive, the phase ``grid`` (phi_count points on [-pi, pi] unless phi_values lists them) and its
+    ``rates``: :func:`phase_sweep` runs here, within its sample budget, and a failed phase names its phi."""
     lines = _prepare_drive(p, None)
     grid = p["grid"] = (np.linspace(-math.pi, math.pi, p["phi_count"]) if p["phi_values"] is None
                         else np.asarray(p["phi_values"], dtype=float))
-    for phi in grid.tolist():
-        _at_phase(p["drive"], phi, lambda drive: _frames(*bond_lengths(0.0, drive), p["masses"]))
+    p["rates"] = phase_sweep(p["drive"], p["masses"], grid, periods=p["periods"])
     return lines
 
 
@@ -611,14 +600,26 @@ def _prepare_curves(p: dict, base_dir: str) -> list[str]:
 
 
 def _prepare_trace_sweep(p: dict, base_dir: str) -> list[str]:
+    """The ellipse ``shape``, its midpoint samples ``s_mid`` and ``base`` data, and the sweep's ``rows``: per
+    |psi| the direct trace, the order-2 and order-4 estimates, I2 and I4."""
     p["shape"] = make_ellipse_loop(p["theta0"], 0.0, p["a"], p["b"], p["samples"])
+    s_mid = p["s_mid"] = midpoint_grid(p["steps"])[0]
+    base = p["base"] = HolonomyLoop(p["shape"], charge=p["q"], steps=p["steps"]).sample(s_mid)
+    p["rows"] = []
+    for psi_abs in p["psi_values"]:
+        psi = np.full(s_mid.size, complex(psi_abs))
+        direct = wilson_from_samples(base.a, psi, p["q"]).trace
+        c, j = eigenframe_rate_samples(base._replace(psi=psi), p["q"])
+        d4 = trace_expansion_from_rates(c, j, 4)  # its I2 gives the order-2 estimate exactly
+        d2 = 2.0 * math.cos(d4.abelian_angle) * (1.0 - d4.corrections[0])
+        p["rows"].append((psi_abs, direct, d2, d4.trace_estimate, *d4.corrections))
     return []
 
 
 # Scenario -> (runner, parameter table, prepare).  prepare(p, base_dir) is the pre-flight past
-# the table: it checks the physics, builds into ``p`` what the runner uses, without transport, and
-# returns report lines.  A runner takes those parameters and the seed and returns {file name: JSON
-# dict or CSV (header, columns)}.
+# the table: it checks the physics, builds into ``p`` what the runner uses (the links, the phase
+# sweep and the trace-sweep rows included), and returns report lines.  A runner takes those
+# parameters and the seed and returns {file name: JSON dict or CSV (header, columns)}.
 SCENARIOS = {
     "gate-synth": (_run_gate_synth, {
         "q": _Param(float, bound=_POSITIVE),

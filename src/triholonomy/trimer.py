@@ -185,19 +185,24 @@ class TrimerTrajectory:
 
 
 def _rotate(x, y, m, dt: float) -> np.ndarray:
-    """Zero-angular-momentum orientation theta (T,) of (3, T) body frames.
-
-    Raises NumericalError when the invariant fails, a NaN residual included.
-    """
+    """Zero-angular-momentum orientation theta (T,) of (3, T) body frames, checked by :func:`_check_momentum`."""
     cross = np.stack(x[:, :-1] * y[:, 1:] - y[:, :-1] * x[:, 1:], axis=-1) @ m
     dot = np.stack(x[:, :-1] * x[:, 1:] + y[:, :-1] * y[:, 1:], axis=-1) @ m
     theta = np.concatenate([[0.0], np.cumsum(np.arctan2(-cross, dot))])
-    worst = float(np.abs(_lab_momentum(*_rotated(x, y, theta), m, dt)).max())
-    scale = _momentum_scale(x, y, theta, m, dt)
+    _check_momentum(cross, dot, theta, _momentum_scale(x, y, theta, m, dt), dt)
+    return theta
+
+
+def _check_momentum(cross, dot, theta, scale: float, dt: float) -> None:
+    """Raise NumericalError unless each step's body-frame angular momentum about the normal,
+    sum_i m_i r_k,i x R(dtheta_k) r_k+1,i / dt = (cross_k cos dtheta_k + dot_k sin dtheta_k) / dt with
+    dtheta = diff(theta), is within 1e-8 of ``scale``.  It is exact for theta's atan2 increments, so
+    this catches a wrong increment, overflow and NaN (a NaN residual fails)."""
+    step = np.diff(theta)
+    worst = float(np.abs(cross * np.cos(step) + dot * np.sin(step)).max()) / dt
     if not worst <= 1e-8 * scale:
         raise NumericalError(f"zero-angular-momentum invariant violated: residual {worst:.3e} "
                              f"exceeds 1e-8 of scale {scale:.3e}")
-    return theta
 
 
 def reconstruct_rotation(drive: BondDrive, masses, t_end: float, dt: float | None = None) -> TrimerTrajectory:
@@ -206,9 +211,9 @@ def reconstruct_rotation(drive: BondDrive, masses, t_end: float, dt: float | Non
     The time grid, and the default ``dt``, are :meth:`BondDrive.time_steps`'s.
     The bonds repeat in the common period P of n_P steps, and so do the body
     frames and theta's gain per period, a geometric phase of the shape loop:
-    both are built for n_P + 2 samples (the invariant's stencil crosses the
-    period's end) and tiled, theta[k] = theta_1[k mod n_P] + floor(k / n_P)
-    theta_1[n_P].  n_P spans the grid where :func:`_period_steps` finds no repeat.
+    both are built for the n_P + 1 samples of one period with its end and
+    tiled, theta[k] = theta_1[k mod n_P] + floor(k / n_P) theta_1[n_P].
+    n_P spans the grid where :func:`_period_steps` finds no repeat.
 
     Raises:
         ValidationError: the time step or the sample count is out of range.
@@ -219,9 +224,9 @@ def reconstruct_rotation(drive: BondDrive, masses, t_end: float, dt: float | Non
     times = np.arange(n + 1) * dt
     n_p = _period_steps(drive, n, dt)
     m = np.asarray(masses, dtype=float)
-    x, y = _frames(*bond_lengths(times[: n_p + 2], drive), m)
+    x, y = _frames(*bond_lengths(times[: n_p + 1], drive), m)
     theta = _rotate(x, y, m, dt)
-    gain = np.repeat(np.arange(n // n_p + 1) * theta[-2], n_p)[: n + 1]  # theta[-2] is theta_1[n_P] if n_p <= n
+    gain = np.repeat(np.arange(n // n_p + 1) * theta[-1], n_p)[: n + 1]  # theta[-1] is theta_1[n_P] if n_p <= n
     x, y, theta = (_tiled(r, n_p, n) for r in (x, y, theta))
     return TrimerTrajectory(times, m, x, y, theta + gain)
 
@@ -242,32 +247,35 @@ def _period_steps(drive: BondDrive, n: int, dt: float) -> int:
     return n_p if n_p < n and all(abs(k - round(k)) <= 1e-14 * k for k in turns) else n + 1
 
 
-def _at_phase(drive_template: BondDrive, phi: float, step):
-    """``step`` of the drive at sweep phase phi (phi13 = +phi/2, phi23 = -phi/2); a failure names phi."""
-    try:
-        return step(replace(drive_template, phi13=0.5 * phi, phi23=-0.5 * phi))
-    except NumericalError as exc:
-        raise NumericalError(f"phase sweep at phi = {phi:.6g}: {exc}") from exc
-
-
 def phase_sweep(drive_template: BondDrive, masses, phi_values, periods: int = 8) -> np.ndarray:
     """Mean angular velocity over ``periods`` common periods for each relative phase.
 
     The bonds repeat in the common period P, so theta gains the same amount
-    in every period: the mean over ``periods`` periods is the one-period mean
-    theta(P) / P.  Each phi runs :func:`reconstruct_rotation` over one period
-    at its default step with phi13 = +phi/2 and phi23 = -phi/2; the
-    template's phases are ignored.  A failed reconstruction names its phi.
+    in every period, a geometric phase of the shape loop: the mean over
+    ``periods`` periods is the one-period mean theta(P) / P.  The grid of one
+    period at the default step (:meth:`BondDrive.time_steps`) is built once;
+    each phi, with phi13 = +phi/2 and phi23 = -phi/2 (the template's phases
+    are ignored), builds its frames and theta on it whole, the bits of
+    ``reconstruct_rotation(drive, masses, P).theta[-1]``.  A failed phase
+    names its phi.  A sweep of more than ``MAX_SAMPLES`` samples (phases
+    times grid samples) or a phase outside [-pi, pi] is refused first.
     """
     phi_values = np.asarray(phi_values, dtype=float)
+    period = drive_template.common_period()
+    n, dt = drive_template.time_steps(period)
+    if phi_values.size * (n + 1) > MAX_SAMPLES:
+        raise ValidationError(f"phase grid of {phi_values.size} phases x {n + 1} samples exceeds the budget "
+                              f"of {MAX_SAMPLES} samples; lower 'phi_count' or list fewer 'phi_values'")
     if not np.all(np.abs(phi_values) <= math.pi + 1e-12):  # NaN fails too
         raise ValidationError("phase grid must lie within [-pi, pi]")
-    period = drive_template.common_period()
-    gains = [  # theta[0] = 0
-        _at_phase(drive_template, phi, lambda drive: reconstruct_rotation(drive, masses, period)).theta[-1]
-        for phi in phi_values.tolist()
-    ]
-    return np.array(gains, dtype=float) / period
+    times, m, gains = np.arange(n + 1) * dt, np.asarray(masses, dtype=float), []
+    for phi in phi_values.tolist():
+        drive = replace(drive_template, phi13=0.5 * phi, phi23=-0.5 * phi)
+        try:
+            gains.append(_rotate(*_frames(*bond_lengths(times, drive), m), m, dt)[-1])  # theta[0] = 0
+        except NumericalError as exc:
+            raise NumericalError(f"phase sweep at phi = {phi:.6g}: {exc}") from exc
+    return np.array(gains) / period
 
 
 def precession_berry_phase(

@@ -380,16 +380,17 @@ class TestRun:
 
     @pytest.mark.parametrize("q", [1e200, 1.7e308])
     def test_overflowing_coupling_exits_3_without_warning(self, tmp_path, capsys, q):
-        # the I2 integral overflows; such a run once printed six RuntimeWarnings and "I2 = nan"
+        # the I2 integral overflows; such a run once printed six RuntimeWarnings and "I2 = nan".
+        # Pre-flight computes the sweep's rows, so validate fails as run does.
         cfg = {"schema_version": 1, "scenario": "trace-sweep", "seed": 0,
                "params": dict(BASE_PARAMS["trace-sweep"], q=q)}
         cfg_path = write_config(tmp_path, cfg)
         out = tmp_path / "out"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert main(["validate", cfg_path]) == 0
+            assert main(["validate", cfg_path]) == 3
             assert main(["run", cfg_path, "--out", str(out)]) == 3
-        assert capsys.readouterr().err == (
+        assert capsys.readouterr().err == 2 * (
             "numerical failure: coupling is not finite over the loop: the I2 integral overflows\n"
         )
         assert not out.exists()
@@ -425,6 +426,38 @@ class TestRun:
         assert main(["run", cfg_path, "--out", str(tmp_path / "out")]) == 3
         assert "triangle inequality violated" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    def test_phase_sweep_triangle_broken_after_start_exits_3_under_run_and_validate(self, tmp_path, capsys,
+                                                                                     command):
+        # pre-flight runs the sweep, so a phase whose triangle breaks after t = 0 fails under both commands
+        drive = {"d12": 2.2, "a12": 0.3, "omega12": 1.0, "d": 1.0, "a": 0.4, "omega": 3.0}
+        cfg = {"schema_version": 1, "scenario": "phase-sweep", "seed": 0,
+               "params": dict(BASE_PARAMS["phase-sweep"], drive=drive, phi_values=[0.0])}
+        out = tmp_path / "out"
+        argv = [command, write_config(tmp_path, cfg)] + (["--out", str(out)] if command == "run" else [])
+        assert main(argv) == 3
+        message = "phase sweep at phi = 0: triangle inequality violated: bonds (2.48599, 1.2422, 1.2422) at sample"
+        assert capsys.readouterr() == ("", f"numerical failure: {message} 75\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    def test_phase_sweep_over_the_sample_budget_exits_2_before_any_phase(self, tmp_path, capsys, monkeypatch,
+                                                                          command):
+        # 43663 phases of 1537 samples is just over MAX_SAMPLES; 43662 would fit
+        def no_phase(*args):
+            raise AssertionError("a phase ran")
+
+        monkeypatch.setattr("triholonomy.trimer._rotate", no_phase)
+        cfg = {"schema_version": 1, "scenario": "phase-sweep", "seed": 0,
+               "params": dict(BASE_PARAMS["phase-sweep"], phi_count=43663)}
+        out = tmp_path / "out"
+        argv = [command, write_config(tmp_path, cfg)] + (["--out", str(out)] if command == "run" else [])
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"validation error: phase grid of 43663 phases x 1537 samples exceeds the budget of {2**26} "
+            "samples; lower 'phi_count' or list fewer 'phi_values'\n")
+        assert not out.exists()
 
     def test_demo_budget_reports_failed_window(self, tmp_path):
         cfg = {"schema_version": 1, "scenario": "demo-budget", "seed": 0,
@@ -1273,7 +1306,7 @@ def test_validate_exits_2_exactly_when_run_does(tmp_path):
             for path in table_paths(SCENARIOS[scenario][1])
             for value in HOSTILE_VALUES]
     assert len(grid) == 1065
-    failed_runs = set()  # the configs that pass validate and then exit 3 under run
+    failed_runs = set()  # the configs that would pass validate and then exit 3 under run
     for scenario, path, value in grid:
         cfg = with_values(scenario, [(path, value)])
         with warnings.catch_warnings(record=True) as caught:
@@ -1285,9 +1318,5 @@ def test_validate_exits_2_exactly_when_run_does(tmp_path):
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], cfg
         if (validated, ran) == (0, 3):
             failed_runs.add((scenario, path, repr(value)))
-    # only the I2 contraction of trace-sweep, which needs the transport, is left to the run
-    assert failed_runs == {
-        ("trace-sweep", ("q",), repr(10**12)),
-        ("trace-sweep", ("q",), repr(1e200)),
-        ("trace-sweep", ("psi_values",), repr([1])),
-    }
+    # none: pre-flight computes the trace-sweep rows, so its I2 contraction fails under both commands
+    assert failed_runs == set()

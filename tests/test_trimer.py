@@ -218,6 +218,12 @@ class TestReconstructRotation:
 
 # The masses of the benchmark's trimer grid (perfbench/workloads.py MASSES).
 BENCHMARK_MASSES = [(2.1, 2.1, 4.7), (1.0, 1.0, 1.0), (1.5, 2.5, 3.5)]
+# the benchmark's phase-sweep drive templates
+BENCHMARK_DRIVES = [
+    BondDrive(1.1, 0.2, 1.0, 1.0, 0.15, 3.0),
+    BondDrive(1.0, 0.15, 1.0, 1.0, 0.1, 3.0),
+    BondDrive(1.2, 0.2, 1.0, 1.0, 0.12, 3.0),
+]
 ORACLE_DRIVES = [
     reference_drive(),
     BondDrive(1.2, 0.2, 1.0, 1.0, 0.12, 3.0, math.pi / 3, -math.pi / 6),
@@ -473,6 +479,28 @@ class TestPhaseSweep:
         # antisymmetric under phase reversal
         assert np.max(np.abs(rates + rates[::-1])) < 1e-6 * peak
 
+    @pytest.mark.parametrize("masses", BENCHMARK_MASSES)
+    @pytest.mark.parametrize("template", BENCHMARK_DRIVES)
+    def test_rates_are_the_bits_of_one_reconstructed_period(self, masses, template):
+        grid = np.linspace(-math.pi, math.pi, 33)
+        period = template.common_period()
+        expected = [
+            reconstruct_rotation(replace(template, phi13=0.5 * phi, phi23=-0.5 * phi), masses, period).theta[-1]
+            / period
+            for phi in grid.tolist()
+        ]
+        assert phase_sweep(template, masses, grid).tobytes() == np.array(expected).tobytes()
+
+    def test_sweep_over_the_sample_budget_refused_before_any_phase(self, monkeypatch):
+        # 43663 phases of 1537 samples is just over MAX_SAMPLES
+        def no_phase(*args):
+            raise AssertionError("a phase ran")
+
+        monkeypatch.setattr(trimer, "_rotate", no_phase)
+        assert (MAX_SAMPLES // 1537 + 1) == 43663
+        with pytest.raises(ValidationError, match="phase grid of 43663 phases x 1537 samples exceeds the budget"):
+            phase_sweep(reference_drive(), REFERENCE_MASSES, np.zeros(43663))
+
     def test_grid_range_enforced(self):
         with pytest.raises(ValidationError):
             phase_sweep(reference_drive(0, 0), REFERENCE_MASSES, [4.0])
@@ -488,6 +516,50 @@ class TestPhaseSweep:
         named = r"phi = -3\.14159.*zero-angular-momentum"
         with np.errstate(all="ignore"), pytest.raises(NumericalError, match=named):
             phase_sweep(drive, REFERENCE_MASSES, [-math.pi, 0.0])
+
+
+def body_frame_products(x, y, masses):
+    """cross_k and dot_k of consecutive (3, T) body frames, summed over the vertices one by one."""
+    cross = dot = 0.0
+    for i, m in enumerate(masses):
+        cross = cross + m * (x[i, :-1] * y[i, 1:] - y[i, :-1] * x[i, 1:])
+        dot = dot + m * (x[i, :-1] * x[i, 1:] + y[i, :-1] * y[i, 1:])
+    return cross, dot
+
+
+class TestBodyFrameCheck:
+    """The zero-angular-momentum identity of each step, checked in the body frame."""
+
+    def shipped_grid(self):
+        drive = reference_drive()
+        dt = drive.common_period() / 1536
+        m = np.asarray(REFERENCE_MASSES, dtype=float)
+        x, y = _frames(*bond_lengths(np.arange(20 * 1536 + 1) * dt, drive), m)
+        theta = trimer._rotate(x, y, m, dt)
+        return (*body_frame_products(x, y, m), theta, trimer._momentum_scale(x, y, theta, m, dt), dt)
+
+    def test_residual_is_rounding_on_the_shipped_grid(self):
+        cross, dot, theta, scale, dt = self.shipped_grid()
+        step = np.diff(theta)
+        assert np.max(np.abs(cross * np.cos(step) + dot * np.sin(step))) / dt <= 1e-12 * scale
+        trimer._check_momentum(cross, dot, theta, scale, dt)
+
+    @pytest.mark.parametrize("error", [1e-9, -1e-9, 1e-3])
+    def test_corrupted_increment_refused(self, error):
+        cross, dot, theta, scale, dt = self.shipped_grid()
+        theta[7000:] += error  # the increment of step 6999 is off by error rad
+        with pytest.raises(NumericalError, match="zero-angular-momentum invariant violated: residual"):
+            trimer._check_momentum(cross, dot, theta, scale, dt)
+
+    @pytest.mark.parametrize("name", ["cross", "dot", "theta", "scale"])
+    def test_nan_refused(self, name):
+        values = dict(zip(["cross", "dot", "theta", "scale", "dt"], self.shipped_grid()))
+        if name == "scale":
+            values[name] = math.nan
+        else:
+            values[name][3000] = math.nan
+        with pytest.raises(NumericalError, match="zero-angular-momentum invariant violated: residual"):
+            trimer._check_momentum(**values)
 
 
 class TestFailClosed:
