@@ -78,7 +78,7 @@ from .holonomy import (  # integrate_wilson: perfbench/test_perfbench.py reads c
     wilson_from_samples,
 )
 from .linking import LinkData, SpaceCurve, cs_phase, gauss_linking, hopf_pair
-from .trimer import (BondDrive, _frames, _period_steps, _tiled, bond_lengths, effective_momentum_series,
+from .trimer import (BondDrive, _frames, _sweep_grid, _tiled, bond_lengths, effective_momentum_series,
                      phase_sweep, reconstruct_rotation)
 
 OUTDIR_ENV = "TRIHOLONOMY_OUTDIR"
@@ -87,7 +87,6 @@ SCHEMA_VERSION = 1
 _CSV_BLOCK_ROWS = 1024
 # _g17_slots sends fewer values to "%" whole: the digit path's fixed cost (~0.1 ms) loses below it.
 _CSV_FAST_MIN_CELLS = 256
-_REPEAT_TRIES = 8  # the repeat lengths a column is tried for at most
 _DEKKER = 134217729.0  # 2**27 + 1 splits a double into two halves whose products are exact
 _TIE_GAP = 2.0**-30  # a product this close to a rounding tie goes to "%"; the product errs by < 1e-12
 _G17_RANGE = (1e-250, 1e250)  # |x| the digit path takes; 10**(16 - E) stays a normal double
@@ -244,41 +243,34 @@ def _write_new(path: str, chunks) -> str:
     return digest.hexdigest()
 
 
-def _repeat_length(col: np.ndarray) -> int:
-    """The least L <= n/2 with col[L:] == col[:-L] bit for bit, or 0.  Only the first ``_REPEAT_TRIES``
-    L at which row 0 recurs are tried, each on its last L rows before the whole column."""
-    bits = col.view(np.uint64)
-    lengths = np.flatnonzero(bits[1 : bits.size // 2 + 1] == bits[:1]) + 1
-    return next((k for k in lengths[:_REPEAT_TRIES].tolist()
-                 if np.array_equal(bits[-k:], bits[-2 * k : -k]) and np.array_equal(bits[k:], bits[:-k])), 0)
-
-
-def _write_csv(path: str, header: list[str], columns: list[np.ndarray]) -> str:
+def _write_csv(path: str, header: list[str], columns: list[np.ndarray], repeats: dict[int, int]) -> str:
     """Columns as "%.17g" rows in a new file; returns its sha256 hex digest.
 
     The floats are the exact bytes of ``"%.17g" % x`` from ``_g17_slots``, one call per block of
-    ``_CSV_BLOCK_ROWS`` rows.  A column that repeats its first L rows (``_repeat_length``) is
-    formatted in the blocks that start before row L + ``_CSV_BLOCK_ROWS`` only; every later block
-    copies its rows as one slice of those slots.  The rows are blocked here, and only here.
+    ``_CSV_BLOCK_ROWS`` rows, blocked here only.  ``repeats`` maps a column to the L < rows of the repeat
+    its caller declares, col[k] == col[k mod L] bit for bit.  The rows their slices read, up to the largest
+    L plus one block, are formatted once, in blocks batched across such columns; each block copies a slice.
     """
     columns = [np.asarray(col, dtype=float) for col in columns]
     n, size = len(columns[0]), _CSV_BLOCK_ROWS
-    # column -> (L, the slots of its rows [0, L + 2 size), filled as they are formatted); the first block
-    # to slice one starts at row L + size > size, so a file of two blocks slices none
-    heads = {j: (k, np.empty((k + 2 * size, 25), np.uint8))
-             for j, col in enumerate(columns) if n > 2 * size and (k := _repeat_length(col))}
+    repeats = {j: k for j, k in repeats.items() if k < n}
+    new = [j for j in range(len(columns)) if j not in repeats]
+
+    def slots(js: list[int], first: int, rows: int) -> np.ndarray:
+        cells = np.array([columns[j][first : first + rows] for j in js]).T.ravel()  # row by row
+        return _g17_slots(cells).reshape(rows, len(js), 25)
+
+    length = min(n, max((k + size for k in repeats.values()), default=0))  # the rows the slices read
+    text = np.empty((length, len(repeats), 25), np.uint8)
+    for first in range(0, length, size):
+        text[first : first + size] = slots(list(repeats), first, min(size, length - first))
 
     def block(first: int) -> bytes:
         rows = min(size, n - first)
         buf = np.empty((rows, len(columns), 25), np.uint8)
-        new = [j for j in range(len(columns)) if j not in heads or first < heads[j][0] + size]
-        cells = np.array([columns[j][first : first + rows] for j in new]).T.ravel()  # row by row
-        buf[:, new] = _g17_slots(cells).reshape(rows, len(new), 25)
-        for j, (k, head) in heads.items():
-            if first < k + size:
-                head[first : first + rows] = buf[:, j]
-            else:
-                buf[:, j] = head[first % k : first % k + rows]
+        buf[:, new] = slots(new, first, rows)
+        for i, (j, k) in enumerate(repeats.items()):
+            buf[:, j] = text[first % k : first % k + rows, i]
         buf[:, :, 24] = [44] * (len(columns) - 1) + [10]
         return buf.tobytes().translate(None, b"\0")
 
@@ -420,7 +412,7 @@ def _run_gate_synth(p: dict, seed: int) -> dict:
 def _run_trace_sweep(p: dict, seed: int) -> dict:
     """The rows pre-flight computed, and the seeded gauge check if asked for."""
     header = ["psi_abs", "trace_direct", "trace_order2", "trace_order4", "i2", "i4"]
-    outputs = {"trace_sweep.csv": (header, [np.asarray(col) for col in zip(*p["rows"])])}
+    outputs = {"trace_sweep.csv": (header, [np.asarray(col) for col in zip(*p["rows"])], {})}
     if p["gauge_rotations"] > 0:
         outputs["gauge_check.json"] = _gauge_check(p, seed)
     return outputs
@@ -443,19 +435,19 @@ def _gauge_check(p: dict, seed: int) -> dict:
 
 
 def _run_trimer_sim(p: dict, seed: int) -> dict:
-    """t, the bonds the frames were built from (one period ``_tiled``), theta, and L_eff between windows."""
+    """t, the bonds the frames were built from (one period ``_tiled``, declared repeating), theta and L_eff."""
     drive, period = p["drive"], p["period"]
     traj = reconstruct_rotation(drive, p["masses"], p["periods"] * period, period / p["steps_per_period"])
-    n_p = _period_steps(drive, traj.times.size - 1, traj.dt)
+    n_p = traj.period_steps
     bonds = _tiled(np.stack(bond_lengths(traj.times[:n_p], drive)), n_p, traj.times.size - 1)
     starts, values = effective_momentum_series(traj, period)
     l_eff = np.interp(traj.times, starts, values, left=values[0], right=values[-1])
     header = ["t", "xi12", "xi13", "xi23", "theta", "L_eff"]
-    return {"trimer_sim.csv": (header, [traj.times, *bonds, traj.theta, l_eff])}
+    return {"trimer_sim.csv": (header, [traj.times, *bonds, traj.theta, l_eff], dict.fromkeys((1, 2, 3), n_p))}
 
 
 def _run_phase_sweep(p: dict, seed: int) -> dict:
-    return {"phase_sweep.csv": (["phi", "mean_angular_velocity"], [p["grid"], p["rates"]])}
+    return {"phase_sweep.csv": (["phi", "mean_angular_velocity"], [p["grid"], p["rates"]], {})}
 
 
 def _run_linking(p: dict, seed: int) -> dict:
@@ -500,7 +492,7 @@ def _run_ramsey(p: dict, seed: int) -> dict:
         return x if math.isfinite(x) else None
 
     return {
-        "fringe.csv": (headers, cols),
+        "fringe.csv": (headers, cols, {}),
         "ramsey.json": {
             "echo": result.echo,
             "delta_e_rad_per_s": delta_e,
@@ -543,8 +535,10 @@ def _prepare_phase_sweep(p: dict, base_dir: str) -> list[str]:
     """The drive, the phase ``grid`` (phi_count points on [-pi, pi] unless phi_values lists them) and its
     ``rates``: :func:`phase_sweep` runs here, within its sample budget, and a failed phase names its phi."""
     lines = _prepare_drive(p, None)
-    grid = p["grid"] = (np.linspace(-math.pi, math.pi, p["phi_count"]) if p["phi_values"] is None
-                        else np.asarray(p["phi_values"], dtype=float))
+    if p["phi_values"] is None:
+        _sweep_grid(p["drive"], p["phi_count"])  # the budget, before the grid is built
+        p["phi_values"] = np.linspace(-math.pi, math.pi, p["phi_count"])
+    grid = p["grid"] = np.asarray(p["phi_values"], dtype=float)
     p["rates"] = phase_sweep(p["drive"], p["masses"], grid, periods=p["periods"])
     return lines
 
@@ -616,10 +610,10 @@ def _prepare_trace_sweep(p: dict, base_dir: str) -> list[str]:
     return []
 
 
-# Scenario -> (runner, parameter table, prepare).  prepare(p, base_dir) is the pre-flight past
-# the table: it checks the physics, builds into ``p`` what the runner uses (the links, the phase
-# sweep and the trace-sweep rows included), and returns report lines.  A runner takes those
-# parameters and the seed and returns {file name: JSON dict or CSV (header, columns)}.
+# Scenario -> (runner, parameter table, prepare).  prepare(p, base_dir) is the pre-flight past the
+# table: it checks the physics, builds into ``p`` what the runner uses (the links, the phase sweep and
+# the trace-sweep rows included), and returns report lines.  A runner takes those parameters and the seed
+# and returns {file name: JSON dict or CSV (header, columns, {column: L of its declared repeat})}.
 SCENARIOS = {
     "gate-synth": (_run_gate_synth, {
         "q": _Param(float, bound=_POSITIVE),
@@ -689,7 +683,7 @@ def _preflight(cfg: dict, base_dir: str) -> tuple[dict, list[str]]:
 def run_scenario(cfg: dict, base_dir: str) -> dict:
     """Pre-flight and run a loaded config from ``base_dir``, its directory.
 
-    Returns the outputs as {file name: JSON dict or CSV (header, columns)}.
+    Returns the outputs as {file name: JSON dict or CSV (header, columns, repeats)}.
     """
     p, _ = _preflight(cfg, base_dir)
     return SCENARIOS[cfg["scenario"]][0](p, cfg.get("seed", 0))

@@ -154,13 +154,14 @@ def _momentum_scale(x, y, theta, m, dt: float) -> float:
 
 @dataclass(frozen=True)
 class TrimerTrajectory:
-    """Reconstructed trimer motion: body frames and orientation (lab = body rotated by theta)."""
+    """Reconstructed trimer motion: body frames, orientation (lab = body rotated by theta) and period n_P."""
 
     times: np.ndarray
     masses: np.ndarray
     x: np.ndarray  # (3, T) canonical body-frame vertex coordinates
     y: np.ndarray
     theta: np.ndarray  # (T,) reconstructed orientation angle, body to lab
+    period_steps: int  # n_P >= 1: x, y and theta's gain per period repeat every n_P samples (T: never)
 
     def __post_init__(self):
         for name in ("times", "masses", "x", "y", "theta"):
@@ -213,7 +214,7 @@ def reconstruct_rotation(drive: BondDrive, masses, t_end: float, dt: float | Non
     frames and theta's gain per period, a geometric phase of the shape loop:
     both are built for the n_P + 1 samples of one period with its end and
     tiled, theta[k] = theta_1[k mod n_P] + floor(k / n_P) theta_1[n_P].
-    n_P spans the grid where :func:`_period_steps` finds no repeat.
+    It returns n_P as ``period_steps``: the grid where :func:`_period_steps` finds no repeat.
 
     Raises:
         ValidationError: the time step or the sample count is out of range.
@@ -228,7 +229,7 @@ def reconstruct_rotation(drive: BondDrive, masses, t_end: float, dt: float | Non
     theta = _rotate(x, y, m, dt)
     gain = np.repeat(np.arange(n // n_p + 1) * theta[-1], n_p)[: n + 1]  # theta[-1] is theta_1[n_P] if n_p <= n
     x, y, theta = (_tiled(r, n_p, n) for r in (x, y, theta))
-    return TrimerTrajectory(times, m, x, y, theta + gain)
+    return TrimerTrajectory(times, m, x, y, theta + gain, n_p)
 
 
 def _tiled(rows, n_p: int, n: int) -> np.ndarray:
@@ -261,11 +262,7 @@ def phase_sweep(drive_template: BondDrive, masses, phi_values, periods: int = 8)
     times grid samples) or a phase outside [-pi, pi] is refused first.
     """
     phi_values = np.asarray(phi_values, dtype=float)
-    period = drive_template.common_period()
-    n, dt = drive_template.time_steps(period)
-    if phi_values.size * (n + 1) > MAX_SAMPLES:
-        raise ValidationError(f"phase grid of {phi_values.size} phases x {n + 1} samples exceeds the budget "
-                              f"of {MAX_SAMPLES} samples; lower 'phi_count' or list fewer 'phi_values'")
+    period, n, dt = _sweep_grid(drive_template, phi_values.size)
     if not np.all(np.abs(phi_values) <= math.pi + 1e-12):  # NaN fails too
         raise ValidationError("phase grid must lie within [-pi, pi]")
     times, m, gains = np.arange(n + 1) * dt, np.asarray(masses, dtype=float), []
@@ -276,6 +273,16 @@ def phase_sweep(drive_template: BondDrive, masses, phi_values, periods: int = 8)
         except NumericalError as exc:
             raise NumericalError(f"phase sweep at phi = {phi:.6g}: {exc}") from exc
     return np.array(gains) / period
+
+
+def _sweep_grid(drive: BondDrive, phases: int) -> tuple[float, int, float]:
+    """Common period, count n and step dt of a sweep's grid, refused if ``phases`` x (n + 1) > ``MAX_SAMPLES``."""
+    period = drive.common_period()
+    n, dt = drive.time_steps(period)
+    if phases * (n + 1) > MAX_SAMPLES:
+        raise ValidationError(f"phase grid of {phases} phases x {n + 1} samples exceeds the budget "
+                              f"of {MAX_SAMPLES} samples; lower 'phi_count' or list fewer 'phi_values'")
+    return period, n, dt
 
 
 def precession_berry_phase(
@@ -315,10 +322,10 @@ def effective_momentum_series(traj: TrimerTrajectory, period: float) -> tuple[np
     potential summed at the ``min(_WINDOW_STEPS, n_window)`` midpoints of
     :func:`~triholonomy.holonomy.integrate_wilson`, which it matches to
     round-off.  All windows share one parameter grid and are gathered in
-    row blocks of at most ``_WINDOW_BLOCK_BYTES`` per sample array.  Where
-    the body rows repeat bit for bit every n_window samples, as
-    :func:`reconstruct_rotation` tiles them, each distinct window is computed
-    once, from the shape angles of the samples it reads, and repeated.
+    row blocks of at most ``_WINDOW_BLOCK_BYTES`` per sample array.  The body
+    rows repeat every n_P = ``traj.period_steps`` samples, so windows
+    n_P / gcd(n_P, stride) apart read equal samples (canonical phi never
+    wraps): each distinct window is computed once and repeated.
 
     Raises ValidationError for a bad period or an open window loop, and
     NumericalError for a non-finite window phase.
@@ -334,10 +341,7 @@ def effective_momentum_series(traj: TrimerTrajectory, period: float) -> tuple[np
         raise ValidationError("trajectory shorter than one window period")
     stride = max(1, n_window // 4)
     starts = np.arange(0, total - n_window, stride, dtype=int)
-    # Windows `cycle` apart read equal samples of rows repeating every n_window (canonical phi never wraps).
-    cycle = starts.size
-    if all(np.array_equal(r[:, n_window:], r[:, :-n_window]) for r in (traj.x, traj.y)):
-        cycle = min(cycle, n_window // math.gcd(n_window, stride))
+    cycle = min(starts.size, traj.period_steps // math.gcd(traj.period_steps, stride))
     end = int(starts[cycle - 1]) + n_window + 1  # the samples the distinct windows read
     theta_sh, phi_sh = shape_angles(traj.x[:, :end], traj.y[:, :end], traj.masses)
     # (windows, n_window + 1) views: row w holds the samples of window w.

@@ -10,6 +10,7 @@ import stat
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -25,7 +26,6 @@ from triholonomy.cli import (
     SCENARIOS,
     _g17_digits,
     _g17_slots,
-    _repeat_length,
     _run_trimer_sim,
     _write_csv,
     _write_json,
@@ -458,6 +458,23 @@ class TestRun:
             f"validation error: phase grid of 43663 phases x 1537 samples exceeds the budget of {2**26} "
             "samples; lower 'phi_count' or list fewer 'phi_values'\n")
         assert not out.exists()
+
+    def test_phase_grid_over_the_sample_budget_is_refused_before_it_is_built(self, tmp_path, capsys):
+        # 2**22 phases: the grid alone would take 32 MiB, and the sweep's budget refuses it first
+        cfg = {"schema_version": 1, "scenario": "phase-sweep", "seed": 0,
+               "params": dict(BASE_PARAMS["phase-sweep"], phi_count=2**22)}
+        path = write_config(tmp_path, cfg)
+        tracemalloc.start()
+        try:
+            code = main(["validate", path])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"validation error: phase grid of {2**22} phases x 1537 samples exceeds the budget of {2**26} "
+            "samples; lower 'phi_count' or list fewer 'phi_values'\n")
+        assert peak < 1e6
 
     def test_demo_budget_reports_failed_window(self, tmp_path):
         cfg = {"schema_version": 1, "scenario": "demo-budget", "seed": 0,
@@ -1065,7 +1082,7 @@ def test_write_csv_matches_per_value_format(tmp_path, rows):
         rng.normal(size=rows) * 10.0 ** rng.integers(-300, 300, size=rows),
         np.arange(rows) - rows // 2,  # an int column
     ]
-    _write_csv(str(tmp_path / "block.csv"), ["a", "b", "c"], columns)
+    _write_csv(str(tmp_path / "block.csv"), ["a", "b", "c"], columns, {})
     write_csv_per_value(str(tmp_path / "value.csv"), ["a", "b", "c"], columns)
     assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "value.csv").read_bytes()
 
@@ -1079,7 +1096,7 @@ def format_g17(block):
 
 
 def repeating_columns(case):
-    """(columns, the repeat length ``_repeat_length`` must find in each) for one case of repeating columns."""
+    """(columns, the repeat length of each, 0 for none) for one case of repeating columns."""
     rng = np.random.default_rng(len(case))
     n = 5 * _CSV_BLOCK_ROWS + 7
 
@@ -1092,17 +1109,6 @@ def repeating_columns(case):
         return [tiled(rng.normal(size=length)), noise, tiled(np.arange(length) - 3.5)], [length, 0, length]
     if case == "constant":
         return [np.full(n, 0.1), np.zeros(n), noise], [1, 1, 0]
-    if case == "signed zero":
-        # 0.0 and -0.0 are equal values but not equal bits: the values repeat every 2 rows, the bits never
-        zeros = np.where(rng.random(n // 2 + 1) < 0.5, 0.0, -0.0)
-        return [np.column_stack([zeros, np.full(zeros.size, 0.5)]).ravel()[:n], noise], [0, 0]
-    if case == "mirror point":
-        # row 0 recurs at the mirror point of each period, as a cosine's does, before the period ends
-        half = 1.0 + 0.15 * np.cos(np.linspace(0.7, 2.9, 400))
-        period = np.concatenate([half, half[::-1]])
-        assert np.flatnonzero(period == period[0]).tolist() == [0, 799]
-        mirrored = np.concatenate([period, noise[800:]])  # recurs at the mirror, never repeats
-        return [tiled(period), mirrored], [800, 0]
     if case == "non-finite":
         period = [np.nan, np.inf, -np.inf, 1.0, -0.0, 0.0, 5e-324, 1e300]
         return [tiled(period), noise, tiled([np.nan, 2.5])], [8, 0, 2]
@@ -1113,26 +1119,33 @@ def repeating_columns(case):
 
 
 @pytest.mark.parametrize("case", [
-    "length 3", "length 256", "length 1000", "length 1536", "length 2048", "constant", "signed zero",
-    "mirror point", "non-finite", "every column", "below the fast path",
+    "length 3", "length 256", "length 1000", "length 1536", "length 2048", "constant", "non-finite",
+    "every column", "below the fast path",
 ])
 def test_write_csv_matches_per_value_format_on_repeating_columns(tmp_path, case):
-    # repeat lengths below, at a divisor of, and above _CSV_BLOCK_ROWS, and ones that divide no block
+    # declared repeat lengths below, at a divisor of, and above _CSV_BLOCK_ROWS, and ones that divide no block
     columns, lengths = repeating_columns(case)
-    assert [_repeat_length(col) for col in columns] == lengths
+    for col, length in zip(columns, lengths):
+        assert length == 0 or col.tobytes() == np.resize(col[:length], col.size).tobytes()
     header = [f"c{j}" for j in range(len(columns))]
     if case == "below the fast path":
         assert len(columns) * len(columns[0]) < _CSV_FAST_MIN_CELLS
-    _write_csv(str(tmp_path / "block.csv"), header, columns)
+    repeats = {j: length for j, length in enumerate(lengths) if length}
+    _write_csv(str(tmp_path / "block.csv"), header, columns, repeats)
     write_csv_per_value(str(tmp_path / "value.csv"), header, columns)
     assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "value.csv").read_bytes()
 
 
-def test_repeat_length_is_the_least_length_and_at_most_half_the_column():
-    assert _repeat_length(np.resize([1.0, 2.0, 1.0, 2.0], 9)) == 2
-    assert _repeat_length(np.array([1.0, 2.0, 3.0, 1.0, 2.0])) == 0  # a repeat of 3 rows would be more than half
-    assert _repeat_length(np.array([1.0, 2.0, 3.0, 1.0, 2.0, 3.0])) == 3
-    assert _repeat_length(np.array([7.0])) == 0 and _repeat_length(np.array([])) == 0
+def test_write_csv_reads_a_repeat_of_every_row_as_none(tmp_path, monkeypatch):
+    # a trajectory that does not repeat declares its whole grid: such columns are formatted per block, with
+    # the others, and not held as text for the whole file first
+    calls = []
+    monkeypatch.setattr("triholonomy.cli._g17_slots", lambda x: calls.append(x.size) or _g17_slots(x))
+    columns = [np.random.default_rng(3).normal(size=3 * _CSV_BLOCK_ROWS + 5), np.arange(3 * _CSV_BLOCK_ROWS + 5)]
+    _write_csv(str(tmp_path / "block.csv"), ["a", "b"], columns, {0: columns[0].size, 1: columns[1].size + 7})
+    write_csv_per_value(str(tmp_path / "value.csv"), ["a", "b"], columns)
+    assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "value.csv").read_bytes()
+    assert calls == [2 * _CSV_BLOCK_ROWS] * 3 + [2 * 5]
 
 
 def percent_g17(block):
@@ -1196,11 +1209,14 @@ def test_format_g17_leaves_only_the_zeros_of_trimer_reference_to_percent():
     assert format_g17(block) == percent_g17(block)
 
 
-def trimer_sim_columns(drive, periods, steps_per_period, masses=(2.1, 2.1, 4.7)):
-    """The trimer-sim CSV columns of a drive table, run through the scenario's pre-flight."""
+def trimer_sim_config(drive, periods, steps_per_period, masses=(2.1, 2.1, 4.7)):
     params = {"drive": drive, "masses": list(masses), "periods": periods, "steps_per_period": steps_per_period}
-    cfg = {"schema_version": 1, "scenario": "trimer-sim", "seed": 0, "params": params}
-    return run_scenario(cfg, CONFIG_DIR)["trimer_sim.csv"][1]
+    return {"schema_version": 1, "scenario": "trimer-sim", "seed": 0, "params": params}
+
+
+def trimer_sim_payload(drive, periods, steps_per_period):
+    """The trimer-sim CSV (header, columns, repeats) of a drive table, run through the scenario's pre-flight."""
+    return run_scenario(trimer_sim_config(drive, periods, steps_per_period), CONFIG_DIR)["trimer_sim.csv"]
 
 
 class TestTrimerSimBonds:
@@ -1215,9 +1231,10 @@ class TestTrimerSimBonds:
         # at most 3.1e-14 from the bonds evaluated at every sample
         table = dict(self.REFERENCE, phi13=phases[0], phi23=phases[1])
         drive = BondDrive(**table)
-        t, *bonds = trimer_sim_columns(table, periods, steps_per_period)[:4]
+        _, columns, repeats = trimer_sim_payload(table, periods, steps_per_period)
+        t, *bonds = columns[:4]
+        assert repeats == {1: steps_per_period, 2: steps_per_period, 3: steps_per_period}
         for col, full in zip(bonds, bond_lengths(t, drive)):
-            assert _repeat_length(col) == steps_per_period
             assert col[steps_per_period:].tobytes() == col[:-steps_per_period].tobytes()
             assert np.max(np.abs(col - full)) <= 1e-13
         traj = reconstruct_rotation(drive, [2.1, 2.1, 4.7], periods * drive.common_period(), t[1])
@@ -1227,8 +1244,21 @@ class TestTrimerSimBonds:
     def test_ratio_off_by_rounding_keeps_the_full_grid_bonds(self):
         # omega/omega12 = 3 (1 + 1e-12) passes the pre-flight as 3, but the grid does not repeat
         table = dict(self.REFERENCE, omega=3.0 * (1 + 1e-12))
-        t, *bonds = trimer_sim_columns(table, 4, 512)[:4]
+        _, columns, repeats = trimer_sim_payload(table, 4, 512)
+        t, *bonds = columns[:4]
+        assert repeats == dict.fromkeys((1, 2, 3), t.size)  # a repeat of every row: none
         assert np.array(bonds).tobytes() == np.array(bond_lengths(t, BondDrive(**table))).tobytes()
+
+    @pytest.mark.parametrize("omega", [3.0, 3.0 * (1 + 1e-12)])
+    def test_written_csv_matches_per_value_format(self, tmp_path, omega):
+        # the repeating reference drive, and a ratio off by rounding whose bonds do not repeat
+        table = dict(self.REFERENCE, omega=omega)
+        out = tmp_path / "out"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["run", write_config(tmp_path, trimer_sim_config(table, 7, 512)), "--out", str(out)]) == 0
+        header, columns, _ = trimer_sim_payload(table, 7, 512)
+        write_csv_per_value(str(tmp_path / "value.csv"), header, columns)
+        assert (out / "trimer_sim.csv").read_bytes() == (tmp_path / "value.csv").read_bytes()
 
     def test_irrational_frequency_ratio_keeps_the_full_grid_bonds(self, monkeypatch):
         # no common period: the pre-flight refuses such a drive, so the runner gets it directly, and

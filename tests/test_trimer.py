@@ -284,7 +284,7 @@ def full_grid_trajectory(drive, masses, t_end, dt):
     times = np.arange(int(round(t_end / dt)) + 1) * dt
     m = np.asarray(masses, dtype=float)
     x, y = _frames(*bond_lengths(times, drive), m)
-    return TrimerTrajectory(times, m, x, y, trimer._rotate(x, y, m, dt))
+    return TrimerTrajectory(times, m, x, y, trimer._rotate(x, y, m, dt), times.size)  # no repeat
 
 
 def repeats(traj, n):
@@ -403,7 +403,8 @@ class TestOnePeriod:
         # the same rows with the last sample scaled no longer repeat, so every window is computed
         scale = np.ones(traj.times.size)
         scale[-1] += 2.0**-30
-        edited = TrimerTrajectory(traj.times, traj.masses, traj.x * scale, traj.y * scale, traj.theta)
+        edited = TrimerTrajectory(traj.times, traj.masses, traj.x * scale, traj.y * scale, traj.theta,
+                                  traj.times.size)
         assert not repeats(edited, 1536)
         edited_starts, edited_values = effective_momentum_series(edited, period)
         assert np.array_equal(edited_starts, starts)
@@ -423,7 +424,7 @@ class TestOnePeriod:
         period = drive.common_period()
         traj = reconstruct_rotation(drive, REFERENCE_MASSES, 3 * period, period / 512)
         grow = 1.0 + 0.5 * traj.times / traj.times[-1]
-        built = TrimerTrajectory(traj.times, traj.masses, traj.x * grow, traj.y * grow, traj.theta)
+        built = TrimerTrajectory(traj.times, traj.masses, traj.x * grow, traj.y * grow, traj.theta, traj.times.size)
         starts, values = effective_momentum_series(built, period)
         ref_starts, ref_values = momentum_series_per_window(built, period)
         assert np.array_equal(starts, ref_starts)
@@ -438,6 +439,7 @@ class TestOnePeriod:
         assert traj.theta.tobytes() == theta.tobytes()
         assert traj.x.tobytes() == body[..., 0].T.tobytes()
         assert traj.y.tobytes() == body[..., 1].T.tobytes()
+        assert traj.period_steps == traj.times.size
 
     def test_ratio_off_by_rounding_more_builds_the_whole_grid(self):
         # omega/omega12 = 3 (1 + 1e-12) passes as 3 (its common period is 2 pi), but the fast bonds
@@ -448,6 +450,19 @@ class TestOnePeriod:
         theta, body = reference_theta(drive, REFERENCE_MASSES, traj.times)
         assert traj.theta.tobytes() == theta.tobytes()
         assert traj.x.tobytes() == body[..., 0].T.tobytes()
+        assert traj.period_steps == traj.times.size
+
+    @pytest.mark.parametrize("periods, steps_per_period", [(20, 1536), (7.5, 512), (2, 192)])
+    def test_period_steps_is_the_steps_of_one_common_period(self, periods, steps_per_period):
+        period = reference_drive().common_period()
+        traj = reconstruct_rotation(reference_drive(), REFERENCE_MASSES, periods * period, period / steps_per_period)
+        assert traj.period_steps == steps_per_period
+        assert repeats(traj, steps_per_period)
+
+    def test_one_period_grid_has_no_repeat(self):
+        period = reference_drive().common_period()
+        traj = reconstruct_rotation(reference_drive(), REFERENCE_MASSES, period, period / 1536)
+        assert traj.times.size == 1537 and traj.period_steps == 1537
 
     def test_irrational_frequency_ratio_builds_the_whole_grid(self):
         drive = BondDrive(1.1, 0.2, 1.0, 1.0, 0.15, math.sqrt(2) * 3, math.pi / 4, -math.pi / 4)
