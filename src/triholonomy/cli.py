@@ -22,12 +22,13 @@ directory as a partial file and renamed into place only on success, the run
 manifest (config echo, version, checksums of the bytes written, timings) last;
 a failure removes the partial files.  Reruns give byte-identical data files.
 
-Each ``SCENARIOS`` entry is ``(runner, table, prepare)``.  ``run`` and
-``validate`` run one pre-flight verbatim: the table's parameters (JSON kind,
-default, bound), then the prepare, which checks the physics and builds what the
-runner uses.  ``run`` then calls the runner, which returns its outputs as data,
-and writes them through one writer.  So ``validate`` exits 2 exactly when ``run``
-does, but for an unusable output directory or running out of memory.
+Each ``SCENARIOS`` entry is ``(table, scenario)``.  ``run`` and ``validate``
+take one path, :func:`run_scenario`: the table reads the parameters (JSON kind,
+default, bound), then the scenario checks the physics, computes, and returns
+its report lines and its outputs as data.  ``validate`` prints the lines and
+writes nothing; ``run`` writes the outputs through one writer.  So ``validate``
+exits 0, 2 or 3 exactly when ``run`` does, but for an unusable output directory
+or running out of memory in the writes.
 
 The seed is echoed into the manifest and drives the randomised property
 sweeps (currently the optional gauge-rotation check of trace-sweep); all
@@ -58,6 +59,7 @@ from . import __version__
 from .connection import eigenframe_rate_samples
 from .demonstrator import (
     PlatformParams,
+    WindowReport,
     adiabatic_window,
     gate_budget,
     leakage_estimate,
@@ -78,8 +80,8 @@ from .holonomy import (  # integrate_wilson: perfbench/test_perfbench.py reads c
     wilson_from_samples,
 )
 from .linking import LinkData, SpaceCurve, cs_phase, gauss_linking, hopf_pair
-from .trimer import (BondDrive, _frames, _sweep_grid, _tiled, bond_lengths, effective_momentum_series,
-                     phase_sweep, reconstruct_rotation)
+from .trimer import (BondDrive, _sweep_grid, _tiled, bond_lengths, effective_momentum_series, phase_sweep,
+                     reconstruct_rotation)
 
 OUTDIR_ENV = "TRIHOLONOMY_OUTDIR"
 SCHEMA_VERSION = 1
@@ -297,7 +299,7 @@ class _Param(NamedTuple):
     or a nested table (a JSON object).  ``bool`` is neither ``int`` nor
     ``float``; an ``int`` passes as a ``float``; either must fit int64 and a
     ``float`` must be finite.  ``default`` is ``_REQUIRED`` for a parameter
-    that must be given, ``None`` where the runner derives it.  ``bound`` is a
+    that must be given, ``None`` where the scenario derives it.  ``bound`` is a
     ``(test, phrase)`` pair that a given value must pass.
     """
 
@@ -390,14 +392,19 @@ def load_config(path: str) -> dict:
 # ---------------------------------------------------------------- scenarios
 
 
-def _run_gate_synth(p: dict, seed: int) -> dict:
-    spec = p["spec"]
-    if p["target"] == "pi2":
-        realised = spec.integrate()
-    else:
+def _gate_synth(p: dict, base_dir: str, seed: int) -> tuple[list[str], dict]:
+    """The pi/2 gate of at most ``_MAX_REPETITIONS`` loops, or the Hadamard gate steered on its one loop."""
+    hadamard = p["target"] == "hadamard"
+    spec = synth_phase_gate(p["q"], 1 if hadamard else p["n_rep"], n_samples=p["samples"], steps=p["steps"])
+    if spec.repetitions > _MAX_REPETITIONS:
+        raise ConfigError(f"{spec.repetitions:.10g} loop repetitions exceed {_MAX_REPETITIONS}; "
+                          "raise q or lower n_rep")
+    if hadamard:
         spec = synth_hadamard_gate(p["q"], steps=p["steps"], shape=spec.loop.shape)
         realised = spec.transverse.matrix
-    return {"gate.json": {
+    else:
+        realised = spec.integrate()
+    return [], {"gate.json": {
         "target": p["target"],
         "q": p["q"],
         "repetitions": spec.repetitions,
@@ -409,20 +416,29 @@ def _run_gate_synth(p: dict, seed: int) -> dict:
     }}
 
 
-def _run_trace_sweep(p: dict, seed: int) -> dict:
-    """The rows pre-flight computed, and the seeded gauge check if asked for."""
+def _trace_sweep(p: dict, base_dir: str, seed: int) -> tuple[list[str], dict]:
+    """Per |psi| the direct trace, order-2 and order-4 estimates, I2 and I4; the seeded gauge check if asked."""
+    shape = make_ellipse_loop(p["theta0"], 0.0, p["a"], p["b"], p["samples"])
+    s_mid = midpoint_grid(p["steps"])[0]
+    base = HolonomyLoop(shape, charge=p["q"], steps=p["steps"]).sample(s_mid)
+    rows = []
+    for psi_abs in p["psi_values"]:
+        psi = np.full(s_mid.size, complex(psi_abs))
+        direct = wilson_from_samples(base.a, psi, p["q"]).trace
+        c, j = eigenframe_rate_samples(base._replace(psi=psi), p["q"])
+        d4 = trace_expansion_from_rates(c, j, 4)  # its I2 gives the order-2 estimate exactly
+        d2 = 2.0 * math.cos(d4.abelian_angle) * (1.0 - d4.corrections[0])
+        rows.append((psi_abs, direct, d2, d4.trace_estimate, *d4.corrections))
     header = ["psi_abs", "trace_direct", "trace_order2", "trace_order4", "i2", "i4"]
-    outputs = {"trace_sweep.csv": (header, [np.asarray(col) for col in zip(*p["rows"])], {})}
+    outputs = {"trace_sweep.csv": (header, [np.asarray(col) for col in zip(*rows)], {})}
     if p["gauge_rotations"] > 0:
-        outputs["gauge_check.json"] = _gauge_check(p, seed)
-    return outputs
+        outputs["gauge_check.json"] = _gauge_check(s_mid, base.a, p["psi_values"][0], p["gauge_rotations"], seed)
+    return [], outputs
 
 
-def _gauge_check(p: dict, seed: int) -> dict:
-    """Seeded random gauge rotations of the loop's (A, psi) data at unit weight."""
-    s, a, psi_abs = p["s_mid"], p["base"].a, p["psi_values"][0]
+def _gauge_check(s: np.ndarray, a: np.ndarray, psi_abs: float, rotations: int, seed: int) -> dict:
+    """Seeded random gauge rotations of the loop's (A, psi) data at midpoints ``s``, at unit weight."""
     base = wilson_from_samples(a, np.full(s.size, psi_abs), 1.0).trace
-    rotations = p["gauge_rotations"]
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(rotations):
@@ -434,35 +450,86 @@ def _gauge_check(p: dict, seed: int) -> dict:
     return {"seed": seed, "rotations": rotations, "worst_trace_shift": worst, "base_trace": base}
 
 
-def _run_trimer_sim(p: dict, seed: int) -> dict:
+def _drive(p: dict) -> tuple[BondDrive, float, list[str]]:
+    """``drive`` as a ``BondDrive``, its common period and the report line."""
+    drive = BondDrive(**p["drive"])
+    period = drive.common_period()
+    return drive, period, [f"drive ok: common period {period:.6g}"]
+
+
+def _trimer_sim(p: dict, base_dir: str, seed: int) -> tuple[list[str], dict]:
     """t, the bonds the frames were built from (one period ``_tiled``, declared repeating), theta and L_eff."""
-    drive, period = p["drive"], p["period"]
+    drive, period, lines = _drive(p)
     traj = reconstruct_rotation(drive, p["masses"], p["periods"] * period, period / p["steps_per_period"])
     n_p = traj.period_steps
     bonds = _tiled(np.stack(bond_lengths(traj.times[:n_p], drive)), n_p, traj.times.size - 1)
     starts, values = effective_momentum_series(traj, period)
     l_eff = np.interp(traj.times, starts, values, left=values[0], right=values[-1])
-    header = ["t", "xi12", "xi13", "xi23", "theta", "L_eff"]
-    return {"trimer_sim.csv": (header, [traj.times, *bonds, traj.theta, l_eff], dict.fromkeys((1, 2, 3), n_p))}
+    header, repeats = ["t", "xi12", "xi13", "xi23", "theta", "L_eff"], dict.fromkeys((1, 2, 3), n_p)
+    return lines, {"trimer_sim.csv": (header, [traj.times, *bonds, traj.theta, l_eff], repeats)}
 
 
-def _run_phase_sweep(p: dict, seed: int) -> dict:
-    return {"phase_sweep.csv": (["phi", "mean_angular_velocity"], [p["grid"], p["rates"]], {})}
+def _phase_sweep(p: dict, base_dir: str, seed: int) -> tuple[list[str], dict]:
+    """The mean rate at each phase of ``phi_values``, else of phi_count points on [-pi, pi], within the
+    sample budget of :func:`phase_sweep`; a failed phase names its phi."""
+    drive, period, lines = _drive(p)
+    drive.time_steps(p["periods"] * period)  # the grid of ``periods`` periods must fit the budget
+    if p["phi_values"] is None:
+        _sweep_grid(drive, p["phi_count"])  # the budget, before the grid is built
+        grid = np.linspace(-math.pi, math.pi, p["phi_count"])
+    else:
+        grid = np.asarray(p["phi_values"], dtype=float)
+    rates = phase_sweep(drive, p["masses"], grid, periods=p["periods"])
+    return lines, {"phase_sweep.csv": (["phi", "mean_angular_velocity"], [grid, rates], {})}
 
 
-def _run_linking(p: dict, seed: int) -> dict:
-    return {"linking.json": {
-        "lk_matrix": p["lk"].tolist(),
-        "charges": p["charges"],
+def _linking(p: dict, base_dir: str, seed: int) -> tuple[list[str], dict]:
+    """The linking matrix of the Hopf pair or of the curve files read against ``base_dir``, one charge and
+    slk each (1.0 and 0 unless given), and their ``cs_phase``."""
+    if p["curve_files"] is None:
+        curves = list(hopf_pair(p["hopf"]["radius1"], p["hopf"]["radius2"], p["hopf"]["segments"]))
+    else:
+        curves = []
+        for path in (os.path.join(base_dir, name) for name in p["curve_files"]):
+            try:
+                data = np.loadtxt(path, delimiter=",", skiprows=1)
+            except (OSError, ValueError) as exc:
+                raise ConfigError(f"cannot read curve file {path}: {exc}") from exc
+            if data.ndim != 2 or data.shape[1] != 3:
+                raise ConfigError(f"curve file {path} must have three columns (x, y, z)")
+            curves.append(SpaceCurve(data))
+    n = len(curves)
+    for key in ("charges", "slk"):
+        if p[key] is not None and len(p[key]) != n:
+            raise ConfigError(f"linking: parameter {key!r} needs one value per curve ({n})")
+    lk = np.zeros((n, n), dtype=int)
+    for i, j in itertools.combinations(range(n), 2):
+        lk[i, j] = lk[j, i] = gauss_linking(curves[i], curves[j])
+    charges = [1.0] * n if p["charges"] is None else p["charges"]
+    slk = [0] * n if p["slk"] is None else p["slk"]
+    return [f"{n} curves read"], {"linking.json": {
+        "lk_matrix": lk.tolist(),
+        "charges": charges,
         "level": p["k"],
-        "slk": p["slk"],
-        "cs_phase": p["cs_phase"],
+        "slk": slk,
+        "cs_phase": cs_phase(charges, LinkData(lk, slk), p["k"]),
     }}
 
 
-def _run_demo_budget(p: dict, seed: int) -> dict:
-    report, budget = p["window"], p["budget"]
-    return {"budget.json": {
+def _platform(p: dict) -> tuple[PlatformParams, WindowReport, list[str]]:
+    """``platform`` as ``PlatformParams``, its adiabatic window and the window's report line."""
+    platform = PlatformParams(**p["platform"])
+    report = adiabatic_window(platform, p["window_factor"])
+    return platform, report, [
+        f"adiabatic window {'pass' if report.passed else f'FAIL, need both ratios >= {report.factor:g}'}: "
+        f"(1/T)/splitting = {report.ratio_lower:.3g}, gap*T = {report.ratio_upper:.3g}"]
+
+
+def _demo_budget(p: dict, base_dir: str, seed: int) -> tuple[list[str], dict]:
+    """The adiabatic window, reported whether or not it passed, the per-loop leakage and the error budget."""
+    platform, report, lines = _platform(p)
+    budget = gate_budget(platform, p["contingency"])
+    return lines, {"budget.json": {
         "window": {
             "passed": report.passed,
             "gap_rad_per_s": report.gap,
@@ -471,7 +538,7 @@ def _run_demo_budget(p: dict, seed: int) -> dict:
             "ratio_upper": report.ratio_upper,
             "factor": report.factor,
         },
-        "per_loop_leakage": p["leakage"],
+        "per_loop_leakage": leakage_estimate(platform),
         "budget": {
             "p_leak": budget.p_leak,
             "p_decay": budget.p_decay,
@@ -481,8 +548,15 @@ def _run_demo_budget(p: dict, seed: int) -> dict:
     }}
 
 
-def _run_ramsey(p: dict, seed: int) -> dict:
-    platform, spec = p["platform"], p["spec"]
+def _ramsey(p: dict, base_dir: str, seed: int) -> tuple[list[str], dict]:
+    """The Ramsey or echo fringes of the pi/2 gate's loop, on a platform whose adiabatic window passes."""
+    platform, report, lines = _platform(p)
+    if not report.passed:
+        raise ValidationError("adiabatic window violated: need splitting << 1/T_loop << gap with factor "
+                              f"{report.factor:g} (got ratios {report.ratio_lower:.3g} and "
+                              f"{report.ratio_upper:.3g})")
+    q = platform.charge if p["q"] is None else p["q"]
+    spec = synth_phase_gate(q, None, n_samples=p["samples"], steps=p["steps"])
     delta_e = platform.splitting if p["delta_e"] is None else p["delta_e"]
     result = ramsey_echo(spec.loop, delta_e, platform, echo=p["echo"], scan_count=p["scan_count"])
     cols = [result.scan_phases] + [result.populations[i] for i in range(len(result.prep_phases))]
@@ -491,7 +565,7 @@ def _run_ramsey(p: dict, seed: int) -> dict:
     def _maybe(x: float):
         return x if math.isfinite(x) else None
 
-    return {
+    return lines, {
         "fringe.csv": (headers, cols, {}),
         "ramsey.json": {
             "echo": result.echo,
@@ -515,115 +589,18 @@ _HOPF = {
 }
 _MASSES = _Param([float], [2.1, 2.1, 4.7], (lambda v: len(v) == 3 and min(v) > 0, "three positive values"))
 
-
-def _prepare_drive(p: dict, steps_per_period: int | None) -> list[str]:
-    """``drive`` as a ``BondDrive`` and its common ``period``, whose time grid must fit the budget."""
-    drive = p["drive"] = BondDrive(**p["drive"])
-    period = p["period"] = drive.common_period()
-    drive.time_steps(p["periods"] * period, None if steps_per_period is None else period / steps_per_period)
-    return [f"drive ok: common period {period:.6g}"]
-
-
-def _prepare_trimer_sim(p: dict, base_dir: str) -> list[str]:
-    """The drive, whose triangle inequality holds at t = 0 (the run checks the later samples)."""
-    lines = _prepare_drive(p, p["steps_per_period"])
-    _frames(*bond_lengths(0.0, p["drive"]), p["masses"])
-    return lines
-
-
-def _prepare_phase_sweep(p: dict, base_dir: str) -> list[str]:
-    """The drive, the phase ``grid`` (phi_count points on [-pi, pi] unless phi_values lists them) and its
-    ``rates``: :func:`phase_sweep` runs here, within its sample budget, and a failed phase names its phi."""
-    lines = _prepare_drive(p, None)
-    if p["phi_values"] is None:
-        _sweep_grid(p["drive"], p["phi_count"])  # the budget, before the grid is built
-        p["phi_values"] = np.linspace(-math.pi, math.pi, p["phi_count"])
-    grid = p["grid"] = np.asarray(p["phi_values"], dtype=float)
-    p["rates"] = phase_sweep(p["drive"], p["masses"], grid, periods=p["periods"])
-    return lines
-
-
-def _prepare_platform(p: dict, budget: bool = False) -> list[str]:
-    """``platform`` and its adiabatic ``window``, refused if failed unless its error ``budget`` reports it."""
-    platform = p["platform"] = PlatformParams(**p["platform"])
-    report = p["window"] = adiabatic_window(platform, p["window_factor"])
-    if budget:
-        p["budget"], p["leakage"] = gate_budget(platform, p["contingency"]), leakage_estimate(platform)
-    elif not report.passed:
-        raise ValidationError("adiabatic window violated: need splitting << 1/T_loop << gap with factor "
-                              f"{report.factor:g} (got ratios {report.ratio_lower:.3g} and "
-                              f"{report.ratio_upper:.3g})")
-    return [f"adiabatic window {'pass' if report.passed else f'FAIL, need both ratios >= {report.factor:g}'}: "
-            f"(1/T)/splitting = {report.ratio_lower:.3g}, gap*T = {report.ratio_upper:.3g}"]
-
-
-def _prepare_spec(p: dict, q: float, n_rep: int | None, most: float = math.inf) -> list[str]:
-    """``spec``: the pi/2 gate, whose loop Hadamard steers, built without transport; at most ``most`` loops."""
-    spec = p["spec"] = synth_phase_gate(q, n_rep, n_samples=p["samples"], steps=p["steps"])
-    if spec.repetitions > most:
-        raise ConfigError(f"{spec.repetitions:.10g} loop repetitions exceed {most}; raise q or lower n_rep")
-    return []
-
-
-def _prepare_curves(p: dict, base_dir: str) -> list[str]:
-    """``lk`` of the Hopf pair or of the curve files read against ``base_dir``, one charge and slk each
-    (1.0 and 0 unless given), and their ``cs_phase``."""
-    if p["curve_files"] is None:
-        curves = list(hopf_pair(p["hopf"]["radius1"], p["hopf"]["radius2"], p["hopf"]["segments"]))
-    else:
-        curves = []
-        for path in (os.path.join(base_dir, name) for name in p["curve_files"]):
-            try:
-                data = np.loadtxt(path, delimiter=",", skiprows=1)
-            except (OSError, ValueError) as exc:
-                raise ConfigError(f"cannot read curve file {path}: {exc}") from exc
-            if data.ndim != 2 or data.shape[1] != 3:
-                raise ConfigError(f"curve file {path} must have three columns (x, y, z)")
-            curves.append(SpaceCurve(data))
-    n = len(curves)
-    for key in ("charges", "slk"):
-        if p[key] is not None and len(p[key]) != n:
-            raise ConfigError(f"linking: parameter {key!r} needs one value per curve ({n})")
-    lk = p["lk"] = np.zeros((n, n), dtype=int)
-    for i, j in itertools.combinations(range(n), 2):
-        lk[i, j] = lk[j, i] = gauss_linking(curves[i], curves[j])
-    p["charges"] = [1.0] * n if p["charges"] is None else p["charges"]
-    p["slk"] = [0] * n if p["slk"] is None else p["slk"]
-    p["cs_phase"] = cs_phase(p["charges"], LinkData(lk, p["slk"]), p["k"])
-    return [f"{n} curves read"]
-
-
-def _prepare_trace_sweep(p: dict, base_dir: str) -> list[str]:
-    """The ellipse ``shape``, its midpoint samples ``s_mid`` and ``base`` data, and the sweep's ``rows``: per
-    |psi| the direct trace, the order-2 and order-4 estimates, I2 and I4."""
-    p["shape"] = make_ellipse_loop(p["theta0"], 0.0, p["a"], p["b"], p["samples"])
-    s_mid = p["s_mid"] = midpoint_grid(p["steps"])[0]
-    base = p["base"] = HolonomyLoop(p["shape"], charge=p["q"], steps=p["steps"]).sample(s_mid)
-    p["rows"] = []
-    for psi_abs in p["psi_values"]:
-        psi = np.full(s_mid.size, complex(psi_abs))
-        direct = wilson_from_samples(base.a, psi, p["q"]).trace
-        c, j = eigenframe_rate_samples(base._replace(psi=psi), p["q"])
-        d4 = trace_expansion_from_rates(c, j, 4)  # its I2 gives the order-2 estimate exactly
-        d2 = 2.0 * math.cos(d4.abelian_angle) * (1.0 - d4.corrections[0])
-        p["rows"].append((psi_abs, direct, d2, d4.trace_estimate, *d4.corrections))
-    return []
-
-
-# Scenario -> (runner, parameter table, prepare).  prepare(p, base_dir) is the pre-flight past the
-# table: it checks the physics, builds into ``p`` what the runner uses (the links, the phase sweep and
-# the trace-sweep rows included), and returns report lines.  A runner takes those parameters and the seed
-# and returns {file name: JSON dict or CSV (header, columns, {column: L of its declared repeat})}.
+# Scenario -> (parameter table, scenario).  scenario(p, base_dir, seed) takes the table's parameters, the
+# config's directory and the seed, checks the physics, computes, and returns its report lines and its
+# outputs as {file name: JSON dict or CSV (header, columns, {column: L of its declared repeat})}.
 SCENARIOS = {
-    "gate-synth": (_run_gate_synth, {
+    "gate-synth": ({
         "q": _Param(float, bound=_POSITIVE),
         "target": _Param(str, "pi2", (lambda v: v in ("pi2", "hadamard"), "'pi2' or 'hadamard'")),
         "n_rep": _Param(int, None, _COUNT),  # pi2 only; None picks the small-loop count
         "samples": _Param(int, 1024, _COUNT),
         "steps": _Param(int, 4096, _COUNT),
-    }, lambda p, base_dir: _prepare_spec(
-        p, p["q"], 1 if p["target"] == "hadamard" else p["n_rep"], _MAX_REPETITIONS)),
-    "trace-sweep": (_run_trace_sweep, {
+    }, _gate_synth),
+    "trace-sweep": ({
         "q": _Param(float, 2.0, _POSITIVE),
         "theta0": _Param(float, math.pi / 2),
         "a": _Param(float, 0.2),
@@ -633,33 +610,33 @@ SCENARIOS = {
         "samples": _Param(int, 1024, _COUNT),
         # a positive count runs the seeded gauge check
         "gauge_rotations": _Param(int, 0, (lambda v: v <= MAX_SAMPLES, f"at most {MAX_SAMPLES}")),
-    }, _prepare_trace_sweep),
-    "trimer-sim": (_run_trimer_sim, {
+    }, _trace_sweep),
+    "trimer-sim": ({
         "drive": _Param(_DRIVE),
         "masses": _MASSES,
         "periods": _Param(int, 20, _COUNT),
         "steps_per_period": _Param(int, 1536, _COUNT),
-    }, _prepare_trimer_sim),
-    "phase-sweep": (_run_phase_sweep, {
+    }, _trimer_sim),
+    "phase-sweep": ({
         "drive": _Param(_DRIVE),  # phi13 and phi23 are set by the sweep
         "masses": _MASSES,
         "phi_values": _Param([float], None, _PHASE_GRID),  # None: phi_count points on [-pi, pi]
         "phi_count": _Param(int, 33, _COUNT),
         "periods": _Param(int, 8, _COUNT),
-    }, _prepare_phase_sweep),
-    "linking": (_run_linking, {
+    }, _phase_sweep),
+    "linking": ({
         "curve_files": _Param([str], None, (lambda v: len(v) >= 2, "at least two file names")),
         "hopf": _Param(_HOPF, {}),  # the curves when curve_files is not given
         "charges": _Param([float], None),  # None: 1.0 per curve
         "k": _Param(int, 4, _POSITIVE),
         "slk": _Param([int], None),  # None: 0 per curve
-    }, _prepare_curves),
-    "demo-budget": (_run_demo_budget, {
+    }, _linking),
+    "demo-budget": ({
         "platform": _Param(_PLATFORM, {}),
         "window_factor": _WINDOW_FACTOR,
         "contingency": _Param(float, 1.0, (lambda v: v >= 1, "at least 1")),
-    }, lambda p, base_dir: _prepare_platform(p, budget=True)),  # budget.json reports a failed window
-    "ramsey": (_run_ramsey, {
+    }, _demo_budget),
+    "ramsey": ({
         "platform": _Param(_PLATFORM, {}),
         "q": _Param(float, None, _POSITIVE),  # None: the platform's charge
         "delta_e": _Param(float, None),  # None: the platform's doublet splitting
@@ -668,25 +645,20 @@ SCENARIOS = {
         "samples": _Param(int, 1024, _COUNT),
         "steps": _Param(int, 4096, _COUNT),
         "window_factor": _WINDOW_FACTOR,
-    }, lambda p, base_dir: _prepare_platform(p) + _prepare_spec(
-        p, p["platform"].charge if p["q"] is None else p["q"], None)),
+    }, _ramsey),
 }
 
 
-def _preflight(cfg: dict, base_dir: str) -> tuple[dict, list[str]]:
-    """The parameters of a loaded config, as its table reads and its prepare builds them, and the report."""
-    _, table, prepare = SCENARIOS[cfg["scenario"]]
-    p = _check(cfg.get("params", {}), _Param(table), "params", cfg["scenario"])
-    return p, [f"scenario: {cfg['scenario']}", *prepare(p, base_dir), "pass"]
+def run_scenario(cfg: dict, base_dir: str) -> tuple[list[str], dict]:
+    """Run a loaded config from ``base_dir``, its directory: its report lines and its outputs.
 
-
-def run_scenario(cfg: dict, base_dir: str) -> dict:
-    """Pre-flight and run a loaded config from ``base_dir``, its directory.
-
-    Returns the outputs as {file name: JSON dict or CSV (header, columns, repeats)}.
+    The lines are ``scenario: <name>``, the scenario's own and ``pass``; the
+    outputs are {file name: JSON dict or CSV (header, columns, repeats)}.
     """
-    p, _ = _preflight(cfg, base_dir)
-    return SCENARIOS[cfg["scenario"]][0](p, cfg.get("seed", 0))
+    table, scenario = SCENARIOS[cfg["scenario"]]
+    p = _check(cfg.get("params", {}), _Param(table), "params", cfg["scenario"])
+    lines, outputs = scenario(p, base_dir, cfg.get("seed", 0))
+    return [f"scenario: {cfg['scenario']}", *lines, "pass"], outputs
 
 
 def _config_dir(config_path: str) -> str:
@@ -699,7 +671,7 @@ def _cmd_run(args) -> int:
     if args.seed is not None:
         cfg["seed"] = _check(args.seed, _SEED, "seed", "--seed")
     outdir = args.out or cfg.get("output_dir") or os.environ.get(OUTDIR_ENV) or "."
-    outputs = run_scenario(cfg, _config_dir(args.config))  # a failed run leaves no directory behind
+    outputs = run_scenario(cfg, _config_dir(args.config))[1]  # a failed run leaves no directory behind
     pending = {}  # final name -> its partial file, until renamed into place
     try:
         os.makedirs(outdir, exist_ok=True)
@@ -734,7 +706,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_validate(args) -> int:
     cfg = load_config(args.config)
-    for line in _preflight(cfg, _config_dir(args.config))[1]:
+    for line in run_scenario(cfg, _config_dir(args.config))[0]:
         print(line)
     return 0
 
@@ -753,7 +725,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--threads", type=int, default=1, help="ignored; runs are single-threaded")
     run_p.add_argument("--seed", type=int, default=None, help="override the config seed")
     run_p.set_defaults(func=_cmd_run)
-    val_p = sub.add_parser("validate", help="check a config without running it")
+    val_p = sub.add_parser("validate", help="run a config's scenario and print its report, writing nothing")
     val_p.add_argument("config", help="path to a JSON scenario config")
     val_p.set_defaults(func=_cmd_validate)
     return parser

@@ -167,6 +167,9 @@ class TrimerTrajectory:
         for name in ("times", "masses", "x", "y", "theta"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
             getattr(self, name).setflags(write=False)
+        n_p = self.period_steps
+        if type(n_p) is not int or not 1 <= n_p <= self.times.size:
+            raise ValidationError(f"period_steps must be an int in [1, {self.times.size}], got {n_p!r}")
 
     @property
     def dt(self) -> float:
@@ -249,11 +252,12 @@ def _period_steps(drive: BondDrive, n: int, dt: float) -> int:
 
 
 def phase_sweep(drive_template: BondDrive, masses, phi_values, periods: int = 8) -> np.ndarray:
-    """Mean angular velocity over ``periods`` common periods for each relative phase.
+    """Mean angular velocity over whole common periods for each relative phase.
 
     The bonds repeat in the common period P, so theta gains the same amount
-    in every period, a geometric phase of the shape loop: the mean over
-    ``periods`` periods is the one-period mean theta(P) / P.  The grid of one
+    in every period, a geometric phase of the shape loop: the mean over any
+    number of whole periods is the one-period mean theta(P) / P, so
+    ``periods`` is accepted but does not change the result.  The grid of one
     period at the default step (:meth:`BondDrive.time_steps`) is built once;
     each phi, with phi13 = +phi/2 and phi23 = -phi/2 (the template's phases
     are ignored), builds its frames and theta on it whole, the bits of

@@ -26,7 +26,6 @@ from triholonomy.cli import (
     SCENARIOS,
     _g17_digits,
     _g17_slots,
-    _run_trimer_sim,
     _write_csv,
     _write_json,
     load_config,
@@ -163,7 +162,7 @@ UNRESOLVED_ELLIPSES = [
     ("trace-sweep", {"a": 1e-15, "b": 1e-15}),  # traced the staircase that rounding left of it
 ]
 
-# Configs the pre-flight rejects by building what the runner uses, without transport:
+# Configs each scenario rejects while building its loop or curves, before any transport:
 # (scenario, params override, config override, stderr phrase); run and validate both exit 2.
 PREFLIGHT_BUILDS = [
     ("gate-synth", {"q": 1e300}, {}, "semi-axis a is lost to rounding"),
@@ -326,7 +325,7 @@ class TestRun:
     @pytest.mark.parametrize("scenario", ["trimer-sim", "phase-sweep"])
     @pytest.mark.parametrize("override", ZERO_RATIO_DRIVES, ids=["omega12-1e12", "omega12-1e200", "omega-1e-300"])
     def test_frequency_ratio_rounding_to_zero_exits_2(self, tmp_path, capsys, command, scenario, override):
-        # pre-flight refuses the ratio: 2 pi/omega12 is no period of the (1,3)/(2,3) bond pair
+        # the scenario refuses the ratio: 2 pi/omega12 is no period of the (1,3)/(2,3) bond pair
         params = dict(BASE_PARAMS[scenario], drive=dict(TRIMER_DRIVE, **override))
         cfg = {"schema_version": 1, "scenario": scenario, "seed": 0, "params": params}
         out = tmp_path / "out"
@@ -416,21 +415,23 @@ class TestRun:
         assert capsys.readouterr() == ("", f"numerical failure: {message}\n")
         assert not out.exists()
 
-    def test_triangle_broken_after_start_is_left_to_the_run(self, tmp_path, capsys):
-        # pre-flight decides the triangle inequality at t = 0 only; this one breaks later
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    def test_triangle_broken_after_start_exits_3_under_run_and_validate(self, tmp_path, capsys, command):
+        # validate reconstructs the trajectory too, so a triangle that breaks after t = 0 fails under both
         drive = {"d12": 2.2, "a12": 0.3, "omega12": 1.0, "d": 1.0, "a": 0.4, "omega": 3.0}
         cfg = {"schema_version": 1, "scenario": "trimer-sim", "seed": 0,
                "params": dict(BASE_PARAMS["trimer-sim"], drive=drive)}
-        cfg_path = write_config(tmp_path, cfg)
-        assert main(["validate", cfg_path]) == 0
-        assert main(["run", cfg_path, "--out", str(tmp_path / "out")]) == 3
-        assert "triangle inequality violated" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
+        out = tmp_path / "out"
+        argv = [command, write_config(tmp_path, cfg)] + (["--out", str(out)] if command == "run" else [])
+        assert main(argv) == 3
+        message = "triangle inequality violated: bonds (2.48486, 1.23032, 1.23032) at sample 13"
+        assert capsys.readouterr() == ("", f"numerical failure: {message}\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["run", "validate"])
     def test_phase_sweep_triangle_broken_after_start_exits_3_under_run_and_validate(self, tmp_path, capsys,
                                                                                      command):
-        # pre-flight runs the sweep, so a phase whose triangle breaks after t = 0 fails under both commands
+        # validate runs the sweep too, so a phase whose triangle breaks after t = 0 fails under both commands
         drive = {"d12": 2.2, "a12": 0.3, "omega12": 1.0, "d": 1.0, "a": 0.4, "omega": 3.0}
         cfg = {"schema_version": 1, "scenario": "phase-sweep", "seed": 0,
                "params": dict(BASE_PARAMS["phase-sweep"], drive=drive, phi_values=[0.0])}
@@ -576,7 +577,7 @@ class TestRun:
         assert not out.exists()
 
     def test_same_curve_twice_exits_2_under_run_and_validate(self, tmp_path, capsys):
-        # pre-flight links each pair, so validate makes the close-approach check too
+        # validate links each pair too, so it makes the close-approach check
         name = write_hopf_curves(tmp_path)[0]
         cfg = {"schema_version": 1, "scenario": "linking", "seed": 0, "params": {"curve_files": [name, name]}}
         cfg_path = write_config(tmp_path, cfg)
@@ -921,11 +922,17 @@ class TestValidate:
         }
         assert main(["validate", write_config(tmp_path, cfg)]) == 2
 
-    def test_never_writes_outputs(self, tmp_path):
-        cfg_path = write_config(tmp_path, small_gate_config())
-        before = set(os.listdir(tmp_path))
-        assert main(["validate", cfg_path]) == 0
-        assert set(os.listdir(tmp_path)) == before
+    @pytest.mark.parametrize("name", SHIPPED_CONFIGS)
+    def test_never_writes_outputs(self, tmp_path, monkeypatch, name):
+        # validate runs the whole scenario; the working directory and the output directory stay empty
+        cwd, outdir = tmp_path / "cwd", tmp_path / "outdir"
+        cwd.mkdir()
+        outdir.mkdir()
+        monkeypatch.chdir(cwd)
+        monkeypatch.setenv("TRIHOLONOMY_OUTDIR", str(outdir))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["validate", os.path.join(os.path.abspath(CONFIG_DIR), name)]) == 0
+        assert list(cwd.iterdir()) == [] and list(outdir.iterdir()) == []
 
     @pytest.mark.parametrize("scenario, override, key", BAD_SCENARIO_INPUTS)
     def test_bad_scenario_input_exits_2(self, tmp_path, capsys, scenario, override, key):
@@ -1203,7 +1210,7 @@ def test_format_g17_matches_percent_on_block_shapes(rows, cols):
 def test_format_g17_leaves_only_the_zeros_of_trimer_reference_to_percent():
     # a regression that sent every cell to "%" would keep the bytes and lose the speed
     cfg = load_config(os.path.join(CONFIG_DIR, "trimer_reference.json"))
-    block = np.column_stack(run_scenario(cfg, CONFIG_DIR)["trimer_sim.csv"][1])
+    block = np.column_stack(run_scenario(cfg, CONFIG_DIR)[1]["trimer_sim.csv"][1])
     left = np.setdiff1d(np.arange(block.size), _g17_digits(np.abs(block.ravel()))[0])
     assert left.size == 2 and (block.ravel()[left] == 0).all()
     assert format_g17(block) == percent_g17(block)
@@ -1215,8 +1222,8 @@ def trimer_sim_config(drive, periods, steps_per_period, masses=(2.1, 2.1, 4.7)):
 
 
 def trimer_sim_payload(drive, periods, steps_per_period):
-    """The trimer-sim CSV (header, columns, repeats) of a drive table, run through the scenario's pre-flight."""
-    return run_scenario(trimer_sim_config(drive, periods, steps_per_period), CONFIG_DIR)["trimer_sim.csv"]
+    """The trimer-sim CSV (header, columns, repeats) of a drive table, as run_scenario returns it."""
+    return run_scenario(trimer_sim_config(drive, periods, steps_per_period), CONFIG_DIR)[1]["trimer_sim.csv"]
 
 
 class TestTrimerSimBonds:
@@ -1242,7 +1249,7 @@ class TestTrimerSimBonds:
         assert x.tobytes() == traj.x.tobytes() and y.tobytes() == traj.y.tobytes()
 
     def test_ratio_off_by_rounding_keeps_the_full_grid_bonds(self):
-        # omega/omega12 = 3 (1 + 1e-12) passes the pre-flight as 3, but the grid does not repeat
+        # omega/omega12 = 3 (1 + 1e-12) passes common_period as 3, but the grid does not repeat
         table = dict(self.REFERENCE, omega=3.0 * (1 + 1e-12))
         _, columns, repeats = trimer_sim_payload(table, 4, 512)
         t, *bonds = columns[:4]
@@ -1261,18 +1268,18 @@ class TestTrimerSimBonds:
         assert (out / "trimer_sim.csv").read_bytes() == (tmp_path / "value.csv").read_bytes()
 
     def test_irrational_frequency_ratio_keeps_the_full_grid_bonds(self, monkeypatch):
-        # no common period: the pre-flight refuses such a drive, so the runner gets it directly, and
-        # its L_eff windows, which need closed shape loops, are stubbed out
+        # no common period: the scenario refuses such a drive, so common_period is stubbed to 2 pi (its
+        # grid does not repeat), and the L_eff windows, which need closed shape loops, are stubbed out
         def no_windows(traj, period):
             return traj.times[:1], [0.0]
 
         monkeypatch.setattr("triholonomy.cli.effective_momentum_series", no_windows)
-        drive = BondDrive(**dict(self.REFERENCE, omega=3.0 * math.sqrt(2)))
-        p = {"drive": drive, "period": 2 * math.pi, "masses": [2.1, 2.1, 4.7], "periods": 4,
-             "steps_per_period": 1024}
-        t, *bonds = _run_trimer_sim(p, 0)["trimer_sim.csv"][1][:4]
-        assert t.size == 4097
-        assert np.array(bonds).tobytes() == np.array(bond_lengths(t, drive)).tobytes()
+        monkeypatch.setattr(BondDrive, "common_period", lambda drive: 2 * math.pi)
+        table = dict(self.REFERENCE, omega=3.0 * math.sqrt(2))
+        _, columns, repeats = trimer_sim_payload(table, 4, 1024)
+        t, *bonds = columns[:4]
+        assert t.size == 4097 and repeats == dict.fromkeys((1, 2, 3), t.size)
+        assert np.array(bonds).tobytes() == np.array(bond_lengths(t, BondDrive(**table))).tobytes()
 
 
 HOSTILE_VALUES = [
@@ -1305,7 +1312,7 @@ def with_values(scenario, values):
 def hostile_configs(draw):
     """A small base config with one or two table parameters replaced by hostile values."""
     scenario = draw(st.sampled_from(sorted(BASE_PARAMS)))
-    paths = list(table_paths(SCENARIOS[scenario][1]))
+    paths = list(table_paths(SCENARIOS[scenario][0]))
     chosen = draw(st.lists(st.sampled_from(paths), min_size=1, max_size=2, unique=True))
     return with_values(scenario, [(path, draw(st.sampled_from(HOSTILE_VALUES))) for path in chosen])
 
@@ -1324,29 +1331,21 @@ def exit_codes(cfg, tmp) -> tuple[int, int]:
 def test_hostile_parameters_exit_cleanly(cfg):
     with tempfile.TemporaryDirectory() as tmp:
         validated, ran = exit_codes(cfg, tmp)
-    assert validated in (0, 2, 3) and ran in (0, 2, 3)
-    if validated == 2:
-        assert ran == 2
+    assert validated in (0, 2, 3) and validated == ran
 
 
 def test_validate_exits_2_exactly_when_run_does(tmp_path):
     # every base config with one table parameter replaced by one hostile value, under both commands
     grid = [(scenario, path, value)
             for scenario in sorted(BASE_PARAMS)
-            for path in table_paths(SCENARIOS[scenario][1])
+            for path in table_paths(SCENARIOS[scenario][0])
             for value in HOSTILE_VALUES]
     assert len(grid) == 1065
-    failed_runs = set()  # the configs that would pass validate and then exit 3 under run
     for scenario, path, value in grid:
         cfg = with_values(scenario, [(path, value)])
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             validated, ran = exit_codes(cfg, str(tmp_path))
-        assert validated in (0, 2, 3) and ran in (0, 2, 3), cfg
-        assert (validated == 2) == (ran == 2), (cfg, validated, ran)
+        assert validated in (0, 2, 3) and validated == ran, (cfg, validated, ran)
         # the small-loop UserWarning is allowed
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], cfg
-        if (validated, ran) == (0, 3):
-            failed_runs.add((scenario, path, repr(value)))
-    # none: pre-flight computes the trace-sweep rows, so its I2 contraction fails under both commands
-    assert failed_runs == set()

@@ -475,6 +475,23 @@ class TestOnePeriod:
         assert traj.y.tobytes() == body[..., 1].T.tobytes()
         assert abs(traj.theta[-1]) > 1e-3
 
+    @pytest.mark.parametrize("period_steps", [0, -5, 2.5, True, 1538], ids=["zero", "negative", "float", "bool",
+                                                                           "size-plus-one"])
+    def test_bad_period_steps_is_refused_by_name(self, period_steps):
+        period = reference_drive().common_period()
+        traj = reconstruct_rotation(reference_drive(), REFERENCE_MASSES, 3 * period, period / 512)
+        assert traj.times.size == 1537
+        with pytest.raises(ValidationError, match="period_steps must be an int in \\[1, 1537\\]"):
+            replace(traj, period_steps=period_steps)
+
+    def test_period_steps_of_reconstruct_rotation_pass(self):
+        # a repeating grid gives the steps of one period, a grid of one period its sample count
+        period = reference_drive().common_period()
+        for t_end, expected in ((3 * period, 512), (period, 513)):
+            traj = reconstruct_rotation(reference_drive(), REFERENCE_MASSES, t_end, period / 512)
+            assert traj.period_steps == expected
+            assert replace(traj, period_steps=1).period_steps == 1
+
 
 class TestPhaseSweep:
     def test_zeros_maxima_antisymmetry(self):
