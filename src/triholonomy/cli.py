@@ -285,10 +285,6 @@ def _write_json(path: str, payload: dict) -> str:
     return _write_new(path, [(json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()])
 
 
-class ConfigError(ValidationError):
-    pass
-
-
 _REQUIRED = object()
 
 
@@ -335,16 +331,16 @@ def _check(value, param: _Param, key: str, where: str):
         value = _read(kind, value, f"{where} {key}")
     else:
         if type(value) is int and not -(2**63) <= value < 2**63:
-            raise ConfigError(f"{where}: parameter {key!r} is out of range")
+            raise ValidationError(f"{where}: parameter {key!r} is out of range")
         if kind is float and type(value) is int:
             value = float(value)
         wrong = isinstance(kind, (list, dict)) or not isinstance(value, kind)
         if wrong or isinstance(value, bool) != (kind is bool):
-            raise ConfigError(f"{where}: parameter {key!r} has wrong type")
+            raise ValidationError(f"{where}: parameter {key!r} has wrong type")
         if kind is float and not math.isfinite(value):
-            raise ConfigError(f"{where}: parameter {key!r} is not finite")
+            raise ValidationError(f"{where}: parameter {key!r} is not finite")
     if param.bound and not param.bound[0](value):
-        raise ConfigError(f"{where}: parameter {key!r} must be {param.bound[1]}")
+        raise ValidationError(f"{where}: parameter {key!r} must be {param.bound[1]}")
     return value
 
 
@@ -352,13 +348,13 @@ def _read(table: dict, params: dict, where: str) -> dict:
     """Checked value of every ``table`` entry: given in ``params``, else its default."""
     for key in params:
         if key not in table:
-            raise ConfigError(f"{where}: unknown parameter {key!r}")
+            raise ValidationError(f"{where}: unknown parameter {key!r}")
     values = {}
     for key, param in table.items():
         if key in params:
             values[key] = _check(params[key], param, key, where)
         elif param.default is _REQUIRED:
-            raise ConfigError(f"{where}: missing required parameter {key!r}")
+            raise ValidationError(f"{where}: missing required parameter {key!r}")
         elif isinstance(param.kind, dict):
             values[key] = _read(param.kind, param.default, f"{where} {key}")
         else:
@@ -371,21 +367,21 @@ def load_config(path: str) -> dict:
         with open(path) as fh:
             cfg = json.load(fh)
     except OSError as exc:
-        raise ConfigError(f"cannot read config: {exc}") from exc
+        raise ValidationError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"malformed JSON config: {exc}") from exc
+        raise ValidationError(f"malformed JSON config: {exc}") from exc
     if not isinstance(cfg, dict):
-        raise ConfigError("config root must be a JSON object")
+        raise ValidationError("config root must be a JSON object")
     if cfg.get("schema_version") != SCHEMA_VERSION:
-        raise ConfigError(f"unsupported schema_version (expected {SCHEMA_VERSION})")
+        raise ValidationError(f"unsupported schema_version (expected {SCHEMA_VERSION})")
     scenario = cfg.get("scenario")
     if scenario not in SCENARIOS:
-        raise ConfigError(f"unknown scenario {scenario!r}; expected one of {', '.join(SCENARIOS)}")
+        raise ValidationError(f"unknown scenario {scenario!r}; expected one of {', '.join(SCENARIOS)}")
     _check(cfg.get("seed", 0), _SEED, "seed", "config")
     if not isinstance(cfg.get("output_dir", ""), str):
-        raise ConfigError("config: 'output_dir' must be a string")
+        raise ValidationError("config: 'output_dir' must be a string")
     if "\0" in cfg.get("output_dir", ""):
-        raise ConfigError(f"cannot use output directory {cfg['output_dir']}: embedded null byte")
+        raise ValidationError(f"cannot use output directory {cfg['output_dir']}: embedded null byte")
     return cfg
 
 
@@ -395,10 +391,12 @@ def load_config(path: str) -> dict:
 def _gate_synth(p: dict, base_dir: str, seed: int) -> tuple[list[str], dict]:
     """The pi/2 gate of at most ``_MAX_REPETITIONS`` loops, or the Hadamard gate steered on its one loop."""
     hadamard = p["target"] == "hadamard"
+    if hadamard and p["n_rep"] is not None:
+        raise ValidationError("gate-synth: parameter 'n_rep' applies to target 'pi2' only")
     spec = synth_phase_gate(p["q"], 1 if hadamard else p["n_rep"], n_samples=p["samples"], steps=p["steps"])
     if spec.repetitions > _MAX_REPETITIONS:
-        raise ConfigError(f"{spec.repetitions:.10g} loop repetitions exceed {_MAX_REPETITIONS}; "
-                          "raise q or lower n_rep")
+        raise ValidationError(f"{spec.repetitions:.10g} loop repetitions exceed {_MAX_REPETITIONS}; "
+                              "raise q or lower n_rep")
     if hadamard:
         spec = synth_hadamard_gate(p["q"], steps=p["steps"], shape=spec.loop.shape)
         realised = spec.transverse.matrix
@@ -417,7 +415,13 @@ def _gate_synth(p: dict, base_dir: str, seed: int) -> tuple[list[str], dict]:
 
 
 def _trace_sweep(p: dict, base_dir: str, seed: int) -> tuple[list[str], dict]:
-    """Per |psi| the direct trace, order-2 and order-4 estimates, I2 and I4; the seeded gauge check if asked."""
+    """Per |psi| the direct trace, order-2 and order-4 estimates, I2 and I4; the seeded gauge check if asked.
+    The transports of (psi count + gauge rotations + 1) x steps samples are refused over ``MAX_SAMPLES`` first."""
+    psi_count, rotations, steps = len(p["psi_values"]), max(p["gauge_rotations"], 0), p["steps"]
+    if (psi_count + rotations + 1) * steps > MAX_SAMPLES:
+        raise ValidationError(f"trace sweep of ({psi_count} psi_values + {rotations} gauge_rotations + 1) x "
+                              f"{steps} steps exceeds the budget of {MAX_SAMPLES} samples; lower 'steps' or "
+                              "'gauge_rotations', or list fewer 'psi_values'")
     shape = make_ellipse_loop(p["theta0"], 0.0, p["a"], p["b"], p["samples"])
     s_mid = midpoint_grid(p["steps"])[0]
     base = HolonomyLoop(shape, charge=p["q"], steps=p["steps"]).sample(s_mid)
@@ -472,14 +476,13 @@ def _trimer_sim(p: dict, base_dir: str, seed: int) -> tuple[list[str], dict]:
 def _phase_sweep(p: dict, base_dir: str, seed: int) -> tuple[list[str], dict]:
     """The mean rate at each phase of ``phi_values``, else of phi_count points on [-pi, pi], within the
     sample budget of :func:`phase_sweep`; a failed phase names its phi."""
-    drive, period, lines = _drive(p)
-    drive.time_steps(p["periods"] * period)  # the grid of ``periods`` periods must fit the budget
+    drive, _, lines = _drive(p)
     if p["phi_values"] is None:
         _sweep_grid(drive, p["phi_count"])  # the budget, before the grid is built
         grid = np.linspace(-math.pi, math.pi, p["phi_count"])
     else:
         grid = np.asarray(p["phi_values"], dtype=float)
-    rates = phase_sweep(drive, p["masses"], grid, periods=p["periods"])
+    rates = phase_sweep(drive, p["masses"], grid)
     return lines, {"phase_sweep.csv": (["phi", "mean_angular_velocity"], [grid, rates], {})}
 
 
@@ -494,14 +497,14 @@ def _linking(p: dict, base_dir: str, seed: int) -> tuple[list[str], dict]:
             try:
                 data = np.loadtxt(path, delimiter=",", skiprows=1)
             except (OSError, ValueError) as exc:
-                raise ConfigError(f"cannot read curve file {path}: {exc}") from exc
+                raise ValidationError(f"cannot read curve file {path}: {exc}") from exc
             if data.ndim != 2 or data.shape[1] != 3:
-                raise ConfigError(f"curve file {path} must have three columns (x, y, z)")
+                raise ValidationError(f"curve file {path} must have three columns (x, y, z)")
             curves.append(SpaceCurve(data))
     n = len(curves)
     for key in ("charges", "slk"):
         if p[key] is not None and len(p[key]) != n:
-            raise ConfigError(f"linking: parameter {key!r} needs one value per curve ({n})")
+            raise ValidationError(f"linking: parameter {key!r} needs one value per curve ({n})")
     lk = np.zeros((n, n), dtype=int)
     for i, j in itertools.combinations(range(n), 2):
         lk[i, j] = lk[j, i] = gauss_linking(curves[i], curves[j])
@@ -580,7 +583,8 @@ def _ramsey(p: dict, base_dir: str, seed: int) -> tuple[list[str], dict]:
 
 
 _TURN = _Param(float, 0.0, (lambda v: abs(v) <= 2 * math.pi, "within one turn, [-2 pi, 2 pi]"))
-_DRIVE = dict(_table_of(BondDrive), phi13=_TURN, phi23=_TURN)  # a larger phase only rounds omega t + phi
+_BONDS = {key: param for key, param in _table_of(BondDrive).items() if param.default is _REQUIRED}  # no phases
+_DRIVE = dict(_BONDS, phi13=_TURN, phi23=_TURN)  # a larger phase only rounds omega t + phi
 _PLATFORM = _table_of(PlatformParams)
 _HOPF = {
     "radius1": _Param(float, 1.0, _POSITIVE),
@@ -618,11 +622,11 @@ SCENARIOS = {
         "steps_per_period": _Param(int, 1536, _COUNT),
     }, _trimer_sim),
     "phase-sweep": ({
-        "drive": _Param(_DRIVE),  # phi13 and phi23 are set by the sweep
+        "drive": _Param(_BONDS),  # the sweep sets both phases
         "masses": _MASSES,
         "phi_values": _Param([float], None, _PHASE_GRID),  # None: phi_count points on [-pi, pi]
         "phi_count": _Param(int, 33, _COUNT),
-        "periods": _Param(int, 8, _COUNT),
+        "periods": _Param(int, 8, _COUNT),  # accepted; the one-period rate is the mean over any periods
     }, _phase_sweep),
     "linking": ({
         "curve_files": _Param([str], None, (lambda v: len(v) >= 2, "at least two file names")),
@@ -735,7 +739,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValidationError as exc:  # includes ConfigError
+    except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

@@ -180,9 +180,8 @@ class ControlField:
 
     def _bind(self, values, check_periodic: bool) -> None:
         self._values = values
-        v0, v1 = self.at(np.array([0.0, 2 * math.pi]))
-        self.periodic = bool(abs(v0 - v1) <= 1e-10)
-        if check_periodic and not self.periodic:
+        v0, v1 = self.at(np.array([0.0, 2 * math.pi]))  # both ends must be finite, checked or not
+        if check_periodic and not abs(v0 - v1) <= 1e-10:
             raise ValidationError(f"control field is not 2 pi-periodic (gap {abs(v0 - v1):.3e})")
 
     @classmethod

@@ -80,8 +80,10 @@ def adiabatic_window(params: PlatformParams, factor: float = 10.0) -> WindowRepo
     """Check splitting << 1/T_loop << gap with the given margin factor.
 
     Raises:
-        ValidationError: mode ordering violated (gap <= 0).
+        ValidationError: ``factor`` below 1 or NaN, or mode ordering violated (gap <= 0).
     """
+    if not factor >= 1.0:
+        raise ValidationError(f"adiabatic window factor must be at least 1, got {factor!r}")
     gap = params.gap
     if gap <= 0:
         raise ValidationError("mode ordering violated: breathing mode below the doublet mean")
@@ -140,6 +142,8 @@ def gate_budget(params: PlatformParams, contingency: float = 1.0) -> ErrorBudget
     """
     if not contingency >= 1.0:
         raise ValidationError("contingency factor cannot be below 1")
+    if not math.isfinite(contingency):
+        raise ValidationError("contingency factor must be finite")
     t_gate = params.n_rep * params.t_loop
     p_decay = 1.0 - math.exp(-t_gate / params.tau_r)
     p_leak = min(1.0, params.n_rep * leakage_estimate(params))
@@ -217,6 +221,8 @@ def ramsey_echo(
         NumericalError: the echoed geometric signal fails to be independent
             of the splitting to 1e-6 (non-unitary inputs would surface here).
     """
+    if not math.isfinite(delta_e):
+        raise ValidationError(f"delta_e must be finite, got {delta_e!r}")
     if scan_count < 3:
         raise ValidationError("need at least 3 scan phases to extract the fringe harmonic")
     w = integrate_wilson(loop).matrix

@@ -107,12 +107,10 @@ class GateSpec:
 
 @dataclass(frozen=True)
 class TwoQubitGate:
-    """A 4x4 two-qubit gate with its topological phase data."""
+    """A 4x4 two-qubit gate and the controlled phase of its |11> branch."""
 
     matrix: np.ndarray
     phase: float
-    level: int
-    charges: tuple[tuple[float, float], tuple[float, float]]
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
@@ -186,8 +184,8 @@ def synth_phase_gate(
     plus O(ds^2) from integration.  The gate is itself diagonal, so the
     residual abelian factor is the identity.
     """
-    if not q > 0:
-        raise ValidationError("coupling weight q must be positive")
+    if not 0 < q < math.inf:  # NaN fails too
+        raise ValidationError(f"coupling weight q must be positive and finite, got q = {q!r}")
     reps = _phase_gate_reps(q, n_rep)
     a = b = math.sqrt(1.0 / (q * reps))
     # Traversal sense pinned so the integrated holonomy matches the target
@@ -298,14 +296,8 @@ def cs_controlled_phase(q: float, k: int, lk: int = 1) -> TwoQubitGate:
     if not q > 0:
         raise ValidationError("charge q must be positive")
     link = LinkData.pair(lk)
-    charge_table = ((0.0, q), (0.0, q))  # per logical state, per triangle
-    phases = np.empty(4)
-    for idx, (alpha, beta) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
-        qa = charge_table[0][alpha]
-        qb = charge_table[1][beta]
-        phases[idx] = cs_phase([qa, qb], link, k)
-    matrix = np.diag(np.exp(1j * phases))
-    return TwoQubitGate(matrix, float(phases[3]), k, charge_table)
+    phases = np.array([cs_phase([qa, qb], link, k) for qa in (0.0, q) for qb in (0.0, q)])  # |00>, ..., |11>
+    return TwoQubitGate(np.diag(np.exp(1j * phases)), float(phases[3]))
 
 
 def compile_cnot(q: float, k: int, hadamard: np.ndarray | None = None) -> TwoQubitGate:
@@ -326,7 +318,7 @@ def compile_cnot(q: float, k: int, hadamard: np.ndarray | None = None) -> TwoQub
     h_b = u_h @ np.diag([1.0, -1.0])  # canonical Hadamard on the target qubit
     one_h = np.kron(np.eye(2), h_b)
     matrix = one_h @ cz.matrix @ one_h.conj().T
-    return TwoQubitGate(matrix, cz.phase, k, cz.charges)
+    return TwoQubitGate(matrix, cz.phase)
 
 
 def gate_fidelity(u: np.ndarray, v: np.ndarray) -> float:

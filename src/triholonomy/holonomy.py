@@ -68,10 +68,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class WilsonLine:
-    """A 2x2 special-unitary transport matrix with its coupling weight."""
+    """A 2x2 special-unitary transport matrix, checked to 1e-10 and read-only."""
 
     matrix: np.ndarray
-    charge: float
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
@@ -81,8 +80,6 @@ class WilsonLine:
             raise ValidationError("Wilson line is not unitary to 1e-10")
         if not abs(np.linalg.det(m) - 1.0) <= 1e-10:
             raise ValidationError("Wilson line determinant differs from 1 beyond 1e-10")
-        if not self.charge > 0:
-            raise ValidationError("charge must be positive")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
@@ -246,7 +243,7 @@ def cumulative_midpoint(values: np.ndarray, ds: float, weight: float = 1.0) -> t
 
 def _wilson_line(v, charge: float, ds: float) -> WilsonLine:
     """Fused product of the step exponentials of components (vx, vy, vz) (NaN fails in WilsonLine)."""
-    return WilsonLine(_transport(v, charge * ds), charge)
+    return WilsonLine(_transport(v, charge * ds))
 
 
 def integrate_wilson(loop: HolonomyLoop) -> WilsonLine:
@@ -270,8 +267,11 @@ def wilson_from_samples(abelian, control, charge: float) -> WilsonLine:
 
     ``abelian`` and ``control`` sample the diagonal coefficient A(s) and the
     complex transverse coefficient psi(s) at the midpoints of a uniform
-    partition of [0, 2 pi] (see :func:`midpoint_grid`).
+    partition of [0, 2 pi] (see :func:`midpoint_grid`), transported at the
+    positive coupling weight ``charge``.
     """
+    if not charge > 0:
+        raise ValidationError("charge must be positive")
     a = np.asarray(abelian, dtype=float)
     psi = np.asarray(control, dtype=complex)
     if a.ndim != 1 or a.size == 0 or psi.shape != a.shape:

@@ -220,19 +220,27 @@ def reconstruct_rotation(drive: BondDrive, masses, t_end: float, dt: float | Non
     It returns n_P as ``period_steps``: the grid where :func:`_period_steps` finds no repeat.
 
     Raises:
-        ValidationError: the time step or the sample count is out of range.
+        ValidationError: the masses, the time step or the sample count is out of range.
         NumericalError: triangle degeneracy during evolution, or the
             zero-angular-momentum invariant failing after integration.
     """
+    m = _masses(masses)
     n, dt = drive.time_steps(t_end, dt)
     times = np.arange(n + 1) * dt
     n_p = _period_steps(drive, n, dt)
-    m = np.asarray(masses, dtype=float)
     x, y = _frames(*bond_lengths(times[: n_p + 1], drive), m)
     theta = _rotate(x, y, m, dt)
     gain = np.repeat(np.arange(n // n_p + 1) * theta[-1], n_p)[: n + 1]  # theta[-1] is theta_1[n_P] if n_p <= n
     x, y, theta = (_tiled(r, n_p, n) for r in (x, y, theta))
     return TrimerTrajectory(times, m, x, y, theta + gain, n_p)
+
+
+def _masses(masses) -> np.ndarray:
+    """The vertex masses as an array, refused unless three positive finite values (NaN fails too)."""
+    m = np.asarray(masses, dtype=float)
+    if m.shape != (3,) or not np.all((m > 0.0) & (m < math.inf)):
+        raise ValidationError(f"masses must be three positive finite values, got {m.tolist()}")
+    return m
 
 
 def _tiled(rows, n_p: int, n: int) -> np.ndarray:
@@ -262,14 +270,15 @@ def phase_sweep(drive_template: BondDrive, masses, phi_values, periods: int = 8)
     each phi, with phi13 = +phi/2 and phi23 = -phi/2 (the template's phases
     are ignored), builds its frames and theta on it whole, the bits of
     ``reconstruct_rotation(drive, masses, P).theta[-1]``.  A failed phase
-    names its phi.  A sweep of more than ``MAX_SAMPLES`` samples (phases
-    times grid samples) or a phase outside [-pi, pi] is refused first.
+    names its phi.  Masses that are not three positive finite values, a sweep
+    of more than ``MAX_SAMPLES`` samples (phases times grid samples) or a
+    phase outside [-pi, pi] is refused first.
     """
-    phi_values = np.asarray(phi_values, dtype=float)
+    m, phi_values = _masses(masses), np.asarray(phi_values, dtype=float)
     period, n, dt = _sweep_grid(drive_template, phi_values.size)
     if not np.all(np.abs(phi_values) <= math.pi + 1e-12):  # NaN fails too
         raise ValidationError("phase grid must lie within [-pi, pi]")
-    times, m, gains = np.arange(n + 1) * dt, np.asarray(masses, dtype=float), []
+    times, gains = np.arange(n + 1) * dt, []
     for phi in phi_values.tolist():
         drive = replace(drive_template, phi13=0.5 * phi, phi23=-0.5 * phi)
         try:
@@ -302,8 +311,8 @@ def precession_berry_phase(
     Raises:
         NumericalError: the drive does not precess on a circle.
     """
-    if not (0 < a < d) or not omega > 0:  # NaN fails too
-        raise ValidationError("need 0 < a < d and a positive frequency")
+    if not (0 < a < d) or not 0 < omega < math.inf:  # NaN fails too, before numpy warns on it
+        raise ValidationError(f"need 0 < a < d and a positive finite frequency omega, got omega = {omega!r}")
     t = np.linspace(0.0, 2 * math.pi / omega, 16384 + 1)
     u = a * np.cos(omega * t + phi13)
     v = a * np.cos(omega * t + phi23)

@@ -10,6 +10,7 @@ import stat
 import subprocess
 import sys
 import tempfile
+import time
 import tracemalloc
 import warnings
 
@@ -33,6 +34,7 @@ from triholonomy.cli import (
     run_scenario,
 )
 from triholonomy.connection import BlochField, ControlField, eigenframe_rate_samples
+from triholonomy.errors import NumericalError
 from triholonomy.gates import make_ellipse_loop
 from triholonomy.holonomy import HolonomyLoop, integrate_wilson, midpoint_grid, trace_expansion_from_rates
 from triholonomy.trimer import BondDrive, _frames, bond_lengths, reconstruct_rotation
@@ -153,7 +155,18 @@ BAD_SCENARIO_INPUTS = [
     ("demo-budget", {"contingency": -1.0}, "contingency"),
     ("demo-budget", {"contingency": 0.5}, "contingency"),
     ("demo-budget", {"contingency": 1e-300}, "contingency"),
+    # keys that reach no output: the sweep sets the phases, and the Hadamard gate is one loop
+    ("phase-sweep", {"drive": dict(TRIMER_DRIVE, phi13=0.5)}, "phi13"),
+    ("gate-synth", {"target": "hadamard", "n_rep": 3}, "n_rep"),
 ]
+
+# Trace sweeps just over the sample budget, by psi count and by gauge rotations: (params override, cost).
+OVER_BUDGET_TRACE_SWEEPS = [
+    ({"psi_values": [0.05] * 64, "steps": 2**20}, "(64 psi_values + 0 gauge_rotations + 1) x 1048576"),
+    ({"gauge_rotations": 2**15 - 1}, "(1 psi_values + 32767 gauge_rotations + 1) x 2048"),
+]
+# The same sweeps at the budget, (63 + 0 + 1) x 2**20 and (1 + 32766 + 1) x 2048 = 2**26 samples.
+AT_BUDGET_TRACE_SWEEPS = [{"psi_values": [0.05] * 63, "steps": 2**20}, {"gauge_rotations": 2**15 - 2}]
 
 # Loops whose semi-axes round away at the base point; each run once exited 0 with wrong numbers.
 UNRESOLVED_ELLIPSES = [
@@ -192,7 +205,9 @@ PREFLIGHT_BUILDS = [
     ("ramsey", {"q": 5e-324}, {}, "coupling weight q = 4.94e-324 overflows the repetition count"),
     # a phase of 1e12 rounds omega t + phi so coarsely that the window loops open
     ("trimer-sim", {"drive": dict(TRIMER_DRIVE, phi13=1e12)}, {}, "'phi13' must be within one turn"),
-    ("phase-sweep", {"drive": dict(TRIMER_DRIVE, phi23=-7.0)}, {}, "'phi23' must be within one turn, [-2 pi"),
+    # the sweep sets the phases, so its drive has none to give
+    ("phase-sweep", {"drive": dict(TRIMER_DRIVE, phi23=-7.0)}, {},
+     "phase-sweep params drive: unknown parameter 'phi23'"),
 ]
 
 # Output directories that cannot be created: an existing file, a path under a file, a path
@@ -476,6 +491,37 @@ class TestRun:
             f"validation error: phase grid of {2**22} phases x 1537 samples exceeds the budget of {2**26} "
             "samples; lower 'phi_count' or list fewer 'phi_values'\n")
         assert peak < 1e6
+
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    @pytest.mark.parametrize("override, cost", OVER_BUDGET_TRACE_SWEEPS, ids=["psi-count", "rotations"])
+    def test_trace_sweep_over_the_sample_budget_exits_2_before_any_work(self, tmp_path, capsys, monkeypatch,
+                                                                         command, override, cost):
+        def no_loop(*args, **kwargs):
+            raise AssertionError("a loop was built")
+
+        monkeypatch.setattr("triholonomy.cli.make_ellipse_loop", no_loop)
+        cfg = {"schema_version": 1, "scenario": "trace-sweep", "seed": 0,
+               "params": dict(BASE_PARAMS["trace-sweep"], **override)}
+        out = tmp_path / "out"
+        argv = [command, write_config(tmp_path, cfg)] + (["--out", str(out)] if command == "run" else [])
+        start = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err == (
+            f"validation error: trace sweep of {cost} steps exceeds the budget of {2**26} samples; "
+            "lower 'steps' or 'gauge_rotations', or list fewer 'psi_values'\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("override", AT_BUDGET_TRACE_SWEEPS, ids=["psi-count", "rotations"])
+    def test_trace_sweep_at_the_sample_budget_goes_on_to_its_loop(self, tmp_path, capsys, monkeypatch, override):
+        def reached(*args, **kwargs):
+            raise NumericalError("reached the loop")
+
+        monkeypatch.setattr("triholonomy.cli.make_ellipse_loop", reached)
+        cfg = {"schema_version": 1, "scenario": "trace-sweep", "seed": 0,
+               "params": dict(BASE_PARAMS["trace-sweep"], **override)}
+        assert main(["validate", write_config(tmp_path, cfg)]) == 3
+        assert capsys.readouterr().err == "numerical failure: reached the loop\n"
 
     def test_demo_budget_reports_failed_window(self, tmp_path):
         cfg = {"schema_version": 1, "scenario": "demo-budget", "seed": 0,
@@ -819,6 +865,13 @@ class TestRun:
         out2 = tmp_path / "out2"
         assert main(["run", write_config(tmp_path, cfg), "--out", str(out2), "--seed", "7"]) == 0
         assert (out / "gauge_check.json").read_bytes() == (out2 / "gauge_check.json").read_bytes()
+
+    def test_phase_sweep_periods_reaches_no_output_and_checks_nothing(self):
+        # the sweep builds one common period; 2**26 periods of the 1:3 drive were once refused as a time grid
+        cfgs = [{"schema_version": 1, "scenario": "phase-sweep", "seed": 0,
+                 "params": dict(BASE_PARAMS["phase-sweep"], periods=periods)} for periods in (1, 2**26)]
+        (_, columns, _), (_, columns_max, _) = (run_scenario(cfg, CONFIG_DIR)[1]["phase_sweep.csv"] for cfg in cfgs)
+        assert np.array(columns).tobytes() == np.array(columns_max).tobytes()
 
     def test_phase_sweep_scenario_with_threads(self, tmp_path):
         cfg = {
@@ -1334,18 +1387,31 @@ def test_hostile_parameters_exit_cleanly(cfg):
     assert validated in (0, 2, 3) and validated == ran
 
 
+def refused_configs():
+    """Configs outside the table paths that both commands refuse (exit 2): phases set on the phase-sweep
+    drive, a valid n_rep with target "hadamard", and the trace sweeps just over the sample budget."""
+    phases = [with_values("phase-sweep", [(("drive", key), value)])
+              for key in ("phi13", "phi23") for value in HOSTILE_VALUES]
+    n_rep = [with_values("gate-synth", [(("target",), "hadamard"), (("n_rep",), value)]) for value in (1, 2**22)]
+    trace = [with_values("trace-sweep", [((key,), value) for key, value in override.items()])
+             for override, _ in OVER_BUDGET_TRACE_SWEEPS]
+    return phases + n_rep + trace
+
+
 def test_validate_exits_2_exactly_when_run_does(tmp_path):
-    # every base config with one table parameter replaced by one hostile value, under both commands
-    grid = [(scenario, path, value)
+    # every base config with one table parameter replaced by one hostile value, under both commands,
+    # then the refused configs that no table path reaches
+    grid = [(with_values(scenario, [(path, value)]), False)
             for scenario in sorted(BASE_PARAMS)
             for path in table_paths(SCENARIOS[scenario][0])
             for value in HOSTILE_VALUES]
-    assert len(grid) == 1065
-    for scenario, path, value in grid:
-        cfg = with_values(scenario, [(path, value)])
+    grid += [(cfg, True) for cfg in refused_configs()]
+    assert len(grid) == 1035 + 34
+    for cfg, refused in grid:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             validated, ran = exit_codes(cfg, str(tmp_path))
         assert validated in (0, 2, 3) and validated == ran, (cfg, validated, ran)
+        assert validated == 2 or not refused, cfg
         # the small-loop UserWarning is allowed
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], cfg

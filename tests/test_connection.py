@@ -429,7 +429,11 @@ class TestControlField:
 
     def test_winding_control_allowed_when_flagged(self):
         field = ControlField(lambda s: np.exp(0.25j * s), check_periodic=False)
-        assert field.periodic is False
+        assert abs(field.at(2 * math.pi) - field.at(0.0)) > 1e-10  # the gap the default check refuses
+
+    def test_unchecked_control_must_be_finite_at_both_ends(self):
+        with pytest.raises(ValidationError, match="not finite"):
+            ControlField(lambda s: complex(math.inf if s > 6 else 0.0), check_periodic=False)
 
     @staticmethod
     def builtin_controls():

@@ -53,6 +53,12 @@ class TestAdiabaticWindow:
         with pytest.raises(ValidationError):
             adiabatic_window(p)
 
+    @pytest.mark.parametrize("factor", [math.nan, 0.5, 0.0, -1.0])
+    def test_factor_below_one_or_nan_rejected(self, factor):
+        # NaN was carried into the report, and a factor below 1 let every platform pass
+        with pytest.raises(ValidationError, match="adiabatic window factor must be at least 1"):
+            adiabatic_window(PlatformParams(), factor)
+
 
 class TestLeakage:
     def test_reference_value(self):
@@ -88,6 +94,11 @@ class TestGateBudget:
         for contingency in (0.5, math.nan):
             with pytest.raises(ValidationError, match="contingency factor cannot be below 1"):
                 gate_budget(PlatformParams(), contingency)
+
+    def test_infinite_contingency_rejected(self):
+        # an infinite contingency gave a total infidelity of 1.0
+        with pytest.raises(ValidationError, match="contingency factor must be finite"):
+            gate_budget(PlatformParams(), math.inf)
 
     def test_reference_numbers(self):
         budget = gate_budget(PlatformParams())
@@ -169,6 +180,12 @@ class TestRamseyEcho:
         rev = ramsey_echo(loop.reversed(), p.splitting, p)
         assert abs(fwd.geometric_phase) > 0.1
         assert rev.geometric_phase == pytest.approx(-fwd.geometric_phase, abs=1e-9)
+
+    @pytest.mark.parametrize("delta_e", [math.nan, math.inf, -math.inf])
+    def test_splitting_must_be_finite(self, delta_e):
+        # NaN was reported as an echo that failed to cancel the dynamical phase
+        with pytest.raises(ValidationError, match="delta_e must be finite"):
+            ramsey_echo(point_loop(), delta_e, PlatformParams())
 
     def test_scan_count_guard(self):
         with pytest.raises(ValidationError):

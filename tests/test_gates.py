@@ -77,6 +77,12 @@ class TestEllipseLoop:
 
 
 class TestPhaseGate:
+    @pytest.mark.parametrize("q", [math.inf, math.nan, 0.0, -1.0])
+    def test_coupling_weight_must_be_positive_and_finite(self, q):
+        # q = inf once gave a gate of 1 repetition that failed only when integrated
+        with pytest.raises(ValidationError, match="coupling weight q must be positive and finite"):
+            synth_phase_gate(q)
+
     def test_q100_single_loop(self):
         spec = synth_phase_gate(100.0)
         assert spec.repetitions == 1

@@ -45,21 +45,21 @@ def pinned_loop(shape, psi=None, q=1.0, steps=4096):
 class TestWilsonLine:
     def test_rejects_non_unitary(self):
         with pytest.raises(ValidationError):
-            WilsonLine(np.array([[1.0, 0.1], [0.0, 1.0]]), 1.0)
+            WilsonLine(np.array([[1.0, 0.1], [0.0, 1.0]]))
 
     def test_rejects_non_special(self):
         phase = np.exp(0.3j)
         with pytest.raises(ValidationError):
-            WilsonLine(phase * np.eye(2), 1.0)
+            WilsonLine(phase * np.eye(2))
 
     def test_rejects_nan_matrix(self):
         with pytest.raises(ValidationError):
-            WilsonLine(np.full((2, 2), np.nan, dtype=complex), 1.0)
+            WilsonLine(np.full((2, 2), np.nan, dtype=complex))
 
     def test_inverse_and_compose(self):
-        w = WilsonLine(np.array([[0, -1], [1, 0]], dtype=complex), 1.0)
-        inverse = WilsonLine(w.matrix.conj().T, w.charge)
-        assert np.allclose(WilsonLine(inverse.matrix @ w.matrix, w.charge).matrix, np.eye(2))
+        w = WilsonLine(np.array([[0, -1], [1, 0]], dtype=complex))
+        inverse = WilsonLine(w.matrix.conj().T)
+        assert np.allclose(WilsonLine(inverse.matrix @ w.matrix).matrix, np.eye(2))
 
 
 def matmul_tree(mats):
@@ -366,6 +366,12 @@ class TestHolonomyTrace:
             with pytest.raises(ValidationError, match="charge must be positive"):
                 pinned_loop(equator(), q=q)
 
+    def test_sampled_transport_weight_must_be_positive(self):
+        # the loop checks its own weight; sampled data is checked on entry, before any transport
+        for q in (0.0, -1.0, math.nan):
+            with pytest.raises(ValidationError, match="charge must be positive"):
+                wilson_from_samples(np.zeros(8), np.zeros(8), q)
+
     def test_gauge_rotated_data(self):
         base = wilson_from_rates(lambda s: 0.1, lambda s: 0.05, 1.0, 4096).trace
         rotated = wilson_from_rates(
@@ -428,16 +434,16 @@ class TestDysonTrace:
 
 class TestRotationAngle:
     def test_identity(self):
-        assert rotation_angle(WilsonLine(np.eye(2, dtype=complex), 1.0)) == 0.0
+        assert rotation_angle(WilsonLine(np.eye(2, dtype=complex))) == 0.0
 
     def test_half_turn(self):
-        w = WilsonLine(np.diag([-1j, 1j]), 1.0)
+        w = WilsonLine(np.diag([-1j, 1j]))
         assert rotation_angle(w) == pytest.approx(math.pi)
 
     def test_quarter_phase_target(self):
         from triholonomy.gates import PHASE_GATE_TARGET
 
-        w = WilsonLine(PHASE_GATE_TARGET, 1.0)
+        w = WilsonLine(PHASE_GATE_TARGET)
         assert rotation_angle(w) == pytest.approx(math.pi / 2, abs=1e-10)
 
 

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -611,6 +612,17 @@ class TestFailClosed:
         with pytest.raises(ValidationError, match="time grid"):
             phase_sweep(BondDrive(1.1, 0.2, 1.0, 1.0, 0.15, 1e200), REFERENCE_MASSES, [0.0])
 
+    @pytest.mark.parametrize("masses", [[-1.0, 1.0, 1.0], [0.0, 1.0, 1.0], [1.0, -2.0, 1.0], [math.nan, 1.0, 1.0],
+                                        [math.inf, 1.0, 1.0], [1.0, 1.0]])
+    def test_masses_must_be_three_positive_finite_values(self, masses):
+        # [-1, 1, 1] once gave theta(2P) = 0.91 and [0, 1, 1] a finite rate; [1, -2, 1] and NaN failed
+        # as a NaN momentum residual
+        drive = reference_drive()
+        with pytest.raises(ValidationError, match="masses must be three positive finite values"):
+            reconstruct_rotation(drive, masses, 2 * drive.common_period())
+        with pytest.raises(ValidationError, match="masses must be three positive finite values"):
+            phase_sweep(drive, masses, [0.0, 1.0])
+
 
 class TestPrecessionPhase:
     def test_quarter_phase_drive_gives_pi(self):
@@ -628,6 +640,14 @@ class TestPrecessionPhase:
     def test_non_circular_drive_rejected(self):
         with pytest.raises(NumericalError):
             precession_berry_phase(1.0, 0.15, 3.0, phi13=0.3, phi23=-0.8)
+
+    @pytest.mark.parametrize("omega", [math.inf, math.nan, 0.0, -1.0])
+    def test_frequency_must_be_positive_and_finite(self, omega):
+        # omega = inf once raised two RuntimeWarnings, then "not a circular precession"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="positive finite frequency omega"):
+                precession_berry_phase(1.0, 0.15, omega)
 
 
 def momentum_series_per_window(traj, period):
