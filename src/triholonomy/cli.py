@@ -1,7 +1,7 @@
 """Configuration-driven command line: run scenarios, validate configs.
 
 Usage:
-    triholonomy run <config.json> [--out DIR] [--threads N] [--seed N]
+    triholonomy run <config.json> [--out DIR] [--threads N]
     triholonomy validate <config.json>
     triholonomy --version
 
@@ -307,11 +307,8 @@ class _Param(NamedTuple):
 _POSITIVE = (lambda v: v > 0, "positive")
 _COUNT = (lambda v: 0 < v <= MAX_SAMPLES, f"positive and at most {MAX_SAMPLES}")
 _NON_EMPTY = (lambda v: len(v) > 0, "a non-empty array")
-# trimer.phase_sweep's grid rule
-_PHASE_GRID = (lambda v: len(v) > 0 and max(map(abs, v)) <= math.pi + 1e-12, "a non-empty array in [-pi, pi]")
 _MAX_REPETITIONS = 2**22  # a pi/2 gate's matrix_power drifts from unitary by < 6e-10 here, 1.2e-9 at 2**23
 _SEED = _Param(int, 0, (lambda v: v >= 0, "non-negative"))
-_WINDOW_FACTOR = _Param(float, 10.0, (lambda v: v >= 1, "at least 1"))  # adiabatic-window margin
 
 
 def _table_of(cls) -> dict:
@@ -390,17 +387,13 @@ def load_config(path: str) -> dict:
 
 def _gate_synth(p: dict, base_dir: str, seed: int) -> tuple[list[str], dict]:
     """The pi/2 gate of at most ``_MAX_REPETITIONS`` loops, or the Hadamard gate steered on its one loop."""
-    hadamard = p["target"] == "hadamard"
-    if hadamard and p["n_rep"] is not None:
-        raise ValidationError("gate-synth: parameter 'n_rep' applies to target 'pi2' only")
-    spec = synth_phase_gate(p["q"], 1 if hadamard else p["n_rep"], n_samples=p["samples"], steps=p["steps"])
-    if spec.repetitions > _MAX_REPETITIONS:
-        raise ValidationError(f"{spec.repetitions:.10g} loop repetitions exceed {_MAX_REPETITIONS}; "
-                              "raise q or lower n_rep")
-    if hadamard:
-        spec = synth_hadamard_gate(p["q"], steps=p["steps"], shape=spec.loop.shape)
+    if p["target"] == "hadamard":
+        spec = synth_hadamard_gate(p["q"], n_samples=p["samples"], steps=p["steps"])
         realised = spec.transverse.matrix
     else:
+        spec = synth_phase_gate(p["q"], n_samples=p["samples"], steps=p["steps"])
+        if spec.repetitions > _MAX_REPETITIONS:
+            raise ValidationError(f"{spec.repetitions:.10g} loop repetitions exceed {_MAX_REPETITIONS}; raise q")
         realised = spec.integrate()
     return [], {"gate.json": {
         "target": p["target"],
@@ -474,14 +467,11 @@ def _trimer_sim(p: dict, base_dir: str, seed: int) -> tuple[list[str], dict]:
 
 
 def _phase_sweep(p: dict, base_dir: str, seed: int) -> tuple[list[str], dict]:
-    """The mean rate at each phase of ``phi_values``, else of phi_count points on [-pi, pi], within the
-    sample budget of :func:`phase_sweep`; a failed phase names its phi."""
+    """The mean rate at each of phi_count phases on [-pi, pi], within the sample budget of
+    :func:`phase_sweep`; a failed phase names its phi."""
     drive, _, lines = _drive(p)
-    if p["phi_values"] is None:
-        _sweep_grid(drive, p["phi_count"])  # the budget, before the grid is built
-        grid = np.linspace(-math.pi, math.pi, p["phi_count"])
-    else:
-        grid = np.asarray(p["phi_values"], dtype=float)
+    _sweep_grid(drive, p["phi_count"])  # the budget, before the grid is built
+    grid = np.linspace(-math.pi, math.pi, p["phi_count"])
     rates = phase_sweep(drive, p["masses"], grid)
     return lines, {"phase_sweep.csv": (["phi", "mean_angular_velocity"], [grid, rates], {})}
 
@@ -522,7 +512,7 @@ def _linking(p: dict, base_dir: str, seed: int) -> tuple[list[str], dict]:
 def _platform(p: dict) -> tuple[PlatformParams, WindowReport, list[str]]:
     """``platform`` as ``PlatformParams``, its adiabatic window and the window's report line."""
     platform = PlatformParams(**p["platform"])
-    report = adiabatic_window(platform, p["window_factor"])
+    report = adiabatic_window(platform)
     return platform, report, [
         f"adiabatic window {'pass' if report.passed else f'FAIL, need both ratios >= {report.factor:g}'}: "
         f"(1/T)/splitting = {report.ratio_lower:.3g}, gap*T = {report.ratio_upper:.3g}"]
@@ -531,7 +521,7 @@ def _platform(p: dict) -> tuple[PlatformParams, WindowReport, list[str]]:
 def _demo_budget(p: dict, base_dir: str, seed: int) -> tuple[list[str], dict]:
     """The adiabatic window, reported whether or not it passed, the per-loop leakage and the error budget."""
     platform, report, lines = _platform(p)
-    budget = gate_budget(platform, p["contingency"])
+    budget = gate_budget(platform)
     return lines, {"budget.json": {
         "window": {
             "passed": report.passed,
@@ -558,10 +548,8 @@ def _ramsey(p: dict, base_dir: str, seed: int) -> tuple[list[str], dict]:
         raise ValidationError("adiabatic window violated: need splitting << 1/T_loop << gap with factor "
                               f"{report.factor:g} (got ratios {report.ratio_lower:.3g} and "
                               f"{report.ratio_upper:.3g})")
-    q = platform.charge if p["q"] is None else p["q"]
-    spec = synth_phase_gate(q, None, n_samples=p["samples"], steps=p["steps"])
-    delta_e = platform.splitting if p["delta_e"] is None else p["delta_e"]
-    result = ramsey_echo(spec.loop, delta_e, platform, echo=p["echo"], scan_count=p["scan_count"])
+    spec = synth_phase_gate(p["q"], n_samples=p["samples"], steps=p["steps"])
+    result = ramsey_echo(spec.loop, platform.splitting, platform, echo=p["echo"], scan_count=p["scan_count"])
     cols = [result.scan_phases] + [result.populations[i] for i in range(len(result.prep_phases))]
     headers = ["scan_phase"] + [f"population_prep{i}" for i in range(len(result.prep_phases))]
 
@@ -572,7 +560,7 @@ def _ramsey(p: dict, base_dir: str, seed: int) -> tuple[list[str], dict]:
         "fringe.csv": (headers, cols, {}),
         "ramsey.json": {
             "echo": result.echo,
-            "delta_e_rad_per_s": delta_e,
+            "delta_e_rad_per_s": platform.splitting,
             "doubled_phase": _maybe(result.doubled_phase),
             "geometric_phase": _maybe(result.geometric_phase),
             "reconstructed_trace": _maybe(result.reconstructed_trace),
@@ -600,7 +588,6 @@ SCENARIOS = {
     "gate-synth": ({
         "q": _Param(float, bound=_POSITIVE),
         "target": _Param(str, "pi2", (lambda v: v in ("pi2", "hadamard"), "'pi2' or 'hadamard'")),
-        "n_rep": _Param(int, None, _COUNT),  # pi2 only; None picks the small-loop count
         "samples": _Param(int, 1024, _COUNT),
         "steps": _Param(int, 4096, _COUNT),
     }, _gate_synth),
@@ -624,7 +611,6 @@ SCENARIOS = {
     "phase-sweep": ({
         "drive": _Param(_BONDS),  # the sweep sets both phases
         "masses": _MASSES,
-        "phi_values": _Param([float], None, _PHASE_GRID),  # None: phi_count points on [-pi, pi]
         "phi_count": _Param(int, 33, _COUNT),
         "periods": _Param(int, 8, _COUNT),  # accepted; the one-period rate is the mean over any periods
     }, _phase_sweep),
@@ -637,18 +623,14 @@ SCENARIOS = {
     }, _linking),
     "demo-budget": ({
         "platform": _Param(_PLATFORM, {}),
-        "window_factor": _WINDOW_FACTOR,
-        "contingency": _Param(float, 1.0, (lambda v: v >= 1, "at least 1")),
     }, _demo_budget),
     "ramsey": ({
         "platform": _Param(_PLATFORM, {}),
-        "q": _Param(float, None, _POSITIVE),  # None: the platform's charge
-        "delta_e": _Param(float, None),  # None: the platform's doublet splitting
+        "q": _Param(float, bound=_POSITIVE),
         "echo": _Param(bool, True),
         "scan_count": _Param(int, 8, _COUNT),
         "samples": _Param(int, 1024, _COUNT),
         "steps": _Param(int, 4096, _COUNT),
-        "window_factor": _WINDOW_FACTOR,
     }, _ramsey),
 }
 
@@ -672,8 +654,6 @@ def _config_dir(config_path: str) -> str:
 def _cmd_run(args) -> int:
     t_start = time.perf_counter()
     cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg["seed"] = _check(args.seed, _SEED, "seed", "--seed")
     outdir = args.out or cfg.get("output_dir") or os.environ.get(OUTDIR_ENV) or "."
     outputs = run_scenario(cfg, _config_dir(args.config))[1]  # a failed run leaves no directory behind
     pending = {}  # final name -> its partial file, until renamed into place
@@ -727,7 +707,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("config", help="path to a JSON scenario config")
     run_p.add_argument("--out", help="output directory (overrides config and environment)")
     run_p.add_argument("--threads", type=int, default=1, help="ignored; runs are single-threaded")
-    run_p.add_argument("--seed", type=int, default=None, help="override the config seed")
     run_p.set_defaults(func=_cmd_run)
     val_p = sub.add_parser("validate", help="run a config's scenario and print its report, writing nothing")
     val_p.add_argument("config", help="path to a JSON scenario config")

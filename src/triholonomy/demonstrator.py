@@ -3,7 +3,7 @@
 Energies are carried as angular frequencies (energy over hbar, rad/s), so
 the adiabaticity comparison "splitting << hbar / T_loop << gap" reads
 ``splitting << 1 / T_loop << gap`` with 1/T_loop in rad/s.  The "<<" is
-operationalised as a configurable factor (default 10).
+operationalised as a factor of 10 (``_WINDOW_FACTOR``).
 
 The default parameter set is a consistent instance of the demonstrator's
 stated operating ranges (loop time 1 us, gap 2 pi x 10 MHz, residual
@@ -32,6 +32,7 @@ __all__ = [
 ]
 
 _PREP_PHASES = (0.0, math.pi / 2)  # azimuths of the Ramsey readout's two pi/2 preparation pulses
+_WINDOW_FACTOR = 10.0  # the margin that "<<" asks of both adiabatic-window ratios
 
 
 @dataclass(frozen=True)
@@ -44,10 +45,9 @@ class PlatformParams:
     t_loop: float = 1.0e-6  # single-loop duration (s)
     tau_r: float = 50.0e-6  # Rydberg lifetime (s)
     n_rep: int = 10  # loop repetitions per gate
-    charge: float = 100.0  # coupling weight of the encoded doublet
 
     def __post_init__(self):
-        for name in ("e_a", "e_e1", "e_e2", "t_loop", "tau_r", "charge"):
+        for name in ("e_a", "e_e1", "e_e2", "t_loop", "tau_r"):
             if not getattr(self, name) > 0:
                 raise ValidationError(f"{name} must be positive")
         if self.n_rep < 1:
@@ -76,14 +76,12 @@ class WindowReport:
     factor: float
 
 
-def adiabatic_window(params: PlatformParams, factor: float = 10.0) -> WindowReport:
-    """Check splitting << 1/T_loop << gap with the given margin factor.
+def adiabatic_window(params: PlatformParams) -> WindowReport:
+    """Check splitting << 1/T_loop << gap, each ratio at least ``_WINDOW_FACTOR``.
 
     Raises:
-        ValidationError: ``factor`` below 1 or NaN, or mode ordering violated (gap <= 0).
+        ValidationError: mode ordering violated (gap <= 0).
     """
-    if not factor >= 1.0:
-        raise ValidationError(f"adiabatic window factor must be at least 1, got {factor!r}")
     gap = params.gap
     if gap <= 0:
         raise ValidationError("mode ordering violated: breathing mode below the doublet mean")
@@ -92,12 +90,12 @@ def adiabatic_window(params: PlatformParams, factor: float = 10.0) -> WindowRepo
     ratio_lower = rate / splitting if splitting > 0 else math.inf
     ratio_upper = gap / rate
     return WindowReport(
-        passed=(ratio_lower >= factor and ratio_upper >= factor),
+        passed=(ratio_lower >= _WINDOW_FACTOR and ratio_upper >= _WINDOW_FACTOR),
         gap=gap,
         splitting=splitting,
         ratio_lower=ratio_lower,
         ratio_upper=ratio_upper,
-        factor=factor,
+        factor=_WINDOW_FACTOR,
     )
 
 
@@ -131,26 +129,21 @@ class ErrorBudget:
                 raise ValidationError(f"{name} must lie in [0, 1], got {v}")
 
 
-def gate_budget(params: PlatformParams, contingency: float = 1.0) -> ErrorBudget:
+def gate_budget(params: PlatformParams) -> ErrorBudget:
     """Error budget for a gate of n_rep loops.
 
     p_decay = 1 - exp(-T_gate / tau_R); leakage uses the per-loop estimate
     times n_rep (leading-order union bound); phase_drift is the pre-echo
     dynamical phase splitting * T_gate, and NumericalError is raised when it
-    is not finite.  ``contingency`` is a documented multiplicative allowance
-    for unmodelled channels (stray fields, waveform noise) applied to the total.
+    is not finite.
     """
-    if not contingency >= 1.0:
-        raise ValidationError("contingency factor cannot be below 1")
-    if not math.isfinite(contingency):
-        raise ValidationError("contingency factor must be finite")
     t_gate = params.n_rep * params.t_loop
     p_decay = 1.0 - math.exp(-t_gate / params.tau_r)
     p_leak = min(1.0, params.n_rep * leakage_estimate(params))
     phase_drift = params.splitting * t_gate
     if not math.isfinite(phase_drift):
         raise NumericalError(f"phase drift is not finite: splitting x gate time = {phase_drift}")
-    total = min(1.0, (1.0 - (1.0 - p_decay) * (1.0 - p_leak)) * contingency)
+    total = min(1.0, 1.0 - (1.0 - p_decay) * (1.0 - p_leak))
     return ErrorBudget(p_leak, p_decay, phase_drift, total)
 
 

@@ -235,18 +235,16 @@ def interaction_frame(loop: HolonomyLoop) -> InteractionFrame:
     return InteractionFrame(eta_mid, g, loop.charge, float(eta_end[-1]))
 
 
-def synth_hadamard_gate(
-    q: float, n_samples: int = 1024, steps: int = 4096, shape: ShapeLoop | None = None
-) -> GateSpec:
+def synth_hadamard_gate(q: float, n_samples: int = 1024, steps: int = 4096) -> GateSpec:
     """Steered-control loop whose transverse holonomy is the y-axis pi/2 rotation.
 
-    Steers ``shape``, by default the single loop of the phase gate at
-    ``n_samples`` (enclosed angle pi/q), with control phase
-    arg psi(s) = pi/2 + eta(s).  The rotating-frame samples psi exp(-i eta)
-    then all equal i |psi| to round-off, so every step factor of V(2 pi)
-    turns about the same axis, the factors commute, and the rotation angle
-    is 2 pi q |psi| exactly up to round-off (no discretisation error).  The control magnitude is therefore the
-    closed form |psi| = 1/(4 q); one transport checks that the angle of
+    Steers the single loop of the phase gate at ``n_samples`` (enclosed
+    angle pi/q) with control phase arg psi(s) = pi/2 + eta(s).  The
+    rotating-frame samples psi exp(-i eta) then all equal i |psi| to
+    round-off, so every step factor of V(2 pi) turns about the same axis,
+    the factors commute, and the rotation angle is 2 pi q |psi| exactly up
+    to round-off (no discretisation error).  The control magnitude is
+    therefore the closed form |psi| = 1/(4 q); one transport checks that the angle of
     V(2 pi) is pi/2 to within 1e-6.  The diagonal factor U_z(2 pi) is
     returned in ``residual_abelian`` for downstream compensation, and V(2 pi)
     itself, as the check transported it, in ``transverse``.
@@ -255,10 +253,7 @@ def synth_hadamard_gate(
         NumericalError: if the transported rotation angle misses pi/2 by more
             than 1e-6 (or is not finite).
     """
-    if not q > 0:
-        raise ValidationError("coupling weight q must be positive")
-    if shape is None:
-        shape = synth_phase_gate(q, 1, n_samples=n_samples).loop.shape
+    shape = synth_phase_gate(q, 1, n_samples=n_samples).loop.shape  # checks q first
     # eta(s) = q * integral_0^s A, interpolated between its grid-node values.
     s_mid, ds = midpoint_grid(steps)
     eta_ends, eta_mid = cumulative_midpoint(HolonomyLoop(shape, steps=steps).sample(s_mid).a, ds, q)

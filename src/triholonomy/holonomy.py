@@ -15,7 +15,7 @@ products, which keeps the evaluation deterministic and the result exactly
 of that form.  The transport kernel reads the connection component-first:
 three arrays (vx, vy, vz), each of shape (..., N), whose leading axes are a
 batch, so many Wilson lines of equal step count reduce in one call.  On the
-pinned axis n = +z with zero control the steps commute, and ``integrate_wilson``
+pinned axis n = +z with zero control the steps commute, and ``wilson_from_samples``
 transports their sum alone: exp(i (eta/2) sigma_z), eta = q ds sum A.
 
 ``dyson_trace`` evaluates the trace of the loop holonomy by treating the
@@ -249,16 +249,13 @@ def _wilson_line(v, charge: float, ds: float) -> WilsonLine:
 def integrate_wilson(loop: HolonomyLoop) -> WilsonLine:
     """Holonomy of a closed loop as an ordered product of SU(2) step factors.
 
-    A pinned loop is transported in the frame ``PINNED_FRAME`` (n = +z), so
-    its matrix is the one ``wilson_from_samples`` gives on the loop's samples.
-    With every sampled psi exactly 0 its steps commute and reduce to the one
-    factor exp(i (eta/2) sigma_z), eta = q ds sum A.
+    A pinned loop is transported by ``wilson_from_samples`` on the loop's
+    samples, in the frame ``PINNED_FRAME`` (n = +z).
     """
     s_mid, ds = midpoint_grid(loop.steps)
     samples = loop.sample(s_mid)
-    if loop.bloch.is_pinned and not np.any(samples.psi):
-        total = np.sum(samples.a, keepdims=True)
-        return _wilson_line([total * n_k for n_k in PINNED_FRAME[2]], loop.charge, ds)
+    if loop.bloch.is_pinned:
+        return wilson_from_samples(samples.a, samples.psi, loop.charge)
     return _wilson_line(connection_vectors(samples), loop.charge, ds)
 
 
@@ -268,7 +265,8 @@ def wilson_from_samples(abelian, control, charge: float) -> WilsonLine:
     ``abelian`` and ``control`` sample the diagonal coefficient A(s) and the
     complex transverse coefficient psi(s) at the midpoints of a uniform
     partition of [0, 2 pi] (see :func:`midpoint_grid`), transported at the
-    positive coupling weight ``charge``.
+    positive coupling weight ``charge``.  With every psi exactly 0 the steps
+    commute and reduce to the one factor exp(i (eta/2) sigma_z), eta = q ds sum A.
     """
     if not charge > 0:
         raise ValidationError("charge must be positive")
@@ -276,7 +274,11 @@ def wilson_from_samples(abelian, control, charge: float) -> WilsonLine:
     psi = np.asarray(control, dtype=complex)
     if a.ndim != 1 or a.size == 0 or psi.shape != a.shape:
         raise ValidationError("rate samples must be non-empty 1-d arrays of equal length")
-    return _wilson_line((psi.real, -psi.imag, a), charge, 2 * math.pi / a.size)
+    ds = 2 * math.pi / a.size
+    if not np.any(psi):
+        total = np.sum(a, keepdims=True)
+        return _wilson_line([total * n_k for n_k in PINNED_FRAME[2]], charge, ds)
+    return _wilson_line((psi.real, -psi.imag, a), charge, ds)
 
 
 def wilson_from_rates(abelian, control, charge: float, n_steps: int = 4096) -> WilsonLine:

@@ -291,10 +291,15 @@ def phase_sweep(drive_template: BondDrive, masses, phi_values, periods: int = 8)
 def _sweep_grid(drive: BondDrive, phases: int) -> tuple[float, int, float]:
     """Common period, count n and step dt of a sweep's grid, refused if ``phases`` x (n + 1) > ``MAX_SAMPLES``."""
     period = drive.common_period()
+    fast_periods = period / drive.fastest_period  # time_steps' grid has 512 steps each, so the frequencies size it
+    if fast_periods > MAX_SAMPLES / 512:
+        raise ValidationError(f"time grid of one common period ({fast_periods:.4g} fastest periods) exceeds the "
+                              f"budget of {MAX_SAMPLES} samples; bring the drive frequencies 'omega' and 'omega12' "
+                              "closer together")
     n, dt = drive.time_steps(period)
     if phases * (n + 1) > MAX_SAMPLES:
         raise ValidationError(f"phase grid of {phases} phases x {n + 1} samples exceeds the budget "
-                              f"of {MAX_SAMPLES} samples; lower 'phi_count' or list fewer 'phi_values'")
+                              f"of {MAX_SAMPLES} samples; lower 'phi_count'")
     return period, n, dt
 
 

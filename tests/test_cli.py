@@ -3,9 +3,11 @@ import copy
 import glob
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -40,6 +42,7 @@ from triholonomy.holonomy import HolonomyLoop, integrate_wilson, midpoint_grid, 
 from triholonomy.trimer import BondDrive, _frames, bond_lengths, reconstruct_rotation
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
+README = os.path.join(os.path.dirname(__file__), "..", "README.md")
 SHIPPED_CONFIGS = sorted(os.path.basename(p) for p in glob.glob(os.path.join(CONFIG_DIR, "*.json")))
 
 
@@ -93,7 +96,8 @@ BASE_PARAMS = {
     "demo-budget": {"platform": {}},
 }
 
-# (scenario, params override, parameter named on stderr); run and validate exit 2 on each.
+# (scenario, params override, parameter named on stderr); run and validate exit 2 on each.  The rows
+# that set a key of RETIRED_KEYS exit 2 as an unknown parameter.
 BAD_SCENARIO_INPUTS = [
     ("trimer-sim", {"periods": "x"}, "periods"),
     ("trimer-sim", {"periods": 0}, "periods"),
@@ -145,19 +149,31 @@ BAD_SCENARIO_INPUTS = [
     ("ramsey", {"scan_count": 10**12}, "scan_count"),
     ("linking", {"hopf": {"segments": 10**12}}, "segments"),
     ("trace-sweep", {"gauge_rotations": 10**12}, "gauge_rotations"),
-    # an adiabatic-window margin below 1 lets every platform pass
+    # retired keys: the adiabatic-window margin is 10, and the budget has no contingency
     ("demo-budget", {"window_factor": -1.0}, "window_factor"),
     ("demo-budget", {"window_factor": 0}, "window_factor"),
     ("ramsey", {"window_factor": -1.0}, "window_factor"),
     ("ramsey", {"window_factor": 0.5}, "window_factor"),
-    # a contingency below 1 once passed validate and failed only in run
     ("demo-budget", {"contingency": 0}, "contingency"),
     ("demo-budget", {"contingency": -1.0}, "contingency"),
     ("demo-budget", {"contingency": 0.5}, "contingency"),
     ("demo-budget", {"contingency": 1e-300}, "contingency"),
-    # keys that reach no output: the sweep sets the phases, and the Hadamard gate is one loop
+    # keys that reach no output: the sweep sets the phases, and q derives the loop count
     ("phase-sweep", {"drive": dict(TRIMER_DRIVE, phi13=0.5)}, "phi13"),
     ("gate-synth", {"target": "hadamard", "n_rep": 3}, "n_rep"),
+]
+
+# Config keys that no longer exist, each with a value its old table accepted: (scenario, key path, value).
+# Each restated another input or held only its default; a config that sets one exits 2 and names it.
+RETIRED_KEYS = [
+    ("gate-synth", ("n_rep",), 3),  # q derives the loop count
+    ("phase-sweep", ("phi_values",), [0.0]),  # phi_count sets the grid
+    ("ramsey", ("delta_e",), 2 * math.pi * 1.0e4),  # the platform's doublet splitting
+    ("ramsey", ("platform", "charge"), 100.0),  # ramsey's q is required instead
+    ("demo-budget", ("platform", "charge"), 100.0),
+    ("ramsey", ("window_factor",), 10.0),  # the window's margin is 10
+    ("demo-budget", ("window_factor",), 10.0),
+    ("demo-budget", ("contingency",), 1.0),
 ]
 
 # Trace sweeps just over the sample budget, by psi count and by gauge rotations: (params override, cost).
@@ -184,7 +200,7 @@ PREFLIGHT_BUILDS = [
     ("trace-sweep", {"a": 1e-15, "b": 1e-15}, {}, "semi-axis a is lost to rounding"),
     ("trace-sweep", {"theta0": 4.0}, {}, "base colatitude must lie strictly between the poles"),
     ("gate-synth", {}, {"output_dir": "nul\0byte"}, "cannot use output directory nul\0byte: "),
-    ("phase-sweep", {"phi_values": [4.0]}, {}, "'phi_values' must be a non-empty array in [-pi, pi]"),
+    ("phase-sweep", {"phi_values": [4.0]}, {}, "phase-sweep params: unknown parameter 'phi_values'"),
     ("linking", {"charges": [1, 2, 3]}, {}, "'charges' needs one value per curve (2)"),
     ("linking", {"slk": [0]}, {}, "'slk' needs one value per curve (2)"),
     ("linking", {"curve_files": ["two.csv", "two.csv"]}, {}, "must have three columns"),
@@ -199,7 +215,7 @@ PREFLIGHT_BUILDS = [
     # repetition counts whose product drifts from unitary; validate once passed them and run exited 2
     ("gate-synth", {"q": 1e-300}, {}, "1.111111111e+301 loop repetitions exceed 4194304; raise q"),
     ("gate-synth", {"q": 1e-8}, {}, "1111111112 loop repetitions exceed 4194304"),
-    ("gate-synth", {"n_rep": 2**22 + 1}, {}, "4194305 loop repetitions exceed 4194304"),
+    ("gate-synth", {"n_rep": 2**22 + 1}, {}, "gate-synth params: unknown parameter 'n_rep'"),
     # a count that overflows a float once raised a traceback (exit 1)
     ("gate-synth", {"q": 1e-320}, {}, "coupling weight q = 1e-320 overflows the repetition count"),
     ("ramsey", {"q": 5e-324}, {}, "coupling weight q = 4.94e-324 overflows the repetition count"),
@@ -224,6 +240,11 @@ OVERSIZED_TIME_GRIDS = [
     ("trimer-sim", {"periods": 2**14, "steps_per_period": 2**13}),
     ("phase-sweep", {"drive": dict(TRIMER_DRIVE, omega=1e200)}),
 ]
+# The keys each scenario's refusal of such a grid asks to lower: phase-sweep's grid is one common period.
+TIME_GRID_LEVERS = {
+    "trimer-sim": "lower 'periods' or the steps per period",
+    "phase-sweep": "bring the drive frequencies 'omega' and 'omega12' closer together",
+}
 
 # Drives whose frequency ratio omega/omega12 rounds to the fraction 0 (denominator <= 64).
 ZERO_RATIO_DRIVES = [{"omega12": 10**12}, {"omega12": 1e200}, {"omega": 1e-300}]
@@ -333,7 +354,8 @@ class TestRun:
         out = tmp_path / "out"
         argv = [command, write_config(tmp_path, cfg)] + (["--out", str(out)] if command == "run" else [])
         assert main(argv) == 2
-        assert "time grid" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "time grid" in err and TIME_GRID_LEVERS[scenario] in err
         assert not out.exists() or not any(out.iterdir())
 
     @pytest.mark.parametrize("command", ["run", "validate"])
@@ -386,11 +408,17 @@ class TestRun:
             assert not out.exists() or not any(out.iterdir())
 
     def test_most_repetitions_still_make_the_gate(self, tmp_path):
-        cfg = small_gate_config(params=dict(BASE_PARAMS["gate-synth"], n_rep=2**22))
+        # q derives exactly 2**22 loops of semi-axis near 0.3, whose small-loop rotation misses pi/2 by ~1e-2;
+        # the matrix power of the loop holonomy keeps the 2**22-fold rotation of its angle to 1e-8
+        q = 2.6490956e-6
+        cfg = small_gate_config(params=dict(BASE_PARAMS["gate-synth"], q=q))
         out = tmp_path / "out"
         assert main(["run", write_config(tmp_path, cfg), "--out", str(out)]) == 0
         gate = json.loads((out / "gate.json").read_text())
-        assert gate["repetitions"] == 2**22 and gate["fidelity"] == pytest.approx(1.0, abs=1e-8)
+        loop = gates.synth_phase_gate(q, n_samples=256, steps=1024).loop
+        half_angle = 2**22 * np.angle(integrate_wilson(loop).matrix[0, 0])  # W = diag(e^{i h}, e^{-i h})
+        assert gate["repetitions"] == 2**22
+        assert gate["fidelity"] == pytest.approx(abs(math.cos(half_angle + math.pi / 4)), abs=1e-8)
 
     @pytest.mark.parametrize("q", [1e200, 1.7e308])
     def test_overflowing_coupling_exits_3_without_warning(self, tmp_path, capsys, q):
@@ -446,15 +474,16 @@ class TestRun:
     @pytest.mark.parametrize("command", ["run", "validate"])
     def test_phase_sweep_triangle_broken_after_start_exits_3_under_run_and_validate(self, tmp_path, capsys,
                                                                                      command):
-        # validate runs the sweep too, so a phase whose triangle breaks after t = 0 fails under both commands
-        drive = {"d12": 2.2, "a12": 0.3, "omega12": 1.0, "d": 1.0, "a": 0.4, "omega": 3.0}
+        # validate runs the sweep too, so a phase whose triangle breaks after t = 0 fails under both commands;
+        # at the grid's first phase, -pi, the bonds 1 +- 0.4 sin 3t outgrow 0.5 + 0.1 cos t
+        drive = {"d12": 0.5, "a12": 0.1, "omega12": 1.0, "d": 1.0, "a": 0.4, "omega": 3.0}
         cfg = {"schema_version": 1, "scenario": "phase-sweep", "seed": 0,
-               "params": dict(BASE_PARAMS["phase-sweep"], drive=drive, phi_values=[0.0])}
+               "params": dict(BASE_PARAMS["phase-sweep"], drive=drive)}
         out = tmp_path / "out"
         argv = [command, write_config(tmp_path, cfg)] + (["--out", str(out)] if command == "run" else [])
         assert main(argv) == 3
-        message = "phase sweep at phi = 0: triangle inequality violated: bonds (2.48599, 1.2422, 1.2422) at sample"
-        assert capsys.readouterr() == ("", f"numerical failure: {message} 75\n")
+        message = "phase sweep at phi = -3.14159: triangle inequality violated: bonds (0.596043, 1.29965, 0.700345)"
+        assert capsys.readouterr() == ("", f"numerical failure: {message} at sample 69\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["run", "validate"])
@@ -472,7 +501,7 @@ class TestRun:
         assert main(argv) == 2
         assert capsys.readouterr().err == (
             f"validation error: phase grid of 43663 phases x 1537 samples exceeds the budget of {2**26} "
-            "samples; lower 'phi_count' or list fewer 'phi_values'\n")
+            "samples; lower 'phi_count'\n")
         assert not out.exists()
 
     def test_phase_grid_over_the_sample_budget_is_refused_before_it_is_built(self, tmp_path, capsys):
@@ -489,7 +518,7 @@ class TestRun:
         assert code == 2
         assert capsys.readouterr().err == (
             f"validation error: phase grid of {2**22} phases x 1537 samples exceeds the budget of {2**26} "
-            "samples; lower 'phi_count' or list fewer 'phi_values'\n")
+            "samples; lower 'phi_count'\n")
         assert peak < 1e6
 
     @pytest.mark.parametrize("command", ["run", "validate"])
@@ -834,8 +863,9 @@ class TestRun:
             assert row[2] == format(trace_expansion_from_rates(c, j, 2).trace_estimate, ".17g")
 
     def test_trace_sweep_direct_is_the_loop_transport(self, tmp_path):
-        # trace_direct carries the bits of integrate_wilson on the pinned loop at constant psi
-        params = {"q": 2.5, "theta0": 1.2, "a": 0.2, "b": 0.15, "psi_values": [0.03, 0.06, 0.09],
+        # trace_direct carries the bits of integrate_wilson on the pinned loop at constant psi; at psi = 0 both
+        # take the one-factor shortcut of wilson_from_samples
+        params = {"q": 2.5, "theta0": 1.2, "a": 0.2, "b": 0.15, "psi_values": [0.0, 0.03, 0.06, 0.09],
                   "steps": 2048, "samples": 512}
         cfg = {"schema_version": 1, "scenario": "trace-sweep", "seed": 0, "params": params}
         out = tmp_path / "out"
@@ -861,9 +891,9 @@ class TestRun:
         check = json.loads((out / "gauge_check.json").read_text())
         assert check["seed"] == 7 and check["rotations"] == 5
         assert check["worst_trace_shift"] < 1e-7
-        # seed override is recorded and reproducible
+        # the config's seed is recorded and reproducible
         out2 = tmp_path / "out2"
-        assert main(["run", write_config(tmp_path, cfg), "--out", str(out2), "--seed", "7"]) == 0
+        assert main(["run", write_config(tmp_path, cfg), "--out", str(out2)]) == 0
         assert (out / "gauge_check.json").read_bytes() == (out2 / "gauge_check.json").read_bytes()
 
     def test_phase_sweep_periods_reaches_no_output_and_checks_nothing(self):
@@ -881,7 +911,7 @@ class TestRun:
             "params": {
                 "drive": {"d12": 1.1, "a12": 0.2, "omega12": 1.0, "d": 1.0, "a": 0.15, "omega": 3.0},
                 "masses": [2.1, 2.1, 4.7],
-                "phi_values": [-math.pi / 2, 0.0, math.pi / 2],
+                "phi_count": 5,  # -pi, -pi/2, 0, pi/2, pi
                 "periods": 2,
             },
         }
@@ -890,7 +920,7 @@ class TestRun:
         rows = (out / "phase_sweep.csv").read_text().splitlines()
         assert rows[0] == "phi,mean_angular_velocity"
         rates = [float(r.split(",")[1]) for r in rows[1:]]
-        assert abs(rates[1]) < 1e-6 * max(abs(rates[0]), abs(rates[2]))
+        assert abs(rates[2]) < 1e-6 * max(abs(rates[1]), abs(rates[3]))
 
     def test_demo_budget_and_ramsey_scenarios(self, tmp_path):
         budget_cfg = {
@@ -1029,13 +1059,43 @@ class TestValidate:
         assert "'seed'" in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
 
-    def test_negative_seed_override_exits_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    @pytest.mark.parametrize("scenario, path, value", RETIRED_KEYS,
+                             ids=[f"{scenario}-{'.'.join(path)}" for scenario, path, _ in RETIRED_KEYS])
+    def test_retired_key_exits_2_by_name(self, tmp_path, capsys, command, scenario, path, value):
+        cfg = with_values(scenario, [(path, value)])
+        out = tmp_path / "out"
+        argv = [command, write_config(tmp_path, cfg)] + (["--out", str(out)] if command == "run" else [])
+        assert main(argv) == 2
+        where = " ".join([f"{scenario} params", *path[:-1]])
+        assert capsys.readouterr() == ("", f"validation error: {where}: unknown parameter {path[-1]!r}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    def test_seed_flag_exits_2_by_name(self, tmp_path, capsys, command):
+        # the config's seed sets the seed; there is no second way
         cfg = {"schema_version": 1, "scenario": "trace-sweep", "seed": 0,
                "params": dict(BASE_PARAMS["trace-sweep"], gauge_rotations=1)}
         out = tmp_path / "out"
-        assert main(["run", write_config(tmp_path, cfg), "--out", str(out), "--seed", "-1"]) == 2
-        assert "'seed'" in capsys.readouterr().err
-        assert not out.exists() or not any(out.iterdir())
+        argv = [command, write_config(tmp_path, cfg), "--seed", "7"]
+        argv += ["--out", str(out)] if command == "run" else []
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 7" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_readme_parameter_table_names_exactly_each_scenario_table():
+    # column 2 of README's scenario-parameter table backticks each key; a row without a scenario continues
+    # the one above, so the docs and the tables cannot drift apart
+    rows = open(README).read().split("| scenario | parameter |", 1)[1].splitlines()[2:]
+    named, scenario = {}, None
+    for row in itertools.takewhile(lambda line: line.startswith("|"), rows):
+        cells = row.split("|")
+        scenario = cells[1].strip().strip("`") or scenario
+        named.setdefault(scenario, set()).update(re.findall(r"`([^`]+)`", cells[2]))
+    assert named == {name: set(table) for name, (table, _) in SCENARIOS.items()}
 
 
 WINDOW_PASS = "adiabatic window pass: (1/T)/splitting = 15.9, gap*T = 62.8\n"
@@ -1389,13 +1449,13 @@ def test_hostile_parameters_exit_cleanly(cfg):
 
 def refused_configs():
     """Configs outside the table paths that both commands refuse (exit 2): phases set on the phase-sweep
-    drive, a valid n_rep with target "hadamard", and the trace sweeps just over the sample budget."""
+    drive, the retired keys, and the trace sweeps just over the sample budget."""
     phases = [with_values("phase-sweep", [(("drive", key), value)])
               for key in ("phi13", "phi23") for value in HOSTILE_VALUES]
-    n_rep = [with_values("gate-synth", [(("target",), "hadamard"), (("n_rep",), value)]) for value in (1, 2**22)]
+    retired = [with_values(scenario, [(path, value)]) for scenario, path, value in RETIRED_KEYS]
     trace = [with_values("trace-sweep", [((key,), value) for key, value in override.items()])
              for override, _ in OVER_BUDGET_TRACE_SWEEPS]
-    return phases + n_rep + trace
+    return phases + retired + trace
 
 
 def test_validate_exits_2_exactly_when_run_does(tmp_path):
@@ -1406,7 +1466,7 @@ def test_validate_exits_2_exactly_when_run_does(tmp_path):
             for path in table_paths(SCENARIOS[scenario][0])
             for value in HOSTILE_VALUES]
     grid += [(cfg, True) for cfg in refused_configs()]
-    assert len(grid) == 1035 + 34
+    assert len(grid) == 915 + 40
     for cfg, refused in grid:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

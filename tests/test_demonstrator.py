@@ -53,11 +53,13 @@ class TestAdiabaticWindow:
         with pytest.raises(ValidationError):
             adiabatic_window(p)
 
-    @pytest.mark.parametrize("factor", [math.nan, 0.5, 0.0, -1.0])
-    def test_factor_below_one_or_nan_rejected(self, factor):
-        # NaN was carried into the report, and a factor below 1 let every platform pass
-        with pytest.raises(ValidationError, match="adiabatic window factor must be at least 1"):
-            adiabatic_window(PlatformParams(), factor)
+    @pytest.mark.parametrize("ratio, passed", [(10.5, True), (9.5, False)])
+    def test_margin_is_ten(self, ratio, passed):
+        # "<<" is a factor of 10 on both ratios; here (1/T)/splitting sets the verdict
+        splitting = PlatformParams().splitting
+        report = adiabatic_window(PlatformParams(t_loop=1.0 / (ratio * splitting)))
+        assert report.factor == 10.0 and report.ratio_upper > 10.0
+        assert report.ratio_lower == pytest.approx(ratio, rel=1e-12) and report.passed is passed
 
 
 class TestLeakage:
@@ -90,16 +92,6 @@ class TestLeakage:
 
 
 class TestGateBudget:
-    def test_contingency_below_one_or_nan_rejected(self):
-        for contingency in (0.5, math.nan):
-            with pytest.raises(ValidationError, match="contingency factor cannot be below 1"):
-                gate_budget(PlatformParams(), contingency)
-
-    def test_infinite_contingency_rejected(self):
-        # an infinite contingency gave a total infidelity of 1.0
-        with pytest.raises(ValidationError, match="contingency factor must be finite"):
-            gate_budget(PlatformParams(), math.inf)
-
     def test_reference_numbers(self):
         budget = gate_budget(PlatformParams())
         assert budget.p_decay == pytest.approx(1 - math.exp(-0.2), rel=1e-12)
