@@ -74,6 +74,7 @@ from .gates import (
 )
 from .holonomy import (  # integrate_wilson: perfbench/test_perfbench.py reads cli's binding
     HolonomyLoop,
+    TraceExpansion,
     integrate_wilson,
     midpoint_grid,
     trace_expansion_from_rates,
@@ -424,8 +425,8 @@ def _trace_sweep(p: dict, base_dir: str, seed: int) -> tuple[list[str], dict]:
         direct = wilson_from_samples(base.a, psi, p["q"]).trace
         c, j = eigenframe_rate_samples(base._replace(psi=psi), p["q"])
         d4 = trace_expansion_from_rates(c, j, 4)  # its I2 gives the order-2 estimate exactly
-        d2 = 2.0 * math.cos(d4.abelian_angle) * (1.0 - d4.corrections[0])
-        rows.append((psi_abs, direct, d2, d4.trace_estimate, *d4.corrections))
+        d2 = TraceExpansion(d4.abelian_angle, d4.corrections[:1])
+        rows.append((psi_abs, direct, d2.trace_estimate, d4.trace_estimate, *d4.corrections))
     header = ["psi_abs", "trace_direct", "trace_order2", "trace_order4", "i2", "i4"]
     outputs = {"trace_sweep.csv": (header, [np.asarray(col) for col in zip(*rows)], {})}
     if p["gauge_rotations"] > 0:

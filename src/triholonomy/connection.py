@@ -162,14 +162,13 @@ class ControlField:
     """Complex control psi as a function of the loop parameter s in [0, 2 pi].
 
     ``fn`` is a scalar callable, evaluated once per sampled parameter value.
-    Values must be finite wherever the field is sampled; periodic continuity
-    |psi(0) - psi(2 pi)| < 1e-10 is enforced unless the field is constructed
-    with ``check_periodic=False`` (needed for phase-steered controls whose
-    argument tracks an accumulated frame angle and therefore winds).
+    Values must be finite wherever the field is sampled, and |psi(0) - psi(2 pi)| < 1e-10
+    is enforced.  Controls that wind (the phase-steered Hadamard control, reversed loops'
+    controls) are built by the library, through ``_from_arrays(..., check_periodic=False)``.
     """
 
-    def __init__(self, fn: Callable[[float], complex], check_periodic: bool = True):
-        self._bind(np.vectorize(fn, otypes=[complex]), check_periodic)
+    def __init__(self, fn: Callable[[float], complex]):
+        self._bind(np.vectorize(fn, otypes=[complex]), True)
 
     @classmethod
     def _from_arrays(cls, values, check_periodic: bool = True) -> "ControlField":
@@ -286,20 +285,19 @@ def eigenframe_rate_samples(samples: LoopSamples, q: float) -> tuple[np.ndarray,
     return q * a - 2.0 * omega, w * (q * psi + 1j * (q - 1.0))
 
 
-def _samples_at(th, ph, dth, dph, field: BlochField, psi, patch: GaugePatch) -> LoopSamples:
-    """Transport data at arrays of shape points (th, ph), tangents (dth, dph) and controls psi."""
-    axis = None if field.is_pinned else field.angle_samples(th, ph, dth, dph)
-    return LoopSamples(monopole_potential(th, dph, patch, "shape point"), psi, axis)
+def _samples_at(th, ph, dth, dph, field: BlochField, psi, patch: GaugePatch, where: str) -> LoopSamples:
+    """Transport data at arrays of shape points (th, ph), tangents (dth, dph) and controls psi.
+
+    An analytic axis reads th clipped to [0, pi] and ph mod 2 pi; ``where`` names the object in a pole error.
+    """
+    axis = None if field.is_pinned else field.angle_samples(np.clip(th, 0.0, math.pi), ph % (2 * math.pi), dth, dph)
+    return LoopSamples(monopole_potential(th, dph, patch, where), psi, axis)
 
 
 def curvature_vector(
-    point: ShapePoint,
-    field: BlochField,
-    psi: complex,
-    dpsi: tuple[complex, complex],
-    patch: GaugePatch = GaugePatch.NORTH,
+    point: ShapePoint, field: BlochField, psi: complex, dpsi: tuple[complex, complex]
 ) -> np.ndarray:
-    """Real 3-vector f with the curvature's theta-phi component f . sigma / 2i.
+    """Real 3-vector f with the curvature's theta-phi component f . sigma / 2i, in the north patch.
 
     Computed as F = dA_full + A_full ^ A_full from the closed-form connection
     components, with the exterior derivative taken by central differences in
@@ -322,7 +320,7 @@ def curvature_vector(
         raise ValidationError("colatitude outside [0, pi]")
     dth = np.array([0.0, 0.0, 1.0, 1.0, 1.0, 0.0])
     local_psi = psi + (th - th0) * dpsi_th + (ph - ph0) * dpsi_ph
-    samples = _samples_at(th, ph % (2 * math.pi), dth, 1.0 - dth, field, local_psi, patch)
+    samples = _samples_at(th, ph, dth, 1.0 - dth, field, local_psi, GaugePatch.NORTH, "shape point")
     v = connection_vectors(samples).T
     d_th_of_Aphi = (v[0] - v[1]) / (2 * h)
     d_ph_of_Ath = (v[2] - v[3]) / (2 * h)

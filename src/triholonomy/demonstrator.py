@@ -37,7 +37,11 @@ _WINDOW_FACTOR = 10.0  # the margin that "<<" asks of both adiabatic-window rati
 
 @dataclass(frozen=True)
 class PlatformParams:
-    """Demonstrator operating point (SI units; energies as rad/s)."""
+    """Demonstrator operating point (SI units; energies as rad/s).
+
+    Refused (ValidationError) with a field that is not positive, ``n_rep`` below 1, or a broken
+    mode ordering: ``gap`` must be positive, and a NaN gap, as from infinite energies, fails too.
+    """
 
     e_a: float = 2 * math.pi * 15.0e6  # breathing-mode energy / hbar
     e_e1: float = 2 * math.pi * (5.0e6 - 5.0e3)  # lower doublet mode
@@ -52,6 +56,8 @@ class PlatformParams:
                 raise ValidationError(f"{name} must be positive")
         if self.n_rep < 1:
             raise ValidationError("n_rep must be at least 1")
+        if not self.gap > 0:
+            raise ValidationError("mode ordering violated: breathing mode not above the doublet mean")
 
     @property
     def gap(self) -> float:
@@ -77,14 +83,8 @@ class WindowReport:
 
 
 def adiabatic_window(params: PlatformParams) -> WindowReport:
-    """Check splitting << 1/T_loop << gap, each ratio at least ``_WINDOW_FACTOR``.
-
-    Raises:
-        ValidationError: mode ordering violated (gap <= 0).
-    """
+    """Check splitting << 1/T_loop << gap, each ratio at least ``_WINDOW_FACTOR``."""
     gap = params.gap
-    if gap <= 0:
-        raise ValidationError("mode ordering violated: breathing mode below the doublet mean")
     rate = 1.0 / params.t_loop
     splitting = params.splitting
     ratio_lower = rate / splitting if splitting > 0 else math.inf
@@ -101,16 +101,13 @@ def adiabatic_window(params: PlatformParams) -> WindowReport:
 
 def leakage_estimate(params: PlatformParams) -> float:
     """Per-loop leakage probability (1 / (T_loop * gap))^2 out of the doublet."""
-    gap = params.gap
-    if gap <= 0:
-        raise ValidationError("mode ordering violated: breathing mode below the doublet mean")
     try:
-        leak = (1.0 / (params.t_loop * gap)) ** 2
+        leak = (1.0 / (params.t_loop * params.gap)) ** 2
         if math.isfinite(leak):
             return leak
     except (OverflowError, ZeroDivisionError):
         pass
-    raise NumericalError(f"leakage estimate overflows: T_loop * gap = {params.t_loop * gap:.3g}")
+    raise NumericalError(f"leakage estimate overflows: T_loop * gap = {params.t_loop * params.gap:.3g}")
 
 
 @dataclass(frozen=True)

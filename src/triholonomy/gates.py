@@ -282,15 +282,16 @@ def synth_hadamard_gate(q: float, n_samples: int = 1024, steps: int = 4096) -> G
     )
 
 
-def cs_controlled_phase(q: float, k: int, lk: int = 1) -> TwoQubitGate:
+def cs_controlled_phase(q: float, k: int) -> TwoQubitGate:
     """Diagonal controlled-phase gate from the linking phase of a joint cycle.
 
-    Each triangle couples with charge q when its logical state is |1> and
-    charge 0 for |0>; the |11> branch acquires exp(i 4 pi q^2 Lk / k), as no cycle self-links.
+    The two control cycles link once (Lk = 1).  Each triangle couples with
+    charge q when its logical state is |1> and charge 0 for |0>; the |11>
+    branch acquires exp(i 4 pi q^2 / k), as no cycle self-links.
     """
     if not q > 0:
         raise ValidationError("charge q must be positive")
-    link = LinkData.pair(lk)
+    link = LinkData.pair(1)
     phases = np.array([cs_phase([qa, qb], link, k) for qa in (0.0, q) for qb in (0.0, q)])  # |00>, ..., |11>
     return TwoQubitGate(np.diag(np.exp(1j * phases)), float(phases[3]))
 

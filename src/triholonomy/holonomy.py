@@ -43,9 +43,9 @@ from .connection import (
     ControlField,
     GaugePatch,
     LoopSamples,
+    _samples_at,
     connection_vectors,
     eigenframe_rate_samples,
-    monopole_potential,
 )
 from .errors import NumericalError, ValidationError
 from .shapespace import ShapeLoop
@@ -138,11 +138,7 @@ class HolonomyLoop:
     def sample(self, s) -> LoopSamples:
         """Transport data (A, psi, axis data) at an array of loop parameters."""
         th, ph = self.shape.at(s)
-        dth, dph = self.shape.tangent(s)
-        axis = None
-        if not self.bloch.is_pinned:
-            axis = self.bloch.angle_samples(np.clip(th, 0.0, math.pi), ph % (2 * math.pi), dth, dph)
-        return LoopSamples(monopole_potential(th, dph, self.patch), self.control.at(s), axis)
+        return _samples_at(th, ph, *self.shape.tangent(s), self.bloch, self.control.at(s), self.patch, "loop")
 
 
 def _step_pairs(vx, vy, vz, factor: float) -> tuple[np.ndarray, np.ndarray]:
@@ -303,19 +299,18 @@ def holonomy_trace(loop: HolonomyLoop) -> float:
 
 @dataclass(frozen=True)
 class TraceExpansion:
-    """Trace of a loop holonomy split into abelian phase and transverse corrections."""
+    """Trace of a loop holonomy split into abelian phase and transverse corrections (I2, or I2 and I4).
+
+    ``trace_estimate`` composes them: 2 cos(abelian_angle) (1 - I2 + I4), with I4 = 0 at order 2.
+    """
 
     abelian_angle: float
     corrections: tuple[float, ...]
-    trace_estimate: float
 
-    def __post_init__(self):
-        signs = (-1.0, 1.0)  # 1 - I2 + I4
-        composed = 2.0 * math.cos(self.abelian_angle) * (
-            1.0 + sum(s * c for s, c in zip(signs, self.corrections))
-        )
-        if not abs(composed - self.trace_estimate) <= 1e-12:
-            raise ValidationError("trace estimate does not compose from its corrections")
+    @property
+    def trace_estimate(self) -> float:
+        i2, i4 = (*self.corrections, 0.0)[:2]
+        return 2.0 * math.cos(self.abelian_angle) * (1.0 - i2 + i4)
 
 
 def trace_expansion_from_rates(
@@ -360,14 +355,12 @@ def trace_expansion_from_rates(
             f"transverse coupling too strong for the expansion to contract (I2 = {i2:.3g})"
         )
     corrections = [i2]
-    estimate = 2.0 * half_cos * (1.0 - i2)
     if order == 4:
         inner_gbar_c2 = cumulative_midpoint(np.conj(g) * c2_at, ds)[1]
         c4 = -0.25 * ds * complex(np.sum(g * inner_gbar_c2))
         i4 = float((phase * c4).real) / half_cos
         corrections.append(i4)
-        estimate = 2.0 * half_cos * (1.0 - i2 + i4)
-    return TraceExpansion(0.5 * eta_total, tuple(corrections), estimate)
+    return TraceExpansion(0.5 * eta_total, tuple(corrections))
 
 
 def dyson_trace(loop: HolonomyLoop, order: int = 2) -> TraceExpansion:

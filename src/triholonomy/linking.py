@@ -123,8 +123,9 @@ class LinkData:
         object.__setattr__(self, "slk", slk)
 
     @classmethod
-    def pair(cls, lk: int, slk=(0, 0)) -> "LinkData":
-        return cls(np.array([[0, lk], [lk, 0]]), np.asarray(slk, dtype=int))
+    def pair(cls, lk: int) -> "LinkData":
+        """Two curves linked ``lk`` times, neither self-linked."""
+        return cls(np.array([[0, lk], [lk, 0]]))
 
 
 def gauss_linking_integral(c1: SpaceCurve, c2: SpaceCurve) -> float:

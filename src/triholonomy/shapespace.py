@@ -172,25 +172,15 @@ def shape_angles(x, y, masses) -> tuple[np.ndarray, np.ndarray]:
     return theta, np.unwrap(phase2 - phase1)
 
 
-def solid_angle(loop: ShapeLoop, south_patch: bool = False) -> float:
-    """Signed solid angle enclosed by a loop, by the trapezoid rule.
-
-    The north-patch evaluation integrates (1 - cos theta) d phi and requires
-    the loop to stay away from the south pole; ``south_patch=True`` uses
-    -(1 + cos theta) d phi with the north pole excluded instead.
+def solid_angle(loop: ShapeLoop) -> float:
+    """Signed solid angle enclosed by a loop: the trapezoid rule on the north patch's (1 - cos theta) d phi.
 
     Raises:
-        NumericalError: if the loop crosses the excluded pole.
+        NumericalError: if the loop crosses the patch's excluded south pole.
     """
     th = loop.colatitudes
-    ph = loop.azimuths
-    if south_patch:
-        if np.any(th < 1e-6):
-            raise NumericalError("loop crosses the excluded north pole of the south patch")
-        integrand = -(1.0 + np.cos(th))
-    else:
-        if np.any(th > math.pi - 1e-6):
-            raise NumericalError("loop crosses the excluded south pole of the north patch")
-        integrand = 1.0 - np.cos(th)
+    if np.any(th > math.pi - 1e-6):
+        raise NumericalError("loop crosses the excluded south pole of the north patch")
+    integrand = 1.0 - np.cos(th)
     avg = 0.5 * (integrand[1:] + integrand[:-1])
-    return float(np.sum(avg * np.diff(ph)))
+    return float(np.sum(avg * np.diff(loop.azimuths)))

@@ -69,7 +69,7 @@ class BondDrive:
         return 2 * math.pi / max(self.omega, self.omega12)
 
     def common_period(self) -> float:
-        """Least common period of the two oscillations (frequency ratio rational, denominator <= 64)."""
+        """Least common period of the two oscillations (frequency ratio rational, denominator <= 64), finite."""
         exact = self.omega / self.omega12
         if not math.isfinite(exact):
             raise ValidationError("frequency ratio overflows; no common period")
@@ -78,7 +78,11 @@ class BondDrive:
             raise ValidationError(f"frequency ratio omega/omega12 = {exact:.6g} is not a nonzero "
                                   "rational p/q with q <= 64 within 1e-9; no common period")
         # omega / omega12 = p / q  =>  T = q * (2 pi / omega12) = p * (2 pi / omega).
-        return ratio.denominator * 2 * math.pi / self.omega12
+        period = ratio.denominator * 2 * math.pi / self.omega12
+        if not period < math.inf:
+            raise ValidationError(f"common period overflows: drive frequencies 'omega12' = {self.omega12:.6g} "
+                                  f"and 'omega' = {self.omega:.6g} are too slow")
+        return period
 
     def time_steps(self, t_end: float, dt: float | None = None) -> tuple[int, float]:
         """Count n and step dt of the time grid k dt, k = 0..n, spanning ``t_end``.
@@ -292,7 +296,7 @@ def _sweep_grid(drive: BondDrive, phases: int) -> tuple[float, int, float]:
     """Common period, count n and step dt of a sweep's grid, refused if ``phases`` x (n + 1) > ``MAX_SAMPLES``."""
     period = drive.common_period()
     fast_periods = period / drive.fastest_period  # time_steps' grid has 512 steps each, so the frequencies size it
-    if fast_periods > MAX_SAMPLES / 512:
+    if not fast_periods <= MAX_SAMPLES / 512:  # NaN fails too
         raise ValidationError(f"time grid of one common period ({fast_periods:.4g} fastest periods) exceeds the "
                               f"budget of {MAX_SAMPLES} samples; bring the drive frequencies 'omega' and 'omega12' "
                               "closer together")

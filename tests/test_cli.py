@@ -256,12 +256,18 @@ WINDOW_VIOLATION = {
 
 RATIO = (2, "frequency ratio overflows")
 OVERFLOWING_DRIVE = dict(TRIMER_DRIVE, omega12=1e-300, omega=1e200)
-# (scenario, params override, {command: (exit code, stderr phrase)}): overflows that once exited 1.
+# The ratio is exactly 3 but 2 pi/omega12 overflows: once refused as a 't_end' of inf, a key no config has.
+PERIOD = (2, "common period overflows: drive frequencies 'omega12' = 4.94066e-324 and 'omega' = 1.4822e-323")
+SLOW_DRIVE = dict(TRIMER_DRIVE, omega12=5e-324, omega=1.5e-323)
+# (scenario, params override, {command: (exit code, stderr phrase)}): overflows that once exited 1 or
+# named no config key; each exits within a second.
 LEAK = (3, "leakage estimate overflows")
 OVERFLOWING_INPUTS = [
     ("demo-budget", {"platform": {"t_loop": 1e-300}}, {"run": LEAK, "validate": LEAK}),
     ("trimer-sim", {"drive": OVERFLOWING_DRIVE}, {"run": RATIO, "validate": RATIO}),
     ("phase-sweep", {"drive": OVERFLOWING_DRIVE}, {"run": RATIO, "validate": RATIO}),
+    ("trimer-sim", {"drive": SLOW_DRIVE}, {"run": PERIOD, "validate": PERIOD}),
+    ("phase-sweep", {"drive": SLOW_DRIVE}, {"run": PERIOD, "validate": PERIOD}),
 ]
 
 # A drive whose triangle inequality breaks at t = 0: (scenario, the message of both commands).
@@ -568,7 +574,9 @@ class TestRun:
         out = tmp_path / "out"
         argv = [command, write_config(tmp_path, cfg)] + (["--out", str(out)] if command == "run" else [])
         code, phrase = outcome[command]
+        start = time.perf_counter()
         assert main(argv) == code
+        assert time.perf_counter() - start < 1.0
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and phrase in err
         assert not out.exists() or not any(out.iterdir())

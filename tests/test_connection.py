@@ -49,7 +49,7 @@ def su2_of(v):
 def sample_at(pt, tangent, field, psi):
     """Transport data at one shape point, tangent (dtheta, dphi) and control value."""
     th, ph, dth, dph = (np.array([float(x)]) for x in (pt.colatitude, pt.azimuth, *tangent))
-    return _samples_at(th, ph, dth, dph, field, np.array([complex(psi)]), GaugePatch.NORTH)
+    return _samples_at(th, ph, dth, dph, field, np.array([complex(psi)]), GaugePatch.NORTH, "shape point")
 
 
 def axis_and_rate(field, th, ph, dth, dph):
@@ -267,7 +267,7 @@ class TestWilczekZeeSample:
         th, ph = rng.uniform(0.5, 2.2, 10), rng.uniform(0.1, 6.0, 10)
         dth, dph = rng.normal(size=10), rng.normal(size=10)
         psi = 0.4 * (rng.normal(size=10) + 1j * rng.normal(size=10))
-        samples = _samples_at(th, ph, dth, dph, field, psi, GaugePatch.NORTH)
+        samples = _samples_at(th, ph, dth, dph, field, psi, GaugePatch.NORTH, "shape point")
         vectors = connection_vectors(samples).T  # rows, for su2_of
         for q in (0.5, 1.0, 2.0, 3.5):
             c, j = eigenframe_rate_samples(samples, q)
@@ -375,7 +375,7 @@ class TestCurvature:
         th, ph, dth, dph = (
             np.concatenate([np.broadcast_to(leg[i], substeps) for leg in legs]) for i in range(4)
         )
-        samples = _samples_at(th, ph % (2 * math.pi), dth, dph, field, psi_field(th, ph), GaugePatch.NORTH)
+        samples = _samples_at(th, ph, dth, dph, field, psi_field(th, ph), GaugePatch.NORTH, "plaquette")
         return ordered_product(su2_exponentials(connection_vectors(samples).T, h / substeps))
 
     def test_plaquette_stokes_oracle(self):
@@ -428,12 +428,12 @@ class TestControlField:
             ControlField(lambda s: complex(s, 0.0))
 
     def test_winding_control_allowed_when_flagged(self):
-        field = ControlField(lambda s: np.exp(0.25j * s), check_periodic=False)
+        field = ControlField._from_arrays(lambda s: np.exp(0.25j * s), check_periodic=False)
         assert abs(field.at(2 * math.pi) - field.at(0.0)) > 1e-10  # the gap the default check refuses
 
     def test_unchecked_control_must_be_finite_at_both_ends(self):
         with pytest.raises(ValidationError, match="not finite"):
-            ControlField(lambda s: complex(math.inf if s > 6 else 0.0), check_periodic=False)
+            ControlField._from_arrays(lambda s: np.where(s > 6, math.inf, 0.0) + 0j, check_periodic=False)
 
     @staticmethod
     def builtin_controls():

@@ -24,7 +24,7 @@ from triholonomy.gates import (
     synth_phase_gate,
 )
 from triholonomy.holonomy import HolonomyLoop, integrate_wilson, rotation_angle
-from triholonomy.linking import hopf_pair
+from triholonomy.linking import LinkData, cs_phase, hopf_pair
 from triholonomy.shapespace import ShapeLoop, solid_angle
 from triholonomy.trimer import precession_berry_phase
 
@@ -152,7 +152,9 @@ class TestInteractionFrame:
     def test_factorisation_reproduces_direct_holonomy(self):
         q = 40.0
         shape = make_ellipse_loop(math.pi / 2, 0.0, 1 / math.sqrt(q), 1 / math.sqrt(q), 1024)
-        ctrl = ControlField(lambda s: 0.004 * np.exp(1j * (0.5 * s - 2 * np.sin(s))), check_periodic=False)
+        ctrl = ControlField._from_arrays(
+            lambda s: 0.004 * np.exp(1j * (0.5 * s - 2 * np.sin(s))), check_periodic=False
+        )
         loop = HolonomyLoop(shape, BlochField.pinned(), ctrl, q, 16384)
         w = integrate_wilson(loop).matrix
         frame = interaction_frame(loop)
@@ -245,12 +247,11 @@ class TestTwoQubitGates:
         assert gate.phase == pytest.approx(math.pi, abs=1e-12)
 
     def test_unlinked_cycles_do_nothing(self):
-        gate = cs_controlled_phase(3.0, 36, lk=0)
-        assert np.allclose(gate.matrix, np.eye(4), atol=1e-14)
+        phases = [cs_phase([qa, qb], LinkData.pair(0), 36) for qa in (0.0, 3.0) for qb in (0.0, 3.0)]
+        assert phases == [0.0] * 4
 
     def test_double_linking_with_doubled_level(self):
-        gate = cs_controlled_phase(3.0, 72, lk=2)
-        assert gate.phase == pytest.approx(math.pi, abs=1e-12)
+        assert cs_phase([3.0, 3.0], LinkData.pair(2), 72) == pytest.approx(math.pi, abs=1e-12)
 
     def test_invalid_level_rejected(self):
         with pytest.raises(ValidationError):

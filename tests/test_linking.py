@@ -589,7 +589,7 @@ class TestTopologicalPhase:
     def test_self_linking_contribution(self):
         q = 2.0
         k = 8
-        phase = cs_phase([q, q], LinkData.pair(0, slk=(1, 0)), k)
+        phase = cs_phase([q, q], LinkData(np.zeros((2, 2), dtype=int), (1, 0)), k)
         assert phase == pytest.approx((2 * math.pi / k) * q * q, abs=1e-12)
 
     def test_unreduced_phase_beyond_2_pow_20_is_refused(self):
@@ -599,7 +599,7 @@ class TestTopologicalPhase:
             with pytest.raises(NumericalError, match="exceeds 2\\^20 rad"):
                 cs_phase([q, q], LinkData.pair(1), 4)
         with pytest.raises(NumericalError, match="exceeds 2\\^20 rad"):
-            cs_phase([1e5, 0.0], LinkData.pair(0, slk=(-1, 0)), 4)
+            cs_phase([1e5, 0.0], LinkData(np.zeros((2, 2), dtype=int), (-1, 0)), 4)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericalError, match="charge products overflow"):

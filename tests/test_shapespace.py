@@ -161,11 +161,6 @@ class TestSolidAngle:
         with pytest.raises(Exception):
             solid_angle(loop)
 
-    def test_south_patch_equator(self):
-        s = np.linspace(0, 2 * math.pi, 4097)
-        loop = ShapeLoop.from_samples(np.full_like(s, math.pi / 2), s)
-        assert solid_angle(loop, south_patch=True) == pytest.approx(-2 * math.pi, abs=1e-6)
-
 
 class TestShapeLoop:
     def test_closure_enforced(self):

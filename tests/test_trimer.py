@@ -98,6 +98,19 @@ class TestBondDrive:
         with pytest.raises(ValidationError, match="frequency ratio overflows"):
             drive.common_period()
 
+    def test_overflowing_period_rejected(self):
+        # omega/omega12 = 3 exactly, but 2 pi/omega12 overflows to inf
+        drive = BondDrive(1.1, 0.2, 5e-324, 1.0, 0.15, 1.5e-323)
+        with pytest.raises(ValidationError, match="common period overflows: .*'omega12'.*'omega' "):
+            drive.common_period()
+
+    def test_sweep_grid_refuses_a_nan_period_count(self, monkeypatch):
+        # inf / inf fastest periods is NaN, which an "exceeds" comparison would let through
+        drive = BondDrive(1.1, 0.2, 5e-324, 1.0, 0.15, 1.5e-323)
+        monkeypatch.setattr(BondDrive, "common_period", lambda self: math.inf)
+        with pytest.raises(ValidationError, match=r"time grid of one common period \(nan fastest periods\)"):
+            trimer._sweep_grid(drive, 1)
+
 
 class TestShapeFromBonds:
     """Canonical body-frame vertex rows (x, y) of a bond triple, ``_frames``."""
