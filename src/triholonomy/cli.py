@@ -251,8 +251,9 @@ def _write_csv(path: str, header: list[str], columns: list[np.ndarray], repeats:
 
     The floats are the exact bytes of ``"%.17g" % x`` from ``_g17_slots``, one call per block of
     ``_CSV_BLOCK_ROWS`` rows, blocked here only.  ``repeats`` maps a column to the L < rows of the repeat
-    its caller declares, col[k] == col[k mod L] bit for bit.  The rows their slices read, up to the largest
-    L plus one block, are formatted once, in blocks batched across such columns; each block copies a slice.
+    its caller declares, col[k] == col[k mod L] bit for bit.  Only the L rows of a repeat are formatted,
+    once, in blocks batched across the columns of that L; rows [L, L + one block) are copies of rows
+    k mod L, so each block copies one slice.
     """
     columns = [np.asarray(col, dtype=float) for col in columns]
     n, size = len(columns[0]), _CSV_BLOCK_ROWS
@@ -263,17 +264,22 @@ def _write_csv(path: str, header: list[str], columns: list[np.ndarray], repeats:
         cells = np.array([columns[j][first : first + rows] for j in js]).T.ravel()  # row by row
         return _g17_slots(cells).reshape(rows, len(js), 25)
 
-    length = min(n, max((k + size for k in repeats.values()), default=0))  # the rows the slices read
-    text = np.empty((length, len(repeats), 25), np.uint8)
-    for first in range(0, length, size):
-        text[first : first + size] = slots(list(repeats), first, min(size, length - first))
+    texts = {}  # L -> (its columns, their text of rows [0, min(n, L + one block)), the rows the slices read)
+    for k in dict.fromkeys(repeats.values()):
+        js = [j for j, length in repeats.items() if length == k]
+        text = np.empty((min(n, k + size), len(js), 25), np.uint8)
+        for first in range(0, k, size):
+            rows = min(size, k - first)
+            text[first : first + rows] = slots(js, first, rows)
+        text[k:] = text[np.arange(k, len(text)) % k]
+        texts[k] = js, text
 
     def block(first: int) -> bytes:
         rows = min(size, n - first)
         buf = np.empty((rows, len(columns), 25), np.uint8)
         buf[:, new] = slots(new, first, rows)
-        for i, (j, k) in enumerate(repeats.items()):
-            buf[:, j] = text[first % k : first % k + rows, i]
+        for k, (js, text) in texts.items():
+            buf[:, js] = text[first % k : first % k + rows]
         buf[:, :, 24] = [44] * (len(columns) - 1) + [10]
         return buf.tobytes().translate(None, b"\0")
 

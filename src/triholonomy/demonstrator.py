@@ -39,7 +39,7 @@ _WINDOW_FACTOR = 10.0  # the margin that "<<" asks of both adiabatic-window rati
 class PlatformParams:
     """Demonstrator operating point (SI units; energies as rad/s).
 
-    Refused (ValidationError) with a field that is not positive, ``n_rep`` below 1, or a broken
+    Refused (ValidationError) with a field that is not positive, ``n_rep`` not an int of at least 1, or a broken
     mode ordering: ``gap`` must be positive, and a NaN gap, as from infinite energies, fails too.
     """
 
@@ -54,8 +54,9 @@ class PlatformParams:
         for name in ("e_a", "e_e1", "e_e2", "t_loop", "tau_r"):
             if not getattr(self, name) > 0:
                 raise ValidationError(f"{name} must be positive")
-        if self.n_rep < 1:
-            raise ValidationError("n_rep must be at least 1")
+        n_rep = self.n_rep  # a float, NaN included, fails the type check; True is an int, so it is named
+        if isinstance(n_rep, bool) or not isinstance(n_rep, (int, np.integer)) or n_rep < 1:
+            raise ValidationError(f"n_rep must be an int of at least 1, got {n_rep!r}")
         if not self.gap > 0:
             raise ValidationError("mode ordering violated: breathing mode not above the doublet mean")
 

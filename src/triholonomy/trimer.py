@@ -17,7 +17,7 @@ dtheta/dt = -L_body / I to second order in the time step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -110,9 +110,17 @@ class BondDrive:
 def bond_lengths(t, drive: BondDrive):
     """Bond length triple (xi12, xi13, xi23) at time(s) t."""
     t = np.asarray(t, dtype=float)
-    wt = drive.omega * t
-    pair = (drive.d + drive.a * np.cos(wt + phase) for phase in (drive.phi13, drive.phi23))
-    return drive.d12 + drive.a12 * np.cos(drive.omega12 * t), *pair
+    return _bond12(t, drive), *_bond_pair(drive.omega * t, drive, drive.phi13, drive.phi23)
+
+
+def _bond12(t, drive: BondDrive):
+    """xi12 = d12 + a12 cos(omega12 t), the bond that no phase moves."""
+    return drive.d12 + drive.a12 * np.cos(drive.omega12 * t)
+
+
+def _bond_pair(wt, drive: BondDrive, phi13: float, phi23: float) -> tuple:
+    """(xi13, xi23) = d + a cos(omega t + phi) from wt = omega t."""
+    return tuple(drive.d + drive.a * np.cos(wt + phase) for phase in (phi13, phi23))
 
 
 def _frames(xi12, xi13, xi23, masses):
@@ -127,12 +135,14 @@ def _frames(xi12, xi13, xi23, masses):
             "triangle inequality violated: bonds "
             f"({xi12.flat[idx]:.6g}, {xi13.flat[idx]:.6g}, {xi23.flat[idx]:.6g}) at sample {idx}"
         )
-    x3 = (xi13**2 + xi12**2 - xi23**2) / (2 * xi12)
-    y3 = np.sqrt(np.maximum(xi13**2 - x3**2, 0.0))
+    sq13 = xi13**2
+    x3 = (sq13 + xi12**2 - xi23**2) / (2 * xi12)
+    y3 = np.sqrt(np.maximum(sq13 - x3**2, 0.0))
     m = np.asarray(masses, dtype=float)
-    zeros = np.zeros_like(xi12)
-    x = np.stack([zeros, xi12, x3]) - (m[1] * xi12 + m[2] * x3) / m.sum()
-    y = np.stack([zeros, zeros, y3]) - m[2] * y3 / m.sum()
+    x, y = np.zeros((3, *xi12.shape)), np.zeros((3, *xi12.shape))
+    x[1], x[2], y[2] = xi12, x3, y3
+    x -= (m[1] * xi12 + m[2] * x3) / m.sum()  # row 0 is 0.0 - c
+    y -= m[2] * y3 / m.sum()
     return x, y
 
 
@@ -149,10 +159,10 @@ def _lab_momentum(x, y, m, dt: float) -> np.ndarray:
     return np.stack(x[:, 1:-1] * dy - y[:, 1:-1] * dx, axis=-1) @ m
 
 
-def _momentum_scale(x, y, theta, m, dt: float) -> float:
-    """Scale m d^2 omega of the zero-momentum invariant; omega from theta, floored at 1."""
+def _momentum_scale(x, y, step, m, dt: float) -> float:
+    """Scale m d^2 omega of the zero-momentum invariant; omega from theta's steps ``diff(theta)``, floored at 1."""
     d = float(np.sqrt(np.max(x * x + y * y)))
-    rate = float(np.max(np.abs(np.diff(theta)))) / dt if theta.size > 1 else 0.0
+    rate = float(np.max(np.abs(step))) / dt if step.size else 0.0
     return float(m.sum()) * d * d * max(rate, 1.0)
 
 
@@ -189,24 +199,26 @@ class TrimerTrajectory:
 
     def angular_momentum_scale(self) -> float:
         """Natural scale m d^2 omega for the zero-momentum invariant."""
-        return _momentum_scale(self.x, self.y, self.theta, self.masses, self.dt)
+        return _momentum_scale(self.x, self.y, np.diff(self.theta), self.masses, self.dt)
 
 
 def _rotate(x, y, m, dt: float) -> np.ndarray:
     """Zero-angular-momentum orientation theta (T,) of (3, T) body frames, checked by :func:`_check_momentum`."""
     cross = np.stack(x[:, :-1] * y[:, 1:] - y[:, :-1] * x[:, 1:], axis=-1) @ m
     dot = np.stack(x[:, :-1] * x[:, 1:] + y[:, :-1] * y[:, 1:], axis=-1) @ m
-    theta = np.concatenate([[0.0], np.cumsum(np.arctan2(-cross, dot))])
-    _check_momentum(cross, dot, theta, _momentum_scale(x, y, theta, m, dt), dt)
+    theta = np.empty(cross.size + 1)
+    theta[0] = 0.0
+    np.cumsum(np.arctan2(-cross, dot), out=theta[1:])
+    step = np.diff(theta)
+    _check_momentum(cross, dot, step, _momentum_scale(x, y, step, m, dt), dt)
     return theta
 
 
-def _check_momentum(cross, dot, theta, scale: float, dt: float) -> None:
+def _check_momentum(cross, dot, step, scale: float, dt: float) -> None:
     """Raise NumericalError unless each step's body-frame angular momentum about the normal,
     sum_i m_i r_k,i x R(dtheta_k) r_k+1,i / dt = (cross_k cos dtheta_k + dot_k sin dtheta_k) / dt with
-    dtheta = diff(theta), is within 1e-8 of ``scale``.  It is exact for theta's atan2 increments, so
-    this catches a wrong increment, overflow and NaN (a NaN residual fails)."""
-    step = np.diff(theta)
+    dtheta = ``step`` = diff(theta), is within 1e-8 of ``scale``.  It is exact for theta's atan2
+    increments, so this catches a wrong increment, overflow and NaN (a NaN residual fails)."""
     worst = float(np.abs(cross * np.cos(step) + dot * np.sin(step)).max()) / dt
     if not worst <= 1e-8 * scale:
         raise NumericalError(f"zero-angular-momentum invariant violated: residual {worst:.3e} "
@@ -270,9 +282,11 @@ def phase_sweep(drive_template: BondDrive, masses, phi_values, periods: int = 8)
     in every period, a geometric phase of the shape loop: the mean over any
     number of whole periods is the one-period mean theta(P) / P, so
     ``periods`` is accepted but does not change the result.  The grid of one
-    period at the default step (:meth:`BondDrive.time_steps`) is built once;
-    each phi, with phi13 = +phi/2 and phi23 = -phi/2 (the template's phases
-    are ignored), builds its frames and theta on it whole, the bits of
+    period at the default step (:meth:`BondDrive.time_steps`) is built once,
+    and so are the terms no phase moves: bond 1-2 and omega t.  Each phi, with
+    phi13 = +phi/2 and phi23 = -phi/2 (the template's phases are ignored),
+    builds only its bond pair d + a cos(omega t +- phi/2), then its frames
+    and theta on the grid whole, the bits of
     ``reconstruct_rotation(drive, masses, P).theta[-1]``.  A failed phase
     names its phi.  Masses that are not three positive finite values, a sweep
     of more than ``MAX_SAMPLES`` samples (phases times grid samples) or a
@@ -283,10 +297,11 @@ def phase_sweep(drive_template: BondDrive, masses, phi_values, periods: int = 8)
     if not np.all(np.abs(phi_values) <= math.pi + 1e-12):  # NaN fails too
         raise ValidationError("phase grid must lie within [-pi, pi]")
     times, gains = np.arange(n + 1) * dt, []
+    xi12, wt = _bond12(times, drive_template), drive_template.omega * times
     for phi in phi_values.tolist():
-        drive = replace(drive_template, phi13=0.5 * phi, phi23=-0.5 * phi)
         try:
-            gains.append(_rotate(*_frames(*bond_lengths(times, drive), m), m, dt)[-1])  # theta[0] = 0
+            pair = _bond_pair(wt, drive_template, 0.5 * phi, -0.5 * phi)
+            gains.append(_rotate(*_frames(xi12, *pair, m), m, dt)[-1])  # theta[0] = 0
         except NumericalError as exc:
             raise NumericalError(f"phase sweep at phi = {phi:.6g}: {exc}") from exc
     return np.array(gains) / period

@@ -1276,6 +1276,19 @@ def test_write_csv_reads_a_repeat_of_every_row_as_none(tmp_path, monkeypatch):
     assert calls == [2 * _CSV_BLOCK_ROWS] * 3 + [2 * 5]
 
 
+def test_write_csv_formats_the_rows_of_a_repeat_once(tmp_path, monkeypatch):
+    # the two columns that repeat every L = 256 rows send those rows to the formatter once, in one batch; the
+    # rows past L that a block reads are copies, and the column that does not repeat is formatted per block
+    calls = []
+    monkeypatch.setattr("triholonomy.cli._g17_slots", lambda x: calls.append(x.size) or _g17_slots(x))
+    columns, lengths = repeating_columns("length 256")
+    assert lengths == [256, 0, 256] and columns[0].size == 5 * _CSV_BLOCK_ROWS + 7
+    _write_csv(str(tmp_path / "block.csv"), ["a", "b", "c"], columns, {0: 256, 2: 256})
+    write_csv_per_value(str(tmp_path / "value.csv"), ["a", "b", "c"], columns)
+    assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "value.csv").read_bytes()
+    assert calls == [2 * 256] + [_CSV_BLOCK_ROWS] * 5 + [7]
+
+
 def percent_g17(block):
     """Reference: the block's rows through one "%" operation."""
     rows, cols = block.shape

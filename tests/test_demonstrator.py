@@ -29,6 +29,18 @@ class TestPlatformParams:
         with pytest.raises(ValidationError):
             PlatformParams(t_loop=0.0)
 
+    @pytest.mark.parametrize("n_rep", [math.nan, 2.5, True, 0, -3, 1.0], ids=["nan", "float", "bool", "zero",
+                                                                          "negative", "whole-float"])
+    def test_bad_n_rep_is_refused_by_name(self, n_rep):
+        # a NaN count would pass on to gate_budget, which then blames the splitting
+        with pytest.raises(ValidationError, match=r"n_rep must be an int of at least 1, got "):
+            PlatformParams(n_rep=n_rep)
+
+    @pytest.mark.parametrize("n_rep", [1, 7, np.int64(3), np.int32(1)])
+    def test_int_n_rep_is_accepted(self, n_rep):
+        assert PlatformParams(n_rep=n_rep).n_rep == n_rep
+        assert gate_budget(PlatformParams(n_rep=n_rep)).p_decay > 0
+
     def test_infinite_modes_break_the_ordering(self):
         # inf - (inf + inf) / 2 is a NaN gap, which neither the window nor the leakage estimate can use
         with pytest.raises(ValidationError, match="mode ordering violated"):

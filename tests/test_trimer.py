@@ -526,7 +526,7 @@ class TestPhaseSweep:
         assert np.max(np.abs(rates + rates[::-1])) < 1e-6 * peak
 
     @pytest.mark.parametrize("masses", BENCHMARK_MASSES)
-    @pytest.mark.parametrize("template", BENCHMARK_DRIVES)
+    @pytest.mark.parametrize("template", [*BENCHMARK_DRIVES, reference_drive()])  # the last sets phases, ignored
     def test_rates_are_the_bits_of_one_reconstructed_period(self, masses, template):
         grid = np.linspace(-math.pi, math.pi, 33)
         period = template.common_period()
@@ -582,20 +582,20 @@ class TestBodyFrameCheck:
         m = np.asarray(REFERENCE_MASSES, dtype=float)
         x, y = _frames(*bond_lengths(np.arange(20 * 1536 + 1) * dt, drive), m)
         theta = trimer._rotate(x, y, m, dt)
-        return (*body_frame_products(x, y, m), theta, trimer._momentum_scale(x, y, theta, m, dt), dt)
+        return (*body_frame_products(x, y, m), theta, trimer._momentum_scale(x, y, np.diff(theta), m, dt), dt)
 
     def test_residual_is_rounding_on_the_shipped_grid(self):
         cross, dot, theta, scale, dt = self.shipped_grid()
         step = np.diff(theta)
         assert np.max(np.abs(cross * np.cos(step) + dot * np.sin(step))) / dt <= 1e-12 * scale
-        trimer._check_momentum(cross, dot, theta, scale, dt)
+        trimer._check_momentum(cross, dot, step, scale, dt)
 
     @pytest.mark.parametrize("error", [1e-9, -1e-9, 1e-3])
     def test_corrupted_increment_refused(self, error):
         cross, dot, theta, scale, dt = self.shipped_grid()
         theta[7000:] += error  # the increment of step 6999 is off by error rad
         with pytest.raises(NumericalError, match="zero-angular-momentum invariant violated: residual"):
-            trimer._check_momentum(cross, dot, theta, scale, dt)
+            trimer._check_momentum(cross, dot, np.diff(theta), scale, dt)
 
     @pytest.mark.parametrize("name", ["cross", "dot", "theta", "scale"])
     def test_nan_refused(self, name):
@@ -605,7 +605,8 @@ class TestBodyFrameCheck:
         else:
             values[name][3000] = math.nan
         with pytest.raises(NumericalError, match="zero-angular-momentum invariant violated: residual"):
-            trimer._check_momentum(**values)
+            trimer._check_momentum(values["cross"], values["dot"], np.diff(values["theta"]), values["scale"],
+                                   values["dt"])
 
 
 class TestFailClosed:
