@@ -22,13 +22,14 @@ directory as a partial file and renamed into place only on success, the run
 manifest (config echo, version, checksums of the bytes written, timings) last;
 a failure removes the partial files.  Reruns give byte-identical data files.
 
-Each ``SCENARIOS`` entry is ``(table, scenario)``.  ``run`` and ``validate``
-take one path, :func:`run_scenario`: the table reads the parameters (JSON kind,
-default, bound), then the scenario checks the physics, computes, and returns
-its report lines and its outputs as data.  ``validate`` prints the lines and
-writes nothing; ``run`` writes the outputs through one writer.  So ``validate``
-exits 0, 2 or 3 exactly when ``run`` does, but for an unusable output directory
-or running out of memory in the writes.
+:func:`load_config` reads the root through the table ``_ROOT``, so an unknown
+root key exits 2.  Each ``SCENARIOS`` entry is ``(table, scenario)``.  ``run``
+and ``validate`` take one path, :func:`run_scenario`: its table reads the
+parameters (JSON kind, default, bound), then the scenario checks the physics,
+computes, and returns its report lines and its outputs as data.  ``validate``
+prints the lines and writes nothing; ``run`` writes the outputs through one
+writer.  So ``validate`` exits 0, 2 or 3 exactly when ``run`` does, but for an
+unusable output directory or running out of memory in the writes.
 
 The seed is echoed into the manifest and drives the randomised property
 sweeps (currently the optional gauge-rotation check of trace-sweep); all
@@ -298,10 +299,10 @@ _REQUIRED = object()
 class _Param(NamedTuple):
     """One config parameter: its JSON kind, its default and its bound.
 
-    ``kind`` is ``bool``, ``int``, ``float``, ``str``, ``[kind]`` (a JSON array)
-    or a nested table (a JSON object).  ``bool`` is neither ``int`` nor
-    ``float``; an ``int`` passes as a ``float``; either must fit int64 and a
-    ``float`` must be finite.  ``default`` is ``_REQUIRED`` for a parameter
+    ``kind`` is ``bool``, ``int``, ``float``, ``str``, ``dict`` (a JSON object that
+    its reader checks later), ``[kind]`` (a JSON array) or a nested table (a JSON
+    object).  ``bool`` is neither ``int`` nor ``float``; an ``int`` passes as a
+    ``float``; either must fit int64 and a ``float`` must be finite.  ``default`` is ``_REQUIRED`` for a parameter
     that must be given, ``None`` where the scenario derives it.  ``bound`` is a
     ``(test, phrase)`` pair that a given value must pass.
     """
@@ -312,10 +313,10 @@ class _Param(NamedTuple):
 
 
 _POSITIVE = (lambda v: v > 0, "positive")
+_NON_NEGATIVE = (lambda v: v >= 0, "non-negative")
 _COUNT = (lambda v: 0 < v <= MAX_SAMPLES, f"positive and at most {MAX_SAMPLES}")
 _NON_EMPTY = (lambda v: len(v) > 0, "a non-empty array")
 _MAX_REPETITIONS = 2**22  # a pi/2 gate's matrix_power drifts from unitary by < 6e-10 here, 1.2e-9 at 2**23
-_SEED = _Param(int, 0, (lambda v: v >= 0, "non-negative"))
 
 
 def _table_of(cls) -> dict:
@@ -367,26 +368,17 @@ def _read(table: dict, params: dict, where: str) -> dict:
 
 
 def load_config(path: str) -> dict:
+    """The config at ``path``, its root read through ``_ROOT``."""
     try:
-        with open(path) as fh:
-            cfg = json.load(fh)
+        with open(path, "rb") as fh:
+            cfg = json.loads(fh.read())
     except OSError as exc:
         raise ValidationError(f"cannot read config: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # ValueError: bad JSON, bad UTF-8 or an overlong integer
         raise ValidationError(f"malformed JSON config: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ValidationError("config root must be a JSON object")
-    if cfg.get("schema_version") != SCHEMA_VERSION:
-        raise ValidationError(f"unsupported schema_version (expected {SCHEMA_VERSION})")
-    scenario = cfg.get("scenario")
-    if scenario not in SCENARIOS:
-        raise ValidationError(f"unknown scenario {scenario!r}; expected one of {', '.join(SCENARIOS)}")
-    _check(cfg.get("seed", 0), _SEED, "seed", "config")
-    if not isinstance(cfg.get("output_dir", ""), str):
-        raise ValidationError("config: 'output_dir' must be a string")
-    if "\0" in cfg.get("output_dir", ""):
-        raise ValidationError(f"cannot use output directory {cfg['output_dir']}: embedded null byte")
-    return cfg
+    return _read(_ROOT, cfg, "config")
 
 
 # ---------------------------------------------------------------- scenarios
@@ -417,12 +409,12 @@ def _gate_synth(p: dict, base_dir: str, seed: int) -> tuple[list[str], dict]:
 def _trace_sweep(p: dict, base_dir: str, seed: int) -> tuple[list[str], dict]:
     """Per |psi| the direct trace, order-2 and order-4 estimates, I2 and I4; the seeded gauge check if asked.
     The transports of (psi count + gauge rotations + 1) x steps samples are refused over ``MAX_SAMPLES`` first."""
-    psi_count, rotations, steps = len(p["psi_values"]), max(p["gauge_rotations"], 0), p["steps"]
+    psi_count, rotations, steps = len(p["psi_values"]), p["gauge_rotations"], p["steps"]
     if (psi_count + rotations + 1) * steps > MAX_SAMPLES:
         raise ValidationError(f"trace sweep of ({psi_count} psi_values + {rotations} gauge_rotations + 1) x "
                               f"{steps} steps exceeds the budget of {MAX_SAMPLES} samples; lower 'steps' or "
                               "'gauge_rotations', or list fewer 'psi_values'")
-    shape = make_ellipse_loop(p["theta0"], 0.0, p["a"], p["b"], p["samples"])
+    shape = make_ellipse_loop(p["theta0"], p["a"], p["b"], p["samples"])
     s_mid = midpoint_grid(p["steps"])[0]
     base = HolonomyLoop(shape, charge=p["q"], steps=p["steps"]).sample(s_mid)
     rows = []
@@ -435,8 +427,8 @@ def _trace_sweep(p: dict, base_dir: str, seed: int) -> tuple[list[str], dict]:
         rows.append((psi_abs, direct, d2.trace_estimate, d4.trace_estimate, *d4.corrections))
     header = ["psi_abs", "trace_direct", "trace_order2", "trace_order4", "i2", "i4"]
     outputs = {"trace_sweep.csv": (header, [np.asarray(col) for col in zip(*rows)], {})}
-    if p["gauge_rotations"] > 0:
-        outputs["gauge_check.json"] = _gauge_check(s_mid, base.a, p["psi_values"][0], p["gauge_rotations"], seed)
+    if rotations:
+        outputs["gauge_check.json"] = _gauge_check(s_mid, base.a, p["psi_values"][0], rotations, seed)
     return [], outputs
 
 
@@ -607,7 +599,7 @@ SCENARIOS = {
         "steps": _Param(int, 8192, _COUNT),
         "samples": _Param(int, 1024, _COUNT),
         # a positive count runs the seeded gauge check
-        "gauge_rotations": _Param(int, 0, (lambda v: v <= MAX_SAMPLES, f"at most {MAX_SAMPLES}")),
+        "gauge_rotations": _Param(int, 0, _NON_NEGATIVE),
     }, _trace_sweep),
     "trimer-sim": ({
         "drive": _Param(_DRIVE),
@@ -641,16 +633,25 @@ SCENARIOS = {
     }, _ramsey),
 }
 
+# The config root; run_scenario reads params through the scenario's table.
+_ROOT = {
+    "schema_version": _Param(int, bound=(lambda v: v == SCHEMA_VERSION, str(SCHEMA_VERSION))),
+    "scenario": _Param(str, bound=(lambda v: v in SCENARIOS, f"one of {', '.join(SCENARIOS)}")),
+    "seed": _Param(int, 0, _NON_NEGATIVE),
+    "output_dir": _Param(str, "", (lambda v: "\0" not in v, "free of NUL bytes")),
+    "params": _Param(dict, {}),
+}
+
 
 def run_scenario(cfg: dict, base_dir: str) -> tuple[list[str], dict]:
-    """Run a loaded config from ``base_dir``, its directory: its report lines and its outputs.
+    """Run a config, as ``load_config`` returns it, from ``base_dir``, its directory: its lines and outputs.
 
     The lines are ``scenario: <name>``, the scenario's own and ``pass``; the
     outputs are {file name: JSON dict or CSV (header, columns, repeats)}.
     """
     table, scenario = SCENARIOS[cfg["scenario"]]
-    p = _check(cfg.get("params", {}), _Param(table), "params", cfg["scenario"])
-    lines, outputs = scenario(p, base_dir, cfg.get("seed", 0))
+    p = _read(table, cfg["params"], f"{cfg['scenario']} params")
+    lines, outputs = scenario(p, base_dir, cfg["seed"])
     return [f"scenario: {cfg['scenario']}", *lines, "pass"], outputs
 
 
@@ -661,7 +662,7 @@ def _config_dir(config_path: str) -> str:
 def _cmd_run(args) -> int:
     t_start = time.perf_counter()
     cfg = load_config(args.config)
-    outdir = args.out or cfg.get("output_dir") or os.environ.get(OUTDIR_ENV) or "."
+    outdir = args.out or cfg["output_dir"] or os.environ.get(OUTDIR_ENV) or "."
     outputs = run_scenario(cfg, _config_dir(args.config))[1]  # a failed run leaves no directory behind
     pending = {}  # final name -> its partial file, until renamed into place
     try:
@@ -673,7 +674,7 @@ def _cmd_run(args) -> int:
         manifest = {
             "artifact_version": __version__,
             "config": cfg,
-            "seed": cfg.get("seed", 0),
+            "seed": cfg["seed"],
             "outputs": digests,
             "wall_seconds": time.perf_counter() - t_start,
         }

@@ -120,15 +120,12 @@ class TwoQubitGate:
         object.__setattr__(self, "matrix", m)
 
 
-def make_ellipse_loop(
-    theta0: float, phi0: float, a: float, b: float, n_samples: int = 1024
-) -> ShapeLoop:
-    """Small elliptical loop theta = theta0 + a cos s, phi = phi0 + (b/sin theta0) sin s.
+def make_ellipse_loop(theta0: float, a: float, b: float, n_samples: int = 1024) -> ShapeLoop:
+    """Small elliptical loop theta = theta0 + a cos s, phi = (b/sin theta0) sin s.
 
     Refuses loops that reach within 1e-6 of a pole or swing pi or more either
-    way in azimuth, and semi-axes that rounding at the base point resolves to
-    worse than 1e-6 of their size; warns for a loop it keeps whose semi-axes
-    exceed 0.3 (the small-loop regime).
+    way in azimuth, and a semi-axis a that rounding at theta0 resolves to worse
+    than 1e-6 of it; warns for a kept loop whose semi-axes exceed 0.3 (small loops).
     """
     if not 0.0 < theta0 < math.pi:
         raise ValidationError("base colatitude must lie strictly between the poles")
@@ -144,19 +141,16 @@ def make_ellipse_loop(
     s = np.linspace(0.0, 2 * math.pi, n_samples + 1)
     cos_s, sin_s = np.cos(s), np.sin(s)
     theta = theta0 + a * cos_s
-    phi = phi0 + b_phi * sin_s
+    phi = 0.0 + b_phi * sin_s  # 0.0 + turns -0.0 into 0.0
     # A semi-axis far below the base point's spacing of floats rounds away.
-    for name, got, base, amp, wave in (("a", theta, theta0, a, cos_s), ("b", phi, phi0, b_phi, sin_s)):
-        err = float(np.max(np.abs((got - base) - amp * wave)))
-        if not err <= 1e-6 * amp:  # NaN fails too
-            raise ValidationError(
-                f"semi-axis {name} is lost to rounding at the base point: "
-                f"error {err:.3g} against amplitude {amp:.3g}"
-            )
+    err = float(np.max(np.abs((theta - theta0) - a * cos_s)))
+    if not err <= 1e-6 * a:  # NaN fails too
+        raise ValidationError(f"semi-axis a is lost to rounding at the base point: error {err:.3g} against "
+                              f"amplitude {a:.3g}")
     if max(a, b) > _SMALL_LOOP_WARN:  # only a loop that passes every check
         warnings.warn(f"ellipse semi-axis {max(a, b):.3g} exceeds the small-loop regime (0.3)", stacklevel=2)
     theta[-1] = theta[0]
-    phi[-1] = phi[0] + 0.0
+    phi[-1] = phi[0]
     return ShapeLoop(theta, phi)
 
 
@@ -190,7 +184,7 @@ def synth_phase_gate(
     a = b = math.sqrt(1.0 / (q * reps))
     # Traversal sense pinned so the integrated holonomy matches the target
     # diag(e^{-i pi/4}, e^{+i pi/4}) rather than its inverse.
-    loop = make_ellipse_loop(math.pi / 2, 0.0, a, b, n_samples).reversed()
+    loop = make_ellipse_loop(math.pi / 2, a, b, n_samples).reversed()
     hloop = HolonomyLoop(loop, BlochField.pinned(), ControlField.zero(), q, steps)
     return GateSpec(
         target=PHASE_GATE_TARGET,

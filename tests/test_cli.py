@@ -26,6 +26,7 @@ from triholonomy import gates
 from triholonomy.cli import (
     _CSV_BLOCK_ROWS,
     _CSV_FAST_MIN_CELLS,
+    _ROOT,
     SCENARIOS,
     _g17_digits,
     _g17_slots,
@@ -161,6 +162,8 @@ BAD_SCENARIO_INPUTS = [
     # keys that reach no output: the sweep sets the phases, and q derives the loop count
     ("phase-sweep", {"drive": dict(TRIMER_DRIVE, phi13=0.5)}, "phi13"),
     ("gate-synth", {"target": "hadamard", "n_rep": 3}, "n_rep"),
+    # a negative count once skipped the gauge check and exited 0
+    ("trace-sweep", {"gauge_rotations": -1}, "gauge_rotations"),
 ]
 
 # Config keys that no longer exist, each with a value its old table accepted: (scenario, key path, value).
@@ -184,6 +187,29 @@ OVER_BUDGET_TRACE_SWEEPS = [
 # The same sweeps at the budget, (63 + 0 + 1) x 2**20 and (1 + 32766 + 1) x 2048 = 2**26 samples.
 AT_BUDGET_TRACE_SWEEPS = [{"psi_values": [0.05] * 63, "steps": 2**20}, {"gauge_rotations": 2**15 - 2}]
 
+# Config roots that both commands refuse, each with its one stderr line.  The first two once raised a
+# TypeError (exit 1); the misspelt seed ran with seed 0, the NaN note was echoed into the manifest as
+# non-standard JSON, and schema_version true and 1.0 were accepted.
+BAD_ROOTS = [
+    (small_gate_config(scenario=["x"]), "config: parameter 'scenario' has wrong type"),
+    (small_gate_config(scenario={}), "config: parameter 'scenario' has wrong type"),
+    ({}, "config: missing required parameter 'schema_version'"),
+    (small_gate_config(sead=3), "config: unknown parameter 'sead'"),
+    (small_gate_config(note=math.nan), "config: unknown parameter 'note'"),
+    (small_gate_config(schema_version=True), "config: parameter 'schema_version' has wrong type"),
+    (small_gate_config(schema_version=1.0), "config: parameter 'schema_version' has wrong type"),
+    (small_gate_config(schema_version=2), "config: parameter 'schema_version' must be 1"),
+    (small_gate_config(scenario="nope"), "config: parameter 'scenario' must be one of " + ", ".join(SCENARIOS)),
+    (small_gate_config(params=[]), "config: parameter 'params' has wrong type"),
+]
+
+# Config files that the JSON reader cannot decode; each once raised a traceback (exit 1).
+UNREADABLE_CONFIGS = {
+    "invalid-utf8": b'{"schema_version": 1, "scenario": "gate-synth\xff"}',
+    "deep-array": b"[" * 5000 + b"]" * 5000,
+    "long-integer": b'{"schema_version": 1, "scenario": "gate-synth", "seed": ' + b"9" * 5000 + b"}",
+}
+
 # Loops whose semi-axes round away at the base point; each run once exited 0 with wrong numbers.
 UNRESOLVED_ELLIPSES = [
     ("gate-synth", {"q": 1e300}),  # wrote the identity matrix
@@ -199,7 +225,7 @@ PREFLIGHT_BUILDS = [
     ("ramsey", {"q": 1e30}, {}, "semi-axis a is lost to rounding"),
     ("trace-sweep", {"a": 1e-15, "b": 1e-15}, {}, "semi-axis a is lost to rounding"),
     ("trace-sweep", {"theta0": 4.0}, {}, "base colatitude must lie strictly between the poles"),
-    ("gate-synth", {}, {"output_dir": "nul\0byte"}, "cannot use output directory nul\0byte: "),
+    ("gate-synth", {}, {"output_dir": "nul\0byte"}, "config: parameter 'output_dir' must be free of NUL bytes"),
     ("phase-sweep", {"phi_values": [4.0]}, {}, "phase-sweep params: unknown parameter 'phi_values'"),
     ("linking", {"charges": [1, 2, 3]}, {}, "'charges' needs one value per curve (2)"),
     ("linking", {"slk": [0]}, {}, "'slk' needs one value per curve (2)"),
@@ -288,6 +314,15 @@ class TestRun:
         manifest = json.loads((out / "run_manifest.json").read_text())
         assert "gate.json" in manifest["outputs"]
         assert manifest["config"]["scenario"] == "gate-synth"
+
+    def test_manifest_echoes_the_read_root(self, tmp_path):
+        # the root's defaults are filled in; params are echoed as given, once their table has read them
+        cfg = small_gate_config()
+        del cfg["seed"]
+        out = tmp_path / "out"
+        assert main(["run", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["config"] == dict(cfg, seed=0, output_dir="")
 
     def test_trimer_sim_columns(self, tmp_path):
         cfg_path = write_config(tmp_path, small_trimer_config())
@@ -744,7 +779,10 @@ class TestRun:
         argv = ["run", write_config(tmp_path, cfg)] + (["--out", outdir] if source == "--out" else [])
         assert main(argv) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"validation error: cannot use output directory {outdir}: ")
+        if source == "output_dir" and "\0" in name:  # the config's root table refuses it before any write
+            assert err == "validation error: config: parameter 'output_dir' must be free of NUL bytes\n"
+        else:
+            assert err.startswith(f"validation error: cannot use output directory {outdir}: ")
         assert err.count("\n") == 1
         assert (tmp_path / "file").read_text() == "kept"
 
@@ -752,7 +790,7 @@ class TestRun:
     def test_non_string_output_dir_exits_2(self, tmp_path, capsys, monkeypatch, command):
         monkeypatch.chdir(tmp_path)
         assert main([command, write_config(tmp_path, small_gate_config(output_dir=5))]) == 2
-        assert capsys.readouterr().err == "validation error: config: 'output_dir' must be a string\n"
+        assert capsys.readouterr().err == "validation error: config: parameter 'output_dir' has wrong type\n"
         assert os.listdir(tmp_path) == ["config.json"]
 
     @pytest.mark.parametrize("scenario, override", UNRESOLVED_ELLIPSES)
@@ -863,7 +901,7 @@ class TestRun:
         out = tmp_path / "out"
         assert main(["run", write_config(tmp_path, cfg), "--out", str(out)]) == 0
         rows = [row.split(",") for row in (out / "trace_sweep.csv").read_text().splitlines()[1:]]
-        shape = make_ellipse_loop(math.pi / 2, 0.0, 0.2, 0.2, 512)
+        shape = make_ellipse_loop(math.pi / 2, 0.2, 0.2, 512)
         s_mid, _ = midpoint_grid(2048)
         base = HolonomyLoop(shape, charge=2.0, steps=2048).sample(s_mid)
         for row, psi_abs in zip(rows, params["psi_values"], strict=True):
@@ -879,7 +917,7 @@ class TestRun:
         out = tmp_path / "out"
         assert main(["run", write_config(tmp_path, cfg), "--out", str(out)]) == 0
         rows = [row.split(",") for row in (out / "trace_sweep.csv").read_text().splitlines()[1:]]
-        shape = make_ellipse_loop(1.2, 0.0, 0.2, 0.15, 512)
+        shape = make_ellipse_loop(1.2, 0.2, 0.15, 512)
         for row, psi_abs in zip(rows, params["psi_values"], strict=True):
             loop = HolonomyLoop(shape, BlochField.pinned(), ControlField.constant(psi_abs), 2.5, 2048)
             assert row[1] == format(integrate_wilson(loop).trace, ".17g")
@@ -1078,6 +1116,37 @@ class TestValidate:
         where = " ".join([f"{scenario} params", *path[:-1]])
         assert capsys.readouterr() == ("", f"validation error: {where}: unknown parameter {path[-1]!r}\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    @pytest.mark.parametrize("cfg, message", BAD_ROOTS, ids=[
+        "scenario-list", "scenario-object", "empty", "unknown-key", "nan-note", "schema-true", "schema-float",
+        "schema-2", "scenario-unknown", "params-list",
+    ])
+    def test_bad_config_root_exits_2_by_name(self, tmp_path, capsys, command, cfg, message):
+        out = tmp_path / "out"
+        argv = [command, write_config(tmp_path, cfg)] + (["--out", str(out)] if command == "run" else [])
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"validation error: {message}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    @pytest.mark.parametrize("name", sorted(UNREADABLE_CONFIGS))
+    def test_unreadable_config_exits_2(self, tmp_path, capsys, command, name):
+        path = tmp_path / "config.json"
+        path.write_bytes(UNREADABLE_CONFIGS[name])
+        out = tmp_path / "out"
+        argv = [command, str(path)] + (["--out", str(out)] if command == "run" else [])
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: malformed JSON config: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_utf8_bom_is_accepted(self, tmp_path):
+        # the file is read as bytes, and json detects the encoding, a leading UTF-8 BOM included
+        path = tmp_path / "config.json"
+        path.write_bytes(b"\xef\xbb\xbf" + json.dumps(small_gate_config()).encode())
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["validate", str(path)]) == 0
 
     @pytest.mark.parametrize("command", ["run", "validate"])
     def test_seed_flag_exits_2_by_name(self, tmp_path, capsys, command):
@@ -1479,15 +1548,22 @@ def refused_configs():
     return phases + retired + trace
 
 
+def root_configs():
+    """The demo-budget base config with one root key replaced by each hostile value."""
+    base = with_values("demo-budget", [])
+    return [dict(base, **{key: copy.deepcopy(value)}) for key in _ROOT for value in HOSTILE_VALUES]
+
+
 def test_validate_exits_2_exactly_when_run_does(tmp_path):
     # every base config with one table parameter replaced by one hostile value, under both commands,
-    # then the refused configs that no table path reaches
+    # then one base config with each root key replaced so, then the refused configs no table path reaches
     grid = [(with_values(scenario, [(path, value)]), False)
             for scenario in sorted(BASE_PARAMS)
             for path in table_paths(SCENARIOS[scenario][0])
             for value in HOSTILE_VALUES]
+    grid += [(cfg, False) for cfg in root_configs()]
     grid += [(cfg, True) for cfg in refused_configs()]
-    assert len(grid) == 915 + 40
+    assert len(grid) == 915 + 75 + 40
     for cfg, refused in grid:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

@@ -174,7 +174,7 @@ class TestBlochAxis:
         assert holonomy.PINNED_FRAME is PINNED_FRAME
         assert BlochField.pinned() is BlochField.pinned()
         assert ControlField.zero() is ControlField.zero()
-        loop = HolonomyLoop(make_ellipse_loop(math.pi / 2, 0.0, 0.1, 0.1, 64))
+        loop = HolonomyLoop(make_ellipse_loop(math.pi / 2, 0.1, 0.1, 64))
         assert loop.bloch is BlochField.pinned() and loop.control is ControlField.zero()
 
 
@@ -336,7 +336,7 @@ class TestGaugeAndPatchProperties:
 
     def test_loop_and_sampled_transport_share_one_pinned_frame(self):
         # integrate_wilson and wilson_from_samples (interaction_frame, the Hadamard calibration) give one matrix
-        loop = HolonomyLoop(make_ellipse_loop(math.pi / 2, 0.0, 0.2, 0.2), control=ControlField.constant(0.1),
+        loop = HolonomyLoop(make_ellipse_loop(math.pi / 2, 0.2, 0.2), control=ControlField.constant(0.1),
                             charge=2.0, steps=4096)
         a, psi, _ = loop.sample(midpoint_grid(loop.steps)[0])
         assert np.array_equal(integrate_wilson(loop).matrix, wilson_from_samples(a, psi, 2.0).matrix)
@@ -438,7 +438,7 @@ class TestControlField:
     @staticmethod
     def builtin_controls():
         wavy = ControlField.from_samples(0.1 * np.exp(1j * np.linspace(0, 2 * math.pi, 65)))
-        shape = make_ellipse_loop(math.pi / 2, 0.0, 0.2, 0.2, 64)
+        shape = make_ellipse_loop(math.pi / 2, 0.2, 0.2, 64)
         return {
             "constant": ControlField.constant(0.3 + 0.1j),
             "zero": ControlField.zero(),
@@ -465,7 +465,7 @@ class TestControlField:
 
         ctrl = ControlField(psi)
         assert len(calls) == 2  # periodicity probes at s = 0 and 2 pi
-        shape = make_ellipse_loop(math.pi / 2, 0.0, 0.2, 0.2, 64)
+        shape = make_ellipse_loop(math.pi / 2, 0.2, 0.2, 64)
         integrate_wilson(HolonomyLoop(shape, BlochField.pinned(), ctrl, 2.0, 300))
         assert len(calls) == 2 + 300
 

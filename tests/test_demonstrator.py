@@ -183,7 +183,7 @@ class TestRamseyEcho:
         # use a loop whose rotation angle is away from pi/2, where the
         # doubled-phase readout resolves the sign
         p = PlatformParams()
-        shape = make_ellipse_loop(math.pi / 2, 0.0, 0.05, 0.05)
+        shape = make_ellipse_loop(math.pi / 2, 0.05, 0.05)
         loop = HolonomyLoop(shape, BlochField.pinned(), ControlField.zero(), 100.0, 2048)
         fwd = ramsey_echo(loop, p.splitting, p)
         rev = ramsey_echo(loop.reversed(), p.splitting, p)

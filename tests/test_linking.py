@@ -248,7 +248,7 @@ class TestPreparedCurves:
 
         monkeypatch.setattr(cli, "SpaceCurve", Spy)
         monkeypatch.setattr(cli, "gauss_linking", counted)
-        cfg = {"schema_version": 1, "scenario": "linking", "params": {"curve_files": names}}
+        cfg = {"schema_version": 1, "scenario": "linking", "seed": 0, "params": {"curve_files": names}}
         lk = cli.run_scenario(cfg, str(tmp_path))[1]["linking.json"]["lk_matrix"]
         assert lk == [[0, 1, 0, 0], [1, 0, -1, 0], [0, -1, 0, 1], [0, 0, 1, 0]]
         assert len(pairs) == 6 and len({id(c) for pair in pairs for c in pair}) == 4
