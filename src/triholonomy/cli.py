@@ -66,7 +66,7 @@ from .demonstrator import (
     leakage_estimate,
     ramsey_echo,
 )
-from .errors import MAX_SAMPLES, NumericalError, ValidationError
+from .errors import MAX_SAMPLES, POSITIVE, NumericalError, ValidationError
 from .gates import (
     gate_fidelity,
     make_ellipse_loop,
@@ -81,14 +81,16 @@ from .holonomy import (  # integrate_wilson: perfbench/test_perfbench.py reads c
     trace_expansion_from_rates,
     wilson_from_samples,
 )
-from .linking import LinkData, SpaceCurve, cs_phase, gauss_linking, hopf_pair
-from .trimer import (BondDrive, _sweep_grid, _tiled, bond_lengths, effective_momentum_series, phase_sweep,
+from .linking import LEVEL, LinkData, SpaceCurve, cs_phase, gauss_linking, hopf_pair
+from .trimer import (MASSES, BondDrive, _sweep_grid, _tiled, bond_lengths, effective_momentum_series, phase_sweep,
                      reconstruct_rotation)
 
 OUTDIR_ENV = "TRIHOLONOMY_OUTDIR"
 SCHEMA_VERSION = 1
-# CSV rows formatted per string operation; bounds the text held in memory.
-_CSV_BLOCK_ROWS = 1024
+# CSV rows formatted per string operation; bounds the text held in memory.  _g17_slots costs about 0.1 ms a
+# call plus, on trimer-sim's three non-repeating columns, 95 ns a cell at 3072 cells, 124 ns at 12 288 and
+# 151 ns at 24 576 (2 vCPUs): 4096 rows write the 98 305-row trimer-sim file faster than 1024 or 8192.
+_CSV_BLOCK_ROWS = 4096
 # _g17_slots sends fewer values to "%" whole: the digit path's fixed cost (~0.1 ms) loses below it.
 _CSV_FAST_MIN_CELLS = 256
 _DEKKER = 134217729.0  # 2**27 + 1 splits a double into two halves whose products are exact
@@ -188,7 +190,7 @@ def _g17_slots(x: np.ndarray) -> np.ndarray:
     the cells it leaves (0, non-finite, |x| outside ``_G17_RANGE``, near a
     rounding tie) in one batch, and fewer than ``_CSV_FAST_MIN_CELLS`` values
     whole.  The temporaries grow with ``x``, so ``_write_csv`` passes at most
-    ``_CSV_BLOCK_ROWS`` rows, which keeps them in cache.
+    ``_CSV_BLOCK_ROWS`` rows (see its comment for the measured cost per cell).
     """
     buf = np.empty((x.size, 25), np.uint8)
     slow = np.ones(x.size, bool)
@@ -304,7 +306,8 @@ class _Param(NamedTuple):
     object).  ``bool`` is neither ``int`` nor ``float``; an ``int`` passes as a
     ``float``; either must fit int64 and a ``float`` must be finite.  ``default`` is ``_REQUIRED`` for a parameter
     that must be given, ``None`` where the scenario derives it.  ``bound`` is a
-    ``(test, phrase)`` pair that a given value must pass.
+    ``(test, phrase)`` pair that a given value must pass.  Where the library checks the same value, the
+    table holds the library's bound object, so each bound is declared once.
     """
 
     kind: object
@@ -312,7 +315,6 @@ class _Param(NamedTuple):
     bound: tuple | None = None
 
 
-_POSITIVE = (lambda v: v > 0, "positive")
 _NON_NEGATIVE = (lambda v: v >= 0, "non-negative")
 _COUNT = (lambda v: 0 < v <= MAX_SAMPLES, f"positive and at most {MAX_SAMPLES}")
 _NON_EMPTY = (lambda v: len(v) > 0, "a non-empty array")
@@ -320,9 +322,10 @@ _MAX_REPETITIONS = 2**22  # a pi/2 gate's matrix_power drifts from unitary by < 
 
 
 def _table_of(cls) -> dict:
-    """Table of a parameter dataclass's fields: float, or int where the default is an int."""
+    """Table of a parameter dataclass's fields: float, or int where the default is an int; each field's bound."""
     return {
-        f.name: _Param(float) if f.default is MISSING else _Param(type(f.default), f.default)
+        f.name: _Param(float, bound=f.metadata["bound"]) if f.default is MISSING
+        else _Param(type(f.default), f.default, f.metadata["bound"])
         for f in fields(cls)
     }
 
@@ -569,29 +572,28 @@ def _ramsey(p: dict, base_dir: str, seed: int) -> tuple[list[str], dict]:
     }
 
 
-_TURN = _Param(float, 0.0, (lambda v: abs(v) <= 2 * math.pi, "within one turn, [-2 pi, 2 pi]"))
-_BONDS = {key: param for key, param in _table_of(BondDrive).items() if param.default is _REQUIRED}  # no phases
-_DRIVE = dict(_BONDS, phi13=_TURN, phi23=_TURN)  # a larger phase only rounds omega t + phi
+_DRIVE = _table_of(BondDrive)
+_BONDS = {key: param for key, param in _DRIVE.items() if param.default is _REQUIRED}  # no phases
 _PLATFORM = _table_of(PlatformParams)
 _HOPF = {
-    "radius1": _Param(float, 1.0, _POSITIVE),
-    "radius2": _Param(float, 1.0, _POSITIVE),
+    "radius1": _Param(float, 1.0, POSITIVE),
+    "radius2": _Param(float, 1.0, POSITIVE),
     "segments": _Param(int, 512, _COUNT),
 }
-_MASSES = _Param([float], [2.1, 2.1, 4.7], (lambda v: len(v) == 3 and min(v) > 0, "three positive values"))
+_MASSES = _Param([float], [2.1, 2.1, 4.7], MASSES)
 
 # Scenario -> (parameter table, scenario).  scenario(p, base_dir, seed) takes the table's parameters, the
 # config's directory and the seed, checks the physics, computes, and returns its report lines and its
 # outputs as {file name: JSON dict or CSV (header, columns, {column: L of its declared repeat})}.
 SCENARIOS = {
     "gate-synth": ({
-        "q": _Param(float, bound=_POSITIVE),
+        "q": _Param(float, bound=POSITIVE),
         "target": _Param(str, "pi2", (lambda v: v in ("pi2", "hadamard"), "'pi2' or 'hadamard'")),
         "samples": _Param(int, 1024, _COUNT),
         "steps": _Param(int, 4096, _COUNT),
     }, _gate_synth),
     "trace-sweep": ({
-        "q": _Param(float, 2.0, _POSITIVE),
+        "q": _Param(float, 2.0, POSITIVE),
         "theta0": _Param(float, math.pi / 2),
         "a": _Param(float, 0.2),
         "b": _Param(float, 0.2),
@@ -617,7 +619,7 @@ SCENARIOS = {
         "curve_files": _Param([str], None, (lambda v: len(v) >= 2, "at least two file names")),
         "hopf": _Param(_HOPF, {}),  # the curves when curve_files is not given
         "charges": _Param([float], None),  # None: 1.0 per curve
-        "k": _Param(int, 4, _POSITIVE),
+        "k": _Param(int, 4, LEVEL),
         "slk": _Param([int], None),  # None: 0 per curve
     }, _linking),
     "demo-budget": ({
@@ -625,7 +627,7 @@ SCENARIOS = {
     }, _demo_budget),
     "ramsey": ({
         "platform": _Param(_PLATFORM, {}),
-        "q": _Param(float, bound=_POSITIVE),
+        "q": _Param(float, bound=POSITIVE),
         "echo": _Param(bool, True),
         "scan_count": _Param(int, 8, _COUNT),
         "samples": _Param(int, 1024, _COUNT),

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
+from .errors import POSITIVE, NumericalError, ValidationError, bounded, check_fields
 from .holonomy import HolonomyLoop, integrate_wilson
 
 __all__ = [
@@ -33,30 +33,30 @@ __all__ = [
 
 _PREP_PHASES = (0.0, math.pi / 2)  # azimuths of the Ramsey readout's two pi/2 preparation pulses
 _WINDOW_FACTOR = 10.0  # the margin that "<<" asks of both adiabatic-window ratios
+_PROBABILITY = (lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
 
 
 @dataclass(frozen=True)
 class PlatformParams:
     """Demonstrator operating point (SI units; energies as rad/s).
 
-    Refused (ValidationError) with a field that is not positive, ``n_rep`` not an int of at least 1, or a broken
-    mode ordering: ``gap`` must be positive, and a NaN gap, as from infinite energies, fails too.
+    Each field declares its bound here, with :func:`~triholonomy.errors.bounded`, and the CLI's platform
+    table reads it: the energies and ``t_loop`` positive and finite, ``tau_r`` positive (inf is no decay),
+    ``n_rep`` an int of at least 1.  A field that fails its bound, NaN included, is refused by name
+    (ValidationError), and so is a broken mode ordering: ``gap`` must be positive.
     """
 
-    e_a: float = 2 * math.pi * 15.0e6  # breathing-mode energy / hbar
-    e_e1: float = 2 * math.pi * (5.0e6 - 5.0e3)  # lower doublet mode
-    e_e2: float = 2 * math.pi * (5.0e6 + 5.0e3)  # upper doublet mode
-    t_loop: float = 1.0e-6  # single-loop duration (s)
-    tau_r: float = 50.0e-6  # Rydberg lifetime (s)
-    n_rep: int = 10  # loop repetitions per gate
+    e_a: float = bounded(POSITIVE, 2 * math.pi * 15.0e6)  # breathing-mode energy / hbar
+    e_e1: float = bounded(POSITIVE, 2 * math.pi * (5.0e6 - 5.0e3))  # lower doublet mode
+    e_e2: float = bounded(POSITIVE, 2 * math.pi * (5.0e6 + 5.0e3))  # upper doublet mode
+    t_loop: float = bounded(POSITIVE, 1.0e-6)  # single-loop duration (s)
+    tau_r: float = bounded((lambda v: v > 0.0, "positive"), 50.0e-6)  # Rydberg lifetime (s)
+    # loop repetitions per gate; a float, NaN included, fails, and so does True, an int
+    n_rep: int = bounded((lambda v: not isinstance(v, bool) and isinstance(v, (int, np.integer)) and v >= 1,
+                          "an int of at least 1"), 10)
 
     def __post_init__(self):
-        for name in ("e_a", "e_e1", "e_e2", "t_loop", "tau_r"):
-            if not getattr(self, name) > 0:
-                raise ValidationError(f"{name} must be positive")
-        n_rep = self.n_rep  # a float, NaN included, fails the type check; True is an int, so it is named
-        if isinstance(n_rep, bool) or not isinstance(n_rep, (int, np.integer)) or n_rep < 1:
-            raise ValidationError(f"n_rep must be an int of at least 1, got {n_rep!r}")
+        check_fields(self)
         if not self.gap > 0:
             raise ValidationError("mode ordering violated: breathing mode not above the doublet mean")
 
@@ -115,16 +115,13 @@ def leakage_estimate(params: PlatformParams) -> float:
 class ErrorBudget:
     """Leading error channels of one holonomic gate."""
 
-    p_leak: float  # per-gate non-adiabatic leakage
-    p_decay: float  # radiative decay over the gate time
-    phase_drift: float  # un-echoed dynamical phase, radians
-    total_infidelity_estimate: float
+    p_leak: float = bounded(_PROBABILITY)  # per-gate non-adiabatic leakage
+    p_decay: float = bounded(_PROBABILITY)  # radiative decay over the gate time
+    phase_drift: float = bounded((math.isfinite, "finite"))  # un-echoed dynamical phase, radians
+    total_infidelity_estimate: float = bounded(_PROBABILITY)
 
     def __post_init__(self):
-        for name in ("p_leak", "p_decay", "total_infidelity_estimate"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValidationError(f"{name} must lie in [0, 1], got {v}")
+        check_fields(self)
 
 
 def gate_budget(params: PlatformParams) -> ErrorBudget:

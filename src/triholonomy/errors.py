@@ -1,8 +1,13 @@
-"""Exception types and the sample budget shared across the package."""
+"""Exception types, the sample budget and the one bound check shared across the package."""
+
+import math
+import numbers
+from dataclasses import MISSING, field, fields
 
 __all__ = ["MAX_SAMPLES", "ValidationError", "NumericalError"]
 
 MAX_SAMPLES = 2**26  # largest sample count a parameter or time grid may ask for
+POSITIVE = (lambda v: 0.0 < v < math.inf, "positive and finite")  # a (test, phrase) bound
 
 
 class ValidationError(ValueError):
@@ -11,3 +16,22 @@ class ValidationError(ValueError):
 
 class NumericalError(RuntimeError):
     """A numerical invariant failed at run time (the message names it)."""
+
+
+def check(name: str, value, bound: tuple):
+    """``value``, or a ValidationError naming ``name`` if it fails ``bound`` = (test, phrase); a NaN always fails."""
+    if (isinstance(value, numbers.Real) and value != value) or not bound[0](value):  # only NaN != NaN
+        raise ValidationError(f"{name} must be {bound[1]}, got {value!r}")
+    return value
+
+
+def bounded(bound: tuple, default=MISSING):
+    """A dataclass field that declares ``bound``; :func:`check_fields` enforces it and the CLI tables read it."""
+    return field(default=default, metadata={"bound": bound})
+
+
+def check_fields(obj) -> None:
+    """:func:`check` on each field of the dataclass ``obj`` that declares a bound, in field order."""
+    for f in fields(obj):
+        if "bound" in f.metadata:
+            check(f.name, getattr(obj, f.name), f.metadata["bound"])

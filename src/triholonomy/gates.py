@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .connection import BlochField, ControlField
-from .errors import NumericalError, ValidationError
+from .errors import POSITIVE, NumericalError, ValidationError, check
 from .holonomy import (
     HolonomyLoop,
     WilsonLine,
@@ -178,8 +178,7 @@ def synth_phase_gate(
     plus O(ds^2) from integration.  The gate is itself diagonal, so the
     residual abelian factor is the identity.
     """
-    if not 0 < q < math.inf:  # NaN fails too
-        raise ValidationError(f"coupling weight q must be positive and finite, got q = {q!r}")
+    check("coupling weight q", q, POSITIVE)
     reps = _phase_gate_reps(q, n_rep)
     a = b = math.sqrt(1.0 / (q * reps))
     # Traversal sense pinned so the integrated holonomy matches the target
@@ -283,8 +282,7 @@ def cs_controlled_phase(q: float, k: int) -> TwoQubitGate:
     charge q when its logical state is |1> and charge 0 for |0>; the |11>
     branch acquires exp(i 4 pi q^2 / k), as no cycle self-links.
     """
-    if not q > 0:
-        raise ValidationError("charge q must be positive")
+    check("charge q", q, POSITIVE)
     link = LinkData.pair(1)
     phases = np.array([cs_phase([qa, qb], link, k) for qa in (0.0, q) for qb in (0.0, q)])  # |00>, ..., |11>
     return TwoQubitGate(np.diag(np.exp(1j * phases)), float(phases[3]))

@@ -47,7 +47,7 @@ from .connection import (
     connection_vectors,
     eigenframe_rate_samples,
 )
-from .errors import NumericalError, ValidationError
+from .errors import POSITIVE, NumericalError, ValidationError, bounded, check, check_fields
 from .shapespace import ShapeLoop
 
 __all__ = [
@@ -93,12 +93,12 @@ class WilsonLine:
 
 @dataclass(frozen=True)
 class HolonomyLoop:
-    """A shape loop equipped with gauge data and integration resolution."""
+    """A shape loop equipped with gauge data and integration resolution; ``charge`` declares its bound."""
 
     shape: ShapeLoop
     bloch: BlochField = field(default_factory=BlochField.pinned)
     control: ControlField = field(default_factory=ControlField.zero)
-    charge: float = 1.0
+    charge: float = bounded(POSITIVE, 1.0)
     steps: int = 1024
     patch: GaugePatch = GaugePatch.NORTH
 
@@ -106,8 +106,7 @@ class HolonomyLoop:
         steps = self.steps
         if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)) or steps < 8:
             raise ValidationError(f"holonomy integration needs an integer of at least 8 steps, got {steps!r}")
-        if not self.charge > 0:
-            raise ValidationError("charge must be positive")
+        check_fields(self)
 
     def with_steps(self, steps: int) -> "HolonomyLoop":
         return HolonomyLoop(self.shape, self.bloch, self.control, self.charge, steps, self.patch)
@@ -261,11 +260,10 @@ def wilson_from_samples(abelian, control, charge: float) -> WilsonLine:
     ``abelian`` and ``control`` sample the diagonal coefficient A(s) and the
     complex transverse coefficient psi(s) at the midpoints of a uniform
     partition of [0, 2 pi] (see :func:`midpoint_grid`), transported at the
-    positive coupling weight ``charge``.  With every psi exactly 0 the steps
+    positive finite coupling weight ``charge``.  With every psi exactly 0 the steps
     commute and reduce to the one factor exp(i (eta/2) sigma_z), eta = q ds sum A.
     """
-    if not charge > 0:
-        raise ValidationError("charge must be positive")
+    check("charge", charge, POSITIVE)
     a = np.asarray(abelian, dtype=float)
     psi = np.asarray(control, dtype=complex)
     if a.ndim != 1 or a.size == 0 or psi.shape != a.shape:
@@ -284,8 +282,9 @@ def wilson_from_rates(abelian, control, charge: float, n_steps: int = 4096) -> W
     to the complex transverse coefficient psi(s).  Both are scalar callables,
     evaluated once per midpoint sample.  This is the entry point for
     gauge-rotation experiments, where (A, psi) are manipulated as data
-    rather than derived from loop geometry.
+    rather than derived from loop geometry.  ``charge`` is checked before either is called.
     """
+    check("charge", charge, POSITIVE)
     s_mid, _ = midpoint_grid(n_steps)
     a = np.vectorize(abelian, otypes=[float])(s_mid)
     psi = np.vectorize(control, otypes=[complex])(s_mid)

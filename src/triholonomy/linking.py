@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
+from .errors import POSITIVE, NumericalError, ValidationError, check
 
 __all__ = ["SpaceCurve", "LinkData", "gauss_linking", "hopf_pair", "cs_phase"]
 
@@ -36,6 +36,7 @@ _CHUNK = 32  # boxes per run in the first level of ``_overlapping``
 _VIEWS = ((0.3141, 0.5927, 0.7419), (-0.6691, 0.2236, 0.7071))  # generic, fixed
 _ROUNDOFF = 1e-9  # of the larger diameter
 _MAX_PHASE = 2.0**20  # rad; a few ulps of a larger cs_phase exceed 1e-9 rad
+LEVEL = (lambda k: isinstance(k, (int, np.integer)) and k >= 1, "a positive integer")  # the CLI's k reads it
 
 
 def _frame(view) -> np.ndarray:
@@ -280,9 +281,10 @@ def hopf_pair(radius1: float = 1.0, radius2: float = 1.0, n_segments: int = 512)
 
     Circle 1 lies in the xy-plane centred at the origin; circle 2 lies in
     the xz-plane centred at (radius1, 0, 0) and threads through circle 1 if radius2 < 2 radius1.
+    Each radius must be positive and finite, checked before numpy sees it.
     """
-    if not (radius1 > 0 and radius2 > 0):  # NaN fails too
-        raise ValidationError("radii must be positive")
+    check("radius1", radius1, POSITIVE)
+    check("radius2", radius2, POSITIVE)
     if not radius2 < 2 * radius1:
         raise ValidationError("hopf radius2 must be below 2 * radius1 for the circles to link")
     if n_segments < 16:
@@ -302,8 +304,7 @@ def cs_phase(charges, link: LinkData, k: int) -> float:
     curve (2 pi / k) q_i^2 SLk_i.  NumericalError if the charge products overflow,
     or if the sum exceeds ``_MAX_PHASE`` before its reduction.
     """
-    if not isinstance(k, (int, np.integer)) or k < 1:
-        raise ValidationError("level k must be a positive integer")
+    check("level k", k, LEVEL)
     q = np.asarray(charges, dtype=float)
     if q.ndim != 1 or q.size != link.lk_matrix.shape[0]:
         raise ValidationError("need one finite charge per curve")

@@ -175,6 +175,8 @@ def shape_angles(x, y, masses) -> tuple[np.ndarray, np.ndarray]:
 def solid_angle(loop: ShapeLoop) -> float:
     """Signed solid angle enclosed by a loop: the trapezoid rule on the north patch's (1 - cos theta) d phi.
 
+    The terms are summed exactly rounded (``math.fsum``), so the reversed loop's angle is exactly the negative.
+
     Raises:
         NumericalError: if the loop crosses the patch's excluded south pole.
     """
@@ -183,4 +185,4 @@ def solid_angle(loop: ShapeLoop) -> float:
         raise NumericalError("loop crosses the excluded south pole of the north patch")
     integrand = 1.0 - np.cos(th)
     avg = 0.5 * (integrand[1:] + integrand[:-1])
-    return float(np.sum(avg * np.diff(loop.azimuths)))
+    return math.fsum((avg * np.diff(loop.azimuths)).tolist())

@@ -24,7 +24,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .connection import monopole_potential
-from .errors import MAX_SAMPLES, NumericalError, ValidationError
+from .errors import MAX_SAMPLES, POSITIVE, NumericalError, ValidationError, bounded, check, check_fields
 from .holonomy import midpoint_grid
 from .shapespace import _check_loop_samples, shape_angles
 
@@ -38,6 +38,11 @@ __all__ = [
 _WINDOW_BLOCK_BYTES = 1 << 22
 # Midpoints per window transport at most: integrate_wilson's default step count.
 _WINDOW_STEPS = 1024
+# (test, phrase) bounds, which the CLI tables read: an amplitude, a drive phase (a larger one only rounds
+# omega t + phi) and the vertex masses.
+_AMPLITUDE = (lambda v: 0.0 <= v < math.inf, "non-negative and finite")
+_TURN = (lambda v: abs(v) <= 2 * math.pi, "within one turn, [-2 pi, 2 pi]")
+MASSES = (lambda v: np.shape(v) == (3,) and all(0.0 < m < math.inf for m in v), "three positive finite values")
 
 
 @dataclass(frozen=True)
@@ -45,23 +50,22 @@ class BondDrive:
     """Oscillating-bond drive: one independent bond (1-2) and a symmetric pair.
 
     xi12 = d12 + a12 cos(omega12 t);  xi13/xi23 = d + a cos(omega t + phi13/phi23).
+    Each field declares its bound here (``errors.bounded``), which the CLI's drive table reads; a field that
+    fails it, NaN included, or an amplitude not below its mean length is refused by name (ValidationError).
     """
 
-    d12: float
-    a12: float
-    omega12: float
-    d: float
-    a: float
-    omega: float
-    phi13: float = 0.0
-    phi23: float = 0.0
+    d12: float = bounded(POSITIVE)
+    a12: float = bounded(_AMPLITUDE)
+    omega12: float = bounded(POSITIVE)
+    d: float = bounded(POSITIVE)
+    a: float = bounded(_AMPLITUDE)
+    omega: float = bounded(POSITIVE)
+    phi13: float = bounded(_TURN, 0.0)
+    phi23: float = bounded(_TURN, 0.0)
 
     def __post_init__(self):
-        for name, value in (("omega", self.omega), ("omega12", self.omega12)):
-            if not 0.0 < value < math.inf:  # NaN fails too
-                raise ValidationError(f"drive frequencies must be positive and finite, "
-                                      f"got {name} = {value:.6g}")
-        if not (0 <= self.a12 < self.d12 and 0 <= self.a < self.d):
+        check_fields(self)
+        if not (self.a12 < self.d12 and self.a < self.d):
             raise ValidationError("amplitudes must be non-negative and below the mean lengths")
 
     @property
@@ -108,9 +112,10 @@ class BondDrive:
 
 
 def bond_lengths(t, drive: BondDrive):
-    """Bond length triple (xi12, xi13, xi23) at time(s) t."""
+    """Bond length triple (xi12, xi13, xi23) at time(s) t, elementwise: NaN where t is NaN or infinite."""
     t = np.asarray(t, dtype=float)
-    return _bond12(t, drive), *_bond_pair(drive.omega * t, drive, drive.phi13, drive.phi23)
+    with np.errstate(invalid="ignore"):  # cos has no value at an infinite time
+        return _bond12(t, drive), *_bond_pair(drive.omega * t, drive, drive.phi13, drive.phi23)
 
 
 def _bond12(t, drive: BondDrive):
@@ -252,11 +257,8 @@ def reconstruct_rotation(drive: BondDrive, masses, t_end: float, dt: float | Non
 
 
 def _masses(masses) -> np.ndarray:
-    """The vertex masses as an array, refused unless three positive finite values (NaN fails too)."""
-    m = np.asarray(masses, dtype=float)
-    if m.shape != (3,) or not np.all((m > 0.0) & (m < math.inf)):
-        raise ValidationError(f"masses must be three positive finite values, got {m.tolist()}")
-    return m
+    """The vertex masses as an array, refused by name unless they pass ``MASSES``."""
+    return np.asarray(check("masses", masses, MASSES), dtype=float)
 
 
 def _tiled(rows, n_p: int, n: int) -> np.ndarray:
@@ -333,10 +335,14 @@ def precession_berry_phase(
     precession radius is the accumulated phase, pi for the forward cycle.
 
     Raises:
+        ValidationError: d, omega or a phase out of its bound, or not 0 < a < d, before numpy sees them.
         NumericalError: the drive does not precess on a circle.
     """
-    if not (0 < a < d) or not 0 < omega < math.inf:  # NaN fails too, before numpy warns on it
-        raise ValidationError(f"need 0 < a < d and a positive finite frequency omega, got omega = {omega!r}")
+    for name, value, bound in (("d", d, POSITIVE), ("omega", omega, POSITIVE), ("phi13", phi13, _TURN),
+                               ("phi23", phi23, _TURN)):
+        check(name, value, bound)
+    if not 0 < a < d:  # NaN fails too
+        raise ValidationError(f"need 0 < a < d, got a = {a!r} and d = {d!r}")
     t = np.linspace(0.0, 2 * math.pi / omega, 16384 + 1)
     u = a * np.cos(omega * t + phi13)
     v = a * np.cos(omega * t + phi23)

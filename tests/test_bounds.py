@@ -1,0 +1,239 @@
+"""The public API refuses what the CLI refuses, and each bound is declared once.
+
+``test_walk`` calls every callable that ``triholonomy`` re-exports from a table of valid arguments
+(``WALK``) and sets each float argument in turn to NaN, +inf, -inf, 0 and -1, with warnings as errors.
+A case passes on a ValidationError or NumericalError whose message names the argument (or the quantity
+``NAMES`` lists for it), or on finite outputs.  The cases the physics allows to return otherwise are
+``ALLOWED``, each with its reason.  ``PROBES`` are the inputs the library once accepted although the CLI
+refused them: each failed late, for the wrong reason, or returned a number.
+"""
+
+import dataclasses
+import enum
+import inspect
+import math
+import re
+import warnings
+
+import numpy as np
+import pytest
+
+import triholonomy
+from triholonomy import (
+    BondDrive,
+    HolonomyLoop,
+    LinkData,
+    PlatformParams,
+    ShapePoint,
+    adiabatic_window,
+    hopf_pair,
+    integrate_wilson,
+    leakage_estimate,
+    make_ellipse_loop,
+    precession_berry_phase,
+    reconstruct_rotation,
+    synth_phase_gate,
+    wilson_from_rates,
+)
+from triholonomy import cli, errors, linking, trimer
+from triholonomy.connection import BlochField
+from triholonomy.errors import NumericalError, ValidationError
+
+HOSTILE = [math.nan, math.inf, -math.inf, 0.0, -1.0]
+DRIVE = dict(d12=1.1, a12=0.2, omega12=1.0, d=1.0, a=0.15, omega=3.0)
+MASSES = [2.1, 2.1, 4.7]
+
+
+def _loop():
+    return synth_phase_gate(100.0, n_samples=64, steps=256).loop
+
+
+def _trajectory():
+    return reconstruct_rotation(BondDrive(**DRIVE), MASSES, 3 * 2 * math.pi, 2 * math.pi / 256)
+
+
+# Re-exported callable -> (valid arguments, as a function that builds them; the float arguments walked).
+# "name[0]" walks the first entry of a list argument.
+WALK = {
+    "BondDrive": (lambda: dict(DRIVE, phi13=0.3, phi23=-0.3), [*DRIVE, "phi13", "phi23"]),
+    "ErrorBudget": (lambda: dict(p_leak=0.01, p_decay=0.02, phase_drift=0.1, total_infidelity_estimate=0.03),
+                    ["p_leak", "p_decay", "phase_drift", "total_infidelity_estimate"]),
+    "HolonomyLoop": (lambda: dict(shape=make_ellipse_loop(math.pi / 2, 0.1, 0.1, 64), charge=2.0, steps=256),
+                     ["charge"]),
+    "PlatformParams": (dict, ["e_a", "e_e1", "e_e2", "t_loop", "tau_r"]),
+    "ShapePoint": (lambda: dict(colatitude=1.0, azimuth=0.5), ["colatitude", "azimuth"]),
+    "bond_lengths": (lambda: dict(t=0.5, drive=BondDrive(**DRIVE)), ["t"]),
+    "compile_cnot": (lambda: dict(q=1.0, k=4), ["q"]),
+    "cs_controlled_phase": (lambda: dict(q=1.0, k=4), ["q"]),
+    "cs_phase": (lambda: dict(charges=[1.0, 1.0], link=LinkData.pair(1), k=4), ["charges[0]"]),
+    "curvature_vector": (lambda: dict(point=ShapePoint(1.2, 0.8), field=BlochField.pinned(), psi=0.1,
+                                      dpsi=(0.0, 0.0)), ["psi"]),
+    "effective_momentum_series": (lambda: dict(traj=_trajectory(), period=2 * math.pi), ["period"]),
+    "hopf_pair": (lambda: dict(radius1=1.0, radius2=1.0, n_segments=64), ["radius1", "radius2"]),
+    "make_ellipse_loop": (lambda: dict(theta0=math.pi / 2, a=0.1, b=0.1, n_samples=64), ["theta0", "a", "b"]),
+    "phase_sweep": (lambda: dict(drive_template=BondDrive(**DRIVE), masses=list(MASSES), phi_values=[0.5]),
+                    ["masses[0]", "phi_values[0]"]),
+    "precession_berry_phase": (lambda: dict(d=1.0, a=0.15, omega=3.0, phi13=math.pi / 4, phi23=-math.pi / 4),
+                               ["d", "a", "omega", "phi13", "phi23"]),
+    "ramsey_echo": (lambda: dict(loop=_loop(), delta_e=2 * math.pi * 1e4, params=PlatformParams()), ["delta_e"]),
+    "reconstruct_rotation": (lambda: dict(drive=BondDrive(**DRIVE), masses=list(MASSES), t_end=2 * math.pi,
+                                          dt=2 * math.pi / 512), ["masses[0]", "t_end", "dt"]),
+    "synth_hadamard_gate": (lambda: dict(q=100.0, n_samples=64, steps=256), ["q"]),
+    "synth_phase_gate": (lambda: dict(q=100.0, n_samples=64, steps=256), ["q"]),
+    "wilson_from_rates": (lambda: dict(abelian=lambda s: 0.1, control=lambda s: 0.01, charge=1.0, n_steps=64),
+                          ["charge"]),
+}
+
+# Re-exported callables with no float argument: loops, curves, matrices, arrays, callables or enums.
+# adiabatic_window, gate_budget and leakage_estimate take a PlatformParams, and integrate_wilson,
+# holonomy_trace and dyson_trace a HolonomyLoop, which the walk refuses first.
+NO_FLOATS = {
+    "BlochField", "ControlField", "GaugePatch", "LinkData", "NumericalError", "ShapeLoop", "SpaceCurve",
+    "TrimerTrajectory", "ValidationError", "WilsonLine", "adiabatic_window", "dyson_trace", "gate_budget",
+    "gate_fidelity", "gauss_linking", "holonomy_trace", "integrate_wilson", "interaction_frame",
+    "leakage_estimate", "rotation_angle", "solid_angle", "trace_expansion_from_rates",
+}
+
+# Result records: the library builds them from the inputs it checked, and their float fields hold the
+# computed values as given (WindowReport's ratio_lower is inf at zero splitting, and RamseyResult's
+# phases are NaN without the echo), so they check nothing.
+RECORDS = {"GateSpec", "RamseyResult", "TraceExpansion", "TwoQubitGate", "WindowReport"}
+
+# (callable, argument) -> words, one of which a refusal must name, where the message names the quantity.
+NAMES = {
+    ("ShapePoint", "colatitude"): ("colatitude",),
+    ("curvature_vector", "psi"): ("control",),
+    ("effective_momentum_series", "period"): ("period",),
+    ("make_ellipse_loop", "theta0"): ("colatitude",),
+    ("make_ellipse_loop", "a"): ("semi-axes", "ellipse"),  # +inf reaches a pole
+    ("make_ellipse_loop", "b"): ("semi-axes", "b"),
+    ("phase_sweep", "phi_values[0]"): ("phase grid",),
+    ("precession_berry_phase", "phi13"): ("phi13", "circular"),  # a finite phase off pi/4 is no circle
+    ("precession_berry_phase", "phi23"): ("phi23", "circular"),
+}
+
+# (callable, argument, value) -> why the physics lets the call return although the value is hostile.
+ALLOWED = {
+    ("PlatformParams", "tau_r", math.inf): "an infinite Rydberg lifetime is no decay: p_decay is 0",
+    ("bond_lengths", "t", math.nan): "the drive formula is elementwise, as numpy is: a NaN time gives NaN bonds",
+    ("bond_lengths", "t", math.inf): "cos has no value at an infinite time, so the bonds there are NaN",
+    ("bond_lengths", "t", -math.inf): "cos has no value at an infinite time, so the bonds there are NaN",
+    ("cs_phase", "charges[0]", 0.0): "charge 0 is a triangle in |0>, which does not couple (cs_controlled_phase)",
+}
+
+
+def _with(args: dict, path: str, value) -> dict:
+    name, _, index = path.partition("[")
+    if index:
+        args[name][int(index[:-1])] = value
+    else:
+        args[name] = value
+    return args
+
+
+def _finite(out) -> bool:
+    """Every number that ``out`` holds is finite: in arrays, tuples, lists and dataclass fields."""
+    if isinstance(out, (bool, str, enum.Enum)) or out is None:
+        return True
+    if isinstance(out, (int, float, complex, np.number)):
+        return bool(np.isfinite(out))
+    if isinstance(out, np.ndarray):
+        return out.dtype.kind not in "fc" or bool(np.all(np.isfinite(out)))
+    if isinstance(out, (tuple, list)):
+        return all(_finite(x) for x in out)
+    if dataclasses.is_dataclass(out):
+        return all(_finite(getattr(out, f.name)) for f in dataclasses.fields(out))
+    return True  # fields, controls and other callables hold no numbers of their own
+
+
+def _call(name: str, path: str, value):
+    """(result or None, exception or None) of the walked call, with every warning an error."""
+    build, _ = WALK[name]
+    args = _with(build(), path, value)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return getattr(triholonomy, name)(**args), None
+        except (ValidationError, NumericalError) as exc:
+            return None, exc
+
+
+CASES = [(name, path, value) for name, (_, paths) in WALK.items() for path in paths for value in HOSTILE]
+
+
+@pytest.mark.parametrize("name, path, value", CASES, ids=[f"{n}-{p}-{v:g}" for n, p, v in CASES])
+def test_walk(name, path, value):
+    out, exc = _call(name, path, value)
+    if exc is not None:
+        words = NAMES.get((name, path), (path.partition("[")[0],))
+        assert any(re.search(rf"(?<![\w]){re.escape(w)}(?![\w])", str(exc)) for w in words), str(exc)
+        assert (name, path, value) not in ALLOWED, "an allowed case is refused"
+    elif (name, path, value) not in ALLOWED:
+        assert math.isfinite(value) and _finite(out), f"{name}({path}={value}) returned a non-finite output"
+
+
+def test_every_reexported_callable_is_walked_or_named():
+    exported = {name for name, obj in vars(triholonomy).items()
+                if callable(obj) and not name.startswith("_") and not inspect.ismodule(obj)}
+    assert exported == set(WALK) | NO_FLOATS | RECORDS
+    assert not (set(WALK) & NO_FLOATS or set(WALK) & RECORDS or NO_FLOATS & RECORDS)
+    assert {(n, p) for n, p, _ in ALLOWED} <= {(n, p) for n, p, _ in CASES}
+
+
+# Inputs the library accepted although the CLI refused them; each failed as its comment says.
+PROBES = {
+    # a RuntimeWarning, then "triangle inequality violated"
+    "reconstruct_rotation-drive-d-inf": (lambda: reconstruct_rotation(BondDrive(**dict(DRIVE, d=math.inf)),
+                                                                      MASSES, 2 * math.pi), "d"),
+    "reconstruct_rotation-drive-phi23-inf": (
+        lambda: reconstruct_rotation(BondDrive(**DRIVE, phi23=math.inf), MASSES, 2 * math.pi), "phi23"),
+    # a RuntimeWarning, then "Wilson line is not unitary to 1e-10"
+    "integrate_wilson-charge-inf": (
+        lambda: integrate_wilson(HolonomyLoop(make_ellipse_loop(math.pi / 2, 0.1, 0.1, 64), charge=math.inf)),
+        "charge"),
+    "wilson_from_rates-charge-inf": (lambda: wilson_from_rates(lambda s: 0.1, lambda s: 0.01, math.inf, 64),
+                                     "charge"),
+    # a RuntimeWarning, then "non-finite curve points"
+    "hopf_pair-radius1-inf": (lambda: hopf_pair(math.inf, 1.0, 64), "radius1"),
+    # a RuntimeWarning, then "not a circular precession"
+    "precession_berry_phase-phi13-inf": (lambda: precession_berry_phase(1.0, 0.15, 3.0, phi13=math.inf), "phi13"),
+    # accepted; reconstruct_rotation then failed with "triangle inequality violated", the wrong reason
+    "BondDrive-phi13-nan": (lambda: BondDrive(**DRIVE, phi13=math.nan), "phi13"),
+    # returned 3.1415925765848707, the value for d = 1
+    "precession_berry_phase-d-inf": (lambda: precession_berry_phase(math.inf, 0.15, 3.0), "d"),
+    # the adiabatic window passed with an infinite gap, and the per-loop leakage read 0.0
+    "adiabatic_window-e_a-inf": (lambda: adiabatic_window(PlatformParams(e_a=math.inf)), "e_a"),
+    "leakage_estimate-e_a-inf": (lambda: leakage_estimate(PlatformParams(e_a=math.inf)), "e_a"),
+}
+
+
+@pytest.mark.parametrize("probe", list(PROBES))
+def test_probe_is_refused_by_name(probe):
+    call, name = PROBES[probe]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match=rf"^{name} must be "):
+            call()
+
+
+def _declared(cls) -> dict:
+    return {f.name: f.metadata["bound"] for f in dataclasses.fields(cls)}
+
+
+def test_cli_tables_hold_the_library_bounds():
+    # the very bound objects, so no second copy of a bound can come back in the CLI
+    tables = {name: table for name, (table, _) in cli.SCENARIOS.items()}
+    drive, platform = _declared(BondDrive), _declared(PlatformParams)
+    assert {k: p.bound for k, p in tables["trimer-sim"]["drive"].kind.items()} == drive
+    assert all(p.bound is drive[k] for k, p in tables["trimer-sim"]["drive"].kind.items())
+    assert set(tables["phase-sweep"]["drive"].kind) == set(drive) - {"phi13", "phi23"}
+    assert all(p.bound is drive[k] for k, p in tables["phase-sweep"]["drive"].kind.items())
+    for scenario in ("demo-budget", "ramsey"):
+        assert set(tables[scenario]["platform"].kind) == set(platform)
+        assert all(p.bound is platform[k] for k, p in tables[scenario]["platform"].kind.items())
+    assert tables["trimer-sim"]["masses"].bound is trimer.MASSES
+    assert tables["phase-sweep"]["masses"].bound is trimer.MASSES
+    assert all(tables[s]["q"].bound is errors.POSITIVE for s in ("gate-synth", "trace-sweep", "ramsey"))
+    assert tables["linking"]["k"].bound is linking.LEVEL
+    assert all(tables["linking"]["hopf"].kind[r].bound is errors.POSITIVE for r in ("radius1", "radius2"))
+    assert not any(hasattr(cli, name) for name in ("_TURN", "_POSITIVE"))

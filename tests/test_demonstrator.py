@@ -42,8 +42,9 @@ class TestPlatformParams:
         assert gate_budget(PlatformParams(n_rep=n_rep)).p_decay > 0
 
     def test_infinite_modes_break_the_ordering(self):
-        # inf - (inf + inf) / 2 is a NaN gap, which neither the window nor the leakage estimate can use
-        with pytest.raises(ValidationError, match="mode ordering violated"):
+        # inf - (inf + inf) / 2 is a NaN gap, which neither the window nor the leakage estimate can use;
+        # the infinite energy is refused by name before the ordering is reached
+        with pytest.raises(ValidationError, match="e_a must be positive and finite, got inf"):
             PlatformParams(e_a=math.inf, e_e1=math.inf, e_e2=math.inf)
 
 

@@ -52,9 +52,22 @@ class TestEllipseLoop:
 
     def test_orientation_swap_negates_exactly(self):
         ellipse = make_ellipse_loop(math.pi / 2, 0.12, 0.2)
-        # based at azimuth 0.3, as phi0 = 0.3 built it bit for bit; based at 0 the sums differ by 6e-17
+        # based at azimuth 0.3, as phi0 = 0.3 built it bit for bit
         loop = ShapeLoop(ellipse.colatitudes, 0.3 + ellipse.azimuths)
         assert solid_angle(loop.reversed()) == -solid_angle(loop)
+
+    def test_orientation_swap_negates_exactly_at_azimuth_zero(self):
+        # np.sum's pairwise order read 0.07526211602293242 forward and -0.07526211602293248 reversed
+        loop = make_ellipse_loop(math.pi / 2, 0.12, 0.2)
+        assert solid_angle(loop.reversed()) == -solid_angle(loop)
+
+    def test_orientation_swap_negates_exactly_on_random_loops(self):
+        # the terms of the reversed loop are the forward terms negated, and fsum rounds their sum once
+        rng = np.random.default_rng(40)
+        for _ in range(300):
+            theta0, a, b = rng.uniform(0.5, math.pi - 0.5), *rng.uniform(0.0, 0.3, size=2)
+            loop = make_ellipse_loop(theta0, a, b, int(rng.integers(8, 2048)))
+            assert solid_angle(loop.reversed()) == -solid_angle(loop), (theta0, a, b)
 
     def test_large_axis_warns(self):
         with pytest.warns(UserWarning, match="small-loop"):
@@ -305,10 +318,10 @@ NAN2 = np.full((2, 2), np.nan)
     [
         (lambda: compile_cnot(2.0, 16, hadamard=NAN2), ValidationError, "unitary"),
         (lambda: gate_fidelity(NAN2, NAN2), ValidationError, "unitary"),
-        (lambda: precession_berry_phase(1.0, 0.15, 3.0, phi13=math.nan), NumericalError, "circular"),
-        (lambda: precession_berry_phase(math.nan, 0.15, 3.0), ValidationError, "0 < a < d"),
+        (lambda: precession_berry_phase(1.0, 0.15, 3.0, phi13=math.nan), ValidationError, "phi13 must be within"),
+        (lambda: precession_berry_phase(math.nan, 0.15, 3.0), ValidationError, "d must be positive and finite"),
         (lambda: make_ellipse_loop(math.pi / 2, math.nan, 0.2), ValidationError, "non-negative"),
-        (lambda: hopf_pair(math.nan, 1.0), ValidationError, "radii must be positive"),
+        (lambda: hopf_pair(math.nan, 1.0), ValidationError, "radius1 must be positive and finite"),
     ],
     ids=["compile_cnot", "gate_fidelity", "precession_berry_phase", "precession_berry_phase-nan-d",
          "make_ellipse_loop-nan-a", "hopf_pair-nan-radius"],

@@ -86,11 +86,11 @@ class TestBondDrive:
         # an infinite frequency has fastest period 0, which the time grid would blame on dt
         params = dict(d12=1.1, a12=0.2, omega12=1.0, d=1.0, a=0.15, omega=3.0)
         params[name] = math.inf
-        with pytest.raises(ValidationError, match=f"positive and finite, got {name} = inf"):
+        with pytest.raises(ValidationError, match=f"{name} must be positive and finite, got inf"):
             BondDrive(**params)
 
     def test_nan_frequency_rejected(self):
-        with pytest.raises(ValidationError, match="frequencies must be positive"):
+        with pytest.raises(ValidationError, match="omega must be positive and finite, got nan"):
             BondDrive(1.1, 0.2, 1.0, 1.0, 0.15, math.nan)
 
     def test_overflowing_ratio_rejected(self):
@@ -660,7 +660,7 @@ class TestPrecessionPhase:
         # omega = inf once raised two RuntimeWarnings, then "not a circular precession"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValidationError, match="positive finite frequency omega"):
+            with pytest.raises(ValidationError, match="omega must be positive and finite"):
                 precession_berry_phase(1.0, 0.15, omega)
 
 
