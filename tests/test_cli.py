@@ -1270,7 +1270,9 @@ def write_csv_per_value(path, header, columns):
             fh.write(",".join(format(float(col[i]), ".17g") for col in columns) + "\n")
 
 
-@pytest.mark.parametrize("rows", [0, 1, _CSV_BLOCK_ROWS, 2 * _CSV_BLOCK_ROWS + 3])
+# 1024 and 2051 rows were one block and two blocks plus 3 at the former 1024-row block size; they stay as
+# partial-block cases
+@pytest.mark.parametrize("rows", [0, 1, 1024, 2051, _CSV_BLOCK_ROWS, 2 * _CSV_BLOCK_ROWS + 3])
 def test_write_csv_matches_per_value_format(tmp_path, rows):
     specials = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e300, -1e-300, 0.1])
     rng = np.random.default_rng(rows)
@@ -1399,8 +1401,8 @@ def test_format_g17_matches_percent_on_edge_values():
 
 @pytest.mark.parametrize(
     "rows, cols",
-    [(0, 6), (1, 6), (_CSV_FAST_MIN_CELLS - 1, 1), (_CSV_FAST_MIN_CELLS, 1), (_CSV_BLOCK_ROWS, 6),
-     (_CSV_BLOCK_ROWS + 1, 6)],
+    [(0, 6), (1, 6), (_CSV_FAST_MIN_CELLS - 1, 1), (_CSV_FAST_MIN_CELLS, 1), (1024, 6), (1025, 6),
+     (_CSV_BLOCK_ROWS, 6), (_CSV_BLOCK_ROWS + 1, 6)],
 )
 def test_format_g17_matches_percent_on_block_shapes(rows, cols):
     rng = np.random.default_rng(rows)
