@@ -59,6 +59,7 @@ import numpy as np
 from . import __version__
 from .connection import eigenframe_rate_samples
 from .demonstrator import (
+    SCANS,
     PlatformParams,
     WindowReport,
     adiabatic_window,
@@ -66,14 +67,16 @@ from .demonstrator import (
     leakage_estimate,
     ramsey_echo,
 )
-from .errors import MAX_SAMPLES, POSITIVE, NumericalError, ValidationError
+from .errors import MAX_SAMPLES, POSITIVE, NumericalError, ValidationError, count
 from .gates import (
+    SAMPLES,
     gate_fidelity,
     make_ellipse_loop,
     synth_hadamard_gate,
     synth_phase_gate,
 )
 from .holonomy import (  # integrate_wilson: perfbench/test_perfbench.py reads cli's binding
+    STEPS,
     HolonomyLoop,
     TraceExpansion,
     integrate_wilson,
@@ -81,7 +84,7 @@ from .holonomy import (  # integrate_wilson: perfbench/test_perfbench.py reads c
     trace_expansion_from_rates,
     wilson_from_samples,
 )
-from .linking import LEVEL, LinkData, SpaceCurve, cs_phase, gauss_linking, hopf_pair
+from .linking import LEVEL, SEGMENTS, LinkData, SpaceCurve, cs_phase, gauss_linking, hopf_pair
 from .trimer import (MASSES, BondDrive, _sweep_grid, _tiled, bond_lengths, effective_momentum_series, phase_sweep,
                      reconstruct_rotation)
 
@@ -316,9 +319,8 @@ class _Param(NamedTuple):
 
 
 _NON_NEGATIVE = (lambda v: v >= 0, "non-negative")
-_COUNT = (lambda v: 0 < v <= MAX_SAMPLES, f"positive and at most {MAX_SAMPLES}")
+_COUNT = count(1)  # the counts that no library call checks: periods, steps per period and phases
 _NON_EMPTY = (lambda v: len(v) > 0, "a non-empty array")
-_MAX_REPETITIONS = 2**22  # a pi/2 gate's matrix_power drifts from unitary by < 6e-10 here, 1.2e-9 at 2**23
 
 
 def _table_of(cls) -> dict:
@@ -388,14 +390,12 @@ def load_config(path: str) -> dict:
 
 
 def _gate_synth(p: dict, base_dir: str, seed: int) -> tuple[list[str], dict]:
-    """The pi/2 gate of at most ``_MAX_REPETITIONS`` loops, or the Hadamard gate steered on its one loop."""
+    """The pi/2 gate of at most ``gates.REPETITIONS`` loops, or the Hadamard gate steered on its one loop."""
     if p["target"] == "hadamard":
         spec = synth_hadamard_gate(p["q"], n_samples=p["samples"], steps=p["steps"])
         realised = spec.transverse.matrix
     else:
         spec = synth_phase_gate(p["q"], n_samples=p["samples"], steps=p["steps"])
-        if spec.repetitions > _MAX_REPETITIONS:
-            raise ValidationError(f"{spec.repetitions:.10g} loop repetitions exceed {_MAX_REPETITIONS}; raise q")
         realised = spec.integrate()
     return [], {"gate.json": {
         "target": p["target"],
@@ -578,7 +578,7 @@ _PLATFORM = _table_of(PlatformParams)
 _HOPF = {
     "radius1": _Param(float, 1.0, POSITIVE),
     "radius2": _Param(float, 1.0, POSITIVE),
-    "segments": _Param(int, 512, _COUNT),
+    "segments": _Param(int, 512, SEGMENTS),
 }
 _MASSES = _Param([float], [2.1, 2.1, 4.7], MASSES)
 
@@ -589,8 +589,8 @@ SCENARIOS = {
     "gate-synth": ({
         "q": _Param(float, bound=POSITIVE),
         "target": _Param(str, "pi2", (lambda v: v in ("pi2", "hadamard"), "'pi2' or 'hadamard'")),
-        "samples": _Param(int, 1024, _COUNT),
-        "steps": _Param(int, 4096, _COUNT),
+        "samples": _Param(int, 1024, SAMPLES),
+        "steps": _Param(int, 4096, STEPS),
     }, _gate_synth),
     "trace-sweep": ({
         "q": _Param(float, 2.0, POSITIVE),
@@ -598,8 +598,8 @@ SCENARIOS = {
         "a": _Param(float, 0.2),
         "b": _Param(float, 0.2),
         "psi_values": _Param([float], [0.025, 0.05, 0.1], _NON_EMPTY),
-        "steps": _Param(int, 8192, _COUNT),
-        "samples": _Param(int, 1024, _COUNT),
+        "steps": _Param(int, 8192, STEPS),
+        "samples": _Param(int, 1024, SAMPLES),
         # a positive count runs the seeded gauge check
         "gauge_rotations": _Param(int, 0, _NON_NEGATIVE),
     }, _trace_sweep),
@@ -629,9 +629,9 @@ SCENARIOS = {
         "platform": _Param(_PLATFORM, {}),
         "q": _Param(float, bound=POSITIVE),
         "echo": _Param(bool, True),
-        "scan_count": _Param(int, 8, _COUNT),
-        "samples": _Param(int, 1024, _COUNT),
-        "steps": _Param(int, 4096, _COUNT),
+        "scan_count": _Param(int, 8, SCANS),
+        "samples": _Param(int, 1024, SAMPLES),
+        "steps": _Param(int, 4096, STEPS),
     }, _ramsey),
 }
 

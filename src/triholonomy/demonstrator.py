@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import POSITIVE, NumericalError, ValidationError, bounded, check_fields
+from .errors import POSITIVE, NumericalError, ValidationError, bounded, check, check_fields, count
 from .holonomy import HolonomyLoop, integrate_wilson
 
 __all__ = [
@@ -34,6 +34,7 @@ __all__ = [
 _PREP_PHASES = (0.0, math.pi / 2)  # azimuths of the Ramsey readout's two pi/2 preparation pulses
 _WINDOW_FACTOR = 10.0  # the margin that "<<" asks of both adiabatic-window ratios
 _PROBABILITY = (lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
+SCANS = count(3)  # ramsey_echo's scan phases, three for the fringe harmonic; the CLI's ramsey table reads it
 
 
 @dataclass(frozen=True)
@@ -51,9 +52,7 @@ class PlatformParams:
     e_e2: float = bounded(POSITIVE, 2 * math.pi * (5.0e6 + 5.0e3))  # upper doublet mode
     t_loop: float = bounded(POSITIVE, 1.0e-6)  # single-loop duration (s)
     tau_r: float = bounded((lambda v: v > 0.0, "positive"), 50.0e-6)  # Rydberg lifetime (s)
-    # loop repetitions per gate; a float, NaN included, fails, and so does True, an int
-    n_rep: int = bounded((lambda v: not isinstance(v, bool) and isinstance(v, (int, np.integer)) and v >= 1,
-                          "an int of at least 1"), 10)
+    n_rep: int = bounded(count(1, math.inf), 10)  # loop repetitions per gate
 
     def __post_init__(self):
         check_fields(self)
@@ -211,8 +210,7 @@ def ramsey_echo(
     """
     if not math.isfinite(delta_e):
         raise ValidationError(f"delta_e must be finite, got {delta_e!r}")
-    if scan_count < 3:
-        raise ValidationError("need at least 3 scan phases to extract the fringe harmonic")
+    check("scan_count", scan_count, SCANS)
     w = integrate_wilson(loop).matrix
     w_rev = w.conj().T
     swap = np.array([[0, 1], [1, 0]], dtype=complex)

@@ -1,4 +1,4 @@
-"""Exception types, the sample budget and the one bound check shared across the package."""
+"""Exception types, the sample budget, the count bound and the one bound check shared across the package."""
 
 import math
 import numbers
@@ -28,6 +28,12 @@ def check(name: str, value, bound: tuple):
 def bounded(bound: tuple, default=MISSING):
     """A dataclass field that declares ``bound``; :func:`check_fields` enforces it and the CLI tables read it."""
     return field(default=default, metadata={"bound": bound})
+
+
+def count(low: int, high: float = MAX_SAMPLES) -> tuple:
+    """A (test, phrase) bound: an int or numpy integer in [low, high]; a bool, a float and NaN fail."""
+    phrase = f"an int in [{low}, {high}]" if high < math.inf else f"an int of at least {low}"
+    return (lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool) and low <= v <= high), phrase
 
 
 def check_fields(obj) -> None:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .connection import BlochField, ControlField
-from .errors import POSITIVE, NumericalError, ValidationError, check
+from .errors import POSITIVE, NumericalError, ValidationError, bounded, check, check_fields, count
 from .holonomy import (
     HolonomyLoop,
     WilsonLine,
@@ -66,6 +66,9 @@ CANONICAL_CNOT = np.array(
 
 _SMALL_LOOP_WARN = 0.3
 _CALIBRATION_TOL = 1e-6
+_MAX_REPETITIONS = 2**22  # a pi/2 gate's matrix_power drifts from unitary by < 6e-10 here, 1.2e-9 at 2**23
+SAMPLES = count(8)  # loop samples of make_ellipse_loop, which the CLI tables read
+REPETITIONS = count(1, _MAX_REPETITIONS)  # loops of a gate: GateSpec, synth_phase_gate's n_rep and its q count
 
 
 @dataclass(frozen=True)
@@ -74,7 +77,7 @@ class GateSpec:
 
     target: np.ndarray
     loop: HolonomyLoop
-    repetitions: int
+    repetitions: int = bounded(REPETITIONS)
     residual_abelian: np.ndarray
     calibrated_control: float = 0.0  # |psi| after calibration (0 for pure phase gates)
     transverse: WilsonLine | None = None  # steered gates: V(2 pi) at the calibrated |psi|
@@ -83,8 +86,7 @@ class GateSpec:
         t = np.asarray(self.target, dtype=complex)
         if not np.linalg.norm(t.conj().T @ t - np.eye(t.shape[0])) <= 1e-12:
             raise ValidationError("gate target must be unitary to 1e-12")
-        if self.repetitions < 1:
-            raise ValidationError("repetitions must be at least 1")
+        check_fields(self)
         r = np.asarray(self.residual_abelian, dtype=complex)
         if not (np.linalg.norm(r.conj().T @ r - np.eye(2)) <= 1e-10
                 and abs(r[0, 1]) + abs(r[1, 0]) <= 1e-10):
@@ -123,10 +125,11 @@ class TwoQubitGate:
 def make_ellipse_loop(theta0: float, a: float, b: float, n_samples: int = 1024) -> ShapeLoop:
     """Small elliptical loop theta = theta0 + a cos s, phi = (b/sin theta0) sin s.
 
-    Refuses loops that reach within 1e-6 of a pole or swing pi or more either
-    way in azimuth, and a semi-axis a that rounding at theta0 resolves to worse
+    Refuses ``n_samples`` outside ``SAMPLES``, loops that reach within 1e-6 of a pole or swing pi
+    or more either way in azimuth, and a semi-axis a that rounding at theta0 resolves to worse
     than 1e-6 of it; warns for a kept loop whose semi-axes exceed 0.3 (small loops).
     """
+    check("n_samples", n_samples, SAMPLES)
     if not 0.0 < theta0 < math.pi:
         raise ValidationError("base colatitude must lie strictly between the poles")
     if math.sin(theta0) <= 1e-6:
@@ -156,14 +159,15 @@ def make_ellipse_loop(theta0: float, a: float, b: float, n_samples: int = 1024) 
 
 def _phase_gate_reps(q: float, n_rep: int | None) -> int:
     if n_rep is not None:
-        if n_rep < 1:
-            raise ValidationError("repetitions must be at least 1")
-        return int(n_rep)
+        return check("n_rep", n_rep, REPETITIONS)
     # Smallest repetition count keeping the per-loop semi-axis in the small-loop regime.
     try:
-        return max(1, math.ceil(1.0 / (q * _SMALL_LOOP_WARN**2)))
+        reps = max(1, math.ceil(1.0 / (q * _SMALL_LOOP_WARN**2)))
     except (OverflowError, ZeroDivisionError):
         raise ValidationError(f"coupling weight q = {q:.3g} overflows the repetition count") from None
+    if reps > _MAX_REPETITIONS:
+        raise ValidationError(f"{reps:.10g} loop repetitions exceed {_MAX_REPETITIONS}; raise q")
+    return reps
 
 
 def synth_phase_gate(
@@ -176,7 +180,8 @@ def synth_phase_gate(
     full pi/2 diagonal rotation.  The construction is leading-order in the
     loop size, with tolerance budget O(area^2) from the small-loop expansion
     plus O(ds^2) from integration.  The gate is itself diagonal, so the
-    residual abelian factor is the identity.
+    residual abelian factor is the identity.  n_rep, given or the least that q
+    allows in the small-loop regime, must be in ``REPETITIONS``.
     """
     check("coupling weight q", q, POSITIVE)
     reps = _phase_gate_reps(q, n_rep)
@@ -246,7 +251,7 @@ def synth_hadamard_gate(q: float, n_samples: int = 1024, steps: int = 4096) -> G
         NumericalError: if the transported rotation angle misses pi/2 by more
             than 1e-6 (or is not finite).
     """
-    shape = synth_phase_gate(q, 1, n_samples=n_samples).loop.shape  # checks q first
+    shape = synth_phase_gate(q, 1, n_samples, steps).loop.shape  # checks q, n_samples and steps first
     # eta(s) = q * integral_0^s A, interpolated between its grid-node values.
     s_mid, ds = midpoint_grid(steps)
     eta_ends, eta_mid = cumulative_midpoint(HolonomyLoop(shape, steps=steps).sample(s_mid).a, ds, q)

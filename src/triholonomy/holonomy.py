@@ -47,7 +47,7 @@ from .connection import (
     connection_vectors,
     eigenframe_rate_samples,
 )
-from .errors import POSITIVE, NumericalError, ValidationError, bounded, check, check_fields
+from .errors import POSITIVE, NumericalError, ValidationError, bounded, check, check_fields, count
 from .shapespace import ShapeLoop
 
 __all__ = [
@@ -64,6 +64,8 @@ __all__ = [
     "trace_expansion_from_rates",
     "rotation_angle",
 ]
+
+STEPS = count(8)  # midpoint steps of a transport, which HolonomyLoop, wilson_from_rates and the CLI tables read
 
 
 @dataclass(frozen=True)
@@ -93,19 +95,16 @@ class WilsonLine:
 
 @dataclass(frozen=True)
 class HolonomyLoop:
-    """A shape loop equipped with gauge data and integration resolution; ``charge`` declares its bound."""
+    """A shape loop with gauge data and integration resolution; ``charge`` and ``steps`` declare their bounds."""
 
     shape: ShapeLoop
     bloch: BlochField = field(default_factory=BlochField.pinned)
     control: ControlField = field(default_factory=ControlField.zero)
     charge: float = bounded(POSITIVE, 1.0)
-    steps: int = 1024
+    steps: int = bounded(STEPS, 1024)
     patch: GaugePatch = GaugePatch.NORTH
 
     def __post_init__(self):
-        steps = self.steps
-        if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)) or steps < 8:
-            raise ValidationError(f"holonomy integration needs an integer of at least 8 steps, got {steps!r}")
         check_fields(self)
 
     def with_steps(self, steps: int) -> "HolonomyLoop":
@@ -282,9 +281,10 @@ def wilson_from_rates(abelian, control, charge: float, n_steps: int = 4096) -> W
     to the complex transverse coefficient psi(s).  Both are scalar callables,
     evaluated once per midpoint sample.  This is the entry point for
     gauge-rotation experiments, where (A, psi) are manipulated as data
-    rather than derived from loop geometry.  ``charge`` is checked before either is called.
+    rather than derived from loop geometry.  ``charge`` and ``n_steps`` are checked before either is called.
     """
     check("charge", charge, POSITIVE)
+    check("n_steps", n_steps, STEPS)
     s_mid, _ = midpoint_grid(n_steps)
     a = np.vectorize(abelian, otypes=[float])(s_mid)
     psi = np.vectorize(control, otypes=[complex])(s_mid)

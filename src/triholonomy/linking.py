@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import POSITIVE, NumericalError, ValidationError, check
+from .errors import POSITIVE, NumericalError, ValidationError, check, count
 
 __all__ = ["SpaceCurve", "LinkData", "gauss_linking", "hopf_pair", "cs_phase"]
 
@@ -36,7 +36,8 @@ _CHUNK = 32  # boxes per run in the first level of ``_overlapping``
 _VIEWS = ((0.3141, 0.5927, 0.7419), (-0.6691, 0.2236, 0.7071))  # generic, fixed
 _ROUNDOFF = 1e-9  # of the larger diameter
 _MAX_PHASE = 2.0**20  # rad; a few ulps of a larger cs_phase exceed 1e-9 rad
-LEVEL = (lambda k: isinstance(k, (int, np.integer)) and k >= 1, "a positive integer")  # the CLI's k reads it
+LEVEL = count(1, 2**63 - 1)  # cs_phase's k, an int64 as the CLI's ints are; the CLI's k reads it
+SEGMENTS = count(16)  # segments of a SpaceCurve and hopf_pair; the CLI's hopf segments read it
 
 
 def _frame(view) -> np.ndarray:
@@ -54,7 +55,7 @@ _FRAMES = tuple(_frame(view) for view in _VIEWS)
 class SpaceCurve:
     """Closed polygonal space curve.
 
-    ``points`` holds at least 17 samples (16 segments) with the last sample
+    ``points`` holds a count of segments in ``SEGMENTS`` (17 samples at least) with the last sample
     closing onto the first to within 1e-10 of the curve diameter, and a
     finite centroid and segment midpoints.  Built once
     and read-only: ``rows`` and ``midrows``, the points and segment midpoints
@@ -68,8 +69,7 @@ class SpaceCurve:
         pts = np.array(self.points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 3:
             raise ValidationError("curve points must have shape (n, 3)")
-        if pts.shape[0] < 17:
-            raise ValidationError("a closed curve needs at least 16 segments (17 samples)")
+        check("curve segments", pts.shape[0] - 1, SEGMENTS)
         rows = pts.T.copy()
         if not np.all(np.isfinite(rows)):
             raise ValidationError("non-finite curve points")
@@ -287,8 +287,7 @@ def hopf_pair(radius1: float = 1.0, radius2: float = 1.0, n_segments: int = 512)
     check("radius2", radius2, POSITIVE)
     if not radius2 < 2 * radius1:
         raise ValidationError("hopf radius2 must be below 2 * radius1 for the circles to link")
-    if n_segments < 16:
-        raise ValidationError("a closed curve needs at least 16 segments (17 samples)")
+    check("n_segments", n_segments, SEGMENTS)
     t = np.linspace(0.0, 2 * math.pi, n_segments + 1)
     cos, sin, zero = np.cos(t), np.sin(t), np.zeros_like(t)
     pts1 = np.stack([radius1 * cos, radius1 * sin, zero], axis=1)

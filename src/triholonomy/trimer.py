@@ -24,7 +24,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .connection import monopole_potential
-from .errors import MAX_SAMPLES, POSITIVE, NumericalError, ValidationError, bounded, check, check_fields
+from .errors import MAX_SAMPLES, POSITIVE, NumericalError, ValidationError, bounded, check, check_fields, count
 from .holonomy import midpoint_grid
 from .shapespace import _check_loop_samples, shape_angles
 
@@ -97,8 +97,7 @@ class BondDrive:
         fastest = self.fastest_period
         dt = fastest / 512.0 if dt is None else dt
         for name, value in (("t_end", t_end), ("dt", dt)):
-            if not 0.0 < value < math.inf:  # NaN fails too
-                raise ValidationError(f"{name} must be positive and finite, got {value:.6g}")
+            check(name, value, POSITIVE)
         if dt > fastest / 64.0 + 1e-15:
             raise ValidationError("time step too coarse: need >= 64 steps per fastest period")
         steps = t_end / dt
@@ -186,9 +185,7 @@ class TrimerTrajectory:
         for name in ("times", "masses", "x", "y", "theta"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
             getattr(self, name).setflags(write=False)
-        n_p = self.period_steps
-        if type(n_p) is not int or not 1 <= n_p <= self.times.size:
-            raise ValidationError(f"period_steps must be an int in [1, {self.times.size}], got {n_p!r}")
+        check("period_steps", self.period_steps, count(1, self.times.size))
 
     @property
     def dt(self) -> float:
@@ -373,8 +370,7 @@ def effective_momentum_series(traj: TrimerTrajectory, period: float) -> tuple[np
     Raises ValidationError for a bad period or an open window loop, and
     NumericalError for a non-finite window phase.
     """
-    if not 0.0 < period < math.inf:
-        raise ValidationError(f"window period must be a positive finite number, got {period!r}")
+    check("period", period, POSITIVE)
     dt = traj.dt
     n_window = int(round(period / dt))
     if abs(n_window * dt - period) > 1e-9 * period:

@@ -3,9 +3,10 @@
 ``test_walk`` calls every callable that ``triholonomy`` re-exports from a table of valid arguments
 (``WALK``) and sets each float argument in turn to NaN, +inf, -inf, 0 and -1, with warnings as errors.
 A case passes on a ValidationError or NumericalError whose message names the argument (or the quantity
-``NAMES`` lists for it), or on finite outputs.  The cases the physics allows to return otherwise are
-``ALLOWED``, each with its reason.  ``PROBES`` are the inputs the library once accepted although the CLI
-refused them: each failed late, for the wrong reason, or returned a number.
+``NAMES`` lists for it), or on finite outputs.  ``test_walk_ints`` sets each int argument in turn to NaN,
++inf, -inf, 0, -1, 2.5, True and 2**63; a case passes only on such a refusal.  The cases the physics
+allows to return otherwise are ``ALLOWED``, each with its reason.  ``PROBES`` are the inputs the library
+once accepted although the CLI refused them: each failed late, for the wrong reason, or returned a number.
 """
 
 import dataclasses
@@ -26,20 +27,24 @@ from triholonomy import (
     PlatformParams,
     ShapePoint,
     adiabatic_window,
+    cs_phase,
     hopf_pair,
     integrate_wilson,
     leakage_estimate,
     make_ellipse_loop,
     precession_berry_phase,
+    ramsey_echo,
     reconstruct_rotation,
+    synth_hadamard_gate,
     synth_phase_gate,
     wilson_from_rates,
 )
-from triholonomy import cli, errors, linking, trimer
+from triholonomy import cli, demonstrator, errors, gates, holonomy, linking, trimer
 from triholonomy.connection import BlochField
 from triholonomy.errors import NumericalError, ValidationError
 
 HOSTILE = [math.nan, math.inf, -math.inf, 0.0, -1.0]
+HOSTILE_INTS = [math.nan, math.inf, -math.inf, 0, -1, 2.5, True, 2**63]
 DRIVE = dict(d12=1.1, a12=0.2, omega12=1.0, d=1.0, a=0.15, omega=3.0)
 MASSES = [2.1, 2.1, 4.7]
 
@@ -48,56 +53,67 @@ def _loop():
     return synth_phase_gate(100.0, n_samples=64, steps=256).loop
 
 
+def _pi2_loop():
+    return synth_phase_gate(100.0).loop
+
+
 def _trajectory():
     return reconstruct_rotation(BondDrive(**DRIVE), MASSES, 3 * 2 * math.pi, 2 * math.pi / 256)
 
 
-# Re-exported callable -> (valid arguments, as a function that builds them; the float arguments walked).
-# "name[0]" walks the first entry of a list argument.
+# Re-exported callable -> (valid arguments, as a function that builds them; the float arguments walked;
+# the int arguments walked).  "name[0]" walks the first entry of a list argument.
 WALK = {
-    "BondDrive": (lambda: dict(DRIVE, phi13=0.3, phi23=-0.3), [*DRIVE, "phi13", "phi23"]),
+    "BondDrive": (lambda: dict(DRIVE, phi13=0.3, phi23=-0.3), [*DRIVE, "phi13", "phi23"], []),
     "ErrorBudget": (lambda: dict(p_leak=0.01, p_decay=0.02, phase_drift=0.1, total_infidelity_estimate=0.03),
-                    ["p_leak", "p_decay", "phase_drift", "total_infidelity_estimate"]),
+                    ["p_leak", "p_decay", "phase_drift", "total_infidelity_estimate"], []),
+    "GateSpec": (lambda: dict(target=gates.PHASE_GATE_TARGET, loop=_loop(), repetitions=4,
+                              residual_abelian=np.eye(2)), [], ["repetitions"]),  # its floats are computed values
     "HolonomyLoop": (lambda: dict(shape=make_ellipse_loop(math.pi / 2, 0.1, 0.1, 64), charge=2.0, steps=256),
-                     ["charge"]),
-    "PlatformParams": (dict, ["e_a", "e_e1", "e_e2", "t_loop", "tau_r"]),
-    "ShapePoint": (lambda: dict(colatitude=1.0, azimuth=0.5), ["colatitude", "azimuth"]),
-    "bond_lengths": (lambda: dict(t=0.5, drive=BondDrive(**DRIVE)), ["t"]),
-    "compile_cnot": (lambda: dict(q=1.0, k=4), ["q"]),
-    "cs_controlled_phase": (lambda: dict(q=1.0, k=4), ["q"]),
-    "cs_phase": (lambda: dict(charges=[1.0, 1.0], link=LinkData.pair(1), k=4), ["charges[0]"]),
+                     ["charge"], ["steps"]),
+    "PlatformParams": (dict, ["e_a", "e_e1", "e_e2", "t_loop", "tau_r"], ["n_rep"]),
+    "ShapePoint": (lambda: dict(colatitude=1.0, azimuth=0.5), ["colatitude", "azimuth"], []),
+    "TrimerTrajectory": (lambda: dataclasses.asdict(_trajectory()), [], ["period_steps"]),
+    "bond_lengths": (lambda: dict(t=0.5, drive=BondDrive(**DRIVE)), ["t"], []),
+    "compile_cnot": (lambda: dict(q=1.0, k=4), ["q"], ["k"]),
+    "cs_controlled_phase": (lambda: dict(q=1.0, k=4), ["q"], ["k"]),
+    "cs_phase": (lambda: dict(charges=[1.0, 1.0], link=LinkData.pair(1), k=4), ["charges[0]"], ["k"]),
     "curvature_vector": (lambda: dict(point=ShapePoint(1.2, 0.8), field=BlochField.pinned(), psi=0.1,
-                                      dpsi=(0.0, 0.0)), ["psi"]),
-    "effective_momentum_series": (lambda: dict(traj=_trajectory(), period=2 * math.pi), ["period"]),
-    "hopf_pair": (lambda: dict(radius1=1.0, radius2=1.0, n_segments=64), ["radius1", "radius2"]),
-    "make_ellipse_loop": (lambda: dict(theta0=math.pi / 2, a=0.1, b=0.1, n_samples=64), ["theta0", "a", "b"]),
+                                      dpsi=(0.0, 0.0)), ["psi"], []),
+    "dyson_trace": (lambda: dict(loop=_loop(), order=2), [], ["order"]),
+    "effective_momentum_series": (lambda: dict(traj=_trajectory(), period=2 * math.pi), ["period"], []),
+    "hopf_pair": (lambda: dict(radius1=1.0, radius2=1.0, n_segments=64), ["radius1", "radius2"], ["n_segments"]),
+    "make_ellipse_loop": (lambda: dict(theta0=math.pi / 2, a=0.1, b=0.1, n_samples=64), ["theta0", "a", "b"],
+                          ["n_samples"]),
     "phase_sweep": (lambda: dict(drive_template=BondDrive(**DRIVE), masses=list(MASSES), phi_values=[0.5]),
-                    ["masses[0]", "phi_values[0]"]),
+                    ["masses[0]", "phi_values[0]"], ["periods"]),
     "precession_berry_phase": (lambda: dict(d=1.0, a=0.15, omega=3.0, phi13=math.pi / 4, phi23=-math.pi / 4),
-                               ["d", "a", "omega", "phi13", "phi23"]),
-    "ramsey_echo": (lambda: dict(loop=_loop(), delta_e=2 * math.pi * 1e4, params=PlatformParams()), ["delta_e"]),
+                               ["d", "a", "omega", "phi13", "phi23"], []),
+    "ramsey_echo": (lambda: dict(loop=_loop(), delta_e=2 * math.pi * 1e4, params=PlatformParams()), ["delta_e"],
+                    ["scan_count"]),
     "reconstruct_rotation": (lambda: dict(drive=BondDrive(**DRIVE), masses=list(MASSES), t_end=2 * math.pi,
-                                          dt=2 * math.pi / 512), ["masses[0]", "t_end", "dt"]),
-    "synth_hadamard_gate": (lambda: dict(q=100.0, n_samples=64, steps=256), ["q"]),
-    "synth_phase_gate": (lambda: dict(q=100.0, n_samples=64, steps=256), ["q"]),
+                                          dt=2 * math.pi / 512), ["masses[0]", "t_end", "dt"], []),
+    "synth_hadamard_gate": (lambda: dict(q=100.0, n_samples=64, steps=256), ["q"], ["n_samples", "steps"]),
+    "synth_phase_gate": (lambda: dict(q=100.0, n_samples=64, steps=256), ["q"], ["n_rep", "n_samples", "steps"]),
+    "trace_expansion_from_rates": (lambda: dict(c=np.full(64, 0.1), j=np.full(64, 0.01j), order=2), [], ["order"]),
     "wilson_from_rates": (lambda: dict(abelian=lambda s: 0.1, control=lambda s: 0.01, charge=1.0, n_steps=64),
-                          ["charge"]),
+                          ["charge"], ["n_steps"]),
 }
 
-# Re-exported callables with no float argument: loops, curves, matrices, arrays, callables or enums.
-# adiabatic_window, gate_budget and leakage_estimate take a PlatformParams, and integrate_wilson,
-# holonomy_trace and dyson_trace a HolonomyLoop, which the walk refuses first.
-NO_FLOATS = {
+# Re-exported callables with no float or int argument: loops, curves, matrices, arrays, callables or enums.
+# adiabatic_window, gate_budget and leakage_estimate take a PlatformParams, and integrate_wilson and
+# holonomy_trace a HolonomyLoop, which the walk refuses first.
+NOT_WALKED = {
     "BlochField", "ControlField", "GaugePatch", "LinkData", "NumericalError", "ShapeLoop", "SpaceCurve",
-    "TrimerTrajectory", "ValidationError", "WilsonLine", "adiabatic_window", "dyson_trace", "gate_budget",
-    "gate_fidelity", "gauss_linking", "holonomy_trace", "integrate_wilson", "interaction_frame",
-    "leakage_estimate", "rotation_angle", "solid_angle", "trace_expansion_from_rates",
+    "ValidationError", "WilsonLine", "adiabatic_window", "gate_budget", "gate_fidelity", "gauss_linking",
+    "holonomy_trace", "integrate_wilson", "interaction_frame", "leakage_estimate", "rotation_angle",
+    "solid_angle",
 }
 
-# Result records: the library builds them from the inputs it checked, and their float fields hold the
-# computed values as given (WindowReport's ratio_lower is inf at zero splitting, and RamseyResult's
-# phases are NaN without the echo), so they check nothing.
-RECORDS = {"GateSpec", "RamseyResult", "TraceExpansion", "TwoQubitGate", "WindowReport"}
+# Result records: the library builds them from the inputs it checked, and their fields hold the computed
+# values as given (WindowReport's ratio_lower is inf at zero splitting, and RamseyResult's phases are NaN
+# without the echo), so they check nothing.
+RECORDS = {"RamseyResult", "TraceExpansion", "TwoQubitGate", "WindowReport"}
 
 # (callable, argument) -> words, one of which a refusal must name, where the message names the quantity.
 NAMES = {
@@ -119,6 +135,9 @@ ALLOWED = {
     ("bond_lengths", "t", math.inf): "cos has no value at an infinite time, so the bonds there are NaN",
     ("bond_lengths", "t", -math.inf): "cos has no value at an infinite time, so the bonds there are NaN",
     ("cs_phase", "charges[0]", 0.0): "charge 0 is a triangle in |0>, which does not couple (cs_controlled_phase)",
+    ("PlatformParams", "n_rep", 2**63): "n_rep has no upper end, and the budget of that many loops is finite",
+    **{("phase_sweep", "periods", value): "periods reaches no output: the rate of one period is the mean over any"
+       for value in HOSTILE_INTS},
 }
 
 
@@ -148,7 +167,7 @@ def _finite(out) -> bool:
 
 def _call(name: str, path: str, value):
     """(result or None, exception or None) of the walked call, with every warning an error."""
-    build, _ = WALK[name]
+    build = WALK[name][0]
     args = _with(build(), path, value)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -158,26 +177,51 @@ def _call(name: str, path: str, value):
             return None, exc
 
 
-CASES = [(name, path, value) for name, (_, paths) in WALK.items() for path in paths for value in HOSTILE]
+def _refused_by_name(name: str, path: str, value, exc: Exception) -> None:
+    words = NAMES.get((name, path), (path.partition("[")[0],))
+    assert any(re.search(rf"(?<![\w]){re.escape(w)}(?![\w])", str(exc)) for w in words), str(exc)
+    assert (name, path, value) not in ALLOWED, "an allowed case is refused"
+
+
+CASES = [(name, path, value) for name, (_, paths, _) in WALK.items() for path in paths for value in HOSTILE]
+INT_CASES = [(name, path, value) for name, (*_, paths) in WALK.items() for path in paths for value in HOSTILE_INTS]
 
 
 @pytest.mark.parametrize("name, path, value", CASES, ids=[f"{n}-{p}-{v:g}" for n, p, v in CASES])
 def test_walk(name, path, value):
     out, exc = _call(name, path, value)
     if exc is not None:
-        words = NAMES.get((name, path), (path.partition("[")[0],))
-        assert any(re.search(rf"(?<![\w]){re.escape(w)}(?![\w])", str(exc)) for w in words), str(exc)
-        assert (name, path, value) not in ALLOWED, "an allowed case is refused"
+        _refused_by_name(name, path, value, exc)
     elif (name, path, value) not in ALLOWED:
         assert math.isfinite(value) and _finite(out), f"{name}({path}={value}) returned a non-finite output"
+
+
+@pytest.mark.parametrize("name, path, value", INT_CASES, ids=[f"{n}-{p}-{v!r}" for n, p, v in INT_CASES])
+def test_walk_ints(name, path, value):
+    # a count that is not a whole number in its bound must be refused: 2.5 loops or scans once ran
+    out, exc = _call(name, path, value)
+    if exc is not None:
+        _refused_by_name(name, path, value, exc)
+    else:
+        assert (name, path, value) in ALLOWED, f"{name}({path}={value!r}) returned"
+        assert _finite(out), f"{name}({path}={value!r}) returned a non-finite output"
 
 
 def test_every_reexported_callable_is_walked_or_named():
     exported = {name for name, obj in vars(triholonomy).items()
                 if callable(obj) and not name.startswith("_") and not inspect.ismodule(obj)}
-    assert exported == set(WALK) | NO_FLOATS | RECORDS
-    assert not (set(WALK) & NO_FLOATS or set(WALK) & RECORDS or NO_FLOATS & RECORDS)
-    assert {(n, p) for n, p, _ in ALLOWED} <= {(n, p) for n, p, _ in CASES}
+    assert exported == set(WALK) | NOT_WALKED | RECORDS
+    assert not (set(WALK) & NOT_WALKED or set(WALK) & RECORDS or NOT_WALKED & RECORDS)
+    assert all(floats or ints for _, floats, ints in WALK.values())
+    assert {(n, p) for n, p, _ in ALLOWED} <= {(n, p) for n, p, _ in CASES + INT_CASES}
+
+
+def test_count_bound():
+    steps, loops = errors.count(8), errors.count(1, math.inf)
+    assert (steps[1], loops[1]) == ("an int in [8, 67108864]", "an int of at least 1")
+    assert all(steps[0](v) for v in (8, np.int64(8), np.uint8(8), 2**26))
+    assert not any(steps[0](v) for v in (7, 2**26 + 1, 8.0, True, np.bool_(True), math.inf))
+    assert loops[0](2**100) and not loops[0](0)
 
 
 # Inputs the library accepted although the CLI refused them; each failed as its comment says.
@@ -204,6 +248,33 @@ PROBES = {
     # the adiabatic window passed with an infinite gap, and the per-loop leakage read 0.0
     "adiabatic_window-e_a-inf": (lambda: adiabatic_window(PlatformParams(e_a=math.inf)), "e_a"),
     "leakage_estimate-e_a-inf": (lambda: leakage_estimate(PlatformParams(e_a=math.inf)), "e_a"),
+    # returned the trace 1.4412905367456887 at contrast 0.818; every whole count from 3 gives 1.4156076488754468
+    "ramsey_echo-scan_count-3.5": (lambda: ramsey_echo(_pi2_loop(), 1.0, PlatformParams(), scan_count=3.5),
+                                   "scan_count"),
+    # returned a Wilson line sampled at s = 1.257, 3.770 and 6.283, the last 2 pi and not a midpoint
+    "wilson_from_rates-n_steps-2.5": (lambda: wilson_from_rates(lambda s: 0.1, lambda s: 0.05, 1.0, 2.5), "n_steps"),
+    # returned a trace of 1.8778930881307139, though HolonomyLoop refuses fewer than 8 steps
+    "wilson_from_rates-n_steps-4": (lambda: wilson_from_rates(lambda s: 0.1, lambda s: 0.05, 1.0, 4), "n_steps"),
+    # returned 2 repetitions
+    "synth_phase_gate-n_rep-2.5": (lambda: synth_phase_gate(100.0, n_rep=2.5), "n_rep"),
+    # a bare ValueError
+    "synth_phase_gate-n_rep-nan": (lambda: synth_phase_gate(100.0, n_rep=math.nan), "n_rep"),
+    "synth_phase_gate-n_samples--5": (lambda: synth_phase_gate(100.0, n_samples=-5), "n_samples"),
+    # a TypeError
+    "synth_phase_gate-n_samples-8.5": (lambda: synth_phase_gate(100.0, n_samples=8.5), "n_samples"),
+    # a ZeroDivisionError, and a bare ValueError
+    "synth_hadamard_gate-steps-0": (lambda: synth_hadamard_gate(100.0, 1024, 0), "steps"),
+    "synth_hadamard_gate-steps-nan": (lambda: synth_hadamard_gate(100.0, 1024, math.nan), "steps"),
+    # a bare ValueError, and a ZeroDivisionError
+    "ramsey_echo-scan_count-nan": (lambda: ramsey_echo(_pi2_loop(), 1.0, PlatformParams(), scan_count=math.nan),
+                                   "scan_count"),
+    "wilson_from_rates-n_steps-0": (lambda: wilson_from_rates(lambda s: 0.1, lambda s: 0.05, 1.0, 0), "n_steps"),
+    # a TypeError
+    "hopf_pair-n_segments-16.0": (lambda: hopf_pair(1.0, 1.0, 16.0), "n_segments"),
+    # an OverflowError at 4 pi / k
+    "cs_phase-k-huge": (lambda: cs_phase([1.0, 1.0], LinkData.pair(1), 10**400), "level k"),
+    # ran as k = 1
+    "cs_phase-k-True": (lambda: cs_phase([1.0, 1.0], LinkData.pair(1), True), "level k"),
 }
 
 
@@ -218,6 +289,14 @@ def test_probe_is_refused_by_name(probe):
 
 def _declared(cls) -> dict:
     return {f.name: f.metadata["bound"] for f in dataclasses.fields(cls)}
+
+
+def _params(table: dict, prefix: str = ""):
+    """(key path, _Param) of every entry of a CLI table, nested tables included."""
+    for key, param in table.items():
+        yield prefix + key, param
+        if isinstance(param.kind, dict):
+            yield from _params(param.kind, f"{prefix}{key}.")
 
 
 def test_cli_tables_hold_the_library_bounds():
@@ -236,4 +315,13 @@ def test_cli_tables_hold_the_library_bounds():
     assert all(tables[s]["q"].bound is errors.POSITIVE for s in ("gate-synth", "trace-sweep", "ramsey"))
     assert tables["linking"]["k"].bound is linking.LEVEL
     assert all(tables["linking"]["hopf"].kind[r].bound is errors.POSITIVE for r in ("radius1", "radius2"))
-    assert not any(hasattr(cli, name) for name in ("_TURN", "_POSITIVE"))
+    for scenario in ("gate-synth", "trace-sweep", "ramsey"):
+        assert tables[scenario]["samples"].bound is gates.SAMPLES
+        assert tables[scenario]["steps"].bound is holonomy.STEPS
+    assert tables["ramsey"]["scan_count"].bound is demonstrator.SCANS
+    assert tables["linking"]["hopf"].kind["segments"].bound is linking.SEGMENTS
+    # the CLI's own count only where no library call checks the value
+    counted = {(s, path) for s, table in tables.items() for path, p in _params(table) if p.bound is cli._COUNT}
+    assert counted == {("trimer-sim", "periods"), ("trimer-sim", "steps_per_period"), ("phase-sweep", "phi_count"),
+                       ("phase-sweep", "periods")}
+    assert not any(hasattr(cli, name) for name in ("_TURN", "_POSITIVE", "_MAX_REPETITIONS"))

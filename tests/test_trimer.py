@@ -755,7 +755,7 @@ class TestEffectiveMomentumSeries:
         drive = reference_drive()
         period = drive.common_period()
         traj = reconstruct_rotation(drive, REFERENCE_MASSES, 2 * period)
-        with pytest.raises(ValidationError, match="positive finite"):
+        with pytest.raises(ValidationError, match="^period must be positive and finite, got "):
             effective_momentum_series(traj, factor * period)
 
     def test_mass_scaling_is_exact(self):
