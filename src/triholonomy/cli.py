@@ -85,7 +85,7 @@ from .holonomy import (  # integrate_wilson: perfbench/test_perfbench.py reads c
     wilson_from_samples,
 )
 from .linking import LEVEL, SEGMENTS, LinkData, SpaceCurve, cs_phase, gauss_linking, hopf_pair
-from .trimer import (MASSES, BondDrive, _sweep_grid, _tiled, bond_lengths, effective_momentum_series, phase_sweep,
+from .trimer import (MASSES, BondDrive, _sweep_grid, bond_lengths, effective_momentum_series, phase_sweep,
                      reconstruct_rotation)
 
 OUTDIR_ENV = "TRIHOLONOMY_OUTDIR"
@@ -252,32 +252,28 @@ def _write_new(path: str, chunks) -> str:
     return digest.hexdigest()
 
 
-def _write_csv(path: str, header: list[str], columns: list[np.ndarray], repeats: dict[int, int]) -> str:
+def _write_csv(path: str, header: list[str], columns: list[np.ndarray]) -> str:
     """Columns as "%.17g" rows in a new file; returns its sha256 hex digest.
 
-    The floats are the exact bytes of ``"%.17g" % x`` from ``_g17_slots``, one call per block of
-    ``_CSV_BLOCK_ROWS`` rows, blocked here only.  ``repeats`` maps a column to the L < rows of the repeat
-    its caller declares, col[k] == col[k mod L] bit for bit.  Only the L rows of a repeat are formatted,
-    once, in blocks batched across the columns of that L; rows [L, L + one block) are copies of rows
-    k mod L, so each block copies one slice.
+    The file has as many rows as its longest column; a shorter column of L rows is one period, and row k
+    reads its row k mod L.  The floats are the exact bytes of ``"%.17g" % x`` from ``_g17_slots``, one call
+    per block of ``_CSV_BLOCK_ROWS`` rows, blocked here only.  The L rows of a period are formatted once, in
+    blocks batched across the columns of that L, and each block gathers its rows from them.
     """
     columns = [np.asarray(col, dtype=float) for col in columns]
-    n, size = len(columns[0]), _CSV_BLOCK_ROWS
-    repeats = {j: k for j, k in repeats.items() if k < n}
-    new = [j for j in range(len(columns)) if j not in repeats]
+    n, size = max(map(len, columns)), _CSV_BLOCK_ROWS
+    new = [j for j, col in enumerate(columns) if len(col) == n]
 
     def slots(js: list[int], first: int, rows: int) -> np.ndarray:
         cells = np.array([columns[j][first : first + rows] for j in js]).T.ravel()  # row by row
         return _g17_slots(cells).reshape(rows, len(js), 25)
 
-    texts = {}  # L -> (its columns, their text of rows [0, min(n, L + one block)), the rows the slices read)
-    for k in dict.fromkeys(repeats.values()):
-        js = [j for j, length in repeats.items() if length == k]
-        text = np.empty((min(n, k + size), len(js), 25), np.uint8)
+    texts = {}  # L -> (its columns, their text of rows [0, L))
+    for k in dict.fromkeys(len(col) for col in columns if len(col) < n):
+        js = [j for j, col in enumerate(columns) if len(col) == k]
+        text = np.empty((k, len(js), 25), np.uint8)
         for first in range(0, k, size):
-            rows = min(size, k - first)
-            text[first : first + rows] = slots(js, first, rows)
-        text[k:] = text[np.arange(k, len(text)) % k]
+            text[first : first + size] = slots(js, first, min(size, k - first))
         texts[k] = js, text
 
     def block(first: int) -> bytes:
@@ -285,7 +281,7 @@ def _write_csv(path: str, header: list[str], columns: list[np.ndarray], repeats:
         buf = np.empty((rows, len(columns), 25), np.uint8)
         buf[:, new] = slots(new, first, rows)
         for k, (js, text) in texts.items():
-            buf[:, js] = text[first % k : first % k + rows]
+            buf[:, js] = text[np.arange(first, first + rows) % k]
         buf[:, :, 24] = [44] * (len(columns) - 1) + [10]
         return buf.tobytes().translate(None, b"\0")
 
@@ -429,7 +425,7 @@ def _trace_sweep(p: dict, base_dir: str, seed: int) -> tuple[list[str], dict]:
         d2 = TraceExpansion(d4.abelian_angle, d4.corrections[:1])
         rows.append((psi_abs, direct, d2.trace_estimate, d4.trace_estimate, *d4.corrections))
     header = ["psi_abs", "trace_direct", "trace_order2", "trace_order4", "i2", "i4"]
-    outputs = {"trace_sweep.csv": (header, [np.asarray(col) for col in zip(*rows)], {})}
+    outputs = {"trace_sweep.csv": (header, [np.asarray(col) for col in zip(*rows)])}
     if rotations:
         outputs["gauge_check.json"] = _gauge_check(s_mid, base.a, p["psi_values"][0], rotations, seed)
     return [], outputs
@@ -457,15 +453,13 @@ def _drive(p: dict) -> tuple[BondDrive, float, list[str]]:
 
 
 def _trimer_sim(p: dict, base_dir: str, seed: int) -> tuple[list[str], dict]:
-    """t, the bonds the frames were built from (one period ``_tiled``, declared repeating), theta and L_eff."""
+    """t, the bonds the frames were built from (their n_P rows of one period), theta and L_eff."""
     drive, period, lines = _drive(p)
     traj = reconstruct_rotation(drive, p["masses"], p["periods"] * period, period / p["steps_per_period"])
-    n_p = traj.period_steps
-    bonds = _tiled(np.stack(bond_lengths(traj.times[:n_p], drive)), n_p, traj.times.size - 1)
-    starts, values = effective_momentum_series(traj, period)
-    l_eff = np.interp(traj.times, starts, values, left=values[0], right=values[-1])
-    header, repeats = ["t", "xi12", "xi13", "xi23", "theta", "L_eff"], dict.fromkeys((1, 2, 3), n_p)
-    return lines, {"trimer_sim.csv": (header, [traj.times, *bonds, traj.theta, l_eff], repeats)}
+    bonds = bond_lengths(traj.times[: traj.period_steps], drive)
+    l_eff = np.interp(traj.times, *effective_momentum_series(traj, period))
+    header = ["t", "xi12", "xi13", "xi23", "theta", "L_eff"]
+    return lines, {"trimer_sim.csv": (header, [traj.times, *bonds, traj.theta, l_eff])}
 
 
 def _phase_sweep(p: dict, base_dir: str, seed: int) -> tuple[list[str], dict]:
@@ -475,7 +469,7 @@ def _phase_sweep(p: dict, base_dir: str, seed: int) -> tuple[list[str], dict]:
     _sweep_grid(drive, p["phi_count"])  # the budget, before the grid is built
     grid = np.linspace(-math.pi, math.pi, p["phi_count"])
     rates = phase_sweep(drive, p["masses"], grid)
-    return lines, {"phase_sweep.csv": (["phi", "mean_angular_velocity"], [grid, rates], {})}
+    return lines, {"phase_sweep.csv": (["phi", "mean_angular_velocity"], [grid, rates])}
 
 
 def _linking(p: dict, base_dir: str, seed: int) -> tuple[list[str], dict]:
@@ -559,7 +553,7 @@ def _ramsey(p: dict, base_dir: str, seed: int) -> tuple[list[str], dict]:
         return x if math.isfinite(x) else None
 
     return lines, {
-        "fringe.csv": (headers, cols, {}),
+        "fringe.csv": (headers, cols),
         "ramsey.json": {
             "echo": result.echo,
             "delta_e_rad_per_s": platform.splitting,
@@ -584,7 +578,7 @@ _MASSES = _Param([float], [2.1, 2.1, 4.7], MASSES)
 
 # Scenario -> (parameter table, scenario).  scenario(p, base_dir, seed) takes the table's parameters, the
 # config's directory and the seed, checks the physics, computes, and returns its report lines and its
-# outputs as {file name: JSON dict or CSV (header, columns, {column: L of its declared repeat})}.
+# outputs as {file name: JSON dict or CSV (header, columns)}; a column shorter than the longest is one period.
 SCENARIOS = {
     "gate-synth": ({
         "q": _Param(float, bound=POSITIVE),
@@ -649,7 +643,7 @@ def run_scenario(cfg: dict, base_dir: str) -> tuple[list[str], dict]:
     """Run a config, as ``load_config`` returns it, from ``base_dir``, its directory: its lines and outputs.
 
     The lines are ``scenario: <name>``, the scenario's own and ``pass``; the
-    outputs are {file name: JSON dict or CSV (header, columns, repeats)}.
+    outputs are {file name: JSON dict or CSV (header, columns)}, as ``_write_csv`` reads them.
     """
     table, scenario = SCENARIOS[cfg["scenario"]]
     p = _read(table, cfg["params"], f"{cfg['scenario']} params")

@@ -38,6 +38,7 @@ _ROUNDOFF = 1e-9  # of the larger diameter
 _MAX_PHASE = 2.0**20  # rad; a few ulps of a larger cs_phase exceed 1e-9 rad
 LEVEL = count(1, 2**63 - 1)  # cs_phase's k, an int64 as the CLI's ints are; the CLI's k reads it
 SEGMENTS = count(16)  # segments of a SpaceCurve and hopf_pair; the CLI's hopf segments read it
+LINKS = count(-2**63, 2**63 - 1)  # a linking or self-linking number, an int64
 
 
 def _frame(view) -> np.ndarray:
@@ -109,13 +110,17 @@ class LinkData:
     slk: np.ndarray = None
 
     def __post_init__(self):
-        lk = np.array(self.lk_matrix, dtype=int)
+        # each entry before the cast, which truncates a float, wraps past int64 and reads a bool as 0 or 1
+        for name, values in (("lk_matrix", self.lk_matrix), ("slk", [] if self.slk is None else self.slk)):
+            for value in np.asarray(values, dtype=object).flat:
+                check(name, value, LINKS)
+        lk = np.array(self.lk_matrix, dtype=np.int64)
         if lk.ndim != 2 or lk.shape[0] != lk.shape[1]:
             raise ValidationError("linking matrix must be square")
         if not np.array_equal(lk, lk.T):
             raise ValidationError("linking matrix must be symmetric")
         np.fill_diagonal(lk, 0)  # diagonal unused
-        slk = np.zeros(lk.shape[0], dtype=int) if self.slk is None else np.array(self.slk, dtype=int)
+        slk = np.zeros(lk.shape[0], dtype=np.int64) if self.slk is None else np.array(self.slk, dtype=np.int64)
         if slk.shape != (lk.shape[0],):
             raise ValidationError("self-linking vector length must match the matrix")
         lk.setflags(write=False)
@@ -126,7 +131,8 @@ class LinkData:
     @classmethod
     def pair(cls, lk: int) -> "LinkData":
         """Two curves linked ``lk`` times, neither self-linked."""
-        return cls(np.array([[0, lk], [lk, 0]]))
+        check("lk", lk, LINKS)
+        return cls([[0, lk], [lk, 0]])
 
 
 def gauss_linking_integral(c1: SpaceCurve, c2: SpaceCurve) -> float:

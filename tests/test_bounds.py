@@ -275,6 +275,17 @@ PROBES = {
     "cs_phase-k-huge": (lambda: cs_phase([1.0, 1.0], LinkData.pair(1), 10**400), "level k"),
     # ran as k = 1
     "cs_phase-k-True": (lambda: cs_phase([1.0, 1.0], LinkData.pair(1), True), "level k"),
+    # stored a linking number of 2, and cs_phase([1.0, 1.0], it, 4) returned 0.0
+    "LinkData-lk_matrix-2.5": (lambda: LinkData([[0, 2.5], [2.5, 0]]), "lk_matrix"),
+    # stored 2, and 1
+    "LinkData.pair-lk-2.7": (lambda: LinkData.pair(2.7), "lk"),
+    "LinkData.pair-lk-True": (lambda: LinkData.pair(True), "lk"),
+    # stored [0, 0]
+    "LinkData-slk-0.5": (lambda: LinkData([[0, 1], [1, 0]], [0.5, 0]), "slk"),
+    # a RuntimeWarning: invalid value encountered in cast
+    "LinkData.pair-lk-nan": (lambda: LinkData.pair(math.nan), "lk"),
+    # a bare OverflowError
+    "LinkData.pair-lk-2**70": (lambda: LinkData.pair(2**70), "lk"),
 }
 
 

@@ -946,7 +946,7 @@ class TestRun:
         # the sweep builds one common period; 2**26 periods of the 1:3 drive were once refused as a time grid
         cfgs = [{"schema_version": 1, "scenario": "phase-sweep", "seed": 0,
                  "params": dict(BASE_PARAMS["phase-sweep"], periods=periods)} for periods in (1, 2**26)]
-        (_, columns, _), (_, columns_max, _) = (run_scenario(cfg, CONFIG_DIR)[1]["phase_sweep.csv"] for cfg in cfgs)
+        (_, columns), (_, columns_max) = (run_scenario(cfg, CONFIG_DIR)[1]["phase_sweep.csv"] for cfg in cfgs)
         assert np.array(columns).tobytes() == np.array(columns_max).tobytes()
 
     def test_phase_sweep_scenario_with_threads(self, tmp_path):
@@ -1281,7 +1281,7 @@ def test_write_csv_matches_per_value_format(tmp_path, rows):
         rng.normal(size=rows) * 10.0 ** rng.integers(-300, 300, size=rows),
         np.arange(rows) - rows // 2,  # an int column
     ]
-    _write_csv(str(tmp_path / "block.csv"), ["a", "b", "c"], columns, {})
+    _write_csv(str(tmp_path / "block.csv"), ["a", "b", "c"], columns)
     write_csv_per_value(str(tmp_path / "value.csv"), ["a", "b", "c"], columns)
     assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "value.csv").read_bytes()
 
@@ -1295,67 +1295,67 @@ def format_g17(block):
 
 
 def repeating_columns(case):
-    """(columns, the repeat length of each, 0 for none) for one case of repeating columns."""
+    """The columns of one case; a column shorter than the longest is one period of the table."""
     rng = np.random.default_rng(len(case))
     n = 5 * _CSV_BLOCK_ROWS + 7
-
-    def tiled(period):
-        return np.resize(period, n)
-
     noise = rng.normal(size=n)  # repeats nowhere
     if case.startswith("length "):
         length = int(case.split()[1])
-        return [tiled(rng.normal(size=length)), noise, tiled(np.arange(length) - 3.5)], [length, 0, length]
+        return [rng.normal(size=length), noise, np.arange(length) - 3.5]
+    if case == "rows - 1":  # only the last row repeats, as the first
+        return [noise, rng.normal(size=n - 1)]
     if case == "constant":
-        return [np.full(n, 0.1), np.zeros(n), noise], [1, 1, 0]
+        return [np.full(1, 0.1), np.zeros(1), noise]
     if case == "non-finite":
-        period = [np.nan, np.inf, -np.inf, 1.0, -0.0, 0.0, 5e-324, 1e300]
-        return [tiled(period), noise, tiled([np.nan, 2.5])], [8, 0, 2]
-    if case == "every column":  # nothing is left to format per block
-        return [tiled([1.0, 2.0, 3.0]), tiled(rng.normal(size=1500))], [3, 1500]
+        return [np.array([np.nan, np.inf, -np.inf, 1.0, -0.0, 0.0, 5e-324, 1e300]), noise, np.array([np.nan, 2.5])]
+    if case == "every column":  # but the longest: two periods, one below and one within a block
+        return [np.array([1.0, 2.0, 3.0]), rng.normal(size=1500), noise]
     assert case == "below the fast path"
-    return [np.resize([0.25, -1e-7], 60), np.linspace(0.0, 1.0, 60), np.full(60, -3.0)], [2, 0, 1]
+    return [np.array([0.25, -1e-7]), np.linspace(0.0, 1.0, 60), np.full(1, -3.0)]
+
+
+def tiled(columns):
+    """Each column repeated to the longest's rows, as ``_write_csv`` reads a period."""
+    n = max(map(len, columns))
+    return [np.resize(col, n) for col in columns]
 
 
 @pytest.mark.parametrize("case", [
-    "length 3", "length 256", "length 1000", "length 1536", "length 2048", "constant", "non-finite",
+    "length 3", "length 256", "length 1000", "length 1536", "length 2048", "rows - 1", "constant", "non-finite",
     "every column", "below the fast path",
 ])
 def test_write_csv_matches_per_value_format_on_repeating_columns(tmp_path, case):
-    # declared repeat lengths below, at a divisor of, and above _CSV_BLOCK_ROWS, and ones that divide no block
-    columns, lengths = repeating_columns(case)
-    for col, length in zip(columns, lengths):
-        assert length == 0 or col.tobytes() == np.resize(col[:length], col.size).tobytes()
+    # periods below, at a divisor of, and above _CSV_BLOCK_ROWS, ones that divide no block, and one row short
+    columns = repeating_columns(case)
     header = [f"c{j}" for j in range(len(columns))]
     if case == "below the fast path":
-        assert len(columns) * len(columns[0]) < _CSV_FAST_MIN_CELLS
-    repeats = {j: length for j, length in enumerate(lengths) if length}
-    _write_csv(str(tmp_path / "block.csv"), header, columns, repeats)
-    write_csv_per_value(str(tmp_path / "value.csv"), header, columns)
+        assert len(columns) * max(map(len, columns)) < _CSV_FAST_MIN_CELLS
+    _write_csv(str(tmp_path / "block.csv"), header, columns)
+    write_csv_per_value(str(tmp_path / "value.csv"), header, tiled(columns))
     assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "value.csv").read_bytes()
 
 
 def test_write_csv_reads_a_repeat_of_every_row_as_none(tmp_path, monkeypatch):
-    # a trajectory that does not repeat declares its whole grid: such columns are formatted per block, with
-    # the others, and not held as text for the whole file first
+    # a trajectory that does not repeat passes its bonds at every row: a column as long as the table is
+    # formatted per block, with the others, and not held as text for the whole file first
     calls = []
     monkeypatch.setattr("triholonomy.cli._g17_slots", lambda x: calls.append(x.size) or _g17_slots(x))
     columns = [np.random.default_rng(3).normal(size=3 * _CSV_BLOCK_ROWS + 5), np.arange(3 * _CSV_BLOCK_ROWS + 5)]
-    _write_csv(str(tmp_path / "block.csv"), ["a", "b"], columns, {0: columns[0].size, 1: columns[1].size + 7})
+    _write_csv(str(tmp_path / "block.csv"), ["a", "b"], columns)
     write_csv_per_value(str(tmp_path / "value.csv"), ["a", "b"], columns)
     assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "value.csv").read_bytes()
     assert calls == [2 * _CSV_BLOCK_ROWS] * 3 + [2 * 5]
 
 
 def test_write_csv_formats_the_rows_of_a_repeat_once(tmp_path, monkeypatch):
-    # the two columns that repeat every L = 256 rows send those rows to the formatter once, in one batch; the
-    # rows past L that a block reads are copies, and the column that does not repeat is formatted per block
+    # the two columns of L = 256 rows send those rows to the formatter once, in one batch; each block gathers
+    # its rows k mod L from that text, and the column of every row is formatted per block
     calls = []
     monkeypatch.setattr("triholonomy.cli._g17_slots", lambda x: calls.append(x.size) or _g17_slots(x))
-    columns, lengths = repeating_columns("length 256")
-    assert lengths == [256, 0, 256] and columns[0].size == 5 * _CSV_BLOCK_ROWS + 7
-    _write_csv(str(tmp_path / "block.csv"), ["a", "b", "c"], columns, {0: 256, 2: 256})
-    write_csv_per_value(str(tmp_path / "value.csv"), ["a", "b", "c"], columns)
+    columns = repeating_columns("length 256")
+    assert [col.size for col in columns] == [256, 5 * _CSV_BLOCK_ROWS + 7, 256]
+    _write_csv(str(tmp_path / "block.csv"), ["a", "b", "c"], columns)
+    write_csv_per_value(str(tmp_path / "value.csv"), ["a", "b", "c"], tiled(columns))
     assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "value.csv").read_bytes()
     assert calls == [2 * 256] + [_CSV_BLOCK_ROWS] * 5 + [7]
 
@@ -1415,7 +1415,7 @@ def test_format_g17_matches_percent_on_block_shapes(rows, cols):
 def test_format_g17_leaves_only_the_zeros_of_trimer_reference_to_percent():
     # a regression that sent every cell to "%" would keep the bytes and lose the speed
     cfg = load_config(os.path.join(CONFIG_DIR, "trimer_reference.json"))
-    block = np.column_stack(run_scenario(cfg, CONFIG_DIR)[1]["trimer_sim.csv"][1])
+    block = np.column_stack(tiled(run_scenario(cfg, CONFIG_DIR)[1]["trimer_sim.csv"][1]))
     left = np.setdiff1d(np.arange(block.size), _g17_digits(np.abs(block.ravel()))[0])
     assert left.size == 2 and (block.ravel()[left] == 0).all()
     assert format_g17(block) == percent_g17(block)
@@ -1427,12 +1427,12 @@ def trimer_sim_config(drive, periods, steps_per_period, masses=(2.1, 2.1, 4.7)):
 
 
 def trimer_sim_payload(drive, periods, steps_per_period):
-    """The trimer-sim CSV (header, columns, repeats) of a drive table, as run_scenario returns it."""
+    """The trimer-sim CSV (header, columns) of a drive table, as run_scenario returns it."""
     return run_scenario(trimer_sim_config(drive, periods, steps_per_period), CONFIG_DIR)[1]["trimer_sim.csv"]
 
 
 class TestTrimerSimBonds:
-    """The CSV's bond columns are the bonds the frames were built from: one common period, tiled."""
+    """The CSV's bond columns are the bonds the frames were built from: the n_P rows of one common period."""
 
     REFERENCE = {"d12": 1.1, "a12": 0.2, "omega12": 1.0, "d": 1.0, "a": 0.15, "omega": 3.0,
                  "phi13": math.pi / 4, "phi23": -math.pi / 4}
@@ -1443,11 +1443,11 @@ class TestTrimerSimBonds:
         # at most 3.1e-14 from the bonds evaluated at every sample
         table = dict(self.REFERENCE, phi13=phases[0], phi23=phases[1])
         drive = BondDrive(**table)
-        _, columns, repeats = trimer_sim_payload(table, periods, steps_per_period)
+        _, columns = trimer_sim_payload(table, periods, steps_per_period)
         t, *bonds = columns[:4]
-        assert repeats == {1: steps_per_period, 2: steps_per_period, 3: steps_per_period}
+        assert np.array(bonds).tobytes() == np.array(bond_lengths(t[:steps_per_period], drive)).tobytes()
+        bonds = tiled([t, *bonds])[1:]
         for col, full in zip(bonds, bond_lengths(t, drive)):
-            assert col[steps_per_period:].tobytes() == col[:-steps_per_period].tobytes()
             assert np.max(np.abs(col - full)) <= 1e-13
         traj = reconstruct_rotation(drive, [2.1, 2.1, 4.7], periods * drive.common_period(), t[1])
         x, y = _frames(*bonds, [2.1, 2.1, 4.7])
@@ -1456,21 +1456,24 @@ class TestTrimerSimBonds:
     def test_ratio_off_by_rounding_keeps_the_full_grid_bonds(self):
         # omega/omega12 = 3 (1 + 1e-12) passes common_period as 3, but the grid does not repeat
         table = dict(self.REFERENCE, omega=3.0 * (1 + 1e-12))
-        _, columns, repeats = trimer_sim_payload(table, 4, 512)
+        _, columns = trimer_sim_payload(table, 4, 512)
         t, *bonds = columns[:4]
-        assert repeats == dict.fromkeys((1, 2, 3), t.size)  # a repeat of every row: none
+        assert [col.size for col in bonds] == [t.size] * 3  # every row: no period
         assert np.array(bonds).tobytes() == np.array(bond_lengths(t, BondDrive(**table))).tobytes()
 
     @pytest.mark.parametrize("omega", [3.0, 3.0 * (1 + 1e-12)])
     def test_written_csv_matches_per_value_format(self, tmp_path, omega):
-        # the repeating reference drive, and a ratio off by rounding whose bonds do not repeat
+        # the repeating reference drive, and a ratio off by rounding whose bonds do not repeat; one period
+        # has no repeat on either
         table = dict(self.REFERENCE, omega=omega)
-        out = tmp_path / "out"
-        with contextlib.redirect_stdout(io.StringIO()):
-            assert main(["run", write_config(tmp_path, trimer_sim_config(table, 7, 512)), "--out", str(out)]) == 0
-        header, columns, _ = trimer_sim_payload(table, 7, 512)
-        write_csv_per_value(str(tmp_path / "value.csv"), header, columns)
-        assert (out / "trimer_sim.csv").read_bytes() == (tmp_path / "value.csv").read_bytes()
+        for periods in (7, 1):
+            out = tmp_path / f"out{periods}"
+            with contextlib.redirect_stdout(io.StringIO()):
+                cfg = write_config(tmp_path, trimer_sim_config(table, periods, 512))
+                assert main(["run", cfg, "--out", str(out)]) == 0
+            header, columns = trimer_sim_payload(table, periods, 512)
+            write_csv_per_value(str(tmp_path / "value.csv"), header, tiled(columns))
+            assert (out / "trimer_sim.csv").read_bytes() == (tmp_path / "value.csv").read_bytes()
 
     def test_irrational_frequency_ratio_keeps_the_full_grid_bonds(self, monkeypatch):
         # no common period: the scenario refuses such a drive, so common_period is stubbed to 2 pi (its
@@ -1481,9 +1484,9 @@ class TestTrimerSimBonds:
         monkeypatch.setattr("triholonomy.cli.effective_momentum_series", no_windows)
         monkeypatch.setattr(BondDrive, "common_period", lambda drive: 2 * math.pi)
         table = dict(self.REFERENCE, omega=3.0 * math.sqrt(2))
-        _, columns, repeats = trimer_sim_payload(table, 4, 1024)
+        _, columns = trimer_sim_payload(table, 4, 1024)
         t, *bonds = columns[:4]
-        assert t.size == 4097 and repeats == dict.fromkeys((1, 2, 3), t.size)
+        assert t.size == 4097 and [col.size for col in bonds] == [t.size] * 3
         assert np.array(bonds).tobytes() == np.array(bond_lengths(t, BondDrive(**table))).tobytes()
 
 

@@ -8,7 +8,7 @@ import pytest
 
 from triholonomy.connection import BlochField, ControlField, connection_vectors
 from triholonomy.errors import MAX_SAMPLES, NumericalError, ValidationError
-from triholonomy.holonomy import HolonomyLoop, _transport, midpoint_grid
+from triholonomy.holonomy import HolonomyLoop, _transport, integrate_wilson, midpoint_grid
 from triholonomy.shapespace import ShapeLoop
 from triholonomy import trimer
 from triholonomy.trimer import (
@@ -688,6 +688,11 @@ def momentum_series_per_window(traj, period):
     return traj.times[starts], values
 
 
+# When n_window is an even multiple of 1024, each of the 1024 midpoints lands on a node of the window loop,
+# and the segment index int(s / seg) picks the side by rounding.
+WINDOW_NODES = "FOUND in CHANGES.md: L_eff's window midpoints lie on the loop's nodes at an even multiple of 1024 steps"
+
+
 class TestEffectiveMomentumSeries:
     @pytest.mark.parametrize(
         "steps_per_period, periods",
@@ -706,6 +711,28 @@ class TestEffectiveMomentumSeries:
         ref_starts, ref_values = momentum_series_per_window(traj, period)
         assert np.array_equal(starts, ref_starts)
         assert np.max(np.abs(values - ref_values)) <= 1e-12
+
+    @pytest.mark.parametrize("steps_per_period", [
+        1024,  # 1.5e-7 measured
+        1536,  # 1.4e-8
+        pytest.param(2048, marks=pytest.mark.xfail(strict=True, reason=WINDOW_NODES)),  # 2.4e-3
+        pytest.param(4096, marks=pytest.mark.xfail(strict=True, reason=WINDOW_NODES)),  # 1.2e-3
+    ])
+    def test_matches_each_window_transported_at_four_times_its_steps(self, steps_per_period):
+        # trimer_reference's drive and masses, three periods; each window is a loop of its own samples
+        drive = reference_drive()
+        period = drive.common_period()
+        traj = reconstruct_rotation(drive, REFERENCE_MASSES, 3 * period, period / steps_per_period)
+        starts, values = effective_momentum_series(traj, period)
+        theta_sh, phi_sh = shape_angles(traj.x, traj.y, traj.masses)
+        inertia = traj.moment_of_inertia()
+        ref = []
+        for i0 in np.searchsorted(traj.times, starts):
+            sl = slice(i0, i0 + steps_per_period + 1)
+            loop = HolonomyLoop(ShapeLoop.from_samples(theta_sh[sl], phi_sh[sl]), steps=4 * steps_per_period)
+            half = min(1.0, max(-1.0, np.trace(integrate_wilson(loop).matrix).real / 2.0))
+            ref.append(2.0 * (float(np.mean(inertia[sl])) / period) * math.acos(half))
+        assert np.max(np.abs(values - ref) / np.abs(ref)) <= 1e-6
 
     def test_window_checks_hold(self):
         drive = reference_drive()
