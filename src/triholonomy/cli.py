@@ -481,9 +481,13 @@ def _linking(p: dict, base_dir: str, seed: int) -> tuple[list[str], dict]:
         curves = []
         for path in (os.path.join(base_dir, name) for name in p["curve_files"]):
             try:
-                data = np.loadtxt(path, delimiter=",", skiprows=1)
+                with open(path) as fh:
+                    rows = fh.read().partition("\n")[2]  # below the header line
+                data = np.loadtxt(rows.split("\n"), delimiter=",") if rows.strip() else None
             except (OSError, ValueError) as exc:
                 raise ValidationError(f"cannot read curve file {path}: {exc}") from exc
+            if data is None:
+                raise ValidationError(f"curve file {path} has no data row below its header")
             if data.ndim != 2 or data.shape[1] != 3:
                 raise ValidationError(f"curve file {path} must have three columns (x, y, z)")
             curves.append(SpaceCurve(data))

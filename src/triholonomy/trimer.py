@@ -238,11 +238,11 @@ def reconstruct_rotation(drive: BondDrive, masses, t_end: float, dt: float | Non
     It returns n_P as ``period_steps``: the grid where :func:`_period_steps` finds no repeat.
 
     Raises:
-        ValidationError: the masses, the time step or the sample count is out of range.
+        ValidationError: the masses or their scale with the bonds, the time step or the sample count is out of range.
         NumericalError: triangle degeneracy during evolution, or the
             zero-angular-momentum invariant failing after integration.
     """
-    m = _masses(masses)
+    m = _masses(masses, drive)
     n, dt = drive.time_steps(t_end, dt)
     times = np.arange(n + 1) * dt
     n_p = _period_steps(drive, n, dt)
@@ -253,9 +253,16 @@ def reconstruct_rotation(drive: BondDrive, masses, t_end: float, dt: float | Non
     return TrimerTrajectory(times, m, x, y, theta + gain, n_p)
 
 
-def _masses(masses) -> np.ndarray:
-    """The vertex masses as an array, refused by name unless they pass ``MASSES``."""
-    return np.asarray(check("masses", masses, MASSES), dtype=float)
+def _masses(masses, drive: BondDrive) -> np.ndarray:
+    """The vertex masses as an array, refused by name unless they pass ``MASSES`` and, with the total mass M
+    and the largest bond b, M^2 (``_jacobi``'s mass products), 2 b^2 (``_frames``' sums of squares) and
+    2 MAX_SAMPLES M b^2 (the window inertia sums, of MAX_SAMPLES + 1 samples of at most M b^2) are finite."""
+    m = np.asarray(check("masses", masses, MASSES), dtype=float)
+    mass, bond = sum(m.tolist()), max(drive.d12 + drive.a12, drive.d + drive.a)  # Python floats reach inf quietly
+    if not max(mass * mass, 2 * bond * bond, 2 * MAX_SAMPLES * mass * bond * bond) < math.inf:
+        raise ValidationError(f"masses {m.tolist()} (total M) and largest bond b = max(d12 + a12, d + a) = {bond:.6g} "
+                              f"overflow the trimer's scale: M^2, 2 b^2 and {2 * MAX_SAMPLES} M b^2 must be finite")
+    return m
 
 
 def _tiled(rows, n_p: int, n: int) -> np.ndarray:
@@ -287,11 +294,11 @@ def phase_sweep(drive_template: BondDrive, masses, phi_values, periods: int = 8)
     builds only its bond pair d + a cos(omega t +- phi/2), then its frames
     and theta on the grid whole, the bits of
     ``reconstruct_rotation(drive, masses, P).theta[-1]``.  A failed phase
-    names its phi.  Masses that are not three positive finite values, a sweep
-    of more than ``MAX_SAMPLES`` samples (phases times grid samples) or a
-    phase outside [-pi, pi] is refused first.
+    names its phi.  Masses that are not three positive finite values or
+    overflow with the bonds (``_masses``), a sweep of more than ``MAX_SAMPLES``
+    samples (phases times grid samples) or a phase outside [-pi, pi] is refused first.
     """
-    m, phi_values = _masses(masses), np.asarray(phi_values, dtype=float)
+    m, phi_values = _masses(masses, drive_template), np.asarray(phi_values, dtype=float)
     period, n, dt = _sweep_grid(drive_template, phi_values.size)
     if not np.all(np.abs(phi_values) <= math.pi + 1e-12):  # NaN fails too
         raise ValidationError("phase grid must lie within [-pi, pi]")

@@ -7,11 +7,13 @@ A case passes on a ValidationError or NumericalError whose message names the arg
 +inf, -inf, 0, -1, 2.5, True and 2**63; a case passes only on such a refusal.  The cases the physics
 allows to return otherwise are ``ALLOWED``, each with its reason.  ``PROBES`` are the inputs the library
 once accepted although the CLI refused them: each failed late, for the wrong reason, or returned a number.
+``SCALE_PROBES`` are trimer drives and masses that pass every field bound but whose products overflow.
 """
 
 import dataclasses
 import enum
 import inspect
+import json
 import math
 import re
 import warnings
@@ -32,6 +34,7 @@ from triholonomy import (
     integrate_wilson,
     leakage_estimate,
     make_ellipse_loop,
+    phase_sweep,
     precession_berry_phase,
     ramsey_echo,
     reconstruct_rotation,
@@ -296,6 +299,71 @@ def test_probe_is_refused_by_name(probe):
         warnings.simplefilter("error")
         with pytest.raises(ValidationError, match=rf"^{name} must be "):
             call()
+
+
+# (drive lengths, masses) whose products overflow although each field passes its bound.  Each failed as its
+# comment says, under trimer-sim and phase-sweep alike unless noted.
+SCALE_PROBES = {
+    # _frames squares the bonds: RuntimeWarnings, then exit 3 ("residual nan exceeds 1e-8 of scale nan")
+    "bonds-1e200": (dict(d12=1e200, d=1e200), MASSES),
+    "rigid-bonds-1e200": (dict(d12=1e200, a12=0.0, d=1e200, a=0.0), MASSES),
+    # the mass sum overflows: RuntimeWarnings, then exit 3
+    "masses-1e308": ({}, [1e308] * 3),
+    # _jacobi's mass products overflow: trimer-sim exited 2 as "non-finite loop samples", phase-sweep 0
+    "masses-1e200": ({}, [1e200] * 3),
+    # M b^2 = 3e305 is finite, but b^2 is not: RuntimeWarnings, then exit 3
+    "masses-1e-5-bonds-1e155": (dict(d12=1e155, d=1e155), [1e-5] * 3),
+    # b^2 and M b^2 are finite, but the window inertia sums are not: trimer-sim exited 0 with NaN in every
+    # L_eff row; phase-sweep, which sums no window, exited 0
+    "lengths-x1e153": ({key: DRIVE[key] * 1e153 for key in ("d12", "a12", "d", "a")}, MASSES),
+}
+
+
+@pytest.mark.parametrize("probe", list(SCALE_PROBES))
+def test_scale_probe_is_refused_by_name(probe):
+    lengths, masses = SCALE_PROBES[probe]
+    drive = BondDrive(**dict(DRIVE, **lengths))
+    named = r"^masses \[.+\] \(total M\) and largest bond b = max\(d12 \+ a12, d \+ a\) = \S+ overflow the trimer's"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match=named):
+            reconstruct_rotation(drive, masses, 2 * math.pi)
+        with pytest.raises(ValidationError, match=named):
+            phase_sweep(drive, masses, [0.5])
+
+
+@pytest.mark.parametrize("action", ["always", "error"])
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("scenario", ["trimer-sim", "phase-sweep"])
+@pytest.mark.parametrize("probe", list(SCALE_PROBES))
+def test_scale_probe_exits_2_by_name(tmp_path, capsys, probe, scenario, command, action):
+    lengths, masses = SCALE_PROBES[probe]
+    params = {"drive": dict(DRIVE, **lengths), "masses": masses}
+    params.update({"periods": 2, "steps_per_period": 1536} if scenario == "trimer-sim" else {"phi_count": 5})
+    path, out = tmp_path / "config.json", tmp_path / "out"
+    path.write_text(json.dumps({"schema_version": 1, "scenario": scenario, "params": params}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter(action)
+        assert cli.main([command, str(path)] + (["--out", str(out)] if command == "run" else [])) == 2
+    assert not caught
+    stdout, stderr = capsys.readouterr()
+    assert stdout == "" and stderr.count("\n") == 1
+    assert stderr.startswith("validation error: masses [") and "overflow the trimer's scale" in stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("lengths, masses", [
+    ({key: DRIVE[key] * 1e149 for key in ("d12", "a12", "d", "a")}, MASSES),  # 2^27 M b^2 = 2.0e307
+    ({}, [4e153] * 3),  # M^2 = 1.4e308
+    (dict(d12=9e153, a12=0.0, d=8e153, a=0.0), [1e-200] * 3),  # 2 b^2 = 1.6e308
+], ids=["lengths-x1e149", "masses-4e153", "bonds-9e153"])
+def test_scales_inside_the_rule_run_clean(lengths, masses):
+    drive = BondDrive(**dict(DRIVE, **lengths))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = reconstruct_rotation(drive, masses, 2 * math.pi, 2 * math.pi / 512)
+        assert _finite(traj) and _finite(trimer.effective_momentum_series(traj, 2 * math.pi))
+        assert _finite(phase_sweep(drive, masses, [-0.5, 0.5]))
 
 
 def _declared(cls) -> dict:

@@ -42,6 +42,8 @@ from triholonomy.gates import make_ellipse_loop
 from triholonomy.holonomy import HolonomyLoop, integrate_wilson, midpoint_grid, trace_expansion_from_rates
 from triholonomy.trimer import BondDrive, _frames, bond_lengths, reconstruct_rotation
 
+from test_bounds import SCALE_PROBES
+
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 README = os.path.join(os.path.dirname(__file__), "..", "README.md")
 SHIPPED_CONFIGS = sorted(os.path.basename(p) for p in glob.glob(os.path.join(CONFIG_DIR, "*.json")))
@@ -201,6 +203,8 @@ BAD_ROOTS = [
     (small_gate_config(schema_version=2), "config: parameter 'schema_version' must be 1"),
     (small_gate_config(scenario="nope"), "config: parameter 'scenario' must be one of " + ", ".join(SCENARIOS)),
     (small_gate_config(params=[]), "config: parameter 'params' has wrong type"),
+    ([1], "config root must be a JSON object"),
+    (None, "config root must be a JSON object"),
 ]
 
 # Config files that the JSON reader cannot decode; each once raised a traceback (exit 1).
@@ -425,7 +429,11 @@ class TestRun:
              "phase drift"),
         ],
     )
-    def test_overflow_to_nan_exits_3_without_outputs(self, tmp_path, capsys, scenario, params, invariant):
+    def test_overflow_to_nan_exits_3_without_outputs(self, tmp_path, capsys, monkeypatch, scenario, params,
+                                                     invariant):
+        # the trimer scale rule refuses the phase sweep's bonds by name first (exit 2, test_bounds.py); with
+        # it bypassed, the invariant still fails closed
+        monkeypatch.setattr("triholonomy.trimer._masses", lambda masses, drive: np.asarray(masses, dtype=float))
         cfg = {"schema_version": 1, "scenario": scenario, "seed": 0,
                "params": dict(BASE_PARAMS[scenario], **params)}
         out = tmp_path / "out"
@@ -750,6 +758,40 @@ class TestRun:
         assert main(["run", write_config(tmp_path, cfg), "--out", str(out)]) == 2
         assert key in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_curve_point_exits_2_by_name(self, tmp_path, capsys, command, value):
+        names = write_hopf_curves(tmp_path, 65)
+        rows = (tmp_path / names[1]).read_text().split("\n")
+        rows[9] = f"0.5,{value},0"
+        (tmp_path / names[1]).write_text("\n".join(rows))
+        cfg = {"schema_version": 1, "scenario": "linking", "seed": 0, "params": {"curve_files": names}}
+        out = tmp_path / "out"
+        argv = [command, write_config(tmp_path, cfg)] + (["--out", str(out)] if command == "run" else [])
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", "validation error: non-finite curve points\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("action", ["always", "error"])
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    @pytest.mark.parametrize("text", ["", "x,y,z\n", "x,y,z", "x,y,z\n\n  \n"],
+                             ids=["empty", "header", "header-unterminated", "blank-rows"])
+    def test_curve_file_without_data_rows_exits_2_by_name(self, tmp_path, capsys, action, command, text):
+        # numpy's "loadtxt: input contained no data" UserWarning once came first, and a traceback under
+        # warnings as errors; the file is read once
+        (tmp_path / "empty.csv").write_text(text)
+        names = ["empty.csv", write_hopf_curves(tmp_path)[1]]
+        cfg = {"schema_version": 1, "scenario": "linking", "seed": 0, "params": {"curve_files": names}}
+        out = tmp_path / "out"
+        argv = [command, write_config(tmp_path, cfg)] + (["--out", str(out)] if command == "run" else [])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter(action)
+            assert main(argv) == 2
+        assert not caught
+        message = f"curve file {tmp_path / 'empty.csv'} has no data row below its header"
+        assert capsys.readouterr() == ("", f"validation error: {message}\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("scenario, override, key", BAD_SCENARIO_INPUTS)
     def test_bad_scenario_input_exits_2(self, tmp_path, capsys, scenario, override, key):
@@ -1120,13 +1162,26 @@ class TestValidate:
     @pytest.mark.parametrize("command", ["run", "validate"])
     @pytest.mark.parametrize("cfg, message", BAD_ROOTS, ids=[
         "scenario-list", "scenario-object", "empty", "unknown-key", "nan-note", "schema-true", "schema-float",
-        "schema-2", "scenario-unknown", "params-list",
+        "schema-2", "scenario-unknown", "params-list", "root-array", "root-null",
     ])
     def test_bad_config_root_exits_2_by_name(self, tmp_path, capsys, command, cfg, message):
         out = tmp_path / "out"
         argv = [command, write_config(tmp_path, cfg)] + (["--out", str(out)] if command == "run" else [])
         assert main(argv) == 2
         assert capsys.readouterr() == ("", f"validation error: {message}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    @pytest.mark.parametrize("name, reason", [("nowhere.json", "No such file or directory"),
+                                              ("folder", "Is a directory")])
+    def test_config_that_cannot_be_opened_exits_2(self, tmp_path, capsys, command, name, reason):
+        (tmp_path / "folder").mkdir()
+        path, out = tmp_path / name, tmp_path / "out"
+        argv = [command, str(path)] + (["--out", str(out)] if command == "run" else [])
+        assert main(argv) == 2
+        out_text, err = capsys.readouterr()
+        assert out_text == "" and err.startswith("validation error: cannot read config: [Errno ")
+        assert err.endswith(f"] {reason}: {str(path)!r}\n") and err.count("\n") == 1
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["run", "validate"])
@@ -1542,15 +1597,23 @@ def test_hostile_parameters_exit_cleanly(cfg):
     assert validated in (0, 2, 3) and validated == ran
 
 
+HEADER_ONLY = "header_only.csv"  # a curve file that test_validate_exits_2_exactly_when_run_does writes
+
+
 def refused_configs():
     """Configs outside the table paths that both commands refuse (exit 2): phases set on the phase-sweep
-    drive, the retired keys, and the trace sweeps just over the sample budget."""
+    drive, the retired keys, the trace sweeps just over the sample budget, the trimer scales that overflow
+    (two keys or more at once) and a curve file with a header and no data row (``HEADER_ONLY``)."""
     phases = [with_values("phase-sweep", [(("drive", key), value)])
               for key in ("phi13", "phi23") for value in HOSTILE_VALUES]
     retired = [with_values(scenario, [(path, value)]) for scenario, path, value in RETIRED_KEYS]
     trace = [with_values("trace-sweep", [((key,), value) for key, value in override.items()])
              for override, _ in OVER_BUDGET_TRACE_SWEEPS]
-    return phases + retired + trace
+    scales = [with_values(scenario, [*((("drive", key), value) for key, value in lengths.items()),
+                                     (("masses",), masses)])
+              for lengths, masses in SCALE_PROBES.values() for scenario in ("trimer-sim", "phase-sweep")]
+    header = [with_values("linking", [(("curve_files",), [HEADER_ONLY, HEADER_ONLY])])]
+    return phases + retired + trace + scales + header
 
 
 def root_configs():
@@ -1568,7 +1631,8 @@ def test_validate_exits_2_exactly_when_run_does(tmp_path):
             for value in HOSTILE_VALUES]
     grid += [(cfg, False) for cfg in root_configs()]
     grid += [(cfg, True) for cfg in refused_configs()]
-    assert len(grid) == 915 + 75 + 40
+    assert len(grid) == 915 + 75 + 53
+    (tmp_path / HEADER_ONLY).write_text("x,y,z\n")
     for cfg, refused in grid:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

@@ -165,6 +165,22 @@ class TestBlochAxis:
         a = samples.a[0]
         assert np.max(np.abs(full - np.array([[a, psi], [np.conj(psi), -a]]) / 2j)) <= 1e-15
 
+    def test_analytic_field_needs_both_angles(self):
+        for angles in ({"mu": lambda th, ph: th}, {"lam": lambda th, ph: ph}):
+            with pytest.raises(ValidationError, match="analytic fields need both mu and lam callables"):
+                BlochField(**angles)
+
+    @pytest.mark.parametrize("angles", [
+        {"mu": lambda th, ph: math.nan, "lam": lambda th, ph: ph},
+        {"mu": lambda th, ph: th, "lam": lambda th, ph: math.inf},
+        {"mu": lambda th, ph: th, "lam": lambda th, ph: ph, "mu_partials": lambda th, ph: (math.inf, 0.0)},
+    ], ids=["mu-nan", "lam-inf", "rate-inf"])
+    def test_non_finite_angles_or_rates_rejected(self, angles):
+        # an infinite angle once warned in its finite-difference rate (inf - inf) before the refusal
+        loop = HolonomyLoop(make_ellipse_loop(math.pi / 2, 0.1, 0.1, 64), BlochField.from_angles(**angles))
+        with pytest.raises(ValidationError, match="Bloch field angles and their rates must be finite"):
+            integrate_wilson(loop)
+
     def test_default_fields_are_shared_and_read_only(self):
         # one +z frame, one +z field and one zero control serve every caller, so no caller may write to them
         assert PINNED_FRAME.tolist() == [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
@@ -404,6 +420,11 @@ class TestCurvature:
         # O(h^3): each halving shrinks the defect by ~8; require at least 6
         assert errs[0] / errs[1] > 6.0
         assert errs[1] / errs[2] > 6.0
+
+    @pytest.mark.parametrize("colatitude", [0.0, 5e-6, math.pi])
+    def test_stencil_past_a_pole_rejected(self, colatitude):
+        with pytest.raises(ValidationError, match=r"curvature stencil leaves \[0, pi\]: the point lies within 1e-05"):
+            curvature_vector(ShapePoint(colatitude, 0.3), BlochField.pinned(), 0.0, (0.0, 0.0))
 
     def test_curvature_spans_su2(self):
         # Ambrose-Singer style rank check: sampled curvature coefficient

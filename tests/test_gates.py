@@ -29,6 +29,7 @@ from triholonomy.shapespace import ShapeLoop, solid_angle
 from triholonomy.trimer import precession_berry_phase
 
 SIGMA_Y = np.array([[0, -1j], [1j, 0]])
+NAN2 = np.full((2, 2), np.nan)
 
 
 def benchmark_gate_weights():
@@ -290,6 +291,23 @@ class TestTwoQubitGates:
             compile_cnot(3.0, 35)
 
 
+class TestGateSpec:
+    @staticmethod
+    def spec(target=PHASE_GATE_TARGET, residual=np.eye(2)):
+        loop = HolonomyLoop(make_ellipse_loop(math.pi / 2, 0.1, 0.1, 64))
+        return gates.GateSpec(target=target, loop=loop, repetitions=1, residual_abelian=residual)
+
+    @pytest.mark.parametrize("target", [np.array([[1.0, 0.1], [0.0, 1.0]]), 2 * np.eye(2), NAN2])
+    def test_target_must_be_unitary(self, target):
+        with pytest.raises(ValidationError, match="gate target must be unitary to 1e-12"):
+            self.spec(target=target)
+
+    @pytest.mark.parametrize("residual", [HADAMARD_ROTATION, np.diag([1.0, 2.0]), NAN2])
+    def test_residual_must_be_a_diagonal_unitary(self, residual):
+        with pytest.raises(ValidationError, match="residual abelian factor must be a diagonal unitary"):
+            self.spec(residual=residual)
+
+
 class TestGateFidelity:
     def test_identical(self):
         u = PHASE_GATE_TARGET
@@ -308,9 +326,6 @@ class TestGateFidelity:
     def test_dimension_mismatch(self):
         with pytest.raises(ValidationError):
             gate_fidelity(np.eye(2), np.eye(4))
-
-
-NAN2 = np.full((2, 2), np.nan)
 
 
 @pytest.mark.parametrize(

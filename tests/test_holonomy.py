@@ -21,6 +21,7 @@ from triholonomy.holonomy import (
     ordered_product,
     rotation_angle,
     su2_exponentials,
+    trace_expansion_from_rates,
     wilson_from_rates,
     wilson_from_samples,
 )
@@ -55,6 +56,28 @@ class TestWilsonLine:
     def test_rejects_nan_matrix(self):
         with pytest.raises(ValidationError):
             WilsonLine(np.full((2, 2), np.nan, dtype=complex))
+
+    @pytest.mark.parametrize("matrix", [np.eye(3), np.eye(2)[None], np.ones(4)])
+    def test_rejects_other_shapes(self, matrix):
+        with pytest.raises(ValidationError, match="Wilson line must be 2x2"):
+            WilsonLine(matrix)
+
+    def test_trace_is_real_within_the_checks(self):
+        # eigenvalues within 1e-10 of the unit circle with a product within 1e-10 of 1 sum to a real number
+        # to about 3e-10, so the trace needs no check of its own
+        rng, passed = np.random.default_rng(7), 0
+        for _ in range(400):
+            q = rng.normal(size=4)
+            a, b = complex(q[0], q[1]), complex(q[2], q[3])
+            m = np.array([[a, b], [-b.conjugate(), a.conjugate()]]) / np.linalg.norm(q)
+            m = m + 3e-11 * (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+            try:
+                trace = np.trace(WilsonLine(m).matrix)
+            except ValidationError:  # beyond a check: no trace is read
+                continue
+            passed += 1
+            assert abs(trace.imag) <= 1e-9
+        assert passed >= 100
 
     def test_inverse_and_compose(self):
         w = WilsonLine(np.array([[0, -1], [1, 0]], dtype=complex))
@@ -372,6 +395,13 @@ class TestHolonomyTrace:
             with pytest.raises(ValidationError, match="charge must be positive"):
                 wilson_from_samples(np.zeros(8), np.zeros(8), q)
 
+    @pytest.mark.parametrize("abelian, control", [
+        (np.zeros(0), np.zeros(0)), (np.zeros((2, 8)), np.zeros((2, 8))), (np.zeros(8), np.zeros(9)),
+    ], ids=["empty", "2-d", "unequal"])
+    def test_sampled_data_must_be_equal_1d_arrays(self, abelian, control):
+        with pytest.raises(ValidationError, match="rate samples must be non-empty 1-d arrays of equal length"):
+            wilson_from_samples(abelian, control, 1.0)
+
     def test_gauge_rotated_data(self):
         base = wilson_from_rates(lambda s: 0.1, lambda s: 0.05, 1.0, 4096).trace
         rotated = wilson_from_rates(
@@ -413,6 +443,11 @@ class TestDysonTrace:
         loop = pinned_loop(ellipse(), ControlField.constant(0.5), q=4.0, steps=2048)
         with pytest.raises(NumericalError, match="I2"):
             dyson_trace(loop, 2)
+
+    def test_trace_zero_is_refused(self):
+        # c = 1/2 accumulates eta = pi, where 2 cos(eta / 2) = 0 and the corrections divide by it
+        with pytest.raises(NumericalError, match="abelian angle sits at a trace zero"):
+            trace_expansion_from_rates(np.full(64, 0.5), np.full(64, 0.01j), 4)
 
     def test_moving_axis_expansion_is_sixth_order(self):
         # with a moving quantisation axis the transverse coupling scales with

@@ -128,6 +128,18 @@ class TestSpaceCurve:
         with pytest.raises(ValidationError):
             SpaceCurve(pts)
 
+    @pytest.mark.parametrize("shape", [(33, 2), (33, 3, 1), (99,)])
+    def test_points_must_be_n_by_3(self, shape):
+        with pytest.raises(ValidationError, match=r"curve points must have shape \(n, 3\)"):
+            SpaceCurve(np.zeros(shape))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_points_rejected(self, value):
+        pts = circle([0, 0, 0], [0, 0, 1], 1.0, n=32).points.copy()
+        pts[5, 1] = value
+        with pytest.raises(ValidationError, match="non-finite curve points"):
+            SpaceCurve(pts)
+
     def test_closure_gap_enforced(self):
         t = np.linspace(0, 2 * math.pi, 33)[:-1]
         pts = np.stack([np.cos(t), np.sin(t), 0 * t], axis=1)
@@ -393,6 +405,12 @@ class TestExactCrossings:
         assert not _crossings(p1, p2, _FRAMES[1])[1]
         assert gauss_linking(c1, moved) == 1 == crossing_count_linking(c1, moved)
 
+    def test_odd_crossing_sum_fails_closed(self, monkeypatch):
+        # two closed curves cross an even number of times in any generic view; an odd count is a fault
+        monkeypatch.setattr(linking, "_crossings", lambda p1, p2, frame: (3, False))
+        with pytest.raises(NumericalError, match="signed crossing sum 3 is odd"):
+            gauss_linking(*hopf_pair(n_segments=64))
+
     def test_touching_curves_fail_closed(self):
         # c2 passes through c1's vertex (1, 0, 0); midpoints stay 0.28 apart
         c1 = circle([0, 0, 0], [0, 0, 1], 1.0, n=16)
@@ -529,6 +547,22 @@ class TestBlockedKernel:
         with pytest.raises(ValidationError, match=f"approach within {dist.min():.3e}"):
             gauss_linking(c1, c2)
 
+    @pytest.mark.parametrize("segment", [0, -1], ids=["first-block", "last-block"])
+    def test_integral_refuses_the_closest_approach(self, segment):
+        # after the block where the curves come within 1e-3 of the diameter, each block only updates the
+        # minimum separation, which the refusal reports
+        n2 = 4096
+        c1 = circle([0, 0, 0], [0, 0, 1], 1.0, n=64)
+        m = midpoints(c1)[segment]
+        c2 = circle(m * (1 + 0.2 / np.linalg.norm(m)), [0, 0, 1], 0.2 - 1e-4, n=n2)
+        rows = self.rows_per_block(n2)
+        dist = np.linalg.norm(midpoints(c1)[:, None, :] - midpoints(c2)[None, :, :], axis=2)
+        near = np.flatnonzero(dist.min(axis=1) < 1e-3 * max(c1.diameter, c2.diameter))
+        assert 64 // rows > 1 and near.size
+        assert (near < rows).all() if segment == 0 else (near >= 64 - rows).all()
+        with pytest.raises(ValidationError, match=f"approach within {dist.min():.3e}"):
+            gauss_linking_integral(c1, c2)
+
     def test_memory_independent_of_curve_length(self):
         c1, c2 = hopf_pair(n_segments=2048)
         tracemalloc.start()
@@ -605,6 +639,11 @@ class TestTopologicalPhase:
             with pytest.raises(NumericalError, match="charge products overflow"):
                 cs_phase([1e200, 1e200], LinkData.pair(1), 4)
 
+    @pytest.mark.parametrize("charges", [[1.0], [1.0, 1.0, 1.0], [[1.0, 1.0]]])
+    def test_one_charge_per_curve(self, charges):
+        with pytest.raises(ValidationError, match="need one finite charge per curve"):
+            cs_phase(charges, LinkData.pair(1), 4)
+
     def test_level_must_be_positive_integer(self):
         with pytest.raises(ValidationError):
             cs_phase([1.0, 1.0], LinkData.pair(1), 0)
@@ -616,6 +655,16 @@ class TestLinkData:
     def test_symmetric_matrix_enforced(self):
         with pytest.raises(ValidationError):
             LinkData(np.array([[0, 1], [2, 0]]))
+
+    @pytest.mark.parametrize("matrix", [[[0, 1, 1], [1, 0, 1]], [0, 1], [[[0]]]])
+    def test_matrix_must_be_square(self, matrix):
+        with pytest.raises(ValidationError, match="linking matrix must be square"):
+            LinkData(matrix)
+
+    @pytest.mark.parametrize("slk", [[0], [0, 0, 0], [[0, 0]]])
+    def test_one_self_linking_number_per_curve(self, slk):
+        with pytest.raises(ValidationError, match="self-linking vector length must match the matrix"):
+            LinkData([[0, 1], [1, 0]], slk)
 
     def test_default_self_linking_is_zero(self):
         link = LinkData.pair(1)

@@ -169,9 +169,35 @@ class TestShapeLoop:
         with pytest.raises(ValidationError):
             ShapeLoop.from_samples(th, ph)
 
+    def test_azimuth_closure_enforced(self):
+        # the colatitude closes; the azimuth ends 1 rad from its start, not a whole number of turns
+        with pytest.raises(ValidationError, match=r"loop does not close in azimuth \(gap 1\.000e\+00\)"):
+            ShapeLoop(np.full(33, 1.0), np.linspace(0.0, 1.0, 33))
+
     def test_minimum_samples(self):
         with pytest.raises(ValidationError):
             ShapeLoop.from_samples(np.full(5, 1.0), np.zeros(5))
+
+    @pytest.mark.parametrize("colatitudes, azimuths", [
+        (np.ones((2, 33)), np.ones((2, 33))), (np.ones(33), np.ones(34)), (np.ones(33), np.ones((33, 1))),
+    ], ids=["2-d", "unequal", "column"])
+    def test_samples_must_be_equal_1d_arrays(self, colatitudes, azimuths):
+        with pytest.raises(ValidationError, match="colatitude/azimuth sample arrays must be 1-d and equal length"):
+            ShapeLoop(colatitudes, azimuths)
+
+    @pytest.mark.parametrize("index, value", [(0, math.nan), (1, math.inf)])
+    def test_non_finite_samples_rejected(self, index, value):
+        samples = [np.full(33, 1.0), np.zeros(33)]
+        samples[index][7] = value
+        with pytest.raises(ValidationError, match="non-finite loop samples"):
+            ShapeLoop(*samples)
+
+    @pytest.mark.parametrize("value", [-1e-3, math.pi + 1e-3])
+    def test_colatitudes_must_lie_on_the_sphere(self, value):
+        th = np.full(33, 1.0)
+        th[10] = value
+        with pytest.raises(ValidationError, match=r"colatitude samples outside \[0, pi\]"):
+            ShapeLoop(th, np.zeros(33))
 
     def test_interpolation_and_tangent(self):
         loop = ellipse_loop(math.pi / 2, 0.2, 0.1, n=2048)

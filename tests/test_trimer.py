@@ -81,6 +81,14 @@ class TestBondDrive:
         with pytest.raises(ValidationError, match="dt must be positive"):
             reconstruct_rotation(drive, REFERENCE_MASSES, 1.0, value)
 
+    def test_time_grid_needs_two_samples(self):
+        # one default step of 1/512 fastest period spans one sample interval
+        drive = reference_drive()
+        for t_end in (drive.fastest_period / 512, drive.fastest_period / 1024):
+            with pytest.raises(ValidationError, match="t_end spans fewer than two samples"):
+                drive.time_steps(t_end)
+        assert drive.time_steps(drive.fastest_period / 256)[0] == 2
+
     @pytest.mark.parametrize("name", ["omega", "omega12"])
     def test_infinite_frequency_rejected(self, name):
         # an infinite frequency has fastest period 0, which the time grid would blame on dt
@@ -556,8 +564,10 @@ class TestPhaseSweep:
         with pytest.raises(ValidationError, match=r"phase grid must lie within \[-pi, pi\]"):
             phase_sweep(BondDrive(1.1, 0.2, 1.0, 1.0, 0.15, 3.0), REFERENCE_MASSES, grid)
 
-    def test_failure_names_its_phase(self):
-        # the bonds overflow to NaN frames: the invariant fails closed, naming phi
+    def test_failure_names_its_phase(self, monkeypatch):
+        # the bonds overflow to NaN frames: the invariant fails closed, naming phi (the scale rule, which
+        # refuses this drive first, is bypassed)
+        monkeypatch.setattr("triholonomy.trimer._masses", lambda masses, drive: np.asarray(masses, dtype=float))
         drive = BondDrive(1e200, 0.0, 1.0, 1e200, 0.0, 3.0)
         named = r"phi = -3\.14159.*zero-angular-momentum"
         with np.errstate(all="ignore"), pytest.raises(NumericalError, match=named):
@@ -614,7 +624,9 @@ class TestFailClosed:
         with pytest.raises(NumericalError, match="triangle inequality"):
             _frames(math.nan, 1.0, 1.0, [1.0, 1.0, 1.0])
 
-    def test_nan_frames_fail_the_invariant(self):
+    def test_nan_frames_fail_the_invariant(self, monkeypatch):
+        # the trimer scale rule refuses this drive first (test_bounds.py); bypassed, the overflow fails closed
+        monkeypatch.setattr("triholonomy.trimer._masses", lambda masses, drive: np.asarray(masses, dtype=float))
         drive = BondDrive(1e200, 0.0, 1.0, 1e200, 0.0, 3.0)
         with np.errstate(all="ignore"), pytest.raises(NumericalError, match="zero-angular-momentum"):
             reconstruct_rotation(drive, REFERENCE_MASSES, drive.common_period())
@@ -737,9 +749,13 @@ class TestEffectiveMomentumSeries:
     def test_window_checks_hold(self):
         drive = reference_drive()
         period = drive.common_period()
-        traj = reconstruct_rotation(drive, REFERENCE_MASSES, 2 * period)
-        with pytest.raises(ValidationError, match="does not close"):
-            effective_momentum_series(traj, period / 2)
+        traj = reconstruct_rotation(drive, REFERENCE_MASSES, 2 * period, period / 256)
+        effective_momentum_series(traj, 2 * period)  # one window of every sample
+        for window, message in ((period / 2, "does not close"),
+                                (period * (1 + 0.5 / 256), "time step must divide the window period"),
+                                (3 * period, "trajectory shorter than one window period")):
+            with pytest.raises(ValidationError, match=message):
+                effective_momentum_series(traj, window)
 
     def test_non_finite_window_phase_fails_closed(self, monkeypatch):
         drive = reference_drive()
