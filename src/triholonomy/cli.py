@@ -67,7 +67,7 @@ from .demonstrator import (
     leakage_estimate,
     ramsey_echo,
 )
-from .errors import MAX_SAMPLES, POSITIVE, NumericalError, ValidationError, count
+from .errors import FINITE, MAX_SAMPLES, POSITIVE, NumericalError, ValidationError, check, count
 from .gates import (
     SAMPLES,
     gate_fidelity,
@@ -343,11 +343,9 @@ def _check(value, param: _Param, key: str, where: str):
         wrong = isinstance(kind, (list, dict)) or not isinstance(value, kind)
         if wrong or isinstance(value, bool) != (kind is bool):
             raise ValidationError(f"{where}: parameter {key!r} has wrong type")
-        if kind is float and not math.isfinite(value):
-            raise ValidationError(f"{where}: parameter {key!r} is not finite")
-    if param.bound and not param.bound[0](value):
-        raise ValidationError(f"{where}: parameter {key!r} must be {param.bound[1]}")
-    return value
+        if kind is float:
+            check(f"{where}: parameter {key!r}", value, FINITE)
+    return check(f"{where}: parameter {key!r}", value, param.bound) if param.bound else value
 
 
 def _read(table: dict, params: dict, where: str) -> dict:

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import POSITIVE, NumericalError, ValidationError, bounded, check, check_fields, count
+from .errors import (FINITE, POSITIVE, NumericalError, ValidationError, at_most, bounded, check, check_fields, count,
+                     guard)
 from .holonomy import HolonomyLoop, integrate_wilson
 
 __all__ = [
@@ -116,7 +117,7 @@ class ErrorBudget:
 
     p_leak: float = bounded(_PROBABILITY)  # per-gate non-adiabatic leakage
     p_decay: float = bounded(_PROBABILITY)  # radiative decay over the gate time
-    phase_drift: float = bounded((math.isfinite, "finite"))  # un-echoed dynamical phase, radians
+    phase_drift: float = bounded(FINITE)  # un-echoed dynamical phase, radians
     total_infidelity_estimate: float = bounded(_PROBABILITY)
 
     def __post_init__(self):
@@ -135,8 +136,7 @@ def gate_budget(params: PlatformParams) -> ErrorBudget:
     p_decay = 1.0 - math.exp(-t_gate / params.tau_r)
     p_leak = min(1.0, params.n_rep * leakage_estimate(params))
     phase_drift = params.splitting * t_gate
-    if not math.isfinite(phase_drift):
-        raise NumericalError(f"phase drift is not finite: splitting x gate time = {phase_drift}")
+    guard("phase drift splitting x gate time", phase_drift, FINITE)
     total = min(1.0, 1.0 - (1.0 - p_decay) * (1.0 - p_leak))
     return ErrorBudget(p_leak, p_decay, phase_drift, total)
 
@@ -208,8 +208,7 @@ def ramsey_echo(
         NumericalError: the echoed geometric signal fails to be independent
             of the splitting to 1e-6 (non-unitary inputs would surface here).
     """
-    if not math.isfinite(delta_e):
-        raise ValidationError(f"delta_e must be finite, got {delta_e!r}")
+    check("delta_e", delta_e, FINITE)
     check("scan_count", scan_count, SCANS)
     w = integrate_wilson(loop).matrix
     w_rev = w.conj().T
@@ -226,11 +225,8 @@ def ramsey_echo(
         doubled, geometric, trace = _reconstruct(amps)
         _, amps_shifted = _fringe_record(block_for(2.0 * delta_e), _PREP_PHASES, scan)
         _, _, trace_shifted = _reconstruct(amps_shifted)
-        if not abs(trace_shifted - trace) <= 1e-6:
-            raise NumericalError(
-                "echo failed to cancel the dynamical phase: reconstructed trace moved by "
-                f"{abs(trace_shifted - trace):.2e} under a doubled splitting"
-            )
+        guard("echo's shift of the reconstructed trace under a doubled splitting", abs(trace_shifted - trace),
+              at_most(1e-6))
     else:
         doubled = geometric = trace = math.nan
     return RamseyResult(

@@ -1,13 +1,18 @@
-"""Exception types, the sample budget, the count bound and the one bound check shared across the package."""
+"""Exception types, the sample budget, the bound helpers and the one bound check shared across the package."""
 
+import cmath
+import functools
 import math
 import numbers
 from dataclasses import MISSING, field, fields
+
+import numpy as np
 
 __all__ = ["MAX_SAMPLES", "ValidationError", "NumericalError"]
 
 MAX_SAMPLES = 2**26  # largest sample count a parameter or time grid may ask for
 POSITIVE = (lambda v: 0.0 < v < math.inf, "positive and finite")  # a (test, phrase) bound
+FINITE = (cmath.isfinite, "finite")  # a real or complex value
 
 
 class ValidationError(ValueError):
@@ -18,11 +23,24 @@ class NumericalError(RuntimeError):
     """A numerical invariant failed at run time (the message names it)."""
 
 
-def check(name: str, value, bound: tuple):
-    """``value``, or a ValidationError naming ``name`` if it fails ``bound`` = (test, phrase); a NaN always fails."""
-    if (isinstance(value, numbers.Real) and value != value) or not bound[0](value):  # only NaN != NaN
-        raise ValidationError(f"{name} must be {bound[1]}, got {value!r}")
+def check(name: str, value, bound: tuple, error: type = ValidationError):
+    """``value``, or ``error`` "<name> must be <phrase>, got <value>" if it fails ``bound`` = (test, phrase); a NaN
+    and a Real that no float holds (``10**400``) always fail.  A numpy scalar prints as its Python number."""
+    try:
+        nan = isinstance(value, numbers.Real) and math.isnan(value)
+    except OverflowError:  # math.isnan found no float for the Real
+        raise error(f"{name} must be {bound[1]}, got a number beyond the float range") from None
+    if nan or not bound[0](value):
+        raise error(f"{name} must be {bound[1]}, got {value.item() if isinstance(value, np.generic) else value!r}")
     return value
+
+
+guard = functools.partial(check, error=NumericalError)  # the check of a run-time invariant
+
+
+def at_most(limit: float) -> tuple:
+    """A (test, phrase) bound: at most ``limit``, which the phrase prints exactly."""
+    return (lambda v: v <= limit), f"at most {limit!r}"
 
 
 def bounded(bound: tuple, default=MISSING):

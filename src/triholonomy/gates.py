@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .connection import BlochField, ControlField
-from .errors import POSITIVE, NumericalError, ValidationError, bounded, check, check_fields, count
+from .errors import POSITIVE, ValidationError, at_most, bounded, check, check_fields, count, guard
 from .holonomy import (
     HolonomyLoop,
     WilsonLine,
@@ -84,8 +84,7 @@ class GateSpec:
 
     def __post_init__(self):
         t = np.asarray(self.target, dtype=complex)
-        if not np.linalg.norm(t.conj().T @ t - np.eye(t.shape[0])) <= 1e-12:
-            raise ValidationError("gate target must be unitary to 1e-12")
+        check("gate target's |U^H U - I|", np.linalg.norm(t.conj().T @ t - np.eye(t.shape[0])), at_most(1e-12))
         check_fields(self)
         r = np.asarray(self.residual_abelian, dtype=complex)
         if not (np.linalg.norm(r.conj().T @ r - np.eye(2)) <= 1e-10
@@ -264,11 +263,7 @@ def synth_hadamard_gate(q: float, n_samples: int = 1024, steps: int = 4096) -> G
     )
     v = wilson_from_samples(np.zeros(steps), control.at(s_mid) * np.exp(-1j * eta_mid), q)
     miss = abs(rotation_angle(v) - math.pi / 2)
-    if not miss <= _CALIBRATION_TOL:
-        raise NumericalError(
-            f"steered transverse rotation misses pi/2 by {miss:.3e} at |psi| = 1/(4 q) "
-            f"(bound {_CALIBRATION_TOL:g})"
-        )
+    guard("steered transverse rotation's miss of pi/2 at |psi| = 1/(4 q)", miss, at_most(_CALIBRATION_TOL))
     eta_total = float(eta_ends[-1])
     return GateSpec(
         target=HADAMARD_ROTATION,
@@ -321,6 +316,5 @@ def gate_fidelity(u: np.ndarray, v: np.ndarray) -> float:
     if u.shape != v.shape or u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValidationError("gate fidelity needs two square matrices of equal dimension")
     for m in (u, v):
-        if not np.linalg.norm(m.conj().T @ m - np.eye(m.shape[0])) <= 1e-9:
-            raise ValidationError("gate fidelity inputs must be unitary")
+        check("unitary fidelity input's |U^H U - I|", np.linalg.norm(m.conj().T @ m - np.eye(len(m))), at_most(1e-9))
     return float(abs(np.trace(u.conj().T @ v)) / u.shape[0])

@@ -47,7 +47,7 @@ from .connection import (
     connection_vectors,
     eigenframe_rate_samples,
 )
-from .errors import POSITIVE, NumericalError, ValidationError, bounded, check, check_fields, count
+from .errors import FINITE, POSITIVE, ValidationError, at_most, bounded, check, check_fields, count, guard
 from .shapespace import ShapeLoop
 
 __all__ = [
@@ -78,10 +78,8 @@ class WilsonLine:
         m = np.asarray(self.matrix, dtype=complex)
         if m.shape != (2, 2):
             raise ValidationError("Wilson line must be 2x2")
-        if not np.linalg.norm(m.conj().T @ m - np.eye(2)) <= 1e-10:
-            raise ValidationError("Wilson line is not unitary to 1e-10")
-        if not abs(np.linalg.det(m) - 1.0) <= 1e-10:
-            raise ValidationError("Wilson line determinant differs from 1 beyond 1e-10")
+        check("Wilson line's residual |W^H W - I|", np.linalg.norm(m.conj().T @ m - np.eye(2)), at_most(1e-10))
+        check("Wilson line's |det W - 1|", abs(np.linalg.det(m) - 1.0), at_most(1e-10))
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
@@ -210,10 +208,7 @@ def ordered_product(mats: np.ndarray) -> np.ndarray:
         raise ValidationError("ordered product needs a (..., N, 2, 2) stack with N >= 1")
     a, b = mats[..., 0, 0], mats[..., 0, 1]
     for err in (np.abs(mats[..., 1, 1] - np.conj(a)), np.abs(mats[..., 1, 0] + np.conj(b))):
-        if not np.max(err) <= 1e-12:
-            raise ValidationError(
-                f"product factor departs from SU(2) form by {np.max(err):.3e} (> 1e-12)"
-            )
+        check("product factor's departure from SU(2) form", np.max(err), at_most(1e-12))
     return _su2_matrix(*_pair_product(a, b))
 
 
@@ -323,8 +318,7 @@ def trace_expansion_from_rates(
         NumericalError: the quadratic correction exceeds the contraction
             bound |I2| < 0.5, or the abelian angle sits at a trace zero.
     """
-    if order not in (2, 4):
-        raise ValidationError("expansion order must be 2 or 4")
+    check("expansion order", order, (lambda v: v in (2, 4), "2 or 4"))
     c = np.asarray(c, dtype=float)
     j = np.asarray(j, dtype=complex)
     ds = 2 * math.pi / c.size
@@ -338,19 +332,15 @@ def trace_expansion_from_rates(
         inner_gbar = cumulative_midpoint(np.conj(g), ds)[1]
         c2_at = -0.25 * cumulative_midpoint(g * inner_gbar, ds)[1]
         c2 = -0.25 * ds * complex(np.sum(g * inner_gbar))
-    if not (math.isfinite(eta_total) and np.isfinite(c2)):
-        raise NumericalError("coupling is not finite over the loop: the I2 integral overflows")
+    guard("abelian angle eta over the loop", eta_total, FINITE)
+    guard("I2 integral c2 over the loop", c2, FINITE)
 
     half_cos = math.cos(0.5 * eta_total)
     phase = complex(math.cos(0.5 * eta_total), math.sin(0.5 * eta_total))
-    if not abs(half_cos) >= 1e-12:
-        raise NumericalError("abelian angle sits at a trace zero; expansion is ill-conditioned")
+    guard("abelian |cos(eta / 2)|", abs(half_cos), (lambda v: v >= 1e-12, "at least 1e-12, off a trace zero"))
 
     i2 = -float((phase * c2).real) / half_cos
-    if not abs(i2) <= 0.5:
-        raise NumericalError(
-            f"transverse coupling too strong for the expansion to contract (I2 = {i2:.3g})"
-        )
+    guard("transverse coupling |I2| of the trace expansion", abs(i2), at_most(0.5))
     corrections = [i2]
     if order == 4:
         inner_gbar_c2 = cumulative_midpoint(np.conj(g) * c2_at, ds)[1]
@@ -380,8 +370,7 @@ def dyson_trace(loop: HolonomyLoop, order: int = 2) -> TraceExpansion:
 def _half_trace_angle(trace: float) -> float:
     """arccos(trace / 2) in [0, pi]; |trace / 2| must be <= 1 + 1e-10 (NaN fails)."""
     half_trace = trace / 2.0
-    if not abs(half_trace) <= 1.0 + 1e-10:
-        raise NumericalError(f"trace magnitude {2 * half_trace:.6f} exceeds 2 beyond tolerance")
+    guard("|Tr W| / 2", abs(half_trace), at_most(1.0 + 1e-10))
     return math.acos(min(1.0, max(-1.0, half_trace)))
 
 

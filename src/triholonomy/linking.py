@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import POSITIVE, NumericalError, ValidationError, check, count
+from .errors import FINITE, POSITIVE, NumericalError, ValidationError, check, count, guard
 
 __all__ = ["SpaceCurve", "LinkData", "gauss_linking", "hopf_pair", "cs_phase"]
 
@@ -143,16 +143,16 @@ def gauss_linking_integral(c1: SpaceCurve, c2: SpaceCurve) -> float:
     summation order is fixed.  The triple product is split as
     (d1 x d2).(m1 - m2) = (m1 x d1).d2 + d1.(m2 x d2), one matrix product
     per block, with midpoints centred on a common origin to keep that
-    split exact far from the origin.  NumericalError where the larger
-    diameter overflows, as in ``gauss_linking``.
+    split exact far from the origin.  The close approach is refused and
+    the larger diameter's overflow fails as in ``gauss_linking``.
     """
-    scale = _scale((c1, c2))
+    scale = _scale(c1, c2)
     origin = 0.5 * (c1.centroid + c2.centroid)[:, None]
     (x1, d1), (x2, d2) = ((c.midrows - origin, np.diff(c.rows, axis=1)) for c in (c1, c2))
     left = np.vstack([np.cross(x1, d1, axis=0), d1]).T  # (n1, 6)
     right = np.vstack([d2, np.cross(x2, d2, axis=0)])  # (6, n2)
     per_block = max(1, _BLOCK_PAIRS // x2.shape[1])
-    min_sep, total = math.inf, 0.0
+    total = 0.0
     for start in range(0, x1.shape[1], per_block):
         block = slice(start, start + per_block)
         r2 = np.subtract.outer(x1[0, block], x2[0])
@@ -161,17 +161,10 @@ def gauss_linking_integral(c1: SpaceCurve, c2: SpaceCurve) -> float:
             dk = np.subtract.outer(x1[k, block], x2[k])
             dk *= dk
             r2 += dk
-        min_sep = min(min_sep, math.sqrt(r2.min()))
-        if min_sep < 1e-3 * scale:
-            continue  # rejected below; only the global minimum is still needed
         integrand = left[block] @ right
         r2 *= np.sqrt(r2)
         integrand /= r2
         total += float(integrand.sum())
-    if min_sep < 1e-3 * scale:
-        raise ValidationError(
-            f"curves approach within {min_sep:.3e} (< 1e-3 of diameter); linking integral unreliable"
-        )
     return total / (4 * math.pi)
 
 
@@ -238,11 +231,17 @@ def _crossings(p1: np.ndarray, p2: np.ndarray, frame: np.ndarray) -> tuple[int, 
     return total, degenerate
 
 
-def _scale(curves) -> float:
-    """The largest diameter of ``curves``; NumericalError where it overflows: no Gauss sum is defined."""
-    scale = max(c.diameter for c in curves)
-    if not math.isfinite(scale):
-        raise NumericalError(f"Gauss integral undefined: the curve diameter {scale} overflows")
+def _scale(c1: SpaceCurve, c2: SpaceCurve) -> float:
+    """The larger diameter of the two curves: NumericalError where it overflows, as no Gauss sum is defined, and
+    ValidationError where segment midpoints come within 1e-3 of it, swept (``_overlapping``) in units of its
+    power of two."""
+    scale = guard("larger curve diameter of the Gauss integral", max(c1.diameter, c2.diameter), FINITE)
+    m1, m2, w, e, min_sep = c1.midrows, c2.midrows, 1e-3 * scale, math.frexp(scale)[1], math.inf
+    for i, j in _overlapping(m1, m1, m2 - w, m2 + w):
+        r2 = (np.ldexp(m1.take(i, axis=1) - m2.take(j, axis=1), -e) ** 2).sum(axis=0)
+        min_sep = min(min_sep, math.ldexp(math.sqrt(r2.min(initial=math.inf)), e))
+    if min_sep < w:
+        raise ValidationError(f"curves approach within {min_sep:.3e} (< 1e-3 of diameter); linking integral unreliable")
     return scale
 
 
@@ -250,27 +249,19 @@ def gauss_linking(c1: SpaceCurve, c2: SpaceCurve) -> int:
     """Gauss linking number of two disjoint closed polygons, exactly.
 
     Half the signed crossing count in the first of ``_FRAMES``, or the second if a crossing is
-    degenerate in the first (Banchoff 1976).  The close-approach check uses the same sweep.
+    degenerate in the first (Banchoff 1976).  The close-approach refusal sweeps the midpoints too.
 
     Raises:
         ValidationError: segment midpoints approach closer than 1e-3 of the larger diameter.
         NumericalError: the diameter overflows, the points overflow in units of it, a crossing is
             degenerate in both views (see ``_crossings``), or the signed crossing sum is odd.
     """
-    scale = _scale((c1, c2))
-    m1, m2, w, e, min_sep = c1.midrows, c2.midrows, 1e-3 * scale, math.frexp(scale)[1], math.inf
-    for i, j in _overlapping(m1, m1, m2 - w, m2 + w):
-        r2 = (np.ldexp(m1.take(i, axis=1) - m2.take(j, axis=1), -e) ** 2).sum(axis=0)
-        min_sep = min(min_sep, math.ldexp(math.sqrt(r2.min(initial=math.inf)), e))
-    if min_sep < w:
-        raise ValidationError(
-            f"curves approach within {min_sep:.3e} (< 1e-3 of diameter); linking integral unreliable"
-        )
+    scale = _scale(c1, c2)
     origin = 0.5 * (c1.centroid + c2.centroid)[:, None]
     with np.errstate(over="ignore"):
         p1, p2 = (c1.rows - origin) / scale, (c2.rows - origin) / scale
-    if not (np.isfinite(p1).all() and np.isfinite(p2).all()):
-        raise NumericalError(f"Gauss integral undefined: points overflow in units of diameter {scale:.3e}")
+    guard(f"largest point coordinate in units of the curve diameter {scale!r}", max(abs(p1).max(), abs(p2).max()),
+          FINITE)
     for frame in _FRAMES:
         total, degenerate = _crossings(p1, p2, frame)
         if not degenerate:
@@ -291,8 +282,7 @@ def hopf_pair(radius1: float = 1.0, radius2: float = 1.0, n_segments: int = 512)
     """
     check("radius1", radius1, POSITIVE)
     check("radius2", radius2, POSITIVE)
-    if not radius2 < 2 * radius1:
-        raise ValidationError("hopf radius2 must be below 2 * radius1 for the circles to link")
+    check("hopf radius2", radius2, (lambda v: v < 2 * radius1, "below 2 * radius1 for the circles to link"))
     check("n_segments", n_segments, SEGMENTS)
     t = np.linspace(0.0, 2 * math.pi, n_segments + 1)
     cos, sin, zero = np.cos(t), np.sin(t), np.zeros_like(t)
@@ -323,9 +313,6 @@ def cs_phase(charges, link: LinkData, k: int) -> float:
                 pair_term += q[i] * q[j] * link.lk_matrix[i, j]
         self_term = float(np.sum(q**2 * link.slk))
         phase = float((4 * math.pi / k) * pair_term + (2 * math.pi / k) * self_term)
-    if not math.isfinite(phase):
-        raise NumericalError("cs_phase is not finite: the charge products overflow")
-    if not abs(phase) <= _MAX_PHASE:
-        raise NumericalError(f"cs_phase of {phase:.6g} rad exceeds 2^20 rad before its reduction mod 2 pi, "
-                             "where rounding exceeds 1e-9 rad")
+    guard("|cs_phase| before its reduction mod 2 pi", abs(phase),
+          (lambda v: v <= _MAX_PHASE, "at most 2^20 rad, past which rounding exceeds 1e-9 rad"))
     return phase % (2 * math.pi)

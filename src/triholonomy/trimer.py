@@ -24,7 +24,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .connection import monopole_potential
-from .errors import MAX_SAMPLES, POSITIVE, NumericalError, ValidationError, bounded, check, check_fields, count
+from .errors import (MAX_SAMPLES, POSITIVE, NumericalError, ValidationError, bounded, check, check_fields, count,
+                     guard)
 from .holonomy import midpoint_grid
 from .shapespace import _check_loop_samples, shape_angles
 
@@ -222,9 +223,8 @@ def _check_momentum(cross, dot, step, scale: float, dt: float) -> None:
     dtheta = ``step`` = diff(theta), is within 1e-8 of ``scale``.  It is exact for theta's atan2
     increments, so this catches a wrong increment, overflow and NaN (a NaN residual fails)."""
     worst = float(np.abs(cross * np.cos(step) + dot * np.sin(step)).max()) / dt
-    if not worst <= 1e-8 * scale:
-        raise NumericalError(f"zero-angular-momentum invariant violated: residual {worst:.3e} "
-                             f"exceeds 1e-8 of scale {scale:.3e}")
+    guard("zero-angular-momentum invariant's residual", worst,
+          (lambda v: v <= 1e-8 * scale, f"at most 1e-8 of scale {scale!r}"))
 
 
 def reconstruct_rotation(drive: BondDrive, masses, t_end: float, dt: float | None = None) -> TrimerTrajectory:
@@ -256,12 +256,17 @@ def reconstruct_rotation(drive: BondDrive, masses, t_end: float, dt: float | Non
 def _masses(masses, drive: BondDrive) -> np.ndarray:
     """The vertex masses as an array, refused by name unless they pass ``MASSES`` and, with the total mass M
     and the largest bond b, M^2 (``_jacobi``'s mass products), 2 b^2 (``_frames``' sums of squares) and
-    2 MAX_SAMPLES M b^2 (the window inertia sums, of MAX_SAMPLES + 1 samples of at most M b^2) are finite."""
+    2 MAX_SAMPLES M b^2 (the window inertia sums, of MAX_SAMPLES + 1 samples of at most M b^2) are finite;
+    with the smallest mass m and the shortest bond b, m^2, b^2 and m b^2 must not underflow (< 2^-1022)."""
     m = np.asarray(check("masses", masses, MASSES), dtype=float)
     mass, bond = sum(m.tolist()), max(drive.d12 + drive.a12, drive.d + drive.a)  # Python floats reach inf quietly
     if not max(mass * mass, 2 * bond * bond, 2 * MAX_SAMPLES * mass * bond * bond) < math.inf:
         raise ValidationError(f"masses {m.tolist()} (total M) and largest bond b = max(d12 + a12, d + a) = {bond:.6g} "
                               f"overflow the trimer's scale: M^2, 2 b^2 and {2 * MAX_SAMPLES} M b^2 must be finite")
+    least, short = min(m.tolist()), min(drive.d12 - drive.a12, drive.d - drive.a)  # and reach 0 quietly
+    if not min(least * least, short * short, least * short * short) >= 2.0**-1022:
+        raise ValidationError(f"masses {m.tolist()} (smallest m) and shortest bond b = min(d12 - a12, d - a) = "
+                              f"{short:.6g} underflow the trimer's scale: m^2, b^2 and m b^2 must be at least 2^-1022")
     return m
 
 
@@ -339,14 +344,14 @@ def precession_berry_phase(
     precession radius is the accumulated phase, pi for the forward cycle.
 
     Raises:
-        ValidationError: d, omega or a phase out of its bound, or not 0 < a < d, before numpy sees them.
+        ValidationError: d, omega, a phase or a, in (0, d) and below 2^252, out of its bound, before numpy sees it.
         NumericalError: the drive does not precess on a circle.
     """
     for name, value, bound in (("d", d, POSITIVE), ("omega", omega, POSITIVE), ("phi13", phi13, _TURN),
                                ("phi23", phi23, _TURN)):
         check(name, value, bound)
-    if not 0 < a < d:  # NaN fails too
-        raise ValidationError(f"need 0 < a < d, got a = {a!r} and d = {d!r}")
+    check("a", a, (lambda v: 0 < v < min(d, 2.0**252),
+                   f"in (0, d = {float(d)!r}) and below 2^252, where the radius check's sums of a^4 stay finite"))
     t = np.linspace(0.0, 2 * math.pi / omega, 16384 + 1)
     u = a * np.cos(omega * t + phi13)
     v = a * np.cos(omega * t + phi23)

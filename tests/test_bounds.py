@@ -17,6 +17,7 @@ import json
 import math
 import re
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -227,6 +228,54 @@ def test_count_bound():
     assert loops[0](2**100) and not loops[0](0)
 
 
+def test_check_names_the_plain_value_and_the_exact_bound():
+    # a numpy scalar prints as the Python number it holds, never as np.float64(...), and at_most's limit exactly
+    with pytest.raises(ValidationError, match=r"^x must be positive and finite, got nan$"):
+        errors.check("x", np.float64("nan"), errors.POSITIVE)
+    with pytest.raises(NumericalError, match=r"^y must be at most 1\.0000000001, got 3$"):
+        errors.guard("y", np.int64(3), errors.at_most(1.0 + 1e-10))
+    with pytest.raises(NumericalError, match=r"^z must be finite, got \(inf\+0j\)$"):
+        errors.guard("z", np.complex128(math.inf), errors.FINITE)
+    assert errors.guard("y", np.float64(0.5), errors.at_most(0.5)) == 0.5
+
+
+@pytest.mark.parametrize("bound", [errors.POSITIVE, errors.count(1, math.inf), errors.FINITE, errors.at_most(math.inf)],
+                         ids=["positive", "count", "finite", "at-most-inf"])
+@pytest.mark.parametrize("value", [10**400, -(10**400), Fraction(10**400, 3)], ids=["int", "negative-int", "fraction"])
+def test_a_real_beyond_the_float_range_fails_whatever_its_bound(bound, value):
+    with pytest.raises(ValidationError, match=r"^v must be .+, got a number beyond the float range$"):
+        errors.check("v", value, bound)
+
+
+# Python ints beyond the float range: each passed its field's bound and ended in a bare OverflowError
+FLOAT_RANGE_PROBES = {
+    "BondDrive-d12": (lambda: BondDrive(**dict(DRIVE, d12=10**400)), "d12"),
+    "PlatformParams-e_a": (lambda: PlatformParams(e_a=10**400), "e_a"),
+    "HolonomyLoop-charge": (lambda: HolonomyLoop(make_ellipse_loop(math.pi / 2, 0.1, 0.1, 64), charge=10**400),
+                            "charge"),
+    "hopf_pair-radius1": (lambda: hopf_pair(10**400, 1.0), "radius1"),
+    "synth_phase_gate-q": (lambda: synth_phase_gate(10**400), "coupling weight q"),
+}
+
+
+@pytest.mark.parametrize("probe", list(FLOAT_RANGE_PROBES))
+def test_an_int_beyond_the_float_range_is_refused_by_name(probe):
+    call, name = FLOAT_RANGE_PROBES[probe]
+    with pytest.raises(ValidationError, match=rf"^{name} must be positive and finite, got a number beyond the float"):
+        call()
+
+
+def test_precession_amplitude_whose_square_overflows_is_refused_by_name():
+    # u^2 + v^2 once overflowed with a RuntimeWarning before the circle check; below 2^252 no sum of a^4 overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        refused = r"^a must be in \(0, d = 1e\+200\) and below 2\^252, .+, got 1e\+199$"
+        with pytest.raises(ValidationError, match=refused):
+            precession_berry_phase(1e200, 1e199, 1.0)
+        assert precession_berry_phase(1e300, 2.0**252 * (1 - 2**-53), 1.0) == pytest.approx(math.pi, abs=1e-6)
+        assert precession_berry_phase(1.0, 0.15, 3.0) == 3.1415925765848707  # the bits before the rule
+
+
 # Inputs the library accepted although the CLI refused them; each failed as its comment says.
 PROBES = {
     # a RuntimeWarning, then "triangle inequality violated"
@@ -355,7 +404,7 @@ def test_scale_probe_exits_2_by_name(tmp_path, capsys, probe, scenario, command,
 @pytest.mark.parametrize("lengths, masses", [
     ({key: DRIVE[key] * 1e149 for key in ("d12", "a12", "d", "a")}, MASSES),  # 2^27 M b^2 = 2.0e307
     ({}, [4e153] * 3),  # M^2 = 1.4e308
-    (dict(d12=9e153, a12=0.0, d=8e153, a=0.0), [1e-200] * 3),  # 2 b^2 = 1.6e308
+    (dict(d12=9e153, a12=0.0, d=8e153, a=0.0), [1e-10] * 3),  # 2 b^2 = 1.6e308
 ], ids=["lengths-x1e149", "masses-4e153", "bonds-9e153"])
 def test_scales_inside_the_rule_run_clean(lengths, masses):
     drive = BondDrive(**dict(DRIVE, **lengths))
@@ -364,6 +413,68 @@ def test_scales_inside_the_rule_run_clean(lengths, masses):
         traj = reconstruct_rotation(drive, masses, 2 * math.pi, 2 * math.pi / 512)
         assert _finite(traj) and _finite(trimer.effective_momentum_series(traj, 2 * math.pi))
         assert _finite(phase_sweep(drive, masses, [-0.5, 0.5]))
+
+
+# (drive lengths, masses) whose products underflow although each field passes its bound.  Each exited 0 under
+# trimer-sim and phase-sweep and returned as its comment says; phase_sweep at phi = -3 of the drive with
+# DRIVE's lengths and equal masses is 3.4826e-3, and 3.6044e-3 at MASSES.
+UNDERFLOW_PROBES = {
+    # phase_sweep returned 4.6305e-5
+    "masses-1e-320": ({}, [1e-320] * 3),
+    # phase_sweep returned 0.0
+    "masses-5e-324": ({}, [5e-324] * 3),
+    # m^2 underflows, so _jacobi's mass products read 0: phase_sweep was right, but every trimer-sim L_eff read 0.0
+    "masses-1e-310": ({}, [1e-310] * 3),
+    "masses-1e-300": ({}, [1e-300] * 3),
+    # b^2 is subnormal: phase_sweep returned 3.8176e-3
+    "lengths-x1e-160": ({key: DRIVE[key] * 1e-160 for key in ("d12", "a12", "d", "a")}, MASSES),
+    # m b^2 is subnormal: phase_sweep returned 7.0697e-4
+    "lengths-x1e-110-masses-1e-100": ({key: DRIVE[key] * 1e-110 for key in ("d12", "a12", "d", "a")}, [1e-100] * 3),
+}
+UNDERFLOW = r"^masses \[.+\] \(smallest m\) and shortest bond b = min\(d12 - a12, d - a\) = \S+ underflow the trimer's"
+
+
+@pytest.mark.parametrize("probe", list(UNDERFLOW_PROBES))
+def test_underflow_probe_is_refused_by_name(probe):
+    lengths, masses = UNDERFLOW_PROBES[probe]
+    drive = BondDrive(**dict(DRIVE, **lengths))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match=UNDERFLOW):
+            reconstruct_rotation(drive, masses, 2 * math.pi)
+        with pytest.raises(ValidationError, match=UNDERFLOW):
+            phase_sweep(drive, masses, [0.5])
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("scenario", ["trimer-sim", "phase-sweep"])
+@pytest.mark.parametrize("probe", list(UNDERFLOW_PROBES))
+def test_underflow_probe_exits_2_by_name(tmp_path, capsys, probe, scenario, command):
+    lengths, masses = UNDERFLOW_PROBES[probe]
+    params = {"drive": dict(DRIVE, **lengths), "masses": masses}
+    params.update({"periods": 2, "steps_per_period": 1536} if scenario == "trimer-sim" else {"phi_count": 5})
+    path, out = tmp_path / "config.json", tmp_path / "out"
+    path.write_text(json.dumps({"schema_version": 1, "scenario": scenario, "params": params}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main([command, str(path)] + (["--out", str(out)] if command == "run" else [])) == 2
+    stdout, stderr = capsys.readouterr()
+    assert stdout == "" and stderr.count("\n") == 1
+    assert stderr.startswith("validation error: masses [") and "underflow the trimer's scale" in stderr
+    assert not out.exists()
+
+
+def test_the_smallest_masses_inside_the_underflow_rule_keep_their_bits():
+    # m = 1e-150 keeps m^2 = 1e-300 normal; these are the values of the code before the rule
+    drive = BondDrive(**DRIVE, phi13=math.pi / 4, phi23=-math.pi / 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        gains = phase_sweep(drive, [1e-150] * 3, [-3.0, 0.0, 3.0]).tolist()
+        traj = reconstruct_rotation(drive, [1e-150] * 3, 4 * math.pi, 2 * math.pi / 512)
+        l_eff = trimer.effective_momentum_series(traj, 2 * math.pi)[1]
+    assert gains == [0.0034825783756776097, 2.958765622760039e-17, -0.0034825783756775425]
+    assert traj.theta[-1] == -0.32437074848072306
+    assert (l_eff[:3] / 3e-150).tolist() == [0.00933326486151066, 0.009328209361745901, 0.009323601120691484]
 
 
 def _declared(cls) -> dict:

@@ -200,8 +200,9 @@ BAD_ROOTS = [
     (small_gate_config(note=math.nan), "config: unknown parameter 'note'"),
     (small_gate_config(schema_version=True), "config: parameter 'schema_version' has wrong type"),
     (small_gate_config(schema_version=1.0), "config: parameter 'schema_version' has wrong type"),
-    (small_gate_config(schema_version=2), "config: parameter 'schema_version' must be 1"),
-    (small_gate_config(scenario="nope"), "config: parameter 'scenario' must be one of " + ", ".join(SCENARIOS)),
+    (small_gate_config(schema_version=2), "config: parameter 'schema_version' must be 1, got 2"),
+    (small_gate_config(scenario="nope"),
+     "config: parameter 'scenario' must be one of " + ", ".join(SCENARIOS) + ", got 'nope'"),
     (small_gate_config(params=[]), "config: parameter 'params' has wrong type"),
     ([1], "config root must be a JSON object"),
     (None, "config root must be a JSON object"),
@@ -229,7 +230,8 @@ PREFLIGHT_BUILDS = [
     ("ramsey", {"q": 1e30}, {}, "semi-axis a is lost to rounding"),
     ("trace-sweep", {"a": 1e-15, "b": 1e-15}, {}, "semi-axis a is lost to rounding"),
     ("trace-sweep", {"theta0": 4.0}, {}, "base colatitude must lie strictly between the poles"),
-    ("gate-synth", {}, {"output_dir": "nul\0byte"}, "config: parameter 'output_dir' must be free of NUL bytes"),
+    ("gate-synth", {}, {"output_dir": "nul\0byte"},
+     "config: parameter 'output_dir' must be free of NUL bytes, got 'nul\\x00byte'"),
     ("phase-sweep", {"phi_values": [4.0]}, {}, "phase-sweep params: unknown parameter 'phi_values'"),
     ("linking", {"charges": [1, 2, 3]}, {}, "'charges' needs one value per curve (2)"),
     ("linking", {"slk": [0]}, {}, "'slk' needs one value per curve (2)"),
@@ -376,8 +378,8 @@ class TestRun:
 
     @pytest.mark.parametrize("command", ["run", "validate"])
     @pytest.mark.parametrize("charges, phrase", [
-        ([1e8, 1e8], "exceeds 2^20 rad"),  # pi 1e16 rad, whose reduction mod 2 pi is rounding
-        ([1e200, 1e200], "charge products overflow"),
+        ([1e8, 1e8], "must be at most 2^20 rad, past which rounding exceeds 1e-9 rad, got 3.14159"),  # pi 1e16 rad
+        ([1e200, 1e200], "must be at most 2^20 rad, past which rounding exceeds 1e-9 rad, got nan"),
     ], ids=["unreduced", "overflow"])
     def test_unreduced_cs_phase_exits_3_under_run_and_validate(self, tmp_path, capsys, command, charges, phrase):
         cfg = {"schema_version": 1, "scenario": "linking", "seed": 0,
@@ -469,8 +471,11 @@ class TestRun:
         assert gate["repetitions"] == 2**22
         assert gate["fidelity"] == pytest.approx(abs(math.cos(half_angle + math.pi / 4)), abs=1e-8)
 
-    @pytest.mark.parametrize("q", [1e200, 1.7e308])
-    def test_overflowing_coupling_exits_3_without_warning(self, tmp_path, capsys, q):
+    @pytest.mark.parametrize("q, message", [
+        (1e200, "I2 integral c2 over the loop must be finite, got (nan+nanj)"),
+        (1.7e308, "abelian angle eta over the loop must be finite, got inf"),
+    ], ids=["1e+200", "1.7e+308"])
+    def test_overflowing_coupling_exits_3_without_warning(self, tmp_path, capsys, q, message):
         # the I2 integral overflows; such a run once printed six RuntimeWarnings and "I2 = nan".
         # Pre-flight computes the sweep's rows, so validate fails as run does.
         cfg = {"schema_version": 1, "scenario": "trace-sweep", "seed": 0,
@@ -481,18 +486,17 @@ class TestRun:
             warnings.simplefilter("error")
             assert main(["validate", cfg_path]) == 3
             assert main(["run", cfg_path, "--out", str(out)]) == 3
-        assert capsys.readouterr().err == 2 * (
-            "numerical failure: coupling is not finite over the loop: the I2 integral overflows\n"
-        )
+        assert capsys.readouterr().err == 2 * f"numerical failure: {message}\n"
         assert not out.exists()
 
-    def test_large_i2_prints_three_significant_digits(self, tmp_path, capsys):
+    def test_large_i2_names_its_value_and_bound(self, tmp_path, capsys):
         cfg = {"schema_version": 1, "scenario": "trace-sweep", "seed": 0,
                "params": dict(BASE_PARAMS["trace-sweep"], q=1e150)}
         out = tmp_path / "out"
         assert main(["run", write_config(tmp_path, cfg), "--out", str(out)]) == 3
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "(I2 = 2.08e+294)" in err
+        assert err == ("numerical failure: transverse coupling |I2| of the trace expansion must be at most 0.5, "
+                       "got 2.0763581460955456e+294\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["run", "validate"])
@@ -732,7 +736,7 @@ class TestRun:
             warnings.simplefilter("error")
             assert main(argv) == 3
         assert capsys.readouterr().err == (
-            "numerical failure: Gauss integral undefined: the curve diameter inf overflows\n"
+            "numerical failure: larger curve diameter of the Gauss integral must be finite, got inf\n"
         )
         assert not out.exists()
 
@@ -822,7 +826,9 @@ class TestRun:
         assert main(argv) == 2
         err = capsys.readouterr().err
         if source == "output_dir" and "\0" in name:  # the config's root table refuses it before any write
-            assert err == "validation error: config: parameter 'output_dir' must be free of NUL bytes\n"
+            assert err == (
+                f"validation error: config: parameter 'output_dir' must be free of NUL bytes, got {outdir!r}\n"
+            )
         else:
             assert err.startswith(f"validation error: cannot use output directory {outdir}: ")
         assert err.count("\n") == 1

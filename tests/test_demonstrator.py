@@ -210,7 +210,8 @@ class TestRamseyEcho:
         def controlled(psi):
             return HolonomyLoop(gate.shape, gate.bloch, ControlField.constant(psi), 400.0, 2048)
 
-        with pytest.raises(NumericalError, match="echo failed to cancel"):
+        shift = r"^echo's shift of the reconstructed trace under a doubled splitting must be at most 1e-06, got "
+        with pytest.raises(NumericalError, match=shift + r"8\.8\d+e-05$"):
             ramsey_echo(controlled(2e-4 + 1e-4j), p.splitting, p)
         result = ramsey_echo(controlled(2e-6 + 1e-6j), p.splitting, p)
         assert math.isfinite(result.reconstructed_trace)

@@ -1,6 +1,7 @@
 import importlib.util
 import math
 import os
+import re
 import sys
 import warnings
 
@@ -250,7 +251,8 @@ class TestHadamardGate:
     @pytest.mark.parametrize("angle", [math.pi / 2 + 2e-6, math.nan], ids=["missed", "nan"])
     def test_missed_rotation_angle_raises(self, monkeypatch, angle):
         monkeypatch.setattr(gates, "rotation_angle", lambda line: angle)
-        with pytest.raises(NumericalError, match="misses pi/2"):
+        miss = re.escape(f"miss of pi/2 at |psi| = 1/(4 q) must be at most 1e-06, got {abs(angle - math.pi / 2)!r}")
+        with pytest.raises(NumericalError, match=miss):
             synth_hadamard_gate(100.0)
 
 
@@ -299,7 +301,7 @@ class TestGateSpec:
 
     @pytest.mark.parametrize("target", [np.array([[1.0, 0.1], [0.0, 1.0]]), 2 * np.eye(2), NAN2])
     def test_target_must_be_unitary(self, target):
-        with pytest.raises(ValidationError, match="gate target must be unitary to 1e-12"):
+        with pytest.raises(ValidationError, match=r"^gate target's \|U\^H U - I\| must be at most 1e-12, got "):
             self.spec(target=target)
 
     @pytest.mark.parametrize("residual", [HADAMARD_ROTATION, np.diag([1.0, 2.0]), NAN2])

@@ -329,7 +329,7 @@ class TestGaussLinking:
         wide[8, 0], wide[24, 0] = 1e308, -1e308
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            message = "^Gauss integral undefined: the curve diameter inf overflows$"
+            message = "^larger curve diameter of the Gauss integral must be finite, got inf$"
             with pytest.raises(NumericalError, match=message):
                 gauss(SpaceCurve(wide), SpaceCurve(ring + [1.0, 0.0, 0.0]))
 
@@ -340,7 +340,8 @@ class TestGaussLinking:
         far = [SpaceCurve(ring + [x, 0.0, 0.0]) for x in (1e306, -1e306)]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(NumericalError, match="overflow in units of diameter"):
+            with pytest.raises(NumericalError, match=r"^largest point coordinate in units of the curve diameter "
+                                                     r"2\.82842712474619e-10 must be finite, got inf$"):
                 gauss_linking(*far)
 
     def test_near_intersection_rejected(self):
@@ -629,14 +630,17 @@ class TestTopologicalPhase:
     def test_unreduced_phase_beyond_2_pow_20_is_refused(self):
         # the phase's reduction mod 2 pi is exact only while a few ulps of it stay below 1e-9 rad
         assert cs_phase([577.0, 577.0], LinkData.pair(1), 4) == pytest.approx(math.pi, abs=1e-9)  # 577^2 pi rad
+        bound = "must be at most 2\\^20 rad, past which rounding exceeds 1e-9 rad, got "
         for q in (578.0, 1e8):  # 578^2 pi rad is just above 2^20 rad
-            with pytest.raises(NumericalError, match="exceeds 2\\^20 rad"):
+            with pytest.raises(NumericalError, match=bound) as info:
                 cs_phase([q, q], LinkData.pair(1), 4)
-        with pytest.raises(NumericalError, match="exceeds 2\\^20 rad"):
+            assert float(str(info.value).rsplit("got ", 1)[1]) == pytest.approx(math.pi * q * q)
+        with pytest.raises(NumericalError, match="must be at most 2\\^20 rad"):
             cs_phase([1e5, 0.0], LinkData(np.zeros((2, 2), dtype=int), (-1, 0)), 4)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(NumericalError, match="charge products overflow"):
+            with pytest.raises(NumericalError, match=r"^\|cs_phase\| before its reduction mod 2 pi must be at most "
+                                                     r"2\^20 rad, past which rounding exceeds 1e-9 rad, got nan$"):
                 cs_phase([1e200, 1e200], LinkData.pair(1), 4)
 
     @pytest.mark.parametrize("charges", [[1.0], [1.0, 1.0, 1.0], [[1.0, 1.0]]])
