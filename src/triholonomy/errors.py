@@ -25,14 +25,21 @@ class NumericalError(RuntimeError):
 
 def check(name: str, value, bound: tuple, error: type = ValidationError):
     """``value``, or ``error`` "<name> must be <phrase>, got <value>" if it fails ``bound`` = (test, phrase); a NaN
-    and a Real that no float holds (``10**400``) always fail.  A numpy scalar prints as its Python number."""
+    and a Real that no float holds (``10**400``) always fail.  numpy values, also in a list, print as Python numbers."""
     try:
         nan = isinstance(value, numbers.Real) and math.isnan(value)
     except OverflowError:  # math.isnan found no float for the Real
         raise error(f"{name} must be {bound[1]}, got a number beyond the float range") from None
     if nan or not bound[0](value):
-        raise error(f"{name} must be {bound[1]}, got {value.item() if isinstance(value, np.generic) else value!r}")
+        raise error(f"{name} must be {bound[1]}, got {_plain(value)!r}")
     return value
+
+
+def _plain(value):
+    """``value`` with each numpy scalar or array in it, also inside a list or tuple, as a Python number or list."""
+    if isinstance(value, (list, tuple)):
+        return (list if isinstance(value, list) else tuple)(map(_plain, value))
+    return value.tolist() if isinstance(value, (np.generic, np.ndarray)) else value
 
 
 guard = functools.partial(check, error=NumericalError)  # the check of a run-time invariant

@@ -128,40 +128,54 @@ def _bond_pair(wt, drive: BondDrive, phi13: float, phi23: float) -> tuple:
     return tuple(drive.d + drive.a * np.cos(wt + phase) for phase in (phi13, phi23))
 
 
-def _frames(xi12, xi13, xi23, masses):
-    """Canonical-frame vertex coordinates (x, y), each (3, ...), for bond-length arrays."""
-    xi12, xi13, xi23 = np.broadcast_arrays(*(np.asarray(xi, dtype=float) for xi in (xi12, xi13, xi23)))
-    scale = np.maximum(np.maximum(xi12, xi13), xi23)
-    slack = np.minimum(np.minimum(xi13 + xi23 - xi12, xi12 + xi13 - xi23), xi12 + xi23 - xi13)
-    bad = ~(slack > 1e-9 * scale)  # NaN bonds fail too
-    if np.any(bad):
-        idx = int(np.argmax(bad))
-        raise NumericalError(
-            "triangle inequality violated: bonds "
-            f"({xi12.flat[idx]:.6g}, {xi13.flat[idx]:.6g}, {xi23.flat[idx]:.6g}) at sample {idx}"
-        )
-    sq13 = xi13**2
-    x3 = (sq13 + xi12**2 - xi23**2) / (2 * xi12)
-    y3 = np.sqrt(np.maximum(sq13 - x3**2, 0.0))
-    m = np.asarray(masses, dtype=float)
-    x, y = np.zeros((3, *xi12.shape)), np.zeros((3, *xi12.shape))
-    x[1], x[2], y[2] = xi12, x3, y3
-    x -= (m[1] * xi12 + m[2] * x3) / m.sum()  # row 0 is 0.0 - c
-    y -= m[2] * y3 / m.sum()
-    return x, y
+class _Frames:
+    """Body frames and orientation of one bond pair (xi13, xi23) after another, over a bond 1-2 row ``xi12`` of T
+    samples (or one) and the masses.  The phi-free terms of the frame formula (xi12^2, 2 xi12, m_2 xi12 and the total
+    mass), the (3, T) frame rows ``x``, ``y`` and the (T - 1, 3) product rows are made once; each pair refills them."""
+
+    def __init__(self, xi12, masses):
+        self.xi12, self.m = np.asarray(xi12, dtype=float), np.asarray(masses, dtype=float)
+        self.terms = self.xi12**2, 2 * self.xi12, self.m[1] * self.xi12, self.m.sum()
+        self.x, self.y = np.empty((2, 3, *self.xi12.shape))
+        self.rows = np.empty((self.xi12.size - 1, 3))
+
+    def body(self, xi13, xi23):
+        """Canonical-frame rows (x, y) of the bonds, refused by name where a triangle fails, NaN bonds included."""
+        xi12, (sq12, twice12, m2_xi12, mass), m3 = self.xi12, self.terms, self.m[2]
+        scale = np.maximum(np.maximum(xi12, xi13), xi23)
+        slack = np.minimum(np.minimum(xi13 + xi23 - xi12, xi12 + xi13 - xi23), xi12 + xi23 - xi13)
+        bad = ~(slack > 1e-9 * scale)  # NaN bonds fail too
+        if np.any(bad):
+            idx = int(np.argmax(bad))
+            bonds = ", ".join(f"{np.broadcast_to(xi, bad.shape).flat[idx]:.6g}" for xi in (xi12, xi13, xi23))
+            raise NumericalError(f"triangle inequality violated: bonds ({bonds}) at sample {idx}")
+        sq13 = xi13**2
+        x3 = (sq13 + sq12 - xi23**2) / twice12
+        y3 = np.sqrt(np.maximum(sq13 - x3**2, 0.0))
+        for rows, values, centre in ((self.x, (0.0, xi12, x3), (m2_xi12 + m3 * x3) / mass),
+                                     (self.y, (0.0, 0.0, y3), m3 * y3 / mass)):
+            for i, value in enumerate(values):
+                np.subtract(value, centre, out=rows[i, ...])  # straight from the centroid, also for one sample
+        return self.x, self.y
+
+    def theta(self, xi13, xi23, dt: float) -> np.ndarray:
+        """Zero-angular-momentum orientation theta (T,) of the pair's frames, checked by :func:`_check_momentum`; each
+        vertex's cross and dot terms fill a column of the (T - 1, 3) rows, np.stack's layout, that ``@ m`` sums."""
+        (x, y), rows, m = self.body(xi13, xi23), self.rows, self.m
+        np.subtract(x[:, :-1] * y[:, 1:], y[:, :-1] * x[:, 1:], out=rows.T)
+        cross = rows @ m
+        np.add(x[:, :-1] * x[:, 1:], y[:, :-1] * y[:, 1:], out=rows.T)
+        dot = rows @ m
+        theta = np.concatenate(([0.0], np.cumsum(np.arctan2(-cross, dot))))
+        step = np.diff(theta)
+        _check_momentum(cross, dot, step, _momentum_scale(x, y, step, m, dt), dt)
+        return theta
 
 
 def _rotated(x, y, theta):
     """Rows (x, y) of (3, T) vertex rows rotated by the angles theta (T,)."""
     cos_t, sin_t = np.cos(theta), np.sin(theta)
     return cos_t * x - sin_t * y, sin_t * x + cos_t * y
-
-
-def _lab_momentum(x, y, m, dt: float) -> np.ndarray:
-    """Central-difference angular momentum of (3, T) lab coordinates (interior samples)."""
-    dx = (x[:, 2:] - x[:, :-2]) / (2.0 * dt)
-    dy = (y[:, 2:] - y[:, :-2]) / (2.0 * dt)
-    return np.stack(x[:, 1:-1] * dy - y[:, 1:-1] * dx, axis=-1) @ m
 
 
 def _momentum_scale(x, y, step, m, dt: float) -> float:
@@ -198,23 +212,13 @@ class TrimerTrajectory:
 
     def lab_angular_momentum(self) -> np.ndarray:
         """Central-difference mechanical angular momentum of the lab motion (interior samples)."""
-        return _lab_momentum(*_rotated(self.x, self.y, self.theta), self.masses, self.dt)
+        x, y = _rotated(self.x, self.y, self.theta)
+        dx, dy = ((r[:, 2:] - r[:, :-2]) / (2.0 * self.dt) for r in (x, y))
+        return np.stack(x[:, 1:-1] * dy - y[:, 1:-1] * dx, axis=-1) @ self.masses
 
     def angular_momentum_scale(self) -> float:
         """Natural scale m d^2 omega for the zero-momentum invariant."""
         return _momentum_scale(self.x, self.y, np.diff(self.theta), self.masses, self.dt)
-
-
-def _rotate(x, y, m, dt: float) -> np.ndarray:
-    """Zero-angular-momentum orientation theta (T,) of (3, T) body frames, checked by :func:`_check_momentum`."""
-    cross = np.stack(x[:, :-1] * y[:, 1:] - y[:, :-1] * x[:, 1:], axis=-1) @ m
-    dot = np.stack(x[:, :-1] * x[:, 1:] + y[:, :-1] * y[:, 1:], axis=-1) @ m
-    theta = np.empty(cross.size + 1)
-    theta[0] = 0.0
-    np.cumsum(np.arctan2(-cross, dot), out=theta[1:])
-    step = np.diff(theta)
-    _check_momentum(cross, dot, step, _momentum_scale(x, y, step, m, dt), dt)
-    return theta
 
 
 def _check_momentum(cross, dot, step, scale: float, dt: float) -> None:
@@ -246,16 +250,17 @@ def reconstruct_rotation(drive: BondDrive, masses, t_end: float, dt: float | Non
     n, dt = drive.time_steps(t_end, dt)
     times = np.arange(n + 1) * dt
     n_p = _period_steps(drive, n, dt)
-    x, y = _frames(*bond_lengths(times[: n_p + 1], drive), m)
-    theta = _rotate(x, y, m, dt)
+    xi12, xi13, xi23 = bond_lengths(times[: n_p + 1], drive)
+    frames = _Frames(xi12, m)
+    theta = frames.theta(xi13, xi23, dt)
     gain = np.repeat(np.arange(n // n_p + 1) * theta[-1], n_p)[: n + 1]  # theta[-1] is theta_1[n_P] if n_p <= n
-    x, y, theta = (_tiled(r, n_p, n) for r in (x, y, theta))
+    x, y, theta = (_tiled(r, n_p, n) for r in (frames.x, frames.y, theta))
     return TrimerTrajectory(times, m, x, y, theta + gain, n_p)
 
 
 def _masses(masses, drive: BondDrive) -> np.ndarray:
     """The vertex masses as an array, refused by name unless they pass ``MASSES`` and, with the total mass M
-    and the largest bond b, M^2 (``_jacobi``'s mass products), 2 b^2 (``_frames``' sums of squares) and
+    and the largest bond b, M^2 (``_jacobi``'s mass products), 2 b^2 (``_Frames``' sums of squares) and
     2 MAX_SAMPLES M b^2 (the window inertia sums, of MAX_SAMPLES + 1 samples of at most M b^2) are finite;
     with the smallest mass m and the shortest bond b, m^2, b^2 and m b^2 must not underflow (< 2^-1022)."""
     m = np.asarray(check("masses", masses, MASSES), dtype=float)
@@ -293,13 +298,12 @@ def phase_sweep(drive_template: BondDrive, masses, phi_values, periods: int = 8)
     in every period, a geometric phase of the shape loop: the mean over any
     number of whole periods is the one-period mean theta(P) / P, so
     ``periods`` is accepted but does not change the result.  The grid of one
-    period at the default step (:meth:`BondDrive.time_steps`) is built once,
-    and so are the terms no phase moves: bond 1-2 and omega t.  Each phi, with
-    phi13 = +phi/2 and phi23 = -phi/2 (the template's phases are ignored),
-    builds only its bond pair d + a cos(omega t +- phi/2), then its frames
-    and theta on the grid whole, the bits of
-    ``reconstruct_rotation(drive, masses, P).theta[-1]``.  A failed phase
-    names its phi.  Masses that are not three positive finite values or
+    period at the default step (:meth:`BondDrive.time_steps`), omega t and one
+    :class:`_Frames` of bond 1-2 are built once.  Each phi, with phi13 = +phi/2
+    and phi23 = -phi/2 (the template's phases are ignored), builds only its
+    bond pair d + a cos(omega t +- phi/2) and refills the frames and theta,
+    the bits of ``reconstruct_rotation(drive, masses, P).theta[-1]``.  A failed
+    phase names its phi.  Masses that are not three positive finite values or
     overflow with the bonds (``_masses``), a sweep of more than ``MAX_SAMPLES``
     samples (phases times grid samples) or a phase outside [-pi, pi] is refused first.
     """
@@ -308,11 +312,10 @@ def phase_sweep(drive_template: BondDrive, masses, phi_values, periods: int = 8)
     if not np.all(np.abs(phi_values) <= math.pi + 1e-12):  # NaN fails too
         raise ValidationError("phase grid must lie within [-pi, pi]")
     times, gains = np.arange(n + 1) * dt, []
-    xi12, wt = _bond12(times, drive_template), drive_template.omega * times
+    frames, wt = _Frames(_bond12(times, drive_template), m), drive_template.omega * times
     for phi in phi_values.tolist():
         try:
-            pair = _bond_pair(wt, drive_template, 0.5 * phi, -0.5 * phi)
-            gains.append(_rotate(*_frames(xi12, *pair, m), m, dt)[-1])  # theta[0] = 0
+            gains.append(frames.theta(*_bond_pair(wt, drive_template, 0.5 * phi, -0.5 * phi), dt)[-1])  # theta[0] = 0
         except NumericalError as exc:
             raise NumericalError(f"phase sweep at phi = {phi:.6g}: {exc}") from exc
     return np.array(gains) / period
@@ -347,7 +350,9 @@ def precession_berry_phase(
         ValidationError: d, omega, a phase or a, in (0, d) and below 2^252, out of its bound, before numpy sees it.
         NumericalError: the drive does not precess on a circle.
     """
-    for name, value, bound in (("d", d, POSITIVE), ("omega", omega, POSITIVE), ("phi13", phi13, _TURN),
+    period = (lambda v: 0.0 < v < math.inf and 2 * math.pi / float(v) < math.inf,  # Python floats reach inf quietly
+              "positive and finite, with a finite period 2 pi / omega")
+    for name, value, bound in (("d", d, POSITIVE), ("omega", omega, period), ("phi13", phi13, _TURN),
                                ("phi23", phi23, _TURN)):
         check(name, value, bound)
     check("a", a, (lambda v: 0 < v < min(d, 2.0**252),

@@ -237,6 +237,12 @@ def test_check_names_the_plain_value_and_the_exact_bound():
     with pytest.raises(NumericalError, match=r"^z must be finite, got \(inf\+0j\)$"):
         errors.guard("z", np.complex128(math.inf), errors.FINITE)
     assert errors.guard("y", np.float64(0.5), errors.at_most(0.5)) == 0.5
+    # numpy scalars in a list, and an array, print as a Python list: never [np.float64(1.0), ...] or array([...])
+    drive, refused = BondDrive(**DRIVE), r"^masses must be three positive finite values, got "
+    with pytest.raises(ValidationError, match=refused + r"\[1\.0, 2\.0\]$"):
+        phase_sweep(drive, [np.float64(1), np.float64(2)], [0.0])
+    with pytest.raises(ValidationError, match=refused + r"\[1\.0, -2\.0, 3\.0\]$"):
+        phase_sweep(drive, np.array([1.0, -2.0, 3.0]), [0.0])
 
 
 @pytest.mark.parametrize("bound", [errors.POSITIVE, errors.count(1, math.inf), errors.FINITE, errors.at_most(math.inf)],
@@ -274,6 +280,19 @@ def test_precession_amplitude_whose_square_overflows_is_refused_by_name():
             precession_berry_phase(1e200, 1e199, 1.0)
         assert precession_berry_phase(1e300, 2.0**252 * (1 - 2**-53), 1.0) == pytest.approx(math.pi, abs=1e-6)
         assert precession_berry_phase(1.0, 0.15, 3.0) == 3.1415925765848707  # the bits before the rule
+
+
+@pytest.mark.parametrize("omega", [1e-308, 5e-324])
+def test_precession_frequency_whose_period_overflows_is_refused_by_name(omega):
+    # 2 pi / omega overflowed to inf in Python, and np.linspace(0, inf, ...) warned "invalid value encountered in
+    # multiply"; the slowest omega whose period is finite still gives pi
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        refused = rf"^omega must be positive and finite, with a finite period 2 pi / omega, got {omega!r}$"
+        with pytest.raises(ValidationError, match=refused):
+            precession_berry_phase(1.0, 0.15, omega)
+        slowest = 2 * math.pi / np.finfo(float).max
+        assert precession_berry_phase(1.0, 0.15, slowest) == pytest.approx(math.pi, abs=1e-6)
 
 
 # Inputs the library accepted although the CLI refused them; each failed as its comment says.
@@ -353,7 +372,7 @@ def test_probe_is_refused_by_name(probe):
 # (drive lengths, masses) whose products overflow although each field passes its bound.  Each failed as its
 # comment says, under trimer-sim and phase-sweep alike unless noted.
 SCALE_PROBES = {
-    # _frames squares the bonds: RuntimeWarnings, then exit 3 ("residual nan exceeds 1e-8 of scale nan")
+    # _Frames squares the bonds: RuntimeWarnings, then exit 3 ("residual nan exceeds 1e-8 of scale nan")
     "bonds-1e200": (dict(d12=1e200, d=1e200), MASSES),
     "rigid-bonds-1e200": (dict(d12=1e200, a12=0.0, d=1e200, a=0.0), MASSES),
     # the mass sum overflows: RuntimeWarnings, then exit 3

@@ -40,7 +40,7 @@ from triholonomy.connection import BlochField, ControlField, eigenframe_rate_sam
 from triholonomy.errors import NumericalError
 from triholonomy.gates import make_ellipse_loop
 from triholonomy.holonomy import HolonomyLoop, integrate_wilson, midpoint_grid, trace_expansion_from_rates
-from triholonomy.trimer import BondDrive, _frames, bond_lengths, reconstruct_rotation
+from triholonomy.trimer import BondDrive, _Frames, bond_lengths, reconstruct_rotation
 
 from test_bounds import SCALE_PROBES
 
@@ -546,7 +546,7 @@ class TestRun:
         def no_phase(*args):
             raise AssertionError("a phase ran")
 
-        monkeypatch.setattr("triholonomy.trimer._rotate", no_phase)
+        monkeypatch.setattr("triholonomy.trimer._Frames.theta", no_phase)
         cfg = {"schema_version": 1, "scenario": "phase-sweep", "seed": 0,
                "params": dict(BASE_PARAMS["phase-sweep"], phi_count=43663)}
         out = tmp_path / "out"
@@ -1511,7 +1511,7 @@ class TestTrimerSimBonds:
         for col, full in zip(bonds, bond_lengths(t, drive)):
             assert np.max(np.abs(col - full)) <= 1e-13
         traj = reconstruct_rotation(drive, [2.1, 2.1, 4.7], periods * drive.common_period(), t[1])
-        x, y = _frames(*bonds, [2.1, 2.1, 4.7])
+        x, y = _Frames(bonds[0], [2.1, 2.1, 4.7]).body(*bonds[1:])
         assert x.tobytes() == traj.x.tobytes() and y.tobytes() == traj.y.tobytes()
 
     def test_ratio_off_by_rounding_keeps_the_full_grid_bonds(self):

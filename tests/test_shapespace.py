@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from triholonomy.errors import ValidationError
 from triholonomy.shapespace import ShapeLoop, _hopf_angles, _jacobi, shape_angles, solid_angle
-from triholonomy.trimer import _frames
+from triholonomy.trimer import _Frames
 
 
 def random_planar_frame(rng, masses=None):
@@ -37,7 +37,7 @@ class TestToJacobi:
         # with the Euclidean-kinetic mass weights the two Jacobi vectors of a
         # unit-side equilateral triangle have equal magnitude
         masses = [1.0, 1.0, 1.0]
-        z1, z2 = _jacobi(*_frames(1.0, 1.0, 1.0, masses), masses)
+        z1, z2 = _jacobi(*_Frames(1.0, masses).body(1.0, 1.0), masses)
         assert abs(z1) == pytest.approx(abs(z2), rel=1e-12)
         assert abs(z1) == pytest.approx(math.sqrt(0.5), rel=1e-12)
 
@@ -49,7 +49,7 @@ class TestToJacobi:
         # Bond triple of the oscillating-bond demo at t = 0 (phases +-pi/4).
         masses = [2.1, 2.1, 4.7]
         xi13 = 1.0 + 0.15 * math.cos(math.pi / 4)
-        z1, z2 = _jacobi(*_frames(1.3, xi13, xi13, masses), masses)
+        z1, z2 = _jacobi(*_Frames(1.3, masses).body(xi13, xi13), masses)
         # isosceles symmetry in the canonical frame: z1 real, z2 imaginary
         assert z1.real == pytest.approx(1.3321035995747479, abs=1e-12)
         assert abs(z1.imag) < 1e-12

@@ -14,7 +14,7 @@ from triholonomy import trimer
 from triholonomy.trimer import (
     BondDrive,
     TrimerTrajectory,
-    _frames,
+    _Frames,
     bond_lengths,
     effective_momentum_series,
     phase_sweep,
@@ -121,17 +121,17 @@ class TestBondDrive:
 
 
 class TestShapeFromBonds:
-    """Canonical body-frame vertex rows (x, y) of a bond triple, ``_frames``."""
+    """Canonical body-frame vertex rows (x, y) of a bond triple, ``_Frames.body``."""
 
     def test_equilateral_symmetric(self):
         masses = np.array([1.0, 1.0, 1.0])
-        x, y = _frames(1.0, 1.0, 1.0, masses)
+        x, y = _Frames(1.0, masses).body(1.0, 1.0)
         assert math.hypot(masses @ x, masses @ y) < 1e-14
         d12 = math.hypot(x[1] - x[0], y[1] - y[0])
         assert d12 == pytest.approx(1.0, abs=1e-12)
 
     def test_isosceles_law_of_cosines(self):
-        x, y = _frames(1.3, 1.106, 1.106, REFERENCE_MASSES)
+        x, y = _Frames(1.3, REFERENCE_MASSES).body(1.106, 1.106)
         assert math.hypot(x[1] - x[0], y[1] - y[0]) == pytest.approx(1.3, abs=1e-12)
         assert math.hypot(x[2] - x[0], y[2] - y[0]) == pytest.approx(1.106, abs=1e-12)
         assert math.hypot(x[2] - x[1], y[2] - y[1]) == pytest.approx(1.106, abs=1e-12)
@@ -144,7 +144,7 @@ class TestShapeFromBonds:
 
     def test_degenerate_rejected(self):
         with pytest.raises(NumericalError):
-            _frames(2.0, 1.0, 1.0, [1.0, 1.0, 1.0])
+            _Frames(2.0, [1.0, 1.0, 1.0]).body(1.0, 1.0)
 
 
 class TestReconstructRotation:
@@ -252,6 +252,13 @@ ORACLE_DRIVES = [
 ]
 
 
+# (masses, template, phases) of the per-phase sweep reference: an oracle drive on 9 phases, and each benchmark
+# drive on the benchmark's 21-phase grid (the sweep ignores a template's phases)
+PER_PHASE = [(masses, ORACLE_DRIVES[1], 9) for masses in BENCHMARK_MASSES] + [
+    (masses, drive, 21) for drive in BENCHMARK_DRIVES for masses in BENCHMARK_MASSES]
+PER_PHASE_IDS = [f"masses{i}" for i in range(3)] + [f"benchmark{j}-21-masses{i}" for j in range(3) for i in range(3)]
+
+
 def reference_body(xi12, xi13, xi23, masses):
     """Canonical (T, 3, 2) body frames by stacked vertex rows and a mass einsum."""
     x3 = (xi13**2 + xi12**2 - xi23**2) / (2 * xi12)
@@ -305,8 +312,10 @@ def full_grid_trajectory(drive, masses, t_end, dt):
     """Frames and theta built on every sample of the grid, as a caller builds a trajectory by hand."""
     times = np.arange(int(round(t_end / dt)) + 1) * dt
     m = np.asarray(masses, dtype=float)
-    x, y = _frames(*bond_lengths(times, drive), m)
-    return TrimerTrajectory(times, m, x, y, trimer._rotate(x, y, m, dt), times.size)  # no repeat
+    xi12, xi13, xi23 = bond_lengths(times, drive)
+    frames = _Frames(xi12, m)
+    theta = frames.theta(xi13, xi23, dt)
+    return TrimerTrajectory(times, m, frames.x, frames.y, theta, times.size)  # no repeat
 
 
 def repeats(traj, n):
@@ -362,19 +371,18 @@ class TestReferenceArithmetic:
         xi12 = rng.uniform(np.abs(xi13 - xi23) + 0.05, xi13 + xi23 - 0.05)
         for masses in BENCHMARK_MASSES:
             expected = reference_body(xi12, xi13, xi23, masses)
-            x, y = _frames(xi12, xi13, xi23, masses)
+            x, y = _Frames(xi12, masses).body(xi13, xi23)
             assert x.tobytes() == expected[..., 0].T.tobytes()
             assert y.tobytes() == expected[..., 1].T.tobytes()
 
-    @pytest.mark.parametrize("masses", BENCHMARK_MASSES)
-    def test_phase_sweep_matches_reference_per_phase(self, masses):
-        template = ORACLE_DRIVES[1]
-        grid = np.linspace(-math.pi, math.pi, 9)
+    @pytest.mark.parametrize("masses, template, phases", PER_PHASE, ids=PER_PHASE_IDS)
+    def test_phase_sweep_matches_reference_per_phase(self, masses, template, phases):
+        grid = np.linspace(-math.pi, math.pi, phases)
         periods = 2
         expected = []
         for phi in grid:
             # the mean over periods periods is the one-period mean
-            drive = BondDrive(1.2, 0.2, 1.0, 1.0, 0.12, 3.0, 0.5 * phi, -0.5 * phi)
+            drive = replace(template, phi13=0.5 * phi, phi23=-0.5 * phi)
             period = drive.common_period()
             theta = reference_reconstruction(drive, masses, period, drive.fastest_period / 512)[0]
             expected.append((theta[-1] - theta[0]) / period)
@@ -550,7 +558,7 @@ class TestPhaseSweep:
         def no_phase(*args):
             raise AssertionError("a phase ran")
 
-        monkeypatch.setattr(trimer, "_rotate", no_phase)
+        monkeypatch.setattr(trimer._Frames, "theta", no_phase)
         assert (MAX_SAMPLES // 1537 + 1) == 43663
         with pytest.raises(ValidationError, match="phase grid of 43663 phases x 1537 samples exceeds the budget"):
             phase_sweep(reference_drive(), REFERENCE_MASSES, np.zeros(43663))
@@ -590,8 +598,10 @@ class TestBodyFrameCheck:
         drive = reference_drive()
         dt = drive.common_period() / 1536
         m = np.asarray(REFERENCE_MASSES, dtype=float)
-        x, y = _frames(*bond_lengths(np.arange(20 * 1536 + 1) * dt, drive), m)
-        theta = trimer._rotate(x, y, m, dt)
+        xi12, xi13, xi23 = bond_lengths(np.arange(20 * 1536 + 1) * dt, drive)
+        frames = _Frames(xi12, m)
+        theta = frames.theta(xi13, xi23, dt)
+        x, y = frames.x, frames.y
         return (*body_frame_products(x, y, m), theta, trimer._momentum_scale(x, y, np.diff(theta), m, dt), dt)
 
     def test_residual_is_rounding_on_the_shipped_grid(self):
@@ -624,7 +634,7 @@ class TestBodyFrameCheck:
 class TestFailClosed:
     def test_nan_bonds_rejected(self):
         with pytest.raises(NumericalError, match="triangle inequality"):
-            _frames(math.nan, 1.0, 1.0, [1.0, 1.0, 1.0])
+            _Frames(math.nan, [1.0, 1.0, 1.0]).body(1.0, 1.0)
 
     def test_nan_frames_fail_the_invariant(self, monkeypatch):
         # the trimer scale rule refuses this drive first (test_bounds.py); bypassed, the overflow fails closed
