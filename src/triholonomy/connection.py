@@ -34,13 +34,14 @@ Every quantity is evaluated on arrays of samples (``monopole_potential``,
 
 from __future__ import annotations
 
+import cmath
 import enum
 import math
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, at_most, check
 from .shapespace import ShapePoint
 
 __all__ = [
@@ -179,8 +180,8 @@ class ControlField:
     def _bind(self, values, check_periodic: bool) -> None:
         self._values = values
         v0, v1 = self.at(np.array([0.0, 2 * math.pi]))  # both ends must be finite, checked or not
-        if check_periodic and not abs(v0 - v1) <= 1e-10:
-            raise ValidationError(f"control field is not 2 pi-periodic (gap {abs(v0 - v1):.3e})")
+        if check_periodic:
+            check("control field's periodic gap |psi(2 pi) - psi(0)|", abs(v1 - v0), at_most(1e-10))
 
     @classmethod
     def constant(cls, value: complex) -> "ControlField":
@@ -304,19 +305,16 @@ def curvature_vector(
     local derivative data.
     """
     th0, ph0 = point.colatitude, point.azimuth
-    psi = complex(psi)
-    dpsi_th, dpsi_ph = complex(dpsi[0]), complex(dpsi[1])
-    if not all(
-        np.isfinite(x) for x in (psi.real, psi.imag, dpsi_th.real, dpsi_th.imag, dpsi_ph.real, dpsi_ph.imag)
-    ):
-        raise ValidationError("control derivative data must be finite")
+    data = check("control data (psi, dpsi/dtheta, dpsi/dphi)", (psi, *dpsi), (lambda v: all(map(cmath.isfinite, v)),
+                                                                              "finite"))
+    psi, dpsi_th, dpsi_ph = map(complex, data)
 
     # Stencil rows: A_phi at theta0 +- h, A_theta at phi0 +- h, then A_theta and A_phi at the point.
     h = _CURVATURE_STEP
+    check("colatitude of the curvature's point", th0, (lambda v: v - h >= 0.0 and v + h <= math.pi,
+                                                       f"at least {h!r} from each pole, for the stencil"))
     th = th0 + h * np.array([1.0, -1.0, 0.0, 0.0, 0.0, 0.0])
     ph = ph0 + h * np.array([0.0, 0.0, 1.0, -1.0, 0.0, 0.0])
-    if not np.all((th >= 0.0) & (th <= math.pi)):
-        raise ValidationError(f"curvature stencil leaves [0, pi]: the point lies within {h:g} of a pole")
     dth = np.array([0.0, 0.0, 1.0, 1.0, 1.0, 0.0])
     local_psi = psi + (th - th0) * dpsi_th + (ph - ph0) * dpsi_ph
     samples = _samples_at(th, ph, dth, 1.0 - dth, field, local_psi, GaugePatch.NORTH, "shape point")

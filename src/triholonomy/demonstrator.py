@@ -17,8 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (FINITE, POSITIVE, NumericalError, ValidationError, at_most, bounded, check, check_fields, count,
-                     guard)
+from .errors import FINITE, POSITIVE, NumericalError, at_most, bounded, check, check_fields, count, guard
 from .holonomy import HolonomyLoop, integrate_wilson
 
 __all__ = [
@@ -57,8 +56,8 @@ class PlatformParams:
 
     def __post_init__(self):
         check_fields(self)
-        if not self.gap > 0:
-            raise ValidationError("mode ordering violated: breathing mode not above the doublet mean")
+        check("breathing mode's gap e_a - (e_e1 + e_e2) / 2 above the doublet mean", self.gap,
+              (lambda v: v > 0.0, "positive"))
 
     @property
     def gap(self) -> float:

@@ -4,6 +4,7 @@ import cmath
 import functools
 import math
 import numbers
+import reprlib
 from dataclasses import MISSING, field, fields
 
 import numpy as np
@@ -13,6 +14,9 @@ __all__ = ["MAX_SAMPLES", "ValidationError", "NumericalError"]
 MAX_SAMPLES = 2**26  # largest sample count a parameter or time grid may ask for
 POSITIVE = (lambda v: 0.0 < v < math.inf, "positive and finite")  # a (test, phrase) bound
 FINITE = (cmath.isfinite, "finite")  # a real or complex value
+_REPR = reprlib.Repr()  # a refused value on one short line: 8 entries of a list or tuple, 200 characters of a scalar
+_REPR.maxlist = _REPR.maxtuple = 8
+_REPR.maxstring = _REPR.maxlong = _REPR.maxother = 200
 
 
 class ValidationError(ValueError):
@@ -24,14 +28,19 @@ class NumericalError(RuntimeError):
 
 
 def check(name: str, value, bound: tuple, error: type = ValidationError):
-    """``value``, or ``error`` "<name> must be <phrase>, got <value>" if it fails ``bound`` = (test, phrase); a NaN
-    and a Real that no float holds (``10**400``) always fail.  numpy values, also in a list, print as Python numbers."""
+    """``value``, or ``error`` "<name> must be <phrase>, got <value>" if it fails ``bound`` = (test, phrase); a NaN,
+    a Real that no float holds (``10**400``) and a value the test cannot compare (a string, None, a ragged list)
+    always fail.  numpy values, also in a list, print as Python numbers, and a long value prints abbreviated."""
     try:
         nan = isinstance(value, numbers.Real) and math.isnan(value)
     except OverflowError:  # math.isnan found no float for the Real
         raise error(f"{name} must be {bound[1]}, got a number beyond the float range") from None
-    if nan or not bound[0](value):
-        raise error(f"{name} must be {bound[1]}, got {_plain(value)!r}")
+    try:
+        passed = not nan and bool(bound[0](value))
+    except (TypeError, ValueError):
+        passed = False
+    if not passed:
+        raise error(f"{name} must be {bound[1]}, got {_REPR.repr(_plain(value))}")
     return value
 
 
@@ -40,6 +49,23 @@ def _plain(value):
     if isinstance(value, (list, tuple)):
         return (list if isinstance(value, list) else tuple)(map(_plain, value))
     return value.tolist() if isinstance(value, (np.generic, np.ndarray)) else value
+
+
+def unitary(name: str, matrix, n: int, tol: float) -> np.ndarray:
+    """``matrix`` as a complex array, refused by name unless it is n x n with a residual |U^H U - I| at most ``tol``
+    (Frobenius norm; NaN fails)."""
+    m = np.asarray(matrix, dtype=complex)
+    check(f"{name}'s shape", m.shape, (lambda v: v == (n, n), f"({n}, {n})"))
+    check(f"{name}'s |U^H U - I|", np.linalg.norm(m.conj().T @ m - np.eye(n)), at_most(tol))
+    return m
+
+
+def frozen(obj, **values) -> None:
+    """Set each of ``values`` on the frozen dataclass ``obj``, each array among them made read-only first."""
+    for name, value in values.items():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+        object.__setattr__(obj, name, value)
 
 
 guard = functools.partial(check, error=NumericalError)  # the check of a run-time invariant

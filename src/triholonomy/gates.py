@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .connection import BlochField, ControlField
-from .errors import POSITIVE, ValidationError, at_most, bounded, check, check_fields, count, guard
+from .errors import POSITIVE, ValidationError, at_most, bounded, check, check_fields, count, frozen, guard, unitary
 from .holonomy import (
     HolonomyLoop,
     WilsonLine,
@@ -83,17 +83,11 @@ class GateSpec:
     transverse: WilsonLine | None = None  # steered gates: V(2 pi) at the calibrated |psi|
 
     def __post_init__(self):
-        t = np.asarray(self.target, dtype=complex)
-        check("gate target's |U^H U - I|", np.linalg.norm(t.conj().T @ t - np.eye(t.shape[0])), at_most(1e-12))
+        t = unitary("gate target", self.target, 2, 1e-12)
         check_fields(self)
-        r = np.asarray(self.residual_abelian, dtype=complex)
-        if not (np.linalg.norm(r.conj().T @ r - np.eye(2)) <= 1e-10
-                and abs(r[0, 1]) + abs(r[1, 0]) <= 1e-10):
-            raise ValidationError("residual abelian factor must be a diagonal unitary")
-        t.setflags(write=False)
-        r.setflags(write=False)
-        object.__setattr__(self, "target", t)
-        object.__setattr__(self, "residual_abelian", r)
+        r = unitary("residual abelian factor", self.residual_abelian, 2, 1e-10)
+        check("residual abelian factor's off-diagonal |r01| + |r10|", abs(r[0, 1]) + abs(r[1, 0]), at_most(1e-10))
+        frozen(self, target=t, residual_abelian=r)
 
     def integrate(self) -> np.ndarray:
         """Matrix of the full gate: the loop holonomy composed ``repetitions`` times.
@@ -114,11 +108,7 @@ class TwoQubitGate:
     phase: float
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.shape != (4, 4) or not np.linalg.norm(m.conj().T @ m - np.eye(4)) <= 1e-12:
-            raise ValidationError("two-qubit gate must be a 4x4 unitary to 1e-12")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        frozen(self, matrix=unitary("two-qubit gate", self.matrix, 4, 1e-12))
 
 
 def make_ellipse_loop(theta0: float, a: float, b: float, n_samples: int = 1024) -> ShapeLoop:
@@ -129,26 +119,21 @@ def make_ellipse_loop(theta0: float, a: float, b: float, n_samples: int = 1024) 
     than 1e-6 of it; warns for a kept loop whose semi-axes exceed 0.3 (small loops).
     """
     check("n_samples", n_samples, SAMPLES)
-    if not 0.0 < theta0 < math.pi:
-        raise ValidationError("base colatitude must lie strictly between the poles")
-    if math.sin(theta0) <= 1e-6:
-        raise ValidationError("base point too close to a pole (sin theta0 <= 1e-6)")
-    if not (a >= 0 and b >= 0):  # NaN fails too
-        raise ValidationError("semi-axes must be non-negative")
-    if theta0 + a > math.pi - 1e-6 or theta0 - a < 1e-6:
-        raise ValidationError("ellipse reaches within 1e-6 of a pole")
+    check("base colatitude theta0", theta0, (lambda v: 0.0 < v < math.pi and math.sin(v) > 1e-6,
+                                             "strictly between the poles, with sin theta0 above 1e-6"))
+    check("semi-axis a", a, (lambda v: 0.0 <= v and 1e-6 <= theta0 - v and theta0 + v <= math.pi - 1e-6,
+                             "non-negative, with the ellipse 1e-6 or more from each pole"))
+    # an azimuth swing of pi or more would cover the whole circle, and samples alias turns
+    check("semi-axis b", b, (lambda v: 0.0 <= v and v / math.sin(theta0) < math.pi,
+                             "non-negative, with an azimuth semi-axis b / sin theta0 below pi"))
     b_phi = b / math.sin(theta0)
-    if not b_phi < math.pi:  # the azimuth swing would cover the whole circle, and samples alias turns
-        raise ValidationError(f"ellipse azimuth semi-axis b / sin theta0 = {b_phi:.3g} is not below pi")
     s = np.linspace(0.0, 2 * math.pi, n_samples + 1)
     cos_s, sin_s = np.cos(s), np.sin(s)
     theta = theta0 + a * cos_s
     phi = 0.0 + b_phi * sin_s  # 0.0 + turns -0.0 into 0.0
     # A semi-axis far below the base point's spacing of floats rounds away.
-    err = float(np.max(np.abs((theta - theta0) - a * cos_s)))
-    if not err <= 1e-6 * a:  # NaN fails too
-        raise ValidationError(f"semi-axis a is lost to rounding at the base point: error {err:.3g} against "
-                              f"amplitude {a:.3g}")
+    check("semi-axis a's rounding error at the base point", float(np.max(np.abs((theta - theta0) - a * cos_s))),
+          at_most(1e-6 * a))
     if max(a, b) > _SMALL_LOOP_WARN:  # only a loop that passes every check
         warnings.warn(f"ellipse semi-axis {max(a, b):.3g} exceeds the small-loop regime (0.3)", stacklevel=2)
     theta[-1] = theta[0]
@@ -159,14 +144,13 @@ def make_ellipse_loop(theta0: float, a: float, b: float, n_samples: int = 1024) 
 def _phase_gate_reps(q: float, n_rep: int | None) -> int:
     if n_rep is not None:
         return check("n_rep", n_rep, REPETITIONS)
-    # Smallest repetition count keeping the per-loop semi-axis in the small-loop regime.
-    try:
-        reps = max(1, math.ceil(1.0 / (q * _SMALL_LOOP_WARN**2)))
-    except (OverflowError, ZeroDivisionError):
-        raise ValidationError(f"coupling weight q = {q:.3g} overflows the repetition count") from None
-    if reps > _MAX_REPETITIONS:
-        raise ValidationError(f"{reps:.10g} loop repetitions exceed {_MAX_REPETITIONS}; raise q")
-    return reps
+    # Smallest repetition count keeping the per-loop semi-axis in the small-loop regime; a product that underflows
+    # to 0 asks for infinitely many.
+    product = q * _SMALL_LOOP_WARN**2
+    loops = 1.0 / product if product else math.inf
+    check(f"loop repetitions 1 / (0.09 q) at coupling weight q = {q!r}", loops,
+          (lambda v: v <= _MAX_REPETITIONS, f"at most {_MAX_REPETITIONS}; raise q"))
+    return max(1, math.ceil(loops))
 
 
 def synth_phase_gate(
@@ -298,10 +282,8 @@ def compile_cnot(q: float, k: int, hadamard: np.ndarray | None = None) -> TwoQub
         ValidationError: if the level does not realise a pi controlled phase.
     """
     cz = cs_controlled_phase(q, k)
-    if abs(cz.phase - math.pi) > 1e-9:
-        raise ValidationError(
-            f"level k = {k} gives controlled phase {cz.phase:.6f}, not pi; choose k = 4 q^2"
-        )
+    check(f"controlled phase of level k = {k}", cz.phase, (lambda v: abs(v - math.pi) <= 1e-9,
+                                                           "pi to within 1e-9; choose k = 4 q^2"))
     u_h = HADAMARD_ROTATION if hadamard is None else np.asarray(hadamard, dtype=complex)
     h_b = u_h @ np.diag([1.0, -1.0])  # canonical Hadamard on the target qubit
     one_h = np.kron(np.eye(2), h_b)
@@ -316,5 +298,5 @@ def gate_fidelity(u: np.ndarray, v: np.ndarray) -> float:
     if u.shape != v.shape or u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValidationError("gate fidelity needs two square matrices of equal dimension")
     for m in (u, v):
-        check("unitary fidelity input's |U^H U - I|", np.linalg.norm(m.conj().T @ m - np.eye(len(m))), at_most(1e-9))
+        unitary("unitary fidelity input", m, len(m), 1e-9)
     return float(abs(np.trace(u.conj().T @ v)) / u.shape[0])

@@ -47,7 +47,8 @@ from .connection import (
     connection_vectors,
     eigenframe_rate_samples,
 )
-from .errors import FINITE, POSITIVE, ValidationError, at_most, bounded, check, check_fields, count, guard
+from .errors import (FINITE, POSITIVE, ValidationError, at_most, bounded, check, check_fields, count, frozen, guard,
+                     unitary)
 from .shapespace import ShapeLoop
 
 __all__ = [
@@ -75,13 +76,9 @@ class WilsonLine:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.shape != (2, 2):
-            raise ValidationError("Wilson line must be 2x2")
-        check("Wilson line's residual |W^H W - I|", np.linalg.norm(m.conj().T @ m - np.eye(2)), at_most(1e-10))
+        m = unitary("Wilson line", self.matrix, 2, 1e-10)
         check("Wilson line's |det W - 1|", abs(np.linalg.det(m) - 1.0), at_most(1e-10))
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        frozen(self, matrix=m)
 
     @property
     def trace(self) -> float:

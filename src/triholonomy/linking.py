@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FINITE, POSITIVE, NumericalError, ValidationError, check, count, guard
+from .errors import FINITE, POSITIVE, NumericalError, ValidationError, check, count, frozen, guard
 
 __all__ = ["SpaceCurve", "LinkData", "gauss_linking", "hopf_pair", "cs_phase"]
 
@@ -89,17 +89,13 @@ class SpaceCurve:
             e = math.frexp(np.max(ext))[1]
             span = np.linalg.norm(np.ldexp(ext, -e))
             gap = np.linalg.norm(np.ldexp(rows[:, -1] / unit - rows[:, 0] / unit, -e))
-            if gap > 1e-10 * span:
-                gap = np.ldexp(gap, e) * unit
-                raise ValidationError(f"curve closure gap {gap:.3e} exceeds 1e-10 of diameter")
             diameter = float(np.ldexp(span, e) * unit)
+            check("curve closure gap", float(np.ldexp(gap, e) * unit),  # compared in the curve's unit 2^e
+                  (lambda _: gap <= 1e-10 * span, f"at most 1e-10 of the curve diameter {diameter!r}"))
             centroid, midrows = pts.mean(axis=0), 0.5 * (rows[:, 1:] + rows[:, :-1])
         if not (np.all(np.isfinite(centroid)) and np.all(np.isfinite(midrows))):
             raise ValidationError("curve coordinates overflow its centroid or segment midpoints")
-        object.__setattr__(self, "diameter", diameter)
-        for name, value in (("points", rows.T), ("rows", rows), ("centroid", centroid), ("midrows", midrows)):
-            value.setflags(write=False)
-            object.__setattr__(self, name, value)
+        frozen(self, points=rows.T, rows=rows, centroid=centroid, midrows=midrows, diameter=diameter)
 
 
 @dataclass(frozen=True)
@@ -123,10 +119,7 @@ class LinkData:
         slk = np.zeros(lk.shape[0], dtype=np.int64) if self.slk is None else np.array(self.slk, dtype=np.int64)
         if slk.shape != (lk.shape[0],):
             raise ValidationError("self-linking vector length must match the matrix")
-        lk.setflags(write=False)
-        slk.setflags(write=False)
-        object.__setattr__(self, "lk_matrix", lk)
-        object.__setattr__(self, "slk", slk)
+        frozen(self, lk_matrix=lk, slk=slk)
 
     @classmethod
     def pair(cls, lk: int) -> "LinkData":
@@ -240,8 +233,8 @@ def _scale(c1: SpaceCurve, c2: SpaceCurve) -> float:
     for i, j in _overlapping(m1, m1, m2 - w, m2 + w):
         r2 = (np.ldexp(m1.take(i, axis=1) - m2.take(j, axis=1), -e) ** 2).sum(axis=0)
         min_sep = min(min_sep, math.ldexp(math.sqrt(r2.min(initial=math.inf)), e))
-    if min_sep < w:
-        raise ValidationError(f"curves approach within {min_sep:.3e} (< 1e-3 of diameter); linking integral unreliable")
+    check("closest approach of the curves' segment midpoints", min_sep,
+          (lambda v: v >= w, f"at least 1e-3 of the larger diameter, {w!r}, for a reliable linking integral"))
     return scale
 
 
@@ -300,13 +293,10 @@ def cs_phase(charges, link: LinkData, k: int) -> float:
     or if the sum exceeds ``_MAX_PHASE`` before its reduction.
     """
     check("level k", k, LEVEL)
-    q = np.asarray(charges, dtype=float)
-    if q.ndim != 1 or q.size != link.lk_matrix.shape[0]:
-        raise ValidationError("need one finite charge per curve")
-    if not np.all(np.isfinite(q)):
-        raise ValidationError("charges must be finite")
+    n = link.lk_matrix.shape[0]
+    q = np.asarray(check("charges", charges, (lambda v: np.shape(v) == (n,) and all(map(math.isfinite, v)),
+                                              f"{n} finite values, one per curve")), dtype=float)
     pair_term = 0.0
-    n = q.size
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below, by name
         for i in range(n):
             for j in range(i + 1, n):

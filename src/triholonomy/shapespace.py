@@ -34,31 +34,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, at_most, bounded, check, check_fields, frozen
 
 __all__ = ["ShapePoint", "ShapeLoop", "shape_angles", "solid_angle"]
 
-_CLOSURE_TOL = 1e-10
-
-
-def _readonly(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=float)
-    out.setflags(write=False)
-    return out
+_CLOSURE = at_most(1e-10)  # a loop's closure gap in each coordinate
 
 
 @dataclass(frozen=True)
 class ShapePoint:
     """Point on Kendall's shape sphere: colatitude in [0, pi], azimuth in [0, 2 pi)."""
 
-    colatitude: float
-    azimuth: float
+    colatitude: float = bounded((lambda v: 0.0 <= v <= math.pi, "in [0, pi]"))
+    azimuth: float = bounded((lambda v: 0.0 <= v < 2 * math.pi, "in [0, 2 pi)"))
 
     def __post_init__(self):
-        if not 0.0 <= self.colatitude <= math.pi:
-            raise ValidationError("colatitude outside [0, pi]")
-        if not 0.0 <= self.azimuth < 2 * math.pi:
-            raise ValidationError("azimuth outside [0, 2 pi)")
+        check_fields(self)
 
 
 def _check_loop_samples(th: np.ndarray, ph: np.ndarray) -> None:
@@ -73,13 +64,9 @@ def _check_loop_samples(th: np.ndarray, ph: np.ndarray) -> None:
         raise ValidationError("non-finite loop samples")
     if np.any(th < -1e-12) or np.any(th > math.pi + 1e-12):
         raise ValidationError("colatitude samples outside [0, pi]")
-    gap = np.max(np.abs(th[..., -1] - th[..., 0]))
-    if gap > _CLOSURE_TOL:
-        raise ValidationError(f"loop does not close in colatitude (gap {gap:.3e})")
+    check("loop's closure gap in colatitude", np.max(np.abs(th[..., -1] - th[..., 0])), _CLOSURE)
     gap = (ph[..., -1] - ph[..., 0]) % (2 * math.pi)
-    gap = np.max(np.minimum(gap, 2 * math.pi - gap))
-    if gap > _CLOSURE_TOL:
-        raise ValidationError(f"loop does not close in azimuth (gap {gap:.3e})")
+    check("loop's closure gap in azimuth", np.max(np.minimum(gap, 2 * math.pi - gap)), _CLOSURE)
 
 
 @dataclass(frozen=True)
@@ -97,13 +84,11 @@ class ShapeLoop:
     azimuths: np.ndarray  # unwrapped (continuous) azimuth samples
 
     def __post_init__(self):
-        th = _readonly(self.colatitudes)
-        ph = _readonly(self.azimuths)
+        th, ph = np.array(self.colatitudes, dtype=float), np.array(self.azimuths, dtype=float)
         if th.ndim != 1 or th.shape != ph.shape:
             raise ValidationError("colatitude/azimuth sample arrays must be 1-d and equal length")
         _check_loop_samples(th, ph)
-        object.__setattr__(self, "colatitudes", th)
-        object.__setattr__(self, "azimuths", ph)
+        frozen(self, colatitudes=th, azimuths=ph)
 
     @classmethod
     def from_samples(cls, colatitudes, azimuths) -> "ShapeLoop":

@@ -24,8 +24,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .connection import monopole_potential
-from .errors import (MAX_SAMPLES, POSITIVE, NumericalError, ValidationError, bounded, check, check_fields, count,
-                     guard)
+from .errors import (MAX_SAMPLES, POSITIVE, NumericalError, ValidationError, at_most, bounded, check, check_fields,
+                     count, frozen, guard)
 from .holonomy import midpoint_grid
 from .shapespace import _check_loop_samples, shape_angles
 
@@ -44,6 +44,8 @@ _WINDOW_STEPS = 1024
 _AMPLITUDE = (lambda v: 0.0 <= v < math.inf, "non-negative and finite")
 _TURN = (lambda v: abs(v) <= 2 * math.pi, "within one turn, [-2 pi, 2 pi]")
 MASSES = (lambda v: np.shape(v) == (3,) and all(0.0 < m < math.inf for m in v), "three positive finite values")
+_PHASES = (lambda v: np.asarray(v).dtype.kind in "iuf" and np.ndim(v) == 1 and np.all(np.abs(v) <= math.pi + 1e-12),
+           "a 1-d array of phases within [-pi, pi]")
 
 
 @dataclass(frozen=True)
@@ -66,8 +68,8 @@ class BondDrive:
 
     def __post_init__(self):
         check_fields(self)
-        if not (self.a12 < self.d12 and self.a < self.d):
-            raise ValidationError("amplitudes must be non-negative and below the mean lengths")
+        check("amplitudes (a12, a)", (self.a12, self.a), (lambda v: v[0] < self.d12 and v[1] < self.d,
+                                                          f"below the mean lengths (d12, d) = {(self.d12, self.d)!r}"))
 
     @property
     def fastest_period(self) -> float:
@@ -76,18 +78,13 @@ class BondDrive:
     def common_period(self) -> float:
         """Least common period of the two oscillations (frequency ratio rational, denominator <= 64), finite."""
         exact = self.omega / self.omega12
-        if not math.isfinite(exact):
-            raise ValidationError("frequency ratio overflows; no common period")
-        ratio = Fraction(exact).limit_denominator(64)
-        if ratio == 0 or abs(float(ratio) - exact) > 1e-9:
-            raise ValidationError(f"frequency ratio omega/omega12 = {exact:.6g} is not a nonzero "
-                                  "rational p/q with q <= 64 within 1e-9; no common period")
+        ratio = Fraction(exact).limit_denominator(64) if math.isfinite(exact) else Fraction(0)
+        check("frequency ratio omega/omega12", exact, (lambda v: ratio != 0 and abs(float(ratio) - v) <= 1e-9,
+                                                       "a nonzero rational p/q with q <= 64 within 1e-9, for a "
+                                                       "common period"))
         # omega / omega12 = p / q  =>  T = q * (2 pi / omega12) = p * (2 pi / omega).
-        period = ratio.denominator * 2 * math.pi / self.omega12
-        if not period < math.inf:
-            raise ValidationError(f"common period overflows: drive frequencies 'omega12' = {self.omega12:.6g} "
-                                  f"and 'omega' = {self.omega:.6g} are too slow")
-        return period
+        return check(f"common period of the drive frequencies 'omega12' = {self.omega12!r} and 'omega' = "
+                     f"{self.omega!r}", ratio.denominator * 2 * math.pi / self.omega12, (math.isfinite, "finite"))
 
     def time_steps(self, t_end: float, dt: float | None = None) -> tuple[int, float]:
         """Count n and step dt of the time grid k dt, k = 0..n, spanning ``t_end``.
@@ -99,16 +96,12 @@ class BondDrive:
         dt = fastest / 512.0 if dt is None else dt
         for name, value in (("t_end", t_end), ("dt", dt)):
             check(name, value, POSITIVE)
-        if dt > fastest / 64.0 + 1e-15:
-            raise ValidationError("time step too coarse: need >= 64 steps per fastest period")
-        steps = t_end / dt
-        if not steps <= MAX_SAMPLES:
-            raise ValidationError(f"time grid of {steps:.4g} steps exceeds the budget of {MAX_SAMPLES} "
-                                  "samples; lower 'periods' or the steps per period")
-        n = int(round(steps))
-        if n < 2:
-            raise ValidationError("t_end spans fewer than two samples")
-        return n, dt
+        coarsest = fastest / 64.0 + 1e-15
+        check("dt", dt, (lambda v: v <= coarsest, f"at most {coarsest!r}, for 64 steps per fastest period or more"))
+        steps = check("time grid's steps t_end / dt", t_end / dt, (
+            lambda v: v <= MAX_SAMPLES, f"at most the budget of {MAX_SAMPLES} samples: lower 'periods' or "
+            "'steps_per_period' (trimer-sim), or bring 'omega' and 'omega12' closer together (phase-sweep)"))
+        return check("time grid's steps round(t_end / dt)", int(round(steps)), count(2)), dt
 
 
 def bond_lengths(t, drive: BondDrive):
@@ -197,9 +190,8 @@ class TrimerTrajectory:
     period_steps: int  # n_P >= 1: x, y and theta's gain per period repeat every n_P samples (T: never)
 
     def __post_init__(self):
-        for name in ("times", "masses", "x", "y", "theta"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-            getattr(self, name).setflags(write=False)
+        frozen(self, **{name: np.asarray(getattr(self, name), dtype=float)
+                        for name in ("times", "masses", "x", "y", "theta")})
         check("period_steps", self.period_steps, count(1, self.times.size))
 
     @property
@@ -265,13 +257,13 @@ def _masses(masses, drive: BondDrive) -> np.ndarray:
     with the smallest mass m and the shortest bond b, m^2, b^2 and m b^2 must not underflow (< 2^-1022)."""
     m = np.asarray(check("masses", masses, MASSES), dtype=float)
     mass, bond = sum(m.tolist()), max(drive.d12 + drive.a12, drive.d + drive.a)  # Python floats reach inf quietly
-    if not max(mass * mass, 2 * bond * bond, 2 * MAX_SAMPLES * mass * bond * bond) < math.inf:
-        raise ValidationError(f"masses {m.tolist()} (total M) and largest bond b = max(d12 + a12, d + a) = {bond:.6g} "
-                              f"overflow the trimer's scale: M^2, 2 b^2 and {2 * MAX_SAMPLES} M b^2 must be finite")
+    check(f"masses {m.tolist()} (total M) and largest bond b = max(d12 + a12, d + a) = {bond:.6g} overflow the "
+          f"trimer's scale: M^2, 2 b^2 and {2 * MAX_SAMPLES} M b^2", (mass * mass, 2 * bond * bond,
+          2 * MAX_SAMPLES * mass * bond * bond), (lambda v: max(v) < math.inf, "finite"))
     least, short = min(m.tolist()), min(drive.d12 - drive.a12, drive.d - drive.a)  # and reach 0 quietly
-    if not min(least * least, short * short, least * short * short) >= 2.0**-1022:
-        raise ValidationError(f"masses {m.tolist()} (smallest m) and shortest bond b = min(d12 - a12, d - a) = "
-                              f"{short:.6g} underflow the trimer's scale: m^2, b^2 and m b^2 must be at least 2^-1022")
+    check(f"masses {m.tolist()} (smallest m) and shortest bond b = min(d12 - a12, d - a) = {short:.6g} underflow the "
+          "trimer's scale: m^2, b^2 and m b^2", (least * least, short * short, least * short * short),
+          (lambda v: min(v) >= 2.0**-1022, "at least 2^-1022"))
     return m
 
 
@@ -307,10 +299,8 @@ def phase_sweep(drive_template: BondDrive, masses, phi_values, periods: int = 8)
     overflow with the bonds (``_masses``), a sweep of more than ``MAX_SAMPLES``
     samples (phases times grid samples) or a phase outside [-pi, pi] is refused first.
     """
-    m, phi_values = _masses(masses, drive_template), np.asarray(phi_values, dtype=float)
+    m, phi_values = _masses(masses, drive_template), np.asarray(check("phase grid", phi_values, _PHASES), dtype=float)
     period, n, dt = _sweep_grid(drive_template, phi_values.size)
-    if not np.all(np.abs(phi_values) <= math.pi + 1e-12):  # NaN fails too
-        raise ValidationError("phase grid must lie within [-pi, pi]")
     times, gains = np.arange(n + 1) * dt, []
     frames, wt = _Frames(_bond12(times, drive_template), m), drive_template.omega * times
     for phi in phi_values.tolist():
@@ -324,11 +314,6 @@ def phase_sweep(drive_template: BondDrive, masses, phi_values, periods: int = 8)
 def _sweep_grid(drive: BondDrive, phases: int) -> tuple[float, int, float]:
     """Common period, count n and step dt of a sweep's grid, refused if ``phases`` x (n + 1) > ``MAX_SAMPLES``."""
     period = drive.common_period()
-    fast_periods = period / drive.fastest_period  # time_steps' grid has 512 steps each, so the frequencies size it
-    if not fast_periods <= MAX_SAMPLES / 512:  # NaN fails too
-        raise ValidationError(f"time grid of one common period ({fast_periods:.4g} fastest periods) exceeds the "
-                              f"budget of {MAX_SAMPLES} samples; bring the drive frequencies 'omega' and 'omega12' "
-                              "closer together")
     n, dt = drive.time_steps(period)
     if phases * (n + 1) > MAX_SAMPLES:
         raise ValidationError(f"phase grid of {phases} phases x {n + 1} samples exceeds the budget "
@@ -388,13 +373,12 @@ def effective_momentum_series(traj: TrimerTrajectory, period: float) -> tuple[np
     NumericalError for a non-finite window phase.
     """
     check("period", period, POSITIVE)
-    dt = traj.dt
+    dt, total = traj.dt, traj.times.size
     n_window = int(round(period / dt))
-    if abs(n_window * dt - period) > 1e-9 * period:
-        raise ValidationError("time step must divide the window period")
-    total = traj.times.size
-    if n_window + 1 > total:
-        raise ValidationError("trajectory shorter than one window period")
+    check(f"window period's distance from a whole number of time steps dt = {dt!r}", abs(n_window * dt - period),
+          at_most(1e-9 * period))
+    check("window samples round(period / dt) + 1", n_window + 1,
+          (lambda v: v <= total, f"at most the trajectory's {total}"))
     stride = max(1, n_window // 4)
     starts = np.arange(0, total - n_window, stride, dtype=int)
     cycle = min(starts.size, traj.period_steps // math.gcd(traj.period_steps, stride))

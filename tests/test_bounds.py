@@ -3,8 +3,9 @@
 ``test_walk`` calls every callable that ``triholonomy`` re-exports from a table of valid arguments
 (``WALK``) and sets each float argument in turn to NaN, +inf, -inf, 0 and -1, with warnings as errors.
 A case passes on a ValidationError or NumericalError whose message names the argument (or the quantity
-``NAMES`` lists for it), or on finite outputs.  ``test_walk_ints`` sets each int argument in turn to NaN,
-+inf, -inf, 0, -1, 2.5, True and 2**63; a case passes only on such a refusal.  The cases the physics
+``NAMES`` lists for it), or on finite outputs.  ``test_walk_non_numeric`` sets each float argument in turn
+to "1.0", None and [1.0], and ``test_walk_ints`` each int argument to NaN, +inf, -inf, 0, -1, 2.5, True and
+2**63; a case of either passes only on such a refusal.  The cases the physics
 allows to return otherwise are ``ALLOWED``, each with its reason.  ``PROBES`` are the inputs the library
 once accepted although the CLI refused them: each failed late, for the wrong reason, or returned a number.
 ``SCALE_PROBES`` are trimer drives and masses that pass every field bound but whose products overflow.
@@ -49,6 +50,7 @@ from triholonomy.errors import NumericalError, ValidationError
 
 HOSTILE = [math.nan, math.inf, -math.inf, 0.0, -1.0]
 HOSTILE_INTS = [math.nan, math.inf, -math.inf, 0, -1, 2.5, True, 2**63]
+NON_NUMERIC = ["1.0", None, [1.0]]  # each once ended in a bare TypeError or ValueError where a float belongs
 DRIVE = dict(d12=1.1, a12=0.2, omega12=1.0, d=1.0, a=0.15, omega=3.0)
 MASSES = [2.1, 2.1, 4.7]
 
@@ -125,14 +127,13 @@ NAMES = {
     ("curvature_vector", "psi"): ("control",),
     ("effective_momentum_series", "period"): ("period",),
     ("make_ellipse_loop", "theta0"): ("colatitude",),
-    ("make_ellipse_loop", "a"): ("semi-axes", "ellipse"),  # +inf reaches a pole
-    ("make_ellipse_loop", "b"): ("semi-axes", "b"),
     ("phase_sweep", "phi_values[0]"): ("phase grid",),
     ("precession_berry_phase", "phi13"): ("phi13", "circular"),  # a finite phase off pi/4 is no circle
     ("precession_berry_phase", "phi23"): ("phi23", "circular"),
 }
 
-# (callable, argument, value) -> why the physics lets the call return although the value is hostile.
+# (callable, argument, value) -> why the physics lets the call return although the value is hostile; a
+# NON_NUMERIC value is keyed by its repr.
 ALLOWED = {
     ("PlatformParams", "tau_r", math.inf): "an infinite Rydberg lifetime is no decay: p_decay is 0",
     ("bond_lengths", "t", math.nan): "the drive formula is elementwise, as numpy is: a NaN time gives NaN bonds",
@@ -140,6 +141,10 @@ ALLOWED = {
     ("bond_lengths", "t", -math.inf): "cos has no value at an infinite time, so the bonds there are NaN",
     ("cs_phase", "charges[0]", 0.0): "charge 0 is a triangle in |0>, which does not couple (cs_controlled_phase)",
     ("PlatformParams", "n_rep", 2**63): "n_rep has no upper end, and the budget of that many loops is finite",
+    ("bond_lengths", "t", "[1.0]"): "t is an array of times, and [1.0] holds one",
+    ("bond_lengths", "t", "'1.0'"): "numpy reads the string '1.0' as the time 1.0, elementwise",
+    ("bond_lengths", "t", "None"): "numpy reads None as a NaN time, whose bonds are NaN, elementwise",
+    ("reconstruct_rotation", "dt", "None"): "dt=None is the default step, 1/512 of the fastest period",
     **{("phase_sweep", "periods", value): "periods reaches no output: the rate of one period is the mean over any"
        for value in HOSTILE_INTS},
 }
@@ -188,6 +193,8 @@ def _refused_by_name(name: str, path: str, value, exc: Exception) -> None:
 
 
 CASES = [(name, path, value) for name, (_, paths, _) in WALK.items() for path in paths for value in HOSTILE]
+NON_NUMERIC_CASES = [(name, path, value) for name, (_, paths, _) in WALK.items() for path in paths
+                     for value in NON_NUMERIC]
 INT_CASES = [(name, path, value) for name, (*_, paths) in WALK.items() for path in paths for value in HOSTILE_INTS]
 
 
@@ -198,6 +205,17 @@ def test_walk(name, path, value):
         _refused_by_name(name, path, value, exc)
     elif (name, path, value) not in ALLOWED:
         assert math.isfinite(value) and _finite(out), f"{name}({path}={value}) returned a non-finite output"
+
+
+@pytest.mark.parametrize("name, path, value", NON_NUMERIC_CASES,
+                         ids=[f"{n}-{p}-{v!r}" for n, p, v in NON_NUMERIC_CASES])
+def test_walk_non_numeric(name, path, value):
+    # a value the bound's test cannot compare is refused by name, never a bare TypeError or ValueError
+    out, exc = _call(name, path, value)
+    if exc is not None:
+        _refused_by_name(name, path, repr(value), exc)
+    else:
+        assert (name, path, repr(value)) in ALLOWED, f"{name}({path}={value!r}) returned"
 
 
 @pytest.mark.parametrize("name, path, value", INT_CASES, ids=[f"{n}-{p}-{v!r}" for n, p, v in INT_CASES])
@@ -243,6 +261,31 @@ def test_check_names_the_plain_value_and_the_exact_bound():
         phase_sweep(drive, [np.float64(1), np.float64(2)], [0.0])
     with pytest.raises(ValidationError, match=refused + r"\[1\.0, -2\.0, 3\.0\]$"):
         phase_sweep(drive, np.array([1.0, -2.0, 3.0]), [0.0])
+
+
+def test_a_long_value_prints_abbreviated_on_one_short_line():
+    # 200000 masses once printed a message of 1 000 049 characters
+    with pytest.raises(ValidationError) as refused:
+        phase_sweep(BondDrive(**DRIVE), np.ones(200000), [0.0])
+    assert str(refused.value) == ("masses must be three positive finite values, got "
+                                  "[1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, ...]")
+    # at most 8 entries of a list or tuple, 200 characters of a string or a number
+    for value in ("x" * 1000, (0.5,) * 9, 10**250, np.arange(10.0)):
+        with pytest.raises(ValidationError) as refused:
+            errors.check("v", value, errors.at_most(0))
+        assert "\n" not in str(refused.value) and len(str(refused.value)) < 300, str(refused.value)
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_a_long_masses_list_exits_2_on_one_short_line(tmp_path, capsys, command):
+    params = {"drive": DRIVE, "masses": [1.0] * 10**5, "periods": 2, "steps_per_period": 1536}
+    path, out = tmp_path / "config.json", tmp_path / "out"
+    path.write_text(json.dumps({"schema_version": 1, "scenario": "trimer-sim", "params": params}))
+    assert cli.main([command, str(path)] + (["--out", str(out)] if command == "run" else [])) == 2
+    stdout, stderr = capsys.readouterr()
+    assert stdout == "" and stderr.count("\n") == 1 and len(stderr) < 300, stderr[:400]
+    assert stderr.startswith("validation error: trimer-sim params: parameter 'masses' must be three positive finite ")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("bound", [errors.POSITIVE, errors.count(1, math.inf), errors.FINITE, errors.at_most(math.inf)],
@@ -357,6 +400,15 @@ PROBES = {
     "LinkData.pair-lk-nan": (lambda: LinkData.pair(math.nan), "lk"),
     # a bare OverflowError
     "LinkData.pair-lk-2**70": (lambda: LinkData.pair(2**70), "lk"),
+    # a bare ValueError: the bound's test could not compare the value
+    "reconstruct_rotation-masses-ragged": (lambda: reconstruct_rotation(BondDrive(**DRIVE), [1.0, [2.0], 3.0], 10.0),
+                                           "masses"),
+    # a bare TypeError, for the same reason
+    "phase_sweep-masses-strings": (lambda: phase_sweep(BondDrive(**DRIVE), ["1", "2", "3"], [0.0]), "masses"),
+    "hopf_pair-radius1-string": (lambda: hopf_pair("1.0"), "radius1"),
+    "synth_phase_gate-q-string": (lambda: synth_phase_gate("2"), "coupling weight q"),
+    "BondDrive-d12-string": (lambda: BondDrive("1.1", 0.2, 1.0, 1.0, 0.15, 3.0), "d12"),
+    "make_ellipse_loop-theta0-string": (lambda: make_ellipse_loop("1", 0.1, 0.1), "base colatitude theta0"),
 }
 
 

@@ -215,6 +215,9 @@ UNREADABLE_CONFIGS = {
     "long-integer": b'{"schema_version": 1, "scenario": "gate-synth", "seed": ' + b"9" * 5000 + b"}",
 }
 
+# The refusal of a semi-axis that rounds away at the base point.
+LOST_TO_ROUNDING = "semi-axis a's rounding error at the base point must be at most"
+
 # Loops whose semi-axes round away at the base point; each run once exited 0 with wrong numbers.
 UNRESOLVED_ELLIPSES = [
     ("gate-synth", {"q": 1e300}),  # wrote the identity matrix
@@ -225,11 +228,12 @@ UNRESOLVED_ELLIPSES = [
 # Configs each scenario rejects while building its loop or curves, before any transport:
 # (scenario, params override, config override, stderr phrase); run and validate both exit 2.
 PREFLIGHT_BUILDS = [
-    ("gate-synth", {"q": 1e300}, {}, "semi-axis a is lost to rounding"),
-    ("gate-synth", {"q": 1e300, "target": "hadamard"}, {}, "semi-axis a is lost to rounding"),
-    ("ramsey", {"q": 1e30}, {}, "semi-axis a is lost to rounding"),
-    ("trace-sweep", {"a": 1e-15, "b": 1e-15}, {}, "semi-axis a is lost to rounding"),
-    ("trace-sweep", {"theta0": 4.0}, {}, "base colatitude must lie strictly between the poles"),
+    ("gate-synth", {"q": 1e300}, {}, LOST_TO_ROUNDING),
+    ("gate-synth", {"q": 1e300, "target": "hadamard"}, {}, LOST_TO_ROUNDING),
+    ("ramsey", {"q": 1e30}, {}, LOST_TO_ROUNDING),
+    ("trace-sweep", {"a": 1e-15, "b": 1e-15}, {}, LOST_TO_ROUNDING),
+    ("trace-sweep", {"theta0": 4.0}, {},
+     "base colatitude theta0 must be strictly between the poles, with sin theta0 above 1e-6, got 4.0"),
     ("gate-synth", {}, {"output_dir": "nul\0byte"},
      "config: parameter 'output_dir' must be free of NUL bytes, got 'nul\\x00byte'"),
     ("phase-sweep", {"phi_values": [4.0]}, {}, "phase-sweep params: unknown parameter 'phi_values'"),
@@ -245,12 +249,14 @@ PREFLIGHT_BUILDS = [
     ("linking", {"hopf": {"radius1": 6.5e307, "segments": 64}}, {},
      "overflow its centroid or segment midpoints"),
     # repetition counts whose product drifts from unitary; validate once passed them and run exited 2
-    ("gate-synth", {"q": 1e-300}, {}, "1.111111111e+301 loop repetitions exceed 4194304; raise q"),
-    ("gate-synth", {"q": 1e-8}, {}, "1111111112 loop repetitions exceed 4194304"),
+    ("gate-synth", {"q": 1e-300}, {}, "loop repetitions 1 / (0.09 q) at coupling weight q = 1e-300 must be at most "
+                                      "4194304; raise q, got 1.1111111111111112e+301"),
+    ("gate-synth", {"q": 1e-8}, {}, "loop repetitions 1 / (0.09 q) at coupling weight q = 1e-08 must be at most "
+                                    "4194304; raise q, got 1111111111.1111112"),
     ("gate-synth", {"n_rep": 2**22 + 1}, {}, "gate-synth params: unknown parameter 'n_rep'"),
     # a count that overflows a float once raised a traceback (exit 1)
-    ("gate-synth", {"q": 1e-320}, {}, "coupling weight q = 1e-320 overflows the repetition count"),
-    ("ramsey", {"q": 5e-324}, {}, "coupling weight q = 4.94e-324 overflows the repetition count"),
+    ("gate-synth", {"q": 1e-320}, {}, "at coupling weight q = 1e-320 must be at most 4194304; raise q, got inf"),
+    ("ramsey", {"q": 5e-324}, {}, "at coupling weight q = 5e-324 must be at most 4194304; raise q, got inf"),
     # a phase of 1e12 rounds omega t + phi so coarsely that the window loops open
     ("trimer-sim", {"drive": dict(TRIMER_DRIVE, phi13=1e12)}, {}, "'phi13' must be within one turn"),
     # the sweep sets the phases, so its drive has none to give
@@ -274,8 +280,8 @@ OVERSIZED_TIME_GRIDS = [
 ]
 # The keys each scenario's refusal of such a grid asks to lower: phase-sweep's grid is one common period.
 TIME_GRID_LEVERS = {
-    "trimer-sim": "lower 'periods' or the steps per period",
-    "phase-sweep": "bring the drive frequencies 'omega' and 'omega12' closer together",
+    "trimer-sim": "lower 'periods' or 'steps_per_period' (trimer-sim)",
+    "phase-sweep": "bring 'omega' and 'omega12' closer together (phase-sweep)",
 }
 
 # Drives whose frequency ratio omega/omega12 rounds to the fraction 0 (denominator <= 64).
@@ -286,10 +292,12 @@ WINDOW_VIOLATION = {
     "e_e1": 2 * math.pi * 1.0e6, "e_e2": 2 * math.pi * 14.0e6, "e_a": 2 * math.pi * 18.0e6,
 }
 
-RATIO = (2, "frequency ratio overflows")
+RATIO = (2, "frequency ratio omega/omega12 must be a nonzero rational p/q with q <= 64 within 1e-9, for a common "
+           "period, got inf")
 OVERFLOWING_DRIVE = dict(TRIMER_DRIVE, omega12=1e-300, omega=1e200)
 # The ratio is exactly 3 but 2 pi/omega12 overflows: once refused as a 't_end' of inf, a key no config has.
-PERIOD = (2, "common period overflows: drive frequencies 'omega12' = 4.94066e-324 and 'omega' = 1.4822e-323")
+PERIOD = (2, "common period of the drive frequencies 'omega12' = 5e-324 and 'omega' = 1.5e-323 must be finite, "
+            "got inf")
 SLOW_DRIVE = dict(TRIMER_DRIVE, omega12=5e-324, omega=1.5e-323)
 # (scenario, params override, {command: (exit code, stderr phrase)}): overflows that once exited 1 or
 # named no config key; each exits within a second.
@@ -416,7 +424,7 @@ class TestRun:
         argv = [command, write_config(tmp_path, cfg)] + (["--out", str(out)] if command == "run" else [])
         assert main(argv) == 2
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "frequency ratio omega/omega12 = " in err and "nonzero rational" in err
+        assert err.count("\n") == 1 and "frequency ratio omega/omega12 must be a nonzero rational" in err
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -448,7 +456,8 @@ class TestRun:
     @pytest.mark.parametrize("command", ["run", "validate"])
     def test_ramsey_mode_ordering_exits_2(self, tmp_path, capsys, command):
         # a ramsey run needs the whole adiabatic window, not only the mode ordering
-        for platform, message in (({"e_a": 2.5}, "mode ordering violated"),
+        for platform, message in (({"e_a": 2.5}, "breathing mode's gap e_a - (e_e1 + e_e2) / 2 above the doublet "
+                                                 "mean must be positive"),
                                   (WINDOW_VIOLATION, "adiabatic window violated")):
             params = dict(BASE_PARAMS["ramsey"], platform=platform)
             cfg = {"schema_version": 1, "scenario": "ramsey", "seed": 0, "params": params}
@@ -714,7 +723,7 @@ class TestRun:
         out = tmp_path / "out"
         for argv in (["validate", cfg_path], ["run", cfg_path, "--out", str(out)]):
             assert main(argv) == 2
-            assert "curves approach within 0.000e+00" in capsys.readouterr().err
+            assert capsys.readouterr().err.endswith(", for a reliable linking integral, got 0.0\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["run", "validate"])
@@ -847,18 +856,21 @@ class TestRun:
                "params": dict(BASE_PARAMS[scenario], **override)}
         out = tmp_path / "out"
         assert main(["run", write_config(tmp_path, cfg), "--out", str(out)]) == 2
-        assert "semi-axis a is lost to rounding" in capsys.readouterr().err
+        assert LOST_TO_ROUNDING in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["run", "validate"])
     @pytest.mark.parametrize(
         "axes, message",
         [
-            ({"a": 2.5}, "ellipse reaches within 1e-6 of a pole"),
-            ({"a": 1e200}, "ellipse reaches within 1e-6 of a pole"),
+            ({"a": 2.5}, "semi-axis a must be non-negative, with the ellipse 1e-6 or more from each pole, got 2.5"),
+            ({"a": 1e200}, "semi-axis a must be non-negative, with the ellipse 1e-6 or more from each pole, got "
+                           "1e+200"),
             # b >= pi at theta0 = pi/2 winds the azimuth; 1e10 once aliased into a CSV with exit 0
-            ({"b": 1e10}, "ellipse azimuth semi-axis b / sin theta0 = 1e+10 is not below pi"),
-            ({"b": 1e200}, "ellipse azimuth semi-axis b / sin theta0 = 1e+200 is not below pi"),
+            ({"b": 1e10}, "semi-axis b must be non-negative, with an azimuth semi-axis b / sin theta0 below pi, got "
+                          "10000000000.0"),
+            ({"b": 1e200}, "semi-axis b must be non-negative, with an azimuth semi-axis b / sin theta0 below pi, got "
+                           "1e+200"),
         ],
         ids=["2.5", "1e+200", "b=1e+10", "b=1e+200"],
     )
@@ -1628,9 +1640,14 @@ def root_configs():
     return [dict(base, **{key: copy.deepcopy(value)}) for key in _ROOT for value in HOSTILE_VALUES]
 
 
-def test_validate_exits_2_exactly_when_run_does(tmp_path):
-    # every base config with one table parameter replaced by one hostile value, under both commands,
-    # then one base config with each root key replaced so, then the refused configs no table path reaches
+GRID_EXIT_CODES = os.path.join(os.path.dirname(__file__), "grid_exit_codes.txt")
+
+
+def grid_exit_codes(tmp: str) -> str:
+    """The exit code of every grid config, one digit each in grid order, checked equal under both commands.
+
+    The grid is every base config with one table parameter replaced by one hostile value, then one base config
+    with each root key replaced so, then the refused configs no table path reaches."""
     grid = [(with_values(scenario, [(path, value)]), False)
             for scenario in sorted(BASE_PARAMS)
             for path in table_paths(SCENARIOS[scenario][0])
@@ -1638,12 +1655,36 @@ def test_validate_exits_2_exactly_when_run_does(tmp_path):
     grid += [(cfg, False) for cfg in root_configs()]
     grid += [(cfg, True) for cfg in refused_configs()]
     assert len(grid) == 915 + 75 + 53
-    (tmp_path / HEADER_ONLY).write_text("x,y,z\n")
+    with open(os.path.join(tmp, HEADER_ONLY), "w") as fh:
+        fh.write("x,y,z\n")
+    codes = ""
     for cfg, refused in grid:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            validated, ran = exit_codes(cfg, str(tmp_path))
+            validated, ran = exit_codes(cfg, tmp)
         assert validated in (0, 2, 3) and validated == ran, (cfg, validated, ran)
         assert validated == 2 or not refused, cfg
         # the small-loop UserWarning is allowed
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], cfg
+        codes += str(validated)
+    return codes
+
+
+def write_grid_exit_codes() -> None:
+    """Rewrite ``GRID_EXIT_CODES`` from this checkout, 75 digits a line."""
+    with tempfile.TemporaryDirectory() as tmp:
+        codes = grid_exit_codes(tmp)
+    with open(GRID_EXIT_CODES, "w") as fh:
+        fh.writelines(codes[i:i + 75] + "\n" for i in range(0, len(codes), 75))
+
+
+def test_validate_exits_2_exactly_when_run_does(tmp_path):
+    """Each config of the grid exits as ``grid_exit_codes.txt`` records, under validate and run alike.
+
+    A change that moves an exit code rewrites the record, from the repository root, with
+    ``PYTHONPATH=src:tests python -c "import test_cli; test_cli.write_grid_exit_codes()"``."""
+    with open(GRID_EXIT_CODES) as fh:
+        recorded = "".join(fh.read().split())
+    codes = grid_exit_codes(str(tmp_path))
+    moved = [(k, recorded[k:k + 1], code) for k, code in enumerate(codes) if recorded[k:k + 1] != code]
+    assert len(recorded) == len(codes) and not moved, moved[:10]

@@ -423,7 +423,8 @@ class TestCurvature:
 
     @pytest.mark.parametrize("colatitude", [0.0, 5e-6, math.pi])
     def test_stencil_past_a_pole_rejected(self, colatitude):
-        with pytest.raises(ValidationError, match=r"curvature stencil leaves \[0, pi\]: the point lies within 1e-05"):
+        with pytest.raises(ValidationError, match=r"^colatitude of the curvature's point must be at least 1e-05 from "
+                                                  r"each pole, for the stencil, got "):
             curvature_vector(ShapePoint(colatitude, 0.3), BlochField.pinned(), 0.0, (0.0, 0.0))
 
     def test_curvature_spans_su2(self):

@@ -82,7 +82,7 @@ class TestEllipseLoop:
     @pytest.mark.parametrize("a, b", [(1e-15, 0.1), (1e-150, 0.0)])
     def test_axis_lost_to_rounding_rejected(self, a, b):
         # theta0 + a cos s must keep a nonzero a to 1e-6 of it; phi = 0.0 + b' sin s keeps b to rounding
-        with pytest.raises(ValidationError, match="semi-axis a is lost to rounding"):
+        with pytest.raises(ValidationError, match=r"^semi-axis a's rounding error at the base point must be at most "):
             make_ellipse_loop(math.pi / 2, a, b)
 
     def test_resolved_tiny_axes_accepted(self):
@@ -289,7 +289,8 @@ class TestTwoQubitGates:
         assert gate_fidelity(CANONICAL_CNOT, gate.matrix) > 0.99
 
     def test_mismatched_level_rejected(self):
-        with pytest.raises(ValidationError, match="not pi"):
+        with pytest.raises(ValidationError, match=r"^controlled phase of level k = 35 must be pi to within 1e-9; "
+                                                  r"choose k = 4 q\^2, got "):
             compile_cnot(3.0, 35)
 
 
@@ -304,9 +305,11 @@ class TestGateSpec:
         with pytest.raises(ValidationError, match=r"^gate target's \|U\^H U - I\| must be at most 1e-12, got "):
             self.spec(target=target)
 
-    @pytest.mark.parametrize("residual", [HADAMARD_ROTATION, np.diag([1.0, 2.0]), NAN2])
-    def test_residual_must_be_a_diagonal_unitary(self, residual):
-        with pytest.raises(ValidationError, match="residual abelian factor must be a diagonal unitary"):
+    @pytest.mark.parametrize("residual, refused", [(HADAMARD_ROTATION, r"off-diagonal \|r01\| \+ \|r10\|"),
+                                                   (np.diag([1.0, 2.0]), r"\|U\^H U - I\|"), (NAN2, r"\|U\^H U - I\|")],
+                             ids=["residual0", "residual1", "residual2"])
+    def test_residual_must_be_a_diagonal_unitary(self, residual, refused):
+        with pytest.raises(ValidationError, match=rf"^residual abelian factor's {refused} must be at most 1e-10, got "):
             self.spec(residual=residual)
 
 
@@ -333,7 +336,8 @@ class TestGateFidelity:
 @pytest.mark.parametrize(
     "call, error, message",
     [
-        (lambda: compile_cnot(2.0, 16, hadamard=NAN2), ValidationError, "unitary"),
+        (lambda: compile_cnot(2.0, 16, hadamard=NAN2), ValidationError,
+         r"^two-qubit gate's \|U\^H U - I\| must be at most 1e-12, got nan$"),
         (lambda: gate_fidelity(NAN2, NAN2), ValidationError, "unitary"),
         (lambda: precession_berry_phase(1.0, 0.15, 3.0, phi13=math.nan), ValidationError, "phi13 must be within"),
         (lambda: precession_berry_phase(math.nan, 0.15, 3.0), ValidationError, "d must be positive and finite"),

@@ -59,7 +59,7 @@ class TestWilsonLine:
 
     @pytest.mark.parametrize("matrix", [np.eye(3), np.eye(2)[None], np.ones(4)])
     def test_rejects_other_shapes(self, matrix):
-        with pytest.raises(ValidationError, match="Wilson line must be 2x2"):
+        with pytest.raises(ValidationError, match=r"^Wilson line's shape must be \(2, 2\), got "):
             WilsonLine(matrix)
 
     def test_trace_is_real_within_the_checks(self):

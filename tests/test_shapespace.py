@@ -171,7 +171,7 @@ class TestShapeLoop:
 
     def test_azimuth_closure_enforced(self):
         # the colatitude closes; the azimuth ends 1 rad from its start, not a whole number of turns
-        with pytest.raises(ValidationError, match=r"loop does not close in azimuth \(gap 1\.000e\+00\)"):
+        with pytest.raises(ValidationError, match=r"^loop's closure gap in azimuth must be at most 1e-10, got 1\.0$"):
             ShapeLoop(np.full(33, 1.0), np.linspace(0.0, 1.0, 33))
 
     def test_minimum_samples(self):

@@ -68,7 +68,9 @@ class TestBondDrive:
     def test_ratio_rounding_to_zero_rejected(self, omega, omega12):
         # limit_denominator(64) rounds omega/omega12 to 0, and 2 pi/omega12 is no period of the pair
         drive = BondDrive(1.1, 0.2, omega12, 1.0, 0.15, omega)
-        with pytest.raises(ValidationError, match=f"omega/omega12 = {omega / omega12:.6g} is not a nonzero"):
+        refused = (f"^frequency ratio omega/omega12 must be a nonzero rational p/q with q <= 64 within 1e-9, for a "
+                   f"common period, got {omega / omega12!r}$")
+        with pytest.raises(ValidationError, match=refused):
             drive.common_period()
 
     @pytest.mark.parametrize("value", [0.0, -1e-3, math.nan, math.inf])
@@ -85,7 +87,8 @@ class TestBondDrive:
         # one default step of 1/512 fastest period spans one sample interval
         drive = reference_drive()
         for t_end in (drive.fastest_period / 512, drive.fastest_period / 1024):
-            with pytest.raises(ValidationError, match="t_end spans fewer than two samples"):
+            with pytest.raises(ValidationError, match=r"^time grid's steps round\(t_end / dt\) must be an int in "
+                                                      r"\[2, 67108864\], got [01]$"):
                 drive.time_steps(t_end)
         assert drive.time_steps(drive.fastest_period / 256)[0] == 2
 
@@ -103,20 +106,22 @@ class TestBondDrive:
 
     def test_overflowing_ratio_rejected(self):
         drive = BondDrive(1.1, 0.2, 1e-300, 1.0, 0.15, 1e200)
-        with pytest.raises(ValidationError, match="frequency ratio overflows"):
+        with pytest.raises(ValidationError, match="^frequency ratio omega/omega12 must be .+, got inf$"):
             drive.common_period()
 
     def test_overflowing_period_rejected(self):
         # omega/omega12 = 3 exactly, but 2 pi/omega12 overflows to inf
         drive = BondDrive(1.1, 0.2, 5e-324, 1.0, 0.15, 1.5e-323)
-        with pytest.raises(ValidationError, match="common period overflows: .*'omega12'.*'omega' "):
+        with pytest.raises(ValidationError, match="^common period of the drive frequencies 'omega12' = 5e-324 and "
+                                                  "'omega' = 1.5e-323 must be finite, got inf$"):
             drive.common_period()
 
     def test_sweep_grid_refuses_a_nan_period_count(self, monkeypatch):
-        # inf / inf fastest periods is NaN, which an "exceeds" comparison would let through
+        # inf / inf fastest periods is NaN, which an "exceeds" comparison would let through; time_steps refuses the
+        # infinite period itself
         drive = BondDrive(1.1, 0.2, 5e-324, 1.0, 0.15, 1.5e-323)
         monkeypatch.setattr(BondDrive, "common_period", lambda self: math.inf)
-        with pytest.raises(ValidationError, match=r"time grid of one common period \(nan fastest periods\)"):
+        with pytest.raises(ValidationError, match=r"^t_end must be positive and finite, got inf$"):
             trimer._sweep_grid(drive, 1)
 
 
@@ -496,7 +501,7 @@ class TestOnePeriod:
 
     def test_irrational_frequency_ratio_builds_the_whole_grid(self):
         drive = BondDrive(1.1, 0.2, 1.0, 1.0, 0.15, math.sqrt(2) * 3, math.pi / 4, -math.pi / 4)
-        with pytest.raises(ValidationError, match="no common period"):
+        with pytest.raises(ValidationError, match="for a common period"):
             drive.common_period()
         traj = reconstruct_rotation(drive, REFERENCE_MASSES, 20.0)
         theta, body = reference_theta(drive, REFERENCE_MASSES, traj.times)
@@ -569,7 +574,8 @@ class TestPhaseSweep:
 
     @pytest.mark.parametrize("grid", [[math.nan], [0.0, math.nan]])
     def test_nan_phase_rejected_by_name(self, grid):
-        with pytest.raises(ValidationError, match=r"phase grid must lie within \[-pi, pi\]"):
+        with pytest.raises(ValidationError, match=r"^phase grid must be a 1-d array of phases within \[-pi, pi\], "
+                                                  r"got "):
             phase_sweep(BondDrive(1.1, 0.2, 1.0, 1.0, 0.15, 3.0), REFERENCE_MASSES, grid)
 
     def test_failure_names_its_phase(self, monkeypatch):
@@ -763,9 +769,11 @@ class TestEffectiveMomentumSeries:
         period = drive.common_period()
         traj = reconstruct_rotation(drive, REFERENCE_MASSES, 2 * period, period / 256)
         effective_momentum_series(traj, 2 * period)  # one window of every sample
-        for window, message in ((period / 2, "does not close"),
-                                (period * (1 + 0.5 / 256), "time step must divide the window period"),
-                                (3 * period, "trajectory shorter than one window period")):
+        for window, message in ((period / 2, r"^loop's closure gap in colatitude must be at most 1e-10, got "),
+                                (period * (1 + 0.5 / 256), r"^window period's distance from a whole number of time "
+                                                           r"steps dt = \S+ must be at most \S+, got "),
+                                (3 * period, r"^window samples round\(period / dt\) \+ 1 must be at most the "
+                                             r"trajectory's 513, got 769$")):
             with pytest.raises(ValidationError, match=message):
                 effective_momentum_series(traj, window)
 

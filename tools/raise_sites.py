@@ -7,12 +7,16 @@ extra pytest arguments) in this process under a line trace, ``sys.settrace``
 and ``threading.settrace``, restricted to the package's own files.  It then
 reads every statement of the package with ``ast`` and lists each one that no
 test executed: every ``raise`` site, and any other statement, such as a
-``continue`` that skips to a refusal.  A site is named by its module, its
-function and its message (the raise's first argument, or the statement's
-text), so ``ALLOWED`` does not move with line numbers, and each allowed
-entry gives its reason.  Exits 1 if a site outside ``ALLOWED`` is listed, if
-an ``ALLOWED`` entry names no listed site, or if the suite fails; else 0.
-Standard library and pytest only: ``coverage`` is not needed.
+``continue`` that skips to a refusal.  A refusal moved into ``errors.check``
+runs its call line whether or not it refuses, so the trace also records the
+caller of each ``raise`` that runs inside ``errors.check``, and the tool lists
+each ``check(...)`` or ``guard(...)`` call that never refused; two such calls
+on one line count as one.  A site is named by its module, its function and
+its message (the raise's first argument, the check call's first argument, or
+the statement's text), so ``ALLOWED`` does not move with line numbers, and
+each allowed entry gives its reason.  Exits 1 if a site outside ``ALLOWED``
+is listed, if an ``ALLOWED`` entry names no listed site, or if the suite
+fails; else 0.  Standard library and pytest only: ``coverage`` is not needed.
 """
 
 from __future__ import annotations
@@ -28,6 +32,8 @@ from typing import NamedTuple
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+CHECKS = ("check", "guard")  # the names a check call goes by; guard is check raising NumericalError
+REFUSER = ("errors", "check")  # the module and function whose raise lines refuse a check call
 
 # (module, function, message) -> why no traced test reaches the site.
 ALLOWED: dict[tuple[str, str, str], str] = {
@@ -42,6 +48,18 @@ class Site(NamedTuple):
     message: str
     line: int
     is_raise: bool
+    last: int = 0  # a check call's last line; 0 for a statement
+
+
+def _scoped(source: str):
+    """(node, qualified name of the function or class around it, "<module>" at module level) of ``source``."""
+    def visit(node: ast.AST, scope: list[str]):
+        for child in ast.iter_child_nodes(node):
+            yield child, ".".join(scope) or "<module>"
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            yield from visit(child, [*scope, child.name] if inner else scope)
+
+    return visit(ast.parse(source), [])
 
 
 def _message(node: ast.stmt) -> str:
@@ -57,34 +75,41 @@ def _message(node: ast.stmt) -> str:
 def sites(source: str, module: str) -> list[Site]:
     """Every statement of ``source`` with its function and message; docstrings and ``global`` run no code."""
     found = []
-
-    def visit(node: ast.AST, scope: list[str]) -> None:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.stmt):
-                docstring = isinstance(child, ast.Expr) and isinstance(child.value, ast.Constant) \
-                    and isinstance(child.value.value, str)
-                if not (docstring or isinstance(child, (ast.Global, ast.Nonlocal))):
-                    function = ".".join(scope) or "<module>"
-                    found.append(Site(module, function, _message(child), child.lineno, isinstance(child, ast.Raise)))
-            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-            visit(child, [*scope, child.name] if inner else scope)
-
-    visit(ast.parse(source), [])
+    for node, function in _scoped(source):
+        if isinstance(node, ast.stmt):
+            docstring = isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant) \
+                and isinstance(node.value.value, str)
+            if not (docstring or isinstance(node, (ast.Global, ast.Nonlocal))):
+                found.append(Site(module, function, _message(node), node.lineno, isinstance(node, ast.Raise)))
     return found
 
 
-def traced(package_dir: Path, run) -> tuple[object, set[tuple[str, int]]]:
-    """``run()``'s result and the (real file path, line) pairs it executed in ``package_dir``'s files.
+def check_calls(source: str, module: str) -> list[Site]:
+    """Every ``check(...)`` or ``guard(...)`` call of ``source``, named by its function and its first argument."""
+    return [Site(module, function, ast.unparse(node.args[0]), node.lineno, False, node.end_lineno)
+            for node, function in _scoped(source)
+            if isinstance(node, ast.Call) and node.args
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) in CHECKS]
+
+
+def traced(package_dir: Path, run, watched=frozenset()) -> tuple[object, set[tuple[str, int]], set[tuple[str, int]]]:
+    """``run()``'s result, the (real file path, line) pairs it executed in ``package_dir``'s files, and the
+    (real file path, line) of each call from which a ``watched`` (real file path, line) pair ran.
 
     The trace functions in place before the call are put back after it.
     """
     prefix = os.path.realpath(package_dir) + os.sep
     executed: set[tuple[str, int]] = set()
+    callers: set[tuple[str, int]] = set()
     inside: dict[object, str | None] = {}  # code object -> its real file path, None outside the package
 
     def local(frame, event, arg):
         if event == "line":
-            executed.add((inside[frame.f_code], frame.f_lineno))
+            key = (inside[frame.f_code], frame.f_lineno)
+            executed.add(key)
+            if key in watched:
+                back = frame.f_back
+                callers.add((inside.get(back.f_code) or os.path.realpath(back.f_code.co_filename), back.f_lineno))
         return local
 
     def trace(frame, event, arg):
@@ -105,7 +130,7 @@ def traced(package_dir: Path, run) -> tuple[object, set[tuple[str, int]]]:
     finally:
         sys.settrace(previous[0])
         threading.settrace(previous[1])
-    return result, executed
+    return result, executed, callers
 
 
 def unreached(package_dir: Path, executed: set[tuple[str, int]]) -> list[Site]:
@@ -117,6 +142,23 @@ def unreached(package_dir: Path, executed: set[tuple[str, int]]) -> list[Site]:
     return missed
 
 
+def refusals(package_dir: Path) -> set[tuple[str, int]]:
+    """The (real file path, line) of each ``raise`` of ``REFUSER``, which ``traced`` watches."""
+    path = package_dir / f"{REFUSER[0]}.py"
+    return {(os.path.realpath(path), site.line) for site in sites(path.read_text(), REFUSER[0])
+            if site.function == REFUSER[1] and site.is_raise}
+
+
+def unrefused(package_dir: Path, callers: set[tuple[str, int]]) -> list[Site]:
+    """The check calls of the package's modules from none of whose lines a refusal ran."""
+    missed = []
+    for path in sorted(package_dir.glob("*.py")):
+        real = os.path.realpath(path)
+        missed += [call for call in check_calls(path.read_text(), path.stem)
+                   if not any((real, line) in callers for line in range(call.line, call.last + 1))]
+    return missed
+
+
 def main(argv: list[str]) -> int:
     spec = importlib.util.find_spec("triholonomy")  # found, not imported: the trace sees the imports too
     if spec is None:
@@ -124,15 +166,17 @@ def main(argv: list[str]) -> int:
         return 1
     package_dir = Path(spec.submodule_search_locations[0])
     args = ["-q", "--continue-on-collection-errors", "-W", "error::RuntimeWarning", str(ROOT / "tests"), *argv]
-    code, executed = traced(package_dir, lambda: pytest.main(args))
-    missed = unreached(package_dir, executed)
-    keys = {(site.module, site.function, site.message) for site in missed}
+    code, executed, callers = traced(package_dir, lambda: pytest.main(args), refusals(package_dir))
+    missed, checks = unreached(package_dir, executed), unrefused(package_dir, callers)
     raises = sum(site.is_raise for site in missed)
-    print(f"\n{raises} raise site(s) and {len(missed) - raises} other statement(s) of {package_dir} not executed:")
+    print(f"\n{raises} raise site(s) and {len(missed) - raises} other statement(s) of {package_dir} not executed, "
+          f"and {len(checks)} check call(s) that never refused:")
+    missed += checks
+    keys = {(site.module, site.function, site.message) for site in missed}
     failed = code != 0
     for site in missed:
         key = (site.module, site.function, site.message)
-        kind = "raise" if site.is_raise else "statement"
+        kind = "raise" if site.is_raise else "check" if site.last else "statement"
         note = f"  [allowed: {ALLOWED[key]}]" if key in ALLOWED else ""
         print(f"  {site.module}.py:{site.line} {site.function}: {kind} {site.message}{note}")
         failed |= key not in ALLOWED
