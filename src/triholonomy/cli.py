@@ -412,11 +412,10 @@ def _trace_sweep(p: dict, base_dir: str, seed: int) -> tuple[list[str], dict]:
                               f"{steps} steps exceeds the budget of {MAX_SAMPLES} samples; lower 'steps' or "
                               "'gauge_rotations', or list fewer 'psi_values'")
     shape = make_ellipse_loop(p["theta0"], p["a"], p["b"], p["samples"])
-    s_mid = midpoint_grid(p["steps"])[0]
-    base = HolonomyLoop(shape, charge=p["q"], steps=p["steps"]).sample(s_mid)
+    base = HolonomyLoop(shape, charge=p["q"], steps=steps).sample()
     rows = []
     for psi_abs in p["psi_values"]:
-        psi = np.full(s_mid.size, complex(psi_abs))
+        psi = np.full(steps, complex(psi_abs))
         direct = wilson_from_samples(base.a, psi, p["q"]).trace
         c, j = eigenframe_rate_samples(base._replace(psi=psi), p["q"])
         d4 = trace_expansion_from_rates(c, j, 4)  # its I2 gives the order-2 estimate exactly
@@ -425,7 +424,7 @@ def _trace_sweep(p: dict, base_dir: str, seed: int) -> tuple[list[str], dict]:
     header = ["psi_abs", "trace_direct", "trace_order2", "trace_order4", "i2", "i4"]
     outputs = {"trace_sweep.csv": (header, [np.asarray(col) for col in zip(*rows)])}
     if rotations:
-        outputs["gauge_check.json"] = _gauge_check(s_mid, base.a, p["psi_values"][0], rotations, seed)
+        outputs["gauge_check.json"] = _gauge_check(midpoint_grid(steps)[0], base.a, p["psi_values"][0], rotations, seed)
     return [], outputs
 
 
@@ -480,8 +479,8 @@ def _linking(p: dict, base_dir: str, seed: int) -> tuple[list[str], dict]:
         for path in (os.path.join(base_dir, name) for name in p["curve_files"]):
             try:
                 with open(path) as fh:
-                    rows = fh.read().partition("\n")[2]  # below the header line
-                data = np.loadtxt(rows.split("\n"), delimiter=",") if rows.strip() else None
+                    rows = fh.read().split("\n")[1:]  # below the header line; a comment or a blank is no data row
+                data = np.loadtxt(rows, delimiter=",") if any(r.partition("#")[0].strip() for r in rows) else None
             except (OSError, ValueError) as exc:
                 raise ValidationError(f"cannot read curve file {path}: {exc}") from exc
             if data is None:

@@ -250,6 +250,25 @@ def monopole_potential(colat, dazimuth, patch: GaugePatch = GaugePatch.NORTH, wh
     return -0.5 * (1.0 + np.cos(colat)) * dazimuth
 
 
+def _monopole_segment_sums(colat, azimuth, k: int, patch: GaugePatch):
+    """``monopole_potential`` summed in closed form over k midpoints of each segment of a piecewise-linear loop.
+
+    ``colat`` and ``azimuth`` hold the loop's n + 1 nodes over [0, 2 pi] on their last axis.  The cosines of segment
+    i's midpoints theta_i + dtheta_i (m + 1/2) / k sum to cos(theta_i + dtheta_i / 2) sin(dtheta_i / 2) /
+    sin(dtheta_i / (2 k)), the ratio being k where dtheta_i = 0.  The pole refusal reads each segment's extremes,
+    its first and last midpoints.
+    """
+    start, dth = colat[..., :-1], np.diff(colat)
+    for frac in (0.5 / k, (k - 0.5) / k):
+        monopole_potential(start + dth * frac, 0.0, patch)
+    den = np.sin(0.5 * dth / k)
+    cos_sum = np.cos(start + 0.5 * dth) * np.divide(np.sin(0.5 * dth), den, out=np.full(den.shape, float(k)),
+                                                    where=den != 0.0)
+    dazimuth = np.diff(azimuth) / (2 * math.pi / dth.shape[-1])
+    sign = 1.0 if patch is GaugePatch.NORTH else -1.0  # north (1/2)(1 - cos), south -(1/2)(1 + cos)
+    return sign * 0.5 * (k - sign * cos_sum) * dazimuth
+
+
 def connection_vectors(samples: LoopSamples) -> np.ndarray:
     """Component-first V, shape (3, N): sample i (per unit s) is V[:, i] . sigma / 2i; vx, vy, vz = V."""
     a, psi, axis = samples

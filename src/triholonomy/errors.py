@@ -15,7 +15,7 @@ MAX_SAMPLES = 2**26  # largest sample count a parameter or time grid may ask for
 POSITIVE = (lambda v: 0.0 < v < math.inf, "positive and finite")  # a (test, phrase) bound
 FINITE = (cmath.isfinite, "finite")  # a real or complex value
 _REPR = reprlib.Repr()  # a refused value on one short line: 8 entries of a list or tuple, 200 characters of a scalar
-_REPR.maxlist = _REPR.maxtuple = 8
+_REPR.maxlist, _REPR.maxtuple, _REPR.maxlevel = 8, 8, 1  # a list or tuple nested in one prints as [...] or (...)
 _REPR.maxstring = _REPR.maxlong = _REPR.maxother = 200
 
 

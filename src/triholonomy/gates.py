@@ -209,9 +209,8 @@ def interaction_frame(loop: HolonomyLoop) -> InteractionFrame:
     """
     if not loop.bloch.is_pinned:
         raise ValidationError("interaction frame is defined for pinned-axis loops")
-    s_mid, ds = midpoint_grid(loop.steps)
-    a, psi, _ = loop.sample(s_mid)
-    eta_end, eta_mid = cumulative_midpoint(a, ds, loop.charge)
+    a, psi, _ = loop.sample()
+    eta_end, eta_mid = cumulative_midpoint(a, 2 * math.pi / loop.steps, loop.charge)
     g = psi * np.exp(-1j * eta_mid)
     return InteractionFrame(eta_mid, g, loop.charge, float(eta_end[-1]))
 
@@ -237,7 +236,7 @@ def synth_hadamard_gate(q: float, n_samples: int = 1024, steps: int = 4096) -> G
     shape = synth_phase_gate(q, 1, n_samples, steps).loop.shape  # checks q, n_samples and steps first
     # eta(s) = q * integral_0^s A, interpolated between its grid-node values.
     s_mid, ds = midpoint_grid(steps)
-    eta_ends, eta_mid = cumulative_midpoint(HolonomyLoop(shape, steps=steps).sample(s_mid).a, ds, q)
+    eta_ends, eta_mid = cumulative_midpoint(HolonomyLoop(shape, steps=steps).sample().a, ds, q)
     eta_nodes = np.concatenate([[0.0], eta_ends])
     grid = np.linspace(0.0, 2 * math.pi, steps + 1)
     psi_cal = 1.0 / (4.0 * q)

@@ -16,7 +16,10 @@ of that form.  The transport kernel reads the connection component-first:
 three arrays (vx, vy, vz), each of shape (..., N), whose leading axes are a
 batch, so many Wilson lines of equal step count reduce in one call.  On the
 pinned axis n = +z with zero control the steps commute, and ``wilson_from_samples``
-transports their sum alone: exp(i (eta/2) sigma_z), eta = q ds sum A.
+transports their sum alone: exp(i (eta/2) sigma_z), eta = q ds sum A.  A loop's
+steps are a multiple of its segments, so its midpoints sit at fixed fractions of
+each segment; with the shared zero control ``integrate_wilson`` sums A over each
+segment's midpoints in closed form.
 
 ``dyson_trace`` evaluates the trace of the loop holonomy by treating the
 diagonal part of the transport exactly and expanding in the transverse
@@ -43,6 +46,7 @@ from .connection import (
     ControlField,
     GaugePatch,
     LoopSamples,
+    _monopole_segment_sums,
     _samples_at,
     connection_vectors,
     eigenframe_rate_samples,
@@ -99,6 +103,8 @@ class HolonomyLoop:
 
     def __post_init__(self):
         check_fields(self)
+        n = self.shape.n_segments  # each step then lies within one segment, where the loop is smooth
+        check("steps", self.steps, (lambda v: v % n == 0, f"a multiple of the loop's segments, samples = {n}"))
 
     def with_steps(self, steps: int) -> "HolonomyLoop":
         return HolonomyLoop(self.shape, self.bloch, self.control, self.charge, steps, self.patch)
@@ -110,26 +116,27 @@ class HolonomyLoop:
         per unit parameter, so reversal negates it along with the tangent;
         for analytic fields the axis-motion factor flips instead and the
         control value is kept.  Either way the reversed holonomy is the
-        exact inverse of the forward one at any step count.
+        exact inverse of the forward one at any step count.  The shared zero
+        control stays itself, so a reversed pinned loop keeps the closed form.
         """
-        ctrl = self.control
-        sign = -1.0 if self.bloch.is_pinned else 1.0
-        rev_psi = ControlField._from_arrays(
-            lambda s: sign * ctrl.at(2 * math.pi - s), check_periodic=False
-        )
-        return HolonomyLoop(
-            self.shape.reversed(),
-            self.bloch,
-            rev_psi,
-            self.charge,
-            self.steps,
-            self.patch,
-        )
+        ctrl, sign = self.control, (-1.0 if self.bloch.is_pinned else 1.0)
+        rev_psi = ctrl if ctrl is ControlField.zero() else ControlField._from_arrays(
+            lambda s: sign * ctrl.at(2 * math.pi - s), check_periodic=False)
+        return HolonomyLoop(self.shape.reversed(), self.bloch, rev_psi, self.charge, self.steps, self.patch)
 
-    def sample(self, s) -> LoopSamples:
-        """Transport data (A, psi, axis data) at an array of loop parameters."""
-        th, ph = self.shape.at(s)
-        return _samples_at(th, ph, *self.shape.tangent(s), self.bloch, self.control.at(s), self.patch, "loop")
+    def sample(self) -> LoopSamples:
+        """Transport data (A, psi, axis data) at ``midpoint_grid(steps)``, k = steps / n_segments on each segment."""
+        k = self.steps // self.shape.n_segments
+        (th, dth), (ph, dph) = (_segment_midpoints(x, k) for x in (self.shape.colatitudes, self.shape.azimuths))
+        psi = self.control.at(midpoint_grid(self.steps)[0])
+        return _samples_at(th, ph, dth, dph, self.bloch, psi, self.patch, "loop")
+
+
+def _segment_midpoints(x: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Piecewise-linear loop nodes ``x`` over [0, 2 pi] at k midpoints per segment, x_i + dx_i (m + 1/2) / k, and
+    each segment's rate dx_i / ds repeated k times."""
+    dx = np.diff(x)
+    return (x[:-1, None] + dx[:, None] * ((np.arange(k) + 0.5) / k)).ravel(), np.repeat(dx / (2 * math.pi / dx.size), k)
 
 
 def _step_pairs(vx, vy, vz, factor: float) -> tuple[np.ndarray, np.ndarray]:
@@ -234,10 +241,17 @@ def integrate_wilson(loop: HolonomyLoop) -> WilsonLine:
     """Holonomy of a closed loop as an ordered product of SU(2) step factors.
 
     A pinned loop is transported by ``wilson_from_samples`` on the loop's
-    samples, in the frame ``PINNED_FRAME`` (n = +z).
+    samples, in the frame ``PINNED_FRAME`` (n = +z).  With the zero control
+    its steps commute, and each segment's midpoint values of A are summed in
+    closed form into the one factor exp(i (eta/2) sigma_z).
     """
-    s_mid, ds = midpoint_grid(loop.steps)
-    samples = loop.sample(s_mid)
+    ds = 2 * math.pi / loop.steps
+    if loop.bloch.is_pinned and loop.control is ControlField.zero():
+        shape = loop.shape
+        total = np.sum(_monopole_segment_sums(shape.colatitudes, shape.azimuths, loop.steps // shape.n_segments,
+                                              loop.patch), keepdims=True)
+        return _wilson_line([total * n_k for n_k in PINNED_FRAME[2]], loop.charge, ds)
+    samples = loop.sample()
     if loop.bloch.is_pinned:
         return wilson_from_samples(samples.a, samples.psi, loop.charge)
     return _wilson_line(connection_vectors(samples), loop.charge, ds)
@@ -359,8 +373,7 @@ def dyson_trace(loop: HolonomyLoop, order: int = 2) -> TraceExpansion:
         NumericalError: when the measured quadratic correction exceeds the
             contraction bound (the message reports it).
     """
-    s_mid, _ = midpoint_grid(loop.steps)
-    c, j = eigenframe_rate_samples(loop.sample(s_mid), loop.charge)
+    c, j = eigenframe_rate_samples(loop.sample(), loop.charge)
     return trace_expansion_from_rates(c, j, order)
 
 

@@ -271,10 +271,11 @@ def hopf_pair(radius1: float = 1.0, radius2: float = 1.0, n_segments: int = 512)
 
     Circle 1 lies in the xy-plane centred at the origin; circle 2 lies in
     the xz-plane centred at (radius1, 0, 0) and threads through circle 1 if radius2 < 2 radius1.
-    Each radius must be positive and finite, checked before numpy sees it.
+    Each radius and their sum, the pair's extent, must be positive and finite, checked before numpy sees them.
     """
     check("radius1", radius1, POSITIVE)
     check("radius2", radius2, POSITIVE)
+    check("hopf extent radius1 + radius2", radius1 + radius2, FINITE)
     check("hopf radius2", radius2, (lambda v: v < 2 * radius1, "below 2 * radius1 for the circles to link"))
     check("n_segments", n_segments, SEGMENTS)
     t = np.linspace(0.0, 2 * math.pi, n_segments + 1)

@@ -101,27 +101,6 @@ class ShapeLoop:
     def n_segments(self) -> int:
         return self.colatitudes.size - 1
 
-    @property
-    def params(self) -> np.ndarray:
-        return np.linspace(0.0, 2 * math.pi, self.colatitudes.size)
-
-    def at(self, s):
-        """Piecewise-linear (colatitude, unwrapped azimuth) at parameter(s) s."""
-        s = np.asarray(s, dtype=float)
-        grid = self.params
-        return (
-            np.interp(s, grid, self.colatitudes),
-            np.interp(s, grid, self.azimuths),
-        )
-
-    def tangent(self, s):
-        """Segment-wise (d colatitude/ds, d azimuth/ds) at parameter(s) s."""
-        s = np.asarray(s, dtype=float)
-        n = self.n_segments
-        ds = 2 * math.pi / n
-        idx = np.clip((s / ds).astype(int), 0, n - 1)
-        return np.diff(self.colatitudes)[idx] / ds, np.diff(self.azimuths)[idx] / ds
-
     def reversed(self) -> "ShapeLoop":
         """The same geometric loop traversed backwards."""
         return ShapeLoop(self.colatitudes[::-1], self.azimuths[::-1])

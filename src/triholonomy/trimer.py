@@ -24,8 +24,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .connection import monopole_potential
-from .errors import (MAX_SAMPLES, POSITIVE, NumericalError, ValidationError, at_most, bounded, check, check_fields,
-                     count, frozen, guard)
+from .errors import (FINITE, MAX_SAMPLES, POSITIVE, NumericalError, ValidationError, at_most, bounded, check,
+                     check_fields, count, frozen, guard)
 from .holonomy import midpoint_grid
 from .shapespace import _check_loop_samples, shape_angles
 
@@ -361,9 +361,9 @@ def effective_momentum_series(traj: TrimerTrajectory, period: float) -> tuple[np
     2 (I_avg / T) arccos(Tr W / 2) is reported at the window starts.  A
     window is a pinned-axis loop with zero control and unit weight, so its
     holonomy is diagonal and Tr W = 2 cos(eta_T / 2): eta_T is the monopole
-    potential summed at the ``min(_WINDOW_STEPS, n_window)`` midpoints of
-    :func:`~triholonomy.holonomy.integrate_wilson`, which it matches to
-    round-off.  All windows share one parameter grid and are gathered in
+    potential summed at ``min(_WINDOW_STEPS, n_window)`` midpoints interpolated
+    on the window loop, for n_window <= 1024 the value of ``integrate_wilson``
+    to round-off.  All windows share one parameter grid and are gathered in
     row blocks of at most ``_WINDOW_BLOCK_BYTES`` per sample array.  The body
     rows repeat every n_P = ``traj.period_steps`` samples, so windows
     n_P / gcd(n_P, stride) apart read equal samples (canonical phi never
@@ -374,7 +374,7 @@ def effective_momentum_series(traj: TrimerTrajectory, period: float) -> tuple[np
     """
     check("period", period, POSITIVE)
     dt, total = traj.dt, traj.times.size
-    n_window = int(round(period / dt))
+    n_window = int(round(check(f"window steps period / dt at dt = {dt!r}", period / dt, FINITE)))
     check(f"window period's distance from a whole number of time steps dt = {dt!r}", abs(n_window * dt - period),
           at_most(1e-9 * period))
     check("window samples round(period / dt) + 1", n_window + 1,
@@ -392,7 +392,7 @@ def effective_momentum_series(traj: TrimerTrajectory, period: float) -> tuple[np
     _check_loop_samples(th_w, ph_w)
     n_steps = min(_WINDOW_STEPS, n_window)
 
-    # ShapeLoop.at (np.interp) and ShapeLoop.tangent, on the shared grid.
+    # Each midpoint's colatitude interpolated on its segment j, and the tangent of segment k = int(s / seg).
     s_mid, ds = midpoint_grid(n_steps)
     grid = np.linspace(0.0, 2 * math.pi, n_window + 1)
     j = np.clip(np.searchsorted(grid, s_mid, side="right") - 1, 0, n_window - 1)

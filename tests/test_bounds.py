@@ -270,10 +270,13 @@ def test_a_long_value_prints_abbreviated_on_one_short_line():
     assert str(refused.value) == ("masses must be three positive finite values, got "
                                   "[1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, ...]")
     # at most 8 entries of a list or tuple, 200 characters of a string or a number
-    for value in ("x" * 1000, (0.5,) * 9, 10**250, np.arange(10.0)):
+    for value in ("x" * 1000, (0.5,) * 9, 10**250, np.arange(10.0), [[1.0] * 100] * 100, np.ones((10, 10, 10))):
         with pytest.raises(ValidationError) as refused:
             errors.check("v", value, errors.at_most(0))
         assert "\n" not in str(refused.value) and len(str(refused.value)) < 300, str(refused.value)
+    # a list nested in one prints as [...]: a 100 x 100 value once printed 8 x 8 entries, 406 characters
+    with pytest.raises(ValidationError, match=r"^v must be at most 0, got \[\[\.\.\.\], (\[\.\.\.\], ){7}\.\.\.\]$"):
+        errors.check("v", [[1.0] * 100] * 100, errors.at_most(0))
 
 
 @pytest.mark.parametrize("command", ["validate", "run"])

@@ -788,8 +788,8 @@ class TestRun:
 
     @pytest.mark.parametrize("action", ["always", "error"])
     @pytest.mark.parametrize("command", ["run", "validate"])
-    @pytest.mark.parametrize("text", ["", "x,y,z\n", "x,y,z", "x,y,z\n\n  \n"],
-                             ids=["empty", "header", "header-unterminated", "blank-rows"])
+    @pytest.mark.parametrize("text", ["", "x,y,z\n", "x,y,z", "x,y,z\n\n  \n", "x,y,z\n# 1,2,3\n\n  # 4,5,6\n"],
+                             ids=["empty", "header", "header-unterminated", "blank-rows", "comment-rows"])
     def test_curve_file_without_data_rows_exits_2_by_name(self, tmp_path, capsys, action, command, text):
         # numpy's "loadtxt: input contained no data" UserWarning once came first, and a traceback under
         # warnings as errors; the file is read once
@@ -804,6 +804,39 @@ class TestRun:
         assert not caught
         message = f"curve file {tmp_path / 'empty.csv'} has no data row below its header"
         assert capsys.readouterr() == ("", f"validation error: {message}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    @pytest.mark.parametrize("scenario, params", [("gate-synth", {"q": 100.0, "target": "pi2"}),
+                                                  ("gate-synth", {"q": 100.0, "target": "hadamard"}),
+                                                  ("trace-sweep", {"psi_values": [0.05]}),
+                                                  ("ramsey", {"q": 400.0})],
+                             ids=["pi2", "hadamard", "trace-sweep", "ramsey"])
+    def test_unaligned_steps_exit_2_and_the_aligned_neighbour_0(self, tmp_path, capsys, command, scenario, params):
+        # 3000 steps on 1024 segments straddle the loop's kinks, and cost 5000 times the error of 3072
+        for steps, code, err in ((3000, 2, "validation error: steps must be a multiple of the loop's segments, "
+                                           "samples = 1024, got 3000\n"), (3072, 0, "")):
+            cfg = {"schema_version": 1, "scenario": scenario, "seed": 0,
+                   "params": dict(params, samples=1024, steps=steps)}
+            out = tmp_path / f"out-{steps}"
+            argv = [command, write_config(tmp_path, cfg)] + (["--out", str(out)] if command == "run" else [])
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main(argv) == code
+            assert capsys.readouterr().err == err
+            assert out.exists() == (command == "run" and code == 0)
+
+    def test_overflowing_hopf_extent_exits_2_under_run_and_validate(self, tmp_path, capsys):
+        # radius1 + radius2 = 1.8e308 once overflowed in hopf_pair's points, and under warnings as errors exited 1
+        cfg = {"schema_version": 1, "scenario": "linking", "seed": 0,
+               "params": {"hopf": {"radius1": 9e307, "radius2": 9e307}}}
+        cfg_path, out = write_config(tmp_path, cfg), tmp_path / "out"
+        for argv in (["validate", cfg_path], ["run", cfg_path, "--out", str(out)]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main(argv) == 2
+            assert capsys.readouterr().err == ("validation error: hopf extent radius1 + radius2 must be finite, "
+                                               "got inf\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("scenario, override, key", BAD_SCENARIO_INPUTS)
@@ -962,8 +995,7 @@ class TestRun:
         assert main(["run", write_config(tmp_path, cfg), "--out", str(out)]) == 0
         rows = [row.split(",") for row in (out / "trace_sweep.csv").read_text().splitlines()[1:]]
         shape = make_ellipse_loop(math.pi / 2, 0.2, 0.2, 512)
-        s_mid, _ = midpoint_grid(2048)
-        base = HolonomyLoop(shape, charge=2.0, steps=2048).sample(s_mid)
+        base = HolonomyLoop(shape, charge=2.0, steps=2048).sample()
         for row, psi_abs in zip(rows, params["psi_values"], strict=True):
             c, j = eigenframe_rate_samples(base._replace(psi=np.full(2048, complex(psi_abs))), 2.0)
             assert row[2] == format(trace_expansion_from_rates(c, j, 2).trace_estimate, ".17g")

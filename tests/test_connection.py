@@ -354,7 +354,7 @@ class TestGaugeAndPatchProperties:
         # integrate_wilson and wilson_from_samples (interaction_frame, the Hadamard calibration) give one matrix
         loop = HolonomyLoop(make_ellipse_loop(math.pi / 2, 0.2, 0.2), control=ControlField.constant(0.1),
                             charge=2.0, steps=4096)
-        a, psi, _ = loop.sample(midpoint_grid(loop.steps)[0])
+        a, psi, _ = loop.sample()
         assert np.array_equal(integrate_wilson(loop).matrix, wilson_from_samples(a, psi, 2.0).matrix)
 
     def test_exact_form_shift_of_decomposition(self):
@@ -488,8 +488,8 @@ class TestControlField:
         ctrl = ControlField(psi)
         assert len(calls) == 2  # periodicity probes at s = 0 and 2 pi
         shape = make_ellipse_loop(math.pi / 2, 0.2, 0.2, 64)
-        integrate_wilson(HolonomyLoop(shape, BlochField.pinned(), ctrl, 2.0, 300))
-        assert len(calls) == 2 + 300
+        integrate_wilson(HolonomyLoop(shape, BlochField.pinned(), ctrl, 2.0, 320))
+        assert len(calls) == 2 + 320
 
     def test_constant_and_samples(self):
         assert ControlField.constant(0.3 + 0.1j).at(1.7) == 0.3 + 0.1j

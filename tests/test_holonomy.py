@@ -4,7 +4,8 @@ import warnings
 import numpy as np
 import pytest
 
-from triholonomy.connection import BlochField, ControlField, connection_vectors
+from triholonomy.connection import (BlochField, ControlField, GaugePatch, _monopole_segment_sums, connection_vectors,
+                                    monopole_potential)
 from triholonomy import holonomy
 from triholonomy.errors import NumericalError, ValidationError
 from triholonomy.holonomy import (
@@ -221,12 +222,12 @@ class TestNonFiniteControl:
         return math.nan if math.pi < s < 2 * math.pi else 0.05
 
     def test_integrate_wilson_raises(self):
-        loop = pinned_loop(ellipse(), ControlField(self.nan_after_pi), steps=256)
+        loop = pinned_loop(ellipse(), ControlField(self.nan_after_pi), steps=1024)
         with pytest.raises(ValidationError, match="not finite"):
             integrate_wilson(loop)
 
     def test_dyson_trace_raises(self):
-        loop = pinned_loop(ellipse(), ControlField(self.nan_after_pi), steps=256)
+        loop = pinned_loop(ellipse(), ControlField(self.nan_after_pi), steps=1024)
         with pytest.raises(ValidationError, match="not finite"):
             dyson_trace(loop)
 
@@ -273,12 +274,13 @@ class TestIntegrateWilson:
         loop = pinned_loop(ellipse(), ControlField(lambda s: 0.08 * np.exp(1j * s)), q=1.5, steps=8192)
         w = integrate_wilson(loop).matrix
 
-        def segment(s0, s1, n_steps):
-            s_mid, ds = midpoint_grid(n_steps, s0, s1)
-            return _wilson_line(connection_vectors(loop.sample(s_mid)), loop.charge, ds).matrix
+        def segment(half, steps):
+            # the half's steps of the whole loop's transport at ``steps``
+            v = connection_vectors(loop.with_steps(steps).sample())[:, half * steps // 2 : (half + 1) * steps // 2]
+            return _wilson_line(v, loop.charge, 2 * math.pi / steps).matrix
 
-        first = segment(0.0, math.pi, 4096)
-        second = segment(math.pi, 2 * math.pi, 8192)
+        first = segment(0, 8192)
+        second = segment(1, 16384)
         assert np.max(np.abs(second @ first - w)) < 1e-8
 
     def test_inversion_is_exact(self):
@@ -330,13 +332,106 @@ class TestIntegrateWilson:
             integrate_wilson(pinned_loop(shape))
 
 
+def interpolated(shape, s):
+    """Oracle: the loop read at parameters s by np.interp on its nodes, and the tangent of the segment int(s / ds)."""
+    n = shape.n_segments
+    grid, ds = np.linspace(0.0, 2 * math.pi, n + 1), 2 * math.pi / n
+    idx = np.clip((s / ds).astype(int), 0, n - 1)
+    return (np.interp(s, grid, shape.colatitudes), np.interp(s, grid, shape.azimuths),
+            np.diff(shape.colatitudes)[idx] / ds, np.diff(shape.azimuths)[idx] / ds)
+
+
+def near_pole_loop(pole, d0, d1):
+    """A 64-segment loop 0.5 from ``pole`` but for node 0, d0 from it, and node 1, d1 from it."""
+    s = np.linspace(0, 2 * math.pi, 65)
+    th = np.abs(pole - np.concatenate([[d0, d1], np.full(62, 0.5), [d0]]))
+    return ShapeLoop.from_samples(th, s)
+
+
+class TestSegmentSampler:
+    """HolonomyLoop.sample reads k = steps / n_segments midpoints on each segment."""
+
+    @pytest.mark.parametrize("k", [1, 4, 16])
+    def test_matches_interpolating_oracle(self, k):
+        shape = ellipse(theta0=1.2, a=0.3, b=0.25, n=256, phi0=0.4)
+        ctrl = ControlField(lambda s: 0.05 * complex(math.cos(s), math.sin(s)))
+        loop = HolonomyLoop(shape, BlochField.radial(), ctrl, 1.5, 256 * k)
+        s_mid, _ = midpoint_grid(loop.steps)
+        th, ph, dth, dph = interpolated(shape, s_mid)
+        for x, ref in zip(loop.sample().axis, (th, ph % (2 * math.pi), dth, dph)):
+            assert np.max(np.abs(x - ref)) <= 1e-15 * np.max(np.abs(ref))
+        a, psi, _ = pinned_loop(shape, ctrl, steps=256 * k).sample()
+        ref_a = monopole_potential(th, dph)
+        assert np.max(np.abs(a - ref_a)) <= 1e-15 * np.max(np.abs(ref_a))
+        assert np.array_equal(psi, ctrl.at(s_mid))
+
+    def test_unaligned_steps_are_refused_by_name(self):
+        with pytest.raises(ValidationError, match=r"^steps must be a multiple of the loop's segments, "
+                                                  r"samples = 1024, got 3000$"):
+            pinned_loop(ellipse(n=1024), steps=3000)
+        assert pinned_loop(ellipse(n=1024), steps=3072).steps == 3072
+
+
+class TestZeroControlClosedForm:
+    """A pinned zero-control loop sums each segment's midpoint potential in closed form."""
+
+    @pytest.mark.parametrize("k", [1, 4, 16])
+    @pytest.mark.parametrize("patch", [GaugePatch.NORTH, GaugePatch.SOUTH])
+    @pytest.mark.parametrize("shape", [equator(64), ellipse(n=64), ellipse(theta0=2.6, a=0.4, b=0.3, n=64)],
+                             ids=["equator", "ellipse", "ellipse-near-south-pole"])
+    def test_matches_the_summed_midpoint_potential(self, k, patch, shape):
+        loop = HolonomyLoop(shape, BlochField.pinned(), ControlField.zero(), 3.0, 64 * k, patch)
+        a = loop.sample().a
+        sums = _monopole_segment_sums(shape.colatitudes, shape.azimuths, k, patch)
+        assert np.max(np.abs(sums - a.reshape(64, k).sum(axis=1))) <= 1e-15 * k * np.max(np.abs(a))
+        w = integrate_wilson(loop).matrix
+        assert np.max(np.abs(w - wilson_from_samples(a, np.zeros(a.size), 3.0).matrix)) <= 1e-13
+
+    def test_reversed_loop_keeps_the_closed_form(self, monkeypatch):
+        # the reversed pi/2 loop once wrapped its zero control and transported all 16384 steps
+        loop = HolonomyLoop(ellipse(n=1024), BlochField.pinned(), ControlField.zero(), 100.0, 16384)
+        assert loop.reversed().control is ControlField.zero()
+        monkeypatch.setattr(HolonomyLoop, "sample", None)  # the closed form samples nothing
+        w, w_rev = integrate_wilson(loop).matrix, integrate_wilson(loop.reversed()).matrix
+        assert np.max(np.abs(w_rev @ w - np.eye(2))) <= 1e-14
+
+    def test_the_equator_has_flat_segments(self):
+        # criterion 01's loop: every dtheta is 0, where the closed form's ratio is k
+        assert not np.any(np.diff(equator().colatitudes))
+        sums = _monopole_segment_sums(equator().colatitudes, equator().azimuths, 4, GaugePatch.NORTH)
+        assert np.max(np.abs(sums - 2.0)) <= 1e-12
+
+    @pytest.mark.parametrize("k", [1, 4, 16])
+    @pytest.mark.parametrize("patch, pole, message", [
+        (GaugePatch.NORTH, math.pi, r"^loop reaches the excluded \(south\) pole of the north patch$"),
+        (GaugePatch.SOUTH, 0.0, r"^loop reaches the excluded \(north\) pole of the south patch$"),
+    ], ids=["north", "south"])
+    @pytest.mark.parametrize("d0, d1, refused_from_k", [(1e-10, 1e-10, 1), (1e-10, 0.5, math.inf), (1e-11, 4e-9, 2)],
+                             ids=["flat", "steep", "shallow"])
+    def test_refuses_the_pole_exactly_where_the_sampled_midpoints_do(self, k, patch, pole, message, d0, d1,
+                                                                      refused_from_k):
+        # The pole refusal holds a midpoint to 1e-9 of the pole.  A flat segment 1e-10 from it puts every midpoint
+        # there; a node 1e-10 from it between steep segments none.  On a segment that rises 4e-9 from a node 1e-11
+        # away only the first midpoint of k >= 2 lies within 1e-9: the closed form reads each segment's extremes.
+        loop = HolonomyLoop(near_pole_loop(pole, d0, d1), BlochField.pinned(), ControlField.zero(), 1.0, 64 * k, patch)
+        th = interpolated(loop.shape, midpoint_grid(loop.steps)[0])[0]
+        assert np.any(np.abs(th - pole) < 1e-9) == (k >= refused_from_k)
+        if k >= refused_from_k:
+            for transport in (integrate_wilson, HolonomyLoop.sample):
+                with pytest.raises(NumericalError, match=message):
+                    transport(loop)
+        else:
+            a = loop.sample().a
+            w = wilson_from_samples(a, np.zeros(a.size), 1.0).matrix
+            assert np.max(np.abs(integrate_wilson(loop).matrix - w)) <= 1e-13
+
+
 class TestCommutingStepPath:
     """Zero-control pinned loops transport the summed vector; the SU(2) kernel is the oracle."""
 
     @staticmethod
     def kernel(loop):
-        s_mid, ds = midpoint_grid(loop.steps)
-        return _transport(connection_vectors(loop.sample(s_mid)), loop.charge * ds)
+        return _transport(connection_vectors(loop.sample()), loop.charge * 2 * math.pi / loop.steps)
 
     @staticmethod
     def spy(monkeypatch):
@@ -359,13 +454,13 @@ class TestCommutingStepPath:
         assert np.max(np.abs(w - self.kernel(loop))) <= 1e-13
 
     def test_one_nonzero_control_sample_takes_su2_path(self, monkeypatch):
-        s_mid, _ = midpoint_grid(256)
+        s_mid, _ = midpoint_grid(1024)
         ctrl = ControlField(lambda s: 1e-3 if abs(s - s_mid[37]) < 1e-12 else 0.0)
-        loop = HolonomyLoop(ellipse(), BlochField.pinned(), ctrl, 2.0, 256)
-        assert np.count_nonzero(loop.sample(s_mid).psi) == 1
+        loop = HolonomyLoop(ellipse(), BlochField.pinned(), ctrl, 2.0, 1024)
+        assert np.count_nonzero(loop.sample().psi) == 1
         seen = self.spy(monkeypatch)
         w = integrate_wilson(loop).matrix
-        assert seen == [256]
+        assert seen == [1024]
         assert np.array_equal(w, self.kernel(loop))
 
 
@@ -382,7 +477,7 @@ class TestHolonomyTrace:
         for steps in (100.5, True, 7):
             with pytest.raises(ValidationError, match=r"^steps must be an int in \[8, 67108864\], got "):
                 pinned_loop(equator(), steps=steps)
-        assert pinned_loop(equator(), steps=np.int64(100)).steps == 100
+        assert pinned_loop(equator(), steps=np.int64(8192)).steps == 8192
 
     def test_coupling_weight_must_be_positive(self):
         for q in (0.0, -1.0, math.nan):

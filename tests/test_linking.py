@@ -326,6 +326,13 @@ class TestGaussLinking:
             warnings.simplefilter("error")
             assert gauss_linking(*hopf_pair(radius, radius, 64)) == 1
 
+    def test_overflowing_hopf_extent_is_refused_before_numpy(self):
+        # 9e307 + 9e307 once overflowed in circle 2's points, with numpy's warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=r"^hopf extent radius1 \+ radius2 must be finite, got inf$"):
+                hopf_pair(9e307, 9e307, 64)
+
     @pytest.mark.parametrize("gauss", [gauss_linking, gauss_linking_integral])
     def test_overflowing_diameter_leaves_the_gauss_sum_undefined(self, gauss):
         # x spans +-1e308; the integral once overflowed in its sum and then refused a close approach

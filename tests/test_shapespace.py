@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from triholonomy.connection import BlochField
 from triholonomy.errors import ValidationError
+from triholonomy.holonomy import HolonomyLoop, midpoint_grid
 from triholonomy.shapespace import ShapeLoop, _hopf_angles, _jacobi, shape_angles, solid_angle
 from triholonomy.trimer import _Frames
 
@@ -200,11 +202,15 @@ class TestShapeLoop:
             ShapeLoop(th, np.zeros(33))
 
     def test_interpolation_and_tangent(self):
+        # a transport reads the loop piecewise linearly at its step midpoints; the radial axis field's angles
+        # and rates are the loop's colatitude, azimuth and tangent there
         loop = ellipse_loop(math.pi / 2, 0.2, 0.1, n=2048)
-        th, ph = loop.at(1.234)
-        assert th == pytest.approx(math.pi / 2 + 0.2 * math.cos(1.234), abs=1e-5)
-        dth, dph = loop.tangent(1.234)
-        assert dth == pytest.approx(-0.2 * math.sin(1.234), abs=1e-3)
+        s, _ = midpoint_grid(4096)
+        th, ph, dth, dph = HolonomyLoop(loop, BlochField.radial(), steps=4096).sample().axis
+        assert np.max(np.abs(th - (math.pi / 2 + 0.2 * np.cos(s)))) <= 1e-5
+        assert np.max(np.abs(np.sin(ph) - np.sin(0.1 * np.sin(s)))) <= 1e-5
+        assert np.max(np.abs(dth + 0.2 * np.sin(s))) <= 1e-3
+        assert np.max(np.abs(dph - 0.1 * np.cos(s))) <= 1e-3
 
     def test_winding_counter(self):
         s = np.linspace(0, 2 * math.pi, 65)

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from triholonomy.connection import BlochField, ControlField, connection_vectors
+from triholonomy.connection import LoopSamples, connection_vectors, monopole_potential
 from triholonomy.errors import MAX_SAMPLES, NumericalError, ValidationError
 from triholonomy.holonomy import HolonomyLoop, _transport, integrate_wilson, midpoint_grid
 from triholonomy.shapespace import ShapeLoop
@@ -698,9 +698,11 @@ def momentum_series_per_window(traj, period):
     """Reference: one ShapeLoop and one SU(2) step-product transport per window.
 
     A window starts every quarter period and is transported at unit weight
-    over at most 1024 steps.  The windows have zero control, so
-    integrate_wilson would take its commuting-step path; the reference calls
-    the SU(2) kernel directly.
+    over at most 1024 steps.  A window of more segments is not a HolonomyLoop
+    (its steps are not a multiple of its segments), so the reference samples
+    each midpoint itself: the colatitude interpolated on the window loop, and
+    the tangent of the segment int(s / seg).  The windows have zero control;
+    the reference calls the SU(2) kernel directly.
     """
     n_window = int(round(period / traj.dt))
     theta_sh, phi_sh = shape_angles(traj.x, traj.y, traj.masses)
@@ -711,8 +713,11 @@ def momentum_series_per_window(traj, period):
         sl = slice(i0, i0 + n_window + 1)
         loop = ShapeLoop.from_samples(theta_sh[sl], phi_sh[sl])
         s_mid, ds = midpoint_grid(min(1024, n_window))
-        hloop = HolonomyLoop(loop, BlochField.pinned(), ControlField.zero(), 1.0, s_mid.size)
-        m = _transport(connection_vectors(hloop.sample(s_mid)), ds)
+        seg = 2 * math.pi / n_window
+        colat = np.interp(s_mid, np.linspace(0.0, 2 * math.pi, n_window + 1), loop.colatitudes)
+        tangent = np.diff(loop.azimuths)[np.clip((s_mid / seg).astype(int), 0, n_window - 1)] / seg
+        a = monopole_potential(colat, tangent)
+        m = _transport(connection_vectors(LoopSamples(a, np.zeros(a.size, dtype=complex), None)), ds)
         half = min(1.0, max(-1.0, np.trace(m).real / 2.0))
         values[w] = 2.0 * (float(np.mean(inertia[sl])) / period) * math.acos(half)
     return traj.times[starts], values
@@ -820,6 +825,14 @@ class TestEffectiveMomentumSeries:
         traj = reconstruct_rotation(drive, REFERENCE_MASSES, 2 * period)
         with pytest.raises(ValidationError, match="^period must be positive and finite, got "):
             effective_momentum_series(traj, factor * period)
+
+    def test_period_whose_step_count_overflows_rejected(self):
+        # 1e308 / (2 pi / 512) is inf: int(round(...)) once raised a bare OverflowError
+        drive = BondDrive(1.1, 0.2, 1.0, 1.0, 0.15, 3.0)
+        traj = reconstruct_rotation(drive, [2.1, 2.1, 4.7], 2 * math.pi, 2 * math.pi / 512)
+        with pytest.raises(ValidationError, match=r"^window steps period / dt at dt = 0\.01227184630308513 must be "
+                                                  r"finite, got inf$"):
+            effective_momentum_series(traj, 1e308)
 
     def test_mass_scaling_is_exact(self):
         # the shape angles do not change under a common mass scale; the inertia doubles
